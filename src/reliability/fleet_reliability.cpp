@@ -3,12 +3,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/array_code.hpp"
 #include "reliability/config_checks.hpp"
-#include "reliability/parallel.hpp"
 #include "reliability/sparse_trial.hpp"
-#include "util/bitmatrix.hpp"
-#include "util/units.hpp"
 
 namespace pimecc::rel {
 
@@ -18,73 +14,14 @@ FleetMonteCarloResult run_fleet_montecarlo(const FleetMonteCarloConfig& config,
   if (config.shards == 0) {
     throw std::invalid_argument("run_fleet_montecarlo: need >= 1 shard");
   }
-  const double p =
-      util::error_probability(config.fit_per_bit, config.window_hours);
-  const std::size_t data_cells = config.n * config.n;
-  ecc::ArrayCode probe(config.n, config.m);
-  const std::size_t check_cells =
-      config.include_check_bits ? probe.block_count() * 2 * config.m : 0;
-
+  // Shard s's trial t rides substream 1 + s*T + t: exactly the substream
+  // sequence a flat run_montecarlo over S*T trials walks, so every counter
+  // of result.total is bit-identical to the flat engine's.
+  const detail::SparseCampaign campaign(config.flat(), rng);
   FleetMonteCarloResult result;
-  result.total.trials = config.total_trials();
-  result.total.blocks_total =
-      static_cast<std::uint64_t>(config.total_trials()) * probe.block_count();
   result.shards.resize(config.shards);
-
-  // Single caller draw; golden from substream 0; shard s's trial t on
-  // substream 1 + s*T + t.  That is exactly the substream sequence a flat
-  // run_montecarlo over S*T trials walks, so every counter of
-  // result.total is bit-identical to the flat engine's.
-  const std::uint64_t base_seed = rng.next();
-
-  const util::BitMatrix golden =
-      detail::make_montecarlo_golden(config.n, base_seed);
-  ecc::ArrayCode golden_code(config.n, config.m);
-  golden_code.encode_all(golden);
-
-  detail::SparseTrialContext ctx;
-  ctx.golden = &golden;
-  ctx.golden_code = &golden_code;
-  ctx.p = p;
-  ctx.population = data_cells + check_cells;
-  ctx.bps = golden_code.blocks_per_side();
-  ctx.m = config.m;
-  ctx.include_check_bits = config.include_check_bits;
-
-  // The ticket unit is a SHARD: one golden image amortizes over
-  // trials_per_shard trials of lane-local work, and shard outcome slot s
-  // is written only by the lane that drew ticket s.
-  struct Lane {
-    detail::SparseTrialLane state;
-    MonteCarloResult out;
-  };
-  const std::size_t trials_per_shard = config.trials_per_shard;
-  std::vector<FleetShardOutcome>& shard_slots = result.shards;
-  const std::vector<Lane> lanes = detail::run_trial_pool<Lane>(
-      config.shards, config.threads,
-      [&ctx] { return Lane{detail::SparseTrialLane(ctx), {}}; },
-      [&ctx, &shard_slots, base_seed, trials_per_shard](Lane& lane,
-                                                        std::size_t s) {
-        MonteCarloResult shard_out;
-        for (std::size_t t = 0; t < trials_per_shard; ++t) {
-          util::Rng trial_rng =
-              util::Rng::for_stream(base_seed, 1 + s * trials_per_shard + t);
-          detail::run_sparse_trial(ctx, lane.state, trial_rng, shard_out);
-        }
-        FleetShardOutcome& slot = shard_slots[s];
-        slot.trials_with_errors = shard_out.trials_with_errors;
-        slot.trials_failed = shard_out.trials_failed;
-        slot.flips_injected = shard_out.flips_injected;
-        slot.blocks_failed = shard_out.blocks_failed;
-        slot.stats = shard_out;
-        detail::accumulate(lane.out, shard_out);
-      });
-  for (const Lane& lane : lanes) detail::accumulate(result.total, lane.out);
-  const std::uint64_t blocks_per_trial = probe.block_count();
-  for (FleetShardOutcome& slot : result.shards) {
-    slot.stats.trials = trials_per_shard;
-    slot.stats.blocks_total = trials_per_shard * blocks_per_trial;
-  }
+  result.total =
+      campaign.run(config.shards, config.trials_per_shard, result.shards);
   return result;
 }
 
@@ -116,76 +53,21 @@ FleetCampaignResult run_fleet_campaign(const FleetMonteCarloConfig& config,
     }
   }
 
-  const double p =
-      util::error_probability(config.fit_per_bit, config.window_hours);
-  const std::size_t data_cells = config.n * config.n;
-  ecc::ArrayCode probe(config.n, config.m);
-  const std::size_t check_cells =
-      config.include_check_bits ? probe.block_count() * 2 * config.m : 0;
-
-  // Same single-draw discipline as run_fleet_montecarlo: golden from
-  // substream 0, shard s trial t on substream 1 + s*T + t.  Because the
-  // substream index is the LOGICAL shard id, a respared shard replays its
-  // predecessor's exact trial sequence (bit-identical recovery) and an
-  // excluded shard's trials simply never run (exact subtraction).
-  const std::uint64_t base_seed = rng.next();
-  const util::BitMatrix golden =
-      detail::make_montecarlo_golden(config.n, base_seed);
-  ecc::ArrayCode golden_code(config.n, config.m);
-  golden_code.encode_all(golden);
+  // Substreams are indexed by LOGICAL shard id (as in run_fleet_montecarlo),
+  // so a respared shard replays its predecessor's exact trial sequence
+  // (bit-identical recovery) and an excluded shard's trials simply never
+  // run (exact subtraction).
+  const detail::SparseCampaign campaign(config.flat(), rng);
   // Surviving shards (including freshly respared ones) carry the campaign
   // image; dead shards are skipped by the fleet itself.
-  fleet.load_broadcast(golden);
-
-  detail::SparseTrialContext ctx;
-  ctx.golden = &golden;
-  ctx.golden_code = &golden_code;
-  ctx.p = p;
-  ctx.population = data_cells + check_cells;
-  ctx.bps = golden_code.blocks_per_side();
-  ctx.m = config.m;
-  ctx.include_check_bits = config.include_check_bits;
-
-  struct Lane {
-    detail::SparseTrialLane state;
-    MonteCarloResult out;
-  };
-  const std::size_t trials_per_shard = config.trials_per_shard;
-  const std::uint64_t blocks_per_trial = probe.block_count();
+  fleet.load_broadcast(campaign.golden());
   result.shards.resize(config.shards);
-  std::vector<FleetShardOutcome>& shard_slots = result.shards;
-  const arch::CrossbarFleet& health = fleet;
-  const std::vector<Lane> lanes = detail::run_trial_pool<Lane>(
-      config.shards, config.threads,
-      [&ctx] { return Lane{detail::SparseTrialLane(ctx), {}}; },
-      [&ctx, &shard_slots, &health, base_seed, trials_per_shard,
-       blocks_per_trial](Lane& lane, std::size_t s) {
-        FleetShardOutcome& slot = shard_slots[s];
-        if (!health.shard_active(s)) {
-          slot.skipped = true;
-          return;
-        }
-        MonteCarloResult shard_out;
-        for (std::size_t t = 0; t < trials_per_shard; ++t) {
-          util::Rng trial_rng =
-              util::Rng::for_stream(base_seed, 1 + s * trials_per_shard + t);
-          detail::run_sparse_trial(ctx, lane.state, trial_rng, shard_out);
-        }
-        shard_out.trials = trials_per_shard;
-        shard_out.blocks_total = trials_per_shard * blocks_per_trial;
-        slot.trials_with_errors = shard_out.trials_with_errors;
-        slot.trials_failed = shard_out.trials_failed;
-        slot.flips_injected = shard_out.flips_injected;
-        slot.blocks_failed = shard_out.blocks_failed;
-        slot.stats = shard_out;
-        detail::accumulate(lane.out, shard_out);
-      });
-  for (const Lane& lane : lanes) detail::accumulate(result.total, lane.out);
-  const std::size_t shards_run =
-      config.shards - result.degradation.shards_excluded;
-  result.total.trials = shards_run * trials_per_shard;
-  result.total.blocks_total =
-      static_cast<std::uint64_t>(result.total.trials) * blocks_per_trial;
+  std::vector<bool> excluded(config.shards);
+  for (std::size_t s = 0; s < config.shards; ++s) {
+    excluded[s] = result.shards[s].skipped = !fleet.shard_active(s);
+  }
+  result.total = campaign.run(config.shards, config.trials_per_shard,
+                              result.shards, excluded);
   return result;
 }
 

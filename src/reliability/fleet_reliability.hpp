@@ -5,18 +5,13 @@
 // memories, both riding the persistent work-stealing executor.
 //
 // run_fleet_montecarlo treats a *shard* as the unit of work: shard s runs
-// trials_per_shard sparse trials (reliability/sparse_trial.hpp -- the
-// byte-for-byte single-crossbar trial body) on substreams
-// 1 + s * trials_per_shard + t over ONE golden image per (n, m) config
-// shared by every shard (substream 0, the run_montecarlo discipline).
-// That makes the contract exact and testable: the fleet totals are
+// trials_per_shard trials on substreams 1 + s * trials_per_shard + t of
+// the single-crossbar engine's own loop (reliability/sparse_trial.hpp),
+// over one golden image shared by every shard.  So the fleet totals are
 // BIT-IDENTICAL to run_montecarlo over shards * trials_per_shard flat
 // trials from the same caller rng, at every shard count and every worker
-// count -- the fleet engine cannot drift from the single-crossbar engine
-// without tests/test_fleet.cpp and bench_fleet_throughput failing.  On
-// top of the flat totals it reports per-shard outcome slots (filled by
-// whichever lane ran the shard; deterministic because slot s belongs to
-// shard s alone).
+// count.  On top of the flat totals it reports per-shard outcome slots
+// (slot s belongs to shard s alone).
 //
 // run_fleet_mttf_grid evaluates a (SER x shard-count) grid of lifetime
 // campaigns -- the empirical counterpart of the paper's Figure 6 sweep,
@@ -68,10 +63,6 @@ struct FleetMonteCarloConfig {
 /// Outcome slot of one shard (deterministic: slot s is written only by the
 /// lane that ran shard s, whichever lane that was).
 struct FleetShardOutcome {
-  std::size_t trials_with_errors = 0;
-  std::size_t trials_failed = 0;
-  std::uint64_t flips_injected = 0;
-  std::uint64_t blocks_failed = 0;
   /// Full per-shard counters (trials/blocks_total included), so degraded
   /// campaign totals are exactly the sum of the surviving shards' stats.
   MonteCarloResult stats;

@@ -8,20 +8,15 @@
 
 #include "reliability/analytic.hpp"
 #include "reliability/config_checks.hpp"
-#include "reliability/parallel.hpp"
+#include "reliability/campaign.hpp"
 #include "util/serialize.hpp"
 #include "util/units.hpp"
 
 namespace pimecc::rel {
 
 double LifetimeResult::empirical_mttf_hours(double horizon) const noexcept {
-  if (failures == 0) return horizon * static_cast<double>(trials);
-  // Exposure-based estimator: total observed time / failures (censored
-  // trials contribute their full horizon, failed trials their TTF).
-  const double censored =
-      static_cast<double>(trials - failures) * horizon;
-  return (time_to_failure_hours.sum() + censored) /
-         static_cast<double>(failures);
+  return detail::censored_mttf_hours(time_to_failure_hours, trials, failures,
+                                     horizon);
 }
 
 namespace {
@@ -108,8 +103,7 @@ LifetimeProgress begin_lifetime(const LifetimeConfig& config, util::Rng& rng) {
   // preserving simulate_lifetime's historical throw-before-draw behavior.
   (void)derive(config);
   LifetimeProgress progress;
-  // One draw seeds all per-trial substreams (trial t -> stream t), so the
-  // caller's generator advances identically for every thread count.
+  // The campaign's single draw; trial t rides substream t.
   progress.base_seed = rng.next();
   return progress;
 }
@@ -127,17 +121,12 @@ std::size_t advance_lifetime(const LifetimeConfig& config,
   const std::size_t count =
       max_trials == 0 ? remaining : std::min(max_trials, remaining);
   const Derived d = derive(config);
-  const std::size_t start = progress.trials_done;
-  const std::uint64_t base_seed = progress.base_seed;
 
-  // Per-trial TTF (negative = survived), filled into the trial's own slot
-  // by whichever lane runs it and appended to the progress vector in trial
-  // order after the join -- bit-identical statistics for any thread count.
+  // Per-trial TTF slots (negative = survived), appended to the progress
+  // vector in trial order after the join.
   std::vector<double> ttf(count, -1.0);
 
-  // Lane state: commutative counter sums plus reusable scratch.  Trial t
-  // always rides substream t, so the dynamic lane assignment cannot
-  // affect any sampled value.
+  // Lane state: commutative counter sums plus reusable scratch.
   struct Lane {
     std::uint64_t scrubs = 0;
     std::uint64_t corrected = 0;
@@ -145,9 +134,7 @@ std::size_t advance_lifetime(const LifetimeConfig& config,
     std::vector<std::size_t> hit_blocks;
   };
 
-  auto run_trial = [&](Lane& out, std::size_t t) {
-    const std::size_t trial = start + t;  // absolute trial = substream index
-    util::Rng trial_rng = util::Rng::for_stream(base_seed, trial);
+  auto run_trial = [&](Lane& out, util::Rng& trial_rng, std::size_t t) {
     if (d.s <= 0.0) {  // no events can ever land: every window is empty
       out.scrubs += d.total_windows;
       return;
@@ -191,8 +178,12 @@ std::size_t advance_lifetime(const LifetimeConfig& config,
     }
   };
 
-  for (const Lane& partial : detail::run_trial_pool<Lane>(
-           count, config.threads, [] { return Lane{}; }, run_trial)) {
+  // Absolute trial t rides substream t, so chunked runs resume exactly.
+  const detail::CampaignPlan plan{progress.base_seed,
+                                  /*first_substream=*/progress.trials_done,
+                                  count, 1, config.threads};
+  for (const Lane& partial : detail::run_campaign<Lane>(
+           plan, [] { return Lane{}; }, run_trial)) {
     progress.scrubs_performed += partial.scrubs;
     progress.errors_corrected += partial.corrected;
     progress.failures += partial.failures;
@@ -208,9 +199,7 @@ LifetimeResult lifetime_result(const LifetimeProgress& progress) {
   result.failures = progress.failures;
   result.scrubs_performed = progress.scrubs_performed;
   result.errors_corrected = progress.errors_corrected;
-  for (const double ttf : progress.ttf_hours) {
-    if (ttf >= 0.0) result.time_to_failure_hours.add(ttf);
-  }
+  result.time_to_failure_hours = detail::fold_ttf(progress.ttf_hours);
   return result;
 }
 

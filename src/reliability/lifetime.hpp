@@ -14,13 +14,11 @@
 // in P(window non-empty); util::Rng::geometric) and then draws the window's
 // hit count from the binomial conditioned on >= 1 -- identical in
 // distribution to the window-by-window walk, at O(events) instead of
-// O(windows) per trial.  Trials run as dynamic-ticket lanes on the shared
-// work-stealing executor with the same determinism contract as
-// run_montecarlo: one base seed drawn from the caller, trial t on
-// substream t (util::Rng::for_stream), results bit-identical for any
-// thread count (per-trial TTFs are folded into the RunningStats in trial
-// order after the join).  Since skip-ahead resamples
-// the stream, the original walker is retained as
+// O(windows) per trial.  Trials run on the campaign driver
+// (reliability/campaign.hpp): one base seed drawn from the caller, trial t
+// on substream t, per-trial TTFs folded in trial order, so results are
+// bit-identical for any thread count.  Since skip-ahead resamples the
+// stream, the original walker is retained as
 // reference_simulate_lifetime (reference_reliability.hpp) and the two are
 // pinned by equivalence-of-distribution tests, not bit equality.
 #pragma once

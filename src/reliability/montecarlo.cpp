@@ -1,15 +1,9 @@
 #include "reliability/montecarlo.hpp"
 
 #include <cmath>
-#include <stdexcept>
-#include <vector>
 
-#include "core/array_code.hpp"
 #include "reliability/config_checks.hpp"
-#include "reliability/parallel.hpp"
 #include "reliability/sparse_trial.hpp"
-#include "util/bitmatrix.hpp"
-#include "util/bitvector.hpp"
 #include "util/units.hpp"
 
 namespace pimecc::rel {
@@ -20,83 +14,13 @@ double MonteCarloResult::block_failure_rate() const noexcept {
                           : 0.0;
 }
 
-namespace detail {
-
-void accumulate(MonteCarloResult& total, const MonteCarloResult& partial) {
-  total.trials_with_errors += partial.trials_with_errors;
-  total.trials_failed += partial.trials_failed;
-  total.flips_injected += partial.flips_injected;
-  total.blocks_failed += partial.blocks_failed;
-  total.blocks_with_errors += partial.blocks_with_errors;
-  total.corrected_data += partial.corrected_data;
-  total.corrected_check += partial.corrected_check;
-  total.detected_uncorrectable += partial.detected_uncorrectable;
-  total.miscorrected += partial.miscorrected;
-}
-
-util::BitMatrix make_montecarlo_golden(std::size_t n, std::uint64_t base_seed) {
-  util::BitMatrix golden(n, n);
-  util::Rng golden_rng = util::Rng::for_stream(base_seed, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    util::BitVector& row = golden.row(r);
-    for (auto& word : row.words_mutable()) word = golden_rng.next();
-    row.sanitize();
-  }
-  return golden;
-}
-
-}  // namespace detail
-
 MonteCarloResult run_montecarlo(const MonteCarloConfig& config, util::Rng& rng) {
   require_valid(config);
-  const double p =
-      util::error_probability(config.fit_per_bit, config.window_hours);
-  const std::size_t data_cells = config.n * config.n;
-  ecc::ArrayCode probe(config.n, config.m);
-  const std::size_t check_cells =
-      config.include_check_bits ? probe.block_count() * 2 * config.m : 0;
-
-  MonteCarloResult result;
-  result.trials = config.trials;
-  result.blocks_total =
-      static_cast<std::uint64_t>(config.trials) * probe.block_count();
-
-  // One draw from the caller's stream seeds everything below, so the
-  // caller's generator advances identically for every thread count (and
-  // identically to reference_run_montecarlo and the fleet engine).
-  const std::uint64_t base_seed = rng.next();
-
-  const util::BitMatrix golden =
-      detail::make_montecarlo_golden(config.n, base_seed);
-  ecc::ArrayCode golden_code(config.n, config.m);
-  golden_code.encode_all(golden);
-
-  detail::SparseTrialContext ctx;
-  ctx.golden = &golden;
-  ctx.golden_code = &golden_code;
-  ctx.p = p;
-  ctx.population = data_cells + check_cells;
-  ctx.bps = golden_code.blocks_per_side();
-  ctx.m = config.m;
-  ctx.include_check_bits = config.include_check_bits;
-
-  // Each lane carries one (data, check) image that equals golden between
-  // trials (run_sparse_trial's rollback contract); trial t always rides
-  // substream t + 1, so the dynamic lane assignment cannot affect any
-  // counter bit.
-  struct Lane {
-    detail::SparseTrialLane state;
-    MonteCarloResult out;
-  };
-  const std::vector<Lane> lanes = detail::run_trial_pool<Lane>(
-      config.trials, config.threads,
-      [&ctx] { return Lane{detail::SparseTrialLane(ctx), {}}; },
-      [&ctx, base_seed](Lane& lane, std::size_t t) {
-        util::Rng trial_rng = util::Rng::for_stream(base_seed, t + 1);
-        detail::run_sparse_trial(ctx, lane.state, trial_rng, lane.out);
-      });
-  for (const Lane& lane : lanes) detail::accumulate(result, lane.out);
-  return result;
+  // The fleet loop with one trial per shard and no slots: trial t rides
+  // substream t + 1, identically to reference_run_montecarlo and the fleet
+  // engine.
+  const detail::SparseCampaign campaign(config, rng);
+  return campaign.run(config.trials, 1, {});
 }
 
 double analytic_block_failure(const MonteCarloConfig& config) {

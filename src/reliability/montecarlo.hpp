@@ -7,18 +7,13 @@
 // bench_montecarlo_mttf and the reliability tests to confirm the analytic
 // block-failure probabilities.
 //
-// Trials are independent and run as dynamic-ticket lanes on the shared
-// work-stealing executor (util/executor.hpp via reliability/parallel.hpp);
-// `threads` caps the lane count, no threads are spawned per call, and a
-// skewed trial occupies one lane while the others drain the rest.
-// Determinism is guaranteed by construction: exactly one 64-bit base seed
-// is drawn from the caller's generator, the golden image comes from
-// substream 0 and trial t from substream t+1 (util::Rng::for_stream), and
-// all result fields are commutative integer sums -- so on a given platform
-// the result is bit-identical for any thread count, and the caller's
-// generator advances by the same single draw.  (Across standard libraries the stream differs:
-// Rng::binomial delegates to std::binomial_distribution, whose algorithm
-// is implementation-defined.)
+// Trials run on the campaign driver (reliability/campaign.hpp): one base
+// seed drawn from the caller's generator, the golden image from substream
+// 0 and trial t from substream t+1, commutative integer sums -- so on a
+// given platform the result is bit-identical for any thread count.
+// (Across standard libraries the stream differs: Rng::binomial delegates
+// to std::binomial_distribution, whose algorithm is
+// implementation-defined.)
 //
 // The engine is sparse and event-driven: per-trial cost scales with the
 // number of injected flips, not with n^2.  Each worker keeps ONE mutable

@@ -1,24 +1,14 @@
 // pimecc -- reliability/parallel.hpp
 //
-// Trial-pool scaffolding for the reliability engines, rebuilt on the
-// persistent work-stealing executor (util/executor.hpp).  The historical
-// run_partitioned carved [0, trials) into one contiguous chunk per
-// std::thread spawned fresh for the call -- and silently clamped the
-// thread count by the trial count before any load cost was known, so a
-// single expensive trial serialized the rest of its chunk behind it.
-// run_trial_pool replaces both defects at once: lanes pull single trial
-// indices from a shared atomic ticket counter (dynamic stealing; a slow
-// trial occupies exactly one lane while every other lane drains the rest),
-// and the lanes are executor tasks, so no threads are created per call.
-//
-// Determinism is unchanged from the PR 5 contract: every engine derives a
-// trial's randomness from the trial's own substream and merges either
-// commutative integer sums or per-trial result slots, so which lane runs
-// which trial cannot affect any result bit.  Exceptions thrown by a trial
-// are captured and rethrown after every lane has finished
-// (TaskGroup::wait's rethrow-after-join contract); the remaining trials
+// The lane pool under the campaign driver (reliability/campaign.hpp),
+// built on the persistent work-stealing executor (util/executor.hpp).
+// Lanes pull single ticket indices from a shared atomic counter, so a slow
+// ticket occupies exactly one lane while every other lane drains the rest,
+// and no threads are created per call.  Exceptions thrown by a ticket are
+// captured and rethrown after every lane has finished
+// (TaskGroup::wait's rethrow-after-join contract); the remaining tickets
 // still run.  (reference_reliability.cpp keeps its own frozen copy of the
-// old spawner by design.)
+// old per-call spawner by design.)
 #pragma once
 
 #include <algorithm>

@@ -8,7 +8,7 @@
 #include "fault/disturbance.hpp"
 #include "fault/injector.hpp"
 #include "fault/models.hpp"
-#include "reliability/parallel.hpp"
+#include "reliability/campaign.hpp"
 #include "util/units.hpp"
 
 namespace pimecc::rel {
@@ -160,17 +160,13 @@ std::span<const std::string_view> fault_preset_names() noexcept {
 }
 
 double ScenarioResult::empirical_mttf_hours(double horizon) const noexcept {
-  const double exposure =
-      time_to_failure_hours.sum() +
-      static_cast<double>(trials - failures) * horizon;
-  if (failures == 0) return horizon * static_cast<double>(trials);
-  return exposure / static_cast<double>(failures);
+  return detail::censored_mttf_hours(time_to_failure_hours, trials, failures,
+                                     horizon);
 }
 
 double ScenarioResult::scrub_cells_per_hour(double horizon) const noexcept {
-  const double exposure =
-      time_to_failure_hours.sum() +
-      static_cast<double>(trials - failures) * horizon;
+  const double exposure = detail::censored_exposure_hours(
+      time_to_failure_hours, trials, failures, horizon);
   if (!(exposure > 0.0)) return 0.0;
   return static_cast<double>(cells_scrubbed) / exposure;
 }
@@ -195,11 +191,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
       config.n, config.n,
       {mix.disturb_per_activation, mix.disturb_radius, /*activation_floor=*/0});
 
-  const std::uint64_t base_seed = rng.next();
+  // The campaign's single draw; trial t rides substream t.
+  const detail::CampaignPlan campaign{rng.next(), /*first_substream=*/0,
+                                      config.trials, 1, config.threads};
   std::vector<double> ttf_slots(config.trials, -1.0);
 
-  auto run_trial = [&](Lane& lane, std::size_t t) {
-    util::Rng trial_rng = util::Rng::for_stream(base_seed, t);
+  auto run_trial = [&](Lane& lane, util::Rng& trial_rng, std::size_t t) {
     fault::StuckAtSet stuck(mix.replace_after_repairs);
     lane.block_diffs.resize(blocks);
     for (std::vector<std::size_t>& diffs : lane.block_diffs) diffs.clear();
@@ -316,8 +313,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
     ttf_slots[t] = ttf;
   };
 
-  const std::vector<Lane> lanes = detail::run_trial_pool<Lane>(
-      config.trials, config.threads, [] { return Lane{}; }, run_trial);
+  const std::vector<Lane> lanes =
+      detail::run_campaign<Lane>(campaign, [] { return Lane{}; }, run_trial);
 
   ScenarioResult result;
   result.trials = config.trials;
@@ -331,9 +328,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
     result.stuck_repairs += lane.stuck_repairs;
     result.cells_replaced += lane.cells_replaced;
   }
-  for (const double ttf : ttf_slots) {
-    if (ttf >= 0.0) result.time_to_failure_hours.add(ttf);
-  }
+  result.time_to_failure_hours = detail::fold_ttf(ttf_slots);
   return result;
 }
 

@@ -18,13 +18,10 @@
 // against each other (exact scrub accounting at zero fault rate,
 // statistical bands on the hot configuration).
 //
-// Determinism contract (same as simulate_lifetime / run_montecarlo):
-// run_scenario draws exactly ONE value from the caller's rng -- the base
-// seed -- and trial t runs on util::Rng::for_stream(base_seed, t).  Trials
-// ride dynamic-ticket lanes on the shared executor (reliability/parallel.hpp),
-// counters merge commutatively and per-trial TTFs land in per-trial slots
-// folded in trial order, so results are bit-identical at any thread count.
-// The scrub schedule is planned once, deterministically, before any trial
+// Determinism contract (the campaign driver's, reliability/campaign.hpp):
+// run_scenario draws exactly ONE value from the caller's rng, trial t runs
+// on substream t, and results are bit-identical at any thread count.  The
+// scrub schedule is planned once, deterministically, before any trial
 // runs; trials never consult each other.
 #pragma once
 

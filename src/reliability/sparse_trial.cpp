@@ -2,7 +2,91 @@
 
 #include <algorithm>
 
+#include "reliability/campaign.hpp"
+#include "util/units.hpp"
+
 namespace pimecc::rel::detail {
+
+namespace {
+
+/// The golden image: substream 0 of `base_seed`, one next() per word.
+util::BitMatrix make_golden(std::size_t n, std::uint64_t base_seed) {
+  util::BitMatrix golden(n, n);
+  util::Rng golden_rng = util::Rng::for_stream(base_seed, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    util::BitVector& row = golden.row(r);
+    for (auto& word : row.words_mutable()) word = golden_rng.next();
+    row.sanitize();
+  }
+  return golden;
+}
+
+}  // namespace
+
+void accumulate(MonteCarloResult& total, const MonteCarloResult& partial) {
+  total.trials += partial.trials;
+  total.trials_with_errors += partial.trials_with_errors;
+  total.trials_failed += partial.trials_failed;
+  total.blocks_total += partial.blocks_total;
+  total.flips_injected += partial.flips_injected;
+  total.blocks_failed += partial.blocks_failed;
+  total.blocks_with_errors += partial.blocks_with_errors;
+  total.corrected_data += partial.corrected_data;
+  total.corrected_check += partial.corrected_check;
+  total.detected_uncorrectable += partial.detected_uncorrectable;
+  total.miscorrected += partial.miscorrected;
+}
+
+SparseCampaign::SparseCampaign(const MonteCarloConfig& config, util::Rng& rng)
+    : threads_(config.threads),
+      base_seed_(rng.next()),
+      golden_(make_golden(config.n, base_seed_)),
+      golden_code_(config.n, config.m) {
+  golden_code_.encode_all(golden_);
+  const std::size_t check_cells =
+      config.include_check_bits ? golden_code_.block_count() * 2 * config.m : 0;
+  ctx_.golden = &golden_;
+  ctx_.golden_code = &golden_code_;
+  ctx_.p = util::error_probability(config.fit_per_bit, config.window_hours);
+  ctx_.population = config.n * config.n + check_cells;
+  ctx_.bps = golden_code_.blocks_per_side();
+  ctx_.m = config.m;
+  ctx_.include_check_bits = config.include_check_bits;
+}
+
+MonteCarloResult SparseCampaign::run(std::size_t shards,
+                                     std::size_t trials_per_shard,
+                                     std::span<FleetShardOutcome> slots,
+                                     const std::vector<bool>& excluded) const {
+  // A lane runs a shard's trials back to back into `shard`, then files the
+  // shard into its slot and its own sums.
+  struct Lane {
+    SparseTrialLane state;
+    MonteCarloResult shard;
+    MonteCarloResult sum;
+  };
+  if (trials_per_shard == 0) return {};  // empty shards: nothing to run
+  const std::uint64_t blocks_per_trial = golden_code_.block_count();
+  const CampaignPlan plan{base_seed_, /*first_substream=*/1,
+                          shards * trials_per_shard, trials_per_shard,
+                          threads_};
+  const std::vector<Lane> lanes = run_campaign<Lane>(
+      plan, [this] { return Lane{SparseTrialLane(ctx_), {}, {}}; },
+      [&](Lane& lane, util::Rng& trial_rng, std::size_t i) {
+        const std::size_t s = i / trials_per_shard;
+        if (!excluded.empty() && excluded[s]) return;
+        run_sparse_trial(ctx_, lane.state, trial_rng, lane.shard);
+        if ((i + 1) % trials_per_shard != 0) return;  // shard not done yet
+        lane.shard.trials = trials_per_shard;
+        lane.shard.blocks_total = trials_per_shard * blocks_per_trial;
+        if (!slots.empty()) slots[s].stats = lane.shard;
+        accumulate(lane.sum, lane.shard);
+        lane.shard = {};
+      });
+  MonteCarloResult total;
+  for (const Lane& lane : lanes) accumulate(total, lane.sum);
+  return total;
+}
 
 void run_sparse_trial(const SparseTrialContext& ctx, SparseTrialLane& lane,
                       util::Rng& trial_rng, MonteCarloResult& out) {

@@ -1,13 +1,15 @@
 // pimecc -- reliability/sparse_trial.hpp
 //
-// The PR 5 sparse event-driven Monte Carlo trial body, factored out of
-// run_montecarlo so the single-crossbar engine and the fleet engine
-// (fleet_reliability.hpp) execute the IDENTICAL per-trial machinery: a
-// fleet run over S shards x T trials/shard on substreams
-// 1 + s*T + t must be bit-identical, counter for counter, to a flat
-// run_montecarlo over S*T trials -- that equality is the fleet engine's
-// primary cross-check, and it only holds because this file is the single
-// definition of what one trial does.
+// The sparse event-driven Monte Carlo campaign behind run_montecarlo,
+// run_fleet_montecarlo and run_fleet_campaign.  All three share one set-up
+// (one base seed, the golden image from substream 0, one
+// SparseTrialContext) and one grouped loop on the campaign driver
+// (reliability/campaign.hpp): shard s is trials [s*T, (s+1)*T) on
+// substreams 1 + s*T + t, minus an exclusion set.  The flat engine is the
+// same loop with T = 1 and no slots, so a fleet over S shards x T trials is
+// bit-identical, counter for counter, to a flat run over S*T trials -- the
+// fleet engine's primary cross-check, which holds because this file is the
+// single definition of what one trial does.
 //
 // A trial: sample the binomial flip count over the vulnerable population,
 // inject (allocation-free record reuse), repair only the touched blocks
@@ -18,10 +20,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/array_code.hpp"
 #include "fault/injector.hpp"
+#include "reliability/fleet_reliability.hpp"
 #include "reliability/montecarlo.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
@@ -56,20 +61,46 @@ struct SparseTrialLane {
 };
 
 /// Runs one sparse trial on `trial_rng`, accumulating into `out` and
-/// leaving `lane` bit-identical to golden again.  Exactly PR 5's
-/// run_montecarlo trial body; see montecarlo.hpp for the counter
-/// semantics (miscorrected is exact here).
+/// leaving `lane` bit-identical to golden again.  See montecarlo.hpp for
+/// the counter semantics (miscorrected is exact here).
 void run_sparse_trial(const SparseTrialContext& ctx, SparseTrialLane& lane,
                       util::Rng& trial_rng, MonteCarloResult& out);
 
-/// Folds one lane's (or shard's) counters into an aggregate.  All fields
-/// are integer sums over disjoint trial sets, so the merge is
-/// order-insensitive.
+/// Folds one shard's (or lane's) counters, trials and blocks_total
+/// included, into an aggregate.  All fields are integer sums over disjoint
+/// trial sets, so the merge is order-insensitive.
 void accumulate(MonteCarloResult& total, const MonteCarloResult& partial);
 
-/// The Monte Carlo golden image discipline shared by the single-crossbar
-/// and fleet engines: substream 0 of `base_seed`, one next() per word.
-[[nodiscard]] util::BitMatrix make_montecarlo_golden(std::size_t n,
-                                                     std::uint64_t base_seed);
+/// One sparse campaign: the caller's single draw, the golden image and its
+/// check bits, and the shared trial context.  Not copyable (the context
+/// points into the object).
+class SparseCampaign {
+ public:
+  /// Draws the base seed from `rng` (the campaign's only draw) and builds
+  /// the golden image from its substream 0.  `config.trials` is unused.
+  SparseCampaign(const MonteCarloConfig& config, util::Rng& rng);
+  SparseCampaign(const SparseCampaign&) = delete;
+  SparseCampaign& operator=(const SparseCampaign&) = delete;
+
+  [[nodiscard]] const util::BitMatrix& golden() const noexcept {
+    return golden_;
+  }
+
+  /// Runs `shards` x `trials_per_shard` trials, shard s on substreams
+  /// 1 + s*T + t, skipping every shard s with excluded[s] (an empty
+  /// `excluded` skips none).  Fills slots[s].stats when `slots` is
+  /// non-empty and returns the totals over the shards that ran.
+  [[nodiscard]] MonteCarloResult run(
+      std::size_t shards, std::size_t trials_per_shard,
+      std::span<FleetShardOutcome> slots,
+      const std::vector<bool>& excluded = {}) const;
+
+ private:
+  std::size_t threads_;
+  std::uint64_t base_seed_;
+  util::BitMatrix golden_;
+  ecc::ArrayCode golden_code_;
+  SparseTrialContext ctx_;
+};
 
 }  // namespace pimecc::rel::detail

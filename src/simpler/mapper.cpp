@@ -102,17 +102,18 @@ MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
     cell_of[in] = next_fixed++;
     program.input_cells.push_back(cell_of[in]);
   }
-  std::vector<bool> covered_cell(options.row_width, false);
-  for (const CellIndex c : program.input_cells) covered_cell[c] = true;
   for (NodeId id = 0; id < netlist.num_nodes(); ++id) {
     const NodeType t = netlist.node(id).type;
     if (t == NodeType::kConstZero || t == NodeType::kConstOne) {
       cell_of[id] = next_fixed++;
     }
   }
+  // The fit check precedes every write indexed by a cell.
   if (next_fixed > options.row_width) {
     throw std::runtime_error("map_to_row: inputs do not fit in the row");
   }
+  std::vector<bool> covered_cell(options.row_width, false);
+  for (const CellIndex c : program.input_cells) covered_cell[c] = true;
 
   // All remaining cells are batch-initialized once up front.
   std::vector<CellIndex> ready;

@@ -34,26 +34,4 @@ enum class State : std::uint8_t {
   return b ? State::kLrs : State::kHrs;
 }
 
-/// Kinds of single-cycle crossbar operations the simulator models.
-enum class OpKind : std::uint8_t {
-  kNor,    ///< parallel MAGIC NOR (1+ inputs; 1-input NOR is NOT)
-  kInit,   ///< parallel initialization of cells to LRS (required before NOR output)
-  kWrite,  ///< external write through the controller (not a stateful-logic op)
-  kRead,   ///< external read through the controller
-};
-
-[[nodiscard]] constexpr const char* to_string(Orientation o) noexcept {
-  return o == Orientation::kRow ? "row" : "column";
-}
-
-[[nodiscard]] constexpr const char* to_string(OpKind k) noexcept {
-  switch (k) {
-    case OpKind::kNor: return "nor";
-    case OpKind::kInit: return "init";
-    case OpKind::kWrite: return "write";
-    case OpKind::kRead: return "read";
-  }
-  return "?";
-}
-
 }  // namespace pimecc::xbar

@@ -61,6 +61,12 @@ struct Shape {
   std::size_t po;
 };
 
+// Without this, GoogleTest prints Shape as raw bytes, name pointer included,
+// so the listed test names would change with every address-space layout.
+void PrintTo(const Shape& shape, std::ostream* os) {
+  *os << "pi=" << shape.pi << " po=" << shape.po;
+}
+
 class ShapeTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ShapeTest, MatchesDocumentedInterface) {

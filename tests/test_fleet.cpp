@@ -216,6 +216,20 @@ TEST(FleetMonteCarlo, ShardFactorizationDoesNotChangeTotals) {
   }
 }
 
+TEST(FleetMonteCarlo, EmptyShardsRunNothingAndDrawOnce) {
+  util::Rng fleet_rng(5);
+  const rel::FleetMonteCarloResult fleet =
+      rel::run_fleet_montecarlo(fleet_mc(3, 0, 0), fleet_rng);
+  EXPECT_EQ(fleet.total, rel::MonteCarloResult{});
+  ASSERT_EQ(fleet.shards.size(), 3u);
+  for (const rel::FleetShardOutcome& slot : fleet.shards) {
+    EXPECT_EQ(slot, rel::FleetShardOutcome{});
+  }
+  util::Rng flat_rng(5);
+  (void)rel::run_montecarlo(fleet_mc(3, 0, 0).flat(), flat_rng);
+  EXPECT_EQ(fleet_rng.next(), flat_rng.next());
+}
+
 TEST(FleetMonteCarlo, LaneCountDoesNotChangeAnyResultBit) {
   util::Rng rng_serial(13);
   const rel::FleetMonteCarloResult serial =
@@ -236,15 +250,15 @@ TEST(FleetMonteCarlo, ShardSlotsSumToTotals) {
   ASSERT_EQ(result.shards.size(), 10u);
   rel::FleetShardOutcome sum;
   for (const rel::FleetShardOutcome& s : result.shards) {
-    sum.trials_with_errors += s.trials_with_errors;
-    sum.trials_failed += s.trials_failed;
-    sum.flips_injected += s.flips_injected;
-    sum.blocks_failed += s.blocks_failed;
+    sum.stats.trials_with_errors += s.stats.trials_with_errors;
+    sum.stats.trials_failed += s.stats.trials_failed;
+    sum.stats.flips_injected += s.stats.flips_injected;
+    sum.stats.blocks_failed += s.stats.blocks_failed;
   }
-  EXPECT_EQ(sum.trials_with_errors, result.total.trials_with_errors);
-  EXPECT_EQ(sum.trials_failed, result.total.trials_failed);
-  EXPECT_EQ(sum.flips_injected, result.total.flips_injected);
-  EXPECT_EQ(sum.blocks_failed, result.total.blocks_failed);
+  EXPECT_EQ(sum.stats.trials_with_errors, result.total.trials_with_errors);
+  EXPECT_EQ(sum.stats.trials_failed, result.total.trials_failed);
+  EXPECT_EQ(sum.stats.flips_injected, result.total.flips_injected);
+  EXPECT_EQ(sum.stats.blocks_failed, result.total.blocks_failed);
   EXPECT_EQ(result.total.trials, 30u);
   EXPECT_GT(result.total.trials_with_errors, 0u);
 }
@@ -438,6 +452,33 @@ TEST(FleetCampaign, ExcludedShardIsAnExactSubtraction) {
     if (s == 3) continue;
     EXPECT_EQ(campaign.shards[s], healthy.shards[s]) << "shard " << s;
   }
+}
+
+TEST(FleetCampaign, EveryShardExcludedRunsNothingAndDrawsOnce) {
+  const rel::FleetMonteCarloConfig config = fleet_mc(6, 4, 0);
+  arch::CrossbarFleet fleet(campaign_fleet(6));  // no spares
+  for (std::size_t s = 0; s < 6; ++s) {
+    fleet.inject_data_error(s, 0, 0);
+    fleet.inject_data_error(s, 0, 1);
+  }
+
+  util::Rng campaign_rng(91);
+  const rel::FleetCampaignResult campaign =
+      rel::run_fleet_campaign(config, fleet, campaign_rng);
+  EXPECT_EQ(campaign.degradation.shards_excluded, config.shards);
+  EXPECT_EQ(campaign.degradation.spares_activated, 0u);
+  EXPECT_EQ(campaign.degradation.trials_skipped, config.total_trials());
+  ASSERT_EQ(campaign.shards.size(), config.shards);
+  for (const rel::FleetShardOutcome& slot : campaign.shards) {
+    EXPECT_TRUE(slot.skipped);
+    EXPECT_EQ(slot.stats, rel::MonteCarloResult{});
+  }
+  EXPECT_EQ(campaign.total, rel::MonteCarloResult{});
+
+  // Zero surviving shards still cost exactly the one caller draw.
+  util::Rng flat_rng(91);
+  (void)rel::run_fleet_montecarlo(config, flat_rng);
+  EXPECT_EQ(campaign_rng.next(), flat_rng.next());
 }
 
 TEST(FleetCampaign, ShapeMismatchRejected) {

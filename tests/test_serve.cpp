@@ -167,6 +167,23 @@ TEST(ServeHandler, ErrorsBecomeResponsesNeverThrows) {
   EXPECT_FALSE(server.execute(bad_gib).ok);
 }
 
+TEST(ServeHandler, RowOverflowIsAnErrorResponseAndTheServerSurvives) {
+  // Circuits with more inputs than the requested row: each request gets a
+  // typed error response, and the next valid request still answers.
+  Server server;
+  for (const std::string line : {"map circuit=voter width=60 n=60",
+                                  "run circuit=max n=240",
+                                  "run circuit=voter n=60"}) {
+    const Response bad = server.execute(parse_ok(line));
+    EXPECT_FALSE(bad.ok) << line;
+    EXPECT_EQ(serve::format_response(bad).rfind("error kind=", 0), 0u)
+        << serve::format_response(bad);
+    const Response good = server.execute(parse_ok("map circuit=adder"));
+    EXPECT_TRUE(good.ok) << good.error;
+    EXPECT_EQ(serve::format_response(good).rfind("ok ", 0), 0u);
+  }
+}
+
 TEST(ServeBatch, LaneCountCannotChangeAnyResponse) {
   const std::vector<std::string> lines = {
       "map circuit=ctrl coverage=both",

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "arch/params.hpp"
+#include "bench_circuits/circuits.hpp"
 #include "simpler/ecc_schedule.hpp"
 #include "simpler/logic.hpp"
 #include "simpler/mapper.hpp"
@@ -355,6 +359,24 @@ TEST(Mapper, TinyRowThrows) {
   MapperOptions options;
   options.row_width = 12;  // inputs fit, working set cannot
   EXPECT_THROW((void)map_to_row(nl, options), std::runtime_error);
+}
+
+TEST(Mapper, RowNarrowerThanInputsThrowsBeforeAnyWrite) {
+  // More inputs than row cells: the fit check must fire before any
+  // cell-indexed bookkeeping is written (these shapes once overran the
+  // heap and took the serve daemon down on a single request line).
+  const Netlist tiny = random_netlist(7, 16, 40, 4);
+  MapperOptions options;
+  options.row_width = 8;
+  EXPECT_THROW((void)map_to_row(tiny, options), std::runtime_error);
+  for (const auto& [name, width] :
+       std::vector<std::pair<std::string, std::size_t>>{{"voter", 60},
+                                                        {"max", 240}}) {
+    options.row_width = width;
+    const Netlist netlist = circuits::build_circuit(name).netlist;
+    EXPECT_THROW((void)map_to_row(netlist, options), std::runtime_error)
+        << name << " at width " << width;
+  }
 }
 
 TEST(Mapper, InputRecyclingCanBeDisabled) {

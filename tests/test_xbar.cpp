@@ -3,7 +3,6 @@
 
 #include "util/bitvector.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/trace.hpp"
 
 namespace pimecc::xbar {
 namespace {
@@ -147,28 +146,6 @@ TEST(Crossbar, CycleCountingAccumulatesPerKind) {
   EXPECT_EQ(xb.init_cycles(), 1u);
   xb.reset_counters();
   EXPECT_EQ(xb.cycles(), 0u);
-}
-
-TEST(Trace, RecordsAndCounts) {
-  Trace trace;
-  trace.record({.cycle = 1,
-                .kind = OpKind::kNor,
-                .orientation = Orientation::kRow,
-                .in_lines = {0, 1},
-                .out_line = 2,
-                .lanes = 4});
-  trace.record({.cycle = 2,
-                .kind = OpKind::kInit,
-                .orientation = Orientation::kColumn,
-                .in_lines = {},
-                .out_line = 5,
-                .lanes = 1});
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.count(OpKind::kNor), 1u);
-  EXPECT_EQ(trace.count(OpKind::kInit), 1u);
-  EXPECT_NE(trace.to_string().find("nor row in={0,1} out=2"), std::string::npos);
-  trace.clear();
-  EXPECT_EQ(trace.size(), 0u);
 }
 
 }  // namespace

@@ -71,93 +71,44 @@ for config in Debug Release; do
   ctest --test-dir "$build_dir" -L robustness --output-on-failure -j "$jobs"
 done
 
-# Engine perf tracking: smoke-configuration run of the throughput harness,
-# archived next to the Release build (the committed BENCH_engine.json at the
-# repo root is a full-configuration run; don't clobber it from CI).  Guarded:
-# extra cmake args may disable the bench build entirely.
-bench_bin="$release_dir/bench/bench_engine_throughput"
-if [[ -n "$release_dir" && -x "$bench_bin" ]]; then
-  echo "==== [Release] bench_engine_throughput (smoke) ===="
-  "$bench_bin" --smoke --out="$release_dir/BENCH_engine.json"
-  echo "archived $release_dir/BENCH_engine.json"
-else
-  echo "==== bench_engine_throughput not built; skipping smoke bench ===="
-fi
+# Bench smoke runs, archived next to the Release build as
+# BENCH_<name>.json (the committed BENCH_*.json files at the repo root are
+# full-configuration runs; don't clobber them from CI).  Every smoke
+# configuration runs its bench's cross-checks and exits non-zero on any
+# divergence:
+#   engine       throughput harness only
+#   codec        fast-vs-reference codec differential
+#   arch         fast-vs-reference machine differential (contents, check
+#                state, cycle counters, reports)
+#   reliability  sparse-vs-dense Monte Carlo counter equality and the
+#                lifetime distribution gates
+#   fleet        fleet-vs-flat Monte Carlo bit identity at every shard and
+#                worker count, fleet-vs-single-crossbar scrub differential
+#   serving      serve determinism at every batch size and lane count,
+#                machine checkpoint continuation, chunked-lifetime resume
+#   scenarios    1- vs 4-lane bit identity, zero-rate scrub accounting
+#                against the lifetime engine, iid pin, stuck-at invariants
+# A missing binary (extra cmake args may disable the bench build) is
+# skipped with a notice.
+for bench in engine:bench_engine_throughput codec:bench_codec_throughput \
+             arch:bench_arch_throughput reliability:bench_reliability_throughput \
+             fleet:bench_fleet_throughput serving:bench_serving \
+             scenarios:bench_scenarios; do
+  name="${bench%%:*}"
+  bin_name="${bench#*:}"
+  bench_bin="$release_dir/bench/$bin_name"
+  if [[ -n "$release_dir" && -x "$bench_bin" ]]; then
+    echo "==== [Release] $bin_name (smoke) ===="
+    "$bench_bin" --smoke --out="$release_dir/BENCH_$name.json"
+    echo "archived $release_dir/BENCH_$name.json"
+  else
+    echo "==== $bin_name not built; skipping smoke bench ===="
+  fi
+done
 
-# Same for the ECC codec layer: the smoke configuration also runs the
-# fast-vs-reference differential cross-check (non-zero exit on divergence).
-codec_bin="$release_dir/bench/bench_codec_throughput"
-if [[ -n "$release_dir" && -x "$codec_bin" ]]; then
-  echo "==== [Release] bench_codec_throughput (smoke) ===="
-  "$codec_bin" --smoke --out="$release_dir/BENCH_codec.json"
-  echo "archived $release_dir/BENCH_codec.json"
-else
-  echo "==== bench_codec_throughput not built; skipping smoke bench ===="
-fi
-
-# And the arch layer: the smoke configuration runs the full fast-vs-reference
-# machine cross-check (identical protected program + fault injection; contents,
-# check state, cycle counters and reports must all agree) and gates on it.
-arch_bin="$release_dir/bench/bench_arch_throughput"
-if [[ -n "$release_dir" && -x "$arch_bin" ]]; then
-  echo "==== [Release] bench_arch_throughput (smoke) ===="
-  "$arch_bin" --smoke --out="$release_dir/BENCH_arch.json"
-  echo "archived $release_dir/BENCH_arch.json"
-else
-  echo "==== bench_arch_throughput not built; skipping smoke bench ===="
-fi
-
-# And the reliability layer: the smoke configuration runs the sparse-vs-dense
-# Monte Carlo counter-equality check and the lifetime distribution gates
-# (zero-rate scrub accounting, matched failure counts, analytic agreement)
-# and exits non-zero on any divergence.
-rel_bin="$release_dir/bench/bench_reliability_throughput"
-if [[ -n "$release_dir" && -x "$rel_bin" ]]; then
-  echo "==== [Release] bench_reliability_throughput (smoke) ===="
-  "$rel_bin" --smoke --out="$release_dir/BENCH_reliability.json"
-  echo "archived $release_dir/BENCH_reliability.json"
-else
-  echo "==== bench_reliability_throughput not built; skipping smoke bench ===="
-fi
-
-# And the fleet layer: the smoke configuration runs the fleet-vs-flat
-# Monte Carlo bit-identity gate at every tested shard/worker count plus the
-# fleet-vs-single-crossbar scrub differential, and exits non-zero on any
-# divergence.
-fleet_bin="$release_dir/bench/bench_fleet_throughput"
-if [[ -n "$release_dir" && -x "$fleet_bin" ]]; then
-  echo "==== [Release] bench_fleet_throughput (smoke) ===="
-  "$fleet_bin" --smoke --out="$release_dir/BENCH_fleet.json"
-  echo "archived $release_dir/BENCH_fleet.json"
-else
-  echo "==== bench_fleet_throughput not built; skipping smoke bench ===="
-fi
-
-# And the serving layer: the smoke configuration runs the serve-determinism
-# gate (identical responses at every batch size and lane count), the machine
-# checkpoint continuation identity, and the serialized chunked-lifetime
-# resume bit-identity, and exits non-zero on any divergence.
-serving_bin="$release_dir/bench/bench_serving"
-if [[ -n "$release_dir" && -x "$serving_bin" ]]; then
-  echo "==== [Release] bench_serving (smoke) ===="
-  "$serving_bin" --smoke --out="$release_dir/BENCH_serving.json"
-  echo "archived $release_dir/BENCH_serving.json"
-else
-  echo "==== bench_serving not built; skipping smoke bench ===="
-fi
-
-# And the scenario-diversity layer: the smoke configuration runs the
-# thread-determinism gate (bit-identical campaigns at 1 vs 4 lanes), the
-# exact zero-rate scrub-accounting cross-check against the lifetime engine,
-# the iid statistical pin, and the stuck-at accounting invariants, and exits
-# non-zero on any divergence.
-scenarios_bin="$release_dir/bench/bench_scenarios"
-if [[ -n "$release_dir" && -x "$scenarios_bin" ]]; then
-  echo "==== [Release] bench_scenarios (smoke) ===="
-  "$scenarios_bin" --smoke --out="$release_dir/BENCH_scenarios.json"
-  echo "archived $release_dir/BENCH_scenarios.json"
-else
-  echo "==== bench_scenarios not built; skipping smoke bench ===="
-fi
+# End-to-end benchmark self-test: every workload briefly, untraced and
+# traced, with every correctness check on; non-zero exit on any failure.
+echo "==== e2e_bench (smoke) ===="
+(cd "$repo" && python3 e2e_bench/run.py --smoke)
 
 echo "==== CI gate passed (Debug + Release) ===="
