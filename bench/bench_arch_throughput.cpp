@@ -22,57 +22,29 @@
 // Usage: bench_arch_throughput [--smoke] [--out=PATH]
 //   --smoke    fast CI configuration (n = 60, m in {3, 15})
 //   --out=PATH where to write the JSON (default: BENCH_arch.json in cwd)
-#include <chrono>
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <array>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "arch/pim_machine.hpp"
 #include "arch/reference_pim_machine.hpp"
+#include "harness.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using pimecc::arch::ArchParams;
 using pimecc::arch::CheckReport;
 using pimecc::arch::PimMachine;
 using pimecc::arch::ReferencePimMachine;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 ArchParams make_params(std::size_t n, std::size_t m) {
   ArchParams p;
   p.n = n;
   p.m = m;
   return p;
-}
-
-/// Runs `pass` repeatedly until at least `min_seconds` elapsed; returns
-/// `units_per_pass` units per second.
-template <typename Pass>
-double measure_rate(double units_per_pass, double min_seconds, Pass&& pass) {
-  std::size_t passes = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    pass();
-    ++passes;
-    elapsed = seconds_since(start);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(passes) * units_per_pass / elapsed;
 }
 
 /// The fixed protected-gate program both machines execute: `pairs`
@@ -115,38 +87,16 @@ bool cross_check(const ArchParams& params, const pimecc::util::BitMatrix& image)
   return fast.ecc_consistent() && ref.ecc_consistent();
 }
 
-struct MetricResult {
-  double ref_rate = 0.0;   // units per second on the reference machine
-  double fast_rate = 0.0;  // units per second on the word-parallel machine
-  [[nodiscard]] double speedup() const { return fast_rate / ref_rate; }
-};
-
-struct ConfigResult {
-  std::size_t n = 0;
-  std::size_t m = 0;
-  MetricResult init;       // cells/s through load (write + encode)
-  MetricResult verify;     // cells/s through scrub
-  MetricResult simd_gates; // protected line-bits/s (n per protected op)
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pimecc;
+  using bench::fmt;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_arch.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::cerr << "usage: bench_arch_throughput [--smoke] [--out=PATH]\n";
-      return 2;
-    }
-  }
+  const bench::Options options =
+      bench::parse_options(argc, argv, "BENCH_arch.json");
+  const bool smoke = options.smoke;
+  bench::Gates gates;
 
   struct Config {
     std::size_t n;
@@ -158,93 +108,73 @@ int main(int argc, char** argv) {
   const double min_seconds = smoke ? 0.02 : 0.2;
   const std::size_t gate_pairs = smoke ? 8 : 32;
 
-  bool differential_ok = true;
-  std::vector<ConfigResult> results;
+  bench::Json json("pimecc-bench-arch/1", options);
+  // One metric object: reference vs word-parallel rate; returns the speedup.
+  auto metric = [&](const char* name, const std::string& unit, double ref_rate,
+                    double fast_rate) {
+    json.object(name)
+        .field("reference_" + unit, ref_rate)
+        .field("word_parallel_" + unit, fast_rate)
+        .field("speedup", fast_rate / ref_rate)
+        .end();
+    return fast_rate / ref_rate;
+  };
+  double init_speedup = 0.0, verify_speedup = 0.0, gates_speedup = 0.0;
+  json.array("configs");
   for (const Config& config : configs) {
     const ArchParams params = make_params(config.n, config.m);
     util::Rng rng(0xA2C4'BE7Cull ^ (config.n * 131) ^ config.m);
     const util::BitMatrix image =
         util::random_bit_matrix(config.n, config.n, rng);
 
-    if (!cross_check(params, image)) {
-      differential_ok = false;
-      std::cerr << "cross-check FAILED at n=" << config.n << " m=" << config.m
-                << "\n";
-    }
+    gates.check(cross_check(params, image),
+                "fast-vs-reference machine at n=" + std::to_string(config.n) +
+                    " m=" + std::to_string(config.m));
 
-    ConfigResult r;
-    r.n = config.n;
-    r.m = config.m;
     const double cells = static_cast<double>(config.n) * config.n;
     const double gate_line_bits =
         static_cast<double>(2 * gate_pairs) * config.n;
-
-    {
-      ReferencePimMachine machine(params);
-      r.init.ref_rate =
-          measure_rate(cells, min_seconds, [&] { machine.load(image); });
-      r.verify.ref_rate =
-          measure_rate(cells, min_seconds, [&] { (void)machine.scrub(); });
-      r.simd_gates.ref_rate = measure_rate(gate_line_bits, min_seconds, [&] {
-        run_gate_program(machine, gate_pairs);
-      });
-    }
-    {
-      PimMachine machine(params);
-      r.init.fast_rate =
-          measure_rate(cells, min_seconds, [&] { machine.load(image); });
-      r.verify.fast_rate =
-          measure_rate(cells, min_seconds, [&] { (void)machine.scrub(); });
-      r.simd_gates.fast_rate = measure_rate(gate_line_bits, min_seconds, [&] {
-        run_gate_program(machine, gate_pairs);
-      });
-    }
-
-    results.push_back(r);
-    std::cout << "n=" << r.n << " m=" << r.m << ": init "
-              << fmt(r.init.speedup()) << "x, verify " << fmt(r.verify.speedup())
-              << "x, simd_gates " << fmt(r.simd_gates.speedup())
-              << "x (fast gates " << fmt(r.simd_gates.fast_rate / 1e6)
-              << " Mline-bits/s)\n";
-  }
-  std::cout << "differential cross-check: "
-            << (differential_ok ? "ok" : "FAILED -- BUG") << "\n";
-
-  const ConfigResult& largest = results.back();
-  std::ofstream json(out_path);
-  if (!json) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"schema\": \"pimecc-bench-arch/1\",\n"
-       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-       << "  \"differential_ok\": " << (differential_ok ? "true" : "false")
-       << ",\n"
-       << "  \"configs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
-    auto metric = [&](const char* name, const char* unit, const MetricResult& mr,
-                      bool last) {
-      json << "      \"" << name << "\": {\"reference_" << unit << "\": "
-           << fmt(mr.ref_rate) << ", \"word_parallel_" << unit << "\": "
-           << fmt(mr.fast_rate) << ", \"speedup\": " << fmt(mr.speedup()) << "}"
-           << (last ? "" : ",") << "\n";
+    // Rates of init (cells/s through load: write + encode), verify (cells/s
+    // through scrub) and simd_gates (protected line-bits/s, n per op).
+    auto rates = [&](auto& machine) {
+      return std::array<double, 3>{
+          bench::measure_rate(min_seconds, [&] {
+            machine.load(image);
+            return cells;
+          }),
+          bench::measure_rate(min_seconds, [&] {
+            (void)machine.scrub();
+            return cells;
+          }),
+          bench::measure_rate(min_seconds, [&] {
+            run_gate_program(machine, gate_pairs);
+            return gate_line_bits;
+          })};
     };
-    json << "    {\n"
-         << "      \"n\": " << r.n << ", \"m\": " << r.m << ",\n";
-    metric("init", "cells_per_sec", r.init, false);
-    metric("verify", "cells_per_sec", r.verify, false);
-    metric("simd_gates", "line_bits_per_sec", r.simd_gates, true);
-    json << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
+    ReferencePimMachine ref_machine(params);
+    const std::array<double, 3> ref = rates(ref_machine);
+    PimMachine fast_machine(params);
+    const std::array<double, 3> fast = rates(fast_machine);
+
+    json.object().field("n", config.n).field("m", config.m);
+    init_speedup = metric("init", "cells_per_sec", ref[0], fast[0]);
+    verify_speedup = metric("verify", "cells_per_sec", ref[1], fast[1]);
+    gates_speedup =
+        metric("simd_gates", "line_bits_per_sec", ref[2], fast[2]);
+    json.end();
+    std::cout << "n=" << config.n << " m=" << config.m << ": init "
+              << fmt(init_speedup) << "x, verify " << fmt(verify_speedup)
+              << "x, simd_gates " << fmt(gates_speedup) << "x (fast gates "
+              << fmt(fast[2] / 1e6) << " Mline-bits/s)\n";
   }
-  json << "  ],\n"
-       << "  \"largest_config\": {\"n\": " << largest.n << ", \"m\": "
-       << largest.m << ", \"init_speedup\": " << fmt(largest.init.speedup())
-       << ", \"verify_speedup\": " << fmt(largest.verify.speedup())
-       << ", \"simd_gates_speedup\": " << fmt(largest.simd_gates.speedup())
-       << "}\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-  return differential_ok ? 0 : 1;
+  json.end();
+
+  json.object("largest_config")
+      .field("n", configs.back().n)
+      .field("m", configs.back().m)
+      .field("init_speedup", init_speedup)
+      .field("verify_speedup", verify_speedup)
+      .field("simd_gates_speedup", gates_speedup)
+      .end();
+  return json.finish(gates, "differential_ok");
 }

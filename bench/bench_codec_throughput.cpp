@@ -26,10 +26,8 @@
 // Usage: bench_codec_throughput [--smoke] [--out=PATH]
 //   --smoke    fast CI configuration (n = 256, m in {3, 31, 63})
 //   --out=PATH where to write the JSON (default: BENCH_codec.json in cwd)
-#include <chrono>
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <array>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,89 +35,48 @@
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
 #include "core/reference_block_code.hpp"
+#include "harness.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using pimecc::ecc::ArrayCode;
 using pimecc::ecc::CheckBits;
-using pimecc::ecc::DecodeStatus;
 using pimecc::ecc::ReferenceBlockCodec;
 using pimecc::ecc::ScrubReport;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+/// The three timed hot paths, in JSON order.
+constexpr std::array<const char*, 3> kPaths = {"encode_all", "scrub", "syndrome"};
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-pimecc::util::BitMatrix random_matrix(std::size_t n, pimecc::util::Rng& rng) {
-  return pimecc::util::random_bit_matrix(n, n, rng);
-}
-
-/// Runs `pass` repeatedly until at least `min_seconds` elapsed; returns
-/// data cells processed per second (n_eff^2 per pass).
-template <typename Pass>
-double measure_cells_per_sec(std::size_t n_eff, double min_seconds, Pass&& pass) {
-  std::size_t passes = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    pass();
-    ++passes;
-    elapsed = seconds_since(start);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(passes) * static_cast<double>(n_eff) *
-         static_cast<double>(n_eff) / elapsed;
-}
-
-struct MetricResult {
-  double ref_cells_per_sec = 0.0;
-  double scalar_cells_per_sec = 0.0;
-  double simd_cells_per_sec = 0.0;
-  /// Headline speedup: widest SIMD level vs the bit-serial reference.
-  [[nodiscard]] double speedup() const { return simd_cells_per_sec / ref_cells_per_sec; }
-  /// Vectorization gain alone: SIMD kernels vs the scalar word-parallel ones.
-  [[nodiscard]] double simd_vs_scalar() const {
-    return simd_cells_per_sec / scalar_cells_per_sec;
-  }
+/// One hot path's whole-array pass on each engine.
+struct Passes {
+  std::function<void()> reference;
+  std::function<void()> fast;
 };
 
-struct ConfigResult {
-  std::size_t n = 0;
-  std::size_t n_eff = 0;
-  std::size_t m = 0;
-  MetricResult encode;
-  MetricResult scrub;
-  MetricResult syndrome;
+/// Data cells per second of one hot path on each engine.
+struct Rates {
+  double reference = 0.0;
+  double scalar = 0.0;
+  double simd = 0.0;
+  /// Headline speedup: widest SIMD level vs the bit-serial reference.
+  [[nodiscard]] double speedup() const { return simd / reference; }
+  /// Vectorization gain alone: SIMD kernels vs the scalar word-parallel ones.
+  [[nodiscard]] double simd_vs_scalar() const { return simd / scalar; }
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pimecc;
+  using bench::fmt;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_codec.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::cerr << "usage: bench_codec_throughput [--smoke] [--out=PATH]\n";
-      return 2;
-    }
-  }
-
+  const bench::Options options =
+      bench::parse_options(argc, argv, "BENCH_codec.json");
+  const bool smoke = options.smoke;
+  bench::Gates gates;
   const std::vector<std::size_t> ns =
       smoke ? std::vector<std::size_t>{256} : std::vector<std::size_t>{256, 512, 1024};
   // m = 63 must stay in the smoke grid: it is the configuration that drives
@@ -136,14 +93,18 @@ int main(int argc, char** argv) {
   const simd::Level native_level = simd::active_level();
   const std::vector<simd::Level> levels = simd::available_levels();
 
-  bool differential_ok = true;
-  std::vector<ConfigResult> results;
+  bench::Json json("pimecc-bench-codec/2", options);
+  json.field("simd_level", simd::to_string(native_level));
+  json.array("dispatch_levels_checked");
+  for (const simd::Level level : levels) json.item(simd::to_string(level));
+  json.end().array("configs");
+  std::array<Rates, 3> largest;
   for (const std::size_t n : ns) {
     for (const std::size_t m : ms) {
       const std::size_t bps = n / m;
       const std::size_t n_eff = bps * m;
       util::Rng rng(0xC0DEC'BE7Cull ^ (n * 131) ^ m);
-      util::BitMatrix data = random_matrix(n_eff, rng);
+      util::BitMatrix data = util::random_bit_matrix(n_eff, n_eff, rng);
 
       ArrayCode code(n_eff, m);
       const ReferenceBlockCodec ref(m);
@@ -161,151 +122,100 @@ int main(int argc, char** argv) {
       for (const simd::Level level : levels) {
         simd::set_level(level);
         code.encode_all(data);
-        for (std::size_t br = 0; br < bps && differential_ok; ++br) {
-          for (std::size_t bc = 0; bc < bps; ++bc) {
-            if (!(ref_stored[br * bps + bc] == code.check_bits({br, bc}))) {
-              std::cerr << "encode mismatch at level " << simd::to_string(level)
-                        << " n_eff=" << n_eff << " m=" << m << "\n";
-              differential_ok = false;
-              break;
-            }
-          }
+        bool encode_ok = true;
+        for (std::size_t b = 0; b < bps * bps && encode_ok; ++b) {
+          encode_ok = ref_stored[b] == code.check_bits({b / bps, b % bps});
         }
+        const std::string at = std::string(" at level ") +
+                               simd::to_string(level) + " n_eff=" +
+                               std::to_string(n_eff) + " m=" + std::to_string(m);
+        gates.check(encode_ok, "encode" + at);
         const ScrubReport fast_clean = code.scrub(data);
-        if (!(fast_clean == ref_clean) || fast_clean.clean != bps * bps) {
-          std::cerr << "scrub mismatch at level " << simd::to_string(level)
-                    << " n_eff=" << n_eff << " m=" << m << "\n";
-          differential_ok = false;
-        }
+        gates.check(fast_clean == ref_clean && fast_clean.clean == bps * bps,
+                    "scrub" + at);
       }
       simd::set_level(native_level);
 
-      ConfigResult r;
-      r.n = n;
-      r.n_eff = n_eff;
-      r.m = m;
-
-      r.encode.ref_cells_per_sec = measure_cells_per_sec(n_eff, min_seconds, [&] {
-        for (std::size_t br = 0; br < bps; ++br) {
-          for (std::size_t bc = 0; bc < bps; ++bc) {
-            ref_stored[br * bps + bc] = ref.encode(data, br * m, bc * m);
-          }
-        }
-      });
-
-      r.scrub.ref_cells_per_sec = measure_cells_per_sec(n_eff, min_seconds, [&] {
-        (void)reference_scrub(ref, data, ref_stored, bps);
-      });
-
       const ecc::BlockCodec& fast_codec = code.codec();
-      r.syndrome.ref_cells_per_sec = measure_cells_per_sec(n_eff, min_seconds, [&] {
-        for (std::size_t br = 0; br < bps; ++br) {
-          for (std::size_t bc = 0; bc < bps; ++bc) {
-            (void)ref.compute_syndrome(data, br * m, bc * m,
-                                       ref_stored[br * bps + bc]);
-          }
-        }
-      });
-
+      const std::array<Passes, 3> passes = {{
+          {[&] {
+             for (std::size_t b = 0; b < bps * bps; ++b) {
+               ref_stored[b] = ref.encode(data, b / bps * m, b % bps * m);
+             }
+           },
+           [&] { code.encode_all(data); }},
+          {[&] { (void)reference_scrub(ref, data, ref_stored, bps); },
+           [&] { (void)code.scrub(data); }},
+          {[&] {
+             for (std::size_t b = 0; b < bps * bps; ++b) {
+               (void)ref.compute_syndrome(data, b / bps * m, b % bps * m,
+                                          ref_stored[b]);
+             }
+           },
+           [&] {
+             for (std::size_t b = 0; b < bps * bps; ++b) {
+               (void)fast_codec.compute_syndrome(
+                   data, b / bps * m, b % bps * m,
+                   code.check_bits({b / bps, b % bps}));
+             }
+           }},
+      }};
+      auto cells_per_sec = [&](const std::function<void()>& pass) {
+        return bench::measure_rate(min_seconds, [&] {
+          pass();
+          return n_eff * n_eff;
+        });
+      };
+      std::array<Rates, 3> rates;
+      for (std::size_t p = 0; p < kPaths.size(); ++p) {
+        rates[p].reference = cells_per_sec(passes[p].reference);
+      }
       // Time the word-parallel engine twice: once pinned to the scalar
       // kernel table, once at the widest SIMD level.  The engines route
       // every hot loop through util::simd::kernels(), so set_level swaps
       // the machinery under the same ArrayCode object.
       simd::set_level(simd::Level::kScalar);
-      r.encode.scalar_cells_per_sec = measure_cells_per_sec(
-          n_eff, min_seconds, [&] { code.encode_all(data); });
-      r.scrub.scalar_cells_per_sec = measure_cells_per_sec(
-          n_eff, min_seconds, [&] { (void)code.scrub(data); });
-      r.syndrome.scalar_cells_per_sec = measure_cells_per_sec(n_eff, min_seconds, [&] {
-        for (std::size_t br = 0; br < bps; ++br) {
-          for (std::size_t bc = 0; bc < bps; ++bc) {
-            (void)fast_codec.compute_syndrome(data, br * m, bc * m,
-                                              code.check_bits({br, bc}));
-          }
-        }
-      });
-
+      for (std::size_t p = 0; p < kPaths.size(); ++p) {
+        rates[p].scalar = cells_per_sec(passes[p].fast);
+      }
       simd::set_level(native_level);
-      if (native_level == simd::Level::kScalar) {
-        r.encode.simd_cells_per_sec = r.encode.scalar_cells_per_sec;
-        r.scrub.simd_cells_per_sec = r.scrub.scalar_cells_per_sec;
-        r.syndrome.simd_cells_per_sec = r.syndrome.scalar_cells_per_sec;
-      } else {
-        r.encode.simd_cells_per_sec = measure_cells_per_sec(
-            n_eff, min_seconds, [&] { code.encode_all(data); });
-        r.scrub.simd_cells_per_sec = measure_cells_per_sec(
-            n_eff, min_seconds, [&] { (void)code.scrub(data); });
-        r.syndrome.simd_cells_per_sec = measure_cells_per_sec(n_eff, min_seconds, [&] {
-          for (std::size_t br = 0; br < bps; ++br) {
-            for (std::size_t bc = 0; bc < bps; ++bc) {
-              (void)fast_codec.compute_syndrome(data, br * m, bc * m,
-                                                code.check_bits({br, bc}));
-            }
-          }
-        });
+      for (std::size_t p = 0; p < kPaths.size(); ++p) {
+        rates[p].simd = native_level == simd::Level::kScalar
+                            ? rates[p].scalar
+                            : cells_per_sec(passes[p].fast);
       }
 
-      results.push_back(r);
-      std::cout << "n=" << n_eff << " m=" << m << ": encode_all "
-                << fmt(r.encode.speedup()) << "x, scrub " << fmt(r.scrub.speedup())
-                << "x, syndrome " << fmt(r.syndrome.speedup())
-                << "x vs reference; simd-vs-scalar encode "
-                << fmt(r.encode.simd_vs_scalar()) << "x, scrub "
-                << fmt(r.scrub.simd_vs_scalar()) << "x, syndrome "
-                << fmt(r.syndrome.simd_vs_scalar()) << "x ("
-                << simd::to_string(native_level) << " encode "
-                << fmt(r.encode.simd_cells_per_sec / 1e6) << " Mcells/s)\n";
+      std::cout << "n=" << n_eff << " m=" << m << " ("
+                << simd::to_string(native_level) << " vs reference, vs scalar):";
+      json.object().field("n", n).field("n_eff", n_eff).field("m", m);
+      for (std::size_t p = 0; p < kPaths.size(); ++p) {
+        std::cout << " " << kPaths[p] << " " << fmt(rates[p].speedup()) << "x "
+                  << fmt(rates[p].simd_vs_scalar()) << "x";
+        json.object(kPaths[p])
+            .field("reference_cells_per_sec", rates[p].reference)
+            .field("scalar_cells_per_sec", rates[p].scalar)
+            .field("simd_cells_per_sec", rates[p].simd)
+            .field("speedup", rates[p].speedup())
+            .field("simd_vs_scalar", rates[p].simd_vs_scalar())
+            .end();
+      }
+      std::cout << "\n";
+      json.end();
+      largest = rates;
     }
   }
-  std::cout << "differential cross-check: "
-            << (differential_ok ? "ok" : "FAILED -- BUG") << "\n";
+  json.end();
 
-  const ConfigResult& largest = results.back();
-  std::ofstream json(out_path);
-  if (!json) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
+  json.object("largest_config")
+      .field("n_eff", ns.back() / ms.back() * ms.back())
+      .field("m", ms.back());
+  for (std::size_t p = 0; p < kPaths.size(); ++p) {
+    json.field(std::string(kPaths[p]) + "_speedup", largest[p].speedup());
   }
-  json << "{\n"
-       << "  \"schema\": \"pimecc-bench-codec/2\",\n"
-       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-       << "  \"simd_level\": \"" << simd::to_string(native_level) << "\",\n"
-       << "  \"dispatch_levels_checked\": [";
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    json << "\"" << simd::to_string(levels[i]) << "\""
-         << (i + 1 < levels.size() ? ", " : "");
+  for (std::size_t p = 0; p < kPaths.size(); ++p) {
+    json.field(std::string(kPaths[p]) + "_simd_vs_scalar",
+               largest[p].simd_vs_scalar());
   }
-  json << "],\n"
-       << "  \"differential_ok\": " << (differential_ok ? "true" : "false") << ",\n"
-       << "  \"configs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
-    auto metric = [&](const char* name, const MetricResult& mr, bool last) {
-      json << "      \"" << name << "\": {\"reference_cells_per_sec\": "
-           << fmt(mr.ref_cells_per_sec) << ", \"scalar_cells_per_sec\": "
-           << fmt(mr.scalar_cells_per_sec) << ", \"simd_cells_per_sec\": "
-           << fmt(mr.simd_cells_per_sec) << ", \"speedup\": "
-           << fmt(mr.speedup()) << ", \"simd_vs_scalar\": "
-           << fmt(mr.simd_vs_scalar()) << "}" << (last ? "" : ",") << "\n";
-    };
-    json << "    {\n"
-         << "      \"n\": " << r.n << ", \"n_eff\": " << r.n_eff
-         << ", \"m\": " << r.m << ",\n";
-    metric("encode_all", r.encode, false);
-    metric("scrub", r.scrub, false);
-    metric("syndrome", r.syndrome, true);
-    json << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"largest_config\": {\"n_eff\": " << largest.n_eff << ", \"m\": "
-       << largest.m << ", \"encode_all_speedup\": " << fmt(largest.encode.speedup())
-       << ", \"scrub_speedup\": " << fmt(largest.scrub.speedup())
-       << ", \"syndrome_speedup\": " << fmt(largest.syndrome.speedup())
-       << ", \"encode_all_simd_vs_scalar\": " << fmt(largest.encode.simd_vs_scalar())
-       << ", \"scrub_simd_vs_scalar\": " << fmt(largest.scrub.simd_vs_scalar())
-       << ", \"syndrome_simd_vs_scalar\": " << fmt(largest.syndrome.simd_vs_scalar())
-       << "}\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-  return differential_ok ? 0 : 1;
+  json.end();
+  return json.finish(gates, "differential_ok");
 }

@@ -24,16 +24,13 @@
 // Usage: bench_engine_throughput [--smoke] [--out=PATH]
 //   --smoke    fast CI configuration (small arrays, few trials)
 //   --out=PATH where to write the JSON (default: BENCH_engine.json in cwd)
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <array>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "reliability/montecarlo.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -41,12 +38,6 @@
 #include "xbar/reference_crossbar.hpp"
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 template <typename Xbar>
 void randomize(Xbar& xb, pimecc::util::Rng& rng) {
@@ -70,11 +61,8 @@ double measure_nor_lanes_per_sec(Xbar& xb, pimecc::xbar::Orientation o,
   const std::size_t lines = o == Orientation::kRow ? xb.cols() : xb.rows();
   const std::size_t lanes = o == Orientation::kRow ? xb.rows() : xb.cols();
   const std::size_t ins[2] = {0, 1};
-  std::size_t nors = 0;
   std::size_t next_out = 2;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
+  return pimecc::bench::measure_rate(min_seconds, [&] {
     for (std::size_t i = 0; i < batch; ++i) {
       if (with_init) {
         const std::size_t out[1] = {next_out};
@@ -83,16 +71,13 @@ double measure_nor_lanes_per_sec(Xbar& xb, pimecc::xbar::Orientation o,
       (void)xb.magic_nor(o, ins, next_out);
       if (++next_out == lines) next_out = 2;
     }
-    nors += batch;
-    elapsed = seconds_since(start);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(nors) * static_cast<double>(lanes) / elapsed;
+    return batch * lanes;
+  });
 }
 
 /// Replays a deterministic random init+NOR program on the word-parallel
 /// crossbar at dispatch level `level` and on the bit-serial reference;
-/// returns false (after a diagnostic) on any violation-count or final
-/// contents divergence.
+/// returns false on any violation-count or final contents divergence.
 bool crossbar_matches_reference(std::size_t n, pimecc::util::simd::Level level,
                                 std::size_t steps) {
   namespace simd = pimecc::util::simd;
@@ -126,53 +111,22 @@ bool crossbar_matches_reference(std::size_t n, pimecc::util::simd::Level level,
     ref.magic_init(o, out_arr);
     const auto rf = fast.magic_nor(o, ins, out_line);
     const auto rr = ref.magic_nor(o, ins, out_line);
-    if (rf.violations != rr.violations) {
-      std::cerr << "magic_nor violation mismatch at level "
-                << simd::to_string(level) << " n=" << n << " step=" << step
-                << "\n";
-      return false;
-    }
+    if (rf.violations != rr.violations) return false;
   }
-  if (!(fast.contents() == ref.contents())) {
-    std::cerr << "crossbar contents mismatch at level " << simd::to_string(level)
-              << " n=" << n << "\n";
-    return false;
-  }
-  return true;
-}
-
-struct McPoint {
-  std::size_t threads = 0;
-  double seconds = 0.0;
-  double trials_per_sec = 0.0;
-  double speedup_vs_1 = 0.0;
-};
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  return fast.contents() == ref.contents();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pimecc;
+  using bench::fmt;
   using xbar::Orientation;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_engine.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::cerr << "usage: bench_engine_throughput [--smoke] [--out=PATH]\n";
-      return 2;
-    }
-  }
+  const bench::Options options =
+      bench::parse_options(argc, argv, "BENCH_engine.json");
+  const bool smoke = options.smoke;
+  bench::Gates gates;
 
   // One power-of-two size and one with n mod 64 != 0, so the tail-word
   // masking in the column-NOR kernel is always part of the timed (and
@@ -187,37 +141,26 @@ int main(int argc, char** argv) {
   const simd::Level native_level = simd::active_level();
 
   // ------------------------------------------------- xbar cross-check gate
-  bool xbar_ok = true;
   const std::size_t check_steps = smoke ? 48 : 96;
   for (const std::size_t n : sizes) {
     for (const simd::Level level : simd::available_levels()) {
-      xbar_ok = crossbar_matches_reference(n, level, check_steps) && xbar_ok;
+      gates.check(crossbar_matches_reference(n, level, check_steps),
+                  std::string("crossbar at level ") + simd::to_string(level) +
+                      " n=" + std::to_string(n));
     }
   }
   simd::set_level(native_level);
 
+  bench::Json json("pimecc-bench-engine/2", options);
+  json.field("hardware_concurrency", std::thread::hardware_concurrency())
+      .field("simd_level", simd::to_string(native_level))
+      .field("xbar_cross_check_ok", gates.ok());
+
   // ---------------------------------------------------------------- xbar
-  struct OrientationResult {
-    const char* name;
-    double ref_nor_lanes_per_sec;
-    double scalar_nor_lanes_per_sec;
-    double simd_nor_lanes_per_sec;
-    double nor_speedup;
-    double nor_simd_vs_scalar;
-    double ref_pair_lanes_per_sec;
-    double scalar_pair_lanes_per_sec;
-    double simd_pair_lanes_per_sec;
-    double pair_speedup;
-    double pair_simd_vs_scalar;
-  };
-  struct SizeResult {
-    std::size_t n;
-    std::vector<OrientationResult> orients;
-  };
-  std::vector<SizeResult> xbar_results;
+  double min_nor_speedup = 0.0;
+  json.array("xbar");
   for (const std::size_t n : sizes) {
-    SizeResult sr;
-    sr.n = n;
+    json.object().field("n", n);
     for (const Orientation o : {Orientation::kRow, Orientation::kColumn}) {
       util::Rng rng(0xBE7C'11ull);
       xbar::Crossbar fast(n, n);
@@ -226,52 +169,52 @@ int main(int argc, char** argv) {
       xbar::ReferenceCrossbar ref(n, n);
       randomize(ref, rng);
 
-      OrientationResult r;
-      r.name = o == Orientation::kRow ? "row" : "column";
-      r.ref_nor_lanes_per_sec =
-          measure_nor_lanes_per_sec(ref, o, false, min_seconds, batch);
-      r.ref_pair_lanes_per_sec =
-          measure_nor_lanes_per_sec(ref, o, true, min_seconds, batch);
-
+      // {pure NOR stream, init+NOR pairs} lanes per second.
+      auto rates = [&](auto& xb) {
+        return std::array<double, 2>{
+            measure_nor_lanes_per_sec(xb, o, false, min_seconds, batch),
+            measure_nor_lanes_per_sec(xb, o, true, min_seconds, batch)};
+      };
+      const std::array<double, 2> ref_rates = rates(ref);
       simd::set_level(simd::Level::kScalar);
-      r.scalar_nor_lanes_per_sec =
-          measure_nor_lanes_per_sec(fast, o, false, min_seconds, batch);
-      r.scalar_pair_lanes_per_sec =
-          measure_nor_lanes_per_sec(fast, o, true, min_seconds, batch);
-
+      const std::array<double, 2> scalar_rates = rates(fast);
       simd::set_level(native_level);
-      if (native_level == simd::Level::kScalar || o == Orientation::kRow) {
-        // Row-orientation NOR never routes through the dispatch table (it
-        // stays scalar at every level), so re-timing it would only record
-        // clock noise: report the scalar numbers for both columns.
-        r.simd_nor_lanes_per_sec = r.scalar_nor_lanes_per_sec;
-        r.simd_pair_lanes_per_sec = r.scalar_pair_lanes_per_sec;
-      } else {
-        r.simd_nor_lanes_per_sec =
-            measure_nor_lanes_per_sec(fast, o, false, min_seconds, batch);
-        r.simd_pair_lanes_per_sec =
-            measure_nor_lanes_per_sec(fast, o, true, min_seconds, batch);
+      // Row-orientation NOR never routes through the dispatch table (it
+      // stays scalar at every level), so re-timing it would only record
+      // clock noise: report the scalar numbers for both columns.
+      const std::array<double, 2> simd_rates =
+          native_level == simd::Level::kScalar || o == Orientation::kRow
+              ? scalar_rates
+              : rates(fast);
+
+      const char* name = o == Orientation::kRow ? "row" : "column";
+      json.object(name);
+      for (const std::size_t k : {0, 1}) {
+        json.object(k == 0 ? "nor" : "init_nor_pair")
+            .field("reference_lanes_per_sec", ref_rates[k])
+            .field("scalar_lanes_per_sec", scalar_rates[k])
+            .field("simd_lanes_per_sec", simd_rates[k])
+            .field("speedup", simd_rates[k] / ref_rates[k])
+            .field("simd_vs_scalar", simd_rates[k] / scalar_rates[k])
+            .end();
       }
-      r.nor_speedup = r.simd_nor_lanes_per_sec / r.ref_nor_lanes_per_sec;
-      r.nor_simd_vs_scalar =
-          r.simd_nor_lanes_per_sec / r.scalar_nor_lanes_per_sec;
-      r.pair_speedup = r.simd_pair_lanes_per_sec / r.ref_pair_lanes_per_sec;
-      r.pair_simd_vs_scalar =
-          r.simd_pair_lanes_per_sec / r.scalar_pair_lanes_per_sec;
-      sr.orients.push_back(r);
-      std::cout << "magic_nor " << n << "x" << n << " all-lane (" << r.name
-                << " orientation): reference " << fmt(r.ref_nor_lanes_per_sec)
-                << " lanes/s, scalar " << fmt(r.scalar_nor_lanes_per_sec)
-                << " lanes/s, " << simd::to_string(native_level) << " "
-                << fmt(r.simd_nor_lanes_per_sec) << " lanes/s, speedup "
-                << fmt(r.nor_speedup) << "x vs reference, "
-                << fmt(r.nor_simd_vs_scalar) << "x vs scalar (init+nor pair: "
-                << fmt(r.pair_speedup) << "x)\n";
+      json.end();
+      const double nor_speedup = simd_rates[0] / ref_rates[0];
+      if (min_nor_speedup == 0.0 || nor_speedup < min_nor_speedup) {
+        min_nor_speedup = nor_speedup;
+      }
+      std::cout << "magic_nor " << n << "x" << n << " all-lane (" << name
+                << " orientation): reference " << fmt(ref_rates[0])
+                << " lanes/s, scalar " << fmt(scalar_rates[0]) << " lanes/s, "
+                << simd::to_string(native_level) << " " << fmt(simd_rates[0])
+                << " lanes/s, speedup " << fmt(nor_speedup)
+                << "x vs reference, " << fmt(simd_rates[0] / scalar_rates[0])
+                << "x vs scalar (init+nor pair: "
+                << fmt(simd_rates[1] / ref_rates[1]) << "x)\n";
     }
-    xbar_results.push_back(sr);
+    json.end();
   }
-  std::cout << "crossbar dispatch-level cross-check: "
-            << (xbar_ok ? "ok" : "FAILED -- BUG") << "\n";
+  json.end().field("min_nor_speedup", min_nor_speedup);
 
   // ---------------------------------------------------------- monte carlo
   rel::MonteCarloConfig config;
@@ -281,97 +224,43 @@ int main(int argc, char** argv) {
   config.window_hours = 24.0;
   config.trials = smoke ? 200 : 2000;
 
-  std::vector<McPoint> mc_points;
+  json.object("montecarlo")
+      .field("n", config.n)
+      .field("m", config.m)
+      .field("fit_per_bit", config.fit_per_bit)
+      .field("trials", config.trials)
+      .array("thread_sweep");
   bool deterministic = true;
   rel::MonteCarloResult baseline;
+  double serial_rate = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     config.threads = threads;
     util::Rng rng(0xF16'6ull);
-    const auto start = Clock::now();
-    const rel::MonteCarloResult result = rel::run_montecarlo(config, rng);
-    const double elapsed = seconds_since(start);
+    rel::MonteCarloResult result;
+    const double trials_per_sec = bench::measure_rate(0.0, [&] {
+      result = rel::run_montecarlo(config, rng);
+      return config.trials;
+    });
     if (threads == 1) {
       baseline = result;
-    } else if (!(result == baseline)) {
-      deterministic = false;
+      serial_rate = trials_per_sec;
+    } else {
+      deterministic = gates.check(result == baseline,
+                                  "montecarlo determinism at threads=" +
+                                      std::to_string(threads)) &&
+                      deterministic;
     }
-    McPoint point;
-    point.threads = threads;
-    point.seconds = elapsed;
-    point.trials_per_sec = static_cast<double>(config.trials) / elapsed;
-    point.speedup_vs_1 =
-        mc_points.empty() ? 1.0 : point.trials_per_sec / mc_points[0].trials_per_sec;
-    mc_points.push_back(point);
+    json.object()
+        .field("threads", threads)
+        .field("seconds", static_cast<double>(config.trials) / trials_per_sec)
+        .field("trials_per_sec", trials_per_sec)
+        .field("speedup_vs_1", trials_per_sec / serial_rate)
+        .end();
     std::cout << "montecarlo n=" << config.n << " trials=" << config.trials
-              << " threads=" << threads << ": " << fmt(point.trials_per_sec)
-              << " trials/s (speedup " << fmt(point.speedup_vs_1) << "x)\n";
+              << " threads=" << threads << ": " << fmt(trials_per_sec)
+              << " trials/s (speedup " << fmt(trials_per_sec / serial_rate)
+              << "x)\n";
   }
-  std::cout << "deterministic across thread counts: "
-            << (deterministic ? "yes" : "NO -- BUG") << "\n";
-
-  // ----------------------------------------------------------------- json
-  std::ofstream json(out_path);
-  if (!json) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"schema\": \"pimecc-bench-engine/2\",\n"
-       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"simd_level\": \"" << simd::to_string(native_level) << "\",\n"
-       << "  \"xbar_cross_check_ok\": " << (xbar_ok ? "true" : "false") << ",\n"
-       << "  \"xbar\": [\n";
-  double min_speedup = 0.0;
-  bool min_speedup_set = false;
-  for (std::size_t s = 0; s < xbar_results.size(); ++s) {
-    const SizeResult& sr = xbar_results[s];
-    json << "    {\n"
-         << "      \"n\": " << sr.n << ",\n";
-    for (std::size_t i = 0; i < sr.orients.size(); ++i) {
-      const OrientationResult& r = sr.orients[i];
-      if (!min_speedup_set || r.nor_speedup < min_speedup) {
-        min_speedup = r.nor_speedup;
-        min_speedup_set = true;
-      }
-      json << "      \"" << r.name << "\": {\n"
-           << "        \"nor\": {\"reference_lanes_per_sec\": "
-           << fmt(r.ref_nor_lanes_per_sec) << ", \"scalar_lanes_per_sec\": "
-           << fmt(r.scalar_nor_lanes_per_sec) << ", \"simd_lanes_per_sec\": "
-           << fmt(r.simd_nor_lanes_per_sec) << ", \"speedup\": "
-           << fmt(r.nor_speedup) << ", \"simd_vs_scalar\": "
-           << fmt(r.nor_simd_vs_scalar) << "},\n"
-           << "        \"init_nor_pair\": {\"reference_lanes_per_sec\": "
-           << fmt(r.ref_pair_lanes_per_sec) << ", \"scalar_lanes_per_sec\": "
-           << fmt(r.scalar_pair_lanes_per_sec) << ", \"simd_lanes_per_sec\": "
-           << fmt(r.simd_pair_lanes_per_sec) << ", \"speedup\": "
-           << fmt(r.pair_speedup) << ", \"simd_vs_scalar\": "
-           << fmt(r.pair_simd_vs_scalar) << "}\n"
-           << "      }" << (i + 1 < sr.orients.size() ? "," : "") << "\n";
-    }
-    json << "    }" << (s + 1 < xbar_results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"min_nor_speedup\": " << fmt(min_speedup) << ",\n"
-       << "  \"montecarlo\": {\n"
-       << "    \"n\": " << config.n << ",\n"
-       << "    \"m\": " << config.m << ",\n"
-       << "    \"fit_per_bit\": " << fmt(config.fit_per_bit) << ",\n"
-       << "    \"trials\": " << config.trials << ",\n"
-       << "    \"deterministic_across_threads\": "
-       << (deterministic ? "true" : "false") << ",\n"
-       << "    \"thread_sweep\": [\n";
-  for (std::size_t i = 0; i < mc_points.size(); ++i) {
-    const McPoint& p = mc_points[i];
-    json << "      {\"threads\": " << p.threads << ", \"seconds\": "
-         << fmt(p.seconds) << ", \"trials_per_sec\": " << fmt(p.trials_per_sec)
-         << ", \"speedup_vs_1\": " << fmt(p.speedup_vs_1) << "}"
-         << (i + 1 < mc_points.size() ? "," : "") << "\n";
-  }
-  json << "    ]\n"
-       << "  }\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-  return (deterministic && xbar_ok) ? 0 : 1;
+  json.end().field("deterministic_across_threads", deterministic);
+  return json.finish(gates);
 }

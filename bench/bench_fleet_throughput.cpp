@@ -26,92 +26,27 @@
 // Usage: bench_fleet_throughput [--smoke] [--out=PATH]
 //   --smoke    fast CI configuration (small fleets, short measurements)
 //   --out=PATH where to write the JSON (default: BENCH_fleet.json)
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "arch/fleet.hpp"
 #include "core/array_code.hpp"
+#include "harness.hpp"
 #include "reliability/fleet_reliability.hpp"
 #include "reliability/montecarlo.hpp"
 #include "util/executor.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// FIT/bit giving `mean_flips` expected flips per window over `population`.
-double fit_for_mean_flips(double mean_flips, std::uint64_t population,
-                          double window_hours) {
-  const double p = mean_flips / static_cast<double>(population);
-  return p * 1e9 / window_hours;
-}
-
-template <typename Campaign>
-double measure_rate(double min_seconds, Campaign&& campaign) {
-  double units = 0.0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    units += campaign();
-    elapsed = seconds_since(start);
-  } while (elapsed < min_seconds);
-  return units / elapsed;
-}
-
-struct SweepPoint {
-  std::size_t shards = 0;
-  std::size_t threads = 0;  // 0 = full executor width
-  double per_sec = 0.0;
-};
-
-void emit_sweep(std::ofstream& json, const char* key, const char* unit,
-                const std::vector<SweepPoint>& sweep, bool last = false) {
-  json << "  \"" << key << "\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    json << "    {\"shards\": " << sweep[i].shards
-         << ", \"threads\": " << sweep[i].threads << ", \"" << unit
-         << "\": " << fmt(sweep[i].per_sec) << "}"
-         << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  json << "  ]" << (last ? "\n" : ",\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace pimecc;
+  using bench::fmt;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_fleet.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::cerr << "usage: bench_fleet_throughput [--smoke] [--out=PATH]\n";
-      return 2;
-    }
-  }
-
-  bool cross_checks_ok = true;
+  const bench::Options options =
+      bench::parse_options(argc, argv, "BENCH_fleet.json");
+  const bool smoke = options.smoke;
+  bench::Gates gates;
   const double min_seconds = smoke ? 0.05 : 1.0;
   const std::size_t workers = util::Executor::shared().worker_count();
 
@@ -134,7 +69,7 @@ int main(int argc, char** argv) {
     config.m = shard_m;
     config.window_hours = 24.0;
     const std::size_t blocks = (shard_n / shard_m) * (shard_n / shard_m);
-    config.fit_per_bit = fit_for_mean_flips(
+    config.fit_per_bit = bench::fit_for_mean_flips(
         3.0, shard_n * shard_n + blocks * 2 * shard_m, 24.0);
     config.shards = shards;
     config.trials_per_shard = trials_per_shard;
@@ -158,17 +93,14 @@ int main(int argc, char** argv) {
         const rel::MonteCarloResult flat = rel::run_montecarlo(
             fleet_mc_config(shards, gate_trials_per_shard, threads).flat(),
             flat_rng);
-        if (!(fleet.total == flat) || fleet_rng.next() != flat_rng.next()) {
-          std::cerr << "fleet-vs-flat cross-check FAILED at shards=" << shards
-                    << " threads=" << threads << "\n";
-          cross_checks_ok = false;
-        }
+        const std::string at = " at shards=" + std::to_string(shards) +
+                               " threads=" + std::to_string(threads);
+        gates.check(fleet.total == flat && fleet_rng.next() == flat_rng.next(),
+                    "fleet-vs-flat" + at);
         if (pinned_slots.empty()) {
           pinned_slots = fleet.shards;
-        } else if (fleet.shards != pinned_slots) {
-          std::cerr << "shard-slot invariance FAILED at shards=" << shards
-                    << " threads=" << threads << "\n";
-          cross_checks_ok = false;
+        } else {
+          gates.check(fleet.shards == pinned_slots, "shard-slot invariance" + at);
         }
       }
     }
@@ -213,46 +145,28 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < params.shards; ++s) {
       if (!(fleet.data(s) == mirror_data[s])) images_match = false;
     }
-    if (!(report == expect) || !images_match) {
-      std::cerr << "fleet-vs-single scrub cross-check FAILED at threads="
-                << threads << "\n";
-      cross_checks_ok = false;
-    }
+    gates.check(report == expect && images_match,
+                "fleet-vs-single scrub at threads=" + std::to_string(threads));
   }
-  std::cout << "cross-checks: " << (cross_checks_ok ? "ok" : "FAILED -- BUG")
-            << "\n";
+
+  bench::Json json("pimecc-bench-fleet/1", options);
+  json.object("executor")
+      .field("workers", workers)
+      .field("parallelism", workers + 1)
+      .end();
+  json.field("shard_n", shard_n).field("shard_m", shard_m);
 
   // -------------------------------------------------- montecarlo throughput
   const std::size_t bench_trials_per_shard = smoke ? 3 : 10;
-  std::vector<SweepPoint> mc_shard_sweep;
-  for (const std::size_t shards : shard_sweep) {
-    std::uint64_t stamp = 1;
-    SweepPoint point{shards, 0, 0.0};
-    point.per_sec = measure_rate(min_seconds, [&] {
+  auto mc_rate = [&](std::size_t shards, std::size_t threads,
+                     std::uint64_t stamp) {
+    return bench::measure_rate(min_seconds, [&] {
       util::Rng rng(stamp++);
       (void)rel::run_fleet_montecarlo(
-          fleet_mc_config(shards, bench_trials_per_shard, 0), rng);
-      return static_cast<double>(shards * bench_trials_per_shard);
+          fleet_mc_config(shards, bench_trials_per_shard, threads), rng);
+      return shards * bench_trials_per_shard;
     });
-    mc_shard_sweep.push_back(point);
-    std::cout << "montecarlo shards=" << shards << ": "
-              << fmt(point.per_sec) << " trials/s\n";
-  }
-  std::vector<SweepPoint> mc_worker_sweep;
-  for (const std::size_t threads : worker_sweep) {
-    std::uint64_t stamp = 100;
-    SweepPoint point{fixed_shards, threads, 0.0};
-    point.per_sec = measure_rate(min_seconds, [&] {
-      util::Rng rng(stamp++);
-      (void)rel::run_fleet_montecarlo(
-          fleet_mc_config(fixed_shards, bench_trials_per_shard, threads), rng);
-      return static_cast<double>(fixed_shards * bench_trials_per_shard);
-    });
-    mc_worker_sweep.push_back(point);
-    std::cout << "montecarlo shards=" << fixed_shards << " threads=" << threads
-              << ": " << fmt(point.per_sec) << " trials/s\n";
-  }
-
+  };
   // ------------------------------------------------------- scrub throughput
   auto scrub_rate = [&](std::size_t shards, std::size_t threads) {
     arch::FleetParams params;
@@ -263,27 +177,41 @@ int main(int argc, char** argv) {
     arch::CrossbarFleet fleet(params);
     util::Rng rng(0xB10C'5ull);
     fleet.load_random(rng);
-    const double blocks_per_pass = static_cast<double>(
-        shards * (shard_n / shard_m) * (shard_n / shard_m));
-    return measure_rate(min_seconds, [&] {
+    return bench::measure_rate(min_seconds, [&] {
       (void)fleet.scrub_all();
-      return blocks_per_pass;
+      return shards * (shard_n / shard_m) * (shard_n / shard_m);
     });
   };
-  std::vector<SweepPoint> scrub_shard_sweep;
+  // One sweep point: {"shards", "threads", unit}, threads 0 = full width.
+  auto point = [&](std::size_t shards, std::size_t threads, const char* unit,
+                   double per_sec) {
+    std::cout << unit << " shards=" << shards << " threads=" << threads
+              << ": " << fmt(per_sec) << "\n";
+    json.object()
+        .field("shards", shards)
+        .field("threads", threads)
+        .field(unit, per_sec)
+        .end();
+  };
+  json.array("montecarlo_shard_sweep");
   for (const std::size_t shards : shard_sweep) {
-    SweepPoint point{shards, 0, scrub_rate(shards, 0)};
-    scrub_shard_sweep.push_back(point);
-    std::cout << "scrub shards=" << shards << ": " << fmt(point.per_sec)
-              << " blocks/s\n";
+    point(shards, 0, "trials_per_sec", mc_rate(shards, 0, 1));
   }
-  std::vector<SweepPoint> scrub_worker_sweep;
+  json.end().array("montecarlo_worker_sweep");
   for (const std::size_t threads : worker_sweep) {
-    SweepPoint point{fixed_shards, threads, scrub_rate(fixed_shards, threads)};
-    scrub_worker_sweep.push_back(point);
-    std::cout << "scrub shards=" << fixed_shards << " threads=" << threads
-              << ": " << fmt(point.per_sec) << " blocks/s\n";
+    point(fixed_shards, threads, "trials_per_sec",
+          mc_rate(fixed_shards, threads, 100));
   }
+  json.end().array("scrub_shard_sweep");
+  for (const std::size_t shards : shard_sweep) {
+    point(shards, 0, "blocks_per_sec", scrub_rate(shards, 0));
+  }
+  json.end().array("scrub_worker_sweep");
+  for (const std::size_t threads : worker_sweep) {
+    point(fixed_shards, threads, "blocks_per_sec",
+          scrub_rate(fixed_shards, threads));
+  }
+  json.end();
 
   // ------------------------------------------------- Figure 6 MTTF surface
   // Full mode: banks up to 8259 shards of 1020 x 1020 at m = 15 -- the
@@ -303,57 +231,29 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{1, 4}
             : std::vector<std::size_t>{64, 1024, 8259};
   util::Rng grid_rng(0xF16'6ull);
-  const std::vector<rel::FleetMttfPoint> grid =
-      rel::run_fleet_mttf_grid(grid_config, grid_rng);
-  for (const rel::FleetMttfPoint& point : grid) {
-    std::cout << "mttf fit=" << fmt(point.fit_per_bit)
-              << " shards=" << point.shards << ": empirical "
-              << fmt(point.empirical_mttf_hours) << " h ("
-              << point.failures << "/" << point.trials
-              << " failed), analytic " << fmt(point.analytic_mttf_hours)
-              << " h\n";
+  json.object("mttf_grid")
+      .field("n", grid_config.n)
+      .field("m", grid_config.m)
+      .field("scrub_period_hours", grid_config.scrub_period_hours)
+      .field("horizon_hours", grid_config.max_hours)
+      .field("trials_per_cell", grid_config.trials)
+      .array("cells");
+  for (const rel::FleetMttfPoint& cell :
+       rel::run_fleet_mttf_grid(grid_config, grid_rng)) {
+    std::cout << "mttf fit=" << fmt(cell.fit_per_bit)
+              << " shards=" << cell.shards << ": empirical "
+              << fmt(cell.empirical_mttf_hours) << " h (" << cell.failures
+              << "/" << cell.trials << " failed), analytic "
+              << fmt(cell.analytic_mttf_hours) << " h\n";
+    json.object()
+        .field("fit_per_bit", cell.fit_per_bit)
+        .field("shards", cell.shards)
+        .field("failures", cell.failures)
+        .field("trials", cell.trials)
+        .field("empirical_mttf_hours", cell.empirical_mttf_hours)
+        .field("analytic_mttf_hours", cell.analytic_mttf_hours)
+        .field("scrub_windows", cell.scrub_windows)
+        .end();
   }
-
-  // ------------------------------------------------------------------ JSON
-  std::ofstream json(out_path);
-  if (!json) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"schema\": \"pimecc-bench-fleet/1\",\n"
-       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-       << "  \"cross_checks_ok\": " << (cross_checks_ok ? "true" : "false")
-       << ",\n"
-       << "  \"executor\": {\"workers\": " << workers
-       << ", \"parallelism\": " << (workers + 1) << "},\n"
-       << "  \"shard_n\": " << shard_n << ",\n"
-       << "  \"shard_m\": " << shard_m << ",\n";
-  emit_sweep(json, "montecarlo_shard_sweep", "trials_per_sec", mc_shard_sweep);
-  emit_sweep(json, "montecarlo_worker_sweep", "trials_per_sec",
-             mc_worker_sweep);
-  emit_sweep(json, "scrub_shard_sweep", "blocks_per_sec", scrub_shard_sweep);
-  emit_sweep(json, "scrub_worker_sweep", "blocks_per_sec", scrub_worker_sweep);
-  json << "  \"mttf_grid\": {\n"
-       << "    \"n\": " << grid_config.n << ", \"m\": " << grid_config.m
-       << ", \"scrub_period_hours\": " << fmt(grid_config.scrub_period_hours)
-       << ", \"horizon_hours\": " << fmt(grid_config.max_hours)
-       << ", \"trials_per_cell\": " << grid_config.trials << ",\n"
-       << "    \"cells\": [\n";
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const rel::FleetMttfPoint& point = grid[i];
-    json << "      {\"fit_per_bit\": " << fmt(point.fit_per_bit)
-         << ", \"shards\": " << point.shards
-         << ", \"failures\": " << point.failures
-         << ", \"trials\": " << point.trials
-         << ", \"empirical_mttf_hours\": " << fmt(point.empirical_mttf_hours)
-         << ", \"analytic_mttf_hours\": " << fmt(point.analytic_mttf_hours)
-         << ", \"scrub_windows\": " << point.scrub_windows << "}"
-         << (i + 1 < grid.size() ? "," : "") << "\n";
-  }
-  json << "    ]\n"
-       << "  }\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-  return cross_checks_ok ? 0 : 1;
+  return json.finish(gates, "cross_checks_ok");
 }

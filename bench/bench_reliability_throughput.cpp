@@ -26,15 +26,14 @@
 // Usage: bench_reliability_throughput [--smoke] [--out=PATH]
 //   --smoke    fast CI configuration (small arrays, short measurements)
 //   --out=PATH where to write the JSON (default: BENCH_reliability.json)
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "harness.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/montecarlo.hpp"
 #include "reliability/reference_reliability.hpp"
@@ -42,91 +41,28 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using pimecc::rel::LifetimeConfig;
 using pimecc::rel::LifetimeResult;
 using pimecc::rel::MonteCarloConfig;
 using pimecc::rel::MonteCarloResult;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// FIT/bit that makes the expected flip count per window equal `mean_flips`
-/// over a `population`-cell array: p = mean/population, fit = p * 1e9 / T.
-double fit_for_mean_flips(double mean_flips, std::size_t population,
-                          double window_hours) {
-  const double p = mean_flips / static_cast<double>(population);
-  return p * 1e9 / window_hours;
-}
 
 MonteCarloResult without_miscorrected(MonteCarloResult r) {
   r.miscorrected = 0;
   return r;
 }
 
-struct MetricResult {
-  double ref_per_sec = 0.0;
-  double fast_per_sec = 0.0;
-  [[nodiscard]] double speedup() const { return fast_per_sec / ref_per_sec; }
-};
-
-struct McConfigResult {
-  std::size_t n = 0, m = 0;
-  double fit = 0.0;
-  double mean_flips = 0.0;
-  MetricResult trials;
-};
-
-struct LtConfigResult {
-  std::size_t n = 0, m = 0, crossbars = 0;
-  double fit = 0.0;
-  double horizon_hours = 0.0;
-  std::uint64_t windows_per_trial = 0;
-  MetricResult windows;
-};
-
-/// Runs `campaign(trials)` repeatedly until `min_seconds` elapsed; returns
-/// units/second where `campaign` reports how many units one call covered.
-template <typename Campaign>
-double measure_rate(double min_seconds, Campaign&& campaign) {
-  double units = 0.0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    units += campaign();
-    elapsed = seconds_since(start);
-  } while (elapsed < min_seconds);
-  return units / elapsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pimecc;
+  using bench::fmt;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_reliability.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::cerr << "usage: bench_reliability_throughput [--smoke] [--out=PATH]\n";
-      return 2;
-    }
-  }
-
-  bool cross_checks_ok = true;
+  const bench::Options options =
+      bench::parse_options(argc, argv, "BENCH_reliability.json");
+  const bool smoke = options.smoke;
+  bench::Gates gates;
   const double min_seconds = smoke ? 0.05 : 1.0;
+  bench::Json json("pimecc-bench-reliability/1", options);
 
   // ------------------------------------------------------------ montecarlo
   struct McCase {
@@ -135,7 +71,8 @@ int main(int argc, char** argv) {
   const std::vector<McCase> mc_cases =
       smoke ? std::vector<McCase>{{120, 15}}
             : std::vector<McCase>{{510, 15}, {1020, 15}};
-  std::vector<McConfigResult> mc_results;
+  double mc_speedup = 0.0;  // of the last (largest) case
+  json.array("montecarlo");
   for (const McCase& c : mc_cases) {
     MonteCarloConfig config;
     config.n = c.n;
@@ -143,50 +80,51 @@ int main(int argc, char** argv) {
     config.window_hours = 24.0;
     config.threads = 1;
     const std::size_t blocks = (c.n / c.m) * (c.n / c.m);
-    const std::size_t population = c.n * c.n + blocks * 2 * c.m;
     const double mean_flips = 3.0;
-    config.fit_per_bit = fit_for_mean_flips(mean_flips, population, 24.0);
+    config.fit_per_bit = bench::fit_for_mean_flips(
+        mean_flips, c.n * c.n + blocks * 2 * c.m, 24.0);
 
     // Cross-check gate: shared seed, counter equality per substream.
     config.trials = smoke ? 30 : 40;
     util::Rng fast_rng(0xBE7C'7E57ull), ref_rng(0xBE7C'7E57ull);
     const MonteCarloResult fast = rel::run_montecarlo(config, fast_rng);
     const MonteCarloResult ref = rel::reference_run_montecarlo(config, ref_rng);
-    if (!(without_miscorrected(fast) == without_miscorrected(ref)) ||
-        fast.miscorrected > ref.miscorrected ||
-        fast.miscorrected > fast.blocks_failed) {
-      std::cerr << "montecarlo cross-check FAILED at n=" << c.n << " m=" << c.m
-                << "\n";
-      cross_checks_ok = false;
-    }
-
-    McConfigResult r;
-    r.n = c.n;
-    r.m = c.m;
-    r.fit = config.fit_per_bit;
-    r.mean_flips = mean_flips;
+    gates.check(without_miscorrected(fast) == without_miscorrected(ref) &&
+                    fast.miscorrected <= ref.miscorrected &&
+                    fast.miscorrected <= fast.blocks_failed,
+                "montecarlo at n=" + std::to_string(c.n) +
+                    " m=" + std::to_string(c.m));
 
     const std::size_t fast_trials = smoke ? 2000 : 20000;
     const std::size_t ref_trials = smoke ? 50 : 100;
     std::uint64_t stamp = 1;
-    r.trials.fast_per_sec = measure_rate(min_seconds, [&] {
+    const double sparse_rate = bench::measure_rate(min_seconds, [&] {
       config.trials = fast_trials;
       util::Rng rng(stamp++);
       (void)rel::run_montecarlo(config, rng);
-      return static_cast<double>(fast_trials);
+      return fast_trials;
     });
-    r.trials.ref_per_sec = measure_rate(min_seconds, [&] {
+    const double ref_rate = bench::measure_rate(min_seconds, [&] {
       config.trials = ref_trials;
       util::Rng rng(stamp++);
       (void)rel::reference_run_montecarlo(config, rng);
-      return static_cast<double>(ref_trials);
+      return ref_trials;
     });
-    mc_results.push_back(r);
+    mc_speedup = sparse_rate / ref_rate;
     std::cout << "montecarlo n=" << c.n << " m=" << c.m << ": sparse "
-              << fmt(r.trials.fast_per_sec) << " trials/s, reference "
-              << fmt(r.trials.ref_per_sec) << " trials/s -> "
-              << fmt(r.trials.speedup()) << "x\n";
+              << fmt(sparse_rate) << " trials/s, reference " << fmt(ref_rate)
+              << " trials/s -> " << fmt(mc_speedup) << "x\n";
+    json.object()
+        .field("n", c.n)
+        .field("m", c.m)
+        .field("fit_per_bit", config.fit_per_bit)
+        .field("mean_flips_per_trial", mean_flips)
+        .field("reference_trials_per_sec", ref_rate)
+        .field("sparse_trials_per_sec", sparse_rate)
+        .field("speedup", mc_speedup)
+        .end();
   }
+  json.end();
 
   // -------------------------------------------------------------- lifetime
   struct LtCase {
@@ -196,7 +134,8 @@ int main(int argc, char** argv) {
   const std::vector<LtCase> lt_cases =
       smoke ? std::vector<LtCase>{{60, 15, 1, 24.0 * 365 * 10}}
             : std::vector<LtCase>{{1020, 15, 1, 24.0 * 365 * 20}};
-  std::vector<LtConfigResult> lt_results;
+  double lt_speedup = 0.0;  // of the last (largest) case
+  json.array("lifetime");
   for (const LtCase& c : lt_cases) {
     LifetimeConfig config;
     config.n = c.n;
@@ -206,21 +145,10 @@ int main(int argc, char** argv) {
     config.max_hours = c.horizon_hours;
     config.threads = 1;
     const std::size_t blocks = (c.n / c.m) * (c.n / c.m) * c.crossbars;
-    const std::uint64_t cells =
-        static_cast<std::uint64_t>(blocks) * (c.m * c.m + 2 * c.m);
     // Rare-event regime: ~1 non-empty window per hundred, the setting the
     // skip-ahead is built for (Fig. 6 rates are far rarer still).
-    config.fit_per_bit =
-        fit_for_mean_flips(0.01, static_cast<std::size_t>(cells), 24.0);
-
-    LtConfigResult r;
-    r.n = c.n;
-    r.m = c.m;
-    r.crossbars = c.crossbars;
-    r.fit = config.fit_per_bit;
-    r.horizon_hours = c.horizon_hours;
-    r.windows_per_trial = static_cast<std::uint64_t>(
-        std::ceil(c.horizon_hours / config.scrub_period_hours));
+    config.fit_per_bit = bench::fit_for_mean_flips(
+        0.01, static_cast<std::uint64_t>(blocks) * (c.m * c.m + 2 * c.m), 24.0);
 
     // Exact gate: at zero rate both engines must scrub every window of
     // every trial -- pins the skip-ahead's window accounting to the walker.
@@ -231,34 +159,44 @@ int main(int argc, char** argv) {
       util::Rng fz(1), rz(1);
       const LifetimeResult a = rel::simulate_lifetime(zero, fz);
       const LifetimeResult b = rel::reference_simulate_lifetime(zero, rz);
-      if (a.scrubs_performed != b.scrubs_performed || a.failures != 0 ||
-          b.failures != 0) {
-        std::cerr << "lifetime zero-rate cross-check FAILED at n=" << c.n << "\n";
-        cross_checks_ok = false;
-      }
+      gates.check(a.scrubs_performed == b.scrubs_performed && a.failures == 0 &&
+                      b.failures == 0,
+                  "lifetime zero-rate at n=" + std::to_string(c.n));
     }
 
     std::uint64_t stamp = 1000;
     const std::size_t fast_trials = smoke ? 50 : 200;
     const std::size_t ref_trials = smoke ? 5 : 10;
-    r.windows.fast_per_sec = measure_rate(min_seconds, [&] {
+    const double skip_rate = bench::measure_rate(min_seconds, [&] {
       config.trials = fast_trials;
       util::Rng rng(stamp++);
-      return static_cast<double>(rel::simulate_lifetime(config, rng).scrubs_performed);
+      return rel::simulate_lifetime(config, rng).scrubs_performed;
     });
-    r.windows.ref_per_sec = measure_rate(min_seconds, [&] {
+    const double ref_rate = bench::measure_rate(min_seconds, [&] {
       config.trials = ref_trials;
       util::Rng rng(stamp++);
-      return static_cast<double>(
-          rel::reference_simulate_lifetime(config, rng).scrubs_performed);
+      return rel::reference_simulate_lifetime(config, rng).scrubs_performed;
     });
-    lt_results.push_back(r);
+    lt_speedup = skip_rate / ref_rate;
     std::cout << "lifetime n=" << c.n << " m=" << c.m << " x" << c.crossbars
               << " horizon=" << fmt(c.horizon_hours / 8760.0)
-              << "y: skip-ahead " << fmt(r.windows.fast_per_sec)
-              << " windows/s, reference " << fmt(r.windows.ref_per_sec)
-              << " windows/s -> " << fmt(r.windows.speedup()) << "x\n";
+              << "y: skip-ahead " << fmt(skip_rate) << " windows/s, reference "
+              << fmt(ref_rate) << " windows/s -> " << fmt(lt_speedup) << "x\n";
+    json.object()
+        .field("n", c.n)
+        .field("m", c.m)
+        .field("crossbars", c.crossbars)
+        .field("fit_per_bit", config.fit_per_bit)
+        .field("horizon_hours", c.horizon_hours)
+        .field("windows_per_trial",
+               static_cast<std::uint64_t>(
+                   std::ceil(c.horizon_hours / config.scrub_period_hours)))
+        .field("reference_windows_per_sec", ref_rate)
+        .field("skip_ahead_windows_per_sec", skip_rate)
+        .field("speedup", lt_speedup)
+        .end();
   }
+  json.end();
 
   // Hot-configuration distribution gate: the skip-ahead resamples the
   // stream, so the pinning is matched failure counts (binomial band) and
@@ -279,77 +217,33 @@ int main(int argc, char** argv) {
     const double pf = static_cast<double>(fast.failures) / n;
     const double pr = static_cast<double>(ref.failures) / n;
     const double sigma = std::sqrt((pf * (1 - pf) + pr * (1 - pr)) / n);
-    if (fast.failures == 0 || ref.failures == 0 ||
-        std::abs(pf - pr) > 5.0 * sigma + 1e-9) {
-      std::cerr << "lifetime failure-count cross-check FAILED: fast "
-                << fast.failures << "/" << hot.trials << " vs reference "
-                << ref.failures << "/" << hot.trials << "\n";
-      cross_checks_ok = false;
-    }
+    gates.check(fast.failures != 0 && ref.failures != 0 &&
+                    std::abs(pf - pr) <= 5.0 * sigma + 1e-9,
+                "lifetime failure count: fast " +
+                    std::to_string(fast.failures) + " vs reference " +
+                    std::to_string(ref.failures) + " of " +
+                    std::to_string(hot.trials));
     const double analytic = rel::analytic_mttf_hours(hot);
     for (const auto& [name, result] :
          {std::pair<const char*, const LifetimeResult*>{"skip-ahead", &fast},
           {"reference", &ref}}) {
       const double empirical = result->empirical_mttf_hours(hot.max_hours);
-      if (std::abs(empirical / analytic - 1.0) > 0.35) {
-        std::cerr << "lifetime analytic cross-check FAILED (" << name << "): "
-                  << fmt(empirical) << " h vs analytic " << fmt(analytic)
-                  << " h\n";
-        cross_checks_ok = false;
-      }
+      gates.check(std::abs(empirical / analytic - 1.0) <= 0.35,
+                  std::string("lifetime analytic (") + name + "): " +
+                      fmt(empirical) + " h vs analytic " + fmt(analytic) +
+                      " h");
     }
   }
 
-  std::cout << "cross-checks: " << (cross_checks_ok ? "ok" : "FAILED -- BUG")
-            << "\n";
-
-  // ------------------------------------------------------------------ JSON
-  std::ofstream json(out_path);
-  if (!json) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"schema\": \"pimecc-bench-reliability/1\",\n"
-       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-       << "  \"cross_checks_ok\": " << (cross_checks_ok ? "true" : "false")
-       << ",\n"
-       << "  \"montecarlo\": [\n";
-  for (std::size_t i = 0; i < mc_results.size(); ++i) {
-    const McConfigResult& r = mc_results[i];
-    json << "    {\"n\": " << r.n << ", \"m\": " << r.m
-         << ", \"fit_per_bit\": " << fmt(r.fit)
-         << ", \"mean_flips_per_trial\": " << fmt(r.mean_flips)
-         << ", \"reference_trials_per_sec\": " << fmt(r.trials.ref_per_sec)
-         << ", \"sparse_trials_per_sec\": " << fmt(r.trials.fast_per_sec)
-         << ", \"speedup\": " << fmt(r.trials.speedup()) << "}"
-         << (i + 1 < mc_results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"lifetime\": [\n";
-  for (std::size_t i = 0; i < lt_results.size(); ++i) {
-    const LtConfigResult& r = lt_results[i];
-    json << "    {\"n\": " << r.n << ", \"m\": " << r.m << ", \"crossbars\": "
-         << r.crossbars << ", \"fit_per_bit\": " << fmt(r.fit)
-         << ", \"horizon_hours\": " << fmt(r.horizon_hours)
-         << ", \"windows_per_trial\": " << r.windows_per_trial
-         << ", \"reference_windows_per_sec\": " << fmt(r.windows.ref_per_sec)
-         << ", \"skip_ahead_windows_per_sec\": " << fmt(r.windows.fast_per_sec)
-         << ", \"speedup\": " << fmt(r.windows.speedup()) << "}"
-         << (i + 1 < lt_results.size() ? "," : "") << "\n";
-  }
-  const McConfigResult& mc_largest = mc_results.back();
-  const LtConfigResult& lt_largest = lt_results.back();
-  json << "  ],\n"
-       << "  \"largest_config\": {\"montecarlo_n\": " << mc_largest.n
-       << ", \"montecarlo_m\": " << mc_largest.m
-       << ", \"montecarlo_speedup\": " << fmt(mc_largest.trials.speedup())
-       << ", \"lifetime_n\": " << lt_largest.n
-       << ", \"lifetime_horizon_years\": "
-       << fmt(lt_largest.horizon_hours / 8760.0)
-       << ", \"lifetime_speedup\": " << fmt(lt_largest.windows.speedup())
-       << "}\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-  return cross_checks_ok ? 0 : 1;
+  const McCase& mc_largest = mc_cases.back();
+  const LtCase& lt_largest = lt_cases.back();
+  json.object("largest_config")
+      .field("montecarlo_n", mc_largest.n)
+      .field("montecarlo_m", mc_largest.m)
+      .field("montecarlo_speedup", mc_speedup)
+      .field("lifetime_n", lt_largest.n)
+      .field("lifetime_horizon_years", lt_largest.horizon_hours / 8760.0)
+      .field("lifetime_speedup", lt_speedup)
+      .end();
+  return json.finish(gates, "cross_checks_ok");
 }

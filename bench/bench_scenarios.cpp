@@ -31,13 +31,11 @@
 //   --smoke    fast CI configuration (fewer trials)
 //   --out=PATH where to write the JSON (default: BENCH_scenarios.json)
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <functional>
 #include <iostream>
-#include <string>
-#include <vector>
+#include <string_view>
 
+#include "harness.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/scenario.hpp"
 #include "util/rng.hpp"
@@ -45,14 +43,9 @@
 namespace {
 
 using namespace pimecc;
+using bench::fmt;
 using rel::ScenarioConfig;
 using rel::ScenarioResult;
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 /// Full result equality, including the TTF distribution moments -- the
 /// thread-determinism and repeatability gates compare every observable.
@@ -71,37 +64,13 @@ bool identical(const ScenarioResult& a, const ScenarioResult& b) {
          sa.min() == sb.min() && sa.max() == sb.max();
 }
 
-struct FrontierPoint {
-  std::string model;
-  std::string policy;
-  ScenarioResult result;
-  double horizon = 0.0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_scenarios.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::cerr << "usage: bench_scenarios [--smoke] [--out=PATH]\n";
-      return 2;
-    }
-  }
-
-  bool cross_checks_ok = true;
-  auto gate = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::cerr << "cross-check FAILED: " << what << "\n";
-      cross_checks_ok = false;
-    }
-  };
+  const bench::Options options =
+      bench::parse_options(argc, argv, "BENCH_scenarios.json");
+  const bool smoke = options.smoke;
+  bench::Gates gates;
 
   // Shared campaign shape for the gates.
   ScenarioConfig base;
@@ -123,10 +92,11 @@ int main(int argc, char** argv) {
     const ScenarioResult serial_again = rel::run_scenario(config, r1b);
     config.threads = 4;
     const ScenarioResult threaded = rel::run_scenario(config, r4);
-    gate(identical(serial, threaded), "thread determinism (1 vs 4 lanes)");
-    gate(identical(serial, serial_again), "same-seed repeatability");
-    gate(serial.faults_injected > 0 && serial.stuck_repairs > 0,
-         "mixed campaign exercised its mechanisms");
+    gates.check(identical(serial, threaded),
+                "thread determinism (1 vs 4 lanes)");
+    gates.check(identical(serial, serial_again), "same-seed repeatability");
+    gates.check(serial.faults_injected > 0 && serial.stuck_repairs > 0,
+                "mixed campaign exercised its mechanisms");
   }
 
   // --- zero-rate scrub accounting vs simulate_lifetime -------------------
@@ -146,10 +116,10 @@ int main(int argc, char** argv) {
     util::Rng sr(7), lr(7);
     const ScenarioResult sc = rel::run_scenario(config, sr);
     const rel::LifetimeResult lf = rel::simulate_lifetime(lt, lr);
-    gate(sc.failures == 0 && lf.failures == 0,
-         "zero-rate campaigns cannot fail");
-    gate(sc.scrub_events == lf.scrubs_performed,
-         "zero-rate scrub count equals simulate_lifetime exactly");
+    gates.check(sc.failures == 0 && lf.failures == 0,
+                "zero-rate campaigns cannot fail");
+    gates.check(sc.scrub_events == lf.scrubs_performed,
+                "zero-rate scrub count equals simulate_lifetime exactly");
   }
 
   // --- iid + periodic vs simulate_lifetime (statistical band) ------------
@@ -175,14 +145,14 @@ int main(int argc, char** argv) {
     const double ps = static_cast<double>(sc.failures) / n;
     const double pl = static_cast<double>(lf.failures) / n;
     const double sigma = std::sqrt((ps * (1 - ps) + pl * (1 - pl)) / n);
-    gate(sc.failures > 0 && lf.failures > 0,
-         "iid hot configuration produces failures on both engines");
-    gate(std::abs(ps - pl) <= 5.0 * sigma + 1e-9,
-         "iid failure proportions within the 5-sigma band");
+    gates.check(sc.failures > 0 && lf.failures > 0,
+                "iid hot configuration produces failures on both engines");
+    gates.check(std::abs(ps - pl) <= 5.0 * sigma + 1e-9,
+                "iid failure proportions within the 5-sigma band");
     const double mttf_sc = sc.empirical_mttf_hours(config.max_hours);
     const double mttf_lf = lf.empirical_mttf_hours(lt.max_hours);
-    gate(std::abs(mttf_sc / mttf_lf - 1.0) <= 0.5,
-         "iid empirical MTTFs within the ratio band");
+    gates.check(std::abs(mttf_sc / mttf_lf - 1.0) <= 0.5,
+                "iid empirical MTTFs within the ratio band");
     std::cout << "iid gate: scenario " << sc.failures << "/" << config.trials
               << " failures (mttf " << fmt(mttf_sc) << " h), lifetime "
               << lf.failures << "/" << lt.trials << " (mttf " << fmt(mttf_lf)
@@ -201,15 +171,13 @@ int main(int argc, char** argv) {
     rel::apply_policy_preset("periodic", config.policy);
     util::Rng rng(0x57'0C'CA'7Eull);
     const ScenarioResult sc = rel::run_scenario(config, rng);
-    gate(sc.stuck_repairs > 0, "stuck-heavy campaign observes stuck repairs");
-    gate(sc.cells_replaced > 0, "stuck-heavy campaign replaces cells");
-    gate(sc.stuck_repairs >=
-             sc.cells_replaced * config.faults.replace_after_repairs,
-         "every replacement consumed replace_after_repairs repairs");
+    gates.check(sc.stuck_repairs > 0,
+                "stuck-heavy campaign observes stuck repairs");
+    gates.check(sc.cells_replaced > 0, "stuck-heavy campaign replaces cells");
+    gates.check(sc.stuck_repairs >=
+                    sc.cells_replaced * config.faults.replace_after_repairs,
+                "every replacement consumed replace_after_repairs repairs");
   }
-
-  std::cout << "cross-checks: " << (cross_checks_ok ? "ok" : "FAILED -- BUG")
-            << "\n";
 
   // ------------------------------------------------------------- frontier
   // MTTF vs scrub overhead across every model x policy cell.  The fault
@@ -219,7 +187,21 @@ int main(int argc, char** argv) {
   const double frontier_fit = 2000.0;
   const double frontier_horizon = 480.0;
   const std::size_t frontier_trials = smoke ? 40 : 400;
-  std::vector<FrontierPoint> frontier;
+  const rel::WorkloadModel workload = rel::canonical_workload();
+  bench::Json json("pimecc-bench-scenarios/1", options);
+  json.object("config")
+      .field("n", base.n)
+      .field("m", base.m)
+      .field("fit_per_bit", frontier_fit)
+      .field("horizon_hours", frontier_horizon)
+      .field("trials", frontier_trials)
+      .end();
+  json.object("workload")
+      .field("activations_per_hour", workload.activations_per_hour)
+      .field("hot_row_fraction", workload.hot_row_fraction)
+      .field("hot_multiplier", workload.hot_multiplier)
+      .end();
+  json.array("frontier");
   for (const std::string_view model : rel::fault_preset_names()) {
     for (const std::string_view policy : rel::scrub_policy_preset_names()) {
       ScenarioConfig config = base;
@@ -231,60 +213,27 @@ int main(int argc, char** argv) {
       // Deterministic per-cell seed so cells can be reproduced standalone.
       util::Rng rng(0xF07'117E2ull ^ (std::hash<std::string_view>{}(model) * 31 +
                                       std::hash<std::string_view>{}(policy)));
-      FrontierPoint point;
-      point.model = std::string(model);
-      point.policy = std::string(policy);
-      point.horizon = frontier_horizon;
-      point.result = rel::run_scenario(config, rng);
+      const ScenarioResult r = rel::run_scenario(config, rng);
+      const double mttf = r.empirical_mttf_hours(frontier_horizon);
+      const double scrub = r.scrub_cells_per_hour(frontier_horizon);
       std::cout << "frontier model=" << model << " policy=" << policy
-                << ": failures " << point.result.failures << "/"
-                << frontier_trials << ", mttf "
-                << fmt(point.result.empirical_mttf_hours(frontier_horizon))
-                << " h, scrub "
-                << fmt(point.result.scrub_cells_per_hour(frontier_horizon))
+                << ": failures " << r.failures << "/" << frontier_trials
+                << ", mttf " << fmt(mttf) << " h, scrub " << fmt(scrub)
                 << " cells/h\n";
-      frontier.push_back(std::move(point));
+      json.object()
+          .field("model", model)
+          .field("policy", policy)
+          .field("trials", r.trials)
+          .field("failures", r.failures)
+          .field("mttf_hours", mttf)
+          .field("scrub_cells_per_hour", scrub)
+          .field("scrub_events", r.scrub_events)
+          .field("faults_injected", r.faults_injected)
+          .field("errors_corrected", r.errors_corrected)
+          .field("stuck_repairs", r.stuck_repairs)
+          .field("cells_replaced", r.cells_replaced)
+          .end();
     }
   }
-
-  // ------------------------------------------------------------------ JSON
-  std::ofstream json(out_path);
-  if (!json) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  const rel::WorkloadModel workload = rel::canonical_workload();
-  json << "{\n"
-       << "  \"schema\": \"pimecc-bench-scenarios/1\",\n"
-       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-       << "  \"cross_checks_ok\": " << (cross_checks_ok ? "true" : "false")
-       << ",\n"
-       << "  \"config\": {\"n\": " << base.n << ", \"m\": " << base.m
-       << ", \"fit_per_bit\": " << fmt(frontier_fit)
-       << ", \"horizon_hours\": " << fmt(frontier_horizon)
-       << ", \"trials\": " << frontier_trials << "},\n"
-       << "  \"workload\": {\"activations_per_hour\": "
-       << fmt(workload.activations_per_hour)
-       << ", \"hot_row_fraction\": " << fmt(workload.hot_row_fraction)
-       << ", \"hot_multiplier\": " << fmt(workload.hot_multiplier) << "},\n"
-       << "  \"frontier\": [\n";
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const FrontierPoint& p = frontier[i];
-    const ScenarioResult& r = p.result;
-    json << "    {\"model\": \"" << p.model << "\", \"policy\": \"" << p.policy
-         << "\", \"trials\": " << r.trials << ", \"failures\": " << r.failures
-         << ", \"mttf_hours\": " << fmt(r.empirical_mttf_hours(p.horizon))
-         << ", \"scrub_cells_per_hour\": "
-         << fmt(r.scrub_cells_per_hour(p.horizon))
-         << ", \"scrub_events\": " << r.scrub_events
-         << ", \"faults_injected\": " << r.faults_injected
-         << ", \"errors_corrected\": " << r.errors_corrected
-         << ", \"stuck_repairs\": " << r.stuck_repairs
-         << ", \"cells_replaced\": " << r.cells_replaced << "}"
-         << (i + 1 < frontier.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-  return cross_checks_ok ? 0 : 1;
+  return json.finish(gates, "cross_checks_ok");
 }

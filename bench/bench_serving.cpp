@@ -29,8 +29,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -38,6 +36,7 @@
 
 #include "arch/checkpoint.hpp"
 #include "arch/pim_machine.hpp"
+#include "harness.hpp"
 #include "reliability/lifetime.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
@@ -46,18 +45,6 @@
 #include "util/stats.hpp"
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 std::vector<pimecc::serve::Request> build_workload(std::size_t count,
                                                    std::size_t run_n) {
@@ -109,22 +96,13 @@ std::vector<std::string> formatted_batch_responses(
 
 int main(int argc, char** argv) {
   using namespace pimecc;
+  using bench::fmt;
+  using Clock = std::chrono::steady_clock;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_serving.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::cerr << "usage: bench_serving [--smoke] [--out=PATH]\n";
-      return 2;
-    }
-  }
-
-  bool cross_checks_ok = true;
+  const bench::Options options =
+      bench::parse_options(argc, argv, "BENCH_serving.json");
+  const bool smoke = options.smoke;
+  bench::Gates gates;
   const double min_seconds = smoke ? 0.05 : 1.0;
   const std::size_t workers = util::Executor::shared().worker_count();
   const std::size_t run_n = smoke ? 60 : 120;
@@ -144,18 +122,15 @@ int main(int argc, char** argv) {
       serve::Server server(config);
       const auto formatted = formatted_batch_responses(server, workload);
       for (std::size_t i = 0; i < formatted.size(); ++i) {
-        if (formatted[i].rfind("ok ", 0) != 0) {
-          std::cerr << "workload request " << i
-                    << " FAILED: " << formatted[i] << "\n";
-          cross_checks_ok = false;
-        }
+        gates.check(formatted[i].rfind("ok ", 0) == 0,
+                    "workload request " + std::to_string(i) + " served: " +
+                        formatted[i]);
       }
       if (pinned.empty()) {
         pinned = formatted;
-      } else if (formatted != pinned) {
-        std::cerr << "serve determinism cross-check FAILED at lanes=" << lanes
-                  << "\n";
-        cross_checks_ok = false;
+      } else {
+        gates.check(formatted == pinned,
+                    "serve determinism at lanes=" + std::to_string(lanes));
       }
     }
     // Batched-through-the-queue path, varying admission size.
@@ -169,11 +144,9 @@ int main(int argc, char** argv) {
       }
       (void)server.drain();
       for (std::size_t i = 0; i < tickets.size(); ++i) {
-        if (serve::format_response(server.take(tickets[i])) != pinned[i]) {
-          std::cerr << "queue determinism cross-check FAILED at batch="
-                    << batch << " request " << i << "\n";
-          cross_checks_ok = false;
-        }
+        gates.check(serve::format_response(server.take(tickets[i])) == pinned[i],
+                    "queue determinism at batch=" + std::to_string(batch) +
+                        " request " + std::to_string(i));
       }
     }
   }
@@ -211,10 +184,7 @@ int main(int argc, char** argv) {
     std::stringstream a, b;
     arch::save_machine_checkpoint(a, machine, &rng);
     arch::save_machine_checkpoint(b, resumed, &resumed_rng);
-    if (a.str() != b.str()) {
-      std::cerr << "machine checkpoint continuation cross-check FAILED\n";
-      cross_checks_ok = false;
-    }
+    gates.check(a.str() == b.str(), "machine checkpoint continuation");
   }
 
   // ------------------------------- cross-check gate: lifetime resume
@@ -249,15 +219,13 @@ int main(int argc, char** argv) {
     const rel::LifetimeResult resumed = rel::lifetime_result(progress);
     const auto& s = straight.time_to_failure_hours;
     const auto& r = resumed.time_to_failure_hours;
-    if (straight.trials != resumed.trials ||
-        straight.failures != resumed.failures ||
-        straight.scrubs_performed != resumed.scrubs_performed ||
-        straight.errors_corrected != resumed.errors_corrected ||
-        s.count() != r.count() || s.sum() != r.sum() || s.min() != r.min() ||
-        s.max() != r.max()) {
-      std::cerr << "lifetime resume cross-check FAILED\n";
-      cross_checks_ok = false;
-    }
+    gates.check(straight.trials == resumed.trials &&
+                    straight.failures == resumed.failures &&
+                    straight.scrubs_performed == resumed.scrubs_performed &&
+                    straight.errors_corrected == resumed.errors_corrected &&
+                    s.count() == r.count() && s.sum() == r.sum() &&
+                    s.min() == r.min() && s.max() == r.max(),
+                "lifetime resume");
   }
   // ----------------------- cross-check gate: admission control + deadlines
   // The robustness contract the serving tests pin, re-proven in the bench
@@ -267,33 +235,25 @@ int main(int argc, char** argv) {
     serve::ServerConfig config;
     config.max_pending = 4;
     serve::Server server(config);
-    std::size_t admitted = 0;
     std::size_t rejected = 0;
     std::vector<std::uint64_t> tickets;
     for (std::size_t i = 0; i < 10; ++i) {
       const serve::Admission admission = server.try_submit(workload[i]);
       if (admission.admitted) {
-        ++admitted;
         tickets.push_back(admission.ticket);
       } else {
-        if (admission.code != serve::ErrorCode::kRejected) {
-          std::cerr << "admission rejection carries the wrong code\n";
-          cross_checks_ok = false;
-        }
+        gates.check(admission.code == serve::ErrorCode::kRejected,
+                    "admission rejection carries the kRejected code");
         ++rejected;
       }
     }
-    if (admitted != 4 || rejected != 6) {
-      std::cerr << "admission control cross-check FAILED: admitted="
-                << admitted << " rejected=" << rejected << "\n";
-      cross_checks_ok = false;
-    }
+    gates.check(tickets.size() == 4 && rejected == 6,
+                "admission control: admitted=" +
+                    std::to_string(tickets.size()) +
+                    " rejected=" + std::to_string(rejected));
     (void)server.drain();
     for (const std::uint64_t ticket : tickets) {
-      if (!server.take(ticket).ok) {
-        std::cerr << "admitted request failed to serve\n";
-        cross_checks_ok = false;
-      }
+      gates.check(server.take(ticket).ok, "admitted request is served");
     }
 
     // An expired deadline must surface as a typed response, not execute.
@@ -302,48 +262,39 @@ int main(int argc, char** argv) {
     const std::uint64_t late_ticket = server.submit(urgent);
     (void)server.drain();
     const serve::Response late = server.take(late_ticket);
-    if (late.ok || late.code != serve::ErrorCode::kDeadlineExceeded) {
-      std::cerr << "deadline expiry cross-check FAILED\n";
-      cross_checks_ok = false;
-    }
+    gates.check(!late.ok && late.code == serve::ErrorCode::kDeadlineExceeded,
+                "deadline expiry");
     // A generous deadline must not interfere.
     serve::Request relaxed = workload[0];
     relaxed.deadline_ms = 60000.0;
     const std::uint64_t ok_ticket = server.submit(relaxed);
     (void)server.drain();
-    if (!server.take(ok_ticket).ok) {
-      std::cerr << "relaxed deadline cross-check FAILED\n";
-      cross_checks_ok = false;
-    }
+    gates.check(server.take(ok_ticket).ok, "relaxed deadline");
 
     // Shutdown publishes a cancelled response for every queued ticket.
     const std::uint64_t abandoned = server.submit(workload[1]);
-    if (server.shutdown() != 1) {
-      std::cerr << "shutdown cancellation count cross-check FAILED\n";
-      cross_checks_ok = false;
-    }
+    gates.check(server.shutdown() == 1, "shutdown cancellation count");
     const serve::Response cancelled = server.take(abandoned);
-    if (cancelled.ok || cancelled.code != serve::ErrorCode::kCancelled) {
-      std::cerr << "shutdown cancellation code cross-check FAILED\n";
-      cross_checks_ok = false;
-    }
+    gates.check(!cancelled.ok && cancelled.code == serve::ErrorCode::kCancelled,
+                "shutdown cancellation code");
   }
-  std::cout << "cross-checks: " << (cross_checks_ok ? "ok" : "FAILED -- BUG")
-            << "\n";
+
+  bench::Json json("pimecc-bench-serving/1", options);
+  json.object("executor")
+      .field("workers", workers)
+      .field("parallelism", workers + 1)
+      .end();
+  json.object("workload")
+      .field("requests", workload.size())
+      .field("run_n", run_n)
+      .end();
 
   // -------------------------------------------------------- latency matrix
-  struct MatrixPoint {
-    std::size_t batch = 0;
-    std::size_t lanes = 0;
-    double requests_per_sec = 0.0;
-    double p50_ms = 0.0;
-    double p99_ms = 0.0;
-  };
   const std::vector<std::size_t> batch_sweep = {1, 8, 32};
   const std::vector<std::size_t> lane_sweep =
       smoke ? std::vector<std::size_t>{1, 0}
             : std::vector<std::size_t>{1, 2, 0};
-  std::vector<MatrixPoint> matrix;
+  json.array("latency_matrix");
   for (const std::size_t batch : batch_sweep) {
     for (const std::size_t lanes : lane_sweep) {
       serve::ServerConfig config;
@@ -355,11 +306,8 @@ int main(int argc, char** argv) {
       (void)server.execute_batch(workload);
 
       std::vector<double> latencies_ms;
-      std::size_t served = 0;
-      const auto start = Clock::now();
-      double elapsed = 0.0;
       std::size_t cursor = 0;
-      do {
+      const double requests_per_sec = bench::measure_rate(min_seconds, [&] {
         std::vector<std::uint64_t> tickets;
         std::vector<Clock::time_point> submitted;
         for (std::size_t b = 0; b < batch; ++b) {
@@ -376,50 +324,21 @@ int main(int argc, char** argv) {
                                                         submitted[b])
                   .count());
         }
-        served += batch;
-        elapsed = seconds_since(start);
-      } while (elapsed < min_seconds);
-
-      MatrixPoint point;
-      point.batch = batch;
-      point.lanes = lanes;
-      point.requests_per_sec = static_cast<double>(served) / elapsed;
-      point.p50_ms = util::percentile(latencies_ms, 50.0);
-      point.p99_ms = util::percentile(latencies_ms, 99.0);
-      matrix.push_back(point);
+        return batch;
+      });
+      const double p50_ms = util::percentile(latencies_ms, 50.0);
+      const double p99_ms = util::percentile(latencies_ms, 99.0);
       std::cout << "serve batch=" << batch << " lanes=" << lanes << ": "
-                << fmt(point.requests_per_sec) << " req/s, p50 "
-                << fmt(point.p50_ms) << " ms, p99 " << fmt(point.p99_ms)
-                << " ms\n";
+                << fmt(requests_per_sec) << " req/s, p50 " << fmt(p50_ms)
+                << " ms, p99 " << fmt(p99_ms) << " ms\n";
+      json.object()
+          .field("batch", batch)
+          .field("lanes", lanes)
+          .field("requests_per_sec", requests_per_sec)
+          .field("p50_ms", p50_ms)
+          .field("p99_ms", p99_ms)
+          .end();
     }
   }
-
-  // ------------------------------------------------------------------ JSON
-  std::ofstream json(out_path);
-  if (!json) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"schema\": \"pimecc-bench-serving/1\",\n"
-       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-       << "  \"cross_checks_ok\": " << (cross_checks_ok ? "true" : "false")
-       << ",\n"
-       << "  \"executor\": {\"workers\": " << workers
-       << ", \"parallelism\": " << (workers + 1) << "},\n"
-       << "  \"workload\": {\"requests\": " << workload.size()
-       << ", \"run_n\": " << run_n << "},\n"
-       << "  \"latency_matrix\": [\n";
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    const MatrixPoint& point = matrix[i];
-    json << "    {\"batch\": " << point.batch << ", \"lanes\": " << point.lanes
-         << ", \"requests_per_sec\": " << fmt(point.requests_per_sec)
-         << ", \"p50_ms\": " << fmt(point.p50_ms)
-         << ", \"p99_ms\": " << fmt(point.p99_ms) << "}"
-         << (i + 1 < matrix.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n"
-       << "}\n";
-  std::cout << "wrote " << out_path << "\n";
-  return cross_checks_ok ? 0 : 1;
+  return json.finish(gates, "cross_checks_ok");
 }

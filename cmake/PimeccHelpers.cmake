@@ -52,16 +52,18 @@ endfunction()
 
 # pimecc_add_bench(<name> [SOURCES <files...>])
 #
-# Builds bench/<name>.cpp as a standalone executable linked against pimecc.
-# Benches are not registered with ctest (they are long-running by design);
-# use the aggregate `benches` target to build them all.
+# Builds bench/<name>.cpp as a standalone executable linked against pimecc
+# and the bench harness (bench/harness.hpp: options, rate loop, gates, JSON).
+# Full runs are long by design, so benches are not registered with ctest
+# here; bench/CMakeLists.txt registers the --smoke runs under the "bench"
+# label.  Use the aggregate `benches` target to build them all.
 function(pimecc_add_bench name)
   cmake_parse_arguments(PAB "" "" "SOURCES" ${ARGN})
   if(NOT PAB_SOURCES)
     set(PAB_SOURCES ${name}.cpp)
   endif()
   add_executable(${name} ${PAB_SOURCES})
-  target_link_libraries(${name} PRIVATE pimecc)
+  target_link_libraries(${name} PRIVATE pimecc pimecc_bench_harness)
   pimecc_compile_options(${name})
   if(NOT TARGET benches)
     add_custom_target(benches)

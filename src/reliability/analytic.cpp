@@ -73,7 +73,8 @@ ReliabilityPoint evaluate_baseline(const ReliabilityQuery& query) {
 
 std::vector<SweepPoint> sweep_mttf(const ReliabilityQuery& base, double fit_low,
                                    double fit_high, std::size_t points_per_decade) {
-  if (fit_low <= 0.0 || fit_high < fit_low || points_per_decade == 0) {
+  if (!(fit_low > 0.0) || !(fit_high >= fit_low) || !std::isfinite(fit_high) ||
+      points_per_decade == 0 || points_per_decade > kMaxSweepPointsPerDecade) {
     throw std::invalid_argument("sweep_mttf: bad sweep range");
   }
   std::vector<SweepPoint> points;

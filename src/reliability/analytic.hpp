@@ -67,8 +67,15 @@ struct SweepPoint {
   }
 };
 
+/// Sanity cap on sweep_mttf's `points_per_decade`: every finite positive
+/// range spans fewer than 700 decades, so an accepted grid has fewer than
+/// 10^6 points, and its 1e-3 log step always advances the loop.
+inline constexpr std::size_t kMaxSweepPointsPerDecade = 1000;
+
 /// Logarithmic SER sweep [fit_low, fit_high] with `points_per_decade`
-/// samples per decade (Figure 6: 1e-5 .. 1e3).
+/// samples per decade (Figure 6: 1e-5 .. 1e3).  Throws
+/// std::invalid_argument unless 0 < fit_low <= fit_high are finite and
+/// 1 <= points_per_decade <= kMaxSweepPointsPerDecade.
 [[nodiscard]] std::vector<SweepPoint> sweep_mttf(const ReliabilityQuery& base,
                                                  double fit_low, double fit_high,
                                                  std::size_t points_per_decade);

@@ -159,7 +159,8 @@ Response Server::handle(const Request& request) {
 Response Server::execute(const Request& request) {
   // The taxonomy mapping: typed serving failures keep their code, the deep
   // layers' validation throws (ArchParams::validate, registry lookups,
-  // gib_to_bits) are the client's fault, everything else is ours.
+  // gib_to_bits, the scrub plan's length_error sanity cap on a request's
+  // horizon) are the client's fault, everything else is ours.
   try {
     return handle(request);
   } catch (const ServeError& e) {
@@ -168,6 +169,9 @@ Response Server::execute(const Request& request) {
     return failure_response(request.kind, ErrorCode::kInvalidArgument,
                             e.what());
   } catch (const std::out_of_range& e) {
+    return failure_response(request.kind, ErrorCode::kInvalidArgument,
+                            e.what());
+  } catch (const std::length_error& e) {
     return failure_response(request.kind, ErrorCode::kInvalidArgument,
                             e.what());
   } catch (const std::exception& e) {

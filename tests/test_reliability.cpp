@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "reliability/analytic.hpp"
 #include "reliability/montecarlo.hpp"
@@ -113,6 +114,29 @@ TEST(Analytic, SweepCoversTheRequestedDecades) {
   EXPECT_NEAR(sweep.back().fit_per_bit, 1e3, 1.0);
   EXPECT_THROW((void)sweep_mttf(ReliabilityQuery{}, 0.0, 1.0, 1),
                std::invalid_argument);
+}
+
+TEST(Analytic, SweepRejectsGridsBeyondTheSanityCap) {
+  // A step below the ulp of log10(fit) would never advance the grid loop,
+  // and a 1e9-per-decade grid would allocate billions of points: both are
+  // rejected before anything is computed.
+  for (const std::size_t ppd : {kMaxSweepPointsPerDecade + 1,
+                                std::size_t{1'000'000'000},
+                                std::size_t{100'000'000'000'000'000}}) {
+    EXPECT_THROW((void)sweep_mttf(ReliabilityQuery{}, 1e-4, 1.0, ppd),
+                 std::invalid_argument)
+        << ppd;
+  }
+  EXPECT_THROW((void)sweep_mttf(ReliabilityQuery{}, 1e-4,
+                                std::numeric_limits<double>::infinity(), 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)sweep_mttf(ReliabilityQuery{},
+                                std::numeric_limits<double>::quiet_NaN(), 1.0, 2),
+               std::invalid_argument);
+  // The cap itself is accepted: one decade at the densest grid.
+  EXPECT_EQ(sweep_mttf(ReliabilityQuery{}, 1e-4, 1e-3, kMaxSweepPointsPerDecade)
+                .size(),
+            kMaxSweepPointsPerDecade + 1);
 }
 
 TEST(Analytic, BlockFailureFormulaMatchesDirectBinomial) {

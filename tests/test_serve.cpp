@@ -415,6 +415,43 @@ TEST(ServeRobustness, ExecuteTagsFailuresWithErrorCodes) {
             std::string::npos);
 }
 
+TEST(ServeRobustness, OversizedSweepGridIsRejectedAndTheServerSurvives) {
+  // A points-per-decade step below the ulp of log10(fit) used to spin the
+  // grid loop forever, and 1e9 per decade grew a billions-point vector;
+  // both answer a typed client error at once, and serving continues.
+  Server server;
+  for (const std::string line :
+       {"sweep fit_low=1e-4 fit_high=1 ppd=100000000000000000",
+        "sweep fit_low=1e-4 fit_high=1 ppd=1000000000"}) {
+    const auto start = std::chrono::steady_clock::now();
+    const Response bad = server.execute(parse_ok(line));
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+        << line;
+    EXPECT_FALSE(bad.ok) << line;
+    EXPECT_EQ(bad.code, ErrorCode::kInvalidArgument) << line;
+    EXPECT_EQ(serve::format_response(bad).rfind(
+                  "error kind=sweep code=invalid_argument", 0),
+              0u)
+        << serve::format_response(bad);
+    const Response next =
+        server.execute(parse_ok("sweep fit_low=1e-4 fit_high=1e-2 ppd=2"));
+    EXPECT_TRUE(next.ok) << next.error;
+    EXPECT_EQ(next.sweep_points, 5u);
+  }
+}
+
+TEST(ServeRobustness, ScenarioHorizonBeyondTheScrubPlanCapIsAClientError) {
+  // The scrub plan's sanity cap throws std::length_error; the horizon that
+  // trips it comes from the request, so the code is invalid_argument.
+  Server server;
+  const Response bad = server.execute(parse_ok("scenario horizon=1e12"));
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(serve::format_response(bad).find("code=invalid_argument"),
+            std::string::npos)
+      << serve::format_response(bad);
+}
+
 TEST(ServeRobustness, DeadlineAlreadyExpiredProducesTypedResponse) {
   Server server;
   Request urgent = parse_ok("mttf fit=1e-3 deadline_ms=0.000001");

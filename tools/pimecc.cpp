@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "app.hpp"
+#include "reliability/analytic.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/scenario.hpp"
 #include "serve/server.hpp"
@@ -338,8 +339,11 @@ int cmd_sweep(int argc, char** argv) {
       throw tools::UsageError("sweep: unknown option '" + arg + "'");
     }
   }
-  if (!(fit_low > 0.0) || !(fit_high >= fit_low) || ppd == 0) {
-    throw tools::UsageError("sweep: need 0 < --fit-low <= --fit-high, --ppd >= 1");
+  if (!(fit_low > 0.0) || !(fit_high >= fit_low) || ppd == 0 ||
+      ppd > rel::kMaxSweepPointsPerDecade) {
+    std::string message = "sweep: need 0 < --fit-low <= --fit-high, 1 <= --ppd <= ";
+    message += std::to_string(rel::kMaxSweepPointsPerDecade);
+    throw tools::UsageError(message);
   }
 
   // One analytic request per log-spaced sweep point, batched through the
