@@ -13,18 +13,15 @@ void FleetParams::validate() const {
   if (shards == 0) {
     throw std::invalid_argument("FleetParams: fleet must have >= 1 shard");
   }
-  // ArrayCode's constructor enforces the (n, m) contract (odd m dividing n).
-  (void)ecc::ArrayCode(n, m);
+  ArchParams{n, m}.validate();  // odd m dividing n
 }
 
 CrossbarFleet::CrossbarFleet(const FleetParams& params) : params_(params) {
   params_.validate();
   const std::size_t physical = params_.shards + params_.spares;
-  data_.reserve(physical);
-  codes_.reserve(physical);
+  machines_.reserve(physical);
   for (std::size_t s = 0; s < physical; ++s) {
-    data_.emplace_back(params_.n, params_.n);
-    codes_.emplace_back(params_.n, params_.m);
+    machines_.emplace_back(ArchParams{params_.n, params_.m});
   }
   counters_.resize(physical);
   remap_.resize(params_.shards);
@@ -53,11 +50,15 @@ std::size_t CrossbarFleet::backing(std::size_t shard) const {
 }
 
 const util::BitMatrix& CrossbarFleet::data(std::size_t shard) const {
-  return data_[backing(shard)];
+  return machines_[backing(shard)].data();
 }
 
 const ecc::ArrayCode& CrossbarFleet::code(std::size_t shard) const {
-  return codes_[backing(shard)];
+  return machines_[backing(shard)].check_code();
+}
+
+PimMachine& CrossbarFleet::machine(std::size_t shard) {
+  return machines_[backing(shard)];
 }
 
 const ShardCounters& CrossbarFleet::counters(std::size_t shard) const {
@@ -87,11 +88,8 @@ void CrossbarFleet::load_random(util::Rng& rng) {
         // Substream s belongs to the LOGICAL shard: a remapped shard loads
         // the exact image its retired predecessor would have.
         util::Rng shard_rng = util::Rng::for_stream(base_seed, s);
-        util::BitMatrix& image = data_[remap_[s]];
-        for (auto& row : image.rows_span()) {
-          util::fill_random(row, shard_rng);
-        }
-        codes_[remap_[s]].encode_all(image);
+        machines_[remap_[s]].load(
+            util::random_bit_matrix(params_.n, params_.n, shard_rng));
         ++counters_[remap_[s]].encode_passes;
       });
 }
@@ -103,43 +101,40 @@ void CrossbarFleet::load_broadcast(const util::BitMatrix& image) {
   util::parallel_for(util::Executor::shared(), params_.shards, params_.threads,
                      [this, &image](std::size_t s) {
                        if (!active_[s]) return;
-                       data_[remap_[s]] = image;
-                       codes_[remap_[s]].encode_all(data_[remap_[s]]);
+                       machines_[remap_[s]].load(image);
                        ++counters_[remap_[s]].encode_passes;
                      });
 }
 
-void CrossbarFleet::encode_all() {
-  util::parallel_for(util::Executor::shared(), params_.shards, params_.threads,
-                     [this](std::size_t s) {
-                       if (!active_[s]) return;
-                       codes_[remap_[s]].encode_all(data_[remap_[s]]);
-                       ++counters_[remap_[s]].encode_passes;
-                     });
+CheckReport CrossbarFleet::scrub_shard(std::size_t shard, std::size_t band) {
+  const std::size_t phys = remap_[shard];
+  PimMachine& unit = machines_[phys];
+  const bool whole = band == kWholeShard;
+  const CheckReport r =
+      whole ? unit.scrub() : unit.check_block_row(band * params_.m);
+  ShardCounters& c = counters_[phys];
+  // A tick pass counts once, on the shard's last block-row.
+  if (whole || band + 1 == params_.n / params_.m) ++c.scrub_passes;
+  c.corrected_data += r.corrected_data;
+  c.corrected_check += r.corrected_check;
+  c.uncorrectable += r.uncorrectable;
+  return r;
 }
 
 FleetScrubReport CrossbarFleet::scrub_all() {
-  std::vector<ecc::ScrubReport> reports(params_.shards);
-  std::vector<char> checked(params_.shards, 0);
+  std::vector<CheckReport> reports(params_.shards);
   util::parallel_for(util::Executor::shared(), params_.shards, params_.threads,
-                     [this, &reports, &checked](std::size_t s) {
-                       if (!active_[s]) return;
-                       const std::size_t phys = remap_[s];
-                       reports[s] = codes_[phys].scrub(data_[phys]);
-                       checked[s] = 1;
-                       ShardCounters& c = counters_[phys];
-                       ++c.scrub_passes;
-                       c.corrected_data += reports[s].corrected_data;
-                       c.corrected_check += reports[s].corrected_check;
-                       c.uncorrectable += reports[s].uncorrectable;
+                     [this, &reports](std::size_t s) {
+                       if (active_[s]) reports[s] = scrub_shard(s);
                      });
   FleetScrubReport total;
   for (std::size_t s = 0; s < params_.shards; ++s) {  // shard order
-    if (!checked[s]) continue;  // dead shards are excluded, not zero
-    const ecc::ScrubReport& r = reports[s];
+    if (!active_[s]) continue;  // dead shards are excluded, not zero
+    const CheckReport& r = reports[s];
     ++total.shards_checked;
     total.blocks_checked += r.blocks_checked;
-    total.clean += r.clean;
+    total.clean += r.blocks_checked - r.corrected_data - r.corrected_check -
+                   r.uncorrectable;
     total.corrected_data += r.corrected_data;
     total.corrected_check += r.corrected_check;
     total.uncorrectable += r.uncorrectable;
@@ -151,12 +146,19 @@ bool CrossbarFleet::all_consistent() const {
   std::vector<char> consistent(params_.shards, 0);
   util::parallel_for(util::Executor::shared(), params_.shards, params_.threads,
                      [this, &consistent](std::size_t s) {
-                       consistent[s] =
-                           !active_[s] ||
-                           codes_[remap_[s]].consistent_with(data_[remap_[s]]);
+                       consistent[s] = !active_[s] ||
+                                       machines_[remap_[s]].ecc_consistent();
                      });
   return std::all_of(consistent.begin(), consistent.end(),
                      [](char ok) { return ok != 0; });
+}
+
+CheckReport CrossbarFleet::scrub_tick() {
+  const std::size_t bands = params_.n / params_.m;
+  const std::size_t shard = scrub_cursor_ / bands;
+  const std::size_t band = scrub_cursor_ % bands;
+  scrub_cursor_ = (scrub_cursor_ + 1) % ticks_per_pass();
+  return active_[shard] ? scrub_shard(shard, band) : CheckReport{};
 }
 
 std::vector<FleetAddress> CrossbarFleet::inject_random_errors(
@@ -183,7 +185,7 @@ std::vector<FleetAddress> CrossbarFleet::inject_random_errors(
     // Dead shards absorb no faults: the sampled address is dropped (the
     // draw order is unchanged, so active shards still see the same flips).
     if (!active_[addr.shard]) continue;
-    data_[remap_[addr.shard]].flip(addr.row, addr.col);
+    machines_[remap_[addr.shard]].inject_data_error(addr.row, addr.col);
     ++counters_[remap_[addr.shard]].injected_faults;
     flipped.push_back(addr);
   }
@@ -193,10 +195,7 @@ std::vector<FleetAddress> CrossbarFleet::inject_random_errors(
 void CrossbarFleet::inject_data_error(std::size_t shard, std::size_t r,
                                       std::size_t c) {
   const std::size_t phys = backing(shard);
-  if (r >= params_.n || c >= params_.n) {
-    throw std::out_of_range("CrossbarFleet::inject_data_error: cell out of range");
-  }
-  data_[phys].flip(r, c);
+  machines_[phys].inject_data_error(r, c);  // range-checked
   ++counters_[phys].injected_faults;
 }
 
@@ -224,25 +223,18 @@ bool CrossbarFleet::quarantine_shard(std::size_t shard) {
   // Fresh backing: zero image with consistent checks, so the remapped
   // shard re-enters bulk operations in a well-defined state (callers
   // reload real content next).
-  data_[spare] = util::BitMatrix(params_.n, params_.n);
-  codes_[spare].encode_all(data_[spare]);
+  machines_[spare].load(util::BitMatrix(params_.n, params_.n));
   ++counters_[spare].encode_passes;
   return true;
 }
 
 std::vector<std::size_t> CrossbarFleet::quarantine_uncorrectable() {
-  std::vector<std::uint64_t> uncorrectable(params_.shards, 0);
+  std::vector<std::size_t> uncorrectable(params_.shards, 0);
   util::parallel_for(util::Executor::shared(), params_.shards, params_.threads,
                      [this, &uncorrectable](std::size_t s) {
-                       if (!active_[s]) return;
-                       const std::size_t phys = remap_[s];
-                       const ecc::ScrubReport r = codes_[phys].scrub(data_[phys]);
-                       uncorrectable[s] = r.uncorrectable;
-                       ShardCounters& c = counters_[phys];
-                       ++c.scrub_passes;
-                       c.corrected_data += r.corrected_data;
-                       c.corrected_check += r.corrected_check;
-                       c.uncorrectable += r.uncorrectable;
+                       if (active_[s]) {
+                         uncorrectable[s] = scrub_shard(s).uncorrectable;
+                       }
                      });
   std::vector<std::size_t> quarantined;
   for (std::size_t s = 0; s < params_.shards; ++s) {  // shard order

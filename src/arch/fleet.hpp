@@ -1,16 +1,17 @@
 // pimecc -- arch/fleet.hpp
 //
-// Sharded multi-crossbar fleet: the scale-out layer over the single-unit
-// engines.  Where MemorySystem models one bank of a handful of PimMachine
-// units with full cycle-accurate protocol state, CrossbarFleet owns
-// thousands of crossbar *shards* in structure-of-arrays form -- parallel
-// per-shard arrays of data images, ArrayCode check images, and counters,
-// indexed by shard -- so bulk operations stream each shard's contiguous
-// image through the PR 6 SIMD kernel tables (ArrayCode's band walks) and
-// fan the shards out over the persistent work-stealing executor
-// (util/executor.hpp) with dynamic shard tickets.
+// The multi-crossbar bank (paper Section II-A: memory is divided into many
+// crossbars, and the ECC extension attaches to each one).  CrossbarFleet
+// owns `shards` PimMachine units -- each an n x n MEM crossbar with its own
+// check-bit state -- plus standby spares.  Bulk operations call every
+// machine's own entry points (load, scrub, ecc_consistent) and fan the
+// shards out over the persistent work-stealing executor
+// (util/executor.hpp) with dynamic shard tickets.  machine(s) hands one
+// shard out for in-memory compute under the Section IV protocol, and
+// scrub_tick() is the round-robin background scrub a controller schedules
+// between computations (one block-row per tick, constant cost).
 //
-// Determinism contract (the fleet inherits the PR 5 discipline):
+// Determinism contract (the reliability engines' seed discipline):
 //   - load_random draws ONE base seed from the caller and fills shard s
 //     from substream s, so the images are bit-identical at any worker
 //     count and the caller's generator always advances by one draw;
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "arch/pim_machine.hpp"
 #include "core/array_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
@@ -90,9 +92,9 @@ struct FleetHealth {
   bool operator==(const FleetHealth&) const noexcept = default;
 };
 
-/// A sharded bank of ECC-protected crossbar images.
+/// A sharded bank of ECC-protected crossbars.
 ///
-/// Degraded mode: logical shard s is backed by a physical image slot (the
+/// Degraded mode: logical shard s is backed by a physical machine slot (the
 /// identity mapping until a quarantine).  quarantine_shard() retires the
 /// current backing; if a spare is available the logical shard is remapped
 /// onto it (zero-filled, checks encoded) and stays active, otherwise the
@@ -115,6 +117,11 @@ class CrossbarFleet {
   [[nodiscard]] const util::BitMatrix& data(std::size_t shard) const;
   [[nodiscard]] const ecc::ArrayCode& code(std::size_t shard) const;
   [[nodiscard]] const ShardCounters& counters(std::size_t shard) const;
+  /// The machine backing logical shard `shard`, for protected in-memory
+  /// compute.  Its work is outside ShardCounters; the bulk operations see
+  /// its data and check bits.  Throws std::out_of_range past shard_count()
+  /// and std::runtime_error for a dead shard.
+  [[nodiscard]] PimMachine& machine(std::size_t shard);
 
   /// Maps a linear data-bit index (shard-major, then row-major cells) to
   /// its location; throws std::out_of_range past data_bits().
@@ -128,13 +135,22 @@ class CrossbarFleet {
   /// Loads the same n x n image into every shard and encodes (the
   /// reliability campaigns' shared-golden discipline).
   void load_broadcast(const util::BitMatrix& image);
-  /// Recomputes every shard's check bits from its current data.
-  void encode_all();
   /// Checks and repairs every block of every shard; per-shard reports are
   /// merged in shard order, so the aggregate is worker-count invariant.
   FleetScrubReport scrub_all();
   /// True iff every shard's check bits match its data exactly.
   [[nodiscard]] bool all_consistent() const;
+
+  // --- background scrub ------------------------------------------------------
+  /// Checks (and repairs) the next block-row of the next logical shard,
+  /// round-robin, and advances the cursor.  The outcome folds into the
+  /// shard's counters like scrub_all's; the tick on a shard's last block-row
+  /// completes one scrub pass.  A dead shard's ticks check nothing.
+  CheckReport scrub_tick();
+  /// Ticks for one complete pass over the bank: shards * n/m.
+  [[nodiscard]] std::size_t ticks_per_pass() const noexcept {
+    return params_.shards * (params_.n / params_.m);
+  }
 
   // --- fault injection -----------------------------------------------------
   /// Flips `count` distinct uniformly-chosen data bits across the fleet
@@ -169,21 +185,25 @@ class CrossbarFleet {
   [[nodiscard]] ShardCounters total_counters() const;
 
  private:
+  static constexpr std::size_t kWholeShard = ~std::size_t{0};
+
   void require_shard(std::size_t shard) const;
   [[nodiscard]] std::size_t backing(std::size_t shard) const;  // checked remap
+  /// Scrubs active logical shard `shard` -- every block, or only block-row
+  /// `band` -- and folds the outcome into its counters.
+  CheckReport scrub_shard(std::size_t shard, std::size_t band = kWholeShard);
 
   FleetParams params_;
-  // Structure-of-arrays over PHYSICAL slots (shards + spares): parallel
-  // arrays indexed by physical id; logical shard s reaches its image via
-  // remap_[s].
-  std::vector<util::BitMatrix> data_;
-  std::vector<ecc::ArrayCode> codes_;
+  // Indexed by PHYSICAL slot (shards + spares); logical shard s reaches its
+  // machine via remap_[s].
+  std::vector<PimMachine> machines_;
   std::vector<ShardCounters> counters_;
   std::vector<std::size_t> remap_;        ///< logical -> physical
   std::vector<char> active_;              ///< logical shard has a backing
   std::vector<std::size_t> spare_pool_;   ///< unused physical spare slots
   std::vector<std::size_t> quarantined_;  ///< logical ids, quarantine order
   std::size_t spares_activated_ = 0;
+  std::size_t scrub_cursor_ = 0;  ///< next scrub_tick, in [0, ticks_per_pass)
 };
 
 }  // namespace pimecc::arch

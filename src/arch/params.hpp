@@ -8,6 +8,9 @@
 
 namespace pimecc::arch {
 
+/// Which diagonal family a check bit belongs to.
+enum class Axis : unsigned char { kLeading, kCounter };
+
 /// Policy for read-after-write hazards on a check bit that still has an
 /// update in flight inside a processing crossbar (paper footnote 3).
 enum class HazardPolicy : unsigned char {

@@ -124,43 +124,40 @@ void PimMachine::magic_init_cols_protected(std::span<const std::size_t> rows) {
   }
 }
 
-CheckReport PimMachine::check_block_band(bool row_band, std::size_t band) {
-  const ecc::ScrubReport sr =
-      code_.scrub_band(mem_.contents_mutable(), row_band, band);
+CheckReport PimMachine::charge_checks(const ecc::ScrubReport& sr,
+                                      std::size_t bands) {
+  // Cost model, per band: m MEM copy cycles; the XOR3 fold tree, syndrome
+  // compare and flag evaluation run in the CMEM off the MEM's critical path.
+  counters_.mem_cycles += bands * m();
+  counters_.cmem_cycles +=
+      bands * (xor3_fold_levels(m() + 1) * params_.xor3_cycles + 2 + 1);
+  counters_.checks += bands;
   CheckReport report;
   report.blocks_checked = sr.blocks_checked;
   report.corrected_data = sr.corrected_data;
   report.corrected_check = sr.corrected_check;
   report.uncorrectable = sr.uncorrectable;
-  // Cost model: m MEM copy cycles; the XOR3 fold tree, syndrome compare and
-  // flag evaluation run in the CMEM off the MEM's critical path.
-  counters_.mem_cycles += m();
-  counters_.cmem_cycles += xor3_fold_levels(m() + 1) * params_.xor3_cycles + 2 + 1;
-  ++counters_.checks;
   return report;
 }
 
 CheckReport PimMachine::check_block_row(std::size_t row) {
   detail::require_index(row, n(), "row");
-  return check_block_band(true, row / m());
+  return charge_checks(
+      code_.scrub_band(mem_.contents_mutable(), true, row / m()), 1);
 }
 
 CheckReport PimMachine::check_block_col(std::size_t col) {
   detail::require_index(col, n(), "column");
-  return check_block_band(false, col / m());
+  return charge_checks(
+      code_.scrub_band(mem_.contents_mutable(), false, col / m()), 1);
 }
 
 CheckReport PimMachine::scrub() {
-  CheckReport total;
-  for (std::size_t band = 0; band < params_.blocks_per_side(); ++band) {
-    const CheckReport r = check_block_band(true, band);
-    total.blocks_checked += r.blocks_checked;
-    total.corrected_data += r.corrected_data;
-    total.corrected_check += r.corrected_check;
-    total.uncorrectable += r.uncorrectable;
-  }
+  // One whole-array walk, charged as the n/m block-row checks it replaces
+  // (blocks are independent, so the repairs are identical too).
   ++counters_.scrubs;
-  return total;
+  return charge_checks(code_.scrub(mem_.contents_mutable()),
+                       params_.blocks_per_side());
 }
 
 bool PimMachine::ecc_consistent() const {

@@ -32,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "arch/check_memory.hpp"  // Axis
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
 #include "util/bitmatrix.hpp"
@@ -163,7 +162,9 @@ class PimMachine {
   /// line is a column (row-parallel op).
   void update_check_bits_for_line(bool along_rows, std::size_t line,
                                   const util::BitVector& delta);
-  CheckReport check_block_band(bool row_band, std::size_t band);
+  /// Charges `bands` block-row/column checks to the counters and converts
+  /// the codec's report.
+  CheckReport charge_checks(const ecc::ScrubReport& sr, std::size_t bands);
 
   ArchParams params_;
   xbar::Crossbar mem_;

@@ -100,10 +100,10 @@ class BitVector;
 /// Fills `bits` with uniform random bits, word-parallel: one next() draw
 /// per backing 64-bit word (NOT one per bit -- callers relying on draw
 /// counts must not mix this with per-bit bernoulli fills).  The shared fill
-/// discipline of the engine benches and differential harnesses; bulk
-/// loaders (MemorySystem::load_random, CrossbarFleet::load_random) draw
-/// ONE base seed from the caller and run this over for_stream substreams,
-/// one per unit/shard, so images are bit-identical at any worker count.
+/// discipline of the engine benches and differential harnesses; the bulk
+/// loader CrossbarFleet::load_random draws ONE base seed from the caller
+/// and runs this over for_stream substreams, one per shard, so images are
+/// bit-identical at any worker count.
 void fill_random(BitVector& bits, Rng& rng);
 
 /// A rows x cols matrix of uniform random bits (fill_random per row).

@@ -1,10 +1,9 @@
-// Tests for the extension modules: netlist text I/O, the multi-crossbar
-// memory system, burst injection, and the lifetime simulator.
+// Tests for the extension modules: netlist text I/O, burst injection, and
+// the lifetime simulator.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "arch/memory_system.hpp"
 #include "bench_circuits/circuits.hpp"
 #include "core/array_code.hpp"
 #include "fault/burst.hpp"
@@ -102,85 +101,6 @@ TEST(NetlistIo, IgnoresCommentsAndBlankLines) {
       ".end\n");
   EXPECT_EQ(nl.num_inputs(), 2u);
   EXPECT_EQ(nl.num_gates(), 1u);
-}
-
-// ------------------------------------------------------------- MemorySystem
-
-arch::MemorySystemParams small_system() {
-  arch::MemorySystemParams params;
-  params.unit.n = 45;
-  params.unit.m = 9;
-  params.unit_rows = 2;
-  params.unit_cols = 3;
-  return params;
-}
-
-TEST(MemorySystem, ValidatesAndSizes) {
-  arch::MemorySystemParams params = small_system();
-  params.unit_rows = 0;
-  EXPECT_THROW(arch::MemorySystem{params}, std::invalid_argument);
-  const arch::MemorySystem system{small_system()};
-  EXPECT_EQ(system.unit_count(), 6u);
-  EXPECT_EQ(system.params().data_bits(), 6u * 45u * 45u);
-}
-
-TEST(MemorySystem, TranslateMapsLinearAddresses) {
-  const arch::MemorySystem system{small_system()};
-  const arch::GlobalAddress first = system.translate(0);
-  EXPECT_EQ(first, (arch::GlobalAddress{0, 0, 0, 0}));
-  // Last bit of the first unit.
-  const arch::GlobalAddress last0 = system.translate(45 * 45 - 1);
-  EXPECT_EQ(last0, (arch::GlobalAddress{0, 0, 44, 44}));
-  // First bit of the second unit (unit index 1 -> row 0, col 1).
-  const arch::GlobalAddress next = system.translate(45 * 45);
-  EXPECT_EQ(next, (arch::GlobalAddress{0, 1, 0, 0}));
-  // Unit index 4 -> row 1, col 1.
-  const arch::GlobalAddress mid = system.translate(4u * 45 * 45 + 45 + 2);
-  EXPECT_EQ(mid, (arch::GlobalAddress{1, 1, 1, 2}));
-  EXPECT_THROW((void)system.translate(6u * 45 * 45), std::out_of_range);
-}
-
-TEST(MemorySystem, LoadInjectScrubRoundTrip) {
-  arch::MemorySystem system{small_system()};
-  util::Rng rng(5);
-  system.load_random(rng);
-  EXPECT_TRUE(system.all_consistent());
-
-  const auto flipped = system.inject_random_errors(rng, 5);
-  EXPECT_EQ(flipped.size(), 5u);
-  EXPECT_FALSE(system.all_consistent());
-
-  const arch::SystemScrubReport report = system.scrub_all();
-  EXPECT_EQ(report.units_checked, 6u);
-  EXPECT_EQ(report.blocks_checked, 6u * 25u);
-  // 5 errors across 150 blocks: overwhelmingly 1 per block -> corrected.
-  EXPECT_GE(report.corrected_data, 3u);
-  EXPECT_EQ(report.corrected_data + 2 * report.uncorrectable, 5u);
-}
-
-TEST(MemorySystem, IncrementalScrubCoversEverythingInOnePass) {
-  arch::MemorySystemParams params = small_system();
-  arch::MemorySystem system{params};
-  util::Rng rng(6);
-  system.load_random(rng);
-  system.inject_random_errors(rng, 3);
-  EXPECT_EQ(system.ticks_per_pass(), 6u * 5u);
-  std::size_t corrected = 0;
-  for (std::size_t t = 0; t < system.ticks_per_pass(); ++t) {
-    corrected += system.scrub_tick().corrected_data;
-  }
-  EXPECT_EQ(corrected, 3u);
-  EXPECT_TRUE(system.all_consistent());
-}
-
-
-TEST(MemorySystem, AggregateDeviceCountsScaleWithUnits) {
-  const arch::MemorySystem system{small_system()};
-  const arch::DeviceCounts unit = arch::count_devices(small_system().unit);
-  const arch::DeviceCounts bank = system.aggregate_device_counts();
-  EXPECT_EQ(bank.total_memristors, 6u * unit.total_memristors);
-  EXPECT_EQ(bank.total_transistors, 6u * unit.total_transistors);
-  EXPECT_EQ(bank.rows.front().memristors, 6u * 45u * 45u);
 }
 
 TEST(EvenBlockSize, TwoCellsCanShareBothDiagonals) {

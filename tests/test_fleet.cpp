@@ -166,10 +166,86 @@ TEST(Fleet, BroadcastThenEncodeKeepsEveryShardConsistent) {
   EXPECT_TRUE(fleet.all_consistent());
   fleet.inject_data_error(1, 2, 2);
   EXPECT_FALSE(fleet.all_consistent());
-  fleet.encode_all();  // re-encode accepts the flipped bit as data
-  EXPECT_TRUE(fleet.all_consistent());
   const util::BitMatrix wrong_shape(10, 10);
   EXPECT_THROW(fleet.load_broadcast(wrong_shape), std::invalid_argument);
+}
+
+TEST(Fleet, ScrubTickCoversEveryActiveShardInOnePass) {
+  // One pass of round-robin ticks repairs exactly what one scrub_all does,
+  // images and counters alike; a dead shard's ticks check nothing.
+  arch::CrossbarFleet ticked(tiny_fleet(4));
+  arch::CrossbarFleet swept(tiny_fleet(4));
+  util::Rng rng_a(6);
+  util::Rng rng_b(6);
+  ticked.load_random(rng_a);
+  swept.load_random(rng_b);
+  EXPECT_FALSE(ticked.quarantine_shard(3));  // no spare: shard 3 goes dead
+  EXPECT_FALSE(swept.quarantine_shard(3));
+  for (const std::size_t s : {0u, 1u, 2u}) {
+    ticked.inject_data_error(s, 3 * s + 1, 2);
+    swept.inject_data_error(s, 3 * s + 1, 2);
+  }
+  EXPECT_EQ(ticked.ticks_per_pass(), 4u * 3u);
+  std::size_t blocks = 0;
+  std::size_t corrected = 0;
+  for (std::size_t t = 0; t < ticked.ticks_per_pass(); ++t) {
+    const arch::CheckReport r = ticked.scrub_tick();
+    if (t >= 3 * 3) {  // shard 3's ticks
+      EXPECT_EQ(r, arch::CheckReport{}) << "tick " << t;
+    }
+    blocks += r.blocks_checked;
+    corrected += r.corrected_data;
+  }
+  const arch::FleetScrubReport sweep = swept.scrub_all();
+  EXPECT_EQ(blocks, sweep.blocks_checked);
+  EXPECT_EQ(blocks, 3u * 9u);
+  EXPECT_EQ(corrected, 3u);
+  EXPECT_TRUE(ticked.all_consistent());
+  for (const std::size_t s : {0u, 1u, 2u}) {
+    EXPECT_EQ(ticked.data(s), swept.data(s)) << "shard " << s;
+    EXPECT_EQ(ticked.counters(s), swept.counters(s)) << "shard " << s;
+  }
+  // The cursor wraps: the next tick is shard 0's first block-row again.
+  EXPECT_EQ(ticked.scrub_tick().blocks_checked, 3u);
+}
+
+TEST(Fleet, MachineViewRunsTheProtocol) {
+  // Protected compute through machine(s) keeps the bank consistent and is
+  // indistinguishable from a standalone PimMachine on substream s's image.
+  arch::CrossbarFleet fleet(tiny_fleet(3));
+  util::Rng rng(88);
+  fleet.load_random(rng);
+  util::Rng expect_rng(88);
+  const std::uint64_t base_seed = expect_rng.next();
+
+  const std::size_t shard = 1;
+  util::Rng shard_rng = util::Rng::for_stream(base_seed, shard);
+  arch::PimMachine standalone(arch::ArchParams{15, 5});
+  standalone.load(util::random_bit_matrix(15, 15, shard_rng));
+
+  const std::size_t outs[2] = {12, 13};
+  const std::size_t ins[2] = {0, 4};
+  const std::size_t out_row[1] = {12};
+  for (arch::PimMachine* machine : {&fleet.machine(shard), &standalone}) {
+    machine->magic_init_rows_protected(outs);
+    machine->magic_nor_rows_protected(ins, 12);
+    machine->magic_nor_rows_protected(out_row, 13);
+  }
+  EXPECT_TRUE(fleet.all_consistent());
+  const arch::PimMachine& view = fleet.machine(shard);
+  EXPECT_EQ(view.data(), standalone.data());
+  for (std::size_t br = 0; br < 3; ++br) {
+    for (std::size_t bc = 0; bc < 3; ++bc) {
+      EXPECT_EQ(view.check_code().check_bits({br, bc}),
+                standalone.check_code().check_bits({br, bc}));
+    }
+  }
+  EXPECT_EQ(view.counters(), standalone.counters());
+  EXPECT_EQ(fleet.data(shard), standalone.data());  // the bank sees the result
+
+  EXPECT_FALSE(fleet.quarantine_shard(2));
+  EXPECT_THROW((void)fleet.machine(2), std::runtime_error);
+  EXPECT_THROW((void)fleet.machine(fleet.shard_count()), std::out_of_range);
 }
 
 rel::FleetMonteCarloConfig fleet_mc(std::size_t shards,
