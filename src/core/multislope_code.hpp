@@ -18,8 +18,8 @@
 // coordinates per error.  Decoding searches for the smallest error set
 // consistent with all K family syndromes; with K = 4 (slopes ±1, ±2) most
 // double errors in a block become correctable instead of merely
-// detectable.  bench_multislope quantifies the reliability-vs-storage
-// trade-off against the paper's K = 2.
+// detectable.  bench_paper's multislope section quantifies the
+// reliability-vs-storage trade-off against the paper's K = 2.
 #pragma once
 
 #include <cstddef>

@@ -8,7 +8,7 @@
 // offsets are all smaller than m flags at least two diagonals on some axis
 // whenever it has >= 2 cells -- adjacent cells can never share both
 // diagonals -- so in-block bursts shorter than m are always *detected*,
-// never silently miscorrected.  bench_burst_errors measures this.
+// never silently miscorrected.  bench_paper's burst section measures this.
 #pragma once
 
 #include <cstddef>

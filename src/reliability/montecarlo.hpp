@@ -4,8 +4,8 @@
 // soft errors into a real simulated crossbar + check memory for one check
 // period, run the architecture's scrub, and measure how often a block (or
 // the crossbar) retains an uncorrected/miscorrected error.  Used by
-// bench_montecarlo_mttf and the reliability tests to confirm the analytic
-// block-failure probabilities.
+// bench_paper's montecarlo section and the reliability tests to confirm the
+// analytic block-failure probabilities.
 //
 // Trials run on the campaign driver (reliability/campaign.hpp): one base
 // seed drawn from the caller's generator, the golden image from substream

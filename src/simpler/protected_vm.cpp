@@ -28,7 +28,8 @@ ProtectedRunResult run_impl(Machine& machine, const Netlist& netlist,
   // The paper's discipline, applied *before* any protected write touches
   // the array: a soft error overwritten before it is checked would leave a
   // permanently wrong parity (the Section III false-positive race, see
-  // bench_false_positive), so every block band is verified first.
+  // bench_paper's false_positive section), so every block band is verified
+  // first.
   if (check_inputs_first) {
     for (std::size_t band = 0; band < n / machine.m(); ++band) {
       const arch::CheckReport report =

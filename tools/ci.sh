@@ -88,12 +88,15 @@ done
 #                machine checkpoint continuation, chunked-lifetime resume
 #   scenarios    1- vs 4-lane bit identity, zero-rate scrub accounting
 #                against the lifetime engine, iid pin, stuck-at invariants
+#   paper        every paper claim: Table I/II, Fig. 2/6, the false-positive
+#                race, bursts, slope families, lifetime, Monte Carlo,
+#                refresh + ECC and the ablation trends
 # A missing binary (extra cmake args may disable the bench build) is
 # skipped with a notice.
 for bench in engine:bench_engine_throughput codec:bench_codec_throughput \
              arch:bench_arch_throughput reliability:bench_reliability_throughput \
              fleet:bench_fleet_throughput serving:bench_serving \
-             scenarios:bench_scenarios; do
+             scenarios:bench_scenarios paper:bench_paper; do
   name="${bench%%:*}"
   bin_name="${bench#*:}"
   bench_bin="$release_dir/bench/$bin_name"
