@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "arch/pim_machine.hpp"
-#include "arch/reference_pim_machine.hpp"
 #include "harness.hpp"
+#include "oracle/reference_pim_machine.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 

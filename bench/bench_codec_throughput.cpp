@@ -34,8 +34,8 @@
 
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
-#include "core/reference_block_code.hpp"
 #include "harness.hpp"
+#include "oracle/reference_block_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"

@@ -31,11 +31,11 @@
 #include <vector>
 
 #include "harness.hpp"
+#include "oracle/reference_crossbar.hpp"
 #include "reliability/montecarlo.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/reference_crossbar.hpp"
 
 namespace {
 

@@ -32,16 +32,16 @@
 #include <utility>
 #include <vector>
 
-#include "arch/device_count.hpp"
 #include "arch/params.hpp"
 #include "arch/pim_machine.hpp"
 #include "bench_circuits/circuits.hpp"
 #include "core/array_code.hpp"
-#include "core/horizontal_code.hpp"
-#include "core/multislope_code.hpp"
 #include "fault/burst.hpp"
 #include "fault/models.hpp"
 #include "harness.hpp"
+#include "oracle/device_count.hpp"
+#include "oracle/horizontal_code.hpp"
+#include "oracle/multislope_code.hpp"
 #include "reliability/analytic.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/montecarlo.hpp"

@@ -34,9 +34,9 @@
 #include <vector>
 
 #include "harness.hpp"
+#include "oracle/reference_reliability.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/montecarlo.hpp"
-#include "reliability/reference_reliability.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -13,10 +13,11 @@ endfunction()
 
 # pimecc_add_test(<name> [SOURCES <files...>] [LABELS <labels...>] [TIMEOUT <sec>])
 #
-# Builds tests/<name>.cpp (unless SOURCES overrides), links it against the
-# pimecc library and GoogleTest, and registers every TEST() in it with ctest
-# via gtest_discover_tests.  LABELS default to "unit"; TIMEOUT defaults to
-# 120 seconds and is applied per discovered test.
+# Builds tests/<name>.cpp (unless SOURCES overrides), links it against
+# pimecc_oracle (the bit-serial references, on top of pimecc) and GoogleTest,
+# and registers every TEST() in it with ctest via gtest_discover_tests.
+# LABELS default to "unit"; TIMEOUT defaults to 120 seconds and is applied
+# per discovered test.
 function(pimecc_add_test name)
   cmake_parse_arguments(PAT "" "TIMEOUT" "SOURCES;LABELS" ${ARGN})
   if(NOT PAT_SOURCES)
@@ -30,7 +31,7 @@ function(pimecc_add_test name)
   endif()
 
   add_executable(${name} ${PAT_SOURCES})
-  target_link_libraries(${name} PRIVATE pimecc GTest::gtest GTest::gtest_main)
+  target_link_libraries(${name} PRIVATE pimecc_oracle GTest::gtest GTest::gtest_main)
   pimecc_compile_options(${name})
 
   gtest_discover_tests(${name}
@@ -52,8 +53,9 @@ endfunction()
 
 # pimecc_add_bench(<name> [SOURCES <files...>])
 #
-# Builds bench/<name>.cpp as a standalone executable linked against pimecc
-# and the bench harness (bench/harness.hpp: options, rate loop, gates, JSON).
+# Builds bench/<name>.cpp as a standalone executable linked against
+# pimecc_oracle (which brings pimecc) and the bench harness
+# (bench/harness.hpp: options, rate loop, gates, JSON).
 # Full runs are long by design, so benches are not registered with ctest
 # here; bench/CMakeLists.txt registers the --smoke runs under the "bench"
 # label.  Use the aggregate `benches` target to build them all.
@@ -63,7 +65,7 @@ function(pimecc_add_bench name)
     set(PAB_SOURCES ${name}.cpp)
   endif()
   add_executable(${name} ${PAB_SOURCES})
-  target_link_libraries(${name} PRIVATE pimecc pimecc_bench_harness)
+  target_link_libraries(${name} PRIVATE pimecc_oracle pimecc_bench_harness)
   pimecc_compile_options(${name})
   if(NOT TARGET benches)
     add_custom_target(benches)

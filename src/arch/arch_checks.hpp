@@ -1,7 +1,8 @@
 // pimecc -- arch/arch_checks.hpp
 //
-// Validate-before-mutate helpers shared by PimMachine and
-// ReferencePimMachine (the PR 2/3 convention applied to the arch layer):
+// Validate-before-mutate helpers shared by PimMachine and its bit-serial
+// oracle (oracle/reference_pim_machine.hpp), the codec layer's convention
+// applied to the arch layer:
 // every protected entry point checks its whole argument set with these
 // *before* snapshotting lines, touching crossbar or check-bit state, or
 // advancing any counter, so a throwing call leaves the machine -- data,

@@ -23,7 +23,7 @@
 // accounting is unchanged: the protocol's analytic costs are identical to
 // routing the lines through the shifter bank into genuine XOR3
 // microprograms.  The original bit-serial composition is retained verbatim
-// as ReferencePimMachine (reference_pim_machine.hpp) and must match this
+// as a test oracle (oracle/reference_pim_machine.hpp) and must match this
 // machine exactly in contents, check state, cycle counters, and correction
 // counts on any program -- pinned by tests/test_arch_engine.cpp.
 #pragma once

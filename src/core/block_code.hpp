@@ -83,7 +83,7 @@ struct DecodeResult {
 /// This is the word-parallel production codec: parities are accumulated by
 /// rotate-and-XOR over BitMatrix row words (O(m) word ops per block instead
 /// of m*m bit reads; see diagword in core/geometry).  It must match the
-/// bit-serial ReferenceBlockCodec (reference_block_code.hpp) exactly on any
+/// bit-serial oracle codec (oracle/reference_block_code.hpp) exactly on any
 /// input -- pinned by the differential suite in tests/test_codec_engine.cpp.
 class BlockCodec {
  public:

@@ -25,8 +25,8 @@
 
 namespace pimecc::ecc {
 
-/// Word-level diagonal-extraction kernels shared by BlockCodec,
-/// MultiSlopeCodec, and HorizontalCode.
+/// Word-level diagonal-extraction kernels shared by BlockCodec and the
+/// paper-model codecs in oracle/ (multislope_code.hpp, horizontal_code.hpp).
 ///
 /// A block row is an m-bit segment of a BitMatrix row; for m <= kMaxM it
 /// fits in the low m bits of one 64-bit word.  In the polynomial view over

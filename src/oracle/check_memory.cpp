@@ -1,4 +1,4 @@
-#include "arch/check_memory.hpp"
+#include "oracle/check_memory.hpp"
 
 #include <stdexcept>
 

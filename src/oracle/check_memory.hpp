@@ -1,4 +1,4 @@
-// pimecc -- arch/check_memory.hpp
+// pimecc -- oracle/check_memory.hpp
 //
 // Physical layout of the Check Memory (CMEM) check-bit storage and the
 // checking crossbar (paper Section IV-A, Figure 4).

@@ -1,4 +1,4 @@
-#include "arch/device_count.hpp"
+#include "oracle/device_count.hpp"
 
 namespace pimecc::arch {
 

@@ -1,4 +1,4 @@
-// pimecc -- arch/device_count.hpp
+// pimecc -- oracle/device_count.hpp
 //
 // Device-count model of the proposed architecture (paper Table II).
 // Expressions are implemented exactly as printed:

@@ -1,4 +1,4 @@
-#include "core/horizontal_code.hpp"
+#include "oracle/horizontal_code.hpp"
 
 #include <map>
 #include <stdexcept>

@@ -1,4 +1,4 @@
-// pimecc -- core/horizontal_code.hpp
+// pimecc -- oracle/horizontal_code.hpp
 //
 // The strawman ECC of paper Section III / Figure 2(a): parity computed over
 // *horizontal* groups of g data bits (e.g. the eighth bit of every byte).

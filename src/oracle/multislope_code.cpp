@@ -1,4 +1,4 @@
-#include "core/multislope_code.hpp"
+#include "oracle/multislope_code.hpp"
 
 #include <algorithm>
 #include <cstdint>

@@ -1,4 +1,4 @@
-// pimecc -- core/multislope_code.hpp
+// pimecc -- oracle/multislope_code.hpp
 //
 // Generalization of the paper's two-family diagonal code (Section III,
 // trade-off bullet 1: "the code used for check-bits along a diagonal...

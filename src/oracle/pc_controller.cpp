@@ -1,4 +1,4 @@
-#include "arch/pc_controller.hpp"
+#include "oracle/pc_controller.hpp"
 
 #include <stdexcept>
 

@@ -1,4 +1,4 @@
-// pimecc -- arch/pc_controller.hpp
+// pimecc -- oracle/pc_controller.hpp
 //
 // Cycle-accurate finite state machine driving one processing crossbar
 // (paper Section IV-C: "the CMEM controller contains the Processing
@@ -17,7 +17,7 @@
 #include <optional>
 #include <vector>
 
-#include "arch/processing_xbar.hpp"
+#include "oracle/processing_xbar.hpp"
 #include "util/bitvector.hpp"
 
 namespace pimecc::arch {

@@ -1,4 +1,4 @@
-#include "arch/processing_xbar.hpp"
+#include "oracle/processing_xbar.hpp"
 
 #include <array>
 #include <stdexcept>

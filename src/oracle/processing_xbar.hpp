@@ -1,4 +1,4 @@
-// pimecc -- arch/processing_xbar.hpp
+// pimecc -- oracle/processing_xbar.hpp
 //
 // Processing crossbar (PC): the pipelined XOR3 engine of the CMEM (paper
 // Section IV, Figure 4).

@@ -1,4 +1,4 @@
-#include "core/reference_block_code.hpp"
+#include "oracle/reference_block_code.hpp"
 
 #include <stdexcept>
 

@@ -1,4 +1,4 @@
-// pimecc -- core/reference_block_code.hpp
+// pimecc -- oracle/reference_block_code.hpp
 //
 // Bit-serial golden model of the diagonal-parity block codec.
 //
@@ -20,7 +20,7 @@
 #include "core/array_code.hpp"  // ScrubReport
 #include "core/block_code.hpp"
 #include "core/geometry.hpp"
-#include "core/multislope_code.hpp"
+#include "oracle/multislope_code.hpp"
 #include "util/bitmatrix.hpp"
 
 namespace pimecc::ecc {

@@ -1,4 +1,4 @@
-#include "xbar/reference_crossbar.hpp"
+#include "oracle/reference_crossbar.hpp"
 
 #include <algorithm>
 #include <stdexcept>

@@ -1,4 +1,4 @@
-// pimecc -- xbar/reference_crossbar.hpp
+// pimecc -- oracle/reference_crossbar.hpp
 //
 // Bit-serial golden model of the MAGIC crossbar.
 //

@@ -1,4 +1,4 @@
-#include "arch/reference_pim_machine.hpp"
+#include "oracle/reference_pim_machine.hpp"
 
 #include <stdexcept>
 
@@ -42,7 +42,7 @@ void ReferencePimMachine::update_check_bits_for_line(
   const std::size_t band = line / m();  // block column (row op) or block row
   const std::size_t rem = line % m();
 
-  // Shifter alignments (see arch/shifter.hpp): for a written column
+  // Shifter alignments (see oracle/shifter.hpp): for a written column
   // (row-parallel op), leading diagonals align under shift = line mod m and
   // counter diagonals under shift = (-line) mod m; for a written row the
   // counter family additionally runs mirrored.

@@ -1,4 +1,4 @@
-// pimecc -- arch/reference_pim_machine.hpp
+// pimecc -- oracle/reference_pim_machine.hpp
 //
 // Bit-serial golden model of the protected PIM machine.
 //
@@ -27,15 +27,15 @@
 #include <span>
 #include <vector>
 
-#include "arch/check_memory.hpp"
 #include "arch/params.hpp"
 #include "arch/pim_machine.hpp"  // CheckReport, MachineCounters
-#include "arch/processing_xbar.hpp"
-#include "arch/shifter.hpp"
-#include "core/reference_block_code.hpp"
+#include "oracle/check_memory.hpp"
+#include "oracle/processing_xbar.hpp"
+#include "oracle/reference_block_code.hpp"
+#include "oracle/reference_crossbar.hpp"
+#include "oracle/shifter.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
-#include "xbar/reference_crossbar.hpp"
 
 namespace pimecc::arch {
 

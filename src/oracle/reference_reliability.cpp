@@ -1,4 +1,4 @@
-#include "reliability/reference_reliability.hpp"
+#include "oracle/reference_reliability.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,4 +1,4 @@
-// pimecc -- reliability/reference_reliability.hpp
+// pimecc -- oracle/reference_reliability.hpp
 //
 // Golden reliability engines retained from the dense era (the PR 2-4
 // convention: every fast engine keeps its predecessor for differential

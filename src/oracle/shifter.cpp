@@ -1,4 +1,4 @@
-#include "arch/shifter.hpp"
+#include "oracle/shifter.hpp"
 
 #include <stdexcept>
 

@@ -1,4 +1,4 @@
-// pimecc -- arch/shifter.hpp
+// pimecc -- oracle/shifter.hpp
 //
 // Functional model of the barrel-shifter bank between MEM and CMEM (paper
 // Section IV-B, Figure 5).

@@ -18,9 +18,9 @@
 // (reliability/campaign.hpp): one base seed drawn from the caller, trial t
 // on substream t, per-trial TTFs folded in trial order, so results are
 // bit-identical for any thread count.  Since skip-ahead resamples the
-// stream, the original walker is retained as
-// reference_simulate_lifetime (reference_reliability.hpp) and the two are
-// pinned by equivalence-of-distribution tests, not bit equality.
+// stream, the original walker is retained as reference_simulate_lifetime
+// (oracle/reference_reliability.hpp) and the two are pinned by
+// equivalence-of-distribution tests, not bit equality.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,7 @@
 // log (re-flip the surviving deltas and the recorded check-bit flips).
 // There is no per-trial golden copy and no full-array scrub.  The dense
 // engine is retained as reference_run_montecarlo
-// (reference_reliability.hpp); every counter is pinned equal on every
+// (oracle/reference_reliability.hpp); every counter is pinned equal on every
 // substream except `miscorrected`, which is exact here (a block is
 // miscorrected iff its own scrub reported a data correction and its
 // residual is nonzero) and approximated in the reference (every failed

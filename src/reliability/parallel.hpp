@@ -7,8 +7,8 @@
 // and no threads are created per call.  Exceptions thrown by a ticket are
 // captured and rethrown after every lane has finished
 // (TaskGroup::wait's rethrow-after-join contract); the remaining tickets
-// still run.  (reference_reliability.cpp keeps its own frozen copy of the
-// old per-call spawner by design.)
+// still run.  (oracle/reference_reliability.cpp keeps its own frozen copy
+// of the old per-call spawner by design.)
 #pragma once
 
 #include <algorithm>

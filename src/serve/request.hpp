@@ -15,8 +15,15 @@
 // malformed line becomes a rejected request (Response.ok == false), never
 // a half-parsed default or a terminate.  Responses render back to one
 // line, which keeps the daemon's stdout a machine-readable transcript.
+//
+// Size caps bound what one line can make the server allocate: Server::handle
+// answers invalid_argument for `n` (every kind) or a map's row `width`
+// above kMaxN, and for `trials` above kMaxTrials (scenario), before any
+// registry lookup or allocation.  The largest values any trace, test or
+// bench uses are n = 1020 and 96 trials.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -25,6 +32,9 @@
 #include "simpler/ecc_schedule.hpp"
 
 namespace pimecc::serve {
+
+inline constexpr std::size_t kMaxN = 4096;
+inline constexpr std::size_t kMaxTrials = 100000;
 
 enum class RequestKind : unsigned char { kMap, kRun, kMttf, kSweep, kScenario };
 

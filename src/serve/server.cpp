@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "reliability/analytic.hpp"
@@ -27,6 +28,19 @@ std::uint64_t gib_to_bits(double gib) {
   return static_cast<std::uint64_t>(std::llround(gib * 8589934592.0));  // 2^33
 }
 
+// The request size caps (serve/request.hpp).  Append form: GCC 12's
+// -Wrestrict misfires on `const char* + std::string` (GCC bug 105329).
+void require_at_most(const char* key, std::size_t value, std::size_t cap) {
+  if (value > cap) {
+    std::string message(key);
+    message += '=';
+    message += std::to_string(value);
+    message += " exceeds the cap of ";
+    message += std::to_string(cap);
+    throw std::invalid_argument(message);
+  }
+}
+
 Response failure_response(RequestKind kind, ErrorCode code,
                           std::string message) {
   Response response;
@@ -40,6 +54,13 @@ Response failure_response(RequestKind kind, ErrorCode code,
 }  // namespace
 
 Response Server::handle(const Request& request) {
+  require_at_most("n", request.n, kMaxN);
+  if (request.kind == RequestKind::kMap) {
+    require_at_most("width", request.row_width, kMaxN);
+  }
+  if (request.kind == RequestKind::kScenario) {
+    require_at_most("trials", request.trials, kMaxTrials);
+  }
   Response response;
   response.kind = request.kind;
   switch (request.kind) {

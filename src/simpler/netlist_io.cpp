@@ -1,6 +1,7 @@
 #include "simpler/netlist_io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -86,8 +87,17 @@ Netlist read_netlist(std::istream& is) {
     } else if (directive == ".inputs") {
       if (!saw_model) fail(line_no, ".inputs before .model");
       if (saw_inputs) fail(line_no, "duplicate .inputs");
+      // A leading '-' would wrap to a huge unsigned count, and a count
+      // beyond NodeId would truncate the ids: reject both before any
+      // add_input().
       std::size_t count = 0;
+      if ((tokens >> std::ws).peek() == '-') {
+        fail(line_no, ".inputs count must not be negative");
+      }
       if (!(tokens >> count)) fail(line_no, ".inputs needs a count");
+      if (count > std::numeric_limits<NodeId>::max()) {
+        fail(line_no, ".inputs count exceeds the node id range");
+      }
       for (std::size_t i = 0; i < count; ++i) netlist.add_input();
       next_id = static_cast<NodeId>(count);
       saw_inputs = true;

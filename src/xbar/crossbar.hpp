@@ -14,9 +14,9 @@
 // operations directly on the row vectors; for kRow orientation it makes one
 // fused pass per selected lane with word offsets precomputed per operation.
 // Precondition violations are counted via popcount, never per bit.  The
-// original bit-serial engine is retained verbatim as ReferenceCrossbar
-// (reference_crossbar.hpp) and serves as the golden model in differential
-// tests.
+// original bit-serial engine is retained verbatim as a test oracle
+// (oracle/reference_crossbar.hpp) and serves as the golden model in
+// differential tests.
 #pragma once
 
 #include <cstddef>

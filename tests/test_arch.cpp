@@ -5,14 +5,14 @@
 
 #include <tuple>
 
-#include "arch/check_memory.hpp"
-#include "arch/device_count.hpp"
 #include "arch/params.hpp"
 #include "arch/pim_machine.hpp"
-#include "arch/processing_xbar.hpp"
 #include "arch/scheduler.hpp"
-#include "arch/shifter.hpp"
 #include "core/geometry.hpp"
+#include "oracle/check_memory.hpp"
+#include "oracle/device_count.hpp"
+#include "oracle/processing_xbar.hpp"
+#include "oracle/shifter.hpp"
 #include "util/rng.hpp"
 
 namespace pimecc::arch {

@@ -13,11 +13,11 @@
 #include <stdexcept>
 #include <vector>
 
-#include "arch/pc_controller.hpp"
 #include "arch/pim_machine.hpp"
-#include "arch/reference_pim_machine.hpp"
 #include "arch/scheduler.hpp"
 #include "bench_circuits/circuits.hpp"
+#include "oracle/pc_controller.hpp"
+#include "oracle/reference_pim_machine.hpp"
 #include "simpler/mapper.hpp"
 #include "simpler/protected_vm.hpp"
 #include "util/rng.hpp"

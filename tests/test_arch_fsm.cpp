@@ -3,8 +3,8 @@
 // architecture model.
 #include <gtest/gtest.h>
 
-#include "arch/pc_controller.hpp"
 #include "arch/pim_machine.hpp"
+#include "oracle/pc_controller.hpp"
 #include "simpler/logic.hpp"
 #include "simpler/mapper.hpp"
 #include "simpler/protected_vm.hpp"

@@ -1,22 +1,22 @@
 // Build-system sanity checks: the generated version header is visible and
-// coherent, feature macros exist, and invalid (n, m) ECC geometries are
-// rejected at every public entry point that accepts one (paper footnote 1:
-// m must be odd; the block grid requires m to divide n).
+// coherent, and invalid (n, m) ECC geometries are rejected at every public
+// entry point that accepts one (paper footnote 1: m must be odd; the block
+// grid requires m to divide n).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 
-#include "arch/check_memory.hpp"
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
 #include "core/geometry.hpp"
+#include "oracle/check_memory.hpp"
 #include "pimecc/version.hpp"
 
 namespace {
 
-// ----------------------------------------------------- version/feature macros
+// ------------------------------------------------------------ version macros
 
 TEST(BuildSanity, VersionMacrosAreCoherent) {
   static_assert(PIMECC_VERSION_MAJOR >= 0);
@@ -27,17 +27,6 @@ TEST(BuildSanity, VersionMacrosAreCoherent) {
                                std::to_string(PIMECC_VERSION_PATCH);
   EXPECT_EQ(expected, PIMECC_VERSION_STRING);
   EXPECT_EQ(expected, pimecc::version());
-}
-
-TEST(BuildSanity, FeatureMacrosAreDefined) {
-#if !defined(PIMECC_HAS_MULTISLOPE) || !defined(PIMECC_HAS_SIMPLER) || \
-    !defined(PIMECC_HAS_RELIABILITY) || !defined(PIMECC_HAS_FAULT_INJECTION)
-#error "feature macros missing from pimecc/version.hpp"
-#endif
-  EXPECT_EQ(PIMECC_HAS_MULTISLOPE, 1);
-  EXPECT_EQ(PIMECC_HAS_SIMPLER, 1);
-  EXPECT_EQ(PIMECC_HAS_RELIABILITY, 1);
-  EXPECT_EQ(PIMECC_HAS_FAULT_INJECTION, 1);
 }
 
 TEST(BuildSanity, LanguageStandardIsCxx20) {

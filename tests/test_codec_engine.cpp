@@ -8,14 +8,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "arch/check_memory.hpp"
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
 #include "core/geometry.hpp"
-#include "core/horizontal_code.hpp"
-#include "core/multislope_code.hpp"
-#include "core/reference_block_code.hpp"
+#include "oracle/check_memory.hpp"
+#include "oracle/horizontal_code.hpp"
+#include "oracle/multislope_code.hpp"
+#include "oracle/reference_block_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"

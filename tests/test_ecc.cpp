@@ -8,7 +8,7 @@
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
 #include "core/geometry.hpp"
-#include "core/horizontal_code.hpp"
+#include "oracle/horizontal_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 

@@ -9,11 +9,11 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/reference_crossbar.hpp"
 #include "reliability/montecarlo.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/reference_crossbar.hpp"
 
 namespace pimecc::xbar {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "bench_circuits/circuits.hpp"
 #include "core/array_code.hpp"
@@ -88,6 +89,20 @@ TEST(NetlistIo, RejectsMalformedDocuments) {
   EXPECT_THROW(
       (void)simpler::read_netlist_text(".model a\n.bogus\n.end\n"),
       std::runtime_error);  // unknown directive
+  // Input counts that would loop add_input() until bad_alloc: a negative
+  // count wraps to SIZE_MAX, and one past the NodeId range truncates the
+  // ids.  Both must be rejected on their own line, before any allocation.
+  for (const char* count : {"-1", "4294967297"}) {
+    try {
+      (void)simpler::read_netlist_text(std::string(".model a\n.inputs ") +
+                                       count + "\n.end\n");
+      ADD_FAILURE() << ".inputs " << count << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("netlist parse error at line 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(NetlistIo, IgnoresCommentsAndBlankLines) {

@@ -49,7 +49,7 @@ TEST(Fleet, TranslateRoundTripsShardMajorAddresses) {
   EXPECT_EQ(last, (arch::FleetAddress{2, 14, 14}));
   const arch::FleetAddress mid = fleet.translate(cells + 17);
   EXPECT_EQ(mid, (arch::FleetAddress{1, 1, 2}));
-  EXPECT_THROW(fleet.translate(3 * cells), std::out_of_range);
+  EXPECT_THROW((void)fleet.translate(3 * cells), std::out_of_range);
 }
 
 TEST(Fleet, LoadRandomMatchesPerShardSubstreamsAndDrawsOnce) {

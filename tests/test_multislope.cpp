@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/block_code.hpp"
-#include "core/multislope_code.hpp"
+#include "oracle/multislope_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 

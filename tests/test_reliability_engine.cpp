@@ -17,9 +17,9 @@
 
 #include "core/array_code.hpp"
 #include "fault/injector.hpp"
+#include "oracle/reference_reliability.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/montecarlo.hpp"
-#include "reliability/reference_reliability.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 

@@ -15,13 +15,13 @@
 #include "arch/pim_machine.hpp"
 #include "fault/disturbance.hpp"
 #include "fault/models.hpp"
+#include "oracle/reference_crossbar.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/scenario.hpp"
 #include "reliability/scrub_policy.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/reference_crossbar.hpp"
 
 namespace pimecc {
 namespace {

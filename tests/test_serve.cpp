@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -408,6 +409,23 @@ TEST(ServeRobustness, ExecuteTagsFailuresWithErrorCodes) {
   const Response ok = server.execute(parse_ok("mttf fit=1e-3"));
   EXPECT_TRUE(ok.ok);
   EXPECT_EQ(ok.code, ErrorCode::kNone);
+
+  // The size caps (serve::kMaxN, serve::kMaxTrials): without them these
+  // lines hold the server for tens of seconds, answer bad_alloc as
+  // `internal`, or wrap n*n.  Each must be a client error before the
+  // registry builds anything.
+  const std::uint64_t builds = server.registry().stats().machine_builds;
+  for (const std::string line :
+       {"run circuit=ctrl n=60015 m=15", "run circuit=ctrl n=1500015 m=15",
+        "map circuit=ctrl n=4110 m=15", "map circuit=ctrl width=4000000000",
+        "mttf n=150000000015 m=15", "sweep n=150000000015 m=15",
+        "scenario trials=100000000000"}) {
+    const Response capped = server.execute(parse_ok(line));
+    EXPECT_FALSE(capped.ok) << line;
+    EXPECT_EQ(capped.code, ErrorCode::kInvalidArgument) << line;
+  }
+  EXPECT_EQ(server.registry().stats().machine_builds, builds);
+  EXPECT_TRUE(server.execute(parse_ok("mttf n=4095 m=15")).ok);
 
   // The wire format carries the code so clients can dispatch without
   // parsing prose.

@@ -12,14 +12,14 @@
 
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
-#include "core/multislope_code.hpp"
-#include "core/reference_block_code.hpp"
+#include "oracle/multislope_code.hpp"
+#include "oracle/reference_block_code.hpp"
+#include "oracle/reference_crossbar.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/reference_crossbar.hpp"
 
 namespace pimecc {
 namespace {
