@@ -85,9 +85,14 @@ std::vector<pimecc::serve::Request> build_workload(std::size_t count,
 std::vector<std::string> formatted_batch_responses(
     pimecc::serve::Server& server,
     const std::vector<pimecc::serve::Request>& workload) {
+  std::vector<std::uint64_t> tickets;
+  for (const pimecc::serve::Request& request : workload) {
+    tickets.push_back(server.submit(request));
+  }
+  server.drain();
   std::vector<std::string> formatted;
-  for (const pimecc::serve::Response& r : server.execute_batch(workload)) {
-    formatted.push_back(pimecc::serve::format_response(r));
+  for (const std::uint64_t ticket : tickets) {
+    formatted.push_back(pimecc::serve::format_response(server.take(ticket)));
   }
   return formatted;
 }
@@ -303,7 +308,7 @@ int main(int argc, char** argv) {
       serve::Server server(config);
       // Warm the caches once so the matrix measures serving, not the
       // first-touch circuit/program builds.
-      (void)server.execute_batch(workload);
+      (void)formatted_batch_responses(server, workload);
 
       std::vector<double> latencies_ms;
       std::size_t cursor = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/modmath.hpp"
 #include "util/units.hpp"
@@ -71,21 +72,35 @@ ReliabilityPoint evaluate_baseline(const ReliabilityQuery& query) {
   return finish(query, log_memory);
 }
 
-std::vector<SweepPoint> sweep_mttf(const ReliabilityQuery& base, double fit_low,
-                                   double fit_high, std::size_t points_per_decade) {
+std::vector<double> sweep_fits(double fit_low, double fit_high,
+                               std::size_t points_per_decade) {
   if (!(fit_low > 0.0) || !(fit_high >= fit_low) || !std::isfinite(fit_high) ||
       points_per_decade == 0 || points_per_decade > kMaxSweepPointsPerDecade) {
-    throw std::invalid_argument("sweep_mttf: bad sweep range");
+    // Append form: GCC 12's -Wrestrict misfires on `const char* +
+    // std::string` (GCC bug 105329).
+    std::string message(
+        "bad sweep range: need finite 0 < fit_low <= fit_high and 1 <= ppd <= ");
+    message += std::to_string(kMaxSweepPointsPerDecade);
+    throw std::invalid_argument(message);
   }
-  std::vector<SweepPoint> points;
+  std::vector<double> fits;
   const double step = 1.0 / static_cast<double>(points_per_decade);
   const double log_low = std::log10(fit_low);
   const double log_high = std::log10(fit_high);
   for (double lg = log_low; lg <= log_high + 1e-9; lg += step) {
+    fits.push_back(std::pow(10.0, lg));
+  }
+  return fits;
+}
+
+std::vector<SweepPoint> sweep_mttf(const ReliabilityQuery& base, double fit_low,
+                                   double fit_high, std::size_t points_per_decade) {
+  std::vector<SweepPoint> points;
+  for (const double fit : sweep_fits(fit_low, fit_high, points_per_decade)) {
     ReliabilityQuery q = base;
-    q.fit_per_bit = std::pow(10.0, lg);
+    q.fit_per_bit = fit;
     SweepPoint pt;
-    pt.fit_per_bit = q.fit_per_bit;
+    pt.fit_per_bit = fit;
     pt.baseline_mttf_hours = evaluate_baseline(q).mttf_hours;
     pt.proposed_mttf_hours = evaluate_proposed(q).mttf_hours;
     points.push_back(pt);

@@ -67,15 +67,22 @@ struct SweepPoint {
   }
 };
 
-/// Sanity cap on sweep_mttf's `points_per_decade`: every finite positive
+/// Sanity cap on a sweep's `points_per_decade`: every finite positive
 /// range spans fewer than 700 decades, so an accepted grid has fewer than
 /// 10^6 points, and its 1e-3 log step always advances the loop.
 inline constexpr std::size_t kMaxSweepPointsPerDecade = 1000;
 
-/// Logarithmic SER sweep [fit_low, fit_high] with `points_per_decade`
-/// samples per decade (Figure 6: 1e-5 .. 1e3).  Throws
-/// std::invalid_argument unless 0 < fit_low <= fit_high are finite and
-/// 1 <= points_per_decade <= kMaxSweepPointsPerDecade.
+/// The one logarithmic SER grid over [fit_low, fit_high] with
+/// `points_per_decade` samples per decade, low end first: 10^lg for lg
+/// stepping from log10(fit_low) by 1/points_per_decade while it stays
+/// within 1e-9 of log10(fit_high).  Throws std::invalid_argument unless
+/// 0 < fit_low <= fit_high are finite and 1 <= points_per_decade <=
+/// kMaxSweepPointsPerDecade.
+[[nodiscard]] std::vector<double> sweep_fits(double fit_low, double fit_high,
+                                             std::size_t points_per_decade);
+
+/// Evaluates both designs at every sweep_fits point (Figure 6: 1e-5 ..
+/// 1e3); throws as sweep_fits does.
 [[nodiscard]] std::vector<SweepPoint> sweep_mttf(const ReliabilityQuery& base,
                                                  double fit_low, double fit_high,
                                                  std::size_t points_per_decade);

@@ -12,8 +12,8 @@
 //     only place a trial's substream is derived;
 //   - lanes: tickets of trials_per_ticket consecutive trials (one trial for
 //     the flat, lifetime and scenario engines, one shard for the fleet) are
-//     pulled by run_trial_pool lanes, a ticket's trials back to back on one
-//     lane;
+//     pulled by util::parallel_for_lanes lanes, a ticket's trials back to
+//     back on one lane;
 //   - slots and the fold: a trial writes only lane-local sums (commutative
 //     integer merges) and its own ticket's or trial's slot, and per-trial
 //     time-to-failure slots fold in trial order (fold_ttf).
@@ -25,7 +25,7 @@
 #include <span>
 #include <vector>
 
-#include "reliability/parallel.hpp"
+#include "util/executor.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -44,13 +44,14 @@ struct CampaignPlan {
 /// Runs run_trial(lane, trial_rng, i) once for every trial i in
 /// [0, plan.trials) and returns the lane states for the caller's
 /// commutative merge.  make_lane() builds one lane state per lane on the
-/// calling thread (run_trial_pool's contract).
+/// calling thread (parallel_for_lanes's contract).
 template <typename Lane, typename MakeLane, typename RunTrial>
 std::vector<Lane> run_campaign(const CampaignPlan& plan, MakeLane&& make_lane,
                                RunTrial&& run_trial) {
   const std::size_t per_ticket = plan.trials_per_ticket;
-  return run_trial_pool<Lane>(
-      plan.trials / per_ticket, plan.threads, make_lane,
+  return util::parallel_for_lanes<Lane>(
+      util::Executor::shared(), plan.trials / per_ticket, plan.threads,
+      make_lane,
       [&plan, &run_trial, per_ticket](Lane& lane, std::size_t ticket) {
         for (std::size_t i = ticket * per_ticket; i < (ticket + 1) * per_ticket;
              ++i) {

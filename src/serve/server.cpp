@@ -4,9 +4,11 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "reliability/analytic.hpp"
 #include "reliability/scenario.hpp"
+#include "simpler/mapper.hpp"
 #include "simpler/protected_vm.hpp"
 #include "util/executor.hpp"
 #include "util/rng.hpp"
@@ -151,7 +153,7 @@ Response Server::handle(const Request& request) {
       config.trials = request.trials;
       config.max_hours = request.horizon_hours;
       // Serial per request: the batch itself is the parallelism axis
-      // (execute_batch fans requests across executor lanes).
+      // (drain_once fans a batch's requests across executor lanes).
       config.threads = 1;
       config.workload = rel::canonical_workload();
       if (!rel::apply_fault_preset(request.model, request.fit_per_bit,
@@ -181,11 +183,15 @@ Response Server::execute(const Request& request) {
   // The taxonomy mapping: typed serving failures keep their code, the deep
   // layers' validation throws (ArchParams::validate, registry lookups,
   // gib_to_bits, the scrub plan's length_error sanity cap on a request's
-  // horizon) are the client's fault, everything else is ours.
+  // horizon) and a circuit that does not fit the requested row are the
+  // client's fault, everything else is ours.
   try {
     return handle(request);
   } catch (const ServeError& e) {
     return failure_response(request.kind, e.code(), e.what());
+  } catch (const simpler::RowOverflowError& e) {
+    return failure_response(request.kind, ErrorCode::kInvalidArgument,
+                            e.what());
   } catch (const std::invalid_argument& e) {
     return failure_response(request.kind, ErrorCode::kInvalidArgument,
                             e.what());
@@ -198,13 +204,6 @@ Response Server::execute(const Request& request) {
   } catch (const std::exception& e) {
     return failure_response(request.kind, ErrorCode::kInternal, e.what());
   }
-}
-
-std::vector<Response> Server::execute_batch(std::span<const Request> requests) {
-  std::vector<Response> responses(requests.size());
-  util::parallel_for(util::Executor::shared(), requests.size(), config_.lanes,
-                     [&](std::size_t i) { responses[i] = execute(requests[i]); });
-  return responses;
 }
 
 Admission Server::try_submit(Request request) {

@@ -1,6 +1,6 @@
 // pimecc -- serve/server.hpp
 //
-// The batched request engine behind `pimecc serve` and `pimecc sweep`: a
+// The batched request engine behind `pimecc run|mttf|sweep|serve`: a
 // concurrent submission queue in front of a handler that executes batches
 // on the process-wide work-stealing executor (util::Executor::shared() via
 // parallel_for -- no thread pool of its own, per the repo's one-substrate
@@ -45,9 +45,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "serve/error.hpp"
 #include "serve/registry.hpp"
@@ -76,16 +74,12 @@ class Server {
   explicit Server(ServerConfig config = {});
 
   /// Serves one request synchronously (also the per-item body of
-  /// execute_batch, so batched and unbatched paths cannot diverge).
-  /// Never throws: handler exceptions become Response{ok=false} with the
-  /// taxonomy code (ServeError -> its code, invalid_argument/out_of_range
-  /// -> kInvalidArgument, anything else -> kInternal).
+  /// drain_once, so queued and direct paths cannot diverge).  Never
+  /// throws: handler exceptions become Response{ok=false} with the
+  /// taxonomy code (ServeError -> its code; invalid_argument, out_of_range,
+  /// length_error and simpler::RowOverflowError -> kInvalidArgument;
+  /// anything else -> kInternal).
   [[nodiscard]] Response execute(const Request& request);
-
-  /// Serves a batch with up to config.lanes executor lanes; responses are
-  /// positionally aligned with `requests`.
-  [[nodiscard]] std::vector<Response> execute_batch(
-      std::span<const Request> requests);
 
   // --- concurrent queue front end ----------------------------------------
   /// Attempts to enqueue a request; never throws for admission-control

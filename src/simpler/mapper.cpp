@@ -76,7 +76,7 @@ std::vector<NodeId> evaluation_order(const Netlist& netlist,
 namespace {
 
 /// Allocation simulation over one candidate evaluation order; throws
-/// std::runtime_error on row overflow.
+/// RowOverflowError on row overflow.
 MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
                            const std::vector<NodeId>& order) {
   // Fanout over *live* consumers only: gates unreachable from any output
@@ -110,7 +110,7 @@ MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
   }
   // The fit check precedes every write indexed by a cell.
   if (next_fixed > options.row_width) {
-    throw std::runtime_error("map_to_row: inputs do not fit in the row");
+    throw RowOverflowError("map_to_row: inputs do not fit in the row");
   }
   std::vector<bool> covered_cell(options.row_width, false);
   for (const CellIndex c : program.input_cells) covered_cell[c] = true;
@@ -139,7 +139,7 @@ MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
     // Acquire an initialized cell, batching a re-init cycle if needed.
     if (ready.empty()) {
       if (dirty.empty()) {
-        throw std::runtime_error(
+        throw RowOverflowError(
             "map_to_row: row width exceeded (netlist " + netlist.name() +
             ", live values " + std::to_string(live) + " of " +
             std::to_string(options.row_width) + " cells)");
@@ -209,7 +209,7 @@ MappedProgram map_to_row(const Netlist& netlist, const MapperOptions& options) {
   // Primary order: Sethi-Ullman-style CU-driven DFS (SIMPLER's heuristic).
   try {
     return allocate_row(netlist, options, evaluation_order(netlist, cu));
-  } catch (const std::runtime_error&) {
+  } catch (const RowOverflowError&) {
     // Fall through to the construction-order schedule.
   }
   // Fallback: reachable gates in id (construction/topological) order.  For

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "simpler/netlist.hpp"
@@ -25,6 +26,15 @@
 namespace pimecc::simpler {
 
 using CellIndex = std::uint32_t;
+
+/// The netlist does not fit the row: its inputs, or its live values at
+/// some point of every order tried, exceed the row width.  A property of
+/// the netlist and the width asked for, not a mapper fault -- the server
+/// answers it as a client error.
+class RowOverflowError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// One mapped operation.
 struct MappedOp {
@@ -72,7 +82,7 @@ struct MapperOptions {
   bool allow_input_recycling = true;
 };
 
-/// Maps `netlist` onto a single row.  Throws std::runtime_error if the
+/// Maps `netlist` onto a single row.  Throws RowOverflowError if the
 /// netlist cannot fit (live values exceed the row width).
 [[nodiscard]] MappedProgram map_to_row(const Netlist& netlist,
                                        const MapperOptions& options);

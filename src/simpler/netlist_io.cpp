@@ -87,16 +87,19 @@ Netlist read_netlist(std::istream& is) {
     } else if (directive == ".inputs") {
       if (!saw_model) fail(line_no, ".inputs before .model");
       if (saw_inputs) fail(line_no, "duplicate .inputs");
-      // A leading '-' would wrap to a huge unsigned count, and a count
-      // beyond NodeId would truncate the ids: reject both before any
-      // add_input().
+      // A leading '-' would wrap to a huge unsigned count, and a huge count
+      // would loop add_input() into bad_alloc (or truncate the ids beyond
+      // NodeId): reject both before any add_input().
+      static_assert(kMaxNetlistInputs <= std::numeric_limits<NodeId>::max());
       std::size_t count = 0;
       if ((tokens >> std::ws).peek() == '-') {
         fail(line_no, ".inputs count must not be negative");
       }
       if (!(tokens >> count)) fail(line_no, ".inputs needs a count");
-      if (count > std::numeric_limits<NodeId>::max()) {
-        fail(line_no, ".inputs count exceeds the node id range");
+      if (count > kMaxNetlistInputs) {
+        std::string what(".inputs count exceeds the cap of ");
+        what += std::to_string(kMaxNetlistInputs);
+        fail(line_no, what);
       }
       for (std::size_t i = 0; i < count; ++i) netlist.add_input();
       next_id = static_cast<NodeId>(count);

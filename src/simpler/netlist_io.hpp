@@ -18,6 +18,7 @@
 // appear in any order only for `.outputs`; everything else is positional.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -29,8 +30,13 @@ namespace pimecc::simpler {
 [[nodiscard]] std::string write_netlist_text(const Netlist& netlist);
 void write_netlist(std::ostream& os, const Netlist& netlist);
 
+/// Largest `.inputs` count a .pnl document may declare: a count is read
+/// before any node exists, so without a cap one line could make the parser
+/// add billions of inputs.  The largest builtin netlist (voter) has 1,001.
+inline constexpr std::size_t kMaxNetlistInputs = 65536;
+
 /// Parses a .pnl document; throws std::runtime_error with a line number on
-/// malformed input.
+/// malformed input, including an `.inputs` count above kMaxNetlistInputs.
 [[nodiscard]] Netlist read_netlist(std::istream& is);
 [[nodiscard]] Netlist read_netlist_text(const std::string& text);
 

@@ -2,10 +2,10 @@
 //
 // Persistent work-stealing thread pool: the shared concurrency substrate of
 // the fleet-scale simulation layer (and of every later serving/sweep
-// subsystem).  Grown out of reliability/parallel.hpp's one-shot
-// contiguous-partition std::thread spawner, which rebuilt a pool per call
-// and pinned each worker to a fixed trial range -- so one expensive trial
-// serialized its whole contiguous chunk behind it.
+// subsystem).  It replaced a one-shot contiguous-partition std::thread
+// spawner, which rebuilt a pool per call and pinned each worker to a fixed
+// trial range -- so one expensive trial serialized its whole contiguous
+// chunk behind it.
 //
 // Architecture
 //   - One Executor owns N worker threads (lazy one-time startup for the
@@ -30,14 +30,16 @@
 // zero -- so nested groups inside tasks cannot deadlock, and on a machine
 // with W workers a waiting caller gives min(lanes, W + 1) OS threads of
 // real concurrency.  The first exception thrown by any task is captured
-// and rethrown from wait() after every task of the group has finished,
-// mirroring reliability/parallel.hpp's rethrow-after-join contract.
+// and rethrown from wait() after every task of the group has finished
+// (rethrow-after-join).
 //
 // Determinism: the executor itself promises nothing about which thread
 // runs which task -- callers get thread-count-invariant results by giving
 // every task a deterministic identity (a trial substream, a shard index)
 // and writing into per-identity result slots or commutative integer
-// accumulators.  parallel_for below packages that pattern.
+// accumulators.  parallel_for_lanes below packages that pattern; it is the
+// one ticket loop under the campaign driver, the server's batches and the
+// fleet.
 #pragma once
 
 #include <algorithm>
@@ -159,35 +161,59 @@ class TaskGroup {
   std::exception_ptr error_;
 };
 
-/// Runs `body(i)` for every i in [0, count) across up to `max_lanes` lane
-/// tasks (0 = executor parallelism) pulling single indices from a shared
-/// atomic ticket counter -- dynamic load balancing with no per-index task
-/// allocation, so skewed per-index costs cannot serialize behind a
-/// contiguous chunk.  The caller's thread helps.  Deterministic whenever
-/// `body(i)` writes only to slot i (or to commutative accumulators); which
-/// lane runs which index is intentionally unspecified.  `max_lanes <= 1`
-/// (or count <= 1) runs inline on the caller with no executor traffic.
-template <typename Body>
-void parallel_for(Executor& executor, std::size_t count, std::size_t max_lanes,
-                  Body&& body) {
+/// Runs `body(lane, i)` for every i in [0, count) across up to `max_lanes`
+/// lane tasks (0 = executor parallelism, never more than max(count, 1))
+/// pulling single indices from a shared atomic ticket counter -- dynamic
+/// load balancing with no per-index task allocation, so skewed per-index
+/// costs cannot serialize behind a contiguous chunk.  `make_lane()` builds
+/// one lane state per lane on the calling thread before any index runs;
+/// each lane task owns its state exclusively.  Returns the lane states in
+/// lane order for the caller to merge (commutative merges are lane-count
+/// invariant).  The caller's thread helps, and the first exception a body
+/// throws is rethrown after every lane has finished (the remaining indices
+/// still run).  Deterministic whenever `body` writes only to slot i, its
+/// lane state or commutative accumulators; which lane runs which index is
+/// intentionally unspecified.  One lane (`max_lanes == 1` or count <= 1)
+/// runs inline on the caller with no executor traffic.
+template <typename Lane, typename MakeLane, typename Body>
+std::vector<Lane> parallel_for_lanes(Executor& executor, std::size_t count,
+                                     std::size_t max_lanes, MakeLane&& make_lane,
+                                     Body&& body) {
   std::size_t lanes = max_lanes != 0 ? max_lanes : executor.parallelism();
-  lanes = std::min(lanes, count);
+  lanes = std::min(lanes, std::max<std::size_t>(count, 1));
+  std::vector<Lane> lane_states;
+  lane_states.reserve(lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    lane_states.push_back(make_lane());
+  }
   if (lanes <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
+    for (std::size_t i = 0; i < count; ++i) body(lane_states[0], i);
+    return lane_states;
   }
   std::atomic<std::size_t> next{0};
   TaskGroup group(executor);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    group.submit([&next, &body, count] {
+  for (Lane& state : lane_states) {
+    group.submit([&next, &body, count, lane = &state] {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) return;
-        body(i);
+        body(*lane, i);
       }
     });
   }
   group.wait();
+  return lane_states;
+}
+
+/// parallel_for_lanes without lane state: runs `body(i)` for every i in
+/// [0, count), with the same tickets, lane cap and inline single lane.
+template <typename Body>
+void parallel_for(Executor& executor, std::size_t count, std::size_t max_lanes,
+                  Body&& body) {
+  struct NoLane {};
+  (void)parallel_for_lanes<NoLane>(
+      executor, count, max_lanes, [] { return NoLane{}; },
+      [&body](NoLane&, std::size_t i) { body(i); });
 }
 
 }  // namespace pimecc::util

@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "reliability/parallel.hpp"
 #include "util/executor.hpp"
 
 namespace pimecc::util {
@@ -119,8 +118,8 @@ TEST(TrialPool, LaneCountRespectsCapsAndTrialBound) {
   struct Lane {
     std::size_t trials = 0;
   };
-  const auto lanes = rel::detail::run_trial_pool<Lane>(
-      5, 16, [] { return Lane{}; },
+  const auto lanes = parallel_for_lanes<Lane>(
+      Executor::shared(), 5, 16, [] { return Lane{}; },
       [](Lane& lane, std::size_t) { ++lane.trials; });
   // Lanes never exceed the trial count; every trial ran exactly once.
   EXPECT_LE(lanes.size(), 5u);
@@ -135,8 +134,8 @@ TEST(TrialPool, PerTrialSlotsAreThreadCountInvariant) {
   };
   auto run = [](std::size_t threads) {
     std::vector<std::uint64_t> slots(200, 0);
-    const auto lanes = rel::detail::run_trial_pool<Lane>(
-        slots.size(), threads, [] { return Lane{}; },
+    const auto lanes = parallel_for_lanes<Lane>(
+        Executor::shared(), slots.size(), threads, [] { return Lane{}; },
         [](Lane& lane, std::size_t t) {
           lane.results.emplace_back(t, t * 2654435761u + 17);
         });
@@ -163,8 +162,8 @@ TEST(TrialPool, SlowHeadTrialDoesNotSerializeTheRest) {
   std::condition_variable done_cv;
   std::size_t others_done = 0;
   struct Lane {};
-  rel::detail::run_trial_pool<Lane>(
-      kTrials, 2, [] { return Lane{}; },
+  parallel_for_lanes<Lane>(
+      Executor::shared(), kTrials, 2, [] { return Lane{}; },
       [&](Lane&, std::size_t t) {
         std::unique_lock<std::mutex> lock(mutex);
         if (t == 0) {

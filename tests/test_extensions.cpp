@@ -90,9 +90,11 @@ TEST(NetlistIo, RejectsMalformedDocuments) {
       (void)simpler::read_netlist_text(".model a\n.bogus\n.end\n"),
       std::runtime_error);  // unknown directive
   // Input counts that would loop add_input() until bad_alloc: a negative
-  // count wraps to SIZE_MAX, and one past the NodeId range truncates the
-  // ids.  Both must be rejected on their own line, before any allocation.
-  for (const char* count : {"-1", "4294967297"}) {
+  // count wraps to SIZE_MAX, one past the NodeId range truncates the ids,
+  // and any count above kMaxNetlistInputs (even one inside the NodeId
+  // range) is rejected by the cap.  All must be rejected on their own line,
+  // before any allocation.
+  for (const char* count : {"-1", "4294967297", "4294967295", "65537"}) {
     try {
       (void)simpler::read_netlist_text(std::string(".model a\n.inputs ") +
                                        count + "\n.end\n");
@@ -103,6 +105,12 @@ TEST(NetlistIo, RejectsMalformedDocuments) {
           << e.what();
     }
   }
+  // The cap itself is accepted.
+  std::string at_cap(".model a\n.inputs ");
+  at_cap += std::to_string(simpler::kMaxNetlistInputs);
+  at_cap += "\n.outputs 0\n.end\n";
+  EXPECT_EQ(simpler::read_netlist_text(at_cap).num_inputs(),
+            simpler::kMaxNetlistInputs);
 }
 
 TEST(NetlistIo, IgnoresCommentsAndBlankLines) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "reliability/analytic.hpp"
 #include "reliability/montecarlo.hpp"
@@ -114,6 +115,33 @@ TEST(Analytic, SweepCoversTheRequestedDecades) {
   EXPECT_NEAR(sweep.back().fit_per_bit, 1e3, 1.0);
   EXPECT_THROW((void)sweep_mttf(ReliabilityQuery{}, 0.0, 1.0, 1),
                std::invalid_argument);
+}
+
+TEST(Analytic, SweepGridIsTheAccumulatedLogGrid) {
+  // sweep_fits is the one grid behind sweep_mttf and `pimecc sweep`: 10^lg
+  // with lg accumulating 1/ppd from log10(fit_low).  Pinned to the bit so a
+  // closed-form rewrite (fit_low * 10^(p/ppd)) cannot slip in unnoticed.
+  const std::vector<double> fits = sweep_fits(1e-4, 1e-2, 2);
+  const std::vector<double> pinned = {0x1.a36e2eb1c432dp-14,
+                                      0x1.4b96be9c2da2cp-12,
+                                      0x1.0624dd2f1a9fcp-10,
+                                      0x1.9e7c6e43390b7p-9,
+                                      0x1.47ae147ae147bp-7};
+  EXPECT_EQ(fits, pinned);
+  EXPECT_EQ(sweep_fits(1e-4, 1.0, 3).back(), 0x1.0000000000003p+0);
+  EXPECT_EQ(sweep_fits(3e-4, 0.7, 7).size(), 24u);
+  EXPECT_EQ(sweep_fits(1e-3, 1e-3, 4), std::vector<double>{1e-3});
+  // sweep_mttf evaluates exactly the grid's points.
+  for (const std::size_t ppd : {std::size_t{1}, std::size_t{3}, std::size_t{10}}) {
+    const std::vector<double> grid = sweep_fits(1e-5, 1e3, ppd);
+    const auto sweep = sweep_mttf(ReliabilityQuery{}, 1e-5, 1e3, ppd);
+    ASSERT_EQ(sweep.size(), grid.size()) << ppd;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(sweep[i].fit_per_bit, grid[i]) << ppd << ' ' << i;
+    }
+  }
+  EXPECT_THROW((void)sweep_fits(1.0, 0.1, 2), std::invalid_argument);
+  EXPECT_THROW((void)sweep_fits(1e-4, 1.0, 0), std::invalid_argument);
 }
 
 TEST(Analytic, SweepRejectsGridsBeyondTheSanityCap) {

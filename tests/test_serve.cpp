@@ -169,14 +169,21 @@ TEST(ServeHandler, ErrorsBecomeResponsesNeverThrows) {
 }
 
 TEST(ServeHandler, RowOverflowIsAnErrorResponseAndTheServerSurvives) {
-  // Circuits with more inputs than the requested row: each request gets a
-  // typed error response, and the next valid request still answers.
+  // Circuits that do not fit the requested row (more inputs than cells, or
+  // more live values than cells): each request gets an invalid_argument
+  // response -- the client asked for too narrow a row -- and the next valid
+  // request still answers.
   Server server;
   for (const std::string line : {"map circuit=voter width=60 n=60",
                                   "run circuit=max n=240",
-                                  "run circuit=voter n=60"}) {
+                                  "run circuit=voter n=60",
+                                  "run circuit=ctrl n=15 m=15",
+                                  "map circuit=ctrl width=15",
+                                  "run circuit=adder n=45 m=15"}) {
     const Response bad = server.execute(parse_ok(line));
     EXPECT_FALSE(bad.ok) << line;
+    EXPECT_EQ(bad.code, serve::ErrorCode::kInvalidArgument)
+        << line << ": " << serve::format_response(bad);
     EXPECT_EQ(serve::format_response(bad).rfind("error kind=", 0), 0u)
         << serve::format_response(bad);
     const Response good = server.execute(parse_ok("map circuit=adder"));
@@ -201,8 +208,14 @@ TEST(ServeBatch, LaneCountCannotChangeAnyResponse) {
     ServerConfig config;
     config.lanes = lanes;
     Server server(config);
+    std::vector<std::uint64_t> tickets;
+    for (const Request& request : requests) {
+      tickets.push_back(server.submit(request));
+    }
+    server.drain();
     std::vector<std::string> formatted;
-    for (const Response& r : server.execute_batch(requests)) {
+    for (const std::uint64_t ticket : tickets) {
+      const Response r = server.take(ticket);
       EXPECT_TRUE(r.ok) << r.error;
       formatted.push_back(serve::format_response(r));
     }

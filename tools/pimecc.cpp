@@ -19,26 +19,37 @@
 // also runs the Monte Carlo lifetime engine, resumable via --checkpoint
 // (interrupt it, rerun the identical command, and it continues from the
 // last completed chunk with bit-identical results).  `sweep` drives one
-// analytic mttf request per sweep point through the batched server; with
-// --scenarios it instead drives one Monte Carlo scenario request per
-// fault-model x scrub-policy combination (reliability/scenario.hpp) and
-// prints the MTTF-vs-scrub-overhead grid.
+// analytic mttf request per point of rel::sweep_fits' grid through the
+// batched server; with --scenarios it instead drives one Monte Carlo
+// scenario request per fault-model x scrub-policy combination
+// (reliability/scenario.hpp) and prints the MTTF-vs-scrub-overhead grid.
 // `serve` is the daemon loop: it reads request lines (see
 // serve/request.hpp for the format) from a trace file or stdin, serves
 // them in admission batches on the shared executor, and prints one
 // response line per request in submission order.
 //
+// For run, mttf and sweep, argv is one more spelling of a request line:
+// `pimecc run --circuit ctrl --n 60` is the line `run circuit=ctrl n=60`,
+// parsed by serve::parse_request and served through submit/drain/take
+// like any trace line (argv_request below).  Only the flags that are not
+// request keys -- mttf's campaign flags, --batch, --lanes, --scenarios --
+// are read here.
+//
 // Exit status: 0 on success, 1 on bad usage or a failed run/mttf request
 // (map keeps its 0/1/2 contract).
+#include <algorithm>
 #include <csignal>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app.hpp"
@@ -82,55 +93,107 @@ int fail_usage(const tools::UsageError& e) {
   return 1;
 }
 
-int cmd_run(int argc, char** argv) {
-  serve::Request request;
-  request.kind = serve::RequestKind::kRun;
+/// Consumes argv[i] (and its value) when it is one of the subcommand's own
+/// flags, not a request key; returns false for an unknown flag.
+using LocalFlag = std::function<bool(const std::string& flag, int& i)>;
+
+/// The subcommand's argv as one request line: each `--name value` whose
+/// name is in `keys` becomes the token `name=value` (hyphens turned into
+/// underscores, `--fit-low` -> `fit_low`) of a `kind` line, and `defaults`
+/// (`key=value` tokens) are appended for keys argv did not give.  The line
+/// reaches serve::Request only through serve::parse_request, so argv and
+/// trace lines share one grammar, one set of defaults and one set of
+/// checks; a line it rejects is a UsageError carrying its message.  Any
+/// other flag goes to `local`.
+serve::Request argv_request(std::string_view kind,
+                            std::initializer_list<std::string_view> keys,
+                            int argc, char** argv, const LocalFlag& local = {},
+                            std::initializer_list<std::string_view> defaults = {}) {
+  const std::string command = argv[1];
+  std::string line(kind);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--circuit") {
-      request.circuit = tools::flag_value(argc, argv, i, arg);
-    } else if (arg == "--n") {
-      request.n = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--m") {
-      request.m = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--seed") {
-      request.seed = tools::flag_u64(arg, tools::flag_value(argc, argv, i, arg));
-    } else {
-      throw tools::UsageError("run: unknown option '" + arg + "'");
+    if (arg.rfind("--", 0) != 0 ||
+        std::find(keys.begin(), keys.end(), std::string_view(arg).substr(2)) ==
+            keys.end()) {
+      if (!local || !local(arg, i)) {
+        throw tools::UsageError(command + ": unknown option '" + arg + "'");
+      }
+      continue;
+    }
+    const std::string value = tools::flag_value(argc, argv, i, arg);
+    // A blank would split the value into tokens of its own (`--circuit
+    // "ctrl n=60"` must not set n), so " key=" below only matches a key.
+    if (value.find_first_of(" \t\r\n") != std::string::npos) {
+      throw tools::UsageError(arg + ": value must not contain whitespace");
+    }
+    std::string key = arg.substr(2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    line.append(" ").append(key).append("=").append(value);
+  }
+  for (const std::string_view token : defaults) {
+    const std::string_view key = token.substr(0, token.find('=') + 1);
+    if (line.find(std::string(" ").append(key)) == std::string::npos) {
+      line.append(" ").append(token);
     }
   }
-  serve::Server server;
-  const serve::Response response = server.execute(request);
+  serve::Request request;
+  std::string error;
+  if (!serve::parse_request(line, request, error)) {
+    throw tools::UsageError(command + ": " + error);
+  }
+  return request;
+}
+
+/// `--batch B` / `--lanes L`: the server's admission batch and lane cap.
+bool server_flag(serve::ServerConfig& config, const std::string& arg,
+                 int argc, char** argv, int& i) {
+  if (arg == "--batch") {
+    config.max_batch =
+        tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
+  } else if (arg == "--lanes") {
+    config.lanes = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Serves `requests` through the daemon's one path -- submit, drain, take
+/// -- and returns the responses in submission order.
+std::vector<serve::Response> serve_all(std::vector<serve::Request> requests,
+                                       const serve::ServerConfig& config = {}) {
+  serve::Server server(config);
+  std::vector<std::uint64_t> tickets;
+  for (serve::Request& request : requests) {
+    tickets.push_back(server.submit(std::move(request)));
+  }
+  server.drain();
+  std::vector<serve::Response> responses;
+  for (const std::uint64_t ticket : tickets) {
+    responses.push_back(server.take(ticket));
+  }
+  return responses;
+}
+
+int cmd_run(int argc, char** argv) {
+  const serve::Response response =
+      serve_all({argv_request("run", {"circuit", "n", "m", "seed"}, argc, argv)})
+          .front();
   std::cout << serve::format_response(response) << '\n';
   return response.ok && response.mismatches == 0 ? 0 : 1;
 }
 
 int cmd_mttf(int argc, char** argv) {
-  serve::Request request;
-  request.kind = serve::RequestKind::kMttf;
+  // The lifetime campaign's flags; the analytic point is the request.
   bool simulate = false;
   rel::LifetimeConfig config;
-  config.fit_per_bit = request.fit_per_bit;
   config.trials = 200;
   std::string checkpoint_path;
   std::size_t chunk = 50;
   std::uint64_t seed = 1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fit") {
-      request.fit_per_bit =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--period") {
-      request.period_hours =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--n") {
-      request.n = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--m") {
-      request.m = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--gib") {
-      request.memory_gib =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--simulate") {
+  const LocalFlag campaign_flag = [&](const std::string& arg, int& i) {
+    if (arg == "--simulate") {
       simulate = true;
     } else if (arg == "--trials") {
       config.trials =
@@ -151,12 +214,15 @@ int cmd_mttf(int argc, char** argv) {
     } else if (arg == "--seed") {
       seed = tools::flag_u64(arg, tools::flag_value(argc, argv, i, arg));
     } else {
-      throw tools::UsageError("mttf: unknown option '" + arg + "'");
+      return false;
     }
-  }
+    return true;
+  };
+  const serve::Request request =
+      argv_request("mttf", {"fit", "period", "n", "m", "gib"}, argc, argv,
+                   campaign_flag);
 
-  serve::Server server;
-  const serve::Response response = server.execute(request);
+  const serve::Response response = serve_all({request}).front();
   std::cout << serve::format_response(response) << '\n';
   if (!response.ok) return 1;
   if (!simulate) return 0;
@@ -234,67 +300,32 @@ int cmd_mttf(int argc, char** argv) {
 }
 
 int cmd_sweep_scenarios(int argc, char** argv) {
-  serve::Request point;
-  point.kind = serve::RequestKind::kScenario;
-  point.n = 60;  // the scenario engine's tractable default, not mttf's 1020
-  point.m = 15;
   serve::ServerConfig server_config;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scenarios") {
-      continue;
-    } else if (arg == "--fit") {
-      point.fit_per_bit =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--period") {
-      point.period_hours =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--n") {
-      point.n = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--m") {
-      point.m = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--trials") {
-      point.trials = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--horizon") {
-      point.horizon_hours =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--seed") {
-      point.seed = tools::flag_u64(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--batch") {
-      server_config.max_batch =
-          tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--lanes") {
-      server_config.lanes =
-          tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else {
-      throw tools::UsageError("sweep: unknown option '" + arg + "'");
-    }
-  }
+  const serve::Request point = argv_request(
+      "scenario", {"fit", "period", "n", "m", "trials", "horizon", "seed"},
+      argc, argv,
+      [&](const std::string& arg, int& i) {
+        return arg == "--scenarios" ||
+               server_flag(server_config, arg, argc, argv, i);
+      },
+      {"n=60"});  // the scenario engine's tractable default, not mttf's 1020
 
-  // One Monte Carlo scenario request per fault-model x scrub-policy cell,
-  // batched through the server's queue -- the same path `serve` exercises.
-  serve::Server server(server_config);
-  struct Cell {
-    std::string_view model;
-    std::string_view policy;
-    std::uint64_t ticket;
-  };
-  std::vector<Cell> cells;
+  // One Monte Carlo scenario request per fault-model x scrub-policy cell.
+  std::vector<serve::Request> cells;
   for (const std::string_view model : rel::fault_preset_names()) {
     for (const std::string_view policy : rel::scrub_policy_preset_names()) {
-      serve::Request request = point;
-      request.model = std::string(model);
-      request.policy = std::string(policy);
-      cells.push_back({model, policy, server.submit(std::move(request))});
+      serve::Request cell = point;
+      cell.model = std::string(model);
+      cell.policy = std::string(policy);
+      cells.push_back(std::move(cell));
     }
   }
-  server.drain();
+  const std::vector<serve::Response> responses = serve_all(cells, server_config);
   bool all_ok = true;
-  for (const Cell& cell : cells) {
-    const serve::Response response = server.take(cell.ticket);
-    std::cout << "model=" << cell.model << " policy=" << cell.policy << ' '
-              << serve::format_response(response) << '\n';
-    all_ok = all_ok && response.ok;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::cout << "model=" << cells[c].model << " policy=" << cells[c].policy
+              << ' ' << serve::format_response(responses[c]) << '\n';
+    all_ok = all_ok && responses[c].ok;
   }
   return all_ok ? 0 : 1;
 }
@@ -305,70 +336,32 @@ int cmd_sweep(int argc, char** argv) {
       return cmd_sweep_scenarios(argc, argv);
     }
   }
-  serve::Request point;
-  point.kind = serve::RequestKind::kMttf;
-  double fit_low = 1e-4;
-  double fit_high = 1.0;
-  std::size_t ppd = 2;
   serve::ServerConfig server_config;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fit-low") {
-      fit_low = tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--fit-high") {
-      fit_high = tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--ppd") {
-      ppd = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--period") {
-      point.period_hours =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--n") {
-      point.n = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--m") {
-      point.m = tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--gib") {
-      point.memory_gib =
-          tools::flag_double(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--batch") {
-      server_config.max_batch =
-          tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--lanes") {
-      server_config.lanes =
-          tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else {
-      throw tools::UsageError("sweep: unknown option '" + arg + "'");
+  const serve::Request sweep = argv_request(
+      "sweep", {"fit-low", "fit-high", "ppd", "period", "n", "m", "gib"}, argc,
+      argv,
+      [&](const std::string& arg, int& i) {
+        return server_flag(server_config, arg, argc, argv, i);
+      });
+  // One analytic mttf request per point of the sweep line's grid.
+  std::vector<serve::Request> points;
+  try {
+    for (const double fit : rel::sweep_fits(sweep.fit_low, sweep.fit_high,
+                                             sweep.points_per_decade)) {
+      serve::Request point = sweep;
+      point.kind = serve::RequestKind::kMttf;
+      point.fit_per_bit = fit;
+      points.push_back(std::move(point));
     }
+  } catch (const std::invalid_argument& e) {
+    throw tools::UsageError(std::string("sweep: ") + e.what());
   }
-  if (!(fit_low > 0.0) || !(fit_high >= fit_low) || ppd == 0 ||
-      ppd > rel::kMaxSweepPointsPerDecade) {
-    std::string message = "sweep: need 0 < --fit-low <= --fit-high, 1 <= --ppd <= ";
-    message += std::to_string(rel::kMaxSweepPointsPerDecade);
-    throw tools::UsageError(message);
-  }
-
-  // One analytic request per log-spaced sweep point, batched through the
-  // server's queue -- the same path `serve` exercises.
-  serve::Server server(server_config);
-  std::vector<std::uint64_t> tickets;
-  std::vector<double> fits;
-  const double decades = std::log10(fit_high / fit_low);
-  const std::size_t points =
-      static_cast<std::size_t>(decades * static_cast<double>(ppd)) + 1;
-  for (std::size_t p = 0; p < points; ++p) {
-    serve::Request request = point;
-    request.fit_per_bit =
-        fit_low * std::pow(10.0, static_cast<double>(p) /
-                                     static_cast<double>(ppd));
-    fits.push_back(request.fit_per_bit);
-    tickets.push_back(server.submit(std::move(request)));
-  }
-  server.drain();
+  const std::vector<serve::Response> responses = serve_all(points, server_config);
   bool all_ok = true;
-  for (std::size_t p = 0; p < tickets.size(); ++p) {
-    const serve::Response response = server.take(tickets[p]);
-    std::cout << "fit=" << fits[p] << ' '
-              << serve::format_response(response) << '\n';
-    all_ok = all_ok && response.ok;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    std::cout << "fit=" << points[p].fit_per_bit << ' '
+              << serve::format_response(responses[p]) << '\n';
+    all_ok = all_ok && responses[p].ok;
   }
   return all_ok ? 0 : 1;
 }
@@ -381,12 +374,8 @@ int cmd_serve(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--trace") {
       trace_path = tools::flag_value(argc, argv, i, arg);
-    } else if (arg == "--batch") {
-      server_config.max_batch =
-          tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
-    } else if (arg == "--lanes") {
-      server_config.lanes =
-          tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
+    } else if (server_flag(server_config, arg, argc, argv, i)) {
+      continue;
     } else if (arg == "--max-pending") {
       server_config.max_pending =
           tools::flag_size(arg, tools::flag_value(argc, argv, i, arg));
