@@ -47,13 +47,18 @@ void PimMachine::restore(const util::BitMatrix& data, const ecc::ArrayCode& code
 void PimMachine::update_check_bits_for_line(bool along_rows, std::size_t line,
                                             const util::BitVector& delta) {
   code_.apply_line_delta(along_rows, line, delta);
-  // Protocol cost, identical to the reference datapath: two MEM->CMEM
-  // transfers serialize with the MEM; the XOR3 passes and write-backs run
-  // in the CMEM.
-  counters_.mem_cycles += 2 * params_.transfer_cycles;
-  counters_.cmem_cycles +=
-      params_.transfer_cycles + params_.xor3_cycles + params_.writeback_cycles;
-  ++counters_.critical_ops;
+  charge_line_updates(1);
+}
+
+void PimMachine::charge_line_updates(std::uint64_t lines) {
+  // Protocol cost per line, identical to the reference datapath: two
+  // MEM->CMEM transfers serialize with the MEM; the XOR3 passes and
+  // write-backs run in the CMEM.
+  counters_.mem_cycles += lines * 2 * params_.transfer_cycles;
+  counters_.cmem_cycles += lines * (params_.transfer_cycles +
+                                    params_.xor3_cycles +
+                                    params_.writeback_cycles);
+  counters_.critical_ops += lines;
 }
 
 void PimMachine::write_row_protected(std::size_t r, const util::BitVector& values) {
@@ -74,11 +79,9 @@ void PimMachine::magic_nor_rows_protected(std::span<const std::size_t> in_cols,
   detail::require_indices(in_cols, n(), "input column");
   detail::require_index(out_col, n(), "output column");
   detail::require_distinct(rows, n(), "row lane");
-  mem_.contents().column_into(out_col, old_line_);
-  mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col, rows);
-  mem_.contents().column_into(out_col, new_line_);
+  // The lane pass emits old XOR new of the output column itself.
+  mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col, rows, &old_line_);
   counters_.mem_cycles = mem_.cycles();
-  old_line_ ^= new_line_;  // delta
   update_check_bits_for_line(true, out_col, old_line_);
 }
 
@@ -97,6 +100,33 @@ void PimMachine::magic_nor_cols_protected(std::span<const std::size_t> in_rows,
 
 void PimMachine::magic_init_rows_protected(std::span<const std::size_t> cols) {
   detail::require_distinct(cols, n(), "init column");
+  if (cols.size() > n() / util::BitVector::kWordBits) {
+    // Wide batch (Crossbar::magic_init's mask-OR rule): init sets `mask` in
+    // every row, so the delta is mask AND NOT row -- row-major, and folded
+    // into the check bits one block-row band at a time through the band
+    // kernel instead of one column gather per init line.
+    init_mask_.resize(n());
+    init_mask_.fill(false);
+    for (const std::size_t c : cols) init_mask_.set(c, true);
+    const std::span<const util::BitVector::Word> mask = init_mask_.words();
+    const std::size_t words = mask.size();
+    init_delta_.resize(m() * words);
+    init_delta_rows_.resize(m());
+    for (std::size_t band = 0; band < params_.blocks_per_side(); ++band) {
+      for (std::size_t r = 0; r < m(); ++r) {
+        const std::span<const util::BitVector::Word> row =
+            mem_.contents().row(band * m() + r).words();
+        util::BitVector::Word* delta = init_delta_.data() + r * words;
+        for (std::size_t w = 0; w < words; ++w) delta[w] = mask[w] & ~row[w];
+        init_delta_rows_[r] = delta;
+      }
+      code_.apply_band_delta(band, init_delta_rows_.data());
+    }
+    mem_.magic_init(xbar::Orientation::kRow, cols);
+    counters_.mem_cycles = mem_.cycles();
+    charge_line_updates(cols.size());
+    return;
+  }
   init_snapshots_.resize(cols.size());
   for (std::size_t i = 0; i < cols.size(); ++i) {
     mem_.contents().column_into(cols[i], init_snapshots_[i]);

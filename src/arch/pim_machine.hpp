@@ -19,7 +19,11 @@
 // encodes and verifications ride the encode_all/scrub/consistent_with band
 // walks, and protocol steps 1+3 are computed *differentially* from the
 // written line via the diagword kernel -- one rotate+XOR per affected
-// family, never a re-encode (ArrayCode::apply_line_delta).  Cycle
+// family, never a re-encode (ArrayCode::apply_line_delta).  The deltas come
+// from the pass that already touches the data: a row-parallel NOR's lane
+// loop emits its output column's delta, and a wide batched init (more
+// lines than n/64) builds its row-major delta slab band by band and folds
+// it through the encode band kernel (ArrayCode::apply_band_delta).  Cycle
 // accounting is unchanged: the protocol's analytic costs are identical to
 // routing the lines through the shifter bank into genuine XOR3
 // microprograms.  The original bit-serial composition is retained verbatim
@@ -162,6 +166,8 @@ class PimMachine {
   /// line is a column (row-parallel op).
   void update_check_bits_for_line(bool along_rows, std::size_t line,
                                   const util::BitVector& delta);
+  /// Charges the protocol cost of `lines` line updates to the counters.
+  void charge_line_updates(std::uint64_t lines);
   /// Charges `bands` block-row/column checks to the counters and converts
   /// the codec's report.
   CheckReport charge_checks(const ecc::ScrubReport& sr, std::size_t bands);
@@ -173,9 +179,11 @@ class PimMachine {
 
   // Scratch buffers reused across operations so the protected hot path is
   // allocation-free in steady state.
-  util::BitVector old_line_;  ///< line snapshot, then delta in place
-  util::BitVector new_line_;
-  std::vector<util::BitVector> init_snapshots_;
+  util::BitVector old_line_;  ///< line delta (snapshot XOR new, or NOR-emitted)
+  std::vector<util::BitVector> init_snapshots_;  ///< narrow init columns
+  util::BitVector init_mask_;                    ///< wide init column mask
+  std::vector<util::BitVector::Word> init_delta_;  ///< m delta rows, one band
+  std::vector<const util::BitVector::Word*> init_delta_rows_;
 };
 
 }  // namespace pimecc::arch

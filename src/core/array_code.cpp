@@ -22,20 +22,25 @@ std::array<const std::uint64_t*, diagword::kMaxM> row_ptrs(
   return ptrs;
 }
 
-/// Accumulates the fresh per-block parity words of one block band (rows
-/// [band_row0, band_row0 + m)): lead[bc]/cnt[bc] receive the leading and
-/// counter parity of block column bc, counter already reflected into
-/// diagonal order.  m <= diagword::kMaxM.  Dispatched (scalar/AVX2/AVX-512).
-void accumulate_band(const util::BitMatrix& data, std::size_t band_row0,
-                     std::size_t m, std::vector<std::uint64_t>& lead,
+/// Accumulates the per-block parity words of one block band from its m
+/// row word pointers: lead[bc]/cnt[bc] receive the leading and counter
+/// parity of block column bc, counter already reflected into diagonal
+/// order.  m <= diagword::kMaxM.  Dispatched (scalar/AVX2/AVX-512).
+void accumulate_band(const std::uint64_t* const* rows, std::size_t m,
+                     std::vector<std::uint64_t>& lead,
                      std::vector<std::uint64_t>& cnt) {
   const std::size_t bps = lead.size();
-  const auto ptrs = row_ptrs(data, band_row0, m);
-  util::simd::kernels().band_accumulate(ptrs.data(), m, bps, lead.data(),
-                                        cnt.data());
+  util::simd::kernels().band_accumulate(rows, m, bps, lead.data(), cnt.data());
   for (std::size_t bc = 0; bc < bps; ++bc) {
     cnt[bc] = diagword::reflect(cnt[bc], m);
   }
+}
+
+/// The fresh parity of the band of `data` at rows [band_row0, band_row0 + m).
+void accumulate_band(const util::BitMatrix& data, std::size_t band_row0,
+                     std::size_t m, std::vector<std::uint64_t>& lead,
+                     std::vector<std::uint64_t>& cnt) {
+  accumulate_band(row_ptrs(data, band_row0, m).data(), m, lead, cnt);
 }
 
 /// Fresh leading/counter parity words of the single block anchored at
@@ -103,14 +108,49 @@ void ArrayCode::encode_all(const util::BitMatrix& data) {
   }
   // Batch band path: each row of a block band is read once, its per-block
   // segments peeled and folded into all blocks of the band simultaneously.
-  std::vector<std::uint64_t> lead(bps);
-  std::vector<std::uint64_t> cnt(bps);
   for (std::size_t br = 0; br < bps; ++br) {
-    accumulate_band(data, br * mm, mm, lead, cnt);
-    for (std::size_t bc = 0; bc < bps; ++bc) {
-      CheckBits& check = blocks_[br * bps + bc];
-      check.leading.set_low_word(lead[bc]);
-      check.counter.set_low_word(cnt[bc]);
+    fold_band(br, row_ptrs(data, br * mm, mm).data(), /*assign=*/true);
+  }
+}
+
+void ArrayCode::fold_band(std::size_t band, const std::uint64_t* const* rows,
+                          bool assign) {
+  const std::size_t bps = blocks_per_side();
+  band_lead_.resize(bps);
+  band_cnt_.resize(bps);
+  accumulate_band(rows, m(), band_lead_, band_cnt_);
+  for (std::size_t bc = 0; bc < bps; ++bc) {
+    CheckBits& check = blocks_[band * bps + bc];
+    const std::uint64_t keep_lead = assign ? 0 : check.leading.low_word();
+    const std::uint64_t keep_cnt = assign ? 0 : check.counter.low_word();
+    check.leading.set_low_word(keep_lead ^ band_lead_[bc]);
+    check.counter.set_low_word(keep_cnt ^ band_cnt_[bc]);
+  }
+}
+
+void ArrayCode::apply_band_delta(std::size_t band,
+                                 const std::uint64_t* const* delta_rows) {
+  const std::size_t mm = m();
+  if (band >= blocks_per_side()) {
+    throw std::out_of_range("ArrayCode::apply_band_delta: band out of range");
+  }
+  if (mm <= diagword::kMaxM) {
+    // Parity is linear: the check words of (old XOR delta) are the stored
+    // words XOR the parity of the delta slab itself.
+    fold_band(band, delta_rows, /*assign=*/false);
+    return;
+  }
+  // Bit-serial fallback: one continuous-parity update per changed cell.
+  constexpr std::size_t kWordBits = util::BitVector::kWordBits;
+  const std::size_t words = (n_ + kWordBits - 1) / kWordBits;
+  for (std::size_t r = 0; r < mm; ++r) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = delta_rows[r][w]; bits != 0; bits &= bits - 1) {
+        const std::size_t c = w * kWordBits +
+                              static_cast<std::size_t>(std::countr_zero(bits));
+        codec_.update_for_write(blocks_[band * blocks_per_side() + c / mm], r,
+                                c % mm, false, true);
+      }
     }
   }
 }

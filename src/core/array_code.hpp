@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/block_code.hpp"
@@ -117,6 +118,18 @@ class ArrayCode {
   void apply_line_delta(bool line_is_column, std::size_t line,
                         const util::BitVector& delta);
 
+  /// Differential continuous update for a row-major delta slab covering
+  /// one block-row band: delta_rows[r] (r < m) points at the ceil(n/64)
+  /// words of old XOR new of row band*m + r, bits at or above n zero (the
+  /// BitVector padding invariant).  Parity is linear, so the band's check
+  /// words are XORed with the encode of the slab -- the same dispatched
+  /// band walk as encode_all, one pass for any number of changed lines
+  /// (a wide batched init).  Bit-serial per changed cell for m >
+  /// diagword::kMaxM.  Throws std::out_of_range on a bad band before
+  /// mutating any parity.
+  void apply_band_delta(std::size_t band,
+                        const std::uint64_t* const* delta_rows);
+
   /// True iff every check bit matches `data` exactly.
   [[nodiscard]] bool consistent_with(const util::BitMatrix& data) const;
 
@@ -136,10 +149,19 @@ class ArrayCode {
   void classify_and_repair(util::BitMatrix& data, BlockIndex b,
                            std::uint64_t fresh_lead, std::uint64_t fresh_cnt,
                            ScrubReport& report, BlockRepair* repair = nullptr);
+  /// Band walk of the m row word pointers `rows` folded into block-row
+  /// `band`'s check words: assigned (encode_all) or XORed in (a delta
+  /// slab).  m <= diagword::kMaxM.
+  void fold_band(std::size_t band, const std::uint64_t* const* rows,
+                 bool assign);
 
   std::size_t n_;
   BlockCodec codec_;
   std::vector<CheckBits> blocks_;  // row-major over the block grid
+  // fold_band's per-block parity words, reused so the band walk is
+  // allocation-free in steady state.
+  std::vector<std::uint64_t> band_lead_;
+  std::vector<std::uint64_t> band_cnt_;
 };
 
 }  // namespace pimecc::ecc

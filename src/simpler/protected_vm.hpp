@@ -9,8 +9,9 @@
 //
 // The VM's marshalling is word-parallel: per-row input images are built by
 // masked word assignment over the resident row (one precomputed
-// input+constant mask, no per-node scans), and outputs are peeled one
-// column word-walk per primary output.  The one template drives any machine
+// input+constant mask, no per-node scans), and outputs are read in one
+// row-major pass that packs each row's output-cell bits into that row of
+// the result.  The one template drives any machine
 // with PimMachine's protected interface: the product runs it on
 // arch::PimMachine, and the differential tests run the identical
 // protected-operation sequence on the bit-serial oracle machine
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -106,21 +108,31 @@ ProtectedRunResult run_program_protected(Machine& machine,
 
   // Execute: every op through the critical-operation protocol, all rows in
   // parallel (empty lane list = SIMD across the full array).
+  std::vector<std::size_t> lines;
   for (const MappedOp& op : program.ops) {
     if (op.kind == MappedOp::Kind::kInit) {
-      std::vector<std::size_t> cols(op.init_cells.begin(), op.init_cells.end());
-      machine.magic_init_rows_protected(cols);
+      lines.assign(op.init_cells.begin(), op.init_cells.end());
+      machine.magic_init_rows_protected(lines);
     } else {
-      std::vector<std::size_t> ins(op.in_cells.begin(), op.in_cells.end());
-      machine.magic_nor_rows_protected(ins, op.cell);
+      lines.assign(op.in_cells.begin(), op.in_cells.end());
+      machine.magic_nor_rows_protected(lines, op.cell);
     }
   }
 
+  // Outputs in one row-major pass: each row's output-cell bits are packed
+  // into that row of `outputs`, no strided column walk per output.
+  constexpr std::size_t kWordBits = util::BitVector::kWordBits;
   result.outputs = util::BitMatrix(n, program.output_cells.size());
-  util::BitVector column(n);
-  for (std::size_t i = 0; i < program.output_cells.size(); ++i) {
-    machine.data().column_into(program.output_cells[i], column);
-    result.outputs.set_column(i, column);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::span<const util::BitVector::Word> row =
+        machine.data().row(r).words();
+    const std::span<util::BitVector::Word> out =
+        result.outputs.row(r).words_mutable();
+    for (std::size_t i = 0; i < program.output_cells.size(); ++i) {
+      const CellIndex cell = program.output_cells[i];
+      out[i / kWordBits] |= ((row[cell / kWordBits] >> (cell % kWordBits)) & 1u)
+                            << (i % kWordBits);
+    }
   }
   result.ecc_consistent_after = machine.ecc_consistent();
   return result;

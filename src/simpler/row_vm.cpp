@@ -1,6 +1,7 @@
 #include "simpler/row_vm.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace pimecc::simpler {
 
@@ -27,14 +28,15 @@ void place_constants(const Netlist& netlist, const MappedProgram& program,
 std::uint64_t execute_ops(const MappedProgram& program, xbar::Crossbar& xbar,
                           std::span<const std::size_t> lanes) {
   std::uint64_t violations = 0;
+  std::vector<std::size_t> lines;
   for (const MappedOp& op : program.ops) {
     if (op.kind == MappedOp::Kind::kInit) {
-      std::vector<std::size_t> lines(op.init_cells.begin(), op.init_cells.end());
+      lines.assign(op.init_cells.begin(), op.init_cells.end());
       xbar.magic_init(xbar::Orientation::kRow, lines, lanes);
     } else {
-      std::vector<std::size_t> ins(op.in_cells.begin(), op.in_cells.end());
+      lines.assign(op.in_cells.begin(), op.in_cells.end());
       const xbar::OpResult r =
-          xbar.magic_nor(xbar::Orientation::kRow, ins, op.cell, lanes);
+          xbar.magic_nor(xbar::Orientation::kRow, lines, op.cell, lanes);
       violations += r.violations;
     }
   }

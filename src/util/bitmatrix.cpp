@@ -54,9 +54,10 @@ void BitMatrix::column_into(std::size_t c, BitVector& out) const {
   }
   out.resize(rows_);
   if (rows_ == 0) return;
-  // Single pass: accumulate one output word at a time and store it whole
-  // (the protected-machine hot path peels two columns per operation, so
-  // this runs without the zero-fill + OR double walk).
+  // Single pass: accumulate one output word at a time and store it whole,
+  // without a zero-fill + OR double walk (a narrow protected init peels one
+  // column per init line; wide inits and row-parallel NORs take their
+  // check-bit deltas from row-major passes instead).
   const std::size_t wi = c / BitVector::kWordBits;
   const unsigned shift = static_cast<unsigned>(c % BitVector::kWordBits);
   const std::span<BitVector::Word> out_words = out.words_mutable();

@@ -47,7 +47,9 @@ class BitMatrix {
   /// Extracts column `c` as a BitVector of length rows().
   [[nodiscard]] BitVector column(std::size_t c) const;
   /// Extracts column `c` into `out` (resized to rows()); allocation-free
-  /// once `out` has capacity.  One word read + one shift/OR per row.
+  /// once `out` has capacity.  One strided word read + one shift/OR per
+  /// row, so hot paths that already walk the rows should derive column
+  /// data in that walk instead.
   void column_into(std::size_t c, BitVector& out) const;
   /// ORs column `c` into `acc` (length must equal rows()), for folding
   /// several columns into one row-indexed vector without temporaries.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "util/simd.hpp"
 
@@ -171,7 +172,8 @@ void Crossbar::magic_init(Orientation o, std::span<const std::size_t> lines,
 
 OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_lines,
                              std::size_t out_line,
-                             std::span<const std::size_t> lanes) {
+                             std::span<const std::size_t> lanes,
+                             util::BitVector* delta) {
   if (in_lines.empty()) {
     throw std::invalid_argument("Crossbar::magic_nor: needs at least one input");
   }
@@ -182,6 +184,10 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
     }
   }
   check_line(o, out_line, "output");
+  if (delta != nullptr && o != Orientation::kRow) {
+    throw std::invalid_argument(
+        "Crossbar::magic_nor: a delta is only emitted for kRow orientation");
+  }
 
   OpResult result;
   result.lanes = lanes.empty() ? lane_count(o) : lanes.size();
@@ -205,20 +211,30 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
   } else {
     // Lanes are rows, lines are columns: one fused pass per selected row --
     // read the input column bits and the output bit from that row's words,
-    // apply the physics, write the output bit back.  A single row touch per
-    // lane instead of separate gather/scatter column walks.  Word offsets
-    // and shifts are resolved once, outside the lane loop; fan-in 1 and 2
-    // (NOT and the dominant NOR shape) get branch-free specializations.
-    // This orientation intentionally stays scalar at every SIMD dispatch
-    // level: each lane reads/writes a handful of scattered single words
-    // across independent per-row allocations, so a vector port is pure
+    // apply the physics, write the output bit back, and (when the caller
+    // asks) pack old XOR new of the output cell into bit r of `delta`.  The
+    // output changes exactly when it was LRS and some input is 1, so the
+    // delta bit is out_was_lrs & any -- the protected machine's check-bit
+    // update needs no column snapshot.  A single row touch per lane instead
+    // of separate gather/scatter column walks.  Word offsets and shifts are
+    // resolved once, outside the lane loop; fan-in 1 and 2 (NOT and the
+    // dominant NOR shape) get branch-free specializations.  This
+    // orientation intentionally stays scalar at every SIMD dispatch level:
+    // each lane reads/writes a handful of scattered single words across
+    // independent per-row allocations, so a vector port is pure
     // gather/scatter over the same scattered words with nothing contiguous
     // to amortize -- unlike the column path above, where lanes are adjacent
     // bits of the same words.
     check_lanes_distinct(o, lanes);
-    const std::span<util::BitVector> row_store = mat_.rows_span();
     using Word = util::BitVector::Word;
     constexpr std::size_t kWordBits = util::BitVector::kWordBits;
+    Word* delta_words = nullptr;
+    if (delta != nullptr) {
+      delta->resize(rows());
+      delta->fill(false);
+      delta_words = delta->words_mutable().data();
+    }
+    const std::span<util::BitVector> row_store = mat_.rows_span();
     const std::size_t out_wi = out_line / kWordBits;
     const unsigned out_shift = static_cast<unsigned>(out_line % kWordBits);
     const Word out_bit_mask = Word{1} << out_shift;
@@ -228,38 +244,48 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
           {line / kWordBits, static_cast<unsigned>(line % kWordBits)});
     }
     std::size_t violations = 0;
-    auto finish_row = [&](std::span<Word> words, Word any) {
-      const Word out_was_lrs = (words[out_wi] >> out_shift) & 1u;
-      violations += static_cast<std::size_t>(out_was_lrs ^ 1u);
-      const Word driven = out_was_lrs & (any ^ 1u);
-      words[out_wi] = (words[out_wi] & ~out_bit_mask) | (driven << out_shift);
-    };
-    auto for_each_lane = [&](auto&& per_row) {
-      if (lanes.empty()) {
-        for (util::BitVector& row : row_store) per_row(row.words_mutable());
-      } else {
-        for (const std::size_t lane : lanes) {
-          per_row(row_store[lane].words_mutable());
+    // The one lane loop.  Whether lanes are explicit and whether a delta is
+    // emitted are compile-time switches, so neither costs a per-row branch.
+    const std::size_t lane_total = result.lanes;
+    auto lane_pass = [&](auto explicit_lanes, auto emit_delta, auto&& any_of) {
+      for (std::size_t i = 0; i < lane_total; ++i) {
+        const std::size_t r = explicit_lanes ? lanes[i] : i;
+        const std::span<Word> words = row_store[r].words_mutable();
+        const Word any = any_of(words);
+        const Word out_was_lrs = (words[out_wi] >> out_shift) & 1u;
+        violations += static_cast<std::size_t>(out_was_lrs ^ 1u);
+        const Word driven = out_was_lrs & (any ^ 1u);
+        words[out_wi] = (words[out_wi] & ~out_bit_mask) | (driven << out_shift);
+        if constexpr (emit_delta) {
+          delta_words[r / kWordBits] |= (out_was_lrs & any) << (r % kWordBits);
         }
+      }
+    };
+    auto run_lanes = [&](auto&& any_of) {
+      constexpr std::true_type yes;
+      constexpr std::false_type no;
+      if (lanes.empty()) {
+        delta_words ? lane_pass(no, yes, any_of) : lane_pass(no, no, any_of);
+      } else {
+        delta_words ? lane_pass(yes, yes, any_of) : lane_pass(yes, no, any_of);
       }
     };
     if (line_refs_.size() == 1) {
       const LineRef a = line_refs_[0];
-      for_each_lane([&](std::span<Word> words) {
-        finish_row(words, (words[a.wi] >> a.shift) & 1u);
+      run_lanes([a](std::span<const Word> words) -> Word {
+        return (words[a.wi] >> a.shift) & 1u;
       });
     } else if (line_refs_.size() == 2) {
       const LineRef a = line_refs_[0];
       const LineRef b = line_refs_[1];
-      for_each_lane([&](std::span<Word> words) {
-        finish_row(words,
-                   ((words[a.wi] >> a.shift) | (words[b.wi] >> b.shift)) & 1u);
+      run_lanes([a, b](std::span<const Word> words) -> Word {
+        return ((words[a.wi] >> a.shift) | (words[b.wi] >> b.shift)) & 1u;
       });
     } else {
-      for_each_lane([&](std::span<Word> words) {
+      run_lanes([this](std::span<const Word> words) -> Word {
         Word any = 0;
         for (const LineRef& in : line_refs_) any |= words[in.wi] >> in.shift;
-        finish_row(words, any & 1u);
+        return any & 1u;
       });
     }
     result.violations = violations;

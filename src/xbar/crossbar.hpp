@@ -12,7 +12,9 @@
 // This is the *word-parallel* engine: for kColumn orientation a parallel
 // MAGIC operation executes all selected lanes at once with 64-bit word
 // operations directly on the row vectors; for kRow orientation it makes one
-// fused pass per selected lane with word offsets precomputed per operation.
+// fused pass per selected lane with word offsets precomputed per operation,
+// which can also emit the output column's old XOR new delta for the
+// protected machine's check-bit update.
 // Precondition violations are counted via popcount, never per bit.  The
 // original bit-serial engine is retained verbatim as a test oracle
 // (oracle/reference_crossbar.hpp) and serves as the golden model in
@@ -91,9 +93,15 @@ class Crossbar {
   /// all lanes; explicit lanes must be distinct (a physical lane cannot be
   /// driven twice in one cycle).  Output cells must have been magic_init'ed
   /// to LRS; violations are counted in the result (see class comment).
+  ///
+  /// kRow only: a non-null `delta` is resized to rows(), zero-filled, and
+  /// receives bit r = old XOR new of out(r, out_line) for every selected
+  /// row r (0 elsewhere), computed in the same lane pass.  A non-null
+  /// `delta` with kColumn throws std::invalid_argument before any mutation.
   OpResult magic_nor(Orientation o, std::span<const std::size_t> in_lines,
                      std::size_t out_line,
-                     std::span<const std::size_t> lanes = {});
+                     std::span<const std::size_t> lanes = {},
+                     util::BitVector* delta = nullptr);
 
   /// Convenience single-input NOR (MAGIC NOT).
   OpResult magic_not(Orientation o, std::size_t in_line, std::size_t out_line,

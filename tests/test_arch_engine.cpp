@@ -3,14 +3,21 @@
 // walks) pinned to the retained bit-serial composition
 // (ReferencePimMachine, shifter-bank + XOR3-microprogram datapath) across
 // randomized protected-op programs with mid-run fault injection, full
-// ProtectedVm circuit runs from bench_circuits, metamorphic consistency
-// checks, cycle-count pinning, and the arch layer's validate-before-mutate
-// regressions.  Tiny configurations double as the `smoke;arch` gate
-// (ArchEngineSmoke suite).
+// ProtectedVm circuit runs from bench_circuits, wide batched inits at every
+// SIMD dispatch level, metamorphic consistency checks, cycle-count pinning,
+// absolute digests of full protected runs, and the arch layer's
+// validate-before-mutate regressions.  Tiny configurations double as the
+// `smoke;arch` gate (ArchEngineSmoke suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <ostream>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/pim_machine.hpp"
@@ -21,6 +28,8 @@
 #include "simpler/mapper.hpp"
 #include "simpler/protected_vm.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
+#include "util/simd.hpp"
 
 namespace pimecc {
 namespace {
@@ -79,6 +88,18 @@ struct MachinePair {
   }
   return ::testing::AssertionSuccess();
 }
+
+/// Restores the process's dispatch level however the test body exits.
+class LevelGuard {
+ public:
+  LevelGuard() : saved_(util::simd::active_level()) {}
+  ~LevelGuard() { util::simd::set_level(saved_); }
+  LevelGuard(const LevelGuard&) = delete;
+  LevelGuard& operator=(const LevelGuard&) = delete;
+
+ private:
+  util::simd::Level saved_;
+};
 
 /// A random subset of [0, n) (non-empty, distinct, ascending) -- explicit
 /// SIMD lane lists for the protected NOR entry points.
@@ -234,6 +255,80 @@ TEST(ArchEngineDifferential, RandomProgramsAgreeN45M5) {
   run_differential_program(45, 5, 0xD4, 100);
 }
 
+/// k distinct columns of [0, n) in random order (partial Fisher-Yates).
+std::vector<std::size_t> random_distinct_columns(std::size_t n, std::size_t k,
+                                                 util::Rng& rng) {
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    std::swap(all[i], all[i + rng.uniform_below(n - i)]);
+  }
+  all.resize(k);
+  return all;
+}
+
+/// Batched row-parallel inits of k > n/64 columns (the band-fold path of
+/// magic_init_rows_protected), each followed by NORs into the initialized
+/// columns on all lanes and on explicit lanes (the delta-emitting lane
+/// loop), in lockstep with the reference machine at every dispatch level.
+/// Every fourth batch is narrow (k <= n/64) so both init paths interleave.
+void run_wide_init_program(std::size_t n, std::size_t m, std::uint64_t seed,
+                           int batches) {
+  const LevelGuard guard;
+  for (const util::simd::Level level : util::simd::available_levels()) {
+    SCOPED_TRACE(util::simd::to_string(level));
+    util::simd::set_level(level);
+    MachinePair pair(make_params(n, m));
+    util::Rng rng(seed);
+    pair.load(random_matrix(n, rng));
+    const std::size_t narrow = n / util::BitVector::kWordBits;
+    for (int b = 0; b < batches; ++b) {
+      const std::size_t k =
+          b % 4 == 3 ? 1 + rng.uniform_below(std::max<std::size_t>(narrow, 1))
+                     : narrow + 1 + rng.uniform_below(n - narrow - 1);
+      const std::vector<std::size_t> cols = random_distinct_columns(n, k, rng);
+      pair.fast.magic_init_rows_protected(cols);
+      pair.ref.magic_init_rows_protected(cols);
+      ASSERT_TRUE(machines_agree(pair)) << "batch " << b << " k " << k;
+      for (int g = 0; g < 4; ++g) {
+        const std::size_t out = cols[rng.uniform_below(k)];
+        std::vector<std::size_t> ins;
+        for (std::size_t fan = 1 + rng.uniform_below(3); ins.size() < fan;) {
+          const std::size_t in = rng.uniform_below(n);
+          if (in != out) ins.push_back(in);
+        }
+        if (g % 2 == 0) {
+          pair.fast.magic_nor_rows_protected(ins, out);
+          pair.ref.magic_nor_rows_protected(ins, out);
+        } else {
+          const std::vector<std::size_t> lanes = random_lanes(n, rng);
+          pair.fast.magic_nor_rows_protected(ins, out, lanes);
+          pair.ref.magic_nor_rows_protected(ins, out, lanes);
+        }
+        ASSERT_TRUE(machines_agree(pair)) << "batch " << b << " gate " << g;
+      }
+    }
+    EXPECT_TRUE(pair.fast.ecc_consistent());
+  }
+}
+
+TEST(ArchEngineDifferential, WideInitBatchesAgreeN132M3) {
+  run_wide_init_program(132, 3, 0x1A3, 12);
+}
+
+TEST(ArchEngineDifferential, WideInitBatchesAgreeN135M9) {
+  run_wide_init_program(135, 9, 0x1A9, 12);
+}
+
+TEST(ArchEngineDifferential, WideInitBatchesAgreeN150M15) {
+  run_wide_init_program(150, 15, 0x1AF, 12);
+}
+
+TEST(ArchEngineDifferential, WideInitBatchesAgreeN130M65) {
+  // m > diagword::kMaxM: the bit-serial fallback of the band fold.
+  run_wide_init_program(130, 65, 0x1B1, 8);
+}
+
 // ----------------------------------------------- ProtectedVm end to end
 
 /// Maps `netlist` onto the smallest row width from an m-multiple ladder.
@@ -357,6 +452,114 @@ TEST_P(CyclePinningTest, ProtectedVmCyclesAgreeExactly) {
 
 INSTANTIATE_TEST_SUITE_P(BenchCircuits, CyclePinningTest,
                          ::testing::Values("ctrl", "cavlc", "int2float", "dec"));
+
+// ------------------------------------------------------ absolute pins
+
+/// Golden digests of full protected circuit runs: the output image, every
+/// block's check words, and the machine counters, recorded once and
+/// compared verbatim.  The differential suites above are relational (fast ==
+/// reference); these pins also catch a change that shifts both engines, or
+/// any dispatch level, the same way.
+struct ProtectedRunPin {
+  const char* circuit;
+  std::size_t n;
+  std::size_t m;
+  std::uint64_t outputs_crc;
+  std::uint64_t check_crc;
+  arch::MachineCounters counters;
+};
+
+std::uint64_t outputs_crc(const util::BitMatrix& outputs) {
+  util::ByteWriter w;
+  for (const util::BitVector& row : outputs.rows_span()) {
+    for (const std::uint64_t word : row.words()) w.u64(word);
+  }
+  return util::crc64(w.data());
+}
+
+std::uint64_t check_crc(const ecc::ArrayCode& code) {
+  util::ByteWriter w;
+  for (std::size_t br = 0; br < code.blocks_per_side(); ++br) {
+    for (std::size_t bc = 0; bc < code.blocks_per_side(); ++bc) {
+      const ecc::CheckBits& bits = code.check_bits({br, bc});
+      for (const std::uint64_t word : bits.leading.words()) w.u64(word);
+      for (const std::uint64_t word : bits.counter.words()) w.u64(word);
+    }
+  }
+  return util::crc64(w.data());
+}
+
+void PrintTo(const ProtectedRunPin& pin, std::ostream* os) {
+  *os << pin.circuit << " n=" << pin.n << " m=" << pin.m;
+}
+
+class ProtectedRunPinTest : public ::testing::TestWithParam<ProtectedRunPin> {};
+
+TEST_P(ProtectedRunPinTest, DigestsMatchAtEveryDispatchLevel) {
+  const ProtectedRunPin& pin = GetParam();
+  const circuits::CircuitSpec spec = circuits::build_circuit(pin.circuit);
+  simpler::MapperOptions options;
+  options.row_width = pin.n;
+  const simpler::MappedProgram program =
+      simpler::map_to_row(spec.netlist, options);
+  const LevelGuard guard;
+  for (const util::simd::Level level : util::simd::available_levels()) {
+    SCOPED_TRACE(util::simd::to_string(level));
+    util::simd::set_level(level);
+    PimMachine machine(make_params(pin.n, pin.m));
+    util::Rng rng(0x919);
+    machine.load(random_matrix(pin.n, rng));
+    const util::BitMatrix inputs =
+        util::random_bit_matrix(pin.n, spec.netlist.num_inputs(), rng);
+    const simpler::ProtectedRunResult result =
+        simpler::run_program_protected(machine, spec.netlist, program, inputs);
+    EXPECT_TRUE(result.ecc_consistent_after);
+    const std::uint64_t out = outputs_crc(result.outputs);
+    const std::uint64_t check = check_crc(machine.check_code());
+    const arch::MachineCounters& c = machine.counters();
+    EXPECT_EQ(out, pin.outputs_crc);
+    EXPECT_EQ(check, pin.check_crc);
+    EXPECT_EQ(c, pin.counters);
+    if (out != pin.outputs_crc || check != pin.check_crc ||
+        !(c == pin.counters)) {
+      std::printf("  {\"%s\", %zu, %zu, 0x%016" PRIx64 "u, 0x%016" PRIx64
+                  "u, {%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", %" PRIu64 "}},\n",
+                  pin.circuit, pin.n, pin.m, out, check, c.mem_cycles,
+                  c.cmem_cycles, c.critical_ops, c.checks, c.scrubs);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchCircuits, ProtectedRunPinTest,
+    ::testing::Values(
+        ProtectedRunPin{"ctrl", 1020, 15,
+                        0x6a59e1728679ab57u, 0xe95de995e565b80cu,
+                        {2212, 23856, 2202, 68, 0}},
+        ProtectedRunPin{"int2float", 1020, 15,
+                        0x1ccdf05a5b4fb769u, 0x0c2c72e858aff898u,
+                        {2340, 25076, 2324, 68, 0}},
+        ProtectedRunPin{"cavlc", 1020, 15,
+                        0xb435974d1fc5e9a9u, 0x715625676be48876u,
+                        {2637, 28076, 2624, 68, 0}},
+        ProtectedRunPin{"dec", 1020, 15,
+                        0xc83d470173391e82u, 0xec2c8d821ceca6e8u,
+                        {2371, 25436, 2360, 68, 0}},
+        ProtectedRunPin{"priority", 1020, 15,
+                        0xc1398db3e02a50feu, 0xb46ab2042dc928bcu,
+                        {2845, 28976, 2714, 68, 0}},
+        ProtectedRunPin{"ctrl", 1020, 3,
+                        0x6a59e1728679ab57u, 0x4305834d0fcc46d5u,
+                        {2212, 28480, 2202, 340, 0}},
+        // m > diagword::kMaxM: the bit-serial fallback of every codec path.
+        ProtectedRunPin{"ctrl", 1040, 65,
+                        0x7f747603b396150bu, 0x95909c093023ca0bu,
+                        {2252, 23108, 2242, 16, 0}}),
+    [](const ::testing::TestParamInfo<ProtectedRunPin>& info) {
+      return std::string(info.param.circuit) + "_n" +
+             std::to_string(info.param.n) + "_m" + std::to_string(info.param.m);
+    });
 
 // ------------------------------------------------------------ metamorphic
 

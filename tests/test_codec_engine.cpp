@@ -5,6 +5,7 @@
 // regressions of the ECC layer -- the codec-level twin of test_engine.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -388,6 +389,34 @@ TEST(CodecExhaustive, DoubleDataErrorsNeverMiscorrectedSilentlyM3) {
 }
 
 // ------------------------------------- validate-before-mutate regressions
+
+TEST(CodecDifferential, BandDeltaMatchesReencode) {
+  // apply_band_delta over a random row-major slab == encoding the data with
+  // the slab XORed into that band, for every m including the bit-serial
+  // fallback; a bad band is rejected before any parity changes.
+  Rng rng(0xBA4Dull);
+  for (const std::size_t m : kOddM) {
+    SCOPED_TRACE(m);
+    const std::size_t n = m * std::max<std::size_t>(3, (130 + m - 1) / m);
+    BitMatrix data = random_matrix(n, n, rng);
+    ArrayCode code(n, m);
+    code.encode_all(data);
+    for (std::size_t band = 0; band < n / m; ++band) {
+      std::vector<BitVector> slab;
+      std::vector<const std::uint64_t*> rows;
+      for (std::size_t r = 0; r < m; ++r) slab.push_back(random_bits(n, rng));
+      for (std::size_t r = 0; r < m; ++r) {
+        rows.push_back(slab[r].words().data());
+        data.row(band * m + r) ^= slab[r];
+      }
+      code.apply_band_delta(band, rows.data());
+      ASSERT_TRUE(code.consistent_with(data)) << "band " << band;
+    }
+    const std::vector<const std::uint64_t*> none(m, nullptr);
+    EXPECT_THROW(code.apply_band_delta(n / m, none.data()), std::out_of_range);
+    EXPECT_TRUE(code.consistent_with(data));
+  }
+}
 
 TEST(CodecValidation, ArrayCodeApplyWritesIsAtomicOnBadBatch) {
   const std::size_t n = 9, m = 3;
