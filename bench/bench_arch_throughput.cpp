@@ -12,6 +12,12 @@
 //      magic_init_rows_protected / magic_nor_rows_protected pairs, each
 //      running the full Section IV critical-operation protocol across all
 //      n rows.
+//   4. program: one `run` request's machine work per bench circuit at
+//      n = 1020, m = 15 -- PimMachine::load plus
+//      simpler::run_program_protected (before-use check, protected input
+//      writes, the mapped program as one bit-sliced row program, output
+//      read) -- in requests/s.  The layer evidence for the row-program
+//      executor, which e2e's op-by-op replay cannot show.
 //
 // Every configuration is first cross-checked: the two machines run an
 // identical protected program with mid-run fault injection and must agree
@@ -20,7 +26,7 @@
 // differential test suite applies, wired into CI via tools/ci.sh.
 //
 // Usage: bench_arch_throughput [--smoke] [--out=PATH]
-//   --smoke    fast CI configuration (n = 60, m in {3, 15})
+//   --smoke    fast CI configuration (n = 60, m in {3, 15}; one program)
 //   --out=PATH where to write the JSON (default: BENCH_arch.json in cwd)
 #include <array>
 #include <iostream>
@@ -28,8 +34,11 @@
 #include <vector>
 
 #include "arch/pim_machine.hpp"
+#include "bench_circuits/circuits.hpp"
 #include "harness.hpp"
 #include "oracle/reference_pim_machine.hpp"
+#include "simpler/mapper.hpp"
+#include "simpler/protected_vm.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 
@@ -166,6 +175,46 @@ int main(int argc, char** argv) {
               << fmt(init_speedup) << "x, verify " << fmt(verify_speedup)
               << "x, simd_gates " << fmt(gates_speedup) << "x (fast gates "
               << fmt(fast[2] / 1e6) << " Mline-bits/s)\n";
+  }
+  json.end();
+
+  // Programs: the serve `run` request's machine work at n=1020, m=15.
+  const std::vector<const char*> circuits =
+      smoke ? std::vector<const char*>{"ctrl"}
+            : std::vector<const char*>{"ctrl", "int2float", "cavlc", "dec",
+                                       "priority"};
+  json.array("program");
+  for (const char* name : circuits) {
+    const ArchParams params = make_params(1020, 15);
+    const circuits::CircuitSpec spec = circuits::build_circuit(name);
+    simpler::MapperOptions mapper;
+    mapper.row_width = params.n;
+    const simpler::MappedProgram program = simpler::map_to_row(spec.netlist, mapper);
+    util::Rng rng(0x9A0'6A11ull);
+    const util::BitMatrix image = util::random_bit_matrix(params.n, params.n, rng);
+    const util::BitMatrix inputs =
+        util::random_bit_matrix(params.n, spec.netlist.num_inputs(), rng);
+    PimMachine machine(params);
+    simpler::ProtectedRunResult run;
+    const double rate = bench::measure_rate(min_seconds, [&] {
+      machine.load(image);
+      run = simpler::run_program_protected(machine, spec.netlist, program, inputs);
+      return 1.0;
+    });
+    bool outputs_ok = run.ecc_consistent_after;
+    for (std::size_t r = 0; r < params.n; ++r) {
+      outputs_ok = outputs_ok && spec.reference(inputs.row(r)) == run.outputs.row(r);
+    }
+    gates.check(outputs_ok, std::string("protected run of ") + name +
+                                " matches the circuit reference");
+    json.object()
+        .field("circuit", name)
+        .field("n", params.n)
+        .field("m", params.m)
+        .field("requests_per_sec", rate)
+        .end();
+    std::cout << "program " << name << " n=1020 m=15: " << fmt(rate)
+              << " requests/s\n";
   }
   json.end();
 

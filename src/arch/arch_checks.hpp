@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "xbar/crossbar.hpp"
+
 namespace pimecc::arch::detail {
 
 inline void require_index(std::size_t value, std::size_t bound, const char* what) {
@@ -23,17 +25,19 @@ inline void require_index(std::size_t value, std::size_t bound, const char* what
   }
 }
 
-inline void require_indices(std::span<const std::size_t> values, std::size_t bound,
-                            const char* what) {
-  for (const std::size_t v : values) require_index(v, bound, what);
+template <class Index>
+void require_indices(std::span<const Index> values, std::size_t bound,
+                     const char* what) {
+  for (const Index v : values) require_index(v, bound, what);
 }
 
 /// Indices must be in range and pairwise distinct: a physical line cannot be
 /// driven twice in one cycle, and a duplicate init line would corrupt the
 /// check-bit update (the old-line snapshots are taken up front, so the
 /// second update would cancel the first instead of tracking the data).
-inline void require_distinct(std::span<const std::size_t> values, std::size_t bound,
-                             const char* what) {
+template <class Index>
+void require_distinct(std::span<const Index> values, std::size_t bound,
+                      const char* what) {
   if (values.size() <= 16) {
     for (std::size_t i = 0; i < values.size(); ++i) {
       require_index(values[i], bound, what);
@@ -46,12 +50,35 @@ inline void require_distinct(std::span<const std::size_t> values, std::size_t bo
     return;
   }
   std::vector<bool> seen(bound, false);
-  for (const std::size_t v : values) {
+  for (const Index v : values) {
     require_index(v, bound, what);
     if (seen[v]) {
       throw std::invalid_argument(std::string("PimMachine: duplicate ") + what);
     }
     seen[v] = true;
+  }
+}
+
+/// A row program (run_rows_protected) is checked op by op, in the order
+/// the per-op entry points check it, before its first op runs: an init's
+/// columns in range and distinct; a NOR's inputs and output in range, at
+/// least one input, and no input equal to the output.
+inline void require_row_ops(std::span<const xbar::RowOp> ops, std::size_t n) {
+  for (const xbar::RowOp& op : ops) {
+    if (op.kind == xbar::RowOp::Kind::kInit) {
+      require_distinct(op.lines, n, "init column");
+      continue;
+    }
+    require_indices(op.lines, n, "input column");
+    require_index(op.out, n, "output column");
+    if (op.lines.empty()) {
+      throw std::invalid_argument("PimMachine: a NOR needs at least one input");
+    }
+    for (const std::uint32_t line : op.lines) {
+      if (line == op.out) {
+        throw std::invalid_argument("PimMachine: output column overlaps an input");
+      }
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include "arch/pim_machine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "arch/arch_checks.hpp"
@@ -101,30 +102,12 @@ void PimMachine::magic_nor_cols_protected(std::span<const std::size_t> in_rows,
 void PimMachine::magic_init_rows_protected(std::span<const std::size_t> cols) {
   detail::require_distinct(cols, n(), "init column");
   if (cols.size() > n() / util::BitVector::kWordBits) {
-    // Wide batch (Crossbar::magic_init's mask-OR rule): init sets `mask` in
-    // every row, so the delta is mask AND NOT row -- row-major, and folded
-    // into the check bits one block-row band at a time through the band
-    // kernel instead of one column gather per init line.
-    init_mask_.resize(n());
-    init_mask_.fill(false);
-    for (const std::size_t c : cols) init_mask_.set(c, true);
-    const std::span<const util::BitVector::Word> mask = init_mask_.words();
-    const std::size_t words = mask.size();
-    init_delta_.resize(m() * words);
-    init_delta_rows_.resize(m());
-    for (std::size_t band = 0; band < params_.blocks_per_side(); ++band) {
-      for (std::size_t r = 0; r < m(); ++r) {
-        const std::span<const util::BitVector::Word> row =
-            mem_.contents().row(band * m() + r).words();
-        util::BitVector::Word* delta = init_delta_.data() + r * words;
-        for (std::size_t w = 0; w < words; ++w) delta[w] = mask[w] & ~row[w];
-        init_delta_rows_[r] = delta;
-      }
-      code_.apply_band_delta(band, init_delta_rows_.data());
-    }
-    mem_.magic_init(xbar::Orientation::kRow, cols);
-    counters_.mem_cycles = mem_.cycles();
-    charge_line_updates(cols.size());
+    // Wide batch (Crossbar::magic_init's mask-OR rule): one row-program
+    // op, whose net row delta is folded band by band, instead of one column
+    // gather and line update per init line.
+    init_cols_.assign(cols.begin(), cols.end());
+    const xbar::RowOp init{xbar::RowOp::Kind::kInit, 0, init_cols_};
+    run_rows_protected({&init, 1});
     return;
   }
   init_snapshots_.resize(cols.size());
@@ -152,6 +135,46 @@ void PimMachine::magic_init_cols_protected(std::span<const std::size_t> rows) {
     init_snapshots_[i].invert();
     update_check_bits_for_line(false, rows[i], init_snapshots_[i]);
   }
+}
+
+void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
+  detail::require_row_ops(ops, n());
+  if (ops.empty()) return;
+  using Word = util::BitVector::Word;
+  constexpr std::size_t kWordBits = util::BitVector::kWordBits;
+  const std::size_t words = mem_.contents().row(0).word_count();
+  program_delta_.resize((kWordBits + m()) * words);
+  band_delta_rows_.resize(m());
+  std::size_t buffered = 0;  // delta rows held, starting at band `band`
+  std::size_t band = 0;
+  // Tiles arrive in row order; each complete band of the buffer is folded
+  // through the encode band kernel and the partial rest moves to the front.
+  mem_.run_rows(ops, [&](std::size_t, std::size_t count, const Word* delta) {
+    std::copy_n(delta, count * words, program_delta_.data() + buffered * words);
+    buffered += count;
+    std::size_t folded = 0;
+    for (; buffered - folded >= m(); folded += m()) {
+      for (std::size_t r = 0; r < m(); ++r) {
+        band_delta_rows_[r] = program_delta_.data() + (folded + r) * words;
+      }
+      code_.apply_band_delta(band++, band_delta_rows_.data());
+    }
+    std::copy(program_delta_.begin() + static_cast<std::ptrdiff_t>(folded * words),
+              program_delta_.begin() + static_cast<std::ptrdiff_t>(buffered * words),
+              program_delta_.begin());
+    buffered -= folded;
+  });
+  // The per-op charges in closed form: every op's line updates, and the
+  // mem_cycles rule (MachineCounters) -- the crossbar's cycles plus the last
+  // op's transfers.
+  const auto lines_of = [](const xbar::RowOp& op) -> std::uint64_t {
+    return op.kind == xbar::RowOp::Kind::kInit ? op.lines.size() : 1;
+  };
+  std::uint64_t lines = 0;
+  for (const xbar::RowOp& op : ops) lines += lines_of(op);
+  charge_line_updates(lines);
+  counters_.mem_cycles =
+      mem_.cycles() + lines_of(ops.back()) * 2 * params_.transfer_cycles;
 }
 
 CheckReport PimMachine::charge_checks(const ecc::ScrubReport& sr,

@@ -21,15 +21,20 @@
 // written line via the diagword kernel -- one rotate+XOR per affected
 // family, never a re-encode (ArrayCode::apply_line_delta).  The deltas come
 // from the pass that already touches the data: a row-parallel NOR's lane
-// loop emits its output column's delta, and a wide batched init (more
-// lines than n/64) builds its row-major delta slab band by band and folds
-// it through the encode band kernel (ArrayCode::apply_band_delta).  Cycle
-// accounting is unchanged: the protocol's analytic costs are identical to
-// routing the lines through the shifter bank into genuine XOR3
-// microprograms.  The original bit-serial composition is retained verbatim
-// as a test oracle (oracle/reference_pim_machine.hpp) and must match this
-// machine exactly in contents, check state, cycle counters, and correction
-// counts on any program -- pinned by tests/test_arch_engine.cpp.
+// loop emits its output column's delta.  A row program (run_rows_protected)
+// goes further: parity is linear, so the check-bit change of the op
+// sequence is the parity of its *net* row delta, which the bit-sliced
+// Crossbar::run_rows hands over one 64-row tile at a time and this machine
+// folds one block-row band at a time through the encode band kernel
+// (ArrayCode::apply_band_delta) -- one band walk per band for the program
+// instead of one line update per op.  A wide batched init (more lines than
+// n/64) runs as a one-op row program.  Cycle accounting is unchanged: the
+// protocol's analytic costs are identical to routing the lines through the
+// shifter bank into genuine XOR3 microprograms, op by op.  The original
+// bit-serial composition is retained verbatim as a test oracle
+// (oracle/reference_pim_machine.hpp) and must match this machine exactly in
+// contents, check state, cycle counters, and correction counts on any
+// program -- pinned by tests/test_arch_engine.cpp.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +65,15 @@ struct CheckReport {
 /// Cycle accounting split by unit, in the spirit of the paper's latency
 /// model: MEM cycles serialize with computation; CMEM cycles overlap except
 /// where the protocol forces ordering.
+///
+/// The mem_cycles rule, as implemented (and pinned by the differential and
+/// digest tests): every protected op ends by *assigning* the MEM crossbar's
+/// cycle count to mem_cycles and then adds its own line updates' transfer
+/// cycles (2 * transfer_cycles per line).  The assignment drops the
+/// transfer charges of every earlier op and the m-per-band charge of every
+/// earlier check, so after a protected op mem_cycles is the crossbar's
+/// cycles plus that last op's transfers.  A row program charges the same
+/// closed form.  cmem_cycles and critical_ops accumulate.
 struct MachineCounters {
   std::uint64_t mem_cycles = 0;
   std::uint64_t cmem_cycles = 0;
@@ -105,6 +119,14 @@ class PimMachine {
   /// Lines must be distinct (a duplicate would corrupt the check update).
   void magic_init_rows_protected(std::span<const std::size_t> cols);
   void magic_init_cols_protected(std::span<const std::size_t> rows);
+  /// Runs an all-lane row program -- each op a protected init
+  /// (magic_init_rows_protected) or NOR over all rows
+  /// (magic_nor_rows_protected) -- with the same contents, check bits,
+  /// counters and row activations as issuing the ops one by one.  The ops
+  /// run bit-sliced (xbar::Crossbar::run_rows) and the check bits take the
+  /// program's net row delta, folded band by band.  Every op is validated
+  /// before the first runs, so a throwing program changes nothing.
+  void run_rows_protected(std::span<const xbar::RowOp> ops);
 
   // --- checking ------------------------------------------------------------
   /// The paper's before-use check: verifies (and repairs) all blocks of the
@@ -181,9 +203,11 @@ class PimMachine {
   // allocation-free in steady state.
   util::BitVector old_line_;  ///< line delta (snapshot XOR new, or NOR-emitted)
   std::vector<util::BitVector> init_snapshots_;  ///< narrow init columns
-  util::BitVector init_mask_;                    ///< wide init column mask
-  std::vector<util::BitVector::Word> init_delta_;  ///< m delta rows, one band
-  std::vector<const util::BitVector::Word*> init_delta_rows_;
+  std::vector<std::uint32_t> init_cols_;         ///< wide init as a row op
+  /// run_rows_protected's rolling delta buffer: the rows of one tile plus
+  /// the unfolded rest (< m rows) of the band before it.
+  std::vector<util::BitVector::Word> program_delta_;
+  std::vector<const util::BitVector::Word*> band_delta_rows_;  ///< one band
 };
 
 }  // namespace pimecc::arch

@@ -167,6 +167,19 @@ void ReferencePimMachine::magic_init_cols_protected(
   }
 }
 
+void ReferencePimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
+  detail::require_row_ops(ops, n());
+  std::vector<std::size_t> lines;
+  for (const xbar::RowOp& op : ops) {
+    lines.assign(op.lines.begin(), op.lines.end());
+    if (op.kind == xbar::RowOp::Kind::kInit) {
+      magic_init_rows_protected(lines);
+    } else {
+      magic_nor_rows_protected(lines, op.out);
+    }
+  }
+}
+
 void ReferencePimMachine::repair_block(ecc::BlockIndex block,
                                        const ecc::DecodeResult& result) {
   switch (result.status) {

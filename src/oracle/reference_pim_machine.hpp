@@ -62,6 +62,10 @@ class ReferencePimMachine {
                                 std::span<const std::size_t> cols = {});
   void magic_init_rows_protected(std::span<const std::size_t> cols);
   void magic_init_cols_protected(std::span<const std::size_t> rows);
+  /// The per-op protocol loop PimMachine::run_rows_protected must equal:
+  /// the whole program validated first, then each op through
+  /// magic_init_rows_protected / magic_nor_rows_protected.
+  void run_rows_protected(std::span<const xbar::RowOp> ops);
 
   CheckReport check_block_row(std::size_t row);
   CheckReport check_block_col(std::size_t col);

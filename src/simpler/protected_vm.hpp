@@ -9,14 +9,16 @@
 //
 // The VM's marshalling is word-parallel: per-row input images are built by
 // masked word assignment over the resident row (one precomputed
-// input+constant mask, no per-node scans), and outputs are read in one
-// row-major pass that packs each row's output-cell bits into that row of
-// the result.  The one template drives any machine
-// with PimMachine's protected interface: the product runs it on
-// arch::PimMachine, and the differential tests run the identical
-// protected-operation sequence on the bit-serial oracle machine
-// (oracle/reference_pim_machine.hpp) to pin contents, check state, and
-// cycle counters across the full stack.
+// input+constant mask, no per-node scans), the op list goes to the machine
+// as one all-lane row program (run_rows_protected: bit-sliced 64-row tiles
+// and one net check-bit fold per band on PimMachine), and outputs are read
+// in one row-major pass that packs each row's output-cell bits into that
+// row of the result.  The one template drives any machine with
+// PimMachine's protected interface: the product runs it on
+// arch::PimMachine, and the differential tests run it on the bit-serial
+// oracle machine (oracle/reference_pim_machine.hpp), whose
+// run_rows_protected is the per-op protocol loop, to pin contents, check
+// state, and cycle counters across the full stack.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +29,7 @@
 #include "arch/pim_machine.hpp"
 #include "simpler/mapper.hpp"
 #include "simpler/netlist.hpp"
+#include "simpler/row_vm.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
 
@@ -106,18 +109,9 @@ ProtectedRunResult run_program_protected(Machine& machine,
     machine.write_row_protected(r, image);
   }
 
-  // Execute: every op through the critical-operation protocol, all rows in
-  // parallel (empty lane list = SIMD across the full array).
-  std::vector<std::size_t> lines;
-  for (const MappedOp& op : program.ops) {
-    if (op.kind == MappedOp::Kind::kInit) {
-      lines.assign(op.init_cells.begin(), op.init_cells.end());
-      machine.magic_init_rows_protected(lines);
-    } else {
-      lines.assign(op.in_cells.begin(), op.in_cells.end());
-      machine.magic_nor_rows_protected(lines, op.cell);
-    }
-  }
+  // Execute: every op under the critical-operation protocol, all rows in
+  // parallel, as one row program.
+  machine.run_rows_protected(row_ops(program));
 
   // Outputs in one row-major pass: each row's output-cell bits are packed
   // into that row of `outputs`, no strided column walk per output.

@@ -26,7 +26,8 @@ void place_constants(const Netlist& netlist, const MappedProgram& program,
 }
 
 std::uint64_t execute_ops(const MappedProgram& program, xbar::Crossbar& xbar,
-                          std::span<const std::size_t> lanes) {
+                          std::size_t row) {
+  const std::size_t lanes[1] = {row};
   std::uint64_t violations = 0;
   std::vector<std::size_t> lines;
   for (const MappedOp& op : program.ops) {
@@ -45,6 +46,19 @@ std::uint64_t execute_ops(const MappedProgram& program, xbar::Crossbar& xbar,
 
 }  // namespace
 
+std::vector<xbar::RowOp> row_ops(const MappedProgram& program) {
+  std::vector<xbar::RowOp> ops;
+  ops.reserve(program.ops.size());
+  for (const MappedOp& op : program.ops) {
+    if (op.kind == MappedOp::Kind::kInit) {
+      ops.push_back({xbar::RowOp::Kind::kInit, 0, op.init_cells});
+    } else {
+      ops.push_back({xbar::RowOp::Kind::kNor, op.cell, op.in_cells});
+    }
+  }
+  return ops;
+}
+
 RowRunResult run_single_row(const Netlist& netlist, const MappedProgram& program,
                             xbar::Crossbar& xbar, std::size_t row,
                             const util::BitVector& inputs) {
@@ -58,9 +72,8 @@ RowRunResult run_single_row(const Netlist& netlist, const MappedProgram& program
   }
   place_constants(netlist, program, xbar, row);
 
-  const std::size_t lanes_arr[1] = {row};
   RowRunResult result;
-  result.violations = execute_ops(program, xbar, lanes_arr);
+  result.violations = execute_ops(program, xbar, row);
   result.outputs.resize(program.output_cells.size());
   for (std::size_t i = 0; i < program.output_cells.size(); ++i) {
     result.outputs.set(i, xbar.peek(row, program.output_cells[i]));
@@ -85,7 +98,7 @@ SimdRunResult run_simd(const Netlist& netlist, const MappedProgram& program,
   }
 
   SimdRunResult result;
-  result.violations = execute_ops(program, xbar, {});
+  result.violations = xbar.run_rows(row_ops(program));
   result.outputs = util::BitMatrix(xbar.rows(), program.output_cells.size());
   for (std::size_t r = 0; r < xbar.rows(); ++r) {
     for (std::size_t i = 0; i < program.output_cells.size(); ++i) {

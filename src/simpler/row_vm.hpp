@@ -8,10 +8,13 @@
 //     model; used to validate mapper correctness against Netlist::eval).
 //   * SIMD: the same op sequence executes in every row simultaneously with
 //     per-row inputs -- MAGIC's throughput story (paper Figure 1), at the
-//     same cycle count as a single row.
+//     same cycle count as a single row.  The program runs as one all-lane
+//     row program (xbar::Crossbar::run_rows), the executor the protected VM
+//     shares.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "simpler/mapper.hpp"
 #include "simpler/netlist.hpp"
@@ -20,6 +23,11 @@
 #include "xbar/crossbar.hpp"
 
 namespace pimecc::simpler {
+
+/// The program's ops as one all-lane row program for xbar::Crossbar::run_rows
+/// (and the protected machines' run_rows_protected).  The ops' line spans
+/// point into `program`'s cells.
+std::vector<xbar::RowOp> row_ops(const MappedProgram& program);
 
 /// Result of a single-row execution.
 struct RowRunResult {

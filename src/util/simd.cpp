@@ -74,6 +74,26 @@ std::size_t nor_column_pass_scalar(const std::uint64_t* const* ins,
   return violations;
 }
 
+void transpose64_scalar(std::uint64_t* block) {
+  // Six block-swap stages (Hacker's Delight 7-3, with bit 0 the low bit):
+  // stage j swaps the upper-right and lower-left j x j sub-blocks of every
+  // 2j x 2j diagonal block -- the high j bits of row k with the low j bits
+  // of row k + j.  The stages act on independent index bits, so any order
+  // transposes; the wide kernels use the same six.
+  constexpr std::uint64_t kMasks[6] = {
+      0x00000000ffffffffull, 0x0000ffff0000ffffull, 0x00ff00ff00ff00ffull,
+      0x0f0f0f0f0f0f0f0full, 0x3333333333333333ull, 0x5555555555555555ull};
+  std::size_t j = 32;
+  for (const std::uint64_t mask : kMasks) {
+    for (std::size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((block[k] >> j) ^ block[k | j]) & mask;
+      block[k | j] ^= t;
+      block[k] ^= t << j;
+    }
+    j >>= 1;
+  }
+}
+
 }  // namespace detail
 
 namespace {
@@ -82,6 +102,7 @@ constexpr KernelTable kScalarTable{
     &detail::band_accumulate_scalar,
     &detail::block_peel_scalar,
     &detail::nor_column_pass_scalar,
+    &detail::transpose64_scalar,
 };
 
 Level detect() noexcept {

@@ -2,10 +2,11 @@
 //
 // Runtime-dispatched SIMD kernels under the word-parallel engines.
 //
-// The word-parallel engines (PRs 2-4) express every hot path as loops over
-// 64-bit words; this layer vectorizes the three hottest of those loops as
-// AVX2 and AVX-512 kernels selected by CPUID at startup, PISA-style: the
-// scalar implementation is retained as the portable fallback and as the
+// The word-parallel engines express every hot path as loops over 64-bit
+// words; this layer vectorizes the hottest of those loops, and the 64x64
+// bit transpose under the row-program executor, as AVX2 and AVX-512
+// kernels selected by CPUID at startup, PISA-style: the scalar
+// implementation is retained as the portable fallback and as the
 // golden model every wider variant must match bit-for-bit (pinned by the
 // dispatch-level differential suite in tests/test_simd.cpp).
 //
@@ -151,6 +152,13 @@ struct KernelTable {
   std::size_t (*nor_column_pass)(const std::uint64_t* const* ins,
                                  std::size_t n_ins, const std::uint64_t* mask,
                                  std::uint64_t* out, std::size_t n_words);
+
+  /// In-place transpose of a 64x64 bit matrix held as 64 words (bit j of
+  /// block[i] is element (i, j)): afterwards bit j of block[i] holds what
+  /// bit i of block[j] held.  An involution.  The row-program executor
+  /// (xbar::Crossbar::run_rows) turns one 64-column word group of 64 rows
+  /// into 64 per-column words with it, and back.
+  void (*transpose64)(std::uint64_t* block);
 };
 
 /// Kernel table for the active level.  One relaxed atomic pointer load.
@@ -173,6 +181,7 @@ std::size_t nor_column_pass_scalar(const std::uint64_t* const* ins,
                                    std::size_t n_ins,
                                    const std::uint64_t* mask,
                                    std::uint64_t* out, std::size_t n_words);
+void transpose64_scalar(std::uint64_t* block);
 /// Defined in simd_avx2.cpp / simd_avx512.cpp (null when compiled out).
 [[nodiscard]] const KernelTable* avx2_table() noexcept;
 [[nodiscard]] const KernelTable* avx512_table() noexcept;

@@ -227,10 +227,60 @@ std::size_t nor_column_pass_avx2(const std::uint64_t* const* ins,
   return violations;
 }
 
+/// One block-swap stage between two vectors: the high j bits of each
+/// word of x trade places with the low j bits of the same lane of y.
+inline void swap_stage(__m256i& x, __m256i& y, std::size_t j,
+                       __m256i mask) noexcept {
+  const __m256i t = _mm256_and_si256(_mm256_xor_si256(srl64(x, j), y), mask);
+  y = _mm256_xor_si256(y, t);
+  x = _mm256_xor_si256(x, sll64(t, j));
+}
+
+/// One block-swap stage inside a vector: `lo`/`hi` broadcast the k and
+/// k + j words of each swapped pair to both of the pair's lanes, and
+/// `hi_lanes` (a blend_epi32 immediate) marks the k + j lanes.
+template <int kLo, int kHi, int kHiLanes>
+inline __m256i swap_in_vector(__m256i v, std::size_t j, __m256i mask) noexcept {
+  const __m256i lo = _mm256_permute4x64_epi64(v, kLo);
+  const __m256i hi = _mm256_permute4x64_epi64(v, kHi);
+  const __m256i t = _mm256_and_si256(_mm256_xor_si256(srl64(lo, j), hi), mask);
+  return _mm256_xor_si256(v, _mm256_blend_epi32(sll64(t, j), t, kHiLanes));
+}
+
+/// simd::detail::transpose64_scalar's six stages on 16 four-word vectors:
+/// j = 32..4 pair whole vectors, j = 2 and 1 pair lanes of one vector.
+void transpose64_avx2(std::uint64_t* block) {
+  __m256i v[16];
+  for (std::size_t p = 0; p < 16; ++p) {
+    v[p] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + 4 * p));
+  }
+  constexpr std::uint64_t kMasks[4] = {
+      0x00000000ffffffffull, 0x0000ffff0000ffffull, 0x00ff00ff00ff00ffull,
+      0x0f0f0f0f0f0f0f0full};
+  std::size_t j = 32;
+  for (const std::uint64_t mask : kMasks) {
+    const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
+    const std::size_t step = j / 4;
+    for (std::size_t p = 0; p < 16; p = ((p | step) + 1) & ~step) {
+      swap_stage(v[p], v[p | step], j, vmask);
+    }
+    j >>= 1;
+  }
+  const __m256i mask2 = _mm256_set1_epi64x(0x3333333333333333ll);
+  const __m256i mask1 = _mm256_set1_epi64x(0x5555555555555555ll);
+  for (std::size_t p = 0; p < 16; ++p) {
+    // j = 2 pairs lanes (0, 2) and (1, 3); j = 1 pairs (0, 1) and (2, 3).
+    v[p] = swap_in_vector<0x44, 0xee, 0xf0>(v[p], 2, mask2);
+    v[p] = swap_in_vector<0xa0, 0xf5, 0xcc>(v[p], 1, mask1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + 4 * p), v[p]);
+  }
+}
+
 constexpr KernelTable kAvx2Table{
     &band_accumulate_avx2,
     &block_peel_avx2,
     &nor_column_pass_avx2,
+    &transpose64_avx2,
 };
 
 }  // namespace

@@ -187,10 +187,61 @@ std::size_t nor_column_pass_avx512(const std::uint64_t* const* ins,
   return violations;
 }
 
+/// One block-swap stage between two vectors (see the AVX2 unit).
+inline void swap_stage(__m512i& x, __m512i& y, std::size_t j,
+                       __m512i mask) noexcept {
+  const __m512i t = _mm512_and_si512(_mm512_xor_si512(srl64(x, j), y), mask);
+  y = _mm512_xor_si512(y, t);
+  x = _mm512_xor_si512(x, sll64(t, j));
+}
+
+/// One block-swap stage inside a vector: `lo`/`hi` hold the k and k + j
+/// words of each swapped pair in both of the pair's lanes, and `hi_lanes`
+/// marks the k + j lanes.
+inline __m512i swap_in_vector(__m512i v, __m512i lo, __m512i hi, std::size_t j,
+                              __m512i mask, __mmask8 hi_lanes) noexcept {
+  const __m512i t = _mm512_and_si512(_mm512_xor_si512(srl64(lo, j), hi), mask);
+  return _mm512_xor_si512(v, _mm512_mask_blend_epi64(hi_lanes, sll64(t, j), t));
+}
+
+/// simd::detail::transpose64_scalar's six stages on 8 eight-word vectors:
+/// j = 32, 16, 8 pair whole vectors; j = 4, 2, 1 pair lanes of one vector.
+void transpose64_avx512(std::uint64_t* block) {
+  __m512i v[8];
+  for (std::size_t p = 0; p < 8; ++p) v[p] = _mm512_loadu_si512(block + 8 * p);
+  constexpr std::uint64_t kMasks[3] = {
+      0x00000000ffffffffull, 0x0000ffff0000ffffull, 0x00ff00ff00ff00ffull};
+  std::size_t j = 32;
+  for (const std::uint64_t mask : kMasks) {
+    const __m512i vmask = _mm512_set1_epi64(static_cast<long long>(mask));
+    const std::size_t step = j / 8;
+    for (std::size_t p = 0; p < 8; p = ((p | step) + 1) & ~step) {
+      swap_stage(v[p], v[p | step], j, vmask);
+    }
+    j >>= 1;
+  }
+  const __m512i mask4 = _mm512_set1_epi64(0x0f0f0f0f0f0f0f0fll);
+  const __m512i mask2 = _mm512_set1_epi64(0x3333333333333333ll);
+  const __m512i mask1 = _mm512_set1_epi64(0x5555555555555555ll);
+  for (std::size_t p = 0; p < 8; ++p) {
+    // j = 4 pairs lanes (l, l + 4); j = 2 pairs (l, l + 2) inside each
+    // 256-bit half; j = 1 pairs neighbours.
+    __m512i w = v[p];
+    w = swap_in_vector(w, _mm512_shuffle_i64x2(w, w, 0x44),
+                       _mm512_shuffle_i64x2(w, w, 0xee), 4, mask4, 0xf0);
+    w = swap_in_vector(w, _mm512_permutex_epi64(w, 0x44),
+                       _mm512_permutex_epi64(w, 0xee), 2, mask2, 0xcc);
+    w = swap_in_vector(w, _mm512_permutex_epi64(w, 0xa0),
+                       _mm512_permutex_epi64(w, 0xf5), 1, mask1, 0xaa);
+    _mm512_storeu_si512(block + 8 * p, w);
+  }
+}
+
 constexpr KernelTable kAvx512Table{
     &band_accumulate_avx512,
     &block_peel_avx512,
     &nor_column_pass_avx512,
+    &transpose64_avx512,
 };
 
 }  // namespace

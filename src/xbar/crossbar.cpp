@@ -1,6 +1,8 @@
 #include "xbar/crossbar.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -218,13 +220,12 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
     // update needs no column snapshot.  A single row touch per lane instead
     // of separate gather/scatter column walks.  Word offsets and shifts are
     // resolved once, outside the lane loop; fan-in 1 and 2 (NOT and the
-    // dominant NOR shape) get branch-free specializations.  This
-    // orientation intentionally stays scalar at every SIMD dispatch level:
-    // each lane reads/writes a handful of scattered single words across
-    // independent per-row allocations, so a vector port is pure
-    // gather/scatter over the same scattered words with nothing contiguous
-    // to amortize -- unlike the column path above, where lanes are adjacent
-    // bits of the same words.
+    // dominant NOR shape) get branch-free specializations.  A single op
+    // stays scalar at every SIMD dispatch level: each lane reads/writes a
+    // handful of scattered single words across independent per-row
+    // allocations, and one op has too little work to pay for transposing
+    // them.  A program of ops does pay for it: run_rows transposes once per
+    // 64-row tile and runs every op on words whose bits are lanes.
     check_lanes_distinct(o, lanes);
     using Word = util::BitVector::Word;
     constexpr std::size_t kWordBits = util::BitVector::kWordBits;
@@ -303,6 +304,113 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
   ++cycles_;
   ++nor_ops_;
   return result;
+}
+
+std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
+                                 const RowDeltaSink& sink) {
+  for (const RowOp& op : ops) {
+    if (op.kind == RowOp::Kind::kInit) {
+      for (const std::uint32_t line : op.lines) {
+        check_line(Orientation::kRow, line, "init");
+      }
+      continue;
+    }
+    if (op.lines.empty()) {
+      throw std::invalid_argument(
+          "Crossbar::run_rows: a NOR needs at least one input");
+    }
+    for (const std::uint32_t line : op.lines) {
+      check_line(Orientation::kRow, line, "input");
+      if (line == op.out) {
+        throw std::invalid_argument("Crossbar::run_rows: output overlaps an input");
+      }
+    }
+    check_line(Orientation::kRow, op.out, "output");
+  }
+  if (ops.empty()) return 0;
+
+  using Word = util::BitVector::Word;
+  constexpr std::size_t kWordBits = util::BitVector::kWordBits;
+  constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t words = mat_.row(0).word_count();
+
+  // Every touched 64-column word group gets a slot of 64 column words in
+  // the tile scratch (ascending), so column c lives at word
+  // slot(c / 64) * 64 + c % 64.
+  group_slot_.assign(words, kNoSlot);
+  std::uint64_t nors = 0;
+  for (const RowOp& op : ops) {
+    for (const std::uint32_t line : op.lines) group_slot_[line / kWordBits] = 0;
+    if (op.kind == RowOp::Kind::kNor) {
+      group_slot_[op.out / kWordBits] = 0;
+      ++nors;
+    }
+  }
+  groups_.clear();
+  for (std::size_t w = 0; w < words; ++w) {
+    if (group_slot_[w] == kNoSlot) continue;
+    group_slot_[w] = static_cast<std::uint32_t>(groups_.size());
+    groups_.push_back(w);
+  }
+  const std::uint32_t* const slot_of = group_slot_.data();
+  const auto column = [slot_of](std::size_t line) {
+    return slot_of[line / kWordBits] * kWordBits + line % kWordBits;
+  };
+
+  tile_cols_.resize(groups_.size() * kWordBits);
+  if (sink) tile_delta_.assign(kWordBits * words, 0);
+  const util::simd::KernelTable& kernels = util::simd::kernels();
+  const std::span<util::BitVector> row_store = mat_.rows_span();
+  std::uint64_t violations = 0;
+  for (std::size_t row0 = 0; row0 < rows(); row0 += kWordBits) {
+    const std::size_t count = std::min(kWordBits, rows() - row0);
+    const Word valid = util::simd::low_mask(count);
+    // Tile in: slot s holds rows row0.. of group s (zero past the last
+    // row), then its columns.
+    if (count < kWordBits) std::fill(tile_cols_.begin(), tile_cols_.end(), 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::span<const Word> row = row_store[row0 + i].words();
+      for (std::size_t s = 0; s < groups_.size(); ++s) {
+        tile_cols_[s * kWordBits + i] = row[groups_[s]];
+      }
+    }
+    for (std::size_t s = 0; s < groups_.size(); ++s) {
+      kernels.transpose64(tile_cols_.data() + s * kWordBits);
+    }
+    // The program, one column word per line: bit i is row row0 + i.
+    Word* const cols = tile_cols_.data();
+    for (const RowOp& op : ops) {
+      if (op.kind == RowOp::Kind::kInit) {
+        for (const std::uint32_t line : op.lines) cols[column(line)] |= valid;
+        continue;
+      }
+      Word any = 0;
+      for (const std::uint32_t line : op.lines) any |= cols[column(line)];
+      Word& out = cols[column(op.out)];
+      violations += static_cast<std::uint64_t>(std::popcount(~out & valid));
+      out &= ~any;
+    }
+    // Tile out: back to row words, keeping old XOR new for the sink.
+    for (std::size_t s = 0; s < groups_.size(); ++s) {
+      kernels.transpose64(tile_cols_.data() + s * kWordBits);
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::span<Word> row = row_store[row0 + i].words_mutable();
+      for (std::size_t s = 0; s < groups_.size(); ++s) {
+        const std::size_t w = groups_[s];
+        const Word now = tile_cols_[s * kWordBits + i];
+        if (sink) tile_delta_[i * words + w] = row[w] ^ now;
+        row[w] = now;
+      }
+    }
+    if (sink) sink(row0, count, tile_delta_.data());
+  }
+  // Each op is one all-lane cycle, exactly as issued alone.
+  cycles_ += ops.size();
+  nor_ops_ += nors;
+  init_cycles_ += ops.size() - nors;
+  broadcast_activations_ += ops.size();
+  return violations;
 }
 
 OpResult Crossbar::magic_not(Orientation o, std::size_t in_line, std::size_t out_line,

@@ -11,10 +11,13 @@
 //
 // This is the *word-parallel* engine: for kColumn orientation a parallel
 // MAGIC operation executes all selected lanes at once with 64-bit word
-// operations directly on the row vectors; for kRow orientation it makes one
+// operations directly on the row vectors; a single kRow operation makes one
 // fused pass per selected lane with word offsets precomputed per operation,
 // which can also emit the output column's old XOR new delta for the
-// protected machine's check-bit update.
+// protected machine's check-bit update.  A whole all-lane kRow program
+// (run_rows) is bit-sliced instead: 64 rows at a time are transposed into
+// per-column words, every op runs on those single words, and the tile is
+// transposed back, so lanes become adjacent bits as in the kColumn path.
 // Precondition violations are counted via popcount, never per bit.  The
 // original bit-serial engine is retained verbatim as a test oracle
 // (oracle/reference_crossbar.hpp) and serves as the golden model in
@@ -23,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -37,6 +41,23 @@ struct OpResult {
   std::size_t lanes = 0;          ///< rows (columns) the gate executed in
   std::size_t violations = 0;     ///< output cells that were not LRS-initialized
 };
+
+/// One op of an all-lane row-orientation program (Crossbar::run_rows): a
+/// batched init of the columns `lines`, or a MAGIC NOR of the input columns
+/// `lines` into column `out`.  Column indices are 32-bit, as a mapped
+/// program's cells are, so a program's op list can point into its cells.
+struct RowOp {
+  enum class Kind : std::uint8_t { kInit, kNor };
+  Kind kind = Kind::kNor;
+  std::uint32_t out = 0;  ///< kNor only
+  std::span<const std::uint32_t> lines;
+};
+
+/// Receives a row program's net row delta one tile at a time, in row order:
+/// rows [row0, row0 + count), row row0 + i's old XOR new words at
+/// delta + i * words (words = the crossbar's words per row).
+using RowDeltaSink = std::function<void(
+    std::size_t row0, std::size_t count, const util::BitVector::Word* delta)>;
 
 /// A single n_rows x n_cols memristive crossbar with MAGIC execution.
 ///
@@ -102,6 +123,19 @@ class Crossbar {
                      std::size_t out_line,
                      std::span<const std::size_t> lanes = {},
                      util::BitVector* delta = nullptr);
+
+  /// Runs `ops` in order in every row -- the same contents, violation
+  /// count, cycle counters and activations as issuing each op alone through
+  /// magic_init / magic_nor (kRow, all lanes) -- and returns the summed
+  /// violations.  Bit-sliced: each 64-row tile's touched 64-column word
+  /// groups are transposed (simd transpose64) into per-column words, the
+  /// whole op list runs on single words (a NOR is out &= ~OR(ins), its
+  /// violations popcount(~out & valid rows)), and the tile is transposed
+  /// back.  A non-empty `sink` then receives the tile's old XOR new rows.
+  /// Every op is validated (lines in range; a NOR has inputs, none equal to
+  /// its output) before any state changes.
+  std::uint64_t run_rows(std::span<const RowOp> ops,
+                         const RowDeltaSink& sink = {});
 
   /// Convenience single-input NOR (MAGIC NOT).
   OpResult magic_not(Orientation o, std::size_t in_line, std::size_t out_line,
@@ -185,6 +219,12 @@ class Crossbar {
   util::BitVector ones_cols_;     ///< all-ones over cols()
   std::vector<LineRef> line_refs_;  ///< per-input offsets (kRow fused path)
   std::vector<const std::uint64_t*> in_ptrs_;  ///< input row words (kColumn)
+
+  // run_rows' tile scratch.
+  std::vector<std::uint32_t> group_slot_;  ///< word group -> slot, or kNoSlot
+  std::vector<std::size_t> groups_;        ///< touched word groups, ascending
+  std::vector<std::uint64_t> tile_cols_;   ///< 64 column words per slot
+  std::vector<std::uint64_t> tile_delta_;  ///< 64 delta rows of one tile
 };
 
 }  // namespace pimecc::xbar

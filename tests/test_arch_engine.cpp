@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <ostream>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -561,6 +563,218 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.n) + "_m" + std::to_string(info.param.m);
     });
 
+// ------------------------------------------------- row-program batches
+
+/// A random all-lane row program over n columns: inits of one column up to
+/// all n, and NORs of fan-in 1-4.  The ops' spans point into `lines`.
+struct RandomRowProgram {
+  std::vector<std::vector<std::uint32_t>> lines;
+  std::vector<xbar::RowOp> ops;
+};
+
+RandomRowProgram random_row_program(std::size_t n, std::size_t count,
+                                    util::Rng& rng) {
+  RandomRowProgram program;
+  std::vector<xbar::RowOp::Kind> kinds;
+  std::vector<std::uint32_t> outs;
+  std::vector<std::uint32_t> all(n);
+  for (std::size_t c = 0; c < n; ++c) all[c] = static_cast<std::uint32_t>(c);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::uint32_t> lines;
+    if (rng.bernoulli(0.3)) {
+      // Width: one column, a few, up to n, or all n.
+      const std::uint64_t shape = rng.uniform_below(4);
+      const std::size_t few = std::min<std::size_t>(8, n);
+      const std::size_t k = shape == 0   ? 1
+                            : shape == 1 ? 1 + rng.uniform_below(few)
+                            : shape == 2 ? 1 + rng.uniform_below(n)
+                                         : n;
+      for (std::size_t j = 0; j < k; ++j) {
+        std::swap(all[j], all[j + rng.uniform_below(n - j)]);
+      }
+      lines.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k));
+      kinds.push_back(xbar::RowOp::Kind::kInit);
+      outs.push_back(0);
+    } else {
+      const auto out = static_cast<std::uint32_t>(rng.uniform_below(n));
+      const std::size_t fan_in = 1 + rng.uniform_below(4);
+      for (std::size_t j = 0; j < fan_in; ++j) {
+        auto in = static_cast<std::uint32_t>(rng.uniform_below(n));
+        if (in == out) in = static_cast<std::uint32_t>((in + 1) % n);
+        lines.push_back(in);
+      }
+      kinds.push_back(xbar::RowOp::Kind::kNor);
+      outs.push_back(out);
+    }
+    program.lines.push_back(std::move(lines));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    program.ops.push_back({kinds[i], outs[i], program.lines[i]});
+  }
+  return program;
+}
+
+std::vector<std::size_t> widen(std::span<const std::uint32_t> lines) {
+  return {lines.begin(), lines.end()};
+}
+
+/// Issues `ops` one by one through the per-op protected entry points.
+void run_ops_one_by_one(PimMachine& machine, std::span<const xbar::RowOp> ops) {
+  for (const xbar::RowOp& op : ops) {
+    if (op.kind == xbar::RowOp::Kind::kInit) {
+      machine.magic_init_rows_protected(widen(op.lines));
+    } else {
+      machine.magic_nor_rows_protected(widen(op.lines), op.out);
+    }
+  }
+}
+
+/// Everything a row program may change, compared between two machines.
+::testing::AssertionResult same_machine_state(const PimMachine& a,
+                                              const PimMachine& b) {
+  if (!(a.data() == b.data())) {
+    return ::testing::AssertionFailure() << "MEM contents diverge";
+  }
+  const ecc::ArrayCode& ca = a.check_code();
+  for (std::size_t br = 0; br < ca.blocks_per_side(); ++br) {
+    for (std::size_t bc = 0; bc < ca.blocks_per_side(); ++bc) {
+      if (!(ca.check_bits({br, bc}) == b.check_code().check_bits({br, bc}))) {
+        return ::testing::AssertionFailure()
+               << "check words of block (" << br << ", " << bc << ") diverge";
+      }
+    }
+  }
+  if (!(a.counters() == b.counters())) {
+    return ::testing::AssertionFailure()
+           << "MachineCounters diverge: mem " << a.counters().mem_cycles << "/"
+           << b.counters().mem_cycles << " cmem " << a.counters().cmem_cycles
+           << "/" << b.counters().cmem_cycles;
+  }
+  if (!(a.mem_counters() == b.mem_counters())) {
+    return ::testing::AssertionFailure() << "crossbar counters diverge";
+  }
+  if (a.mem_row_activation_snapshot() != b.mem_row_activation_snapshot()) {
+    return ::testing::AssertionFailure() << "row activations diverge";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One batch-vs-one-by-one comparison at every dispatch level: random row
+/// programs, some after a pre-injected check-bit and data error (the net
+/// delta fold is linear, so it must track inconsistent parity exactly like
+/// the per-op updates), each followed by a rejected program whose last op
+/// is bad.
+void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed) {
+  const ArchParams params = make_params(n, m);
+  const LevelGuard guard;
+  for (const util::simd::Level level : util::simd::available_levels()) {
+    SCOPED_TRACE(util::simd::to_string(level));
+    util::simd::set_level(level);
+    util::Rng rng(seed);
+    PimMachine batch(params);
+    PimMachine single(params);
+    const util::BitMatrix image = random_matrix(n, rng);
+    batch.load(image);
+    single.load(image);
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(round);
+      if (round % 2 == 1) {
+        const std::size_t diag = rng.uniform_below(m);
+        const ecc::BlockIndex block{rng.uniform_below(n / m),
+                                    rng.uniform_below(n / m)};
+        const std::size_t r = rng.uniform_below(n);
+        const std::size_t c = rng.uniform_below(n);
+        for (PimMachine* machine : {&batch, &single}) {
+          machine->inject_check_error(Axis::kCounter, diag, block);
+          machine->inject_data_error(r, c);
+        }
+      }
+      const RandomRowProgram program = random_row_program(n, 24 + 8 * round, rng);
+
+      // The bare crossbar: run_rows' violation sum and state equal the
+      // same ops issued alone.
+      xbar::Crossbar bare_batch(n, n);
+      xbar::Crossbar bare_single(n, n);
+      bare_batch.contents_mutable() = batch.data();
+      bare_single.contents_mutable() = batch.data();
+      const std::uint64_t violations = bare_batch.run_rows(program.ops);
+      std::uint64_t single_violations = 0;
+      for (const xbar::RowOp& op : program.ops) {
+        if (op.kind == xbar::RowOp::Kind::kInit) {
+          bare_single.magic_init(xbar::Orientation::kRow, widen(op.lines));
+        } else {
+          single_violations += bare_single
+                                   .magic_nor(xbar::Orientation::kRow,
+                                              widen(op.lines), op.out)
+                                   .violations;
+        }
+      }
+      EXPECT_EQ(violations, single_violations);
+      EXPECT_EQ(bare_batch.contents(), bare_single.contents());
+      EXPECT_EQ(bare_batch.counters(), bare_single.counters());
+      EXPECT_EQ(bare_batch.row_activation_snapshot(),
+                bare_single.row_activation_snapshot());
+
+      batch.run_rows_protected(program.ops);
+      run_ops_one_by_one(single, program.ops);
+      ASSERT_TRUE(same_machine_state(batch, single));
+      EXPECT_EQ(batch.data(), bare_batch.contents());
+      EXPECT_EQ(batch.ecc_consistent(), round % 2 == 0);
+      // The mem_cycles rule: the crossbar's cycles plus the last op's
+      // transfers.
+      const xbar::RowOp& last = program.ops.back();
+      const std::uint64_t last_lines =
+          last.kind == xbar::RowOp::Kind::kInit ? last.lines.size() : 1;
+      EXPECT_EQ(batch.counters().mem_cycles,
+                batch.mem_counters().cycles +
+                    2 * params.transfer_cycles * last_lines);
+
+      // A bad op last: rejected before the first op runs.
+      const std::uint32_t bad_in[2] = {1, static_cast<std::uint32_t>(n)};
+      const std::uint32_t dup[2] = {2, 2};
+      const std::uint32_t overlap[1] = {3};
+      for (const xbar::RowOp& bad :
+           {xbar::RowOp{xbar::RowOp::Kind::kNor, 4, bad_in},
+            xbar::RowOp{xbar::RowOp::Kind::kNor, 3, overlap},
+            xbar::RowOp{xbar::RowOp::Kind::kNor, 3, {}},
+            xbar::RowOp{xbar::RowOp::Kind::kInit, 0, dup}}) {
+        std::vector<xbar::RowOp> rejected = program.ops;
+        rejected.push_back(bad);
+        PimMachine before = batch;
+        EXPECT_ANY_THROW(batch.run_rows_protected(rejected));
+        ASSERT_TRUE(same_machine_state(batch, before));
+      }
+
+      // Restore consistency for the next round on both machines alike.
+      (void)batch.scrub();
+      (void)single.scrub();
+      ASSERT_TRUE(same_machine_state(batch, single));
+    }
+    // An empty program changes nothing.
+    const PimMachine before = batch;
+    batch.run_rows_protected({});
+    EXPECT_TRUE(same_machine_state(batch, before));
+  }
+}
+
+TEST(RowBatchDifferential, MatchesOneByOneN60M15) {
+  run_row_batch_differential(60, 15, 0xB0A7'0001ull);  // n < 64: one partial tile
+}
+
+TEST(RowBatchDifferential, MatchesOneByOneN135M9) {
+  run_row_batch_differential(135, 9, 0xB0A7'0002ull);
+}
+
+TEST(RowBatchDifferential, MatchesOneByOneN1020M15) {
+  run_row_batch_differential(1020, 15, 0xB0A7'0003ull);
+}
+
+TEST(RowBatchDifferential, MatchesOneByOneN130M65) {
+  // m > diagword::kMaxM: the band fold's bit-serial fallback, and bands
+  // that straddle tiles.
+  run_row_batch_differential(130, 65, 0xB0A7'0004ull);
+}
+
 // ------------------------------------------------------------ metamorphic
 
 /// After every public operation: the ECC invariant holds, and a forced
@@ -662,6 +876,18 @@ void expect_rejects_without_mutating(Machine& machine) {
   EXPECT_THROW(machine.magic_init_rows_protected(bad_line), std::out_of_range);
   EXPECT_THROW(machine.magic_init_cols_protected(dup), std::invalid_argument);
   EXPECT_THROW(machine.magic_init_cols_protected(bad_line), std::out_of_range);
+  // A row program is validated whole: a bad op last rejects the good one
+  // before it.
+  const std::uint32_t good_ins[2] = {1, 2};
+  const std::uint32_t bad_ins[1] = {static_cast<std::uint32_t>(n)};
+  const std::uint32_t dup_cols[2] = {3, 3};
+  const xbar::RowOp good{xbar::RowOp::Kind::kNor, 5, good_ins};
+  const std::vector<xbar::RowOp> bad_last_input{
+      good, {xbar::RowOp::Kind::kNor, 5, bad_ins}};
+  const std::vector<xbar::RowOp> bad_last_init{
+      good, {xbar::RowOp::Kind::kInit, 0, dup_cols}};
+  EXPECT_THROW(machine.run_rows_protected(bad_last_input), std::out_of_range);
+  EXPECT_THROW(machine.run_rows_protected(bad_last_init), std::invalid_argument);
 
   EXPECT_THROW((void)machine.check_block_row(n), std::out_of_range);
   EXPECT_THROW((void)machine.check_block_col(n), std::out_of_range);

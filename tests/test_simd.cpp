@@ -66,6 +66,7 @@ TEST(SimdDispatch, EveryAvailableLevelHasACompleteKernelTable) {
     EXPECT_NE(t.band_accumulate, nullptr) << simd::to_string(l);
     EXPECT_NE(t.block_peel, nullptr) << simd::to_string(l);
     EXPECT_NE(t.nor_column_pass, nullptr) << simd::to_string(l);
+    EXPECT_NE(t.transpose64, nullptr) << simd::to_string(l);
   }
 }
 
@@ -183,6 +184,31 @@ TEST(SimdKernels, NorColumnPassMatchesScalarAtEveryLevel) {
         EXPECT_EQ(viol, viol_ref) << simd::to_string(l) << " nw=" << n_words;
         EXPECT_EQ(out, out_ref) << simd::to_string(l) << " nw=" << n_words;
       }
+    }
+  }
+}
+
+TEST(SimdKernels, Transpose64MatchesNaiveAndIsAnInvolutionAtEveryLevel) {
+  Rng rng(0x51D'1004ull);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::array<std::uint64_t, 64> block{};
+    for (auto& w : block) w = trial == 0 ? 0 : rng.next();
+    if (trial == 1) block.fill(~std::uint64_t{0});
+    if (trial == 2) {
+      for (std::size_t i = 0; i < 64; ++i) block[i] = std::uint64_t{1} << i;
+    }
+    std::array<std::uint64_t, 64> naive{};
+    for (std::size_t i = 0; i < 64; ++i) {
+      for (std::size_t j = 0; j < 64; ++j) {
+        naive[j] |= ((block[i] >> j) & 1u) << i;
+      }
+    }
+    for (const simd::Level l : simd::available_levels()) {
+      std::array<std::uint64_t, 64> t = block;
+      simd::kernels_for(l).transpose64(t.data());
+      EXPECT_EQ(t, naive) << simd::to_string(l) << " trial " << trial;
+      simd::kernels_for(l).transpose64(t.data());
+      EXPECT_EQ(t, block) << simd::to_string(l) << " trial " << trial;
     }
   }
 }
