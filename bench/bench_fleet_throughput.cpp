@@ -1,5 +1,5 @@
 // Fleet engine harness: measures the sharded multi-crossbar fleet on the
-// work-stealing executor and emits machine-readable BENCH_fleet.json.
+// shared executor and emits machine-readable BENCH_fleet.json.
 //
 //   1. montecarlo: trials/second of run_fleet_montecarlo across a
 //      shard-count sweep (full executor width) and a worker-count sweep at

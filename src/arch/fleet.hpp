@@ -5,8 +5,8 @@
 // owns `shards` PimMachine units -- each an n x n MEM crossbar with its own
 // check-bit state -- plus standby spares.  Bulk operations call every
 // machine's own entry points (load, scrub, ecc_consistent) and fan the
-// shards out over the persistent work-stealing executor
-// (util/executor.hpp) with dynamic shard tickets.  machine(s) hands one
+// shards out over the persistent executor (util/executor.hpp) with
+// dynamic shard tickets.  machine(s) hands one
 // shard out for in-memory compute under the Section IV protocol, and
 // scrub_tick() is the round-robin background scrub a controller schedules
 // between computations (one block-row per tick, constant cost).

@@ -2,7 +2,7 @@
 //
 // Fleet-scale reliability campaigns: Monte Carlo over a sharded bank of
 // crossbars and the Figure 6 MTTF grid over simulated datacenter-sized
-// memories, both riding the persistent work-stealing executor.
+// memories, both riding the persistent executor (util/executor.hpp).
 //
 // run_fleet_montecarlo treats a *shard* as the unit of work: shard s runs
 // trials_per_shard trials on substreams 1 + s * trials_per_shard + t of

@@ -143,7 +143,9 @@ bool parse_request(std::string_view line, Request& out, std::string& error) {
       if (!double_field(request.horizon_hours)) return false;
     } else if (key == "deadline_ms") {
       if (!double_field(request.deadline_ms)) return false;
-      if (request.deadline_ms < 0.0) return bad_value();
+      if (request.deadline_ms < 0.0 || request.deadline_ms > kMaxDeadlineMs) {
+        return bad_value();
+      }
     } else {
       error = "unknown key '" + std::string(key) + "'";
       return false;

@@ -20,7 +20,10 @@
 // answers invalid_argument for `n` (every kind) or a map's row `width`
 // above kMaxN, and for `trials` above kMaxTrials (scenario), before any
 // registry lookup or allocation.  The largest values any trace, test or
-// bench uses are n = 1020 and 96 trials.
+// bench uses are n = 1020 and 96 trials.  `deadline_ms` (any kind) is
+// capped at kMaxDeadlineMs by parse_request itself, which answers a larger
+// value as a bad value: the server converts the deadline to integer
+// steady-clock ticks, and that conversion is undefined above ~9.2e12 ms.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +38,8 @@ namespace pimecc::serve {
 
 inline constexpr std::size_t kMaxN = 4096;
 inline constexpr std::size_t kMaxTrials = 100000;
+/// About 11.6 days; four orders of magnitude below the tick overflow.
+inline constexpr double kMaxDeadlineMs = 1e9;
 
 enum class RequestKind : unsigned char { kMap, kRun, kMttf, kSweep, kScenario };
 
@@ -74,9 +79,10 @@ struct Request {
   std::size_t trials = 64;
   double horizon_hours = 240.0;
 
-  // All kinds: per-request deadline, milliseconds from submission.  0 means
-  // no deadline.  Checked at admission into a batch lane (cooperative --
-  // an already-executing request runs to completion).
+  // All kinds: per-request deadline, milliseconds from submission, in
+  // [0, kMaxDeadlineMs].  0 means no deadline.  Checked at admission into a
+  // batch lane (cooperative -- an already-executing request runs to
+  // completion).
   double deadline_ms = 0.0;
 };
 

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -227,9 +228,12 @@ Admission Server::try_submit(Request request) {
   Pending pending;
   pending.ticket = admission.ticket;
   if (request.deadline_ms > 0.0) {
+    // parse_request rejects larger values; the clamp keeps the integer
+    // conversion defined for a Request built in code.
+    const double deadline_ms = std::min(request.deadline_ms, kMaxDeadlineMs);
     pending.deadline =
         now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double, std::milli>(request.deadline_ms));
+                  std::chrono::duration<double, std::milli>(deadline_ms));
   }
   pending.request = std::move(request);
   queue_.push_back(std::move(pending));

@@ -2,7 +2,7 @@
 //
 // The batched request engine behind `pimecc run|mttf|sweep|serve`: a
 // concurrent submission queue in front of a handler that executes batches
-// on the process-wide work-stealing executor (util::Executor::shared() via
+// on the process-wide executor (util::Executor::shared() via
 // parallel_for -- no thread pool of its own, per the repo's one-substrate
 // rule).  Producers submit requests and get tickets; drain_once() admits up
 // to max_batch pending requests, executes them with up to `lanes` executor

@@ -1,169 +1,34 @@
 #include "util/executor.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdint>
-#include <memory>
+#include <utility>
 
 namespace pimecc::util {
-
-namespace detail {
-
-/// Chase-Lev work-stealing deque of Task*.  Owner-only push()/pop() at the
-/// bottom, concurrent steal() at the top.  Memory orderings follow Le, Pop,
-/// Cohen & Zappa Nardelli, "Correct and Efficient Work-Stealing for Weak
-/// Memory Models" (PPoPP'13); slots are atomics so a thief racing a grow()
-/// reads a well-defined value, and outgrown rings are retired on a chain
-/// owned by the deque (freed only at destruction) so no thief can touch
-/// reclaimed memory.
-class StealDeque {
- public:
-  StealDeque() : ring_(new Ring(kInitialCapacity)) {}
-
-  ~StealDeque() {
-    Ring* ring = ring_.load(std::memory_order_relaxed);
-    while (ring != nullptr) {
-      Ring* retired = ring->retired;
-      delete ring;
-      ring = retired;
-    }
-  }
-
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
-  /// Owner only.
-  void push(Task* task) {
-    const std::int64_t bottom = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t top = top_.load(std::memory_order_acquire);
-    Ring* ring = ring_.load(std::memory_order_relaxed);
-    if (bottom - top > static_cast<std::int64_t>(ring->capacity) - 1) {
-      ring = grow(ring, top, bottom);
-    }
-    ring->put(bottom, task);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(bottom + 1, std::memory_order_relaxed);
-  }
-
-  /// Owner only.
-  Task* pop() {
-    const std::int64_t bottom = bottom_.load(std::memory_order_relaxed) - 1;
-    Ring* ring = ring_.load(std::memory_order_relaxed);
-    bottom_.store(bottom, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t top = top_.load(std::memory_order_relaxed);
-    if (top > bottom) {  // empty: restore
-      bottom_.store(bottom + 1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    Task* task = ring->get(bottom);
-    if (top == bottom) {
-      // Last element: race the thieves for it.
-      if (!top_.compare_exchange_strong(top, top + 1,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        task = nullptr;  // a thief got there first
-      }
-      bottom_.store(bottom + 1, std::memory_order_relaxed);
-    }
-    return task;
-  }
-
-  /// Any thread.
-  Task* steal() {
-    std::int64_t top = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t bottom = bottom_.load(std::memory_order_acquire);
-    if (top >= bottom) return nullptr;
-    Ring* ring = ring_.load(std::memory_order_acquire);
-    Task* task = ring->get(top);
-    if (!top_.compare_exchange_strong(top, top + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return nullptr;  // lost the race; the caller moves to the next victim
-    }
-    return task;
-  }
-
- private:
-  static constexpr std::size_t kInitialCapacity = 64;  // must be a power of 2
-
-  struct Ring {
-    explicit Ring(std::size_t cap)
-        : capacity(cap), mask(cap - 1),
-          slots(std::make_unique<std::atomic<Task*>[]>(cap)) {}
-
-    [[nodiscard]] Task* get(std::int64_t i) const noexcept {
-      return slots[static_cast<std::size_t>(i) & mask].load(
-          std::memory_order_relaxed);
-    }
-    void put(std::int64_t i, Task* task) noexcept {
-      slots[static_cast<std::size_t>(i) & mask].store(
-          task, std::memory_order_relaxed);
-    }
-
-    std::size_t capacity;
-    std::size_t mask;
-    std::unique_ptr<std::atomic<Task*>[]> slots;
-    Ring* retired = nullptr;  // chain of outgrown predecessors
-  };
-
-  /// Owner only: doubles the ring, copying the live [top, bottom) window.
-  /// The old ring stays readable (retired chain) for any in-flight thief.
-  Ring* grow(Ring* old_ring, std::int64_t top, std::int64_t bottom) {
-    Ring* bigger = new Ring(old_ring->capacity * 2);
-    for (std::int64_t i = top; i < bottom; ++i) {
-      bigger->put(i, old_ring->get(i));
-    }
-    bigger->retired = old_ring;
-    ring_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Ring*> ring_;
-};
-
-}  // namespace detail
-
-namespace {
-
-/// Worker identity of the current thread: which executor it belongs to
-/// (nullptr for non-workers) and its index there.
-thread_local Executor* tls_executor = nullptr;
-thread_local std::size_t tls_worker_index = 0;
-
-}  // namespace
-
-struct Executor::Worker {
-  detail::StealDeque deque;
-  std::thread thread;
-};
 
 Executor::Executor(std::size_t workers) {
   if (workers == 0) {
     workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  // Threads start only after every Worker slot exists: a freshly started
-  // worker immediately steals from its siblings' deques.
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_[i]->thread = std::thread([this, i] { worker_main(i); });
+  threads_.reserve(workers);
+  try {
+    for (std::size_t i = 0; i < workers; ++i) {
+      threads_.emplace_back([this] { worker_main(); });
+    }
+  } catch (...) {
+    stop_and_join();  // a failed spawn must not leave started threads unjoined
+    throw;
   }
 }
 
-Executor::~Executor() {
+Executor::~Executor() { stop_and_join(); }
+
+void Executor::stop_and_join() noexcept {
   {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  cv_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
 }
 
 Executor& Executor::shared() {
@@ -171,82 +36,46 @@ Executor& Executor::shared() {
   return instance;
 }
 
-std::size_t Executor::worker_count() const noexcept { return workers_.size(); }
-
-std::size_t Executor::self_index() const noexcept {
-  return tls_executor == this ? tls_worker_index : kNotAWorker;
-}
-
-void Executor::enqueue(detail::Task* task) {
-  const std::size_t self = self_index();
-  if (self != kNotAWorker) {
-    workers_[self]->deque.push(task);
-  } else {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    inject_.push_back(task);
-  }
+void Executor::enqueue(detail::Task task) {
   {
-    // The epoch must move under the idle mutex, or a worker deciding to
-    // sleep between our push and our notify would miss the wakeup.
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    work_epoch_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(task));
   }
-  idle_cv_.notify_all();
+  cv_.notify_one();
 }
 
-detail::Task* Executor::try_acquire(std::size_t self) {
-  if (self != kNotAWorker) {
-    if (detail::Task* task = workers_[self]->deque.pop()) return task;
-  }
-  {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    if (!inject_.empty()) {
-      detail::Task* task = inject_.front();
-      inject_.pop_front();
-      return task;
-    }
-  }
-  // Steal sweep, rotated per thread so thieves spread over victims.
-  static thread_local std::size_t steal_cursor = 0;
-  const std::size_t n = workers_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (steal_cursor + k) % n;
-    if (victim == self) continue;
-    if (detail::Task* task = workers_[victim]->deque.steal()) {
-      steal_cursor = victim;
-      return task;
-    }
-  }
-  ++steal_cursor;
-  return nullptr;
+bool Executor::try_pop(detail::Task& task) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (queue_.empty()) return false;
+  task = std::move(queue_.front());
+  queue_.pop_front();
+  return true;
 }
 
-void Executor::run_task(detail::Task* task) noexcept {
-  TaskGroup* group = task->group;
+void Executor::run_task(detail::Task& task) noexcept {
+  std::exception_ptr error;
   try {
-    task->fn();
+    task.fn();
   } catch (...) {
-    group->capture_exception(std::current_exception());
+    error = std::current_exception();
   }
-  group->finish_one();
+  // Release the callable (and whatever it captured) while the group is
+  // still guaranteed alive: after finish_one() its waiter may destroy it.
+  task.fn = nullptr;
+  task.group->finish_one(std::move(error));
 }
 
-void Executor::worker_main(std::size_t index) {
-  tls_executor = this;
-  tls_worker_index = index;
+void Executor::worker_main() {
+  detail::Task task;
   for (;;) {
-    // Snapshot the epoch BEFORE scanning: any enqueue after this line
-    // either is found by the scan or moves the epoch past our snapshot.
-    const std::uint64_t epoch = work_epoch_.load(std::memory_order_acquire);
-    if (detail::Task* task = try_acquire(index)) {
-      run_task(task);
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopped and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(idle_mutex_);
-    if (stop_) return;
-    if (work_epoch_.load(std::memory_order_relaxed) != epoch) continue;
-    idle_cv_.wait(lock);
-    if (stop_) return;
+    run_task(task);
   }
 }
 
@@ -261,29 +90,20 @@ TaskGroup::~TaskGroup() {
 }
 
 void TaskGroup::submit(std::function<void()> fn) {
-  detail::Task* task;
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks_.emplace_back();
-    task = &tasks_.back();
-  }
-  task->fn = std::move(fn);
-  task->group = this;
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  executor_.enqueue(task);
+  executor_.enqueue({std::move(fn), this});
 }
 
 void TaskGroup::wait() {
+  detail::Task task;
   while (pending_.load(std::memory_order_acquire) > 0) {
-    detail::Task* task = executor_.try_acquire(executor_.self_index());
-    if (task != nullptr) {
-      executor_.run_task(task);
+    if (executor_.try_pop(task)) {
+      Executor::run_task(task);
       continue;
     }
-    // Nothing stealable right now: the remaining tasks are executing on
-    // other threads (or briefly in flight between queues).  The short
-    // timeout re-arms the help loop in case a running task spawns more
-    // stealable work without routing a wakeup at us.
+    // The queue is empty: the remaining tasks are executing on other
+    // threads.  The short timeout re-arms the help loop in case a running
+    // task submits more work without routing a wakeup at us.
     std::unique_lock<std::mutex> lock(done_mutex_);
     if (pending_.load(std::memory_order_acquire) == 0) break;
     done_cv_.wait_for(lock, std::chrono::milliseconds(1));
@@ -293,22 +113,15 @@ void TaskGroup::wait() {
   // worker has released it -- after which no thread touches this group.
   // Without this, the caller could destroy the group while the final
   // notify_all() is still executing.
-  { std::lock_guard<std::mutex> lock(done_mutex_); }
   std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    error = error_;
-    error_ = nullptr;
+    std::lock_guard<std::mutex> lock(done_mutex_);
+    error = std::exchange(error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
 }
 
-void TaskGroup::capture_exception(std::exception_ptr error) noexcept {
-  std::lock_guard<std::mutex> lock(error_mutex_);
-  if (!error_) error_ = error;
-}
-
-void TaskGroup::finish_one() noexcept {
+void TaskGroup::finish_one(std::exception_ptr error) noexcept {
   // The decrement MUST happen under done_mutex_: wait() re-confirms
   // pending_ == 0 under the same mutex before returning, so by the time a
   // waiter can destroy the group, the worker that retired the last task
@@ -316,6 +129,7 @@ void TaskGroup::finish_one() noexcept {
   // again.  A lock-free fetch_sub here would let the waiter observe zero
   // (and free the group) between our decrement and the notify below.
   std::lock_guard<std::mutex> lock(done_mutex_);
+  if (error && !error_) error_ = std::move(error);
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     done_cv_.notify_all();
   }

@@ -1,37 +1,35 @@
 // pimecc -- util/executor.hpp
 //
-// Persistent work-stealing thread pool: the shared concurrency substrate of
-// the fleet-scale simulation layer (and of every later serving/sweep
-// subsystem).  It replaced a one-shot contiguous-partition std::thread
-// spawner, which rebuilt a pool per call and pinned each worker to a fixed
-// trial range -- so one expensive trial serialized its whole contiguous
-// chunk behind it.
+// Persistent thread pool: the shared concurrency substrate of the fleet
+// engine, the reliability campaigns and the server's batches.  It replaced
+// a one-shot contiguous-partition std::thread spawner, which rebuilt a pool
+// per call and pinned each worker to a fixed trial range -- so one
+// expensive trial serialized its whole contiguous chunk behind it.
 //
 // Architecture
 //   - One Executor owns N worker threads (lazy one-time startup for the
 //     process-wide Executor::shared(); N = hardware concurrency).
-//   - Each worker owns a Chase-Lev deque: the owner pushes and pops at the
-//     bottom (LIFO, cache-warm), idle threads steal from the top (FIFO,
-//     oldest first).  The implementation follows the weak-memory-model
-//     formulation of Le, Pop, Cohen & Zappa Nardelli (PPoPP'13), with
-//     atomic slot arrays retired-not-freed on growth so a racing thief
-//     never reads reclaimed memory.
-//   - A shared mutex-protected injection queue receives submissions from
-//     threads that are not workers of this executor (the main thread, a
-//     test thread, a worker of another executor); workers drain it between
-//     deque scans, so external work cannot starve.
-//   - Sleep/wake is epoch-based: enqueue bumps a work epoch under the idle
-//     mutex and notifies; a worker sleeps only if the epoch has not moved
-//     since before its last full scan, so wakeups cannot be lost.
+//   - One mutex-guarded FIFO of tasks and one condition variable: enqueue
+//     pushes under the mutex and notifies; a worker sleeps on the condition
+//     until the queue is non-empty or the executor stops, so no wakeup can
+//     be lost.  A stopping executor drains the queue before its workers
+//     exit.
+//
+// Why one queue is enough: every fan-out in pimecc goes through
+// parallel_for_lanes below, which submits at most parallelism() long-lived
+// lane tasks from the calling thread and balances the actual work with one
+// atomic ticket counter.  The queue therefore sees a handful of pushes and
+// pops per fan-out, however many trials, shards or requests the fan-out
+// covers; per-worker deques and stealing pay off only for fine-grained
+// tasks spawned from inside workers, and no caller does that.
 //
 // TaskGroup is the submit/wait unit.  wait() *helps*: the waiting thread
-// executes queued tasks (its own deque first when it is a worker, then the
-// injection queue, then steals) until the group's pending count reaches
-// zero -- so nested groups inside tasks cannot deadlock, and on a machine
-// with W workers a waiting caller gives min(lanes, W + 1) OS threads of
-// real concurrency.  The first exception thrown by any task is captured
-// and rethrown from wait() after every task of the group has finished
-// (rethrow-after-join).
+// pops and runs queued tasks (of any group) until the group's pending count
+// reaches zero -- so nested groups inside tasks cannot deadlock, and on a
+// machine with W workers a waiting caller gives min(lanes, W + 1) OS
+// threads of real concurrency.  The first exception thrown by any task is
+// captured and rethrown from wait() after every task of the group has
+// finished (rethrow-after-join).
 //
 // Determinism: the executor itself promises nothing about which thread
 // runs which task -- callers get thread-count-invariant results by giving
@@ -59,9 +57,7 @@ class TaskGroup;
 
 namespace detail {
 
-class StealDeque;
-
-/// One queued unit of work, owned by its TaskGroup (stable address).
+/// One queued unit of work and the group that waits for it.
 struct Task {
   std::function<void()> fn;
   TaskGroup* group = nullptr;
@@ -69,8 +65,7 @@ struct Task {
 
 }  // namespace detail
 
-/// Persistent pool of worker threads with per-worker work-stealing deques
-/// and a shared injection queue.
+/// Persistent pool of worker threads draining one shared FIFO of tasks.
 class Executor {
  public:
   /// Spawns `workers` threads (0 = hardware concurrency, at least 1).
@@ -83,7 +78,9 @@ class Executor {
   /// every fleet/reliability/memory-system entry point.
   [[nodiscard]] static Executor& shared();
 
-  [[nodiscard]] std::size_t worker_count() const noexcept;
+  [[nodiscard]] std::size_t worker_count() const noexcept {
+    return threads_.size();
+  }
 
   /// worker_count() + 1: the waiting caller helps, so this is the maximum
   /// number of OS threads that can be executing tasks concurrently.
@@ -94,32 +91,21 @@ class Executor {
  private:
   friend class TaskGroup;
 
-  struct Worker;
-
-  static constexpr std::size_t kNotAWorker = ~std::size_t{0};
-
-  void enqueue(detail::Task* task);
-  /// Own-deque pop (workers only), then injection queue, then a steal sweep
-  /// over every worker deque; nullptr when nothing was acquired.
-  [[nodiscard]] detail::Task* try_acquire(std::size_t self);
+  void enqueue(detail::Task task);
+  /// Moves the oldest queued task into `task`; false when the queue is
+  /// empty.  Never blocks on an empty queue.
+  [[nodiscard]] bool try_pop(detail::Task& task);
   /// Runs one task, routing any exception into its group.
-  void run_task(detail::Task* task) noexcept;
-  void worker_main(std::size_t index);
-  /// This thread's worker index in *this* executor, or kNotAWorker.
-  [[nodiscard]] std::size_t self_index() const noexcept;
+  static void run_task(detail::Task& task) noexcept;
+  void worker_main();
+  /// Sets stop_, wakes every worker and joins them once the queue drains.
+  void stop_and_join() noexcept;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-
-  std::mutex inject_mutex_;
-  std::deque<detail::Task*> inject_;
-
-  // Lost-wakeup-free sleep: enqueue bumps the epoch under idle_mutex_ and
-  // notifies; a worker that found nothing re-checks the epoch under the
-  // mutex before sleeping.
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::uint64_t> work_epoch_{0};
-  bool stop_ = false;  // guarded by idle_mutex_
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<detail::Task> queue_;  // guarded by mutex_
+  bool stop_ = false;               // guarded by mutex_
+  std::vector<std::thread> threads_;
 };
 
 /// A batch of tasks submitted together and waited on as a unit.
@@ -133,7 +119,7 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   /// Enqueues `fn`.  Callable from any thread, including from inside a task
-  /// of this same group (the nesting the scheduler relies on).
+  /// of this same group.
   void submit(std::function<void()> fn);
 
   /// Helps execute queued work until every submitted task has finished,
@@ -148,17 +134,15 @@ class TaskGroup {
  private:
   friend class Executor;
 
-  void capture_exception(std::exception_ptr error) noexcept;
-  void finish_one() noexcept;
+  /// Retires one task; `error` (null when it returned normally) is kept if
+  /// it is the group's first.
+  void finish_one(std::exception_ptr error) noexcept;
 
   Executor& executor_;
-  std::mutex tasks_mutex_;
-  std::deque<detail::Task> tasks_;  // stable addresses; freed with the group
   std::atomic<std::size_t> pending_{0};
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
-  std::mutex error_mutex_;
-  std::exception_ptr error_;
+  std::exception_ptr error_;  // guarded by done_mutex_
 };
 
 /// Runs `body(lane, i)` for every i in [0, count) across up to `max_lanes`

@@ -1,5 +1,5 @@
-// Work-stealing executor suite: task-group nesting, the
-// rethrow-after-join exception contract, steal-heavy skewed workloads,
+// Executor suite: task-group nesting, the rethrow-after-join exception
+// contract, skewed workloads, nested full-width fan-outs,
 // deterministic slot writes under parallel_for, and the trial-pool
 // regression that pins the dynamic-ticket fix for the old contiguous
 // partitioner (a slow head trial must not serialize its chunk).
@@ -148,6 +148,14 @@ TEST(TrialPool, PerTrialSlotsAreThreadCountInvariant) {
   EXPECT_EQ(run(2), serial);
   EXPECT_EQ(run(7), serial);
   EXPECT_EQ(run(0), serial);
+  // A full-width fan-out nested in every lane of an outer full-width one
+  // (a server lane running a threads=0 campaign): the inner waits help
+  // through the same queue the outer lanes came from.
+  std::vector<std::vector<std::uint64_t>> nested(
+      2 * Executor::shared().parallelism());
+  parallel_for(Executor::shared(), nested.size(), 0,
+               [&](std::size_t o) { nested[o] = run(0); });
+  for (const auto& slots : nested) EXPECT_EQ(slots, serial);
 }
 
 TEST(TrialPool, SlowHeadTrialDoesNotSerializeTheRest) {

@@ -502,6 +502,17 @@ TEST(ServeRobustness, DeadlineAlreadyExpiredProducesTypedResponse) {
       server.submit(parse_ok("mttf fit=1e-3 deadline_ms=60000"));
   EXPECT_EQ(server.drain(), 1u);
   EXPECT_TRUE(server.take(relaxed).ok);
+
+  // Past the cap, the steady-clock conversion would overflow into an
+  // already-expired deadline.  Built in code, such a deadline is clamped
+  // and served; on a request line it is a bad value (ParseRequest below).
+  for (const double huge : {1e13, 1e300}) {
+    Request built = parse_ok("mttf fit=1e-3");
+    built.deadline_ms = huge;
+    const std::uint64_t clamped = server.submit(built);
+    EXPECT_EQ(server.drain(), 1u);
+    EXPECT_TRUE(server.take(clamped).ok) << huge;
+  }
 }
 
 TEST(ParseRequest, DeadlineKeyParsesAndRejectsNegatives) {
@@ -509,6 +520,14 @@ TEST(ParseRequest, DeadlineKeyParsesAndRejectsNegatives) {
   EXPECT_EQ(request.deadline_ms, 250.5);
   EXPECT_NE(parse_error("mttf fit=1e-3 deadline_ms=-1").find("bad value"),
             std::string::npos);
+  EXPECT_EQ(parse_ok("mttf fit=1e-3 deadline_ms=1e9").deadline_ms,
+            serve::kMaxDeadlineMs);
+  for (const char* huge : {"1e13", "1e300"}) {
+    EXPECT_NE(parse_error(std::string("mttf fit=1e-3 deadline_ms=") + huge)
+                  .find("bad value"),
+              std::string::npos)
+        << huge;
+  }
 }
 
 TEST(ServeRobustness, ShutdownCancelsQueuedAndReportsCount) {

@@ -17,10 +17,11 @@ cmake_args+=("$@")
 
 # Sanitizer stage: UBSan+ASan Debug build running the unit-label tests, so
 # the shift-width / tail-word / gather-bounds classes of bug the SIMD
-# kernels are hardened against abort CI instead of regressing silently.
+# kernels are hardened against (and out-of-range float-to-integer casts)
+# abort CI instead of regressing silently.
 # Skipped (with a notice) when the toolchain has no ASan runtime.
 sanitize_dir="$repo/build-ci-sanitize"
-if echo 'int main(){}' | c++ -x c++ -fsanitize=address,undefined -o /dev/null - 2>/dev/null; then
+if echo 'int main(){}' | c++ -x c++ -fsanitize=address,undefined,float-cast-overflow -o /dev/null - 2>/dev/null; then
   echo "==== [Sanitize] configure ===="
   cmake -B "$sanitize_dir" -S "$repo" -DCMAKE_BUILD_TYPE=Debug -DPIMECC_SANITIZE=ON \
     "${cmake_args[@]+"${cmake_args[@]}"}"
@@ -32,7 +33,7 @@ else
   echo "==== toolchain lacks ASan/UBSan runtime; skipping sanitize stage ===="
 fi
 
-# ThreadSanitizer stage: races the work-stealing executor, the fleet bulk
+# ThreadSanitizer stage: races the executor's task queue, the fleet bulk
 # operations, and the trial pools (the concurrency-label tests).  TSan can't
 # coexist with ASan in one binary, so this is its own build tree.  Skipped
 # (with a notice) when the toolchain has no TSan runtime.
