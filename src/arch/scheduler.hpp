@@ -79,7 +79,7 @@ class CalendarResource {
 using CheckCellKey = std::uint64_t;
 
 /// One reserved cycle (or span) on one unit -- the scheduler's trace
-/// record, consumed by `pimecc_map --timeline` and the scheduler tests.
+/// record, consumed by `pimecc map --timeline` and the scheduler tests.
 struct ScheduledEvent {
   std::uint64_t cycle = 0;  ///< start cycle
   std::uint64_t span = 1;   ///< consecutive cycles occupied

@@ -36,32 +36,12 @@ void accumulate_band(const std::uint64_t* const* rows, std::size_t m,
   }
 }
 
-/// The fresh parity of the band of `data` at rows [band_row0, band_row0 + m).
-void accumulate_band(const util::BitMatrix& data, std::size_t band_row0,
-                     std::size_t m, std::vector<std::uint64_t>& lead,
-                     std::vector<std::uint64_t>& cnt) {
-  accumulate_band(row_ptrs(data, band_row0, m).data(), m, lead, cnt);
-}
-
-/// Fresh leading/counter parity words of the single block anchored at
-/// (row0, col0), counter already reflected.  m <= diagword::kMaxM.
-void accumulate_block(const util::BitMatrix& data, std::size_t row0,
-                      std::size_t col0, std::size_t m, std::uint64_t& lead,
-                      std::uint64_t& cnt) {
-  const auto ptrs = row_ptrs(data, row0, m);
-  util::simd::kernels().block_peel(ptrs.data(), m, col0, &lead, &cnt);
-  cnt = diagword::reflect(cnt, m);
-}
-
-/// Folds one bit-serial DecodeResult into a ScrubReport.
-void tally(ScrubReport& report, const DecodeResult& r) {
-  ++report.blocks_checked;
-  switch (r.status) {
-    case DecodeStatus::kClean: ++report.clean; break;
-    case DecodeStatus::kCorrectedData: ++report.corrected_data; break;
-    case DecodeStatus::kCorrectedCheck: ++report.corrected_check; break;
-    case DecodeStatus::kDetectedUncorrectable: ++report.uncorrectable; break;
-  }
+/// One syndrome word as the flag count (saturated at 2, which spares the
+/// clean blocks a popcount) and first flag of its axis.
+detail::AxisFlags flags(std::uint64_t syndrome) {
+  const std::size_t count =
+      syndrome == 0 ? 0 : ((syndrome & (syndrome - 1)) == 0 ? 1 : 2);
+  return {count, static_cast<std::size_t>(std::countr_zero(syndrome))};
 }
 
 }  // namespace
@@ -71,6 +51,8 @@ ArrayCode::ArrayCode(std::size_t n, std::size_t m) : n_(n), codec_(m) {
     throw std::invalid_argument("ArrayCode: n must be a positive multiple of m");
   }
   blocks_.assign(block_count(), CheckBits(m));
+  band_lead_.resize(blocks_per_side());
+  band_cnt_.resize(blocks_per_side());
 }
 
 std::size_t ArrayCode::flat_index(BlockIndex b) const {
@@ -116,8 +98,6 @@ void ArrayCode::encode_all(const util::BitMatrix& data) {
 void ArrayCode::fold_band(std::size_t band, const std::uint64_t* const* rows,
                           bool assign) {
   const std::size_t bps = blocks_per_side();
-  band_lead_.resize(bps);
-  band_cnt_.resize(bps);
   accumulate_band(rows, m(), band_lead_, band_cnt_);
   for (std::size_t bc = 0; bc < bps; ++bc) {
     CheckBits& check = blocks_[band * bps + bc];
@@ -169,118 +149,14 @@ void ArrayCode::apply_writes(const std::vector<CellWrite>& writes) {
   }
 }
 
-DecodeResult ArrayCode::check_block(util::BitMatrix& data, BlockIndex b) {
-  require_shape(data);
-  return codec_.check_and_correct(data, b.block_row * m(), b.block_col * m(),
-                                  blocks_[flat_index(b)]);
-}
-
 ScrubReport ArrayCode::scrub(util::BitMatrix& data) {
   require_shape(data);
   ScrubReport report;
-  const std::size_t mm = m();
   const std::size_t bps = blocks_per_side();
-  if (mm > diagword::kMaxM) {
-    for (std::size_t br = 0; br < bps; ++br) {
-      for (std::size_t bc = 0; bc < bps; ++bc) {
-        tally(report, check_block(data, {br, bc}));
-      }
-    }
-    return report;
-  }
-  // Batch band path: fresh parities for all blocks of a band in one pass
-  // over its rows, then per-block word-level syndrome classification
-  // (blocks are disjoint, so correcting a data bit here cannot affect any
-  // other block's already-computed parity).  Semantics identical to
-  // check_block per block -- pinned by the differential suite.
-  std::vector<std::uint64_t> lead(bps);
-  std::vector<std::uint64_t> cnt(bps);
   for (std::size_t br = 0; br < bps; ++br) {
-    accumulate_band(data, br * mm, mm, lead, cnt);
-    for (std::size_t bc = 0; bc < bps; ++bc) {
-      classify_and_repair(data, {br, bc}, lead[bc], cnt[bc], report);
-    }
+    scrub_row_blocks(data, br, 0, bps, report);
   }
   return report;
-}
-
-void ArrayCode::classify_and_repair(util::BitMatrix& data, BlockIndex b,
-                                    std::uint64_t fresh_lead,
-                                    std::uint64_t fresh_cnt, ScrubReport& report,
-                                    BlockRepair* repair) {
-  const std::size_t mm = m();
-  CheckBits& stored = blocks_[b.block_row * blocks_per_side() + b.block_col];
-  const std::uint64_t syn_lead = fresh_lead ^ stored.leading.low_word();
-  const std::uint64_t syn_cnt = fresh_cnt ^ stored.counter.low_word();
-  ++report.blocks_checked;
-  if (syn_lead == 0 && syn_cnt == 0) {
-    ++report.clean;
-    if (repair) repair->status = DecodeStatus::kClean;
-    return;
-  }
-  const int nl = std::popcount(syn_lead);
-  const int nc = std::popcount(syn_cnt);
-  if (nl == 1 && nc == 1) {
-    const Cell cell = codec_.geometry().locate(
-        {static_cast<std::size_t>(std::countr_zero(syn_lead)),
-         static_cast<std::size_t>(std::countr_zero(syn_cnt))});
-    data.flip(b.block_row * mm + cell.r, b.block_col * mm + cell.c);
-    ++report.corrected_data;
-    if (repair) {
-      repair->status = DecodeStatus::kCorrectedData;
-      repair->data_r = b.block_row * mm + cell.r;
-      repair->data_c = b.block_col * mm + cell.c;
-    }
-  } else if (nl == 1 && nc == 0) {
-    const auto index = static_cast<std::size_t>(std::countr_zero(syn_lead));
-    stored.leading.flip(index);
-    ++report.corrected_check;
-    if (repair) {
-      repair->status = DecodeStatus::kCorrectedCheck;
-      repair->check_on_leading_axis = true;
-      repair->check_index = index;
-    }
-  } else if (nl == 0 && nc == 1) {
-    const auto index = static_cast<std::size_t>(std::countr_zero(syn_cnt));
-    stored.counter.flip(index);
-    ++report.corrected_check;
-    if (repair) {
-      repair->status = DecodeStatus::kCorrectedCheck;
-      repair->check_on_leading_axis = false;
-      repair->check_index = index;
-    }
-  } else {
-    ++report.uncorrectable;
-    if (repair) repair->status = DecodeStatus::kDetectedUncorrectable;
-  }
-}
-
-BlockRepair ArrayCode::scrub_block(util::BitMatrix& data, BlockIndex b) {
-  require_shape(data);
-  const std::size_t mm = m();
-  BlockRepair repair;
-  if (mm > diagword::kMaxM) {
-    // Bit-serial fallback via the per-block codec path; translate the
-    // DecodeResult's block-relative coordinates to absolute ones.
-    const DecodeResult r = check_block(data, b);
-    repair.status = r.status;
-    if (r.data_error) {
-      repair.data_r = b.block_row * mm + r.data_error->r;
-      repair.data_c = b.block_col * mm + r.data_error->c;
-    }
-    if (r.check_error) {
-      repair.check_on_leading_axis = r.check_error->on_leading_axis;
-      repair.check_index = r.check_error->index;
-    }
-    return repair;
-  }
-  (void)flat_index(b);  // bounds check before touching any state
-  std::uint64_t lead = 0;
-  std::uint64_t cnt = 0;
-  accumulate_block(data, b.block_row * mm, b.block_col * mm, mm, lead, cnt);
-  ScrubReport scratch;
-  classify_and_repair(data, b, lead, cnt, scratch, &repair);
-  return repair;
 }
 
 ScrubReport ArrayCode::scrub_band(util::BitMatrix& data, bool row_band,
@@ -291,30 +167,91 @@ ScrubReport ArrayCode::scrub_band(util::BitMatrix& data, bool row_band,
     throw std::out_of_range("ArrayCode::scrub_band: band out of range");
   }
   ScrubReport report;
-  const std::size_t mm = m();
-  if (mm > diagword::kMaxM) {
-    for (std::size_t j = 0; j < bps; ++j) {
-      const BlockIndex b = row_band ? BlockIndex{band, j} : BlockIndex{j, band};
-      tally(report, check_block(data, b));
-    }
-    return report;
-  }
   if (row_band) {
-    std::vector<std::uint64_t> lead(bps);
-    std::vector<std::uint64_t> cnt(bps);
-    accumulate_band(data, band * mm, mm, lead, cnt);
-    for (std::size_t bc = 0; bc < bps; ++bc) {
-      classify_and_repair(data, {band, bc}, lead[bc], cnt[bc], report);
-    }
+    scrub_row_blocks(data, band, 0, bps, report);
   } else {
     for (std::size_t br = 0; br < bps; ++br) {
-      std::uint64_t lead = 0;
-      std::uint64_t cnt = 0;
-      accumulate_block(data, br * mm, band * mm, mm, lead, cnt);
-      classify_and_repair(data, {br, band}, lead, cnt, report);
+      scrub_row_blocks(data, br, band, band + 1, report);
     }
   }
   return report;
+}
+
+BlockRepair ArrayCode::scrub_block(util::BitMatrix& data, BlockIndex b) {
+  require_shape(data);
+  (void)flat_index(b);  // bounds check before touching any state
+  ScrubReport report;
+  return scrub_row_blocks(data, b.block_row, b.block_col, b.block_col + 1,
+                          report);
+}
+
+BlockRepair ArrayCode::scrub_row_blocks(util::BitMatrix& data, std::size_t band,
+                                        std::size_t first, std::size_t last,
+                                        ScrubReport& report) {
+  const std::size_t mm = m();
+  const std::size_t bps = blocks_per_side();
+  BlockRepair last_repair;
+  if (mm > diagword::kMaxM) {
+    for (std::size_t bc = first; bc < last; ++bc) {
+      const Syndrome syndrome = codec_.compute_syndrome(
+          data, band * mm, bc * mm, blocks_[band * bps + bc]);
+      last_repair = repair(data, {band, bc}, codec_.classify(syndrome), report);
+    }
+    return last_repair;
+  }
+  // Blocks are disjoint, so repairing one block's data bit cannot change
+  // another block's already-accumulated parity.
+  const auto rows = row_ptrs(data, band * mm, mm);
+  const bool whole_band = first == 0 && last == bps;
+  if (whole_band) accumulate_band(rows.data(), mm, band_lead_, band_cnt_);
+  for (std::size_t bc = first; bc < last; ++bc) {
+    std::uint64_t lead = 0;
+    std::uint64_t cnt = 0;
+    if (whole_band) {
+      lead = band_lead_[bc];
+      cnt = band_cnt_[bc];
+    } else {
+      util::simd::kernels().block_peel(rows.data(), mm, bc * mm, &lead, &cnt);
+      cnt = diagword::reflect(cnt, mm);
+    }
+    const CheckBits& stored = blocks_[band * bps + bc];
+    const DecodeResult verdict =
+        detail::decode(codec_.geometry(), flags(lead ^ stored.leading.low_word()),
+                       flags(cnt ^ stored.counter.low_word()));
+    last_repair = repair(data, {band, bc}, verdict, report);
+  }
+  return last_repair;
+}
+
+BlockRepair ArrayCode::repair(util::BitMatrix& data, BlockIndex b,
+                              const DecodeResult& verdict, ScrubReport& report) {
+  BlockRepair done;
+  done.status = verdict.status;
+  ++report.blocks_checked;
+  switch (verdict.status) {
+    case DecodeStatus::kClean:
+      ++report.clean;
+      break;
+    case DecodeStatus::kCorrectedData:
+      done.data_r = b.block_row * m() + verdict.data_error->r;
+      done.data_c = b.block_col * m() + verdict.data_error->c;
+      data.flip(done.data_r, done.data_c);
+      ++report.corrected_data;
+      break;
+    case DecodeStatus::kCorrectedCheck: {
+      done.check_on_leading_axis = verdict.check_error->on_leading_axis;
+      done.check_index = verdict.check_error->index;
+      CheckBits& stored = blocks_[b.block_row * blocks_per_side() + b.block_col];
+      (done.check_on_leading_axis ? stored.leading : stored.counter)
+          .flip(done.check_index);
+      ++report.corrected_check;
+      break;
+    }
+    case DecodeStatus::kDetectedUncorrectable:
+      ++report.uncorrectable;
+      break;
+  }
+  return done;
 }
 
 void ArrayCode::apply_line_delta(bool line_is_column, std::size_t line,
@@ -371,7 +308,7 @@ bool ArrayCode::consistent_with(const util::BitMatrix& data) const {
   std::vector<std::uint64_t> lead(bps);
   std::vector<std::uint64_t> cnt(bps);
   for (std::size_t br = 0; br < bps; ++br) {
-    accumulate_band(data, br * mm, mm, lead, cnt);
+    accumulate_band(row_ptrs(data, br * mm, mm).data(), mm, lead, cnt);
     for (std::size_t bc = 0; bc < bps; ++bc) {
       const CheckBits& stored = blocks_[br * bps + bc];
       if (lead[bc] != stored.leading.low_word() ||

@@ -32,10 +32,10 @@ struct CellWrite {
 };
 
 /// Outcome of scrubbing a single block: the DecodeStatus plus where the
-/// repair landed, in absolute array coordinates and without the
-/// DecodeResult allocation.  Enough to undo the repair (flips are
-/// involutions) or to compute a residual diff against a pre-fault image --
-/// the sparse Monte Carlo engine's per-touched-block bookkeeping.
+/// repair landed, in absolute array coordinates.  Enough to undo the
+/// repair (flips are involutions) or to compute a residual diff against a
+/// pre-fault image -- the sparse Monte Carlo engine's per-touched-block
+/// bookkeeping.
 struct BlockRepair {
   DecodeStatus status = DecodeStatus::kClean;
   std::size_t data_r = 0;  ///< absolute row of the flipped data bit (kCorrectedData)
@@ -86,25 +86,22 @@ class ArrayCode {
   /// verify_theta1_property().
   void apply_writes(const std::vector<CellWrite>& writes);
 
-  /// Checks one block against `data`, correcting single errors in place
-  /// (data bit in `data`, check bit in this object).
-  DecodeResult check_block(util::BitMatrix& data, BlockIndex b);
-
-  /// Checks every block (the paper's periodic full-memory check).  Uses the
-  /// same batch band path as encode_all, with word-level syndrome
-  /// classification; semantics identical to check_block on every block.
+  /// Checks every block against `data`, correcting single errors in place
+  /// (data bit in `data`, check bit in this object) -- the paper's periodic
+  /// full-memory check: the row-band walk over every band.  Each block's
+  /// verdict is codec().check_and_correct's on that block.
   ScrubReport scrub(util::BitMatrix& data);
 
   /// Checks (and corrects, exactly like scrub) every block of one block-row
   /// (`row_band` true) or block-column -- the paper's before-use check of
-  /// the band containing a line about to be operated on.  One band walk for
-  /// a block-row; one per-block segment peel per band for a block-column.
+  /// the band containing a line about to be operated on.  The row-band walk
+  /// for a block-row, one per-block repair per block of a block-column.
   ScrubReport scrub_band(util::BitMatrix& data, bool row_band, std::size_t band);
 
-  /// Checks (and corrects, exactly like scrub) the single block `b`:
-  /// scrub_band generalized to block granularity, O(m) word ops.  Returns
-  /// what was repaired and where, so a caller tracking its own fault set
-  /// can compute the block's residual and roll the repair back.
+  /// Checks (and corrects, exactly like scrub) the single block `b`: one
+  /// per-block repair, O(m) word ops.  Returns what was repaired and where,
+  /// so a caller tracking its own fault set can compute the block's
+  /// residual and roll the repair back.
   BlockRepair scrub_block(util::BitMatrix& data, BlockIndex b);
 
   /// Differential continuous update for one whole written line (the
@@ -143,12 +140,21 @@ class ArrayCode {
  private:
   [[nodiscard]] std::size_t flat_index(BlockIndex b) const;
   void require_shape(const util::BitMatrix& data) const;
-  /// Word-level syndrome classification + in-place repair of one block given
-  /// its freshly accumulated parity words (m <= diagword::kMaxM); the shared
-  /// tail of scrub and scrub_band.
-  void classify_and_repair(util::BitMatrix& data, BlockIndex b,
-                           std::uint64_t fresh_lead, std::uint64_t fresh_cnt,
-                           ScrubReport& report, BlockRepair* repair = nullptr);
+  /// Every scrub's block walk: checks and corrects blocks [first, last) of
+  /// block-row `band` (shape and range already validated).  For m <=
+  /// diagword::kMaxM, a whole band is the row-band walk (one
+  /// band_accumulate into the band scratch) and a partial one is one
+  /// block_peel per block; their syndrome words go through detail::decode.
+  /// For m > diagword::kMaxM each block is decoded bit-serially by the
+  /// codec -- the scrubs' only such branch.  Returns the last block's
+  /// repair.
+  BlockRepair scrub_row_blocks(util::BitMatrix& data, std::size_t band,
+                               std::size_t first, std::size_t last,
+                               ScrubReport& report);
+  /// Applies `verdict` to block b in place (data bit in `data`, check bit
+  /// in blocks_) and counts it into `report`.
+  BlockRepair repair(util::BitMatrix& data, BlockIndex b,
+                     const DecodeResult& verdict, ScrubReport& report);
   /// Band walk of the m row word pointers `rows` folded into block-row
   /// `band`'s check words: assigned (encode_all) or XORed in (a delta
   /// slab).  m <= diagword::kMaxM.
@@ -158,8 +164,8 @@ class ArrayCode {
   std::size_t n_;
   BlockCodec codec_;
   std::vector<CheckBits> blocks_;  // row-major over the block grid
-  // fold_band's per-block parity words, reused so the band walk is
-  // allocation-free in steady state.
+  // Per-block parity words of one band (fold_band, the scrubs' row-band
+  // walk), sized once so the band walk never allocates.
   std::vector<std::uint64_t> band_lead_;
   std::vector<std::uint64_t> band_cnt_;
 };

@@ -61,33 +61,9 @@ Syndrome BlockCodec::compute_syndrome(const util::BitMatrix& data, std::size_t r
 }
 
 DecodeResult BlockCodec::classify(const Syndrome& syndrome) const {
-  DecodeResult result;
-  const std::size_t nl = syndrome.leading.count();
-  const std::size_t nc = syndrome.counter.count();
-  if (nl == 0 && nc == 0) {
-    result.status = DecodeStatus::kClean;
-    return result;
-  }
-  if (nl == 1 && nc == 1) {
-    // Single data-bit error: unique intersection of the two diagonals.
-    const DiagonalPair pair{syndrome.leading.find_first(),
-                            syndrome.counter.find_first()};
-    result.status = DecodeStatus::kCorrectedData;
-    result.data_error = geometry_.locate(pair);
-    return result;
-  }
-  if (nl == 1 && nc == 0) {
-    result.status = DecodeStatus::kCorrectedCheck;
-    result.check_error = CheckBitLocation{true, syndrome.leading.find_first()};
-    return result;
-  }
-  if (nl == 0 && nc == 1) {
-    result.status = DecodeStatus::kCorrectedCheck;
-    result.check_error = CheckBitLocation{false, syndrome.counter.find_first()};
-    return result;
-  }
-  result.status = DecodeStatus::kDetectedUncorrectable;
-  return result;
+  return detail::decode(
+      geometry_, {syndrome.leading.count(), syndrome.leading.find_first()},
+      {syndrome.counter.count(), syndrome.counter.find_first()});
 }
 
 DecodeResult BlockCodec::check_and_correct(util::BitMatrix& data, std::size_t row0,

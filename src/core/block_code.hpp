@@ -74,6 +74,44 @@ struct DecodeResult {
   bool operator==(const DecodeResult&) const noexcept = default;
 };
 
+namespace detail {
+
+/// One axis of a syndrome: how many of its diagonals are flagged (the rule
+/// only tells none, one and several apart, so a count may saturate at 2),
+/// and the index of the first flagged one (meaningful when count > 0).
+struct AxisFlags {
+  std::size_t count = 0;
+  std::size_t first = 0;
+};
+
+/// Paper Section III's syndrome rule, the one decoder behind
+/// BlockCodec::classify and ArrayCode's scrubs: one flagged leading plus
+/// one flagged counter diagonal locate a data bit (geometry.locate); one
+/// flag on one axis only marks that check bit; no flag is clean; anything
+/// else is detected-uncorrectable.  Inline: the scrubs' clean blocks must
+/// cost no call.
+[[nodiscard]] inline DecodeResult decode(const DiagonalGeometry& geometry,
+                                         AxisFlags leading, AxisFlags counter) {
+  DecodeResult result;
+  if (leading.count == 0 && counter.count == 0) {
+    result.status = DecodeStatus::kClean;
+  } else if (leading.count == 1 && counter.count == 1) {
+    // Single data-bit error: unique intersection of the two diagonals.
+    result.status = DecodeStatus::kCorrectedData;
+    result.data_error = geometry.locate({leading.first, counter.first});
+  } else if (leading.count + counter.count == 1) {
+    result.status = DecodeStatus::kCorrectedCheck;
+    result.check_error = leading.count == 1
+                             ? CheckBitLocation{true, leading.first}
+                             : CheckBitLocation{false, counter.first};
+  } else {
+    result.status = DecodeStatus::kDetectedUncorrectable;
+  }
+  return result;
+}
+
+}  // namespace detail
+
 /// Encoder/decoder for one block size m (odd).
 ///
 /// The codec is pure: it owns no storage, operating on caller-provided

@@ -19,7 +19,7 @@
 // number of injected flips, not with n^2.  Each worker keeps ONE mutable
 // image that always equals the golden state between trials; a trial
 // injects its flips, repairs only the touched blocks
-// (ArrayCode::scrub_block -- scrub_band generalized to block granularity),
+// (ArrayCode::scrub_block -- one per-block repair),
 // computes each touched block's exact residual from the injection record
 // plus the reported repair, and then rolls everything back through an undo
 // log (re-flip the surviving deltas and the recorded check-bit flips).

@@ -175,9 +175,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
   require_valid(config);
 
   const std::vector<double> rates = row_activation_rates(config.workload, config.n);
-  const std::unique_ptr<ScrubPolicy> policy = make_scrub_policy(config.policy);
-  const std::vector<ScrubEvent> plan = policy->plan(
-      {config.n, config.m, config.max_hours, rates});
+  const std::vector<ScrubEvent> plan =
+      plan_scrubs(config.policy, {config.n, config.m, config.max_hours, rates});
 
   const SlotMap map(config.n, config.m, config.include_check_bits);
   const FaultMix& mix = config.faults;

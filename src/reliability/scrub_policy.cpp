@@ -15,33 +15,33 @@ constexpr std::size_t kMaxScheduleEvents = 10'000'000;
 
 void require_context(const ScrubPlanContext& ctx) {
   if (ctx.m == 0 || ctx.n == 0 || ctx.n % ctx.m != 0) {
-    throw std::invalid_argument("ScrubPolicy::plan: n must be a positive multiple of m");
+    throw std::invalid_argument("plan_scrubs: n must be a positive multiple of m");
   }
   if (!(ctx.horizon_hours > 0.0) || !std::isfinite(ctx.horizon_hours)) {
-    throw std::invalid_argument("ScrubPolicy::plan: horizon must be positive and finite");
+    throw std::invalid_argument("plan_scrubs: horizon must be positive and finite");
   }
   if (ctx.row_activation_rates.size() != ctx.n) {
     throw std::invalid_argument(
-        "ScrubPolicy::plan: row_activation_rates must have one entry per row");
+        "plan_scrubs: row_activation_rates must have one entry per row");
   }
   for (const double rate : ctx.row_activation_rates) {
     if (rate < 0.0 || !std::isfinite(rate)) {
       throw std::invalid_argument(
-          "ScrubPolicy::plan: activation rates must be finite and non-negative");
+          "plan_scrubs: activation rates must be finite and non-negative");
     }
   }
 }
 
 /// Emits the periodic stream t = period, 2*period, ... ; an event is kept
 /// while its window start (k*period) is before the horizon, so the final
-/// event may overhang -- the lifetime engine's accounting (see plan() doc).
+/// event may overhang -- the lifetime engine's accounting (see plan_scrubs).
 template <typename Emit>
 void emit_periodic_stream(double period, double horizon, Emit&& emit) {
   for (std::size_t k = 0;; ++k) {
     const double start = static_cast<double>(k) * period;
     if (start >= horizon) break;
     if (k >= kMaxScheduleEvents) {
-      throw std::length_error("ScrubPolicy::plan: schedule exceeds sanity cap");
+      throw std::length_error("plan_scrubs: schedule exceeds sanity cap");
     }
     emit(static_cast<double>(k + 1) * period);
   }
@@ -51,7 +51,7 @@ void emit_periodic_stream(double period, double horizon, Emit&& emit) {
 /// event absorbs band lists; a band union covering every band becomes full.
 std::vector<ScrubEvent> coalesce(std::vector<ScrubEvent> raw, std::size_t bands) {
   if (raw.size() > kMaxScheduleEvents) {
-    throw std::length_error("ScrubPolicy::plan: schedule exceeds sanity cap");
+    throw std::length_error("plan_scrubs: schedule exceeds sanity cap");
   }
   std::sort(raw.begin(), raw.end(), [](const ScrubEvent& a, const ScrubEvent& b) {
     return a.hours < b.hours;
@@ -80,134 +80,81 @@ std::vector<ScrubEvent> coalesce(std::vector<ScrubEvent> raw, std::size_t bands)
   return merged;
 }
 
-class PeriodicPolicy final : public ScrubPolicy {
- public:
-  explicit PeriodicPolicy(const ScrubPolicyConfig& config)
-      : period_(config.period_hours) {}
+std::vector<ScrubEvent> plan_periodic(const ScrubPolicyConfig& config,
+                                      const ScrubPlanContext& ctx) {
+  std::vector<ScrubEvent> events;
+  emit_periodic_stream(config.period_hours, ctx.horizon_hours,
+                       [&](double t) { events.push_back({t, {}}); });
+  return events;
+}
 
-  [[nodiscard]] ScrubPolicyKind kind() const noexcept override {
-    return ScrubPolicyKind::kPeriodic;
-  }
-
-  [[nodiscard]] std::vector<ScrubEvent> plan(const ScrubPlanContext& ctx) const override {
-    require_context(ctx);
-    std::vector<ScrubEvent> events;
-    emit_periodic_stream(period_, ctx.horizon_hours,
-                         [&](double t) { events.push_back({t, {}}); });
-    return events;
-  }
-
- private:
-  double period_;
-};
-
-class RegionPeriodicPolicy final : public ScrubPolicy {
- public:
-  explicit RegionPeriodicPolicy(const ScrubPolicyConfig& config)
-      : regions_(config.regions), region_period_(config.region_period_hours) {}
-
-  [[nodiscard]] ScrubPolicyKind kind() const noexcept override {
-    return ScrubPolicyKind::kRegionPeriodic;
-  }
-
-  [[nodiscard]] std::vector<ScrubEvent> plan(const ScrubPlanContext& ctx) const override {
-    require_context(ctx);
-    const std::size_t bands = ctx.n / ctx.m;
-    const std::size_t regions = std::min(regions_, bands);
-    std::vector<ScrubEvent> events;
-    std::size_t k = 0;
-    emit_periodic_stream(region_period_, ctx.horizon_hours, [&](double t) {
-      ScrubEvent event{t, {}};
-      for (std::size_t b = k % regions; b < bands; b += regions) {
-        event.bands.push_back(b);
-      }
-      ++k;
-      events.push_back(std::move(event));
-    });
-    return coalesce(std::move(events), bands);
-  }
-
- private:
-  std::size_t regions_;
-  double region_period_;
-};
-
-class ActivationTriggeredPolicy final : public ScrubPolicy {
- public:
-  explicit ActivationTriggeredPolicy(const ScrubPolicyConfig& config)
-      : budget_(config.activation_budget), backstop_(config.period_hours) {}
-
-  [[nodiscard]] ScrubPolicyKind kind() const noexcept override {
-    return ScrubPolicyKind::kActivationTriggered;
-  }
-
-  [[nodiscard]] std::vector<ScrubEvent> plan(const ScrubPlanContext& ctx) const override {
-    require_context(ctx);
-    const std::size_t bands = ctx.n / ctx.m;
-    std::vector<ScrubEvent> events;
-    for (std::size_t b = 0; b < bands; ++b) {
-      // The band's cadence is set by its hottest row: scrub once that row
-      // has accumulated `budget_` activations, but never wait longer than
-      // the backstop period.
-      double peak_rate = 0.0;
-      for (std::size_t r = b * ctx.m; r < (b + 1) * ctx.m; ++r) {
-        peak_rate = std::max(peak_rate, ctx.row_activation_rates[r]);
-      }
-      double period = backstop_;
-      if (peak_rate > 0.0) {
-        period = std::min(backstop_, static_cast<double>(budget_) / peak_rate);
-      }
-      emit_periodic_stream(period, ctx.horizon_hours,
-                           [&](double t) { events.push_back({t, {b}}); });
+std::vector<ScrubEvent> plan_region_periodic(const ScrubPolicyConfig& config,
+                                             const ScrubPlanContext& ctx) {
+  const std::size_t bands = ctx.n / ctx.m;
+  const std::size_t regions = std::min(config.regions, bands);
+  std::vector<ScrubEvent> events;
+  std::size_t k = 0;
+  emit_periodic_stream(config.region_period_hours, ctx.horizon_hours, [&](double t) {
+    ScrubEvent event{t, {}};
+    for (std::size_t b = k % regions; b < bands; b += regions) {
+      event.bands.push_back(b);
     }
-    return coalesce(std::move(events), bands);
+    ++k;
+    events.push_back(std::move(event));
+  });
+  return coalesce(std::move(events), bands);
+}
+
+std::vector<ScrubEvent> plan_activation_triggered(const ScrubPolicyConfig& config,
+                                                  const ScrubPlanContext& ctx) {
+  const std::size_t bands = ctx.n / ctx.m;
+  const double backstop = config.period_hours;
+  std::vector<ScrubEvent> events;
+  for (std::size_t b = 0; b < bands; ++b) {
+    // The band's cadence is set by its hottest row: scrub once that row
+    // has accumulated `activation_budget` activations, but never wait
+    // longer than the backstop period.
+    double peak_rate = 0.0;
+    for (std::size_t r = b * ctx.m; r < (b + 1) * ctx.m; ++r) {
+      peak_rate = std::max(peak_rate, ctx.row_activation_rates[r]);
+    }
+    double period = backstop;
+    if (peak_rate > 0.0) {
+      period = std::min(
+          backstop, static_cast<double>(config.activation_budget) / peak_rate);
+    }
+    emit_periodic_stream(period, ctx.horizon_hours,
+                         [&](double t) { events.push_back({t, {b}}); });
   }
+  return coalesce(std::move(events), bands);
+}
 
- private:
-  std::uint64_t budget_;
-  double backstop_;
-};
-
-class HotRowPriorityPolicy final : public ScrubPolicy {
- public:
-  explicit HotRowPriorityPolicy(const ScrubPolicyConfig& config)
-      : hot_period_(config.hot_period_hours), full_period_(config.period_hours) {}
-
-  [[nodiscard]] ScrubPolicyKind kind() const noexcept override {
-    return ScrubPolicyKind::kHotRowPriority;
-  }
-
-  [[nodiscard]] std::vector<ScrubEvent> plan(const ScrubPlanContext& ctx) const override {
-    require_context(ctx);
-    const std::size_t bands = ctx.n / ctx.m;
-    // Hot bands are those containing any row strictly hotter than the
-    // coldest row in the array; under a uniform workload there are none and
-    // the policy degenerates to the periodic baseline.
-    const double floor = *std::min_element(ctx.row_activation_rates.begin(),
-                                           ctx.row_activation_rates.end());
-    std::vector<std::size_t> hot;
-    for (std::size_t b = 0; b < bands; ++b) {
-      for (std::size_t r = b * ctx.m; r < (b + 1) * ctx.m; ++r) {
-        if (ctx.row_activation_rates[r] > floor) {
-          hot.push_back(b);
-          break;
-        }
+std::vector<ScrubEvent> plan_hot_row_priority(const ScrubPolicyConfig& config,
+                                              const ScrubPlanContext& ctx) {
+  const std::size_t bands = ctx.n / ctx.m;
+  // Hot bands are those containing any row strictly hotter than the
+  // coldest row in the array; under a uniform workload there are none and
+  // the policy degenerates to the periodic baseline.
+  const double floor = *std::min_element(ctx.row_activation_rates.begin(),
+                                         ctx.row_activation_rates.end());
+  std::vector<std::size_t> hot;
+  for (std::size_t b = 0; b < bands; ++b) {
+    for (std::size_t r = b * ctx.m; r < (b + 1) * ctx.m; ++r) {
+      if (ctx.row_activation_rates[r] > floor) {
+        hot.push_back(b);
+        break;
       }
     }
-    std::vector<ScrubEvent> events;
-    emit_periodic_stream(full_period_, ctx.horizon_hours,
-                         [&](double t) { events.push_back({t, {}}); });
-    if (!hot.empty()) {
-      emit_periodic_stream(hot_period_, ctx.horizon_hours,
-                           [&](double t) { events.push_back({t, hot}); });
-    }
-    return coalesce(std::move(events), bands);
   }
-
- private:
-  double hot_period_;
-  double full_period_;
-};
+  std::vector<ScrubEvent> events;
+  emit_periodic_stream(config.period_hours, ctx.horizon_hours,
+                       [&](double t) { events.push_back({t, {}}); });
+  if (!hot.empty()) {
+    emit_periodic_stream(config.hot_period_hours, ctx.horizon_hours,
+                         [&](double t) { events.push_back({t, hot}); });
+  }
+  return coalesce(std::move(events), bands);
+}
 
 }  // namespace
 
@@ -245,19 +192,21 @@ void require_valid(const ScrubPolicyConfig& config) {
   }
 }
 
-std::unique_ptr<ScrubPolicy> make_scrub_policy(const ScrubPolicyConfig& config) {
+std::vector<ScrubEvent> plan_scrubs(const ScrubPolicyConfig& config,
+                                    const ScrubPlanContext& ctx) {
   require_valid(config);
+  require_context(ctx);
   switch (config.kind) {
     case ScrubPolicyKind::kPeriodic:
-      return std::make_unique<PeriodicPolicy>(config);
+      return plan_periodic(config, ctx);
     case ScrubPolicyKind::kActivationTriggered:
-      return std::make_unique<ActivationTriggeredPolicy>(config);
+      return plan_activation_triggered(config, ctx);
     case ScrubPolicyKind::kRegionPeriodic:
-      return std::make_unique<RegionPeriodicPolicy>(config);
+      return plan_region_periodic(config, ctx);
     case ScrubPolicyKind::kHotRowPriority:
-      return std::make_unique<HotRowPriorityPolicy>(config);
+      return plan_hot_row_priority(config, ctx);
   }
-  throw std::invalid_argument("make_scrub_policy: unknown policy kind");
+  throw std::invalid_argument("plan_scrubs: unknown policy kind");
 }
 
 bool apply_policy_preset(std::string_view name, ScrubPolicyConfig& out) {

@@ -1,9 +1,9 @@
 // pimecc -- reliability/scrub_policy.hpp
 //
-// Pluggable scrub scheduling for the scenario engine (scenario.hpp).  The
+// Scrub scheduling for the scenario engine (scenario.hpp).  The
 // paper's reliability analysis scrubs the whole memory every T hours; an
 // adaptive controller can do better under non-uniform workloads by
-// scrubbing hot regions more often and cold regions less.  A ScrubPolicy
+// scrubbing hot regions more often and cold regions less.  plan_scrubs
 // turns a campaign's geometry + per-row activation rates into the full
 // deterministic schedule of scrub events up front: which block-row bands
 // are scrubbed, and when.
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -76,30 +75,19 @@ struct ScrubPlanContext {
   std::span<const double> row_activation_rates;
 };
 
-/// A scrub schedule generator; see the file comment for the determinism
-/// contract.
-class ScrubPolicy {
- public:
-  virtual ~ScrubPolicy() = default;
-
-  [[nodiscard]] virtual ScrubPolicyKind kind() const noexcept = 0;
-
-  /// The deterministic schedule, in strictly increasing time order, of
-  /// every scrub whose preceding inter-scrub window *starts* before
-  /// ctx.horizon_hours (so the final event may land past the horizon --
-  /// the same one-scrub-per-started-window accounting as the lifetime
-  /// engine's reference walker, which is what makes the two engines'
-  /// zero-rate scrub counts exactly comparable).  Events scheduled for the
-  /// same instant are merged into one event (union of bands).  Throws
-  /// std::invalid_argument on an invalid context and std::length_error if
-  /// the schedule would exceed an internal sanity cap (~10M events).
-  [[nodiscard]] virtual std::vector<ScrubEvent> plan(
-      const ScrubPlanContext& ctx) const = 0;
-};
-
-/// Builds the policy described by `config` (validating it first).
-[[nodiscard]] std::unique_ptr<ScrubPolicy> make_scrub_policy(
-    const ScrubPolicyConfig& config);
+/// The deterministic schedule of `config`'s policy (validated first; see
+/// the file comment for the determinism contract), in strictly increasing
+/// time order, of every scrub whose preceding inter-scrub window *starts*
+/// before ctx.horizon_hours (so the final event may land past the horizon
+/// -- the same one-scrub-per-started-window accounting as the lifetime
+/// engine's reference walker, which is what makes the two engines'
+/// zero-rate scrub counts exactly comparable).  Events scheduled for the
+/// same instant are merged into one event (union of bands).  Throws
+/// std::invalid_argument on an invalid config or context and
+/// std::length_error if the schedule would exceed an internal sanity cap
+/// (~10M events).
+[[nodiscard]] std::vector<ScrubEvent> plan_scrubs(const ScrubPolicyConfig& config,
+                                                  const ScrubPlanContext& ctx);
 
 /// Named policy presets used by bench_scenarios, `pimecc sweep
 /// --scenarios`, and the serve layer: "periodic", "activation", "region",

@@ -18,7 +18,8 @@
 //
 // Size caps bound what one line can make the server allocate: Server::handle
 // answers invalid_argument for `n` (every kind) or a map's row `width`
-// above kMaxN, and for `trials` above kMaxTrials (scenario), before any
+// above kMaxN, for `trials` above kMaxTrials (scenario), and for a `run` or
+// `scenario` whose (n/m)^2 check-bit blocks exceed kMaxBlocks, before any
 // registry lookup or allocation.  The largest values any trace, test or
 // bench uses are n = 1020 and 96 trials.  `deadline_ms` (any kind) is
 // capped at kMaxDeadlineMs by parse_request itself, which answers a larger
@@ -37,6 +38,10 @@
 namespace pimecc::serve {
 
 inline constexpr std::size_t kMaxN = 4096;
+/// Each block holds 2m check bits in two heap vectors: n = 4096 at m = 1
+/// would be 16.7 M blocks, about 2 GB.  The cap still admits n = 4095 at
+/// m = 15 and n = 1020 at m = 3.
+inline constexpr std::size_t kMaxBlocks = std::size_t{1} << 18;
 inline constexpr std::size_t kMaxTrials = 100000;
 /// About 11.6 days; four orders of magnitude below the tick overflow.
 inline constexpr double kMaxDeadlineMs = 1e9;

@@ -64,6 +64,12 @@ Response Server::handle(const Request& request) {
   if (request.kind == RequestKind::kScenario) {
     require_at_most("trials", request.trials, kMaxTrials);
   }
+  if ((request.kind == RequestKind::kRun ||
+       request.kind == RequestKind::kScenario) &&
+      request.m > 0) {
+    const std::size_t bands = request.n / request.m;
+    require_at_most("blocks", bands * bands, kMaxBlocks);
+  }
   Response response;
   response.kind = request.kind;
   switch (request.kind) {

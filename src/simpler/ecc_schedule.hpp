@@ -44,7 +44,7 @@ struct EccScheduleResult {
 
 /// Schedules `program` under the proposed architecture `params`.  When
 /// `events` is non-null, every resource reservation is appended to it (the
-/// cycle-by-cycle trace behind `pimecc_map --timeline`).
+/// cycle-by-cycle trace behind `pimecc map --timeline`).
 [[nodiscard]] EccScheduleResult schedule_with_ecc(
     const MappedProgram& program, const arch::ArchParams& params,
     CoveragePolicy policy, std::vector<arch::ScheduledEvent>* events = nullptr);

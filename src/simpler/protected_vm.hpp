@@ -44,17 +44,14 @@ struct ProtectedRunResult {
 
 /// Runs `program` in every row of `machine` simultaneously with per-row
 /// inputs (`inputs` is machine-rows x num_inputs).  The machine's contents
-/// outside the program's cells stay ECC-covered throughout.
-///
-/// `check_inputs_first` runs the paper's before-use check on every block
-/// band, repairing any single soft error that accumulated since the data
-/// was written.
+/// outside the program's cells stay ECC-covered throughout.  Every block
+/// band first gets the paper's before-use check, repairing any single soft
+/// error that accumulated since the data was written.
 template <class Machine>
 ProtectedRunResult run_program_protected(Machine& machine,
                                          const Netlist& netlist,
                                          const MappedProgram& program,
-                                         const util::BitMatrix& inputs,
-                                         bool check_inputs_first = true) {
+                                         const util::BitMatrix& inputs) {
   const std::size_t n = machine.n();
   if (program.row_width > n) {
     throw std::invalid_argument(
@@ -72,13 +69,10 @@ ProtectedRunResult run_program_protected(Machine& machine,
   // permanently wrong parity (the Section III false-positive race, see
   // bench_paper's false_positive section), so every block band is verified
   // first.
-  if (check_inputs_first) {
-    for (std::size_t band = 0; band < n / machine.m(); ++band) {
-      const arch::CheckReport report =
-          machine.check_block_row(band * machine.m());
-      result.input_check_corrections += report.corrected_data;
-      result.input_check_corrections += report.corrected_check;
-    }
+  for (std::size_t band = 0; band < n / machine.m(); ++band) {
+    const arch::CheckReport report = machine.check_block_row(band * machine.m());
+    result.input_check_corrections += report.corrected_data;
+    result.input_check_corrections += report.corrected_check;
   }
 
   // Load inputs and constants through the protected write path (full row

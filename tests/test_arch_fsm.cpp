@@ -104,7 +104,7 @@ TEST(ProtectedVm, SimdExecutionMatchesNetlistPerRow) {
     for (std::size_t i = 0; i < 8; ++i) inputs.set(r, i, rng.bernoulli(0.5));
   }
   const simpler::ProtectedRunResult result = simpler::run_program_protected(
-      machine, nl, program, inputs, /*check_inputs_first=*/true);
+      machine, nl, program, inputs);
   EXPECT_TRUE(result.ecc_consistent_after);
   for (std::size_t r = 0; r < 45; ++r) {
     EXPECT_EQ(result.outputs.row(r), nl.eval(inputs.row(r))) << "row " << r;
@@ -132,7 +132,7 @@ TEST(ProtectedVm, PreCheckRepairsInjectedInputError) {
   // repair it, leaving the computation and the ECC state intact.
   machine.inject_data_error(7, program.input_cells[0]);
   const simpler::ProtectedRunResult result = simpler::run_program_protected(
-      machine, nl, program, inputs, /*check_inputs_first=*/true);
+      machine, nl, program, inputs);
   EXPECT_EQ(result.input_check_corrections, 1u);
   EXPECT_TRUE(result.ecc_consistent_after);
   EXPECT_EQ(result.outputs.row(7), nl.eval(inputs.row(7)));

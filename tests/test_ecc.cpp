@@ -283,7 +283,7 @@ TEST(ArrayCode, CheckBlockCorrectsInjectedError) {
   ArrayCode code(15, 5);
   code.encode_all(data);
   data.flip(8, 2);  // block (1, 0)
-  const DecodeResult result = code.check_block(data, {1, 0});
+  const BlockRepair result = code.scrub_block(data, {1, 0});
   EXPECT_EQ(result.status, DecodeStatus::kCorrectedData);
   EXPECT_EQ(data, golden);
 }

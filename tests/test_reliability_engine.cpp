@@ -103,23 +103,26 @@ TEST(ReliabilityEngineSmoke, LifetimeCertainFailureMatchesReferenceExactly) {
 
 TEST(ReliabilityEngineSmoke, ScrubBlockAgreesWithCheckBlock) {
   // Randomized differential: inject 0-3 faults into one block, scrub it
-  // via both APIs on independent copies, and require identical verdicts
-  // and identical repaired state.
+  // via scrub_block and via the codec's per-block check_and_correct on
+  // independent copies, and require identical verdicts and identical
+  // repaired state -- word-parallel at m=5, bit-serial at m=65.
   util::Rng rng(3);
-  for (int round = 0; round < 60; ++round) {
-    const std::size_t n = 15, m = 5;
+  for (int round = 0; round < 120; ++round) {
+    const std::size_t n = round < 60 ? 15 : 130;
+    const std::size_t m = round < 60 ? 5 : 65;
     util::BitMatrix data = util::random_bit_matrix(n, n, rng);
     ecc::ArrayCode code(n, m);
     code.encode_all(data);
-    const std::size_t br = rng.uniform_below(3);
-    const std::size_t bc = rng.uniform_below(3);
+    const std::size_t br = rng.uniform_below(n / m);
+    const std::size_t bc = rng.uniform_below(n / m);
     const std::size_t faults = rng.uniform_below(4);
     fault::inject_block_flips(rng, data, code, br, bc, faults, true);
 
     util::BitMatrix data2 = data;
     ecc::ArrayCode code2 = code;
     const ecc::BlockRepair repair = code.scrub_block(data, {br, bc});
-    const ecc::DecodeResult decode = code2.check_block(data2, {br, bc});
+    const ecc::DecodeResult decode = code2.codec().check_and_correct(
+        data2, br * m, bc * m, code2.check_bits_mutable({br, bc}));
     EXPECT_EQ(repair.status, decode.status);
     if (decode.data_error) {
       EXPECT_EQ(repair.data_r, br * m + decode.data_error->r);

@@ -309,10 +309,9 @@ bool covers(const rel::ScrubEvent& event, std::size_t band) {
 
 TEST(ScrubSchedule, PeriodicEmitsOneScrubPerStartedWindow) {
   rel::ScrubPolicyConfig config;  // periodic, 24 h
-  const auto policy = rel::make_scrub_policy(config);
-  EXPECT_EQ(policy->kind(), rel::ScrubPolicyKind::kPeriodic);
+  EXPECT_EQ(config.kind, rel::ScrubPolicyKind::kPeriodic);
   const std::vector<double> rates(60, 0.0);
-  const auto plan = policy->plan(make_context(rates, 240.0));
+  const auto plan = rel::plan_scrubs(config, make_context(rates, 240.0));
   ASSERT_EQ(plan.size(), 10u);  // windows start at 0, 24, ..., 216
   for (std::size_t i = 0; i < plan.size(); ++i) {
     EXPECT_DOUBLE_EQ(plan[i].hours, 24.0 * static_cast<double>(i + 1));
@@ -320,7 +319,7 @@ TEST(ScrubSchedule, PeriodicEmitsOneScrubPerStartedWindow) {
   }
   // A horizon inside a window still gets that window's scrub: the final
   // event may overhang the horizon (one-scrub-per-started-window).
-  const auto overhang = policy->plan(make_context(rates, 250.0));
+  const auto overhang = rel::plan_scrubs(config, make_context(rates, 250.0));
   ASSERT_EQ(overhang.size(), 11u);
   EXPECT_DOUBLE_EQ(overhang.back().hours, 264.0);
 }
@@ -328,9 +327,8 @@ TEST(ScrubSchedule, PeriodicEmitsOneScrubPerStartedWindow) {
 TEST(ScrubSchedule, RegionPolicyRoundRobinsBandsAtTheRegionCadence) {
   rel::ScrubPolicyConfig config;
   ASSERT_TRUE(rel::apply_policy_preset("region", config));
-  const auto policy = rel::make_scrub_policy(config);
   const std::vector<double> rates(60, 0.0);
-  const auto plan = policy->plan(make_context(rates, 48.0));
+  const auto plan = rel::plan_scrubs(config, make_context(rates, 48.0));
   ASSERT_EQ(plan.size(), 8u);  // every 6 h, one band per event
   std::size_t per_band[4] = {0, 0, 0, 0};
   double previous = 0.0;
@@ -348,10 +346,9 @@ TEST(ScrubSchedule, RegionPolicyRoundRobinsBandsAtTheRegionCadence) {
 TEST(ScrubSchedule, ActivationPolicyScrubsHotBandsMoreOftenWithABackstop) {
   rel::ScrubPolicyConfig config;
   ASSERT_TRUE(rel::apply_policy_preset("activation", config));
-  const auto policy = rel::make_scrub_policy(config);
   const std::vector<double> rates =
       rel::row_activation_rates(rel::canonical_workload(), 60);
-  const auto plan = policy->plan(make_context(rates, 48.0));
+  const auto plan = rel::plan_scrubs(config, make_context(rates, 48.0));
   std::size_t hot = 0, cold = 0;
   for (const rel::ScrubEvent& event : plan) {
     if (covers(event, 0)) ++hot;   // band 0 holds the hot rows: 6 h cadence
@@ -362,7 +359,7 @@ TEST(ScrubSchedule, ActivationPolicyScrubsHotBandsMoreOftenWithABackstop) {
   // With no activations at all, every band falls back to the backstop and
   // the coalesced schedule degenerates to the periodic baseline.
   const std::vector<double> idle(60, 0.0);
-  const auto fallback = policy->plan(make_context(idle, 48.0));
+  const auto fallback = rel::plan_scrubs(config, make_context(idle, 48.0));
   ASSERT_EQ(fallback.size(), 2u);
   EXPECT_TRUE(fallback[0].full());
   EXPECT_TRUE(fallback[1].full());
@@ -371,10 +368,9 @@ TEST(ScrubSchedule, ActivationPolicyScrubsHotBandsMoreOftenWithABackstop) {
 TEST(ScrubSchedule, HotRowPolicyAddsHotScrubsAndFullsAbsorbCoincidentOnes) {
   rel::ScrubPolicyConfig config;
   ASSERT_TRUE(rel::apply_policy_preset("hotrow", config));
-  const auto policy = rel::make_scrub_policy(config);
   const std::vector<double> rates =
       rel::row_activation_rates(rel::canonical_workload(), 60);
-  const auto plan = policy->plan(make_context(rates, 48.0));
+  const auto plan = rel::plan_scrubs(config, make_context(rates, 48.0));
   ASSERT_EQ(plan.size(), 8u);  // 6 h grid; fulls at 24 and 48 absorb hot events
   for (const rel::ScrubEvent& event : plan) {
     const bool on_full_grid = std::fmod(event.hours, 24.0) == 0.0;
@@ -388,7 +384,7 @@ TEST(ScrubSchedule, HotRowPolicyAddsHotScrubsAndFullsAbsorbCoincidentOnes) {
   // Uniform workload: no row is hotter than the floor, so the policy
   // degenerates to the periodic baseline.
   const std::vector<double> uniform(60, 1000.0);
-  const auto flat = policy->plan(make_context(uniform, 48.0));
+  const auto flat = rel::plan_scrubs(config, make_context(uniform, 48.0));
   ASSERT_EQ(flat.size(), 2u);
   EXPECT_TRUE(flat[0].full());
 }
@@ -406,19 +402,19 @@ TEST(ScrubSchedule, ValidatesConfigurationAndContext) {
   config.regions = 4;
   EXPECT_NO_THROW(rel::require_valid(config));
 
-  const auto policy = rel::make_scrub_policy(rel::ScrubPolicyConfig{});
+  const rel::ScrubPolicyConfig periodic;
   const std::vector<double> rates(60, 0.0);
   rel::ScrubPlanContext bad = make_context(rates, 240.0);
   bad.m = 7;  // does not divide n
-  EXPECT_THROW((void)policy->plan(bad), std::invalid_argument);
+  EXPECT_THROW((void)rel::plan_scrubs(periodic, bad), std::invalid_argument);
   bad = make_context(rates, -1.0);
-  EXPECT_THROW((void)policy->plan(bad), std::invalid_argument);
+  EXPECT_THROW((void)rel::plan_scrubs(periodic, bad), std::invalid_argument);
   const std::vector<double> short_rates(59, 0.0);
-  EXPECT_THROW((void)policy->plan(make_context(short_rates, 240.0)),
+  EXPECT_THROW((void)rel::plan_scrubs(periodic, make_context(short_rates, 240.0)),
                std::invalid_argument);
   std::vector<double> negative(60, 0.0);
   negative[3] = -1.0;
-  EXPECT_THROW((void)policy->plan(make_context(negative, 240.0)),
+  EXPECT_THROW((void)rel::plan_scrubs(periodic, make_context(negative, 240.0)),
                std::invalid_argument);
 }
 
@@ -426,7 +422,7 @@ TEST(ScrubSchedule, PresetNamesRoundTrip) {
   for (const std::string_view name : rel::scrub_policy_preset_names()) {
     rel::ScrubPolicyConfig config;
     EXPECT_TRUE(rel::apply_policy_preset(name, config)) << name;
-    EXPECT_EQ(rel::to_string(make_scrub_policy(config)->kind()), name);
+    EXPECT_EQ(rel::to_string(config.kind), name);
   }
   rel::ScrubPolicyConfig config;
   EXPECT_FALSE(rel::apply_policy_preset("nonsense", config));

@@ -440,6 +440,20 @@ TEST(ServeRobustness, ExecuteTagsFailuresWithErrorCodes) {
   EXPECT_EQ(server.registry().stats().machine_builds, builds);
   EXPECT_TRUE(server.execute(parse_ok("mttf n=4095 m=15")).ok);
 
+  // serve::kMaxBlocks: n inside kMaxN at a small m still asks for millions
+  // of check-bit blocks (n=4096 m=1 is 16.7 M, about 2 GB).  Rejected
+  // before the registry builds a machine; a normal run still serves.
+  for (const std::string line :
+       {"run circuit=ctrl n=4096 m=1", "scenario n=4095 m=3 trials=1"}) {
+    const Response capped = server.execute(parse_ok(line));
+    EXPECT_FALSE(capped.ok) << line;
+    EXPECT_EQ(capped.code, ErrorCode::kInvalidArgument) << line;
+    EXPECT_NE(capped.error.find("exceeds the cap"), std::string::npos)
+        << capped.error;
+  }
+  EXPECT_EQ(server.registry().stats().machine_builds, builds);
+  EXPECT_TRUE(server.execute(parse_ok("run circuit=ctrl n=60 m=15")).ok);
+
   // The wire format carries the code so clients can dispatch without
   // parsing prose.
   EXPECT_NE(serve::format_response(r1).find("code=invalid_argument"),

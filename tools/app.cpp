@@ -52,8 +52,10 @@ std::string flag_value(int argc, char** argv, int& i, std::string_view flag) {
 
 namespace {
 
-void map_usage(std::ostream& os, std::string_view prog) {
-  os << "usage: " << prog
+constexpr std::string_view kProg = "pimecc map";
+
+void map_usage(std::ostream& os) {
+  os << "usage: " << kProg
      << " [--row-width N] [--block M] [--pcs K]\n"
         "                  [--coverage outputs|both] [--emit-netlist]\n"
         "                  [--timeline N] [--quiet] <netlist.pnl | builtin:NAME>\n";
@@ -61,7 +63,7 @@ void map_usage(std::ostream& os, std::string_view prog) {
 
 }  // namespace
 
-int run_map_tool(int argc, char** argv, int first, std::string_view prog) {
+int run_map_tool(int argc, char** argv) {
   arch::ArchParams params;
   auto coverage = simpler::CoveragePolicy::kInputsAndOutputs;
   bool emit_netlist = false;
@@ -70,7 +72,7 @@ int run_map_tool(int argc, char** argv, int first, std::string_view prog) {
   std::string source;
 
   try {
-    for (int i = first; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--row-width") {
         params.n = flag_size(arg, flag_value(argc, argv, i, arg));
@@ -94,7 +96,7 @@ int run_map_tool(int argc, char** argv, int first, std::string_view prog) {
       } else if (arg == "--quiet") {
         quiet = true;
       } else if (arg == "--help" || arg == "-h") {
-        map_usage(std::cout, prog);
+        map_usage(std::cout);
         return 0;
       } else if (!arg.empty() && arg[0] == '-') {
         throw UsageError("unknown option '" + arg + "'");
@@ -108,8 +110,8 @@ int run_map_tool(int argc, char** argv, int first, std::string_view prog) {
       throw UsageError("missing netlist argument");
     }
   } catch (const UsageError& e) {
-    std::cerr << prog << ": " << e.what() << '\n';
-    map_usage(std::cerr, prog);
+    std::cerr << kProg << ": " << e.what() << '\n';
+    map_usage(std::cerr);
     return 1;
   }
 
@@ -120,13 +122,13 @@ int run_map_tool(int argc, char** argv, int first, std::string_view prog) {
     } else {
       std::ifstream file(source);
       if (!file) {
-        std::cerr << prog << ": cannot open '" << source << "'\n";
+        std::cerr << kProg << ": cannot open '" << source << "'\n";
         return 1;
       }
       netlist = simpler::read_netlist(file);
     }
   } catch (const std::exception& e) {
-    std::cerr << prog << ": " << e.what() << '\n';
+    std::cerr << kProg << ": " << e.what() << '\n';
     return 1;
   }
 
@@ -190,10 +192,10 @@ int run_map_tool(int argc, char** argv, int first, std::string_view prog) {
     }
     return 0;
   } catch (const std::runtime_error& e) {
-    std::cerr << prog << ": " << e.what() << '\n';
+    std::cerr << kProg << ": " << e.what() << '\n';
     return 2;
   } catch (const std::exception& e) {
-    std::cerr << prog << ": " << e.what() << '\n';
+    std::cerr << kProg << ": " << e.what() << '\n';
     return 1;
   }
 }

@@ -1,10 +1,10 @@
 // pimecc -- tools/app.hpp
 //
-// Shared scaffolding of the command-line tools (pimecc, pimecc_map):
-// checked flag parsing on top of util/parse -- a malformed numeric value
-// raises UsageError, which main() turns into a usage message and exit
-// status 1, never an uncaught std::stoull std::invalid_argument and a
-// std::terminate -- plus the map-tool implementation both binaries share.
+// Scaffolding of the `pimecc` command line: checked flag parsing on top of
+// util/parse -- a malformed numeric value raises UsageError, which main()
+// turns into a usage message and exit status 1, never an uncaught
+// std::stoull std::invalid_argument and a std::terminate -- plus the
+// `pimecc map` implementation.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +34,22 @@ class UsageError : public std::runtime_error {
 [[nodiscard]] std::string flag_value(int argc, char** argv, int& i,
                                      std::string_view flag);
 
-/// The pimecc_map tool: maps a netlist and schedules it under the ECC
-/// architecture.  `argv[first..argc)` are the tool's own arguments; `prog`
-/// names the invocation in messages ("pimecc_map" or "pimecc map").  Exit
-/// status: 0 success, 1 usage/parse error, 2 netlist does not fit the row.
-int run_map_tool(int argc, char** argv, int first, std::string_view prog);
+/// `pimecc map [options] <netlist.pnl | builtin:NAME>`: maps a netlist and
+/// schedules it under the ECC architecture.  `argv[2..argc)` are the map
+/// options:
+///
+///   --row-width N      crossbar row width (default 1020)
+///   --block N          ECC block size m, odd (default 15)
+///   --pcs K            processing crossbars (default 3)
+///   --coverage MODE    outputs | both (default both)
+///   --emit-netlist     print the parsed netlist back out (canonical .pnl)
+///   --timeline N       print the first N scheduled resource events
+///   --quiet            stats line only
+///
+/// `builtin:NAME` loads one of the bundled EPFL-like benchmarks (adder,
+/// arbiter, bar, cavlc, ctrl, dec, int2float, max, priority, sin, voter).
+/// Exit status: 0 success, 1 usage/parse error, 2 netlist does not fit the
+/// row.
+int run_map_tool(int argc, char** argv);
 
 }  // namespace pimecc::tools

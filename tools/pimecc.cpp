@@ -1,7 +1,9 @@
 // pimecc -- the serving front end: one binary, PISA-style subcommands.
 //
 // Usage:
-//   pimecc map   [pimecc_map options] <netlist.pnl | builtin:NAME>
+//   pimecc map   [--row-width N] [--block M] [--pcs K] [--coverage MODE]
+//                [--emit-netlist] [--timeline N] [--quiet]
+//                <netlist.pnl | builtin:NAME>
 //   pimecc run   [--circuit NAME] [--n N] [--m M] [--seed S]
 //   pimecc mttf  [--fit F] [--period H] [--n N] [--m M] [--gib G]
 //                [--simulate] [--trials T] [--crossbars C] [--max-hours H]
@@ -13,8 +15,9 @@
 //   pimecc serve --trace FILE|- [--batch B] [--lanes L] [--max-pending P]
 //                [--stats]
 //
-// `map` is exactly the pimecc_map tool (same implementation, same exit
-// codes).  `run` executes one benchmark end-to-end on the ECC-protected
+// `map` maps a netlist and schedules it under the ECC architecture
+// (tools/app.hpp, run_map_tool; exit 2 when it does not fit the row).
+// `run` executes one benchmark end-to-end on the ECC-protected
 // machine.  `mttf` evaluates the closed-form model; with --simulate it
 // also runs the Monte Carlo lifetime engine, resumable via --checkpoint
 // (interrupt it, rerun the identical command, and it continues from the
@@ -74,7 +77,9 @@ extern "C" void handle_stop_signal(int) { g_stop_requested = 1; }
 
 void usage(std::ostream& os) {
   os << "usage: pimecc <map|run|mttf|sweep|serve> [options]\n"
-        "  map    [pimecc_map options] <netlist.pnl | builtin:NAME>\n"
+        "  map    [--row-width N] [--block M] [--pcs K] [--coverage MODE]\n"
+        "         [--emit-netlist] [--timeline N] [--quiet]\n"
+        "         <netlist.pnl | builtin:NAME>\n"
         "  run    [--circuit NAME] [--n N] [--m M] [--seed S]\n"
         "  mttf   [--fit F] [--period H] [--n N] [--m M] [--gib G]\n"
         "         [--simulate] [--trials T] [--crossbars C] [--max-hours H]\n"
@@ -482,7 +487,7 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     if (command == "map") {
-      return tools::run_map_tool(argc, argv, 2, "pimecc map");
+      return tools::run_map_tool(argc, argv);
     } else if (command == "run") {
       return cmd_run(argc, argv);
     } else if (command == "mttf") {
