@@ -14,16 +14,19 @@
 //      n rows.
 //   4. program: one `run` request's machine work per bench circuit at
 //      n = 1020, m = 15 -- PimMachine::load plus
-//      simpler::run_program_protected (before-use check, protected input
-//      writes, the mapped program as one bit-sliced row program, output
-//      read) -- in requests/s.  The layer evidence for the row-program
-//      executor, which e2e's op-by-op replay cannot show.
+//      simpler::run_program_protected (before-use check, then the protected
+//      input writes, the mapped program and the output read as one
+//      bit-sliced tile pass) -- in requests/s.  The layer evidence for the
+//      row-program executor, which e2e's op-by-op replay cannot show.
 //
 // Every configuration is first cross-checked: the two machines run an
 // identical protected program with mid-run fault injection and must agree
 // on memory contents, check state, cycle counters, and check reports, or
 // the run fails (non-zero exit) -- the same fast-vs-reference gate the
-// differential test suite applies, wired into CI via tools/ci.sh.
+// differential test suite applies, wired into CI via tools/ci.sh.  Each
+// timed circuit is cross-checked the same way: one run_program_protected on
+// each machine must agree on outputs, check state, MachineCounters and row
+// activations, so a wrong closed-form charge of the fused pass fails too.
 //
 // Usage: bench_arch_throughput [--smoke] [--out=PATH]
 //   --smoke    fast CI configuration (n = 60, m in {3, 15}; one program)
@@ -94,6 +97,29 @@ bool cross_check(const ArchParams& params, const pimecc::util::BitMatrix& image)
   if (!ref.check_memory().matches(fast.check_code())) return false;
   if (!(fast.counters() == ref.counters())) return false;
   return fast.ecc_consistent() && ref.ecc_consistent();
+}
+
+/// One protected run of `program` on both machines: outputs, corrections,
+/// check state, MachineCounters and row activations must agree.
+bool cross_check_program(const ArchParams& params,
+                         const pimecc::simpler::Netlist& netlist,
+                         const pimecc::simpler::MappedProgram& program,
+                         const pimecc::util::BitMatrix& image,
+                         const pimecc::util::BitMatrix& inputs) {
+  using pimecc::simpler::ProtectedRunResult;
+  using pimecc::simpler::run_program_protected;
+  PimMachine fast(params);
+  ReferencePimMachine ref(params);
+  fast.load(image);
+  ref.load(image);
+  const ProtectedRunResult f = run_program_protected(fast, netlist, program, inputs);
+  const ProtectedRunResult r = run_program_protected(ref, netlist, program, inputs);
+  return f.outputs == r.outputs &&
+         f.input_check_corrections == r.input_check_corrections &&
+         f.ecc_consistent_after && r.ecc_consistent_after &&
+         ref.check_memory().matches(fast.check_code()) &&
+         fast.counters() == ref.counters() &&
+         fast.mem_row_activation_snapshot() == ref.mem_row_activation_snapshot();
 }
 
 }  // namespace
@@ -194,6 +220,8 @@ int main(int argc, char** argv) {
     const util::BitMatrix image = util::random_bit_matrix(params.n, params.n, rng);
     const util::BitMatrix inputs =
         util::random_bit_matrix(params.n, spec.netlist.num_inputs(), rng);
+    gates.check(cross_check_program(params, spec.netlist, program, image, inputs),
+                std::string("fast-vs-reference protected run of ") + name);
     PimMachine machine(params);
     simpler::ProtectedRunResult run;
     const double rate = bench::measure_rate(min_seconds, [&] {

@@ -10,11 +10,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/bitmatrix.hpp"
 #include "xbar/crossbar.hpp"
 
 namespace pimecc::arch::detail {
@@ -79,6 +81,26 @@ inline void require_row_ops(std::span<const xbar::RowOp> ops, std::size_t n) {
         throw std::invalid_argument("PimMachine: output column overlaps an input");
       }
     }
+  }
+}
+
+/// A row program's I/O (run_rows_protected with an xbar::RowIo): the
+/// written columns (inputs and constants) in range and pairwise distinct,
+/// the output columns in range, and each matrix n x its column count (or
+/// null with no columns).
+inline void require_row_io(const xbar::RowIo& io, std::size_t n) {
+  std::vector<std::uint32_t> written(io.input_cols.begin(), io.input_cols.end());
+  written.insert(written.end(), io.one_cols.begin(), io.one_cols.end());
+  written.insert(written.end(), io.zero_cols.begin(), io.zero_cols.end());
+  require_distinct<std::uint32_t>(written, n, "written column");
+  require_indices(io.output_cols, n, "output column");
+  const auto shape_ok = [n](const util::BitMatrix* m, std::size_t cols) {
+    return m == nullptr ? cols == 0 : m->rows() == n && m->cols() == cols;
+  };
+  if (!shape_ok(io.inputs, io.input_cols.size()) ||
+      !shape_ok(io.outputs, io.output_cols.size())) {
+    throw std::invalid_argument(
+        "PimMachine: I/O matrices must be n x their column counts");
   }
 }
 

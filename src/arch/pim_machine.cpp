@@ -140,6 +140,21 @@ void PimMachine::magic_init_cols_protected(std::span<const std::size_t> rows) {
 void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
   detail::require_row_ops(ops, n());
   if (ops.empty()) return;
+  run_and_fold(ops, {});
+  charge_program(0, ops);
+}
+
+void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops,
+                                    const xbar::RowIo& io) {
+  detail::require_row_ops(ops, n());
+  detail::require_row_io(io, n());
+  run_and_fold(ops, io);
+  mem_.charge_row_writes();
+  charge_program(n(), ops);
+}
+
+void PimMachine::run_and_fold(std::span<const xbar::RowOp> ops,
+                              const xbar::RowIo& io) {
   using Word = util::BitVector::Word;
   constexpr std::size_t kWordBits = util::BitVector::kWordBits;
   const std::size_t words = mem_.contents().row(0).word_count();
@@ -149,7 +164,7 @@ void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
   std::size_t band = 0;
   // Tiles arrive in row order; each complete band of the buffer is folded
   // through the encode band kernel and the partial rest moves to the front.
-  mem_.run_rows(ops, [&](std::size_t, std::size_t count, const Word* delta) {
+  const auto fold = [&](std::size_t, std::size_t count, const Word* delta) {
     std::copy_n(delta, count * words, program_delta_.data() + buffered * words);
     buffered += count;
     std::size_t folded = 0;
@@ -163,18 +178,23 @@ void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
               program_delta_.begin() + static_cast<std::ptrdiff_t>(buffered * words),
               program_delta_.begin());
     buffered -= folded;
-  });
-  // The per-op charges in closed form: every op's line updates, and the
-  // mem_cycles rule (MachineCounters) -- the crossbar's cycles plus the last
-  // op's transfers.
+  };
+  mem_.run_rows(ops, fold, io);
+}
+
+void PimMachine::charge_program(std::size_t row_writes,
+                                std::span<const xbar::RowOp> ops) {
+  // The per-call charges in closed form: every row write's and op's line
+  // updates, and the mem_cycles rule (MachineCounters) -- the crossbar's
+  // cycles plus the last call's transfers (a row write is one line).
   const auto lines_of = [](const xbar::RowOp& op) -> std::uint64_t {
     return op.kind == xbar::RowOp::Kind::kInit ? op.lines.size() : 1;
   };
-  std::uint64_t lines = 0;
+  std::uint64_t lines = row_writes;
   for (const xbar::RowOp& op : ops) lines += lines_of(op);
   charge_line_updates(lines);
-  counters_.mem_cycles =
-      mem_.cycles() + lines_of(ops.back()) * 2 * params_.transfer_cycles;
+  const std::uint64_t last_lines = ops.empty() ? 1 : lines_of(ops.back());
+  counters_.mem_cycles = mem_.cycles() + last_lines * 2 * params_.transfer_cycles;
 }
 
 CheckReport PimMachine::charge_checks(const ecc::ScrubReport& sr,

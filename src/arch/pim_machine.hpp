@@ -27,10 +27,14 @@
 // Crossbar::run_rows hands over one 64-row tile at a time and this machine
 // folds one block-row band at a time through the encode band kernel
 // (ArrayCode::apply_band_delta) -- one band walk per band for the program
-// instead of one line update per op.  A wide batched init (more lines than
-// n/64) runs as a one-op row program.  Cycle accounting is unchanged: the
-// protocol's analytic costs are identical to routing the lines through the
-// shifter bank into genuine XOR3 microprograms, op by op.  The original
+// instead of one line update per op.  The row program can carry its I/O
+// (xbar::RowIo): the same tile pass writes the inputs and constants and
+// reads the outputs, the writes' old XOR new rows join the net delta, and
+// the n protected row writes this replaces are charged in closed form.  A
+// wide batched init (more lines than n/64) runs as a one-op row program.
+// Cycle accounting is unchanged: the protocol's analytic costs are
+// identical to routing the lines through the shifter bank into genuine XOR3
+// microprograms, op by op.  The original
 // bit-serial composition is retained verbatim as a test oracle
 // (oracle/reference_pim_machine.hpp) and must match this machine exactly in
 // contents, check state, cycle counters, and correction counts on any
@@ -73,7 +77,9 @@ struct CheckReport {
 /// transfer charges of every earlier op and the m-per-band charge of every
 /// earlier check, so after a protected op mem_cycles is the crossbar's
 /// cycles plus that last op's transfers.  A row program charges the same
-/// closed form.  cmem_cycles and critical_ops accumulate.
+/// closed form; with its I/O it is charged as n row writes (one line each)
+/// followed by the program, so an empty op list leaves the last write's
+/// value.  cmem_cycles and critical_ops accumulate.
 struct MachineCounters {
   std::uint64_t mem_cycles = 0;
   std::uint64_t cmem_cycles = 0;
@@ -127,6 +133,16 @@ class PimMachine {
   /// program's net row delta, folded band by band.  Every op is validated
   /// before the first runs, so a throwing program changes nothing.
   void run_rows_protected(std::span<const xbar::RowOp> ops);
+  /// One program with its I/O (xbar::RowIo) in a single tile pass: the
+  /// same contents, check bits, counters and row activations as n
+  /// write_row_protected calls -- row r's current contents with its inputs
+  /// and constants written -- then run_rows_protected(ops), then a read of
+  /// the output columns into io.outputs.  The writes' old XOR new rows join
+  /// the program's net delta, so one band fold covers both, and the writes
+  /// are charged in closed form.  The ops, every cell and both matrix
+  /// shapes are validated before anything changes.
+  void run_rows_protected(std::span<const xbar::RowOp> ops,
+                          const xbar::RowIo& io);
 
   // --- checking ------------------------------------------------------------
   /// The paper's before-use check: verifies (and repairs) all blocks of the
@@ -188,6 +204,12 @@ class PimMachine {
   /// line is a column (row-parallel op).
   void update_check_bits_for_line(bool along_rows, std::size_t line,
                                   const util::BitVector& delta);
+  /// Runs a row program (and its I/O) on the MEM, folding its net row
+  /// delta into the check bits one block-row band at a time.
+  void run_and_fold(std::span<const xbar::RowOp> ops, const xbar::RowIo& io);
+  /// Charges `row_writes` protected row writes followed by `ops`, as the
+  /// per-call entry points would.
+  void charge_program(std::size_t row_writes, std::span<const xbar::RowOp> ops);
   /// Charges the protocol cost of `lines` line updates to the counters.
   void charge_line_updates(std::uint64_t lines);
   /// Charges `bands` block-row/column checks to the counters and converts

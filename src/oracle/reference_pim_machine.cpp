@@ -180,6 +180,27 @@ void ReferencePimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
   }
 }
 
+void ReferencePimMachine::run_rows_protected(std::span<const xbar::RowOp> ops,
+                                             const xbar::RowIo& io) {
+  detail::require_row_ops(ops, n());
+  detail::require_row_io(io, n());
+  for (std::size_t r = 0; r < n(); ++r) {
+    util::BitVector image = mem_.contents().row(r);
+    for (std::size_t i = 0; i < io.input_cols.size(); ++i) {
+      image.set(io.input_cols[i], io.inputs->get(r, i));
+    }
+    for (const std::uint32_t c : io.one_cols) image.set(c, true);
+    for (const std::uint32_t c : io.zero_cols) image.set(c, false);
+    write_row_protected(r, image);
+  }
+  run_rows_protected(ops);
+  for (std::size_t r = 0; r < n(); ++r) {
+    for (std::size_t j = 0; j < io.output_cols.size(); ++j) {
+      io.outputs->set(r, j, mem_.contents().get(r, io.output_cols[j]));
+    }
+  }
+}
+
 void ReferencePimMachine::repair_block(ecc::BlockIndex block,
                                        const ecc::DecodeResult& result) {
   switch (result.status) {

@@ -66,6 +66,12 @@ class ReferencePimMachine {
   /// the whole program validated first, then each op through
   /// magic_init_rows_protected / magic_nor_rows_protected.
   void run_rows_protected(std::span<const xbar::RowOp> ops);
+  /// The composition PimMachine's I/O pass must equal: the program and
+  /// its I/O validated first, then one write_row_protected per row (the
+  /// row's contents with its inputs and constants written), this
+  /// run_rows_protected(ops), and a per-cell read of the outputs.
+  void run_rows_protected(std::span<const xbar::RowOp> ops,
+                          const xbar::RowIo& io);
 
   CheckReport check_block_row(std::size_t row);
   CheckReport check_block_col(std::size_t col);

@@ -106,6 +106,8 @@ MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
     const NodeType t = netlist.node(id).type;
     if (t == NodeType::kConstZero || t == NodeType::kConstOne) {
       cell_of[id] = next_fixed++;
+      (t == NodeType::kConstOne ? program.one_cells : program.zero_cells)
+          .push_back(cell_of[id]);
     }
   }
   // The fit check precedes every write indexed by a cell.

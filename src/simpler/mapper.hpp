@@ -63,6 +63,10 @@ struct MappedProgram {
   std::vector<MappedOp> ops;
   std::size_t row_width = 0;
   std::vector<CellIndex> input_cells;   ///< cell of each primary input
+  /// Cells of the netlist's constant-one and constant-zero nodes, placed
+  /// right after the inputs; the executors write them with the inputs.
+  std::vector<CellIndex> one_cells;
+  std::vector<CellIndex> zero_cells;
   std::vector<CellIndex> output_cells;  ///< final cell of each primary output
   std::uint64_t gate_cycles = 0;
   std::uint64_t init_cycles = 0;

@@ -13,18 +13,6 @@ void require_fits(const MappedProgram& program, const xbar::Crossbar& xbar) {
   }
 }
 
-void place_constants(const Netlist& netlist, const MappedProgram& program,
-                     xbar::Crossbar& xbar, std::size_t row) {
-  // Constants were pre-placed right after the inputs by the mapper.
-  CellIndex next_fixed = static_cast<CellIndex>(program.input_cells.size());
-  for (NodeId id = 0; id < netlist.num_nodes(); ++id) {
-    const NodeType t = netlist.node(id).type;
-    if (t == NodeType::kConstZero || t == NodeType::kConstOne) {
-      xbar.poke(row, next_fixed++, t == NodeType::kConstOne);
-    }
-  }
-}
-
 std::uint64_t execute_ops(const MappedProgram& program, xbar::Crossbar& xbar,
                           std::size_t row) {
   const std::size_t lanes[1] = {row};
@@ -59,10 +47,24 @@ std::vector<xbar::RowOp> row_ops(const MappedProgram& program) {
   return ops;
 }
 
+xbar::RowIo row_io(const MappedProgram& program, const util::BitMatrix& inputs,
+                   util::BitMatrix& outputs) {
+  return {program.input_cells, &inputs,  program.one_cells,
+          program.zero_cells,  program.output_cells, &outputs};
+}
+
+void require_same_inputs(const Netlist& netlist, const MappedProgram& program) {
+  if (netlist.num_inputs() != program.input_cells.size()) {
+    throw std::invalid_argument(
+        "row_vm: the netlist's inputs do not match the program's");
+  }
+}
+
 RowRunResult run_single_row(const Netlist& netlist, const MappedProgram& program,
                             xbar::Crossbar& xbar, std::size_t row,
                             const util::BitVector& inputs) {
   require_fits(program, xbar);
+  require_same_inputs(netlist, program);
   if (inputs.size() != program.input_cells.size()) {
     throw std::invalid_argument("run_single_row: wrong number of inputs");
   }
@@ -70,7 +72,8 @@ RowRunResult run_single_row(const Netlist& netlist, const MappedProgram& program
   for (std::size_t i = 0; i < program.input_cells.size(); ++i) {
     xbar.poke(row, program.input_cells[i], inputs.get(i));
   }
-  place_constants(netlist, program, xbar, row);
+  for (const CellIndex cell : program.one_cells) xbar.poke(row, cell, true);
+  for (const CellIndex cell : program.zero_cells) xbar.poke(row, cell, false);
 
   RowRunResult result;
   result.violations = execute_ops(program, xbar, row);
@@ -85,26 +88,16 @@ RowRunResult run_single_row(const Netlist& netlist, const MappedProgram& program
 SimdRunResult run_simd(const Netlist& netlist, const MappedProgram& program,
                        xbar::Crossbar& xbar, const util::BitMatrix& inputs) {
   require_fits(program, xbar);
+  require_same_inputs(netlist, program);
   if (inputs.rows() != xbar.rows() ||
       inputs.cols() != program.input_cells.size()) {
     throw std::invalid_argument("run_simd: inputs must be rows x num_inputs");
   }
   const std::uint64_t start_cycles = xbar.cycles();
-  for (std::size_t r = 0; r < xbar.rows(); ++r) {
-    for (std::size_t i = 0; i < program.input_cells.size(); ++i) {
-      xbar.poke(r, program.input_cells[i], inputs.get(r, i));
-    }
-    place_constants(netlist, program, xbar, r);
-  }
-
   SimdRunResult result;
-  result.violations = xbar.run_rows(row_ops(program));
   result.outputs = util::BitMatrix(xbar.rows(), program.output_cells.size());
-  for (std::size_t r = 0; r < xbar.rows(); ++r) {
-    for (std::size_t i = 0; i < program.output_cells.size(); ++i) {
-      result.outputs.set(r, i, xbar.peek(r, program.output_cells[i]));
-    }
-  }
+  result.violations =
+      xbar.run_rows(row_ops(program), {}, row_io(program, inputs, result.outputs));
   result.cycles = xbar.cycles() - start_cycles;
   return result;
 }

@@ -8,9 +8,14 @@
 //     model; used to validate mapper correctness against Netlist::eval).
 //   * SIMD: the same op sequence executes in every row simultaneously with
 //     per-row inputs -- MAGIC's throughput story (paper Figure 1), at the
-//     same cycle count as a single row.  The program runs as one all-lane
-//     row program (xbar::Crossbar::run_rows), the executor the protected VM
+//     same cycle count as a single row.  The program and its I/O run as
+//     one all-lane row program (xbar::Crossbar::run_rows with the
+//     program's RowIo): the tile pass writes the inputs and constants,
+//     runs the ops and reads the outputs, the executor the protected VM
 //     shares.
+//
+// Both read the constant cells from the MappedProgram; the netlist is only
+// checked against the program's input count.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +33,16 @@ namespace pimecc::simpler {
 /// (and the protected machines' run_rows_protected).  The ops' line spans
 /// point into `program`'s cells.
 std::vector<xbar::RowOp> row_ops(const MappedProgram& program);
+
+/// The program's I/O for a row program: `inputs` (rows x num_inputs) into
+/// the input cells, the constant cells, and the output cells into
+/// `outputs` (rows x num_outputs).  The spans point into `program`.
+xbar::RowIo row_io(const MappedProgram& program, const util::BitMatrix& inputs,
+                   util::BitMatrix& outputs);
+
+/// Throws std::invalid_argument unless `netlist` has the program's number
+/// of inputs.
+void require_same_inputs(const Netlist& netlist, const MappedProgram& program);
 
 /// Result of a single-row execution.
 struct RowRunResult {

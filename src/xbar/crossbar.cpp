@@ -306,8 +306,32 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
   return result;
 }
 
+void Crossbar::check_io(const RowIo& io) const {
+  const auto shape_ok = [this](const util::BitMatrix* m, std::size_t cols) {
+    return m == nullptr ? cols == 0 : m->rows() == rows() && m->cols() == cols;
+  };
+  if (!shape_ok(io.inputs, io.input_cols.size()) ||
+      !shape_ok(io.outputs, io.output_cols.size())) {
+    throw std::invalid_argument(
+        "Crossbar::run_rows: I/O matrices must be rows x I/O columns");
+  }
+  std::vector<bool> written(cols(), false);
+  for (const auto list : {io.input_cols, io.one_cols, io.zero_cols}) {
+    for (const std::uint32_t line : list) {
+      check_line(Orientation::kRow, line, "written");
+      if (written[line]) {
+        throw std::invalid_argument("Crossbar::run_rows: a column is written twice");
+      }
+      written[line] = true;
+    }
+  }
+  for (const std::uint32_t line : io.output_cols) {
+    check_line(Orientation::kRow, line, "read");
+  }
+}
+
 std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
-                                 const RowDeltaSink& sink) {
+                                 const RowDeltaSink& sink, const RowIo& io) {
   for (const RowOp& op : ops) {
     if (op.kind == RowOp::Kind::kInit) {
       for (const std::uint32_t line : op.lines) {
@@ -327,7 +351,9 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
     }
     check_line(Orientation::kRow, op.out, "output");
   }
-  if (ops.empty()) return 0;
+  const bool has_io = !io.empty();
+  if (has_io) check_io(io);
+  if (ops.empty() && !has_io) return 0;
 
   using Word = util::BitVector::Word;
   constexpr std::size_t kWordBits = util::BitVector::kWordBits;
@@ -346,6 +372,9 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
       ++nors;
     }
   }
+  for (const auto list : {io.input_cols, io.one_cols, io.zero_cols, io.output_cols}) {
+    for (const std::uint32_t line : list) group_slot_[line / kWordBits] = 0;
+  }
   groups_.clear();
   for (std::size_t w = 0; w < words; ++w) {
     if (group_slot_[w] == kNoSlot) continue;
@@ -356,9 +385,21 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
   const auto column = [slot_of](std::size_t line) {
     return slot_of[line / kWordBits] * kWordBits + line % kWordBits;
   };
+  // Every op's lines (then a NOR's output) resolved to tile words once,
+  // not once per tile.
+  op_cols_.clear();
+  for (const RowOp& op : ops) {
+    for (const std::uint32_t line : op.lines) {
+      op_cols_.push_back(static_cast<std::uint32_t>(column(line)));
+    }
+    if (op.kind == RowOp::Kind::kNor) {
+      op_cols_.push_back(static_cast<std::uint32_t>(column(op.out)));
+    }
+  }
 
   tile_cols_.resize(groups_.size() * kWordBits);
   if (sink) tile_delta_.assign(kWordBits * words, 0);
+  if (has_io) io_block_.resize(kWordBits);
   const util::simd::KernelTable& kernels = util::simd::kernels();
   const std::span<util::BitVector> row_store = mat_.rows_span();
   std::uint64_t violations = 0;
@@ -379,16 +420,53 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
     }
     // The program, one column word per line: bit i is row row0 + i.
     Word* const cols = tile_cols_.data();
+    Word* const block = io_block_.data();
+    // Inputs: each 64-input group of the tile's input rows, transposed, is
+    // 64 input column words.
+    for (std::size_t g = 0; g * kWordBits < io.input_cols.size(); ++g) {
+      const std::span<const util::BitVector> in_rows = io.inputs->rows_span();
+      std::fill_n(block + count, kWordBits - count, 0);
+      for (std::size_t i = 0; i < count; ++i) {
+        block[i] = in_rows[row0 + i].words()[g];
+      }
+      kernels.transpose64(block);
+      const std::size_t width =
+          std::min(kWordBits, io.input_cols.size() - g * kWordBits);
+      for (std::size_t j = 0; j < width; ++j) {
+        cols[column(io.input_cols[g * kWordBits + j])] = block[j];
+      }
+    }
+    for (const std::uint32_t line : io.one_cols) cols[column(line)] = valid;
+    for (const std::uint32_t line : io.zero_cols) cols[column(line)] = 0;
+    const std::uint32_t* at = op_cols_.data();
     for (const RowOp& op : ops) {
+      const std::size_t k = op.lines.size();
       if (op.kind == RowOp::Kind::kInit) {
-        for (const std::uint32_t line : op.lines) cols[column(line)] |= valid;
+        for (std::size_t j = 0; j < k; ++j) cols[at[j]] |= valid;
+        at += k;
         continue;
       }
       Word any = 0;
-      for (const std::uint32_t line : op.lines) any |= cols[column(line)];
-      Word& out = cols[column(op.out)];
+      for (std::size_t j = 0; j < k; ++j) any |= cols[at[j]];
+      Word& out = cols[at[k]];
+      at += k + 1;
       violations += static_cast<std::uint64_t>(std::popcount(~out & valid));
       out &= ~any;
+    }
+    // Outputs: 64 output column words, transposed, are the tile's rows of
+    // one 64-output word of `outputs` (bits past the last output zero).
+    for (std::size_t h = 0; h * kWordBits < io.output_cols.size(); ++h) {
+      const std::span<util::BitVector> out_rows = io.outputs->rows_span();
+      const std::size_t width =
+          std::min(kWordBits, io.output_cols.size() - h * kWordBits);
+      for (std::size_t j = 0; j < width; ++j) {
+        block[j] = cols[column(io.output_cols[h * kWordBits + j])];
+      }
+      std::fill_n(block + width, kWordBits - width, 0);
+      kernels.transpose64(block);
+      for (std::size_t i = 0; i < count; ++i) {
+        out_rows[row0 + i].words_mutable()[h] = block[i];
+      }
     }
     // Tile out: back to row words, keeping old XOR new for the sink.
     for (std::size_t s = 0; s < groups_.size(); ++s) {
@@ -411,6 +489,12 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
   init_cycles_ += ops.size() - nors;
   broadcast_activations_ += ops.size();
   return violations;
+}
+
+void Crossbar::charge_row_writes() noexcept {
+  // Every wordline once: the broadcast counter, as for an all-lane op.
+  ++broadcast_activations_;
+  cycles_ += rows();
 }
 
 OpResult Crossbar::magic_not(Orientation o, std::size_t in_line, std::size_t out_line,

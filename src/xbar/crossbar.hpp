@@ -18,6 +18,9 @@
 // (run_rows) is bit-sliced instead: 64 rows at a time are transposed into
 // per-column words, every op runs on those single words, and the tile is
 // transposed back, so lanes become adjacent bits as in the kColumn path.
+// The same tile pass can do a program's I/O: the input rows' words, once
+// transposed, are the input columns' words, and the output columns' words,
+// transposed, are the output rows' words (RowIo).
 // Precondition violations are counted via popcount, never per bit.  The
 // original bit-serial engine is retained verbatim as a test oracle
 // (oracle/reference_crossbar.hpp) and serves as the golden model in
@@ -51,6 +54,28 @@ struct RowOp {
   Kind kind = Kind::kNor;
   std::uint32_t out = 0;  ///< kNor only
   std::span<const std::uint32_t> lines;
+};
+
+/// The I/O a row program (Crossbar::run_rows) does inside its tile pass.
+/// Before the ops, row r takes inputs(r, i) in column input_cols[i], 1 in
+/// every one_cols column and 0 in every zero_cols column; after them,
+/// outputs(r, j) takes row r's column output_cols[j].  The written columns
+/// (inputs and constants) must be distinct; output columns may repeat and
+/// may be written columns.  `inputs` is rows() x input_cols.size() and
+/// `outputs` rows() x output_cols.size(); either may be null when its
+/// column list is empty.
+struct RowIo {
+  std::span<const std::uint32_t> input_cols;
+  const util::BitMatrix* inputs = nullptr;
+  std::span<const std::uint32_t> one_cols;
+  std::span<const std::uint32_t> zero_cols;
+  std::span<const std::uint32_t> output_cols;
+  util::BitMatrix* outputs = nullptr;
+
+  [[nodiscard]] bool empty() const noexcept {
+    return input_cols.empty() && one_cols.empty() && zero_cols.empty() &&
+           output_cols.empty();
+  }
 };
 
 /// Receives a row program's net row delta one tile at a time, in row order:
@@ -132,10 +157,27 @@ class Crossbar {
   /// whole op list runs on single words (a NOR is out &= ~OR(ins), its
   /// violations popcount(~out & valid rows)), and the tile is transposed
   /// back.  A non-empty `sink` then receives the tile's old XOR new rows.
+  ///
+  /// A non-empty `io` (RowIo) is done in the same pass: the input tile is
+  /// transposed straight into the input columns' words and the constant
+  /// columns' words become all-ones or zero before the ops, and the output
+  /// columns' words are transposed straight into `outputs` after them.  The
+  /// I/O columns join the touched word groups, so the sink's delta covers
+  /// the writes too.  Like poke/peek, the I/O itself costs no cycles and no
+  /// activations; a caller that models controller writes charges them
+  /// (charge_row_writes).  With an empty `io` and no ops nothing happens.
+  ///
   /// Every op is validated (lines in range; a NOR has inputs, none equal to
-  /// its output) before any state changes.
+  /// its output), and so is `io` (columns in range, written columns
+  /// distinct, matrix shapes), before any state changes.
   std::uint64_t run_rows(std::span<const RowOp> ops,
-                         const RowDeltaSink& sink = {});
+                         const RowDeltaSink& sink = {}, const RowIo& io = {});
+
+  /// Charges one controller row write to every row -- rows() cycles and one
+  /// wordline activation per row, as write_row on each row -- without
+  /// touching the contents: the cost of the rows a run_rows I/O pass wrote,
+  /// for a caller that models them as controller writes.
+  void charge_row_writes() noexcept;
 
   /// Convenience single-input NOR (MAGIC NOT).
   OpResult magic_not(Orientation o, std::size_t in_line, std::size_t out_line,
@@ -185,6 +227,8 @@ class Crossbar {
 
  private:
   void check_line(Orientation o, std::size_t line, const char* what) const;
+  /// run_rows' validation of a RowIo (see RowIo).
+  void check_io(const RowIo& io) const;
   void check_lane(Orientation o, std::size_t lane) const;
   [[nodiscard]] std::size_t lane_count(Orientation o) const noexcept {
     return o == Orientation::kRow ? rows() : cols();
@@ -224,7 +268,9 @@ class Crossbar {
   std::vector<std::uint32_t> group_slot_;  ///< word group -> slot, or kNoSlot
   std::vector<std::size_t> groups_;        ///< touched word groups, ascending
   std::vector<std::uint64_t> tile_cols_;   ///< 64 column words per slot
+  std::vector<std::uint32_t> op_cols_;     ///< ops' lines as tile words
   std::vector<std::uint64_t> tile_delta_;  ///< 64 delta rows of one tile
+  std::vector<std::uint64_t> io_block_;    ///< one 64 x 64 I/O transpose
 };
 
 }  // namespace pimecc::xbar

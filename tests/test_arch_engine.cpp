@@ -88,6 +88,10 @@ struct MachinePair {
            << f.critical_ops << "/" << r.critical_ops << " checks " << f.checks
            << "/" << r.checks << " scrubs " << f.scrubs << "/" << r.scrubs;
   }
+  if (pair.fast.mem_row_activation_snapshot() !=
+      pair.ref.mem_row_activation_snapshot()) {
+    return ::testing::AssertionFailure() << "row activations diverge";
+  }
   return ::testing::AssertionSuccess();
 }
 
@@ -565,43 +569,47 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------- row-program batches
 
-/// A random all-lane row program over n columns: inits of one column up to
-/// all n, and NORs of fan-in 1-4.  The ops' spans point into `lines`.
+/// A random all-lane row program over the n columns but `spare` (none by
+/// default): inits of one column up to all of them, and NORs of fan-in
+/// 1-4.  The ops' spans point into `lines`.
 struct RandomRowProgram {
   std::vector<std::vector<std::uint32_t>> lines;
   std::vector<xbar::RowOp> ops;
 };
 
 RandomRowProgram random_row_program(std::size_t n, std::size_t count,
-                                    util::Rng& rng) {
+                                    util::Rng& rng, std::size_t spare = SIZE_MAX) {
   RandomRowProgram program;
   std::vector<xbar::RowOp::Kind> kinds;
   std::vector<std::uint32_t> outs;
-  std::vector<std::uint32_t> all(n);
-  for (std::size_t c = 0; c < n; ++c) all[c] = static_cast<std::uint32_t>(c);
+  std::vector<std::uint32_t> cols;  // the columns drawn from, ascending
+  for (std::size_t c = 0; c < n; ++c) {
+    if (c != spare) cols.push_back(static_cast<std::uint32_t>(c));
+  }
+  const std::size_t width = cols.size();
+  std::vector<std::uint32_t> all = cols;
   for (std::size_t i = 0; i < count; ++i) {
     std::vector<std::uint32_t> lines;
     if (rng.bernoulli(0.3)) {
-      // Width: one column, a few, up to n, or all n.
+      // Width: one column, a few, up to all, or all.
       const std::uint64_t shape = rng.uniform_below(4);
-      const std::size_t few = std::min<std::size_t>(8, n);
+      const std::size_t few = std::min<std::size_t>(8, width);
       const std::size_t k = shape == 0   ? 1
                             : shape == 1 ? 1 + rng.uniform_below(few)
-                            : shape == 2 ? 1 + rng.uniform_below(n)
-                                         : n;
+                            : shape == 2 ? 1 + rng.uniform_below(width)
+                                         : width;
       for (std::size_t j = 0; j < k; ++j) {
-        std::swap(all[j], all[j + rng.uniform_below(n - j)]);
+        std::swap(all[j], all[j + rng.uniform_below(width - j)]);
       }
       lines.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k));
       kinds.push_back(xbar::RowOp::Kind::kInit);
       outs.push_back(0);
     } else {
-      const auto out = static_cast<std::uint32_t>(rng.uniform_below(n));
+      const std::uint32_t out = cols[rng.uniform_below(width)];
       const std::size_t fan_in = 1 + rng.uniform_below(4);
       for (std::size_t j = 0; j < fan_in; ++j) {
-        auto in = static_cast<std::uint32_t>(rng.uniform_below(n));
-        if (in == out) in = static_cast<std::uint32_t>((in + 1) % n);
-        lines.push_back(in);
+        const std::size_t at = rng.uniform_below(width);
+        lines.push_back(cols[cols[at] == out ? (at + 1) % width : at]);
       }
       kinds.push_back(xbar::RowOp::Kind::kNor);
       outs.push_back(out);
@@ -773,6 +781,265 @@ TEST(RowBatchDifferential, MatchesOneByOneN130M65) {
   // m > diagword::kMaxM: the band fold's bit-serial fallback, and bands
   // that straddle tiles.
   run_row_batch_differential(130, 65, 0xB0A7'0004ull);
+}
+
+// ------------------------------------------------ row programs with I/O
+
+/// A random row-program I/O over n columns: distinct input, constant-one
+/// and constant-zero columns, and outputs drawn from every column with two
+/// input cells among them.  Where n allows, more than 64 inputs and more
+/// than 64 outputs (two 64-column word groups of each).  The caller keeps
+/// input_cols[0] out of the program, so output 0 reads an input no op
+/// touches.
+struct RandomRowIo {
+  std::vector<std::uint32_t> input_cols;
+  std::vector<std::uint32_t> one_cols;
+  std::vector<std::uint32_t> zero_cols;
+  std::vector<std::uint32_t> output_cols;
+  util::BitMatrix inputs;
+
+  [[nodiscard]] xbar::RowIo view(util::BitMatrix& outputs) const {
+    return {input_cols, &inputs, one_cols, zero_cols, output_cols, &outputs};
+  }
+};
+
+RandomRowIo random_row_io(std::size_t n, util::Rng& rng) {
+  const auto count = [&](std::size_t bound) {
+    return n / 2 > 65 ? 65 + rng.uniform_below(n / 2 - 65)
+                      : 1 + rng.uniform_below(bound);
+  };
+  std::vector<std::uint32_t> cols(n);
+  for (std::size_t c = 0; c < n; ++c) cols[c] = static_cast<std::uint32_t>(c);
+  for (std::size_t j = 0; j + 1 < n; ++j) {
+    std::swap(cols[j], cols[j + rng.uniform_below(n - j)]);
+  }
+  RandomRowIo io;
+  const std::size_t k = count(n / 2);
+  const std::size_t ones = 1 + rng.uniform_below(3);
+  const std::size_t zeros = 1 + rng.uniform_below(3);
+  auto next = cols.begin();
+  const auto take = [&](std::vector<std::uint32_t>& out, std::size_t size) {
+    out.assign(next, next + static_cast<std::ptrdiff_t>(size));
+    next += static_cast<std::ptrdiff_t>(size);
+  };
+  take(io.input_cols, k);
+  take(io.one_cols, ones);
+  take(io.zero_cols, zeros);
+  const std::size_t p = count(n / 2);
+  for (std::size_t j = 0; j < p; ++j) {
+    io.output_cols.push_back(static_cast<std::uint32_t>(rng.uniform_below(n)));
+  }
+  io.output_cols[0] = io.input_cols[0];
+  io.output_cols[p / 2] = io.input_cols[k - 1];
+  io.inputs = util::random_bit_matrix(n, k, rng);
+  return io;
+}
+
+/// The I/O pass's definition on the protected machine: one
+/// write_row_protected per row, the program, and a row-major gather.
+void write_run_read(PimMachine& machine, std::span<const xbar::RowOp> ops,
+                    const xbar::RowIo& io) {
+  for (std::size_t r = 0; r < machine.n(); ++r) {
+    util::BitVector image = machine.data().row(r);
+    for (std::size_t i = 0; i < io.input_cols.size(); ++i) {
+      image.set(io.input_cols[i], io.inputs->get(r, i));
+    }
+    for (const std::uint32_t c : io.one_cols) image.set(c, true);
+    for (const std::uint32_t c : io.zero_cols) image.set(c, false);
+    machine.write_row_protected(r, image);
+  }
+  machine.run_rows_protected(ops);
+  for (std::size_t r = 0; r < machine.n(); ++r) {
+    for (std::size_t j = 0; j < io.output_cols.size(); ++j) {
+      io.outputs->set(r, j, machine.data().get(r, io.output_cols[j]));
+    }
+  }
+}
+
+/// The same on the bare crossbar: pokes, run_rows, peeks.
+std::uint64_t poke_run_peek(xbar::Crossbar& xb, std::span<const xbar::RowOp> ops,
+                            const xbar::RowIo& io) {
+  for (std::size_t r = 0; r < xb.rows(); ++r) {
+    for (std::size_t i = 0; i < io.input_cols.size(); ++i) {
+      xb.poke(r, io.input_cols[i], io.inputs->get(r, i));
+    }
+    for (const std::uint32_t c : io.one_cols) xb.poke(r, c, true);
+    for (const std::uint32_t c : io.zero_cols) xb.poke(r, c, false);
+  }
+  const std::uint64_t violations = xb.run_rows(ops);
+  for (std::size_t r = 0; r < xb.rows(); ++r) {
+    for (std::size_t j = 0; j < io.output_cols.size(); ++j) {
+      io.outputs->set(r, j, xb.peek(r, io.output_cols[j]));
+    }
+  }
+  return violations;
+}
+
+/// Every way a RowIo must be rejected: an out-of-range written or output
+/// cell, a constant on an input cell, and each matrix mis-shaped.  Each
+/// case gets its own copy of `io`'s lists and a matrix `outputs` fits.
+template <class Check>
+void for_each_bad_io(const RandomRowIo& io, std::size_t n, Check&& check) {
+  const auto out_of_range = static_cast<std::uint32_t>(n);
+  util::BitMatrix outputs(n, io.output_cols.size());
+  RandomRowIo bad = io;
+  bad.input_cols[1 % bad.input_cols.size()] = out_of_range;
+  check("input out of range", bad.view(outputs), outputs);
+  bad = io;
+  bad.output_cols.back() = out_of_range;
+  check("output out of range", bad.view(outputs), outputs);
+  bad = io;
+  bad.zero_cols[0] = out_of_range;
+  check("constant out of range", bad.view(outputs), outputs);
+  bad = io;
+  bad.one_cols[0] = bad.input_cols.back();
+  check("constant on an input", bad.view(outputs), outputs);
+  bad = io;
+  bad.inputs = util::BitMatrix(n, io.input_cols.size() + 1);
+  check("inputs too wide", bad.view(outputs), outputs);
+  bad.inputs = util::BitMatrix(n - 1, io.input_cols.size());
+  check("inputs too short", bad.view(outputs), outputs);
+  util::BitMatrix narrow(n, io.output_cols.size() - 1);
+  check("outputs too narrow", io.view(narrow), narrow);
+}
+
+/// The fused I/O pass against its definition, at every dispatch level:
+/// random programs and I/O (some after an injected data and check error,
+/// one with an empty op list) on two PimMachines, and on two bare
+/// crossbars; then every rejected I/O leaves machine and crossbar as they
+/// were.
+void run_row_io_differential(std::size_t n, std::size_t m, std::uint64_t seed) {
+  const ArchParams params = make_params(n, m);
+  const LevelGuard guard;
+  for (const util::simd::Level level : util::simd::available_levels()) {
+    SCOPED_TRACE(util::simd::to_string(level));
+    util::simd::set_level(level);
+    util::Rng rng(seed);
+    PimMachine fused(params);
+    PimMachine split(params);
+    const util::BitMatrix image = random_matrix(n, rng);
+    fused.load(image);
+    split.load(image);
+    RandomRowIo io;
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(round);
+      if (round % 2 == 1) {
+        const std::size_t diag = rng.uniform_below(m);
+        const ecc::BlockIndex block{rng.uniform_below(n / m),
+                                    rng.uniform_below(n / m)};
+        const std::size_t r = rng.uniform_below(n);
+        const std::size_t c = rng.uniform_below(n);
+        for (PimMachine* machine : {&fused, &split}) {
+          machine->inject_check_error(Axis::kLeading, diag, block);
+          machine->inject_data_error(r, c);
+        }
+      }
+      io = random_row_io(n, rng);
+      const RandomRowProgram program =
+          round == 4 ? RandomRowProgram{}
+                     : random_row_program(n, 16 + 8 * round, rng, io.input_cols[0]);
+
+      // The bare crossbar: the I/O pass equals pokes + run_rows + peeks.
+      xbar::Crossbar bare_fused(n, n);
+      xbar::Crossbar bare_split(n, n);
+      bare_fused.contents_mutable() = fused.data();
+      bare_split.contents_mutable() = fused.data();
+      util::BitMatrix bare_fused_out(n, io.output_cols.size());
+      util::BitMatrix bare_split_out(n, io.output_cols.size());
+      EXPECT_EQ(bare_fused.run_rows(program.ops, {}, io.view(bare_fused_out)),
+                poke_run_peek(bare_split, program.ops, io.view(bare_split_out)));
+      EXPECT_EQ(bare_fused_out, bare_split_out);
+      EXPECT_EQ(bare_fused.contents(), bare_split.contents());
+      EXPECT_EQ(bare_fused.counters(), bare_split.counters());
+      EXPECT_EQ(bare_fused.row_activation_snapshot(),
+                bare_split.row_activation_snapshot());
+
+      util::BitMatrix fused_out(n, io.output_cols.size());
+      util::BitMatrix split_out(n, io.output_cols.size());
+      fused.run_rows_protected(program.ops, io.view(fused_out));
+      write_run_read(split, program.ops, io.view(split_out));
+      ASSERT_TRUE(same_machine_state(fused, split));
+      EXPECT_EQ(fused.mem_counters(), split.mem_counters());
+      EXPECT_EQ(fused_out, split_out);
+      EXPECT_EQ(fused_out, bare_fused_out);
+      EXPECT_EQ(fused.ecc_consistent(), round % 2 == 0);
+      // Output 0 reads an input no op touches.
+      EXPECT_EQ(fused_out.column(0), io.inputs.column(0));
+
+      (void)fused.scrub();
+      (void)split.scrub();
+      ASSERT_TRUE(same_machine_state(fused, split));
+    }
+
+    const RandomRowProgram program = random_row_program(n, 12, rng, io.input_cols[0]);
+    xbar::Crossbar bare(n, n);
+    bare.contents_mutable() = fused.data();
+    for_each_bad_io(io, n, [&](const char* what, const xbar::RowIo& bad,
+                               const util::BitMatrix& outputs) {
+      SCOPED_TRACE(what);
+      const util::BitMatrix outputs_before = outputs;
+      const PimMachine before = fused;
+      EXPECT_ANY_THROW(fused.run_rows_protected(program.ops, bad));
+      ASSERT_TRUE(same_machine_state(fused, before));
+      const xbar::Crossbar bare_before = bare;
+      EXPECT_ANY_THROW((void)bare.run_rows(program.ops, {}, bad));
+      EXPECT_EQ(bare.contents(), bare_before.contents());
+      EXPECT_EQ(bare.counters(), bare_before.counters());
+      EXPECT_EQ(bare.row_activation_snapshot(),
+                bare_before.row_activation_snapshot());
+      EXPECT_EQ(outputs, outputs_before);
+    });
+  }
+}
+
+TEST(ProtectedRunIoDifferential, MatchesRowWritesN60M15) {
+  run_row_io_differential(60, 15, 0x10D1'0001ull);  // n < 64: one partial tile
+}
+
+TEST(ProtectedRunIoDifferential, MatchesRowWritesN135M9) {
+  run_row_io_differential(135, 9, 0x10D1'0002ull);
+}
+
+TEST(ProtectedRunIoDifferential, MatchesRowWritesN1020M15) {
+  run_row_io_differential(1020, 15, 0x10D1'0003ull);
+}
+
+TEST(ProtectedRunIoDifferential, MatchesRowWritesN130M65) {
+  // m > diagword::kMaxM: the band fold's bit-serial fallback.
+  run_row_io_differential(130, 65, 0x10D1'0004ull);
+}
+
+TEST(ProtectedRunIoDifferential, ReferenceMachineAgrees) {
+  // The oracle's I/O entry (per-row writes, per-op protocol, per-cell
+  // reads) against the fused pass, rejections included.
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{60, 15},
+                             std::pair<std::size_t, std::size_t>{135, 9}}) {
+    SCOPED_TRACE(n);
+    MachinePair pair(make_params(n, m));
+    util::Rng rng(0x10D1'0005ull ^ n);
+    pair.load(random_matrix(n, rng));
+    pair.fast.inject_data_error(n / 2, n / 3);
+    pair.ref.inject_data_error(n / 2, n / 3);
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE(round);
+      const RandomRowIo io = random_row_io(n, rng);
+      const RandomRowProgram program =
+          random_row_program(n, round == 1 ? 0 : 20, rng, io.input_cols[0]);
+      util::BitMatrix fast_out(n, io.output_cols.size());
+      util::BitMatrix ref_out(n, io.output_cols.size());
+      pair.fast.run_rows_protected(program.ops, io.view(fast_out));
+      pair.ref.run_rows_protected(program.ops, io.view(ref_out));
+      EXPECT_EQ(fast_out, ref_out);
+      ASSERT_TRUE(machines_agree(pair));
+      for_each_bad_io(io, n, [&](const char* what, const xbar::RowIo& bad,
+                                 const util::BitMatrix&) {
+        SCOPED_TRACE(what);
+        EXPECT_ANY_THROW(pair.fast.run_rows_protected(program.ops, bad));
+        EXPECT_ANY_THROW(pair.ref.run_rows_protected(program.ops, bad));
+      });
+      ASSERT_TRUE(machines_agree(pair));
+    }
+  }
 }
 
 // ------------------------------------------------------------ metamorphic

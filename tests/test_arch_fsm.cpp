@@ -159,5 +159,28 @@ TEST(ProtectedVm, ValidatesShapes) {
                std::invalid_argument);
 }
 
+TEST(ProtectedVm, RejectsAMismatchedNetlistBeforeMutating) {
+  arch::ArchParams params;
+  params.n = 45;
+  params.m = 9;
+  arch::PimMachine machine(params);
+  util::Rng rng(6);
+  machine.load(util::random_bit_matrix(45, 45, rng));
+  machine.inject_data_error(4, 4);  // a repair would change the machine
+  const simpler::Netlist nl = build_add4();
+  simpler::MapperOptions options;
+  options.row_width = 45;
+  const simpler::MappedProgram program = simpler::map_to_row(nl, options);
+  simpler::Netlist other("one-input");
+  other.mark_output(other.add_nor({other.add_input()}));
+  const arch::PimMachine before = machine;
+  EXPECT_THROW(simpler::run_program_protected(machine, other, program,
+                                              util::BitMatrix(45, 8)),
+               std::invalid_argument);
+  EXPECT_EQ(machine.data(), before.data());
+  EXPECT_EQ(machine.counters(), before.counters());
+  EXPECT_EQ(machine.mem_counters(), before.mem_counters());
+}
+
 }  // namespace
 }  // namespace pimecc

@@ -417,6 +417,63 @@ TEST(RowVm, SimdMatchesPerRowEval) {
   }
 }
 
+TEST(RowVm, ConstantCellsComeFromTheProgram) {
+  // Constants of both values between two inputs, a constant output and an
+  // input output: the mapper records the constant cells right after the
+  // inputs, and both VMs write them from there.
+  Netlist nl("consts");
+  const NodeId a = nl.add_input();
+  const NodeId zero = nl.add_const(false);
+  const NodeId one = nl.add_const(true);
+  const NodeId late = nl.add_input();
+  nl.mark_output(nl.add_nor({a, zero, late}));
+  nl.mark_output(nl.add_nor({one, a}));
+  nl.mark_output(one);
+  nl.mark_output(late);
+  MapperOptions options;
+  options.row_width = 16;
+  const MappedProgram program = map_to_row(nl, options);
+  EXPECT_EQ(program.input_cells, (std::vector<CellIndex>{0, 1}));
+  EXPECT_EQ(program.zero_cells, (std::vector<CellIndex>{2}));
+  EXPECT_EQ(program.one_cells, (std::vector<CellIndex>{3}));
+
+  // Every input combination in its own row; the cells start inverted.
+  xbar::Crossbar xb(4, options.row_width);
+  xb.contents_mutable().fill(true);
+  util::BitMatrix inputs(4, 2);
+  for (std::size_t r = 0; r < 4; ++r) {
+    inputs.set(r, 0, (r & 1) != 0);
+    inputs.set(r, 1, (r & 2) != 0);
+  }
+  const SimdRunResult simd = run_simd(nl, program, xb, inputs);
+  EXPECT_EQ(simd.violations, 0u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(simd.outputs.row(r), nl.eval(inputs.row(r))) << "row " << r;
+    xbar::Crossbar single(1, options.row_width);
+    single.contents_mutable().fill(r % 2 == 0);
+    const RowRunResult one_row =
+        run_single_row(nl, program, single, 0, inputs.row(r));
+    EXPECT_EQ(one_row.outputs, nl.eval(inputs.row(r))) << "row " << r;
+  }
+}
+
+TEST(RowVm, RejectsAMismatchedNetlistBeforeMutating) {
+  const Netlist nl = random_netlist(33, 6, 40, 4);
+  const Netlist other = random_netlist(34, 7, 40, 4);
+  MapperOptions options;
+  options.row_width = 64;
+  const MappedProgram program = map_to_row(nl, options);
+  xbar::Crossbar xb(8, options.row_width);
+  const xbar::Crossbar before = xb;
+  EXPECT_THROW((void)run_simd(other, program, xb, util::BitMatrix(8, 6)),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_single_row(other, program, xb, 0, util::BitVector(6)),
+               std::invalid_argument);
+  EXPECT_EQ(xb.contents(), before.contents());
+  EXPECT_EQ(xb.counters(), before.counters());
+  EXPECT_EQ(xb.row_activation_snapshot(), before.row_activation_snapshot());
+}
+
 // -------------------------------------------------------------- ecc_schedule
 
 TEST(EccSchedule, ProposedIsNeverFasterThanBaseline) {
