@@ -9,9 +9,19 @@
 //      ReferenceBlockCodec::check_and_correct loop.
 //   3. syndrome: per-block compute_syndrome across every block, fast
 //      BlockCodec vs ReferenceBlockCodec.
+//   4. consistent_with: the whole-array consistency check every `run`
+//      request ends with -- ArrayCode::consistent_with vs a per-block
+//      ReferenceBlockCodec::encode-and-compare loop.
+//   5. band_kernel: nanoseconds per band of the packed band kernel alone
+//      (simd::KernelTable::band_accumulate over all m rows of one band) at
+//      every dispatch level, at the campaign and serving sizes n in
+//      {60, 120, 510, 1020}, m = 15; every level's rows are cross-checked
+//      against the scalar kernel's first.
 //
-// Grid: n in {256, 512, 1024} x m in {3, 5, 7, 9, 31, 63}; n is rounded down
-// to the nearest multiple of m (n_eff) since the array code requires m | n.
+// Grid: n in {256, 512, 1024} x m in {3, 5, 7, 9, 15, 31, 63}; n is rounded
+// down to the nearest multiple of m (n_eff) since the array code requires
+// m | n.  m = 15 holds the serving design point (n_eff = 1020) and the
+// campaign shard (n_eff = 510).
 // m = 63 exercises the single-word fast path in the SIMD kernels, and its
 // n_eff values (252, 504, 1008) keep a non-multiple-of-64 row width in the
 // grid so the tail-word masking stays covered.  Every timed configuration is
@@ -27,6 +37,7 @@
 //   --smoke    fast CI configuration (n = 256, m in {3, 31, 63})
 //   --out=PATH where to write the JSON (default: BENCH_codec.json in cwd)
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -47,8 +58,9 @@ using pimecc::ecc::CheckBits;
 using pimecc::ecc::ReferenceBlockCodec;
 using pimecc::ecc::ScrubReport;
 
-/// The three timed hot paths, in JSON order.
-constexpr std::array<const char*, 3> kPaths = {"encode_all", "scrub", "syndrome"};
+/// The timed hot paths, in JSON order.
+constexpr std::array<const char*, 4> kPaths = {"encode_all", "scrub", "syndrome",
+                                               "consistent_with"};
 
 /// One hot path's whole-array pass on each engine.
 struct Passes {
@@ -84,7 +96,7 @@ int main(int argc, char** argv) {
   // n_eff mod 64 != 0, so CI exercises both edge paths on every run.
   const std::vector<std::size_t> ms =
       smoke ? std::vector<std::size_t>{3, 31, 63}
-            : std::vector<std::size_t>{3, 5, 7, 9, 31, 63};
+            : std::vector<std::size_t>{3, 5, 7, 9, 15, 31, 63};
   const double min_seconds = smoke ? 0.02 : 0.2;
 
   namespace simd = util::simd;
@@ -93,12 +105,13 @@ int main(int argc, char** argv) {
   const simd::Level native_level = simd::active_level();
   const std::vector<simd::Level> levels = simd::available_levels();
 
-  bench::Json json("pimecc-bench-codec/2", options);
+  bench::Json json("pimecc-bench-codec/3", options);
+  json.host();
   json.field("simd_level", simd::to_string(native_level));
   json.array("dispatch_levels_checked");
   for (const simd::Level level : levels) json.item(simd::to_string(level));
   json.end().array("configs");
-  std::array<Rates, 3> largest;
+  std::array<Rates, kPaths.size()> largest;
   for (const std::size_t n : ns) {
     for (const std::size_t m : ms) {
       const std::size_t bps = n / m;
@@ -133,11 +146,24 @@ int main(int argc, char** argv) {
         const ScrubReport fast_clean = code.scrub(data);
         gates.check(fast_clean == ref_clean && fast_clean.clean == bps * bps,
                     "scrub" + at);
+        data.flip(n_eff - 1, n_eff / 2);
+        const bool flipped_consistent = code.consistent_with(data);
+        data.flip(n_eff - 1, n_eff / 2);
+        gates.check(code.consistent_with(data) && !flipped_consistent,
+                    "consistent_with" + at);
       }
       simd::set_level(native_level);
 
+      // The syndrome pass times compute_syndrome alone: both engines read
+      // their stored check bits from a per-block vector, as the reference
+      // keeps them.
+      code.encode_all(data);
+      std::vector<CheckBits> fast_stored;
+      for (std::size_t b = 0; b < bps * bps; ++b) {
+        fast_stored.push_back(code.check_bits({b / bps, b % bps}));
+      }
       const ecc::BlockCodec& fast_codec = code.codec();
-      const std::array<Passes, 3> passes = {{
+      const std::array<Passes, kPaths.size()> passes = {{
           {[&] {
              for (std::size_t b = 0; b < bps * bps; ++b) {
                ref_stored[b] = ref.encode(data, b / bps * m, b % bps * m);
@@ -154,11 +180,18 @@ int main(int argc, char** argv) {
            },
            [&] {
              for (std::size_t b = 0; b < bps * bps; ++b) {
-               (void)fast_codec.compute_syndrome(
-                   data, b / bps * m, b % bps * m,
-                   code.check_bits({b / bps, b % bps}));
+               (void)fast_codec.compute_syndrome(data, b / bps * m,
+                                                 b % bps * m, fast_stored[b]);
              }
            }},
+          {[&] {
+             bool same = true;
+             for (std::size_t b = 0; b < bps * bps && same; ++b) {
+               same = ref.encode(data, b / bps * m, b % bps * m) == ref_stored[b];
+             }
+             gates.check(same, "reference consistency");
+           },
+           [&] { gates.check(code.consistent_with(data), "consistent_with"); }},
       }};
       auto cells_per_sec = [&](const std::function<void()>& pass) {
         return bench::measure_rate(min_seconds, [&] {
@@ -166,7 +199,7 @@ int main(int argc, char** argv) {
           return n_eff * n_eff;
         });
       };
-      std::array<Rates, 3> rates;
+      std::array<Rates, kPaths.size()> rates;
       for (std::size_t p = 0; p < kPaths.size(); ++p) {
         rates[p].reference = cells_per_sec(passes[p].reference);
       }
@@ -202,6 +235,53 @@ int main(int argc, char** argv) {
       std::cout << "\n";
       json.end();
       largest = rates;
+    }
+  }
+  json.end();
+
+  // ---------------------------------------------- band kernel, per level
+  json.array("band_kernel");
+  for (const std::size_t n : smoke ? std::vector<std::size_t>{60, 120}
+                                   : std::vector<std::size_t>{60, 120, 510, 1020}) {
+    const std::size_t m = 15;
+    const std::size_t words = (n + 63) / 64;
+    const std::vector<std::uint64_t> masks = simd::segment_masks(m, n / m);
+    const simd::BandShape shape{m, words, masks.data()};
+    util::Rng rng(0xBA4D'0000ull + n);
+    std::vector<std::vector<std::uint64_t>> rows(
+        m, std::vector<std::uint64_t>(words));
+    std::vector<const std::uint64_t*> ptrs;
+    for (auto& row : rows) {
+      for (auto& word : row) word = rng.next();
+      ptrs.push_back(row.data());
+    }
+    std::vector<std::uint64_t> want_lead(words, 0), want_cnt(words, 0);
+    simd::kernels_for(simd::Level::kScalar)
+        .band_accumulate(shape, ptrs.data(), 0, m, want_lead.data(),
+                         want_cnt.data());
+    for (const simd::Level level : levels) {
+      const simd::KernelTable& kernels = simd::kernels_for(level);
+      std::vector<std::uint64_t> lead(words, 0), cnt(words, 0);
+      kernels.band_accumulate(shape, ptrs.data(), 0, m, lead.data(), cnt.data());
+      gates.check(lead == want_lead && cnt == want_cnt,
+                  std::string("band kernel at level ") + simd::to_string(level) +
+                      " n=" + std::to_string(n));
+      const double bands_per_sec = bench::measure_rate(min_seconds, [&] {
+        for (int i = 0; i < 1000; ++i) {
+          kernels.band_accumulate(shape, ptrs.data(), 0, m, lead.data(),
+                                  cnt.data());
+        }
+        return 1000;
+      });
+      std::cout << "band kernel n=" << n << " m=" << m << " "
+                << simd::to_string(level) << ": " << fmt(1e9 / bands_per_sec)
+                << " ns/band\n";
+      json.object()
+          .field("n", n)
+          .field("m", m)
+          .field("level", simd::to_string(level))
+          .field("ns_per_band", 1e9 / bands_per_sec)
+          .end();
     }
   }
   json.end();

@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
   const bool smoke = options.smoke;
   bench::Gates gates;
   const double min_seconds = smoke ? 0.05 : 1.0;
-  const std::size_t workers = util::Executor::shared().worker_count();
 
   // Per-shard geometry: the paper's n = 510 case in full, a tiny shard in
   // smoke; mean ~3 flips per trial (the rare-event regime).
@@ -149,11 +148,8 @@ int main(int argc, char** argv) {
                 "fleet-vs-single scrub at threads=" + std::to_string(threads));
   }
 
-  bench::Json json("pimecc-bench-fleet/1", options);
-  json.object("executor")
-      .field("workers", workers)
-      .field("parallelism", workers + 1)
-      .end();
+  bench::Json json("pimecc-bench-fleet/2", options);
+  json.host();
   json.field("shard_n", shard_n).field("shard_m", shard_m);
 
   // -------------------------------------------------- montecarlo throughput

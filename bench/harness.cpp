@@ -1,10 +1,16 @@
 #include "harness.hpp"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <thread>
+
+#include "util/executor.hpp"
+#include "util/simd.hpp"
 
 namespace pimecc::bench {
 
@@ -36,6 +42,49 @@ double fit_for_mean_flips(double mean_flips, std::uint64_t population,
                           double window_hours) {
   const double p = mean_flips / static_cast<double>(population);
   return p * 1e9 / window_hours;
+}
+
+namespace {
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) {
+        return line.substr(line.find_first_not_of(' ', colon + 1));
+      }
+    }
+  }
+  return "unknown";
+}
+
+std::size_t affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return static_cast<std::size_t>(CPU_COUNT(&set));
+}
+
+}  // namespace
+
+Json& Json::host() {
+  const util::Executor& executor = util::Executor::shared();
+  std::string compiler = "unknown";
+#if defined(__GNUC__)
+  compiler = std::string("gcc ") + __VERSION__;
+#endif
+  return object("host")
+      .field("cpu_model", cpu_model())
+      .field("nproc", affinity_cpus())
+      .field("hardware_concurrency", std::thread::hardware_concurrency())
+      .field("executor_workers", executor.worker_count())
+      .field("executor_parallelism", executor.parallelism())
+      .field("simd_level", util::simd::to_string(util::simd::active_level()))
+      .field("build_type", PIMECC_BENCH_BUILD_TYPE)
+      .field("compiler", compiler)
+      .end();
 }
 
 bool Gates::check(bool ok, std::string_view what) {

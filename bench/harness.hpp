@@ -99,6 +99,12 @@ class Json {
   /// Closes the innermost open container.
   Json& end();
 
+  /// Adds the "host" object: CPU model, CPUs this process may run on
+  /// (nproc), std::thread::hardware_concurrency, the shared executor's
+  /// worker count and parallelism, the active SIMD level, the build type
+  /// and the compiler -- the hardware and build a recording was taken on.
+  Json& host();
+
   /// Closes the document (and any container still open), prints the gate
   /// summary, writes the file and prints `wrote PATH`.  With a `gate_key`,
   /// the gates' result is recorded under it right after "schema" and

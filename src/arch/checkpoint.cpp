@@ -1,7 +1,6 @@
 #include "arch/checkpoint.hpp"
 
 #include <ostream>
-#include <utility>
 
 #include "core/array_code.hpp"
 #include "util/bitmatrix.hpp"
@@ -53,7 +52,7 @@ void save_machine_checkpoint(std::ostream& os, const PimMachine& machine,
   w.u64(code.block_count());
   for (std::size_t br = 0; br < bps; ++br) {
     for (std::size_t bc = 0; bc < bps; ++bc) {
-      const ecc::CheckBits& bits = code.check_bits({br, bc});
+      const ecc::CheckBits bits = code.check_bits({br, bc});
       w.bitvector(bits.leading);
       w.bitvector(bits.counter);
     }
@@ -100,14 +99,14 @@ void load_machine_checkpoint(std::istream& is, PimMachine& machine,
   }
   for (std::size_t br = 0; br < bps; ++br) {
     for (std::size_t bc = 0; bc < bps; ++bc) {
-      ecc::CheckBits& bits = code.check_bits_mutable({br, bc});
-      util::BitVector leading = r.bitvector();
-      util::BitVector counter = r.bitvector();
-      if (leading.size() != machine.m() || counter.size() != machine.m()) {
+      ecc::CheckBits bits;
+      bits.leading = r.bitvector();
+      bits.counter = r.bitvector();
+      if (bits.leading.size() != machine.m() ||
+          bits.counter.size() != machine.m()) {
         throw util::SerializeError("machine checkpoint check-bit size mismatch");
       }
-      bits.leading = std::move(leading);
-      bits.counter = std::move(counter);
+      code.set_check_bits({br, bc}, bits);
     }
   }
 

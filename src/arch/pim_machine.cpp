@@ -246,8 +246,7 @@ void PimMachine::inject_data_error(std::size_t r, std::size_t c) {
 void PimMachine::inject_check_error(Axis axis, std::size_t diagonal,
                                     ecc::BlockIndex block) {
   detail::require_index(diagonal, m(), "diagonal");
-  ecc::CheckBits& bits = code_.check_bits_mutable(block);  // validates block
-  (axis == Axis::kLeading ? bits.leading : bits.counter).flip(diagonal);
+  code_.flip_check_bit(block, axis == Axis::kLeading, diagonal);  // validates block
 }
 
 }  // namespace pimecc::arch

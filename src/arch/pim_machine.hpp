@@ -15,7 +15,7 @@
 // would.
 //
 // This is the *word-parallel* production machine: check bits live in an
-// ecc::ArrayCode (one diagonal-parity family per 64-bit word), initial
+// ecc::ArrayCode (two packed n-bit rows per block-row band), initial
 // encodes and verifications ride the encode_all/scrub/consistent_with band
 // walks, and protocol steps 1+3 are computed *differentially* from the
 // written line via the diagword kernel -- one rotate+XOR per affected

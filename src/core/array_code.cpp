@@ -1,5 +1,6 @@
 #include "core/array_code.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -22,19 +23,31 @@ std::array<const std::uint64_t*, diagword::kMaxM> row_ptrs(
   return ptrs;
 }
 
-/// Accumulates the per-block parity words of one block band from its m
-/// row word pointers: lead[bc]/cnt[bc] receive the leading and counter
-/// parity of block column bc, counter already reflected into diagonal
-/// order.  m <= diagword::kMaxM.  Dispatched (scalar/AVX2/AVX-512).
-void accumulate_band(const std::uint64_t* const* rows, std::size_t m,
-                     std::vector<std::uint64_t>& lead,
-                     std::vector<std::uint64_t>& cnt) {
-  const std::size_t bps = lead.size();
-  util::simd::kernels().band_accumulate(rows, m, bps, lead.data(), cnt.data());
-  for (std::size_t bc = 0; bc < bps; ++bc) {
-    cnt[bc] = diagword::reflect(cnt[bc], m);
-  }
+/// XORs the low m bits of `value` into bits [bit0, bit0 + m) of a packed
+/// row (m <= 64; the range lies within the row).
+void xor_segment(std::uint64_t* words, std::size_t bit0, std::size_t m,
+                 std::uint64_t value) {
+  const std::size_t wi = bit0 / 64;
+  const unsigned shift = static_cast<unsigned>(bit0 % 64);
+  words[wi] ^= value << shift;
+  if (shift != 0 && shift + m > 64) words[wi + 1] ^= value >> (64u - shift);
 }
+
+std::uint64_t segment(const std::uint64_t* words, std::size_t words_per_row,
+                      std::size_t bit0, std::size_t m) {
+  return diagword::extract({words, words_per_row}, bit0, m);
+}
+
+bool get_bit(const std::uint64_t* words, std::size_t p) {
+  return ((words[p / 64] >> (p % 64)) & 1u) != 0;
+}
+
+void flip_bit(std::uint64_t* words, std::size_t p) {
+  words[p / 64] ^= std::uint64_t{1} << (p % 64);
+}
+
+/// Segment offset of counter diagonal i in the pre-reflection counter row.
+std::size_t pre_reflection(std::size_t i, std::size_t m) { return (m - i) % m; }
 
 /// One syndrome word as the flag count (saturated at 2, which spares the
 /// clean blocks a popcount) and first flag of its axis.
@@ -44,15 +57,39 @@ detail::AxisFlags flags(std::uint64_t syndrome) {
   return {count, static_cast<std::size_t>(std::countr_zero(syndrome))};
 }
 
+/// Two packed rows of scratch for one band's syndrome: on the stack up to
+/// n = 4096 (the serve cap), on the heap above.
+class BandRows {
+ public:
+  explicit BandRows(std::size_t words) {
+    if (words > kStackWords) heap_.resize(2 * words);
+    lead = words > kStackWords ? heap_.data() : stack_.data();
+    cnt = lead + words;
+  }
+  BandRows(const BandRows&) = delete;
+  BandRows& operator=(const BandRows&) = delete;
+
+  std::uint64_t* lead;
+  std::uint64_t* cnt;
+
+ private:
+  static constexpr std::size_t kStackWords = 64;
+  std::array<std::uint64_t, 2 * kStackWords> stack_;
+  std::vector<std::uint64_t> heap_;
+};
+
 }  // namespace
 
-ArrayCode::ArrayCode(std::size_t n, std::size_t m) : n_(n), codec_(m) {
+ArrayCode::ArrayCode(std::size_t n, std::size_t m)
+    : n_(n), words_((n + 63) / 64), codec_(m) {
   if (n == 0 || n % m != 0) {
     throw std::invalid_argument("ArrayCode: n must be a positive multiple of m");
   }
-  blocks_.assign(block_count(), CheckBits(m));
-  band_lead_.resize(blocks_per_side());
-  band_cnt_.resize(blocks_per_side());
+  lead_.assign(blocks_per_side() * words_, 0);
+  cnt_.assign(blocks_per_side() * words_, 0);
+  if (m <= diagword::kMaxM) {
+    masks_ = util::simd::segment_masks(m, blocks_per_side());
+  }
 }
 
 std::size_t ArrayCode::flat_index(BlockIndex b) const {
@@ -68,12 +105,57 @@ void ArrayCode::require_shape(const util::BitMatrix& data) const {
   }
 }
 
-const CheckBits& ArrayCode::check_bits(BlockIndex b) const {
-  return blocks_[flat_index(b)];
+CheckBits ArrayCode::check_bits(BlockIndex b) const {
+  (void)flat_index(b);
+  const std::size_t mm = m();
+  const std::size_t bit0 = b.block_col * mm;
+  const std::uint64_t* lead = lead_row(b.block_row);
+  const std::uint64_t* cnt = cnt_row(b.block_row);
+  CheckBits bits(mm);
+  for (std::size_t i = 0; i < mm; ++i) {
+    bits.leading.set(i, get_bit(lead, bit0 + i));
+    bits.counter.set(i, get_bit(cnt, bit0 + pre_reflection(i, mm)));
+  }
+  return bits;
 }
 
-CheckBits& ArrayCode::check_bits_mutable(BlockIndex b) {
-  return blocks_[flat_index(b)];
+void ArrayCode::flip_check_bit(BlockIndex b, bool leading, std::size_t index) {
+  (void)flat_index(b);
+  if (index >= m()) {
+    throw std::out_of_range("ArrayCode::flip_check_bit: index out of range");
+  }
+  flip_stored(b, leading, index);
+}
+
+void ArrayCode::flip_stored(BlockIndex b, bool leading, std::size_t index) {
+  const std::size_t mm = m();
+  const std::size_t bit0 = b.block_col * mm;
+  if (leading) {
+    flip_bit(lead_row(b.block_row), bit0 + index);
+  } else {
+    flip_bit(cnt_row(b.block_row), bit0 + pre_reflection(index, mm));
+  }
+}
+
+void ArrayCode::set_check_bits(BlockIndex b, const CheckBits& bits) {
+  (void)flat_index(b);
+  const std::size_t mm = m();
+  if (bits.leading.size() != mm || bits.counter.size() != mm) {
+    throw std::invalid_argument(
+        "ArrayCode::set_check_bits: need m bits per family");
+  }
+  const CheckBits stored = check_bits(b);
+  for (std::size_t i = 0; i < mm; ++i) {
+    if (stored.leading.get(i) != bits.leading.get(i)) flip_stored(b, true, i);
+    if (stored.counter.get(i) != bits.counter.get(i)) flip_stored(b, false, i);
+  }
+}
+
+void ArrayCode::accumulate(const std::uint64_t* const* rows, std::size_t r0,
+                           std::size_t count, std::uint64_t* lead,
+                           std::uint64_t* cnt) const {
+  const util::simd::BandShape shape{m(), words_, masks_.data()};
+  util::simd::kernels().band_accumulate(shape, rows, r0, count, lead, cnt);
 }
 
 void ArrayCode::encode_all(const util::BitMatrix& data) {
@@ -83,28 +165,16 @@ void ArrayCode::encode_all(const util::BitMatrix& data) {
   if (mm > diagword::kMaxM) {
     for (std::size_t br = 0; br < bps; ++br) {
       for (std::size_t bc = 0; bc < bps; ++bc) {
-        blocks_[br * bps + bc] = codec_.encode(data, br * mm, bc * mm);
+        set_check_bits({br, bc}, codec_.encode(data, br * mm, bc * mm));
       }
     }
     return;
   }
-  // Batch band path: each row of a block band is read once, its per-block
-  // segments peeled and folded into all blocks of the band simultaneously.
+  std::fill(lead_.begin(), lead_.end(), 0);
+  std::fill(cnt_.begin(), cnt_.end(), 0);
   for (std::size_t br = 0; br < bps; ++br) {
-    fold_band(br, row_ptrs(data, br * mm, mm).data(), /*assign=*/true);
-  }
-}
-
-void ArrayCode::fold_band(std::size_t band, const std::uint64_t* const* rows,
-                          bool assign) {
-  const std::size_t bps = blocks_per_side();
-  accumulate_band(rows, m(), band_lead_, band_cnt_);
-  for (std::size_t bc = 0; bc < bps; ++bc) {
-    CheckBits& check = blocks_[band * bps + bc];
-    const std::uint64_t keep_lead = assign ? 0 : check.leading.low_word();
-    const std::uint64_t keep_cnt = assign ? 0 : check.counter.low_word();
-    check.leading.set_low_word(keep_lead ^ band_lead_[bc]);
-    check.counter.set_low_word(keep_cnt ^ band_cnt_[bc]);
+    accumulate(row_ptrs(data, br * mm, mm).data(), 0, mm, lead_row(br),
+               cnt_row(br));
   }
 }
 
@@ -115,24 +185,26 @@ void ArrayCode::apply_band_delta(std::size_t band,
     throw std::out_of_range("ArrayCode::apply_band_delta: band out of range");
   }
   if (mm <= diagword::kMaxM) {
-    // Parity is linear: the check words of (old XOR delta) are the stored
-    // words XOR the parity of the delta slab itself.
-    fold_band(band, delta_rows, /*assign=*/false);
+    // Parity is linear: the check rows of (old XOR delta) are the stored
+    // rows XOR the parity of the delta slab itself.
+    accumulate(delta_rows, 0, mm, lead_row(band), cnt_row(band));
     return;
   }
   // Bit-serial fallback: one continuous-parity update per changed cell.
-  constexpr std::size_t kWordBits = util::BitVector::kWordBits;
-  const std::size_t words = (n_ + kWordBits - 1) / kWordBits;
   for (std::size_t r = 0; r < mm; ++r) {
-    for (std::size_t w = 0; w < words; ++w) {
+    for (std::size_t w = 0; w < words_; ++w) {
       for (std::uint64_t bits = delta_rows[r][w]; bits != 0; bits &= bits - 1) {
-        const std::size_t c = w * kWordBits +
-                              static_cast<std::size_t>(std::countr_zero(bits));
-        codec_.update_for_write(blocks_[band * blocks_per_side() + c / mm], r,
-                                c % mm, false, true);
+        flip_cell(band * mm + r,
+                  w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
       }
     }
   }
+}
+
+void ArrayCode::flip_cell(std::size_t r, std::size_t c) {
+  const DiagonalPair d = codec_.geometry().diagonals(r, c);
+  flip_stored(block_of(r, c), true, d.leading);
+  flip_stored(block_of(r, c), false, d.counter);
 }
 
 void ArrayCode::apply_writes(const std::vector<CellWrite>& writes) {
@@ -144,17 +216,15 @@ void ArrayCode::apply_writes(const std::vector<CellWrite>& writes) {
     }
   }
   for (const CellWrite& w : writes) {
-    CheckBits& check = blocks_[flat_index(block_of(w.r, w.c))];
-    codec_.update_for_write(check, w.r % m(), w.c % m(), w.old_value, w.new_value);
+    if (w.old_value != w.new_value) flip_cell(w.r, w.c);
   }
 }
 
 ScrubReport ArrayCode::scrub(util::BitMatrix& data) {
   require_shape(data);
   ScrubReport report;
-  const std::size_t bps = blocks_per_side();
-  for (std::size_t br = 0; br < bps; ++br) {
-    scrub_row_blocks(data, br, 0, bps, report);
+  for (std::size_t br = 0; br < blocks_per_side(); ++br) {
+    scrub_whole_band(data, br, report);
   }
   return report;
 }
@@ -168,11 +238,9 @@ ScrubReport ArrayCode::scrub_band(util::BitMatrix& data, bool row_band,
   }
   ScrubReport report;
   if (row_band) {
-    scrub_row_blocks(data, band, 0, bps, report);
+    scrub_whole_band(data, band, report);
   } else {
-    for (std::size_t br = 0; br < bps; ++br) {
-      scrub_row_blocks(data, br, band, band + 1, report);
-    }
+    for (std::size_t br = 0; br < bps; ++br) scrub_one(data, {br, band}, report);
   }
   return report;
 }
@@ -181,46 +249,69 @@ BlockRepair ArrayCode::scrub_block(util::BitMatrix& data, BlockIndex b) {
   require_shape(data);
   (void)flat_index(b);  // bounds check before touching any state
   ScrubReport report;
-  return scrub_row_blocks(data, b.block_row, b.block_col, b.block_col + 1,
-                          report);
+  return scrub_one(data, b, report);
 }
 
-BlockRepair ArrayCode::scrub_row_blocks(util::BitMatrix& data, std::size_t band,
-                                        std::size_t first, std::size_t last,
-                                        ScrubReport& report) {
+void ArrayCode::band_syndrome(const util::BitMatrix& data, std::size_t band,
+                              std::uint64_t* lead, std::uint64_t* cnt) const {
+  std::copy_n(lead_row(band), words_, lead);
+  std::copy_n(cnt_row(band), words_, cnt);
+  accumulate(row_ptrs(data, band * m(), m()).data(), 0, m(), lead, cnt);
+}
+
+void ArrayCode::scrub_whole_band(util::BitMatrix& data, std::size_t band,
+                                 ScrubReport& report) {
   const std::size_t mm = m();
   const std::size_t bps = blocks_per_side();
-  BlockRepair last_repair;
   if (mm > diagword::kMaxM) {
-    for (std::size_t bc = first; bc < last; ++bc) {
-      const Syndrome syndrome = codec_.compute_syndrome(
-          data, band * mm, bc * mm, blocks_[band * bps + bc]);
-      last_repair = repair(data, {band, bc}, codec_.classify(syndrome), report);
-    }
-    return last_repair;
+    for (std::size_t bc = 0; bc < bps; ++bc) scrub_one(data, {band, bc}, report);
+    return;
   }
-  // Blocks are disjoint, so repairing one block's data bit cannot change
-  // another block's already-accumulated parity.
-  const auto rows = row_ptrs(data, band * mm, mm);
-  const bool whole_band = first == 0 && last == bps;
-  if (whole_band) accumulate_band(rows.data(), mm, band_lead_, band_cnt_);
-  for (std::size_t bc = first; bc < last; ++bc) {
-    std::uint64_t lead = 0;
-    std::uint64_t cnt = 0;
-    if (whole_band) {
-      lead = band_lead_[bc];
-      cnt = band_cnt_[bc];
-    } else {
-      util::simd::kernels().block_peel(rows.data(), mm, bc * mm, &lead, &cnt);
-      cnt = diagword::reflect(cnt, mm);
+  BandRows syndrome(words_);
+  band_syndrome(data, band, syndrome.lead, syndrome.cnt);
+  // Only blocks with a nonzero syndrome segment need a verdict; blocks are
+  // disjoint, so repairing one cannot change another's syndrome.
+  std::size_t decoded = 0;
+  std::size_t next_bit = 0;  // first bit of the first block not yet decoded
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (std::uint64_t any = syndrome.lead[w] | syndrome.cnt[w]; any != 0;
+         any &= any - 1) {
+      const std::size_t p =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(any));
+      if (p < next_bit) continue;
+      const std::size_t bc = p / mm;
+      next_bit = (bc + 1) * mm;
+      const std::uint64_t lead = segment(syndrome.lead, words_, bc * mm, mm);
+      const std::uint64_t cnt = diagword::reflect(
+          segment(syndrome.cnt, words_, bc * mm, mm), mm);
+      repair(data, {band, bc},
+             detail::decode(codec_.geometry(), flags(lead), flags(cnt)), report);
+      ++decoded;
     }
-    const CheckBits& stored = blocks_[band * bps + bc];
-    const DecodeResult verdict =
-        detail::decode(codec_.geometry(), flags(lead ^ stored.leading.low_word()),
-                       flags(cnt ^ stored.counter.low_word()));
-    last_repair = repair(data, {band, bc}, verdict, report);
   }
-  return last_repair;
+  report.blocks_checked += bps - decoded;
+  report.clean += bps - decoded;
+}
+
+BlockRepair ArrayCode::scrub_one(util::BitMatrix& data, BlockIndex b,
+                                 ScrubReport& report) {
+  const std::size_t mm = m();
+  const std::size_t row0 = b.block_row * mm;
+  const std::size_t bit0 = b.block_col * mm;
+  if (mm > diagword::kMaxM) {
+    const Syndrome syndrome =
+        codec_.compute_syndrome(data, row0, bit0, check_bits(b));
+    return repair(data, b, codec_.classify(syndrome), report);
+  }
+  std::uint64_t lead = 0;
+  std::uint64_t cnt = 0;
+  util::simd::kernels().block_peel(row_ptrs(data, row0, mm).data(), mm, bit0,
+                                   &lead, &cnt);
+  lead ^= segment(lead_row(b.block_row), words_, bit0, mm);
+  cnt = diagword::reflect(cnt ^ segment(cnt_row(b.block_row), words_, bit0, mm),
+                          mm);
+  return repair(data, b, detail::decode(codec_.geometry(), flags(lead), flags(cnt)),
+                report);
 }
 
 BlockRepair ArrayCode::repair(util::BitMatrix& data, BlockIndex b,
@@ -238,15 +329,12 @@ BlockRepair ArrayCode::repair(util::BitMatrix& data, BlockIndex b,
       data.flip(done.data_r, done.data_c);
       ++report.corrected_data;
       break;
-    case DecodeStatus::kCorrectedCheck: {
+    case DecodeStatus::kCorrectedCheck:
       done.check_on_leading_axis = verdict.check_error->on_leading_axis;
       done.check_index = verdict.check_error->index;
-      CheckBits& stored = blocks_[b.block_row * blocks_per_side() + b.block_col];
-      (done.check_on_leading_axis ? stored.leading : stored.counter)
-          .flip(done.check_index);
+      flip_stored(b, done.check_on_leading_axis, done.check_index);
       ++report.corrected_check;
       break;
-    }
     case DecodeStatus::kDetectedUncorrectable:
       ++report.uncorrectable;
       break;
@@ -263,32 +351,31 @@ void ArrayCode::apply_line_delta(bool line_is_column, std::size_t line,
     throw std::invalid_argument("ArrayCode::apply_line_delta: delta must have length n");
   }
   const std::size_t mm = m();
-  const std::size_t bps = blocks_per_side();
   const std::size_t band = line / mm;
   const std::size_t rem = line % mm;
   if (mm > diagword::kMaxM) {
     // Bit-serial fallback: one continuous-parity update per changed cell.
     for (std::size_t i = delta.find_first(); i < n_; i = delta.find_next(i)) {
-      const std::size_t r = line_is_column ? i : line;
-      const std::size_t c = line_is_column ? line : i;
-      codec_.update_for_write(blocks_[flat_index(block_of(r, c))], r % mm,
-                              c % mm, false, true);
+      flip_cell(line_is_column ? i : line, line_is_column ? line : i);
     }
     return;
   }
+  if (!line_is_column) {
+    // A written row is row `rem` of its band: one band_accumulate step.
+    const std::uint64_t* row = delta.words().data();
+    accumulate(&row, rem, 1, lead_row(band), cnt_row(band));
+    return;
+  }
+  // A written column crosses every band: its segment in band g is the
+  // column of block (g, band) at offset rem -- cell (r, rem) sits on
+  // leading diagonal r + rem and pre-reflection counter offset rem - r.
   const std::span<const std::uint64_t> words = delta.words();
-  for (std::size_t g = 0; g < bps; ++g) {
+  for (std::size_t g = 0; g < blocks_per_side(); ++g) {
     const std::uint64_t dseg = diagword::extract(words, g * mm, mm);
     if (dseg == 0) continue;
-    CheckBits& check =
-        line_is_column ? blocks_[g * bps + band] : blocks_[band * bps + g];
-    const std::uint64_t dlead = diagword::rotl(dseg, rem, mm);
-    const std::uint64_t dcnt =
-        line_is_column
-            ? diagword::rotl(dseg, (mm - rem) % mm, mm)
-            : diagword::rotl(diagword::stride_permute(dseg, mm - 1, mm), rem, mm);
-    check.leading.set_low_word(check.leading.low_word() ^ dlead);
-    check.counter.set_low_word(check.counter.low_word() ^ dcnt);
+    xor_segment(lead_row(g), band * mm, mm, diagword::rotl(dseg, rem, mm));
+    xor_segment(cnt_row(g), band * mm, mm,
+                diagword::rotl(diagword::reflect(dseg, mm), rem, mm));
   }
 }
 
@@ -299,22 +386,18 @@ bool ArrayCode::consistent_with(const util::BitMatrix& data) const {
   if (mm > diagword::kMaxM) {
     for (std::size_t br = 0; br < bps; ++br) {
       for (std::size_t bc = 0; bc < bps; ++bc) {
-        const CheckBits fresh = codec_.encode(data, br * mm, bc * mm);
-        if (!(fresh == blocks_[br * bps + bc])) return false;
+        if (!(codec_.encode(data, br * mm, bc * mm) == check_bits({br, bc}))) {
+          return false;
+        }
       }
     }
     return true;
   }
-  std::vector<std::uint64_t> lead(bps);
-  std::vector<std::uint64_t> cnt(bps);
+  BandRows syndrome(words_);
   for (std::size_t br = 0; br < bps; ++br) {
-    accumulate_band(row_ptrs(data, br * mm, mm).data(), mm, lead, cnt);
-    for (std::size_t bc = 0; bc < bps; ++bc) {
-      const CheckBits& stored = blocks_[br * bps + bc];
-      if (lead[bc] != stored.leading.low_word() ||
-          cnt[bc] != stored.counter.low_word()) {
-        return false;
-      }
+    band_syndrome(data, br, syndrome.lead, syndrome.cnt);
+    for (std::size_t w = 0; w < words_; ++w) {
+      if ((syndrome.lead[w] | syndrome.cnt[w]) != 0) return false;
     }
   }
   return true;

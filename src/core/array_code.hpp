@@ -1,10 +1,16 @@
 // pimecc -- core/array_code.hpp
 //
 // Whole-crossbar diagonal ECC state: an n x n array divided into an
-// imaginary grid of (n/m) x (n/m) blocks of size m x m, with CheckBits per
-// block (paper Section III).  This is the *functional* (golden) model of the
-// Check Memory contents; src/arch models where those bits physically live
-// and what each update costs in cycles.
+// imaginary grid of (n/m) x (n/m) blocks of size m x m, with 2m check bits
+// per block (paper Section III).  This is the *functional* (golden) model of
+// the Check Memory contents; src/arch models where those bits physically
+// live and what each update costs in cycles.
+//
+// Storage mirrors the CMEM's layout: per block-row band, one packed n-bit
+// lead row and one packed n-bit counter row, block column bc's m check bits
+// at bits [bc*m, bc*m + m).  The counter row holds each block's counter
+// parities pre-reflection (diagonal i at segment offset (m - i) mod m), the
+// order the band kernel produces them in; check_bits() reflects them back.
 #pragma once
 
 #include <cstddef>
@@ -73,12 +79,22 @@ class ArrayCode {
     return {r / m(), c / m()};
   }
 
-  [[nodiscard]] const CheckBits& check_bits(BlockIndex b) const;
-  [[nodiscard]] CheckBits& check_bits_mutable(BlockIndex b);
+  /// Block b's check bits, counter in diagonal order.  Throws
+  /// std::out_of_range on a bad block.
+  [[nodiscard]] CheckBits check_bits(BlockIndex b) const;
 
-  /// Recomputes every block's check bits from `data` (n x n).  Batch band
-  /// path (m <= diagword::kMaxM): walks each row band once and peels the
-  /// per-block word segments, O(n * n/64) word ops instead of n*n bit reads.
+  /// Flips one stored check bit: leading[index] (`leading`) or
+  /// counter[index] of block b -- a soft error, a repair, or its rollback.
+  /// Throws std::out_of_range on a bad block or index >= m.
+  void flip_check_bit(BlockIndex b, bool leading, std::size_t index);
+
+  /// Overwrites block b's stored check bits.  Throws std::out_of_range on a
+  /// bad block and std::invalid_argument unless both families have m bits.
+  void set_check_bits(BlockIndex b, const CheckBits& bits);
+
+  /// Recomputes every block's check bits from `data` (n x n).  Band path
+  /// (m <= diagword::kMaxM): one band_accumulate per band assigns its two
+  /// packed rows, O(m * n/64) word ops per band instead of m*n bit reads.
   void encode_all(const util::BitMatrix& data);
 
   /// Continuous update for a batch of cell writes (one parallel MAGIC
@@ -88,7 +104,8 @@ class ArrayCode {
 
   /// Checks every block against `data`, correcting single errors in place
   /// (data bit in `data`, check bit in this object) -- the paper's periodic
-  /// full-memory check: the row-band walk over every band.  Each block's
+  /// full-memory check: the row-band walk over every band, which decodes
+  /// only the blocks whose syndrome segment is nonzero.  Each block's
   /// verdict is codec().check_and_correct's on that block.
   ScrubReport scrub(util::BitMatrix& data);
 
@@ -118,16 +135,17 @@ class ArrayCode {
   /// Differential continuous update for a row-major delta slab covering
   /// one block-row band: delta_rows[r] (r < m) points at the ceil(n/64)
   /// words of old XOR new of row band*m + r, bits at or above n zero (the
-  /// BitVector padding invariant).  Parity is linear, so the band's check
-  /// words are XORed with the encode of the slab -- the same dispatched
-  /// band walk as encode_all, one pass for any number of changed lines
-  /// (a wide batched init).  Bit-serial per changed cell for m >
-  /// diagword::kMaxM.  Throws std::out_of_range on a bad band before
-  /// mutating any parity.
+  /// BitVector padding invariant).  Parity is linear, so the band's packed
+  /// rows are XORed with the encode of the slab -- the same band_accumulate
+  /// as encode_all, one pass for any number of changed lines (a wide
+  /// batched init).  Bit-serial per changed cell for m > diagword::kMaxM.
+  /// Throws std::out_of_range on a bad band before mutating any parity.
   void apply_band_delta(std::size_t band,
                         const std::uint64_t* const* delta_rows);
 
-  /// True iff every check bit matches `data` exactly.
+  /// True iff every check bit matches `data` exactly: one band_accumulate
+  /// per band into stack scratch, compared word by word.  Const and
+  /// thread-safe.
   [[nodiscard]] bool consistent_with(const util::BitMatrix& data) const;
 
   /// Section III invariant: within any single row-parallel or
@@ -140,34 +158,55 @@ class ArrayCode {
  private:
   [[nodiscard]] std::size_t flat_index(BlockIndex b) const;
   void require_shape(const util::BitMatrix& data) const;
-  /// Every scrub's block walk: checks and corrects blocks [first, last) of
-  /// block-row `band` (shape and range already validated).  For m <=
-  /// diagword::kMaxM, a whole band is the row-band walk (one
-  /// band_accumulate into the band scratch) and a partial one is one
-  /// block_peel per block; their syndrome words go through detail::decode.
-  /// For m > diagword::kMaxM each block is decoded bit-serially by the
-  /// codec -- the scrubs' only such branch.  Returns the last block's
-  /// repair.
-  BlockRepair scrub_row_blocks(util::BitMatrix& data, std::size_t band,
-                               std::size_t first, std::size_t last,
-                               ScrubReport& report);
+  [[nodiscard]] std::uint64_t* lead_row(std::size_t band) noexcept {
+    return lead_.data() + band * words_;
+  }
+  [[nodiscard]] std::uint64_t* cnt_row(std::size_t band) noexcept {
+    return cnt_.data() + band * words_;
+  }
+  [[nodiscard]] const std::uint64_t* lead_row(std::size_t band) const noexcept {
+    return lead_.data() + band * words_;
+  }
+  [[nodiscard]] const std::uint64_t* cnt_row(std::size_t band) const noexcept {
+    return cnt_.data() + band * words_;
+  }
+  /// band_accumulate of `count` rows starting at band row r0 into block-row
+  /// `band`'s two packed rows (or any two rows of the same layout).
+  void accumulate(const std::uint64_t* const* rows, std::size_t r0,
+                  std::size_t count, std::uint64_t* lead,
+                  std::uint64_t* cnt) const;
+  /// Stored rows of `band` XOR the parity of its data rows: the band's
+  /// syndrome, into `lead`/`cnt` (words_ words each).  m <= kMaxM.
+  void band_syndrome(const util::BitMatrix& data, std::size_t band,
+                     std::uint64_t* lead, std::uint64_t* cnt) const;
+  /// Continuous-parity update for one changed cell (absolute r, c).
+  void flip_cell(std::size_t r, std::size_t c);
+  /// Flips one stored check bit; block and index already validated.
+  void flip_stored(BlockIndex b, bool leading, std::size_t index);
+  /// The row-band walk of the scrubs: checks and corrects every block of
+  /// block-row `band` (shape and band already validated).  For m <=
+  /// diagword::kMaxM it decodes only the nonzero segments of the band's
+  /// syndrome through detail::decode; above, one scrub_one per block.
+  void scrub_whole_band(util::BitMatrix& data, std::size_t band,
+                        ScrubReport& report);
+  /// One per-block repair (block-column scrubs, scrub_block): block_peel
+  /// for m <= diagword::kMaxM, the codec's bit-serial syndrome above.
+  BlockRepair scrub_one(util::BitMatrix& data, BlockIndex b,
+                        ScrubReport& report);
   /// Applies `verdict` to block b in place (data bit in `data`, check bit
-  /// in blocks_) and counts it into `report`.
+  /// in the packed rows) and counts it into `report`.
   BlockRepair repair(util::BitMatrix& data, BlockIndex b,
                      const DecodeResult& verdict, ScrubReport& report);
-  /// Band walk of the m row word pointers `rows` folded into block-row
-  /// `band`'s check words: assigned (encode_all) or XORed in (a delta
-  /// slab).  m <= diagword::kMaxM.
-  void fold_band(std::size_t band, const std::uint64_t* const* rows,
-                 bool assign);
 
   std::size_t n_;
+  std::size_t words_;  // ceil(n / 64): one packed row
   BlockCodec codec_;
-  std::vector<CheckBits> blocks_;  // row-major over the block grid
-  // Per-block parity words of one band (fold_band, the scrubs' row-band
-  // walk), sized once so the band walk never allocates.
-  std::vector<std::uint64_t> band_lead_;
-  std::vector<std::uint64_t> band_cnt_;
+  // Packed check bits, blocks_per_side() rows of words_ words each: lead_
+  // holds the leading parities, cnt_ the pre-reflection counter parities.
+  std::vector<std::uint64_t> lead_;
+  std::vector<std::uint64_t> cnt_;
+  // simd::segment_masks(m, blocks_per_side()) (empty for m > kMaxM).
+  std::vector<std::uint64_t> masks_;
 };
 
 }  // namespace pimecc::ecc

@@ -15,12 +15,7 @@ CheckFlip apply_check_flip(ecc::ArrayCode& code, std::size_t block_row,
   flip.block_col = block_col;
   flip.on_leading_axis = check_slot < m;
   flip.index = check_slot % m;
-  ecc::CheckBits& bits = code.check_bits_mutable({block_row, block_col});
-  if (flip.on_leading_axis) {
-    bits.leading.flip(flip.index);
-  } else {
-    bits.counter.flip(flip.index);
-  }
+  code.flip_check_bit({block_row, block_col}, flip.on_leading_axis, flip.index);
   return flip;
 }
 
@@ -110,7 +105,7 @@ InjectionRecord inject_block_flips(util::Rng& rng, util::BitMatrix& data,
                                    bool include_check_bits) {
   // Validate before mutating (and before consuming any randomness): a bad
   // block coordinate used to flip data cells at out-of-range positions
-  // before check_bits_mutable finally threw.
+  // before flip_check_bit finally threw.
   if (data.rows() != code.n() || data.cols() != code.n()) {
     throw std::invalid_argument("inject_block_flips: shape mismatch");
   }
@@ -164,12 +159,7 @@ void undo(const InjectionRecord& record, util::BitMatrix& data,
   }
   for (const DataFlip& f : record.data_flips) data.flip(f.r, f.c);
   for (const CheckFlip& f : record.check_flips) {
-    ecc::CheckBits& bits = code.check_bits_mutable({f.block_row, f.block_col});
-    if (f.on_leading_axis) {
-      bits.leading.flip(f.index);
-    } else {
-      bits.counter.flip(f.index);
-    }
+    code.flip_check_bit({f.block_row, f.block_col}, f.on_leading_axis, f.index);
   }
 }
 

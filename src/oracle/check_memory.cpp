@@ -85,7 +85,7 @@ void CheckMemory::store_to(ecc::ArrayCode& code) const {
   }
   for (std::size_t br = 0; br < blocks_; ++br) {
     for (std::size_t bc = 0; bc < blocks_; ++bc) {
-      code.check_bits_mutable({br, bc}) = gather_block({br, bc});
+      code.set_check_bits({br, bc}, gather_block({br, bc}));
     }
   }
 }

@@ -169,12 +169,8 @@ void run_sparse_trial(const SparseTrialContext& ctx, SparseTrialLane& lane,
 
     // Roll back a check-bit repair (it flipped exactly one stored bit).
     if (repair.status == ecc::DecodeStatus::kCorrectedCheck) {
-      ecc::CheckBits& bits = lane.code.check_bits_mutable(b);
-      if (repair.check_on_leading_axis) {
-        bits.leading.flip(repair.check_index);
-      } else {
-        bits.counter.flip(repair.check_index);
-      }
+      lane.code.flip_check_bit(b, repair.check_on_leading_axis,
+                               repair.check_index);
     }
   }
 
@@ -182,13 +178,8 @@ void run_sparse_trial(const SparseTrialContext& ctx, SparseTrialLane& lane,
   // repair rollbacks above, every check bit has now been flipped an even
   // number of times and the stored state equals golden again.
   for (const fault::CheckFlip& f : lane.record.check_flips) {
-    ecc::CheckBits& bits =
-        lane.code.check_bits_mutable({f.block_row, f.block_col});
-    if (f.on_leading_axis) {
-      bits.leading.flip(f.index);
-    } else {
-      bits.counter.flip(f.index);
-    }
+    lane.code.flip_check_bit({f.block_row, f.block_col}, f.on_leading_axis,
+                             f.index);
   }
 
   out.blocks_failed += failed_blocks_this_trial;

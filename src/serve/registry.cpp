@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "serve/request.hpp"
+
 namespace pimecc::serve {
 
 std::shared_ptr<const circuits::CircuitSpec> Registry::circuit(
@@ -50,9 +52,12 @@ Registry::MachineLease Registry::acquire_machine(std::size_t n, std::size_t m) {
   {
     std::unique_lock lock(mutex_);
     auto it = machines_.find(key);
-    if (it != machines_.end() && !it->second.empty()) {
-      std::unique_ptr<arch::PimMachine> machine = std::move(it->second.back());
-      it->second.pop_back();
+    if (it != machines_.end() && !it->second.idle.empty()) {
+      std::unique_ptr<arch::PimMachine> machine =
+          std::move(it->second.idle.back());
+      it->second.idle.pop_back();
+      it->second.last_used = ++use_clock_;
+      --pooled_;
       stats_.machine_reuses.fetch_add(1, std::memory_order_relaxed);
       return MachineLease(*this, n, m, std::move(machine));
     }
@@ -68,7 +73,29 @@ Registry::MachineLease Registry::acquire_machine(std::size_t n, std::size_t m) {
 void Registry::release_machine(std::size_t n, std::size_t m,
                                std::unique_ptr<arch::PimMachine> machine) {
   std::unique_lock lock(mutex_);
-  machines_[{n, m}].push_back(std::move(machine));
+  const auto key = std::make_pair(n, m);
+  Pool& pool = machines_[key];
+  pool.idle.push_back(std::move(machine));
+  pool.last_used = ++use_clock_;
+  ++pooled_;
+  // Trim the least recently used other design points, whole points first.
+  while (pooled_ > kMaxPooledMachines) {
+    auto lru = machines_.end();
+    for (auto it = machines_.begin(); it != machines_.end(); ++it) {
+      if (it->first == key) continue;
+      if (lru == machines_.end() || it->second.last_used < lru->second.last_used) {
+        lru = it;
+      }
+    }
+    if (lru == machines_.end()) break;  // only this design point is pooled
+    pooled_ -= lru->second.idle.size();
+    machines_.erase(lru);
+  }
+}
+
+std::size_t Registry::pooled_machines() const {
+  std::shared_lock lock(mutex_);
+  return pooled_;
 }
 
 Registry::MachineLease::~MachineLease() {

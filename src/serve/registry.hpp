@@ -4,10 +4,13 @@
 // circuits, mapped single-row programs per (circuit, row width), and a
 // PimMachine pool per (n, m) so a burst of `run` requests does not rebuild
 // the geometry/stride tables (BlockCodec, ArrayCode, crossbar buffers) for
-// every request.  Everything cached is immutable once published
-// (shared_ptr<const>), so concurrent batch lanes can hit the cache without
-// copying; the machine pool hands out exclusive leases instead, because a
-// PimMachine is mutable execution state.
+// every request.  The pool holds at most kMaxPooledMachines idle machines
+// beyond the most recently returned design point's, evicting the least
+// recently used design point first, so a client cycling through design
+// points cannot grow it without bound.  Everything cached is immutable
+// once published (shared_ptr<const>), so concurrent batch lanes can hit the
+// cache without copying; the machine pool hands out exclusive leases
+// instead, because a PimMachine is mutable execution state.
 //
 // Thread safety: all entry points are safe to call concurrently.  Lookups
 // take a shared lock; a miss upgrades to an exclusive lock and may build
@@ -81,7 +84,16 @@ class Registry {
 
   [[nodiscard]] RegistryStats stats() const;
 
+  /// Idle machines currently pooled, over every design point.
+  [[nodiscard]] std::size_t pooled_machines() const;
+
  private:
+  /// The idle machines of one design point and when it was last used.
+  struct Pool {
+    std::vector<std::unique_ptr<arch::PimMachine>> idle;
+    std::uint64_t last_used = 0;
+  };
+
   void release_machine(std::size_t n, std::size_t m,
                        std::unique_ptr<arch::PimMachine> machine);
 
@@ -99,9 +111,9 @@ class Registry {
   std::map<std::pair<std::string, std::size_t>,
            std::shared_ptr<const simpler::MappedProgram>>
       programs_;
-  std::map<std::pair<std::size_t, std::size_t>,
-           std::vector<std::unique_ptr<arch::PimMachine>>>
-      machines_;
+  std::map<std::pair<std::size_t, std::size_t>, Pool> machines_;
+  std::size_t pooled_ = 0;    // sum of the pools' idle sizes
+  std::uint64_t use_clock_ = 0;  // stamps Pool::last_used
 };
 
 }  // namespace pimecc::serve

@@ -38,10 +38,18 @@
 namespace pimecc::serve {
 
 inline constexpr std::size_t kMaxN = 4096;
-/// Each block holds 2m check bits in two heap vectors: n = 4096 at m = 1
-/// would be 16.7 M blocks, about 2 GB.  The cap still admits n = 4095 at
-/// m = 15 and n = 1020 at m = 3.
+/// Check bits are stored as two packed n-bit rows per block-row band, but
+/// the work that is per block still grows with the block count: a scrub
+/// decodes every flagged block, and the scenario and sparse engines sample
+/// and track faults block by block.  n = 4096 at m = 1 would be 16.7 M
+/// blocks.  The cap still admits n = 4095 at m = 15 and n = 1020 at m = 3.
 inline constexpr std::size_t kMaxBlocks = std::size_t{1} << 18;
+/// Idle machines the registry pools across design points.  Returning a
+/// machine evicts idle machines of the least recently used *other* design
+/// points until at most this many are pooled; the returned machine's own
+/// point is never trimmed, so one design point served at any lane count
+/// still reuses every machine.
+inline constexpr std::size_t kMaxPooledMachines = 16;
 inline constexpr std::size_t kMaxTrials = 100000;
 /// About 11.6 days; four orders of magnitude below the tick overflow.
 inline constexpr double kMaxDeadlineMs = 1e9;

@@ -42,21 +42,45 @@ void block_peel_scalar(const std::uint64_t* const* rows, std::size_t m,
   *cnt = c;
 }
 
-void band_accumulate_scalar(const std::uint64_t* const* rows, std::size_t m,
-                            std::size_t bps, std::uint64_t* lead,
+void band_accumulate_scalar(const BandShape& shape,
+                            const std::uint64_t* const* rows, std::size_t r0,
+                            std::size_t count, std::uint64_t* lead,
                             std::uint64_t* cnt) {
-  for (std::size_t bc = 0; bc < bps; ++bc) {
-    lead[bc] = 0;
-    cnt[bc] = 0;
-  }
-  for (std::size_t r = 0; r < m; ++r) {
-    const std::uint64_t* words = rows[r];
-    const std::size_t rot_right = r == 0 ? 0 : m - r;
-    for (std::size_t bc = 0; bc < bps; ++bc) {
-      const std::uint64_t seg = extract(words, bc * m, m);
-      lead[bc] ^= rotl(seg, r, m);
-      cnt[bc] ^= rotl(seg, rot_right, m);
+  const std::size_t m = shape.m;
+  const std::size_t words = shape.words;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t* x = rows[i];
+    const std::size_t r = r0 + i;
+    if (r == 0) {  // both rotations are the identity
+      for (std::size_t w = 0; w < words; ++w) {
+        lead[w] ^= x[w];
+        cnt[w] ^= x[w];
+      }
+      continue;
     }
+    // The segmented rotation by k takes the row shifted left by k at
+    // segment offsets >= k (masks row k) and the row shifted right by
+    // m - k below them.  Lead rotates by r, the counter by m - r, so the
+    // four multiword shifts are by r and m - r; every count is in [1, 63].
+    const std::uint64_t* m_lead = shape.masks + r * words;
+    const std::uint64_t* m_cnt = shape.masks + (m - r) * words;
+    const std::size_t mr = m - r;
+    std::uint64_t prev = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t cur = x[w];
+      const std::uint64_t next = w + 1 < words ? x[w + 1] : 0;
+      const std::uint64_t up_r = (cur << r) | (prev >> (64 - r));
+      const std::uint64_t down_r = (cur >> r) | (next << (64 - r));
+      const std::uint64_t up_mr = (cur << mr) | (prev >> (64 - mr));
+      const std::uint64_t down_mr = (cur >> mr) | (next << (64 - mr));
+      lead[w] ^= (up_r & m_lead[w]) | (down_mr & ~m_lead[w]);
+      cnt[w] ^= (up_mr & m_cnt[w]) | (down_r & ~m_cnt[w]);
+      prev = cur;
+    }
+  }
+  for (std::size_t w = 0; w < words; ++w) {
+    lead[w] &= shape.masks[w];
+    cnt[w] &= shape.masks[w];
   }
 }
 
@@ -95,6 +119,22 @@ void transpose64_scalar(std::uint64_t* block) {
 }
 
 }  // namespace detail
+
+std::vector<std::uint64_t> segment_masks(std::size_t m, std::size_t segments) {
+  if (m == 0 || m > 64) {
+    throw std::invalid_argument("simd::segment_masks: m must be in [1, 64]");
+  }
+  const std::size_t bits = segments * m;
+  const std::size_t words = (bits + 63) / 64;
+  std::vector<std::uint64_t> masks(m * words, 0);
+  for (std::size_t k = 0; k < m; ++k) {
+    std::uint64_t* row = masks.data() + k * words;
+    for (std::size_t p = 0; p < bits; ++p) {
+      if (p % m >= k) row[p / 64] |= std::uint64_t{1} << (p % 64);
+    }
+  }
+  return masks;
+}
 
 namespace {
 

@@ -18,8 +18,10 @@
 //
 // Dispatch levels
 //   kScalar  portable uint64_t loops (always available)
-//   kAvx2    256-bit: gathers + variable 64-bit shifts (x86-64 with AVX2)
-//   kAvx512  512-bit: 8-lane gathers + vpopcntq (needs F/BW/DQ/VL/VPOPCNTDQ)
+//   kAvx2    256-bit: 4-word shifts and blends, gathers for the one-block
+//            peel (x86-64 with AVX2)
+//   kAvx512  512-bit: 8-word shifts, ternary-logic blends, masked tail
+//            loads, vpopcntq (needs F/BW/DQ/VL/VPOPCNTDQ)
 //
 // Selection: the highest level the CPU supports, unless the environment
 // variable PIMECC_FORCE_SCALAR is set (non-empty, not "0") at process
@@ -116,27 +118,49 @@ void set_level(Level level);
 
 // ------------------------------------------------------------------- kernels
 
+/// Layout of one packed band row for KernelTable::band_accumulate: `words`
+/// 64-bit words holding consecutive m-bit segments from bit 0 (m in
+/// [1, 64]), and the segment-mask table built by segment_masks.
+struct BandShape {
+  std::size_t m = 0;
+  std::size_t words = 0;
+  const std::uint64_t* masks = nullptr;  ///< m x words, row k at masks[k * words]
+};
+
+/// Segment-mask table of `segments` packed m-bit segments (m in [1, 64]):
+/// m rows of ceil(segments * m / 64) words, where row k marks the bits whose
+/// offset inside their segment is >= k (row 0 marks every segment bit; no
+/// row marks a bit beyond the last segment).  Built once per ArrayCode.
+[[nodiscard]] std::vector<std::uint64_t> segment_masks(std::size_t m,
+                                                       std::size_t segments);
+
 /// The dispatched kernels.  All pointers are non-null at every level; the
 /// scalar table is the reference semantics and every wider table must be
 /// bit-identical on any input (differential-tested per level).
 struct KernelTable {
-  /// Diagonal rotate-and-XOR accumulation over one block band (the codec
-  /// engine's encode_all/scrub/consistent_with walk).  rows[r] (r < m)
-  /// points at the backing words of band row r; each row holds bps
-  /// consecutive m-bit segments (m <= 64, segment bc at bits
-  /// [bc*m, bc*m + m)).  Writes, for every block column bc:
-  ///   lead[bc] = XOR_r rotl(seg(r, bc), r, m)
-  ///   cnt[bc]  = XOR_r rotl(seg(r, bc), (m - r) % m, m)
-  /// cnt is left pre-reflection: callers apply simd::reflect once per block
-  /// (the m=63/64-class single-word path that replaced the O(m) stride
-  /// permutation).  Bits above each segment's low m are never read unmasked.
-  void (*band_accumulate)(const std::uint64_t* const* rows, std::size_t m,
-                          std::size_t bps, std::uint64_t* lead,
+  /// Diagonal rotate-and-XOR accumulation over one block band, packed (the
+  /// codec engine's encode_all/scrub/consistent_with walk and its delta
+  /// folds).  rows[i] (i < count) points at the backing words of band row
+  /// r = r0 + i (r0 + count <= m): `shape.words` words of consecutive m-bit
+  /// segments from bit 0, segment bc at bits [bc*m, bc*m + m).  lead and
+  /// cnt are packed rows of the same layout; for every row and segment the
+  /// kernel XORs in
+  ///   lead.seg(bc) ^= rotl(row.seg(bc), r, m)
+  ///   cnt.seg(bc)  ^= rotl(row.seg(bc), (m - r) % m, m)
+  /// as one *segmented rotation* of the whole row per axis: two multiword
+  /// shifts blended by shape.masks[k] (the bits whose segment offset is
+  /// >= k), no per-segment extraction.  cnt stays pre-reflection: callers
+  /// apply simd::reflect per segment where they need diagonal order.  Bits
+  /// of a row beyond its last segment are never read unmasked, and the
+  /// output bits beyond the last segment come out zero.
+  void (*band_accumulate)(const BandShape& shape,
+                          const std::uint64_t* const* rows, std::size_t r0,
+                          std::size_t count, std::uint64_t* lead,
                           std::uint64_t* cnt);
 
-  /// Same accumulation for ONE block whose m-bit segment sits at bit offset
-  /// bit0 of each row (the band walk's per-block segment peel: block-column
-  /// scrubs, scrub_block, per-block encode/syndrome).  rows[r] (r < m)
+  /// Same accumulation for ONE block of all m rows, whose m-bit segment sits
+  /// at bit offset bit0 of each row (the one-block checks: block-column
+  /// scrubs, scrub_block, BlockCodec::encode).  rows[r] (r < m)
   /// points at the backing words of block row r.  *lead / *cnt receive the
   /// leading and pre-reflection counter parity.
   void (*block_peel)(const std::uint64_t* const* rows, std::size_t m,
@@ -171,8 +195,9 @@ struct KernelTable {
 namespace detail {
 /// The scalar implementations, shared by simd.cpp's table and by the AVX
 /// translation units' remainder loops.
-void band_accumulate_scalar(const std::uint64_t* const* rows, std::size_t m,
-                            std::size_t bps, std::uint64_t* lead,
+void band_accumulate_scalar(const BandShape& shape,
+                            const std::uint64_t* const* rows, std::size_t r0,
+                            std::size_t count, std::uint64_t* lead,
                             std::uint64_t* cnt);
 void block_peel_scalar(const std::uint64_t* const* rows, std::size_t m,
                        std::size_t bit0, std::uint64_t* lead,

@@ -5,16 +5,19 @@
 // keeps the symbol defined and detection reports the level unavailable.
 //
 // Correctness notes shared by the kernels below:
-//  * Variable 64-bit vector shifts (vpsllvq/vpsrlvq) return 0 for any count
-//    >= 64, so the two-shift rotate ((seg << k) | (seg >> m-k)) & mask is
-//    total -- including k == 0 (right count m, possibly 64) and k == m --
-//    with no per-lane branching and no shift-width UB.  This is the vector
-//    twin of the masked scalar simd::rotl.
-//  * Masked gathers (vpgatherqq) perform no memory access on masked-out
-//    lanes, so the conditional second-word read of a straddling segment is
-//    exactly as safe as the scalar `if` it replaces.
-//  * Every gathered word is masked down to the low m segment bits before
-//    use, so tail-word garbage above a row's logical size never leaks in.
+//  * 64-bit vector shifts (vpsllq/vpsrlq by an xmm count, vpsllvq/vpsrlvq
+//    per lane) return 0 for any count >= 64, so the band walk's segmented
+//    rotation (counts 64 - k and m - k reach 64) and the peel's two-shift
+//    rotate ((seg << k) | (seg >> m-k)) & mask are total -- including k == 0
+//    and m == 64 -- with no per-lane branching and no shift-width UB.  This
+//    is the vector twin of the masked scalar simd::rotl.
+//  * Masked loads/stores (vpmaskmovq) and masked gathers (vpgatherqq)
+//    perform no memory access on masked-out lanes, so the band walk's tail
+//    chunk and the peel's conditional second-word read of a straddling
+//    segment are exactly as safe as the scalar bounds they replace.
+//  * Output words are masked with the segment masks (the peel's low m
+//    bits, the band walk's segment_masks row 0), so tail-word garbage above
+//    a row's logical size never leaks in.
 #include "util/simd.hpp"
 
 #if defined(__AVX2__) && !defined(PIMECC_FORCE_SCALAR_BUILD)
@@ -35,84 +38,98 @@ inline __m256i srl64(__m256i v, std::size_t k) noexcept {
   return _mm256_srl_epi64(v, _mm_cvtsi32_si128(static_cast<int>(k)));
 }
 
-/// lead ^= rotl(seg, k); cnt ^= rotl(seg, m-k) for 4 lanes with uniform k.
-/// The four shifted forms are shared between the two accumulators.
-inline void fold_rotations(__m256i seg, std::size_t k, std::size_t m,
-                           __m256i vmask, __m256i& lead, __m256i& cnt) noexcept {
-  const __m256i sl_k = sll64(seg, k);
-  const __m256i sr_k = srl64(seg, k);
-  const __m256i sl_mk = sll64(seg, m - k);
-  const __m256i sr_mk = srl64(seg, m - k);
-  lead = _mm256_xor_si256(
-      lead, _mm256_and_si256(_mm256_or_si256(sl_k, sr_mk), vmask));
-  cnt = _mm256_xor_si256(
-      cnt, _mm256_and_si256(_mm256_or_si256(sl_mk, sr_k), vmask));
+/// One 4-word chunk [w, w + 4) of band_accumulate.  An interior chunk
+/// (w + 4 < words) uses plain loads, the last chunk maskload/maskstore,
+/// which touch no masked-out word; vp/vn (words w+l-1 / w+l+1, 0 outside
+/// the row) are loaded where they exist and permuted in from v at the row
+/// edges.
+template <bool kInterior>
+void band_chunk(const BandShape& shape, const std::uint64_t* const* rows,
+                std::size_t r0, std::size_t count, std::size_t w,
+                __m256i live, std::uint64_t* lead, std::uint64_t* cnt) {
+  const std::size_t m = shape.m;
+  const std::size_t words = shape.words;
+  const auto load = [live](const std::uint64_t* p) {
+    return kInterior ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))
+                     : _mm256_maskload_epi64(
+                           reinterpret_cast<const long long*>(p), live);
+  };
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi64x(1);
+  __m256i vlead = load(lead + w);
+  __m256i vcnt = load(cnt + w);
+  // Shift counts r, 64 - r, m - r and 64 - (m - r), stepped per row.
+  __m256i sh_r = _mm256_set1_epi64x(static_cast<long long>(r0));
+  __m256i sh_64r = _mm256_sub_epi64(_mm256_set1_epi64x(64), sh_r);
+  __m256i sh_mr =
+      _mm256_sub_epi64(_mm256_set1_epi64x(static_cast<long long>(m)), sh_r);
+  __m256i sh_64mr = _mm256_sub_epi64(_mm256_set1_epi64x(64), sh_mr);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t* x = rows[i];
+    const std::size_t r = r0 + i;
+    const __m256i v = load(x + w);
+    if (r == 0) {
+      vlead = _mm256_xor_si256(vlead, v);
+      vcnt = _mm256_xor_si256(vcnt, v);
+    } else {
+      const __m256i vp =
+          w == 0 ? _mm256_blend_epi32(_mm256_permute4x64_epi64(v, 0x90), zero,
+                                      0x03)
+                 : load(x + w - 1);
+      const __m256i vn =
+          kInterior ? load(x + w + 1)
+                    : _mm256_blend_epi32(_mm256_permute4x64_epi64(v, 0xf9),
+                                         zero, 0xc0);
+      const __m256i up_r = _mm256_or_si256(_mm256_sllv_epi64(v, sh_r),
+                                           _mm256_srlv_epi64(vp, sh_64r));
+      const __m256i down_r = _mm256_or_si256(_mm256_srlv_epi64(v, sh_r),
+                                             _mm256_sllv_epi64(vn, sh_64r));
+      const __m256i up_mr = _mm256_or_si256(_mm256_sllv_epi64(v, sh_mr),
+                                            _mm256_srlv_epi64(vp, sh_64mr));
+      const __m256i down_mr = _mm256_or_si256(_mm256_srlv_epi64(v, sh_mr),
+                                              _mm256_sllv_epi64(vn, sh_64mr));
+      const __m256i m_lead = load(shape.masks + r * words + w);
+      const __m256i m_cnt = load(shape.masks + (m - r) * words + w);
+      vlead = _mm256_xor_si256(
+          vlead, _mm256_or_si256(_mm256_and_si256(m_lead, up_r),
+                                 _mm256_andnot_si256(m_lead, down_mr)));
+      vcnt = _mm256_xor_si256(
+          vcnt, _mm256_or_si256(_mm256_and_si256(m_cnt, up_mr),
+                                _mm256_andnot_si256(m_cnt, down_r)));
+    }
+    sh_r = _mm256_add_epi64(sh_r, one);
+    sh_64r = _mm256_sub_epi64(sh_64r, one);
+    sh_mr = _mm256_sub_epi64(sh_mr, one);
+    sh_64mr = _mm256_add_epi64(sh_64mr, one);
+  }
+  const __m256i valid = load(shape.masks + w);
+  vlead = _mm256_and_si256(vlead, valid);
+  vcnt = _mm256_and_si256(vcnt, valid);
+  if (kInterior) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lead + w), vlead);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cnt + w), vcnt);
+  } else {
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(lead + w), live, vlead);
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(cnt + w), live, vcnt);
+  }
 }
 
-void band_accumulate_avx2(const std::uint64_t* const* rows, std::size_t m,
-                          std::size_t bps, std::uint64_t* lead,
+void band_accumulate_avx2(const BandShape& shape,
+                          const std::uint64_t* const* rows, std::size_t r0,
+                          std::size_t count, std::uint64_t* lead,
                           std::uint64_t* cnt) {
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(low_mask(m)));
-  std::size_t bc = 0;
-  if (m == 64) {
-    // Word-aligned single-word blocks: plain unaligned loads, no gathers,
-    // no segment peel at all.
-    for (; bc + 4 <= bps; bc += 4) {
-      __m256i vlead = _mm256_setzero_si256();
-      __m256i vcnt = _mm256_setzero_si256();
-      for (std::size_t r = 0; r < m; ++r) {
-        const __m256i seg = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(rows[r] + bc));
-        fold_rotations(seg, r, m, vmask, vlead, vcnt);
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(lead + bc), vlead);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cnt + bc), vcnt);
-    }
-  } else {
-    for (; bc + 4 <= bps; bc += 4) {
-      // Per-lane word index / intra-word shift of segment bc+l, fixed for
-      // the whole row loop.
-      alignas(32) long long wi[4];
-      alignas(32) long long sh[4];
-      for (std::size_t l = 0; l < 4; ++l) {
-        const std::size_t bit0 = (bc + l) * m;
-        wi[l] = static_cast<long long>(bit0 >> 6);
-        sh[l] = static_cast<long long>(bit0 & 63);
-      }
-      const __m256i vwi = _mm256_load_si256(reinterpret_cast<__m256i*>(wi));
-      const __m256i vsh = _mm256_load_si256(reinterpret_cast<__m256i*>(sh));
-      const __m256i vlsh = _mm256_sub_epi64(_mm256_set1_epi64x(64), vsh);
-      // Lane needs words[wi+1] iff sh != 0 and sh + m > 64 -- the straddle
-      // condition of the scalar extract; such a word provably exists (the
-      // segment ends inside it), so the masked gather never reads past the
-      // row.
-      const __m256i vneed = _mm256_andnot_si256(
-          _mm256_cmpeq_epi64(vsh, _mm256_setzero_si256()),
-          _mm256_cmpgt_epi64(
-              _mm256_add_epi64(vsh, _mm256_set1_epi64x(
-                                        static_cast<long long>(m))),
-              _mm256_set1_epi64x(64)));
-      const __m256i vwi1 = _mm256_add_epi64(vwi, _mm256_set1_epi64x(1));
-      __m256i vlead = _mm256_setzero_si256();
-      __m256i vcnt = _mm256_setzero_si256();
-      for (std::size_t r = 0; r < m; ++r) {
-        const auto* base = reinterpret_cast<const long long*>(rows[r]);
-        const __m256i g0 = _mm256_i64gather_epi64(base, vwi, 8);
-        const __m256i g1 = _mm256_mask_i64gather_epi64(
-            _mm256_setzero_si256(), base, vwi1, vneed, 8);
-        const __m256i seg = _mm256_and_si256(
-            _mm256_or_si256(_mm256_srlv_epi64(g0, vsh),
-                            _mm256_sllv_epi64(g1, vlsh)),
-            vmask);
-        fold_rotations(seg, r, m, vmask, vlead, vcnt);
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(lead + bc), vlead);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cnt + bc), vcnt);
-    }
+  // Chunk-outer, row-inner, as in the AVX-512 unit: the chunk's two
+  // accumulators stay in registers across the band.
+  const std::size_t words = shape.words;
+  std::size_t w = 0;
+  for (; w + 4 < words; w += 4) {
+    band_chunk<true>(shape, rows, r0, count, w, _mm256_set1_epi64x(-1), lead,
+                     cnt);
   }
-  for (; bc < bps; ++bc) {
-    block_peel_scalar(rows, m, bc * m, lead + bc, cnt + bc);
-  }
+  const auto lanes = static_cast<long long>(words - w);
+  const __m256i live = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes),
+                                          _mm256_setr_epi64x(0, 1, 2, 3));
+  band_chunk<false>(shape, rows, r0, count, w, live, lead, cnt);
 }
 
 void block_peel_avx2(const std::uint64_t* const* rows, std::size_t m,

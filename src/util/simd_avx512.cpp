@@ -1,12 +1,13 @@
 // pimecc -- util/simd_avx512.cpp
 //
 // AVX-512 kernel table: same algorithms as the AVX2 unit at twice the lane
-// width, with native per-lane popcount (vpopcntq, AVX512VPOPCNTDQ) and
-// k-register masked gathers.  Compiled with the avx512{f,bw,dq,vl,
-// vpopcntdq} flags set per-file by CMake; stubbed to nullptr otherwise.
-// The shift-totality and masked-gather safety arguments are identical to
-// the AVX2 unit (vector shift counts >= 64 yield 0; masked-out gather lanes
-// perform no memory access).
+// width, with native per-lane popcount (vpopcntq, AVX512VPOPCNTDQ),
+// ternary-logic blends, k-register masked loads for the band walk's tail
+// chunk and masked gathers for the one-block peel.  Compiled with the
+// avx512{f,bw,dq,vl,vpopcntdq} flags set per-file by CMake; stubbed to
+// nullptr otherwise.  The shift-totality and masked-access safety arguments
+// are identical to the AVX2 unit (vector shift counts >= 64 yield 0;
+// masked-out load and gather lanes perform no memory access).
 #include "util/simd.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
@@ -29,72 +30,68 @@ inline __m512i srl64(__m512i v, std::size_t k) noexcept {
   return _mm512_srl_epi64(v, _mm_cvtsi32_si128(static_cast<int>(k)));
 }
 
-inline void fold_rotations(__m512i seg, std::size_t k, std::size_t m,
-                           __m512i vmask, __m512i& lead, __m512i& cnt) noexcept {
-  const __m512i sl_k = sll64(seg, k);
-  const __m512i sr_k = srl64(seg, k);
-  const __m512i sl_mk = sll64(seg, m - k);
-  const __m512i sr_mk = srl64(seg, m - k);
-  lead = _mm512_xor_si512(
-      lead, _mm512_and_si512(_mm512_or_si512(sl_k, sr_mk), vmask));
-  cnt = _mm512_xor_si512(
-      cnt, _mm512_and_si512(_mm512_or_si512(sl_mk, sr_k), vmask));
-}
-
-void band_accumulate_avx512(const std::uint64_t* const* rows, std::size_t m,
-                            std::size_t bps, std::uint64_t* lead,
+void band_accumulate_avx512(const BandShape& shape,
+                            const std::uint64_t* const* rows, std::size_t r0,
+                            std::size_t count, std::uint64_t* lead,
                             std::uint64_t* cnt) {
-  const __m512i vmask = _mm512_set1_epi64(static_cast<long long>(low_mask(m)));
-  std::size_t bc = 0;
-  if (m == 64) {
-    for (; bc + 8 <= bps; bc += 8) {
-      __m512i vlead = _mm512_setzero_si512();
-      __m512i vcnt = _mm512_setzero_si512();
-      for (std::size_t r = 0; r < m; ++r) {
-        const __m512i seg = _mm512_loadu_si512(rows[r] + bc);
-        fold_rotations(seg, r, m, vmask, vlead, vcnt);
+  const std::size_t m = shape.m;
+  const std::size_t words = shape.words;
+  const __m512i one = _mm512_set1_epi64(1);
+  // Chunk-outer, row-inner: the chunk's two accumulators stay in registers
+  // across the band.  Loads and stores go under lane masks (one load uop
+  // each), so no row, mask or output word past `words` -- or before word
+  // 0 -- is touched.
+  for (std::size_t w = 0; w < words; w += 8) {
+    const std::size_t lanes = words - w < 8 ? words - w : 8;
+    const auto live = static_cast<__mmask8>((1u << lanes) - 1);
+    const auto live_next = static_cast<__mmask8>(w + 8 < words ? live : live >> 1);
+    __m512i vlead = _mm512_maskz_loadu_epi64(live, lead + w);
+    __m512i vcnt = _mm512_maskz_loadu_epi64(live, cnt + w);
+    // Shift counts r, 64 - r, m - r and 64 - (m - r), stepped per row.
+    __m512i sh_r = _mm512_set1_epi64(static_cast<long long>(r0));
+    __m512i sh_64r = _mm512_sub_epi64(_mm512_set1_epi64(64), sh_r);
+    __m512i sh_mr =
+        _mm512_sub_epi64(_mm512_set1_epi64(static_cast<long long>(m)), sh_r);
+    __m512i sh_64mr = _mm512_sub_epi64(_mm512_set1_epi64(64), sh_mr);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t* x = rows[i];
+      const std::size_t r = r0 + i;
+      const __m512i v = _mm512_maskz_loadu_epi64(live, x + w);
+      if (r == 0) {
+        vlead = _mm512_xor_si512(vlead, v);
+        vcnt = _mm512_xor_si512(vcnt, v);
+      } else {
+        // Lane l of vp is word w+l-1 and of vn word w+l+1 (0 outside).
+        const __m512i vp =
+            w == 0 ? _mm512_alignr_epi64(v, _mm512_setzero_si512(), 7)
+                   : _mm512_maskz_loadu_epi64(live, x + w - 1);
+        const __m512i vn = _mm512_maskz_loadu_epi64(live_next, x + w + 1);
+        const __m512i up_r = _mm512_or_si512(_mm512_sllv_epi64(v, sh_r),
+                                             _mm512_srlv_epi64(vp, sh_64r));
+        const __m512i down_r = _mm512_or_si512(_mm512_srlv_epi64(v, sh_r),
+                                               _mm512_sllv_epi64(vn, sh_64r));
+        const __m512i up_mr = _mm512_or_si512(_mm512_sllv_epi64(v, sh_mr),
+                                              _mm512_srlv_epi64(vp, sh_64mr));
+        const __m512i down_mr = _mm512_or_si512(
+            _mm512_srlv_epi64(v, sh_mr), _mm512_sllv_epi64(vn, sh_64mr));
+        const __m512i m_lead =
+            _mm512_maskz_loadu_epi64(live, shape.masks + r * words + w);
+        const __m512i m_cnt =
+            _mm512_maskz_loadu_epi64(live, shape.masks + (m - r) * words + w);
+        // acc ^= mask ? up : down, as one ternary-logic select-and-xor.
+        vlead = _mm512_xor_si512(
+            vlead, _mm512_ternarylogic_epi64(m_lead, up_r, down_mr, 0xca));
+        vcnt = _mm512_xor_si512(
+            vcnt, _mm512_ternarylogic_epi64(m_cnt, up_mr, down_r, 0xca));
       }
-      _mm512_storeu_si512(lead + bc, vlead);
-      _mm512_storeu_si512(cnt + bc, vcnt);
+      sh_r = _mm512_add_epi64(sh_r, one);
+      sh_64r = _mm512_sub_epi64(sh_64r, one);
+      sh_mr = _mm512_sub_epi64(sh_mr, one);
+      sh_64mr = _mm512_add_epi64(sh_64mr, one);
     }
-  } else {
-    for (; bc + 8 <= bps; bc += 8) {
-      alignas(64) long long wi[8];
-      alignas(64) long long sh[8];
-      for (std::size_t l = 0; l < 8; ++l) {
-        const std::size_t bit0 = (bc + l) * m;
-        wi[l] = static_cast<long long>(bit0 >> 6);
-        sh[l] = static_cast<long long>(bit0 & 63);
-      }
-      const __m512i vwi = _mm512_load_si512(wi);
-      const __m512i vsh = _mm512_load_si512(sh);
-      const __m512i vlsh = _mm512_sub_epi64(_mm512_set1_epi64(64), vsh);
-      const __mmask8 need =
-          _mm512_cmpneq_epi64_mask(vsh, _mm512_setzero_si512()) &
-          _mm512_cmpgt_epi64_mask(
-              _mm512_add_epi64(vsh,
-                               _mm512_set1_epi64(static_cast<long long>(m))),
-              _mm512_set1_epi64(64));
-      const __m512i vwi1 = _mm512_add_epi64(vwi, _mm512_set1_epi64(1));
-      __m512i vlead = _mm512_setzero_si512();
-      __m512i vcnt = _mm512_setzero_si512();
-      for (std::size_t r = 0; r < m; ++r) {
-        const void* base = rows[r];
-        const __m512i g0 = _mm512_i64gather_epi64(vwi, base, 8);
-        const __m512i g1 = _mm512_mask_i64gather_epi64(
-            _mm512_setzero_si512(), need, vwi1, base, 8);
-        const __m512i seg = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srlv_epi64(g0, vsh),
-                            _mm512_sllv_epi64(g1, vlsh)),
-            vmask);
-        fold_rotations(seg, r, m, vmask, vlead, vcnt);
-      }
-      _mm512_storeu_si512(lead + bc, vlead);
-      _mm512_storeu_si512(cnt + bc, vcnt);
-    }
-  }
-  for (; bc < bps; ++bc) {
-    block_peel_scalar(rows, m, bc * m, lead + bc, cnt + bc);
+    const __m512i valid = _mm512_maskz_loadu_epi64(live, shape.masks + w);
+    _mm512_mask_storeu_epi64(lead + w, live, _mm512_and_si512(vlead, valid));
+    _mm512_mask_storeu_epi64(cnt + w, live, _mm512_and_si512(vcnt, valid));
   }
 }
 

@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
 #include "core/geometry.hpp"
+#include "fault/injector.hpp"
 #include "oracle/check_memory.hpp"
 #include "oracle/horizontal_code.hpp"
 #include "oracle/multislope_code.hpp"
@@ -20,6 +25,8 @@
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
+#include "util/simd.hpp"
 
 namespace pimecc::ecc {
 namespace {
@@ -178,13 +185,10 @@ TEST(CodecDifferential, ScrubMatchesReferenceBlockwise) {
         } else {
           const std::size_t block = rng.uniform_below(bps * bps);
           const std::size_t diag = rng.uniform_below(m);
-          if (rng.bernoulli(0.5)) {
-            stored_ref[block].leading.flip(diag);
-            code.check_bits_mutable({block / bps, block % bps}).leading.flip(diag);
-          } else {
-            stored_ref[block].counter.flip(diag);
-            code.check_bits_mutable({block / bps, block % bps}).counter.flip(diag);
-          }
+          const bool leading = rng.bernoulli(0.5);
+          (leading ? stored_ref[block].leading : stored_ref[block].counter)
+              .flip(diag);
+          code.flip_check_bit({block / bps, block % bps}, leading, diag);
         }
       }
       BitMatrix data_r = data_f;
@@ -433,6 +437,62 @@ TEST(CodecValidation, ArrayCodeApplyWritesIsAtomicOnBadBatch) {
   EXPECT_TRUE(code.consistent_with(data));
 }
 
+TEST(CodecStore, FlipCheckBitMatchesTheCheckBitsItUsedToFlip) {
+  // The packed store keeps counter parities pre-reflection; flip_check_bit
+  // on either axis must flip exactly the diagonal that flipping the same
+  // index of a CheckBits family flips (the pre-store API), checked against
+  // BlockCodec::encode, and a scrub must then repair that very check bit.
+  Rng rng(0xC0DEC'0Bull);
+  for (const std::size_t m : kOddM) {
+    const std::size_t n = 3 * m;
+    BitMatrix data = random_matrix(n, n, rng);
+    ArrayCode code(n, m);
+    code.encode_all(data);
+    for (const bool leading : {false, true}) {
+      const BlockIndex b{rng.uniform_below(3), rng.uniform_below(3)};
+      const std::size_t index = rng.uniform_below(m);
+      CheckBits expected = code.codec().encode(data, b.block_row * m,
+                                               b.block_col * m);
+      ASSERT_EQ(code.check_bits(b), expected);
+      (leading ? expected.leading : expected.counter).flip(index);
+      code.flip_check_bit(b, leading, index);
+      EXPECT_EQ(code.check_bits(b), expected) << "m=" << m;
+
+      const BlockRepair repair = code.scrub_block(data, b);
+      EXPECT_EQ(repair.status, DecodeStatus::kCorrectedCheck) << "m=" << m;
+      EXPECT_EQ(repair.check_on_leading_axis, leading) << "m=" << m;
+      EXPECT_EQ(repair.check_index, index) << "m=" << m;
+      EXPECT_TRUE(code.consistent_with(data)) << "m=" << m;
+
+      code.flip_check_bit(b, leading, index);
+      const ScrubReport report = code.scrub(data);
+      EXPECT_EQ(report.corrected_check, 1u) << "m=" << m;
+      EXPECT_EQ(report.clean, code.block_count() - 1) << "m=" << m;
+      EXPECT_TRUE(code.consistent_with(data)) << "m=" << m;
+    }
+    EXPECT_THROW(code.flip_check_bit({3, 0}, true, 0), std::out_of_range);
+    EXPECT_THROW(code.flip_check_bit({0, 0}, false, m), std::out_of_range);
+  }
+}
+
+TEST(CodecStore, SetCheckBitsRoundTripsAndValidates) {
+  Rng rng(0xC0DEC'0Cull);
+  for (const std::size_t m : kOddM) {
+    ArrayCode code(2 * m, m);
+    CheckBits bits(m);
+    bits.leading = random_bits(m, rng);
+    bits.counter = random_bits(m, rng);
+    code.set_check_bits({1, 0}, bits);
+    EXPECT_EQ(code.check_bits({1, 0}), bits) << "m=" << m;
+    EXPECT_EQ(code.check_bits({0, 0}), CheckBits(m)) << "m=" << m;
+    EXPECT_EQ(code.check_bits({1, 1}), CheckBits(m)) << "m=" << m;
+    EXPECT_THROW(code.set_check_bits({0, 2}, bits), std::out_of_range);
+    EXPECT_THROW(code.set_check_bits({0, 0}, CheckBits(m + 2)),
+                 std::invalid_argument);
+    EXPECT_THROW((void)code.check_bits({2, 0}), std::out_of_range);
+  }
+}
+
 TEST(CodecValidation, HorizontalApplyWritesIsAtomicOnBadBatch) {
   const std::size_t n = 16;
   Rng rng(0xC0DEC'0Aull);
@@ -502,6 +562,126 @@ TEST(CodecEngineSmoke, TinyDifferentialSweep) {
     EXPECT_EQ(data, base);
     EXPECT_EQ(data, data_r);
   }
+}
+
+// ------------------------------------------------------ absolute pins
+
+/// Golden digests of the whole-array code: the CRC-64 of every block's
+/// check_bits() after encode_all, and the CRC-64 of the check bits and the
+/// data plus every ScrubReport after scrubs of a seeded injection.  The
+/// differential suites above are relational (fast == reference); these
+/// constants were recorded once and catch a change that moves both sides,
+/// or any dispatch level, the same way.
+struct ArrayCodePin {
+  std::size_t n;
+  std::size_t m;
+  std::uint64_t encode_crc;
+  std::uint64_t scrub_crc;
+  ScrubReport scrub;       ///< whole-array scrub of the first injection
+  ScrubReport row_band;    ///< scrub_band(row, last band) of the second
+  ScrubReport col_band;    ///< scrub_band(column, band 0) of the second
+};
+
+void PrintTo(const ArrayCodePin& pin, std::ostream* os) {
+  *os << "n=" << pin.n << " m=" << pin.m;
+}
+
+void put_check_bits(util::ByteWriter& w, const ArrayCode& code) {
+  for (std::size_t br = 0; br < code.blocks_per_side(); ++br) {
+    for (std::size_t bc = 0; bc < code.blocks_per_side(); ++bc) {
+      const CheckBits bits = code.check_bits({br, bc});
+      for (const std::uint64_t word : bits.leading.words()) w.u64(word);
+      for (const std::uint64_t word : bits.counter.words()) w.u64(word);
+    }
+  }
+}
+
+void print_report(const ScrubReport& r) {
+  std::printf("{%zu, %zu, %zu, %zu, %zu}", r.blocks_checked, r.clean,
+              r.corrected_data, r.corrected_check, r.uncorrectable);
+}
+
+class ArrayCodePinTest : public ::testing::TestWithParam<ArrayCodePin> {};
+
+TEST_P(ArrayCodePinTest, DigestsMatchAtEveryDispatchLevel) {
+  const ArrayCodePin& pin = GetParam();
+  const util::simd::Level saved = util::simd::active_level();
+  for (const util::simd::Level level : util::simd::available_levels()) {
+    SCOPED_TRACE(util::simd::to_string(level));
+    util::simd::set_level(level);
+    Rng rng(0xA11'0000ull + pin.n * 131 + pin.m);
+    BitMatrix data = random_matrix(pin.n, pin.n, rng);
+    ArrayCode code(pin.n, pin.m);
+    code.encode_all(data);
+    util::ByteWriter enc;
+    put_check_bits(enc, code);
+    const std::uint64_t encode_crc = util::crc64(enc.data());
+
+    // Enough flips that the scrubs see clean, corrected-data,
+    // corrected-check and uncorrectable blocks alike.
+    const std::size_t flips = std::max<std::size_t>(3, code.block_count() / 3);
+    (void)fault::inject_flips_everywhere(rng, data, code, flips);
+    const ScrubReport scrub = code.scrub(data);
+    (void)fault::inject_flips_everywhere(rng, data, code, flips);
+    const std::size_t last = code.blocks_per_side() - 1;
+    const ScrubReport row_band = code.scrub_band(data, true, last);
+    const ScrubReport col_band = code.scrub_band(data, false, 0);
+    util::ByteWriter after;
+    put_check_bits(after, code);
+    for (const BitVector& row : data.rows_span()) {
+      for (const std::uint64_t word : row.words()) after.u64(word);
+    }
+    const std::uint64_t scrub_crc = util::crc64(after.data());
+
+    EXPECT_EQ(encode_crc, pin.encode_crc);
+    EXPECT_EQ(scrub_crc, pin.scrub_crc);
+    EXPECT_EQ(scrub, pin.scrub);
+    EXPECT_EQ(row_band, pin.row_band);
+    EXPECT_EQ(col_band, pin.col_band);
+    if (encode_crc != pin.encode_crc || scrub_crc != pin.scrub_crc ||
+        !(scrub == pin.scrub) || !(row_band == pin.row_band) ||
+        !(col_band == pin.col_band)) {
+      std::printf("  ArrayCodePin{%zu, %zu, 0x%016" PRIx64 "u, 0x%016" PRIx64
+                  "u, ",
+                  pin.n, pin.m, encode_crc, scrub_crc);
+      print_report(scrub);
+      std::printf(", ");
+      print_report(row_band);
+      std::printf(", ");
+      print_report(col_band);
+      std::printf("},\n");
+    }
+  }
+  util::simd::set_level(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ArrayCodePinTest,
+    ::testing::Values(
+        ArrayCodePin{1020, 15, 0x84a16feb088b349du, 0x8d7cf9d0b79c18a4u,
+                     {4624, 3314, 969, 147, 194}, {68, 51, 9, 1, 7},
+                     {68, 47, 14, 1, 6}},
+        ArrayCodePin{510, 15, 0x23f61934b09820aau, 0xc8e25795704d1d99u,
+                     {1156, 832, 239, 30, 55}, {34, 23, 7, 0, 4},
+                     {34, 24, 7, 1, 2}},
+        ArrayCodePin{60, 15, 0x7895b058276606d2u, 0x578730903424d036u,
+                     {16, 12, 2, 1, 1}, {4, 3, 1, 0, 0}, {4, 2, 1, 0, 1}},
+        ArrayCodePin{93, 31, 0x9754b1f05c7061a0u, 0x854eae05d1590eb3u,
+                     {9, 7, 1, 0, 1}, {3, 2, 1, 0, 0}, {3, 3, 0, 0, 0}},
+        ArrayCodePin{1008, 63, 0x9a86a75257e112afu, 0x53f9e642e8ad82d4u,
+                     {256, 180, 63, 4, 9}, {16, 8, 5, 0, 3},
+                     {16, 12, 4, 0, 0}},
+        ArrayCodePin{130, 65, 0x1913276984af07fbu, 0xb3e47a5533fb43e4u,
+                     {4, 2, 1, 0, 1}, {2, 1, 1, 0, 0}, {2, 1, 1, 0, 0}}),
+    [](const ::testing::TestParamInfo<ArrayCodePin>& info) {
+      return "n" + std::to_string(info.param.n) + "_m" +
+             std::to_string(info.param.m);
+    });
+
+TEST(ArrayCodePin, EvenBlockSizeIsRejected) {
+  // The diagonal code needs odd m (paper footnote 1), so the kernels'
+  // m = 64 case is pinned by SimdKernels, not by an ArrayCode digest.
+  EXPECT_THROW(ArrayCode(960, 64), std::invalid_argument);
 }
 
 }  // namespace

@@ -121,8 +121,10 @@ TEST(ReliabilityEngineSmoke, ScrubBlockAgreesWithCheckBlock) {
     util::BitMatrix data2 = data;
     ecc::ArrayCode code2 = code;
     const ecc::BlockRepair repair = code.scrub_block(data, {br, bc});
-    const ecc::DecodeResult decode = code2.codec().check_and_correct(
-        data2, br * m, bc * m, code2.check_bits_mutable({br, bc}));
+    ecc::CheckBits stored2 = code2.check_bits({br, bc});
+    const ecc::DecodeResult decode =
+        code2.codec().check_and_correct(data2, br * m, bc * m, stored2);
+    code2.set_check_bits({br, bc}, stored2);
     EXPECT_EQ(repair.status, decode.status);
     if (decode.data_error) {
       EXPECT_EQ(repair.data_r, br * m + decode.data_error->r);

@@ -628,5 +628,41 @@ TEST(ServeRegistry, CachesCircuitsProgramsAndMachines) {
   EXPECT_EQ(stats.machine_reuses, 1u);
 }
 
+TEST(ServeRegistry, MachinePoolIsBoundedAcrossDesignPoints) {
+  // A client cycling through distinct design points must not leave one
+  // idle machine per point behind forever.
+  serve::Registry registry;
+  for (std::size_t i = 1; i <= 100; ++i) {
+    auto lease = registry.acquire_machine(3 * i, 3);
+    EXPECT_EQ(lease.machine().n(), 3 * i);
+  }
+  EXPECT_LE(registry.pooled_machines(), serve::kMaxPooledMachines);
+  EXPECT_EQ(registry.stats().machine_builds, 100u);
+
+  // The most recently used points survive; the oldest were evicted.
+  { auto lease = registry.acquire_machine(300, 3); }
+  { auto lease = registry.acquire_machine(3, 3); }
+  EXPECT_EQ(registry.stats().machine_reuses, 1u);
+  EXPECT_EQ(registry.stats().machine_builds, 101u);
+
+  // One design point at more concurrent leases than the bound keeps every
+  // machine it returns: its own pool is never trimmed.
+  {
+    std::vector<serve::Registry::MachineLease> leases;
+    for (std::size_t i = 0; i < serve::kMaxPooledMachines + 4; ++i) {
+      leases.push_back(registry.acquire_machine(30, 3));
+    }
+  }
+  const std::uint64_t builds = registry.stats().machine_builds;
+  {
+    std::vector<serve::Registry::MachineLease> leases;
+    for (std::size_t i = 0; i < serve::kMaxPooledMachines + 4; ++i) {
+      leases.push_back(registry.acquire_machine(30, 3));
+    }
+  }
+  EXPECT_EQ(registry.stats().machine_builds, builds);
+  EXPECT_EQ(registry.pooled_machines(), serve::kMaxPooledMachines + 4);
+}
+
 }  // namespace
 }  // namespace pimecc

@@ -8,10 +8,12 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/array_code.hpp"
 #include "core/block_code.hpp"
+#include "core/geometry.hpp"
 #include "oracle/multislope_code.hpp"
 #include "oracle/reference_block_code.hpp"
 #include "oracle/reference_crossbar.hpp"
@@ -113,26 +115,101 @@ struct DirtyRows {
 
 constexpr std::size_t kKernelMs[] = {1, 3, 5, 7, 31, 33, 63, 64};
 
+/// The per-block loop the packed band kernel replaced, kept as its oracle:
+/// segment bc of band rows [r0, r0 + count) extracted and rotated one block
+/// at a time.
+std::uint64_t oracle_segment(const std::vector<std::vector<std::uint64_t>>& rows,
+                             std::size_t r0, std::size_t m, std::size_t bc,
+                             bool counter) {
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::size_t r = r0 + i;
+    const std::uint64_t seg =
+        ecc::diagword::extract(rows[i], bc * m, m);
+    acc ^= simd::rotl(seg, counter ? (m - r) % m : r, m);
+  }
+  return acc;
+}
+
+/// Random words with garbage above `bits` in the last word; exactly
+/// ceil(bits / 64) words, so a kernel reading past the row trips ASan.
+std::vector<std::uint64_t> dirty_words(std::size_t bits, Rng& rng) {
+  std::vector<std::uint64_t> words((bits + 63) / 64);
+  for (auto& w : words) w = rng.next();
+  return words;
+}
+
 TEST(SimdKernels, BandAccumulateMatchesScalarAtEveryLevel) {
+  // Every m the kernel accepts, segment counts around every lane width,
+  // whole bands and single-row steps (apply_line_delta's use), rows with
+  // tail garbage and exactly-sized allocations; each output segment checked
+  // against the old per-block loop, and the bits past the last segment
+  // required zero.
   Rng rng(0x51D'1001ull);
-  for (const std::size_t m : kKernelMs) {
-    for (const std::size_t bps : {1u, 3u, 4u, 5u, 8u, 9u, 16u, 17u}) {
-      const DirtyRows rows(m, bps * m, rng);
-      std::vector<std::uint64_t> lead_ref(bps), cnt_ref(bps);
-      simd::detail::band_accumulate_scalar(rows.ptrs.data(), m, bps,
-                                           lead_ref.data(), cnt_ref.data());
-      for (const simd::Level l : simd::available_levels()) {
-        std::vector<std::uint64_t> lead(bps, ~std::uint64_t{0});
-        std::vector<std::uint64_t> cnt(bps, ~std::uint64_t{0});
-        simd::kernels_for(l).band_accumulate(rows.ptrs.data(), m, bps,
-                                             lead.data(), cnt.data());
-        EXPECT_EQ(lead, lead_ref) << simd::to_string(l) << " m=" << m
-                                  << " bps=" << bps;
-        EXPECT_EQ(cnt, cnt_ref) << simd::to_string(l) << " m=" << m
-                                << " bps=" << bps;
+  for (std::size_t m = 1; m <= 64; ++m) {
+    for (const std::size_t bps : {1u, 3u, 4u, 5u, 8u, 9u, 16u, 17u, 68u}) {
+      const std::size_t bits = bps * m;
+      const std::vector<std::uint64_t> masks = simd::segment_masks(m, bps);
+      const simd::BandShape shape{m, (bits + 63) / 64, masks.data()};
+      ASSERT_EQ(masks.size(), m * shape.words);
+      const std::size_t one_row = rng.uniform_below(m);
+      for (const auto& [r0, count] :
+           {std::pair<std::size_t, std::size_t>{0, m}, {one_row, 1}}) {
+        std::vector<std::vector<std::uint64_t>> rows;
+        std::vector<const std::uint64_t*> ptrs;
+        for (std::size_t i = 0; i < count; ++i) {
+          rows.push_back(dirty_words(bits, rng));
+        }
+        for (const auto& row : rows) ptrs.push_back(row.data());
+        const std::vector<std::uint64_t> lead0 = dirty_words(bits, rng);
+        const std::vector<std::uint64_t> cnt0 = dirty_words(bits, rng);
+        for (const simd::Level l : simd::available_levels()) {
+          std::vector<std::uint64_t> lead = lead0;
+          std::vector<std::uint64_t> cnt = cnt0;
+          simd::kernels_for(l).band_accumulate(shape, ptrs.data(), r0, count,
+                                               lead.data(), cnt.data());
+          for (std::size_t bc = 0; bc < bps; ++bc) {
+            const std::uint64_t want_lead =
+                ecc::diagword::extract(lead0, bc * m, m) ^
+                oracle_segment(rows, r0, m, bc, false);
+            const std::uint64_t want_cnt =
+                ecc::diagword::extract(cnt0, bc * m, m) ^
+                oracle_segment(rows, r0, m, bc, true);
+            ASSERT_EQ(ecc::diagword::extract(lead, bc * m, m), want_lead)
+                << simd::to_string(l) << " m=" << m << " bps=" << bps
+                << " r0=" << r0 << " count=" << count << " bc=" << bc;
+            ASSERT_EQ(ecc::diagword::extract(cnt, bc * m, m), want_cnt)
+                << simd::to_string(l) << " m=" << m << " bps=" << bps
+                << " r0=" << r0 << " count=" << count << " bc=" << bc;
+          }
+          if (bits % 64 != 0) {
+            EXPECT_EQ(lead.back() >> (bits % 64), 0u)
+                << simd::to_string(l) << " m=" << m << " bps=" << bps;
+            EXPECT_EQ(cnt.back() >> (bits % 64), 0u)
+                << simd::to_string(l) << " m=" << m << " bps=" << bps;
+          }
+        }
       }
     }
   }
+}
+
+TEST(SimdKernels, SegmentMasksMarkOffsetsAtOrAboveK) {
+  for (const std::size_t m : kKernelMs) {
+    for (const std::size_t bps : {1u, 5u, 17u}) {
+      const std::vector<std::uint64_t> masks = simd::segment_masks(m, bps);
+      const std::size_t words = (bps * m + 63) / 64;
+      for (std::size_t k = 0; k < m; ++k) {
+        for (std::size_t p = 0; p < words * 64; ++p) {
+          const bool set = (masks[k * words + p / 64] >> (p % 64)) & 1u;
+          ASSERT_EQ(set, p < bps * m && p % m >= k)
+              << "m=" << m << " bps=" << bps << " k=" << k << " bit " << p;
+        }
+      }
+    }
+  }
+  EXPECT_THROW((void)simd::segment_masks(0, 4), std::invalid_argument);
+  EXPECT_THROW((void)simd::segment_masks(65, 4), std::invalid_argument);
 }
 
 TEST(SimdKernels, BlockPeelMatchesScalarAtEveryLevel) {
