@@ -24,7 +24,10 @@
 // campaign shard (n_eff = 510).
 // m = 63 exercises the single-word fast path in the SIMD kernels, and its
 // n_eff values (252, 504, 1008) keep a non-multiple-of-64 row width in the
-// grid so the tail-word masking stays covered.  Every timed configuration is
+// grid so the tail-word masking stays covered.  After the grid, m = 85 and
+// m = 255 at n_eff = 1020 time blocks whose rows span two and four words,
+// which every dispatch level hands to the scalar kernels.  Every timed
+// configuration is
 // first cross-checked at EVERY runtime dispatch level (scalar, AVX2, ...):
 // the fast engine's check bits and scrub report must equal the bit-serial
 // reference's, or the run exits non-zero.
@@ -34,13 +37,15 @@
 // (the two coincide on scalar-only hardware or under PIMECC_FORCE_SCALAR).
 //
 // Usage: bench_codec_throughput [--smoke] [--out=PATH]
-//   --smoke    fast CI configuration (n = 256, m in {3, 31, 63})
+//   --smoke    fast CI configuration (n = 256, m in {3, 31, 63}, then
+//              m = 85 at n_eff = 1020)
 //   --out=PATH where to write the JSON (default: BENCH_codec.json in cwd)
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/array_code.hpp"
@@ -97,6 +102,14 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> ms =
       smoke ? std::vector<std::size_t>{3, 31, 63}
             : std::vector<std::size_t>{3, 5, 7, 9, 15, 31, 63};
+  std::vector<std::pair<std::size_t, std::size_t>> configs;  // (n, m)
+  for (const std::size_t n : ns) {
+    for (const std::size_t m : ms) configs.emplace_back(n, m);
+  }
+  for (const std::size_t m : smoke ? std::vector<std::size_t>{85}
+                                   : std::vector<std::size_t>{85, 255}) {
+    configs.emplace_back(1024, m);
+  }
   const double min_seconds = smoke ? 0.02 : 0.2;
 
   namespace simd = util::simd;
@@ -112,130 +125,128 @@ int main(int argc, char** argv) {
   for (const simd::Level level : levels) json.item(simd::to_string(level));
   json.end().array("configs");
   std::array<Rates, kPaths.size()> largest;
-  for (const std::size_t n : ns) {
-    for (const std::size_t m : ms) {
-      const std::size_t bps = n / m;
-      const std::size_t n_eff = bps * m;
-      util::Rng rng(0xC0DEC'BE7Cull ^ (n * 131) ^ m);
-      util::BitMatrix data = util::random_bit_matrix(n_eff, n_eff, rng);
+  for (const auto& [n, m] : configs) {
+    const std::size_t bps = n / m;
+    const std::size_t n_eff = bps * m;
+    util::Rng rng(0xC0DEC'BE7Cull ^ (n * 131) ^ m);
+    util::BitMatrix data = util::random_bit_matrix(n_eff, n_eff, rng);
 
-      ArrayCode code(n_eff, m);
-      const ReferenceBlockCodec ref(m);
-      std::vector<CheckBits> ref_stored(bps * bps, CheckBits(m));
+    ArrayCode code(n_eff, m);
+    const ReferenceBlockCodec ref(m);
+    std::vector<CheckBits> ref_stored(bps * bps, CheckBits(m));
 
-      // Cross-check before timing, at every dispatch level the CPU offers:
-      // the fast engine's check bits must agree with the bit-serial
-      // reference's, and a clean scrub must report every block clean.
-      for (std::size_t br = 0; br < bps; ++br) {
-        for (std::size_t bc = 0; bc < bps; ++bc) {
-          ref_stored[br * bps + bc] = ref.encode(data, br * m, bc * m);
-        }
+    // Cross-check before timing, at every dispatch level the CPU offers:
+    // the fast engine's check bits must agree with the bit-serial
+    // reference's, and a clean scrub must report every block clean.
+    for (std::size_t br = 0; br < bps; ++br) {
+      for (std::size_t bc = 0; bc < bps; ++bc) {
+        ref_stored[br * bps + bc] = ref.encode(data, br * m, bc * m);
       }
-      const ScrubReport ref_clean = reference_scrub(ref, data, ref_stored, bps);
-      for (const simd::Level level : levels) {
-        simd::set_level(level);
-        code.encode_all(data);
-        bool encode_ok = true;
-        for (std::size_t b = 0; b < bps * bps && encode_ok; ++b) {
-          encode_ok = ref_stored[b] == code.check_bits({b / bps, b % bps});
-        }
-        const std::string at = std::string(" at level ") +
-                               simd::to_string(level) + " n_eff=" +
-                               std::to_string(n_eff) + " m=" + std::to_string(m);
-        gates.check(encode_ok, "encode" + at);
-        const ScrubReport fast_clean = code.scrub(data);
-        gates.check(fast_clean == ref_clean && fast_clean.clean == bps * bps,
-                    "scrub" + at);
-        data.flip(n_eff - 1, n_eff / 2);
-        const bool flipped_consistent = code.consistent_with(data);
-        data.flip(n_eff - 1, n_eff / 2);
-        gates.check(code.consistent_with(data) && !flipped_consistent,
-                    "consistent_with" + at);
-      }
-      simd::set_level(native_level);
-
-      // The syndrome pass times compute_syndrome alone: both engines read
-      // their stored check bits from a per-block vector, as the reference
-      // keeps them.
-      code.encode_all(data);
-      std::vector<CheckBits> fast_stored;
-      for (std::size_t b = 0; b < bps * bps; ++b) {
-        fast_stored.push_back(code.check_bits({b / bps, b % bps}));
-      }
-      const ecc::BlockCodec& fast_codec = code.codec();
-      const std::array<Passes, kPaths.size()> passes = {{
-          {[&] {
-             for (std::size_t b = 0; b < bps * bps; ++b) {
-               ref_stored[b] = ref.encode(data, b / bps * m, b % bps * m);
-             }
-           },
-           [&] { code.encode_all(data); }},
-          {[&] { (void)reference_scrub(ref, data, ref_stored, bps); },
-           [&] { (void)code.scrub(data); }},
-          {[&] {
-             for (std::size_t b = 0; b < bps * bps; ++b) {
-               (void)ref.compute_syndrome(data, b / bps * m, b % bps * m,
-                                          ref_stored[b]);
-             }
-           },
-           [&] {
-             for (std::size_t b = 0; b < bps * bps; ++b) {
-               (void)fast_codec.compute_syndrome(data, b / bps * m,
-                                                 b % bps * m, fast_stored[b]);
-             }
-           }},
-          {[&] {
-             bool same = true;
-             for (std::size_t b = 0; b < bps * bps && same; ++b) {
-               same = ref.encode(data, b / bps * m, b % bps * m) == ref_stored[b];
-             }
-             gates.check(same, "reference consistency");
-           },
-           [&] { gates.check(code.consistent_with(data), "consistent_with"); }},
-      }};
-      auto cells_per_sec = [&](const std::function<void()>& pass) {
-        return bench::measure_rate(min_seconds, [&] {
-          pass();
-          return n_eff * n_eff;
-        });
-      };
-      std::array<Rates, kPaths.size()> rates;
-      for (std::size_t p = 0; p < kPaths.size(); ++p) {
-        rates[p].reference = cells_per_sec(passes[p].reference);
-      }
-      // Time the word-parallel engine twice: once pinned to the scalar
-      // kernel table, once at the widest SIMD level.  The engines route
-      // every hot loop through util::simd::kernels(), so set_level swaps
-      // the machinery under the same ArrayCode object.
-      simd::set_level(simd::Level::kScalar);
-      for (std::size_t p = 0; p < kPaths.size(); ++p) {
-        rates[p].scalar = cells_per_sec(passes[p].fast);
-      }
-      simd::set_level(native_level);
-      for (std::size_t p = 0; p < kPaths.size(); ++p) {
-        rates[p].simd = native_level == simd::Level::kScalar
-                            ? rates[p].scalar
-                            : cells_per_sec(passes[p].fast);
-      }
-
-      std::cout << "n=" << n_eff << " m=" << m << " ("
-                << simd::to_string(native_level) << " vs reference, vs scalar):";
-      json.object().field("n", n).field("n_eff", n_eff).field("m", m);
-      for (std::size_t p = 0; p < kPaths.size(); ++p) {
-        std::cout << " " << kPaths[p] << " " << fmt(rates[p].speedup()) << "x "
-                  << fmt(rates[p].simd_vs_scalar()) << "x";
-        json.object(kPaths[p])
-            .field("reference_cells_per_sec", rates[p].reference)
-            .field("scalar_cells_per_sec", rates[p].scalar)
-            .field("simd_cells_per_sec", rates[p].simd)
-            .field("speedup", rates[p].speedup())
-            .field("simd_vs_scalar", rates[p].simd_vs_scalar())
-            .end();
-      }
-      std::cout << "\n";
-      json.end();
-      largest = rates;
     }
+    const ScrubReport ref_clean = reference_scrub(ref, data, ref_stored, bps);
+    for (const simd::Level level : levels) {
+      simd::set_level(level);
+      code.encode_all(data);
+      bool encode_ok = true;
+      for (std::size_t b = 0; b < bps * bps && encode_ok; ++b) {
+        encode_ok = ref_stored[b] == code.check_bits({b / bps, b % bps});
+      }
+      const std::string at = std::string(" at level ") +
+                             simd::to_string(level) + " n_eff=" +
+                             std::to_string(n_eff) + " m=" + std::to_string(m);
+      gates.check(encode_ok, "encode" + at);
+      const ScrubReport fast_clean = code.scrub(data);
+      gates.check(fast_clean == ref_clean && fast_clean.clean == bps * bps,
+                  "scrub" + at);
+      data.flip(n_eff - 1, n_eff / 2);
+      const bool flipped_consistent = code.consistent_with(data);
+      data.flip(n_eff - 1, n_eff / 2);
+      gates.check(code.consistent_with(data) && !flipped_consistent,
+                  "consistent_with" + at);
+    }
+    simd::set_level(native_level);
+
+    // The syndrome pass times compute_syndrome alone: both engines read
+    // their stored check bits from a per-block vector, as the reference
+    // keeps them.
+    code.encode_all(data);
+    std::vector<CheckBits> fast_stored;
+    for (std::size_t b = 0; b < bps * bps; ++b) {
+      fast_stored.push_back(code.check_bits({b / bps, b % bps}));
+    }
+    const ecc::BlockCodec& fast_codec = code.codec();
+    const std::array<Passes, kPaths.size()> passes = {{
+        {[&] {
+           for (std::size_t b = 0; b < bps * bps; ++b) {
+             ref_stored[b] = ref.encode(data, b / bps * m, b % bps * m);
+           }
+         },
+         [&] { code.encode_all(data); }},
+        {[&] { (void)reference_scrub(ref, data, ref_stored, bps); },
+         [&] { (void)code.scrub(data); }},
+        {[&] {
+           for (std::size_t b = 0; b < bps * bps; ++b) {
+             (void)ref.compute_syndrome(data, b / bps * m, b % bps * m,
+                                        ref_stored[b]);
+           }
+         },
+         [&] {
+           for (std::size_t b = 0; b < bps * bps; ++b) {
+             (void)fast_codec.compute_syndrome(data, b / bps * m,
+                                               b % bps * m, fast_stored[b]);
+           }
+         }},
+        {[&] {
+           bool same = true;
+           for (std::size_t b = 0; b < bps * bps && same; ++b) {
+             same = ref.encode(data, b / bps * m, b % bps * m) == ref_stored[b];
+           }
+           gates.check(same, "reference consistency");
+         },
+         [&] { gates.check(code.consistent_with(data), "consistent_with"); }},
+    }};
+    auto cells_per_sec = [&](const std::function<void()>& pass) {
+      return bench::measure_rate(min_seconds, [&] {
+        pass();
+        return n_eff * n_eff;
+      });
+    };
+    std::array<Rates, kPaths.size()> rates;
+    for (std::size_t p = 0; p < kPaths.size(); ++p) {
+      rates[p].reference = cells_per_sec(passes[p].reference);
+    }
+    // Time the word-parallel engine twice: once pinned to the scalar
+    // kernel table, once at the widest SIMD level.  The engines route
+    // every hot loop through util::simd::kernels(), so set_level swaps
+    // the machinery under the same ArrayCode object.
+    simd::set_level(simd::Level::kScalar);
+    for (std::size_t p = 0; p < kPaths.size(); ++p) {
+      rates[p].scalar = cells_per_sec(passes[p].fast);
+    }
+    simd::set_level(native_level);
+    for (std::size_t p = 0; p < kPaths.size(); ++p) {
+      rates[p].simd = native_level == simd::Level::kScalar
+                          ? rates[p].scalar
+                          : cells_per_sec(passes[p].fast);
+    }
+
+    std::cout << "n=" << n_eff << " m=" << m << " ("
+              << simd::to_string(native_level) << " vs reference, vs scalar):";
+    json.object().field("n", n).field("n_eff", n_eff).field("m", m);
+    for (std::size_t p = 0; p < kPaths.size(); ++p) {
+      std::cout << " " << kPaths[p] << " " << fmt(rates[p].speedup()) << "x "
+                << fmt(rates[p].simd_vs_scalar()) << "x";
+      json.object(kPaths[p])
+          .field("reference_cells_per_sec", rates[p].reference)
+          .field("scalar_cells_per_sec", rates[p].scalar)
+          .field("simd_cells_per_sec", rates[p].simd)
+          .field("speedup", rates[p].speedup())
+          .field("simd_vs_scalar", rates[p].simd_vs_scalar())
+          .end();
+    }
+    std::cout << "\n";
+    json.end();
+    if (n == ns.back() && m == ms.back()) largest = rates;
   }
   json.end();
 

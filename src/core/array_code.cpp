@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -12,31 +13,6 @@
 namespace pimecc::ecc {
 
 namespace {
-
-/// Row word-pointer table for the dispatched kernels: rows
-/// [row0, row0 + m) of `data`.  m <= diagword::kMaxM == 64.
-std::array<const std::uint64_t*, diagword::kMaxM> row_ptrs(
-    const util::BitMatrix& data, std::size_t row0, std::size_t m) {
-  std::array<const std::uint64_t*, diagword::kMaxM> ptrs;
-  const std::span<const util::BitVector> rows = data.rows_span();
-  for (std::size_t r = 0; r < m; ++r) ptrs[r] = rows[row0 + r].words().data();
-  return ptrs;
-}
-
-/// XORs the low m bits of `value` into bits [bit0, bit0 + m) of a packed
-/// row (m <= 64; the range lies within the row).
-void xor_segment(std::uint64_t* words, std::size_t bit0, std::size_t m,
-                 std::uint64_t value) {
-  const std::size_t wi = bit0 / 64;
-  const unsigned shift = static_cast<unsigned>(bit0 % 64);
-  words[wi] ^= value << shift;
-  if (shift != 0 && shift + m > 64) words[wi + 1] ^= value >> (64u - shift);
-}
-
-std::uint64_t segment(const std::uint64_t* words, std::size_t words_per_row,
-                      std::size_t bit0, std::size_t m) {
-  return diagword::extract({words, words_per_row}, bit0, m);
-}
 
 bool get_bit(const std::uint64_t* words, std::size_t p) {
   return ((words[p / 64] >> (p % 64)) & 1u) != 0;
@@ -49,34 +25,50 @@ void flip_bit(std::uint64_t* words, std::size_t p) {
 /// Segment offset of counter diagonal i in the pre-reflection counter row.
 std::size_t pre_reflection(std::size_t i, std::size_t m) { return (m - i) % m; }
 
-/// One syndrome word as the flag count (saturated at 2, which spares the
-/// clean blocks a popcount) and first flag of its axis.
-detail::AxisFlags flags(std::uint64_t syndrome) {
-  const std::size_t count =
-      syndrome == 0 ? 0 : ((syndrome & (syndrome - 1)) == 0 ? 1 : 2);
-  return {count, static_cast<std::size_t>(std::countr_zero(syndrome))};
+/// The m-bit syndrome segment at bit0 of a packed row, XOR a peel's
+/// ceil(m/64) words when `peel` is given, as its flag count (saturated at
+/// 2, which spares the clean blocks a popcount) and first flag.  A
+/// `counter` segment is pre-reflection, so its first flag at offset j is
+/// diagonal (m - j) mod m -- the rule reads `first` only when the count is 1.
+inline detail::AxisFlags flags(const std::uint64_t* row, std::size_t bit0,
+                               const std::uint64_t* peel, std::size_t m,
+                               bool counter) {
+  detail::AxisFlags f;
+  for (std::size_t i = 0; i < m && f.count < 2; i += 64) {
+    const std::uint64_t v =
+        util::simd::extract(row, bit0 + i, std::min<std::size_t>(64, m - i)) ^
+        (peel != nullptr ? peel[i / 64] : 0);
+    if (v == 0) continue;
+    if (f.count == 0) f.first = i + static_cast<std::size_t>(std::countr_zero(v));
+    f.count += (v & (v - 1)) == 0 ? 1 : 2;
+  }
+  f.count = std::min<std::size_t>(f.count, 2);
+  if (counter && f.first != 0) f.first = m - f.first;
+  return f;
 }
 
-/// Two packed rows of scratch for one band's syndrome: on the stack up to
-/// n = 4096 (the serve cap), on the heap above.
-class BandRows {
- public:
-  explicit BandRows(std::size_t words) {
-    if (words > kStackWords) heap_.resize(2 * words);
-    lead = words > kStackWords ? heap_.data() : stack_.data();
-    cnt = lead + words;
+/// band_accumulate of all m rows of each of `data`'s block-rows [band0,
+/// band0 + bands) into consecutive packed rows from lead / cnt on, fed 64
+/// rows at a time so the pointer table stays on the stack for any m.
+void accumulate_bands(const util::simd::BandShape& shape,
+                      const util::BitMatrix& data, std::size_t band0,
+                      std::size_t bands, std::uint64_t* lead,
+                      std::uint64_t* cnt) {
+  const std::span<const util::BitVector> rows = data.rows_span();
+  std::array<const std::uint64_t*, 64> ptrs;
+  for (std::size_t b = 0; b < bands; ++b) {
+    const std::size_t row0 = (band0 + b) * shape.m;
+    for (std::size_t r0 = 0; r0 < shape.m; r0 += ptrs.size()) {
+      const std::size_t count = std::min(ptrs.size(), shape.m - r0);
+      for (std::size_t i = 0; i < count; ++i) {
+        ptrs[i] = rows[row0 + r0 + i].words().data();
+      }
+      util::simd::kernels().band_accumulate(shape, ptrs.data(), r0, count,
+                                            lead + b * shape.words,
+                                            cnt + b * shape.words);
+    }
   }
-  BandRows(const BandRows&) = delete;
-  BandRows& operator=(const BandRows&) = delete;
-
-  std::uint64_t* lead;
-  std::uint64_t* cnt;
-
- private:
-  static constexpr std::size_t kStackWords = 64;
-  std::array<std::uint64_t, 2 * kStackWords> stack_;
-  std::vector<std::uint64_t> heap_;
-};
+}
 
 }  // namespace
 
@@ -87,9 +79,7 @@ ArrayCode::ArrayCode(std::size_t n, std::size_t m)
   }
   lead_.assign(blocks_per_side() * words_, 0);
   cnt_.assign(blocks_per_side() * words_, 0);
-  if (m <= diagword::kMaxM) {
-    masks_ = util::simd::segment_masks(m, blocks_per_side());
-  }
+  masks_ = util::simd::segment_masks(m, blocks_per_side());
 }
 
 std::size_t ArrayCode::flat_index(BlockIndex b) const {
@@ -151,54 +141,23 @@ void ArrayCode::set_check_bits(BlockIndex b, const CheckBits& bits) {
   }
 }
 
-void ArrayCode::accumulate(const std::uint64_t* const* rows, std::size_t r0,
-                           std::size_t count, std::uint64_t* lead,
-                           std::uint64_t* cnt) const {
-  const util::simd::BandShape shape{m(), words_, masks_.data()};
-  util::simd::kernels().band_accumulate(shape, rows, r0, count, lead, cnt);
-}
-
 void ArrayCode::encode_all(const util::BitMatrix& data) {
   require_shape(data);
-  const std::size_t mm = m();
-  const std::size_t bps = blocks_per_side();
-  if (mm > diagword::kMaxM) {
-    for (std::size_t br = 0; br < bps; ++br) {
-      for (std::size_t bc = 0; bc < bps; ++bc) {
-        set_check_bits({br, bc}, codec_.encode(data, br * mm, bc * mm));
-      }
-    }
-    return;
-  }
   std::fill(lead_.begin(), lead_.end(), 0);
   std::fill(cnt_.begin(), cnt_.end(), 0);
-  for (std::size_t br = 0; br < bps; ++br) {
-    accumulate(row_ptrs(data, br * mm, mm).data(), 0, mm, lead_row(br),
-               cnt_row(br));
-  }
+  accumulate_bands(shape(), data, 0, blocks_per_side(), lead_.data(),
+                   cnt_.data());
 }
 
 void ArrayCode::apply_band_delta(std::size_t band,
                                  const std::uint64_t* const* delta_rows) {
-  const std::size_t mm = m();
   if (band >= blocks_per_side()) {
     throw std::out_of_range("ArrayCode::apply_band_delta: band out of range");
   }
-  if (mm <= diagword::kMaxM) {
-    // Parity is linear: the check rows of (old XOR delta) are the stored
-    // rows XOR the parity of the delta slab itself.
-    accumulate(delta_rows, 0, mm, lead_row(band), cnt_row(band));
-    return;
-  }
-  // Bit-serial fallback: one continuous-parity update per changed cell.
-  for (std::size_t r = 0; r < mm; ++r) {
-    for (std::size_t w = 0; w < words_; ++w) {
-      for (std::uint64_t bits = delta_rows[r][w]; bits != 0; bits &= bits - 1) {
-        flip_cell(band * mm + r,
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      }
-    }
-  }
+  // Parity is linear: the check rows of (old XOR delta) are the stored
+  // rows XOR the parity of the delta slab itself.
+  util::simd::kernels().band_accumulate(shape(), delta_rows, 0, m(),
+                                        lead_row(band), cnt_row(band));
 }
 
 void ArrayCode::flip_cell(std::size_t r, std::size_t c) {
@@ -256,36 +215,33 @@ void ArrayCode::band_syndrome(const util::BitMatrix& data, std::size_t band,
                               std::uint64_t* lead, std::uint64_t* cnt) const {
   std::copy_n(lead_row(band), words_, lead);
   std::copy_n(cnt_row(band), words_, cnt);
-  accumulate(row_ptrs(data, band * m(), m()).data(), 0, m(), lead, cnt);
+  accumulate_bands(shape(), data, band, 1, lead, cnt);
 }
 
 void ArrayCode::scrub_whole_band(util::BitMatrix& data, std::size_t band,
                                  ScrubReport& report) {
   const std::size_t mm = m();
   const std::size_t bps = blocks_per_side();
-  if (mm > diagword::kMaxM) {
-    for (std::size_t bc = 0; bc < bps; ++bc) scrub_one(data, {band, bc}, report);
-    return;
-  }
-  BandRows syndrome(words_);
-  band_syndrome(data, band, syndrome.lead, syndrome.cnt);
+  detail::Scratch<std::uint64_t, 128> syndrome(2 * words_);
+  std::uint64_t* lead = syndrome.data();
+  std::uint64_t* cnt = lead + words_;
+  band_syndrome(data, band, lead, cnt);
   // Only blocks with a nonzero syndrome segment need a verdict; blocks are
   // disjoint, so repairing one cannot change another's syndrome.
   std::size_t decoded = 0;
   std::size_t next_bit = 0;  // first bit of the first block not yet decoded
   for (std::size_t w = 0; w < words_; ++w) {
-    for (std::uint64_t any = syndrome.lead[w] | syndrome.cnt[w]; any != 0;
-         any &= any - 1) {
+    for (std::uint64_t any = lead[w] | cnt[w]; any != 0; any &= any - 1) {
       const std::size_t p =
           w * 64 + static_cast<std::size_t>(std::countr_zero(any));
       if (p < next_bit) continue;
       const std::size_t bc = p / mm;
       next_bit = (bc + 1) * mm;
-      const std::uint64_t lead = segment(syndrome.lead, words_, bc * mm, mm);
-      const std::uint64_t cnt = diagword::reflect(
-          segment(syndrome.cnt, words_, bc * mm, mm), mm);
       repair(data, {band, bc},
-             detail::decode(codec_.geometry(), flags(lead), flags(cnt)), report);
+             detail::decode(codec_.geometry(),
+                            flags(lead, bc * mm, nullptr, mm, false),
+                            flags(cnt, bc * mm, nullptr, mm, true)),
+             report);
       ++decoded;
     }
   }
@@ -296,22 +252,18 @@ void ArrayCode::scrub_whole_band(util::BitMatrix& data, std::size_t band,
 BlockRepair ArrayCode::scrub_one(util::BitMatrix& data, BlockIndex b,
                                  ScrubReport& report) {
   const std::size_t mm = m();
-  const std::size_t row0 = b.block_row * mm;
+  const std::size_t words = (mm + 63) / 64;
   const std::size_t bit0 = b.block_col * mm;
-  if (mm > diagword::kMaxM) {
-    const Syndrome syndrome =
-        codec_.compute_syndrome(data, row0, bit0, check_bits(b));
-    return repair(data, b, codec_.classify(syndrome), report);
-  }
-  std::uint64_t lead = 0;
-  std::uint64_t cnt = 0;
-  util::simd::kernels().block_peel(row_ptrs(data, row0, mm).data(), mm, bit0,
-                                   &lead, &cnt);
-  lead ^= segment(lead_row(b.block_row), words_, bit0, mm);
-  cnt = diagword::reflect(cnt ^ segment(cnt_row(b.block_row), words_, bit0, mm),
-                          mm);
-  return repair(data, b, detail::decode(codec_.geometry(), flags(lead), flags(cnt)),
-                report);
+  detail::Scratch<std::uint64_t, 2> syndrome(2 * words);
+  std::uint64_t* lead = syndrome.data();
+  std::uint64_t* cnt = lead + words;
+  codec_.peel(data, b.block_row * mm, bit0, lead, cnt);
+  return repair(
+      data, b,
+      detail::decode(codec_.geometry(),
+                     flags(lead_row(b.block_row), bit0, lead, mm, false),
+                     flags(cnt_row(b.block_row), bit0, cnt, mm, true)),
+      report);
 }
 
 BlockRepair ArrayCode::repair(util::BitMatrix& data, BlockIndex b,
@@ -353,51 +305,44 @@ void ArrayCode::apply_line_delta(bool line_is_column, std::size_t line,
   const std::size_t mm = m();
   const std::size_t band = line / mm;
   const std::size_t rem = line % mm;
-  if (mm > diagword::kMaxM) {
-    // Bit-serial fallback: one continuous-parity update per changed cell.
-    for (std::size_t i = delta.find_first(); i < n_; i = delta.find_next(i)) {
-      flip_cell(line_is_column ? i : line, line_is_column ? line : i);
-    }
-    return;
-  }
   if (!line_is_column) {
     // A written row is row `rem` of its band: one band_accumulate step.
     const std::uint64_t* row = delta.words().data();
-    accumulate(&row, rem, 1, lead_row(band), cnt_row(band));
+    util::simd::kernels().band_accumulate(shape(), &row, rem, 1,
+                                          lead_row(band), cnt_row(band));
     return;
   }
   // A written column crosses every band: its segment in band g is the
-  // column of block (g, band) at offset rem -- cell (r, rem) sits on
-  // leading diagonal r + rem and pre-reflection counter offset rem - r.
-  const std::span<const std::uint64_t> words = delta.words();
-  for (std::size_t g = 0; g < blocks_per_side(); ++g) {
-    const std::uint64_t dseg = diagword::extract(words, g * mm, mm);
-    if (dseg == 0) continue;
-    xor_segment(lead_row(g), band * mm, mm, diagword::rotl(dseg, rem, mm));
-    xor_segment(cnt_row(g), band * mm, mm,
-                diagword::rotl(diagword::reflect(dseg, mm), rem, mm));
+  // column of block (g, band) at offset rem.  Cell (r, rem) sits on leading
+  // diagonal (r + rem) mod m and at pre-reflection counter offset
+  // (rem - r) mod m: simd::xor_rotated by rem, plain and reflected, with
+  // each piece's landing offsets shared by every band.
+  const std::uint64_t* d = delta.words().data();
+  const std::size_t bps = blocks_per_side();
+  for (std::size_t i = 0; i < mm; i += 64) {
+    const std::size_t len = std::min<std::size_t>(64, mm - i);
+    const std::size_t lead_at = i + rem < mm ? i + rem : i + rem - mm;
+    std::size_t cnt_at = rem + 1 + mm - i - len;
+    if (cnt_at >= mm) cnt_at -= mm;
+    for (std::size_t g = 0; g < bps; ++g) {
+      const std::uint64_t v = util::simd::extract(d, g * mm + i, len);
+      util::simd::xor_wrapped(lead_row(g), band * mm, mm, lead_at, v, len);
+      util::simd::xor_wrapped(cnt_row(g), band * mm, mm, cnt_at,
+                              util::simd::bit_reverse(v) >> (64 - len), len);
+    }
   }
 }
 
 bool ArrayCode::consistent_with(const util::BitMatrix& data) const {
   require_shape(data);
-  const std::size_t mm = m();
+  detail::Scratch<std::uint64_t, 128> syndrome(2 * words_);
+  std::uint64_t* lead = syndrome.data();
+  std::uint64_t* cnt = lead + words_;
   const std::size_t bps = blocks_per_side();
-  if (mm > diagword::kMaxM) {
-    for (std::size_t br = 0; br < bps; ++br) {
-      for (std::size_t bc = 0; bc < bps; ++bc) {
-        if (!(codec_.encode(data, br * mm, bc * mm) == check_bits({br, bc}))) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-  BandRows syndrome(words_);
   for (std::size_t br = 0; br < bps; ++br) {
-    band_syndrome(data, br, syndrome.lead, syndrome.cnt);
+    band_syndrome(data, br, lead, cnt);
     for (std::size_t w = 0; w < words_; ++w) {
-      if ((syndrome.lead[w] | syndrome.cnt[w]) != 0) return false;
+      if ((lead[w] | cnt[w]) != 0) return false;
     }
   }
   return true;

@@ -11,6 +11,8 @@
 // at bits [bc*m, bc*m + m).  The counter row holds each block's counter
 // parities pre-reflection (diagonal i at segment offset (m - i) mod m), the
 // order the band kernel produces them in; check_bits() reflects them back.
+// Every odd m takes the same packed path: a segment wider than one 64-bit
+// word rotates as s / 64 words plus s % 64 bits (util/simd).
 #pragma once
 
 #include <cstddef>
@@ -19,6 +21,7 @@
 
 #include "core/block_code.hpp"
 #include "util/bitmatrix.hpp"
+#include "util/simd.hpp"
 
 namespace pimecc::ecc {
 
@@ -92,9 +95,9 @@ class ArrayCode {
   /// bad block and std::invalid_argument unless both families have m bits.
   void set_check_bits(BlockIndex b, const CheckBits& bits);
 
-  /// Recomputes every block's check bits from `data` (n x n).  Band path
-  /// (m <= diagword::kMaxM): one band_accumulate per band assigns its two
-  /// packed rows, O(m * n/64) word ops per band instead of m*n bit reads.
+  /// Recomputes every block's check bits from `data` (n x n): one
+  /// band_accumulate per band assigns its two packed rows, O(m * n/64) word
+  /// ops per band instead of m*n bit reads.
   void encode_all(const util::BitMatrix& data);
 
   /// Continuous update for a batch of cell writes (one parallel MAGIC
@@ -138,14 +141,14 @@ class ArrayCode {
   /// BitVector padding invariant).  Parity is linear, so the band's packed
   /// rows are XORed with the encode of the slab -- the same band_accumulate
   /// as encode_all, one pass for any number of changed lines (a wide
-  /// batched init).  Bit-serial per changed cell for m > diagword::kMaxM.
-  /// Throws std::out_of_range on a bad band before mutating any parity.
+  /// batched init).  Throws std::out_of_range on a bad band before mutating
+  /// any parity.
   void apply_band_delta(std::size_t band,
                         const std::uint64_t* const* delta_rows);
 
   /// True iff every check bit matches `data` exactly: one band_accumulate
-  /// per band into stack scratch, compared word by word.  Const and
-  /// thread-safe.
+  /// per band into scratch (on the stack up to n = 4096), compared word by
+  /// word.  Const and thread-safe.
   [[nodiscard]] bool consistent_with(const util::BitMatrix& data) const;
 
   /// Section III invariant: within any single row-parallel or
@@ -170,27 +173,26 @@ class ArrayCode {
   [[nodiscard]] const std::uint64_t* cnt_row(std::size_t band) const noexcept {
     return cnt_.data() + band * words_;
   }
-  /// band_accumulate of `count` rows starting at band row r0 into block-row
-  /// `band`'s two packed rows (or any two rows of the same layout).
-  void accumulate(const std::uint64_t* const* rows, std::size_t r0,
-                  std::size_t count, std::uint64_t* lead,
-                  std::uint64_t* cnt) const;
+  /// The packed rows' layout for the band kernel.
+  [[nodiscard]] util::simd::BandShape shape() const noexcept {
+    return {m(), words_, masks_.data()};
+  }
   /// Stored rows of `band` XOR the parity of its data rows: the band's
-  /// syndrome, into `lead`/`cnt` (words_ words each).  m <= kMaxM.
+  /// syndrome, into `lead`/`cnt` (words_ words each).
   void band_syndrome(const util::BitMatrix& data, std::size_t band,
                      std::uint64_t* lead, std::uint64_t* cnt) const;
-  /// Continuous-parity update for one changed cell (absolute r, c).
+  /// Continuous-parity update for one changed cell (absolute r, c); only
+  /// apply_writes flips single cells.
   void flip_cell(std::size_t r, std::size_t c);
   /// Flips one stored check bit; block and index already validated.
   void flip_stored(BlockIndex b, bool leading, std::size_t index);
   /// The row-band walk of the scrubs: checks and corrects every block of
-  /// block-row `band` (shape and band already validated).  For m <=
-  /// diagword::kMaxM it decodes only the nonzero segments of the band's
-  /// syndrome through detail::decode; above, one scrub_one per block.
+  /// block-row `band` (shape and band already validated), decoding only the
+  /// nonzero segments of the band's syndrome through detail::decode.
   void scrub_whole_band(util::BitMatrix& data, std::size_t band,
                         ScrubReport& report);
-  /// One per-block repair (block-column scrubs, scrub_block): block_peel
-  /// for m <= diagword::kMaxM, the codec's bit-serial syndrome above.
+  /// One per-block repair (block-column scrubs, scrub_block): the codec's
+  /// block_peel XOR the block's stored segments, decoded.
   BlockRepair scrub_one(util::BitMatrix& data, BlockIndex b,
                         ScrubReport& report);
   /// Applies `verdict` to block b in place (data bit in `data`, check bit
@@ -205,7 +207,7 @@ class ArrayCode {
   // holds the leading parities, cnt_ the pre-reflection counter parities.
   std::vector<std::uint64_t> lead_;
   std::vector<std::uint64_t> cnt_;
-  // simd::segment_masks(m, blocks_per_side()) (empty for m > kMaxM).
+  // simd::segment_masks(m, blocks_per_side()): m rows of words_ words.
   std::vector<std::uint64_t> masks_;
 };
 

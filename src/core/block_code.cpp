@@ -1,6 +1,5 @@
 #include "core/block_code.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "util/simd.hpp"
@@ -19,32 +18,14 @@ CheckBits BlockCodec::encode(const util::BitMatrix& data, std::size_t row0,
   require_window(data, row0, col0);
   const std::size_t mm = m();
   CheckBits check(mm);
-  if (mm > diagword::kMaxM) {
-    // Bit-serial fallback for blocks wider than one word (matches
-    // ReferenceBlockCodec::encode).
-    for (std::size_t r = 0; r < mm; ++r) {
-      for (std::size_t c = 0; c < mm; ++c) {
-        if (data.get(row0 + r, col0 + c)) {
-          check.leading.flip(geometry_.leading(r, c));
-          check.counter.flip(geometry_.counter(r, c));
-        }
-      }
-    }
-    return check;
-  }
   // Rotate-and-XOR accumulation over row words: row r contributes
   // rotl(seg, r) to the leading parities (bit c -> (r + c) mod m) and
   // rotr(seg, r) to a pre-reflection counter accumulator, reflected once
   // per block (bit c -> (r - c) mod m); see diagword in core/geometry.
-  // The peel is dispatched (scalar/AVX2/AVX-512 by CPU).
-  const std::span<const util::BitVector> rows = data.rows_span();
-  std::array<const std::uint64_t*, diagword::kMaxM> ptrs;
-  for (std::size_t r = 0; r < mm; ++r) ptrs[r] = rows[row0 + r].words().data();
-  std::uint64_t lead = 0;
-  std::uint64_t cnt = 0;
-  util::simd::kernels().block_peel(ptrs.data(), mm, col0, &lead, &cnt);
-  check.leading.set_low_word(lead);
-  check.counter.set_low_word(diagword::reflect(cnt, mm));
+  detail::Scratch<std::uint64_t, 1> cnt((mm + 63) / 64);
+  peel(data, row0, col0, check.leading.words_mutable().data(), cnt.data());
+  util::simd::xor_rotated(check.counter.words_mutable().data(), 0, cnt.data(),
+                          0, mm, 0, true);
   return check;
 }
 

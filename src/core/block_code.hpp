@@ -11,8 +11,12 @@
 // identifies the check bit itself.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/geometry.hpp"
 #include "util/bitmatrix.hpp"
@@ -110,6 +114,24 @@ struct AxisFlags {
   return result;
 }
 
+/// `size` elements of scratch, on the stack up to kStack: only blocks
+/// wider than a word, or rows past the serve cap, reach the heap.
+template <typename T, std::size_t kStack>
+class Scratch {
+ public:
+  explicit Scratch(std::size_t size) {
+    if (size > kStack) data_ = (heap_.resize(size), heap_.data());
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  [[nodiscard]] T* data() noexcept { return data_; }
+
+ private:
+  std::array<T, kStack> stack_;
+  std::vector<T> heap_;
+  T* data_ = stack_.data();
+};
+
 }  // namespace detail
 
 /// Encoder/decoder for one block size m (odd).
@@ -119,8 +141,9 @@ struct AxisFlags {
 /// (row0, col0).
 ///
 /// This is the word-parallel production codec: parities are accumulated by
-/// rotate-and-XOR over BitMatrix row words (O(m) word ops per block instead
-/// of m*m bit reads; see diagword in core/geometry).  It must match the
+/// rotate-and-XOR over BitMatrix row words (O(m * ceil(m/64)) word ops per
+/// block instead of m*m bit reads, for every m; see diagword in
+/// core/geometry).  It must match the
 /// bit-serial oracle codec (oracle/reference_block_code.hpp) exactly on any
 /// input -- pinned by the differential suite in tests/test_codec_engine.cpp.
 class BlockCodec {
@@ -139,6 +162,19 @@ class BlockCodec {
   /// Computes the check bits of the m x m block anchored at (row0, col0).
   [[nodiscard]] CheckBits encode(const util::BitMatrix& data, std::size_t row0,
                                  std::size_t col0) const;
+
+  /// The dispatched block_peel of the block anchored at (row0, col0): its
+  /// leading parities into `lead` and its pre-reflection counter parities
+  /// (diagonal i at offset (m - i) mod m) into `cnt`, ceil(m / 64) words
+  /// each.  The window is not checked.
+  void peel(const util::BitMatrix& data, std::size_t row0, std::size_t col0,
+            std::uint64_t* lead, std::uint64_t* cnt) const {
+    const std::span<const util::BitVector> rows = data.rows_span();
+    detail::Scratch<const std::uint64_t*, 64> scratch(m());
+    const std::uint64_t** ptrs = scratch.data();
+    for (std::size_t r = 0; r < m(); ++r) ptrs[r] = rows[row0 + r].words().data();
+    util::simd::kernels().block_peel(ptrs, m(), col0, lead, cnt);
+  }
 
   /// Recomputed-vs-stored parity difference.
   [[nodiscard]] Syndrome compute_syndrome(const util::BitMatrix& data,

@@ -6,45 +6,7 @@ namespace diagword {
 
 std::uint64_t extract(std::span<const std::uint64_t> words, std::size_t bit0,
                       std::size_t m) noexcept {
-  const std::size_t wi = bit0 / 64;
-  const unsigned shift = static_cast<unsigned>(bit0 % 64);
-  std::uint64_t seg = words[wi] >> shift;
-  if (shift != 0 && shift + m > 64) {
-    seg |= words[wi + 1] << (64u - shift);
-  }
-  return seg & low_mask(m);
-}
-
-std::uint64_t stride_permute(std::uint64_t seg, std::size_t s,
-                             std::size_t m) noexcept {
-  s %= m;  // the incremental dest reduction below requires s < m
-  if (s == 1) return seg & low_mask(m);
-  if (s == m - 1 && m > 1) return reflect(seg, m);
-  std::uint64_t out = 0;
-  std::size_t dest = 0;  // (s * j) mod m, maintained incrementally
-  for (std::size_t j = 0; j < m; ++j) {
-    out |= ((seg >> j) & 1u) << dest;
-    dest += s;
-    if (dest >= m) dest -= m;
-  }
-  return out;
-}
-
-bool segment_parity(std::span<const std::uint64_t> words, std::size_t bit0,
-                    std::size_t len) noexcept {
-  // XOR-accumulating words preserves popcount parity (XOR cancels common
-  // bits in pairs), so one final popcount decides.
-  const std::size_t end = bit0 + len;
-  const std::size_t w_first = bit0 / 64;
-  const std::size_t w_last = (end + 63) / 64;  // one past the last word
-  std::uint64_t acc = 0;
-  for (std::size_t w = w_first; w < w_last; ++w) {
-    std::uint64_t v = words[w];
-    if (w == w_first && bit0 % 64 != 0) v &= ~std::uint64_t{0} << (bit0 % 64);
-    if (w + 1 == w_last && end % 64 != 0) v &= low_mask(end % 64);
-    acc ^= v;
-  }
-  return (std::popcount(acc) & 1u) != 0;
+  return util::simd::extract(words.data(), bit0, m);
 }
 
 }  // namespace diagword

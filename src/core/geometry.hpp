@@ -25,27 +25,13 @@
 
 namespace pimecc::ecc {
 
-/// Word-level diagonal-extraction kernels shared by BlockCodec and the
-/// paper-model codecs in oracle/ (multislope_code.hpp, horizontal_code.hpp).
-///
-/// A block row is an m-bit segment of a BitMatrix row; for m <= kMaxM it
-/// fits in the low m bits of one 64-bit word.  In the polynomial view over
-/// GF(2)[x]/(x^m - 1), row r of a block is p_r(x) and the slope-s parity
-/// family (line (r + s*c) mod m) is sum_r x^r p_r(x^s).  Substituting once
-/// per block instead of once per row gives the rotate-and-XOR scheme the
-/// codecs build on:
-///
-///   family_s = stride_permute( XOR_r rotl(p_r, r * s^-1 mod m), s )
-///
-/// since stride_permute(rotl(p, r*s^-1), s) maps bit c to s*c + r.  The
-/// paper's leading diagonals are s = 1 (identity permutation, plain
-/// rotate-XOR accumulation) and the counter diagonals are s = m-1 (rotate
-/// right, then one bit reflection per block).
+/// Single-word segment helpers: a block row is an m-bit segment of a
+/// BitMatrix row, and for m <= 64 it fits in the low m bits of one word.
+/// The leading diagonals of a block are XOR_r rotl(row_r, r) and its
+/// counter diagonals reflect(XOR_r rotr(row_r, r)); util/simd's kernels
+/// rotate segments of any width, and the paper-model codecs in oracle/
+/// build other slopes on these helpers.
 namespace diagword {
-
-/// Largest block size the single-word kernels handle; codecs fall back to
-/// their bit-serial paths above this.
-inline constexpr std::size_t kMaxM = 64;
 
 /// Mask of the low m bits (m in [1, 64]).
 [[nodiscard]] constexpr std::uint64_t low_mask(std::size_t m) noexcept {
@@ -62,9 +48,8 @@ inline constexpr std::size_t kMaxM = 64;
   return util::simd::rotl(seg, k, m);
 }
 
-/// Reflection of the low m bits: bit j -> (m - j) mod m.  Equivalent to
-/// stride_permute(seg, m - 1, m) -- the counter-diagonal reordering -- in
-/// O(1) word ops instead of the O(m) bit loop.
+/// Reflection of the low m bits: bit j -> (m - j) mod m -- the
+/// counter-diagonal reordering -- in O(1) word ops.
 [[nodiscard]] constexpr std::uint64_t reflect(std::uint64_t seg,
                                               std::size_t m) noexcept {
   return util::simd::reflect(seg, m);
@@ -75,20 +60,6 @@ inline constexpr std::size_t kMaxM = 64;
 /// the row, so at most two words are touched.
 [[nodiscard]] std::uint64_t extract(std::span<const std::uint64_t> words,
                                     std::size_t bit0, std::size_t m) noexcept;
-
-/// Applies the stride permutation bit j -> (s * j) mod m to the low m bits
-/// (s reduced mod m; for parity use s must be coprime to m).  The two
-/// slopes the paper's codec actually uses short-circuit to O(1): s = 1 is
-/// the identity and s = m-1 is reflect(); other strides take the O(m) bit
-/// loop (used once per block, not per row).
-[[nodiscard]] std::uint64_t stride_permute(std::uint64_t seg, std::size_t s,
-                                           std::size_t m) noexcept;
-
-/// XOR-reduction (parity) of bits [bit0, bit0 + len) of a row's backing
-/// words; any length, word-parallel.  The caller guarantees the range lies
-/// within the row.
-[[nodiscard]] bool segment_parity(std::span<const std::uint64_t> words,
-                                  std::size_t bit0, std::size_t len) noexcept;
 
 }  // namespace diagword
 

@@ -1,12 +1,39 @@
 #include "oracle/horizontal_code.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "core/geometry.hpp"  // diagword::segment_parity
+#include "util/simd.hpp"
 
 namespace pimecc::ecc {
+
+namespace {
+
+/// XOR-reduction (parity) of bits [bit0, bit0 + len) of a row's backing
+/// words; any length, word-parallel.  The caller guarantees the range lies
+/// within the row.
+bool segment_parity(std::span<const std::uint64_t> words, std::size_t bit0,
+                    std::size_t len) noexcept {
+  // XOR-accumulating words preserves popcount parity (XOR cancels common
+  // bits in pairs), so one final popcount decides.
+  const std::size_t end = bit0 + len;
+  const std::size_t w_first = bit0 / 64;
+  const std::size_t w_last = (end + 63) / 64;  // one past the last word
+  std::uint64_t acc = 0;
+  for (std::size_t w = w_first; w < w_last; ++w) {
+    std::uint64_t v = words[w];
+    if (w == w_first && bit0 % 64 != 0) v &= ~std::uint64_t{0} << (bit0 % 64);
+    if (w + 1 == w_last && end % 64 != 0) v &= util::simd::low_mask(end % 64);
+    acc ^= v;
+  }
+  return (std::popcount(acc) & 1u) != 0;
+}
+
+}  // namespace
 
 HorizontalCode::HorizontalCode(std::size_t n, std::size_t group_size)
     : n_(n), group_(group_size), parities_() {
@@ -36,7 +63,7 @@ void HorizontalCode::encode_all(const util::BitMatrix& data) {
     const std::span<const std::uint64_t> words = rows[r].words();
     for (std::size_t g = 0; g < gpr; ++g) {
       parities_.set(r * gpr + g,
-                    diagword::segment_parity(words, g * group_, group_));
+                    segment_parity(words, g * group_, group_));
     }
   }
 }
@@ -69,7 +96,7 @@ bool HorizontalCode::consistent_with(const util::BitMatrix& data) const {
   for (std::size_t r = 0; r < n_; ++r) {
     const std::span<const std::uint64_t> words = rows[r].words();
     for (std::size_t g = 0; g < gpr; ++g) {
-      if (diagword::segment_parity(words, g * group_, group_) !=
+      if (segment_parity(words, g * group_, group_) !=
           parities_.get(r * gpr + g)) {
         return false;
       }
@@ -84,7 +111,7 @@ bool HorizontalCode::group_has_error(const util::BitMatrix& data, std::size_t r,
   if (data.rows() != n_ || data.cols() != n_) {
     throw std::invalid_argument("HorizontalCode: data matrix must be n x n");
   }
-  return diagword::segment_parity(data.rows_span()[r].words(), g * group_,
+  return segment_parity(data.rows_span()[r].words(), g * group_,
                                        group_) != parities_.get(s);
 }
 

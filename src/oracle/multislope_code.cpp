@@ -10,6 +10,30 @@
 
 namespace pimecc::ecc {
 
+namespace {
+/// Widest block the word-parallel encode takes (one 64-bit word per row).
+constexpr std::size_t kWordM = 64;
+}  // namespace
+
+namespace diagword {
+
+std::uint64_t stride_permute(std::uint64_t seg, std::size_t s,
+                             std::size_t m) noexcept {
+  s %= m;  // the incremental dest reduction below requires s < m
+  if (s == 1) return seg & low_mask(m);
+  if (s == m - 1 && m > 1) return reflect(seg, m);
+  std::uint64_t out = 0;
+  std::size_t dest = 0;  // (s * j) mod m, maintained incrementally
+  for (std::size_t j = 0; j < m; ++j) {
+    out |= ((seg >> j) & 1u) << dest;
+    dest += s;
+    if (dest >= m) dest -= m;
+  }
+  return out;
+}
+
+}  // namespace diagword
+
 MultiSlopeCodec::MultiSlopeCodec(std::size_t m, std::vector<std::size_t> slopes)
     : m_(m), slopes_(std::move(slopes)) {
   if (m == 0) {
@@ -54,7 +78,7 @@ MultiCheckBits MultiSlopeCodec::encode(const util::BitMatrix& data,
   require_window(data, row0, col0);
   MultiCheckBits check;
   check.family_parity.assign(families(), util::BitVector(m_));
-  if (m_ > diagword::kMaxM) {
+  if (m_ > kWordM) {
     // Bit-serial fallback for blocks wider than one word (matches
     // reference_multislope_encode).
     for (std::size_t r = 0; r < m_; ++r) {

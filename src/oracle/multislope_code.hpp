@@ -31,6 +31,23 @@
 
 namespace pimecc::ecc {
 
+namespace diagword {
+
+/// Applies the stride permutation bit j -> (s * j) mod m to the low m bits
+/// (m <= 64; s reduced mod m, and for parity use coprime to m).  In the
+/// polynomial view over GF(2)[x]/(x^m - 1), row r of a block is p_r(x) and
+/// the slope-s family (line (r + s*c) mod m) is sum_r x^r p_r(x^s), so
+///
+///   family_s = stride_permute( XOR_r rotl(p_r, r * s^-1 mod m), s )
+///
+/// -- one rotate+XOR per row and one permutation per block.  s = 1 is the
+/// identity and s = m-1 is reflect(), both O(1); other strides take the
+/// O(m) bit loop.
+[[nodiscard]] std::uint64_t stride_permute(std::uint64_t seg, std::size_t s,
+                                           std::size_t m) noexcept;
+
+}  // namespace diagword
+
 /// Check bits of one block under K slope families: K*m parity bits.
 struct MultiCheckBits {
   /// family_parity[f] has m bits: the parity of each line of family f.

@@ -1,5 +1,6 @@
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -12,18 +13,69 @@ namespace detail {
 
 namespace {
 
-/// Extracts the m-bit segment at absolute bit offset bit0 of a word array.
-/// Identical contract to diagword::extract; duplicated here (two lines) so
-/// this layer stays free of core/ includes.
-inline std::uint64_t extract(const std::uint64_t* words, std::size_t bit0,
-                             std::size_t m) noexcept {
-  const std::size_t wi = bit0 / 64;
-  const unsigned shift = static_cast<unsigned>(bit0 % 64);
-  std::uint64_t seg = words[wi] >> shift;
-  if (shift != 0 && shift + m > 64) {
-    seg |= words[wi + 1] << (64u - shift);
+/// Word w of a `words`-word row shifted by s bits -- s / 64 words and
+/// s % 64 bits -- toward higher bits (`up`) or lower ones; words outside
+/// the row read as 0 (an index below 0 wraps past `words`).
+inline std::uint64_t shifted(const std::uint64_t* x, std::size_t words,
+                             std::size_t w, std::size_t s, bool up) noexcept {
+  const auto at = [x, words](std::size_t i) { return i < words ? x[i] : 0; };
+  const std::size_t i = up ? w - s / 64 : w + s / 64;
+  const unsigned b = s % 64;
+  return up ? at(i) << b | at(i - 1) >> 1 >> (63 - b)
+            : at(i) >> b | at(i + 1) << 1 << (63 - b);
+}
+
+/// band_accumulate_scalar; kOneWord (m <= 64) promises every shift is in
+/// [1, 63], so the shifted words come from the row's words w - 1, w and
+/// w + 1 alone.
+template <bool kOneWord>
+void band_rows(const BandShape& shape, const std::uint64_t* const* rows,
+               std::size_t r0, std::size_t count, std::uint64_t* lead,
+               std::uint64_t* cnt) {
+  const std::size_t m = shape.m;
+  const std::size_t words = shape.words;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t* x = rows[i];
+    const std::size_t r = r0 + i;
+    if (r == 0) {  // both rotations are the identity
+      for (std::size_t w = 0; w < words; ++w) {
+        lead[w] ^= x[w];
+        cnt[w] ^= x[w];
+      }
+      continue;
+    }
+    // The segmented rotation by k takes the row shifted up by k at segment
+    // offsets >= k (masks row k) and the row shifted down by m - k below
+    // them.  Lead rotates by r, the counter by m - r, so the four multiword
+    // shifts are by r and m - r.
+    const std::uint64_t* m_lead = shape.masks + r * words;
+    const std::uint64_t* m_cnt = shape.masks + (m - r) * words;
+    const std::size_t mr = m - r;
+    std::uint64_t prev = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t up_r, down_r, up_mr, down_mr;
+      if constexpr (kOneWord) {
+        const std::uint64_t cur = x[w];
+        const std::uint64_t next = w + 1 < words ? x[w + 1] : 0;
+        up_r = (cur << r) | (prev >> (64 - r));
+        down_r = (cur >> r) | (next << (64 - r));
+        up_mr = (cur << mr) | (prev >> (64 - mr));
+        down_mr = (cur >> mr) | (next << (64 - mr));
+        prev = cur;
+      } else {
+        up_r = shifted(x, words, w, r, true);
+        down_r = shifted(x, words, w, r, false);
+        up_mr = shifted(x, words, w, mr, true);
+        down_mr = shifted(x, words, w, mr, false);
+      }
+      lead[w] ^= (up_r & m_lead[w]) | (down_mr & ~m_lead[w]);
+      cnt[w] ^= (up_mr & m_cnt[w]) | (down_r & ~m_cnt[w]);
+    }
   }
-  return seg & low_mask(m);
+  for (std::size_t w = 0; w < words; ++w) {
+    lead[w] &= shape.masks[w];
+    cnt[w] &= shape.masks[w];
+  }
 }
 
 }  // namespace
@@ -31,6 +83,15 @@ inline std::uint64_t extract(const std::uint64_t* words, std::size_t bit0,
 void block_peel_scalar(const std::uint64_t* const* rows, std::size_t m,
                        std::size_t bit0, std::uint64_t* lead,
                        std::uint64_t* cnt) {
+  if (m > 64) {
+    std::fill_n(lead, (m + 63) / 64, 0);
+    std::fill_n(cnt, (m + 63) / 64, 0);
+    for (std::size_t r = 0; r < m; ++r) {
+      xor_rotated(lead, 0, rows[r], bit0, m, r, false);
+      xor_rotated(cnt, 0, rows[r], bit0, m, (m - r) % m, false);
+    }
+    return;
+  }
   std::uint64_t l = 0;
   std::uint64_t c = 0;
   for (std::size_t r = 0; r < m; ++r) {
@@ -46,42 +107,8 @@ void band_accumulate_scalar(const BandShape& shape,
                             const std::uint64_t* const* rows, std::size_t r0,
                             std::size_t count, std::uint64_t* lead,
                             std::uint64_t* cnt) {
-  const std::size_t m = shape.m;
-  const std::size_t words = shape.words;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t* x = rows[i];
-    const std::size_t r = r0 + i;
-    if (r == 0) {  // both rotations are the identity
-      for (std::size_t w = 0; w < words; ++w) {
-        lead[w] ^= x[w];
-        cnt[w] ^= x[w];
-      }
-      continue;
-    }
-    // The segmented rotation by k takes the row shifted left by k at
-    // segment offsets >= k (masks row k) and the row shifted right by
-    // m - k below them.  Lead rotates by r, the counter by m - r, so the
-    // four multiword shifts are by r and m - r; every count is in [1, 63].
-    const std::uint64_t* m_lead = shape.masks + r * words;
-    const std::uint64_t* m_cnt = shape.masks + (m - r) * words;
-    const std::size_t mr = m - r;
-    std::uint64_t prev = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t cur = x[w];
-      const std::uint64_t next = w + 1 < words ? x[w + 1] : 0;
-      const std::uint64_t up_r = (cur << r) | (prev >> (64 - r));
-      const std::uint64_t down_r = (cur >> r) | (next << (64 - r));
-      const std::uint64_t up_mr = (cur << mr) | (prev >> (64 - mr));
-      const std::uint64_t down_mr = (cur >> mr) | (next << (64 - mr));
-      lead[w] ^= (up_r & m_lead[w]) | (down_mr & ~m_lead[w]);
-      cnt[w] ^= (up_mr & m_cnt[w]) | (down_r & ~m_cnt[w]);
-      prev = cur;
-    }
-  }
-  for (std::size_t w = 0; w < words; ++w) {
-    lead[w] &= shape.masks[w];
-    cnt[w] &= shape.masks[w];
-  }
+  (shape.m <= 64 ? band_rows<true> : band_rows<false>)(shape, rows, r0, count,
+                                                      lead, cnt);
 }
 
 std::size_t nor_column_pass_scalar(const std::uint64_t* const* ins,
@@ -121,16 +148,17 @@ void transpose64_scalar(std::uint64_t* block) {
 }  // namespace detail
 
 std::vector<std::uint64_t> segment_masks(std::size_t m, std::size_t segments) {
-  if (m == 0 || m > 64) {
-    throw std::invalid_argument("simd::segment_masks: m must be in [1, 64]");
-  }
+  if (m == 0) throw std::invalid_argument("simd::segment_masks: m must be >= 1");
   const std::size_t bits = segments * m;
   const std::size_t words = (bits + 63) / 64;
-  std::vector<std::uint64_t> masks(m * words, 0);
-  for (std::size_t k = 0; k < m; ++k) {
+  std::vector<std::uint64_t> masks(m * words, ~std::uint64_t{0});
+  if (bits % 64 != 0) masks[words - 1] = low_mask(bits % 64);
+  // Row k is row k - 1 less each segment's offset k - 1.
+  for (std::size_t k = 1; k < m; ++k) {
     std::uint64_t* row = masks.data() + k * words;
-    for (std::size_t p = 0; p < bits; ++p) {
-      if (p % m >= k) row[p / 64] |= std::uint64_t{1} << (p % 64);
+    std::copy_n(row - words, words, row);
+    for (std::size_t p = k - 1; p < bits; p += m) {
+      row[p / 64] &= ~(std::uint64_t{1} << (p % 64));
     }
   }
   return masks;

@@ -12,9 +12,9 @@
 //
 // Layering: this header knows nothing about BitVector/BitMatrix -- kernels
 // take raw word pointers, so core/ and xbar/ can both sit on top of it.
-// The bit-rotation primitives (low_mask / rotl / bit_reverse / reflect)
-// live here because both the scalar kernels and core/geometry's diagword
-// wrappers share them.
+// The bit and segment primitives (low_mask / rotl / reflect / extract /
+// xor_rotated ...) live here because the scalar kernels and core/ share
+// them.
 //
 // Dispatch levels
 //   kScalar  portable uint64_t loops (always available)
@@ -80,6 +80,62 @@ namespace pimecc::util::simd {
   return rotl(bit_reverse(seg) >> (64 - m), 1, m);
 }
 
+/// Bits [bit0, bit0 + len) of a packed row as the low len bits of one word
+/// (len in [1, 64]); only the words the range overlaps are read.
+[[nodiscard]] inline std::uint64_t extract(const std::uint64_t* words,
+                                           std::size_t bit0,
+                                           std::size_t len) noexcept {
+  const std::size_t wi = bit0 / 64;
+  const unsigned shift = static_cast<unsigned>(bit0 % 64);
+  std::uint64_t seg = words[wi] >> shift;
+  if (shift != 0 && shift + len > 64) seg |= words[wi + 1] << (64u - shift);
+  return seg & low_mask(len);
+}
+
+/// XORs `value` (no bits at or above len) into bits [bit0, bit0 + len) of
+/// a packed row (len in [1, 64]): extract's inverse.
+inline void xor_bits(std::uint64_t* words, std::size_t bit0, std::size_t len,
+                     std::uint64_t value) noexcept {
+  const std::size_t wi = bit0 / 64;
+  const unsigned shift = static_cast<unsigned>(bit0 % 64);
+  words[wi] ^= value << shift;
+  if (shift != 0 && shift + len > 64) words[wi + 1] ^= value >> (64u - shift);
+}
+
+/// XORs a piece (`v`, no bits at or above len <= 64) into the m-bit segment
+/// at dst_bit0 from segment offset `at` < m on, wrapping past offset m - 1.
+inline void xor_wrapped(std::uint64_t* dst, std::size_t dst_bit0,
+                        std::size_t m, std::size_t at, std::uint64_t v,
+                        std::size_t len) noexcept {
+  if (len == m) {  // a one-word segment rotates in-register
+    xor_bits(dst, dst_bit0, m,
+             ((v << at) | (v >> (m - at - 1) >> 1)) & low_mask(m));
+    return;
+  }
+  const std::size_t head = len < m - at ? len : m - at;
+  xor_bits(dst, dst_bit0 + at, head, v & low_mask(head));
+  if (head < len) xor_bits(dst, dst_bit0, len - head, v >> head);
+}
+
+/// XORs the m-bit segment at src_bit0 of `src` into the one at dst_bit0 of
+/// `dst`, rotated left by k < m (bit j -> (j + k) mod m) or, `reflected`,
+/// read backwards from k (bit j -> (k - j) mod m; k = 0 is reflect).  Any
+/// m: a 64-bit piece of the source lands in at most two of the destination.
+inline void xor_rotated(std::uint64_t* dst, std::size_t dst_bit0,
+                        const std::uint64_t* src, std::size_t src_bit0,
+                        std::size_t m, std::size_t k, bool reflected) noexcept {
+  for (std::size_t i = 0; i < m; i += 64) {
+    const std::size_t len = m - i < 64 ? m - i : 64;
+    const std::uint64_t v = extract(src, src_bit0 + i, len);
+    // Piece bits [i, i + len) land on [i + k, i + k + len) or, backwards,
+    // on [k + 1 - i - len, k - i], both mod m.
+    std::size_t at = reflected ? k + 1 + m - i - len : i + k;
+    if (at >= m) at -= m;
+    xor_wrapped(dst, dst_bit0, m, at,
+                reflected ? bit_reverse(v) >> (64 - len) : v, len);
+  }
+}
+
 // ------------------------------------------------------------------ dispatch
 
 enum class Level : unsigned char { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
@@ -119,24 +175,27 @@ void set_level(Level level);
 // ------------------------------------------------------------------- kernels
 
 /// Layout of one packed band row for KernelTable::band_accumulate: `words`
-/// 64-bit words holding consecutive m-bit segments from bit 0 (m in
-/// [1, 64]), and the segment-mask table built by segment_masks.
+/// 64-bit words holding consecutive m-bit segments from bit 0 (any m >= 1),
+/// and the segment-mask table built by segment_masks.
 struct BandShape {
   std::size_t m = 0;
   std::size_t words = 0;
   const std::uint64_t* masks = nullptr;  ///< m x words, row k at masks[k * words]
 };
 
-/// Segment-mask table of `segments` packed m-bit segments (m in [1, 64]):
-/// m rows of ceil(segments * m / 64) words, where row k marks the bits whose
-/// offset inside their segment is >= k (row 0 marks every segment bit; no
-/// row marks a bit beyond the last segment).  Built once per ArrayCode.
+/// Segment-mask table of `segments` packed m-bit segments (m >= 1, else
+/// std::invalid_argument): m rows of ceil(segments * m / 64) words, where
+/// row k marks the bits whose offset inside their segment is >= k (row 0
+/// marks every segment bit; no row marks a bit beyond the last segment).
+/// Built once per ArrayCode, it is no larger than the data it describes.
 [[nodiscard]] std::vector<std::uint64_t> segment_masks(std::size_t m,
                                                        std::size_t segments);
 
 /// The dispatched kernels.  All pointers are non-null at every level; the
 /// scalar table is the reference semantics and every wider table must be
-/// bit-identical on any input (differential-tested per level).
+/// bit-identical on any input (differential-tested per level).  Kernels
+/// taking an m accept any m >= 1; the wide tables vectorize m <= 64 and
+/// hand wider segments to the scalar kernels.
 struct KernelTable {
   /// Diagonal rotate-and-XOR accumulation over one block band, packed (the
   /// codec engine's encode_all/scrub/consistent_with walk and its delta
@@ -149,10 +208,11 @@ struct KernelTable {
   ///   cnt.seg(bc)  ^= rotl(row.seg(bc), (m - r) % m, m)
   /// as one *segmented rotation* of the whole row per axis: two multiword
   /// shifts blended by shape.masks[k] (the bits whose segment offset is
-  /// >= k), no per-segment extraction.  cnt stays pre-reflection: callers
-  /// apply simd::reflect per segment where they need diagonal order.  Bits
-  /// of a row beyond its last segment are never read unmasked, and the
-  /// output bits beyond the last segment come out zero.
+  /// >= k), no per-segment extraction; a shift by s moves s / 64 words and
+  /// s % 64 bits.  cnt stays pre-reflection: callers map offsets back to
+  /// diagonals where they need diagonal order.  Bits of a row beyond its
+  /// last segment are never read unmasked, and the output bits beyond the
+  /// last segment come out zero.
   void (*band_accumulate)(const BandShape& shape,
                           const std::uint64_t* const* rows, std::size_t r0,
                           std::size_t count, std::uint64_t* lead,
@@ -161,8 +221,9 @@ struct KernelTable {
   /// Same accumulation for ONE block of all m rows, whose m-bit segment sits
   /// at bit offset bit0 of each row (the one-block checks: block-column
   /// scrubs, scrub_block, BlockCodec::encode).  rows[r] (r < m)
-  /// points at the backing words of block row r.  *lead / *cnt receive the
-  /// leading and pre-reflection counter parity.
+  /// points at the backing words of block row r.  lead / cnt receive the
+  /// leading and pre-reflection counter parities, ceil(m / 64) words each,
+  /// bits at or above m zero.
   void (*block_peel)(const std::uint64_t* const* rows, std::size_t m,
                      std::size_t bit0, std::uint64_t* lead,
                      std::uint64_t* cnt);

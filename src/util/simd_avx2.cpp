@@ -18,6 +18,7 @@
 //  * Output words are masked with the segment masks (the peel's low m
 //    bits, the band walk's segment_masks row 0), so tail-word garbage above
 //    a row's logical size never leaks in.
+//  * Segments wider than one word (m > 64) go to the scalar kernels.
 #include "util/simd.hpp"
 
 #if defined(__AVX2__) && !defined(PIMECC_FORCE_SCALAR_BUILD)
@@ -118,6 +119,8 @@ void band_accumulate_avx2(const BandShape& shape,
                           const std::uint64_t* const* rows, std::size_t r0,
                           std::size_t count, std::uint64_t* lead,
                           std::uint64_t* cnt) {
+  if (shape.m > 64) return band_accumulate_scalar(shape, rows, r0, count,
+                                                  lead, cnt);
   // Chunk-outer, row-inner, as in the AVX-512 unit: the chunk's two
   // accumulators stay in registers across the band.
   const std::size_t words = shape.words;
@@ -135,6 +138,7 @@ void band_accumulate_avx2(const BandShape& shape,
 void block_peel_avx2(const std::uint64_t* const* rows, std::size_t m,
                      std::size_t bit0, std::uint64_t* lead,
                      std::uint64_t* cnt) {
+  if (m > 64) return block_peel_scalar(rows, m, bit0, lead, cnt);
   const std::uint64_t mask = low_mask(m);
   const std::size_t wi = bit0 / 64;
   const auto sh = static_cast<long long>(bit0 % 64);

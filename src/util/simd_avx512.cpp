@@ -7,7 +7,8 @@
 // avx512{f,bw,dq,vl,vpopcntdq} flags set per-file by CMake; stubbed to
 // nullptr otherwise.  The shift-totality and masked-access safety arguments
 // are identical to the AVX2 unit (vector shift counts >= 64 yield 0;
-// masked-out load and gather lanes perform no memory access).
+// masked-out load and gather lanes perform no memory access), and so is
+// the hand-off of segments wider than one word to the scalar kernels.
 #include "util/simd.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
@@ -34,6 +35,8 @@ void band_accumulate_avx512(const BandShape& shape,
                             const std::uint64_t* const* rows, std::size_t r0,
                             std::size_t count, std::uint64_t* lead,
                             std::uint64_t* cnt) {
+  if (shape.m > 64) return band_accumulate_scalar(shape, rows, r0, count,
+                                                  lead, cnt);
   const std::size_t m = shape.m;
   const std::size_t words = shape.words;
   const __m512i one = _mm512_set1_epi64(1);
@@ -98,6 +101,7 @@ void band_accumulate_avx512(const BandShape& shape,
 void block_peel_avx512(const std::uint64_t* const* rows, std::size_t m,
                        std::size_t bit0, std::uint64_t* lead,
                        std::uint64_t* cnt) {
+  if (m > 64) return block_peel_scalar(rows, m, bit0, lead, cnt);
   const std::uint64_t mask = low_mask(m);
   const std::size_t wi = bit0 / 64;
   const auto sh = static_cast<long long>(bit0 % 64);

@@ -331,8 +331,10 @@ TEST(ArchEngineDifferential, WideInitBatchesAgreeN150M15) {
 }
 
 TEST(ArchEngineDifferential, WideInitBatchesAgreeN130M65) {
-  // m > diagword::kMaxM: the bit-serial fallback of the band fold.
+  // m > 64: the band fold over segments of two and four words.
   run_wide_init_program(130, 65, 0x1B1, 8);
+  run_wide_init_program(1020, 85, 0x1B3, 4);
+  run_wide_init_program(1020, 255, 0x1B5, 4);
 }
 
 // ----------------------------------------------- ProtectedVm end to end
@@ -558,10 +560,13 @@ INSTANTIATE_TEST_SUITE_P(
         ProtectedRunPin{"ctrl", 1020, 3,
                         0x6a59e1728679ab57u, 0x4305834d0fcc46d5u,
                         {2212, 28480, 2202, 340, 0}},
-        // m > diagword::kMaxM: the bit-serial fallback of every codec path.
+        // m > 64: multiword segments on every codec path.
         ProtectedRunPin{"ctrl", 1040, 65,
                         0x7f747603b396150bu, 0x95909c093023ca0bu,
-                        {2252, 23108, 2242, 16, 0}}),
+                        {2252, 23108, 2242, 16, 0}},
+        ProtectedRunPin{"ctrl", 1020, 85,
+                        0x6a59e1728679ab57u, 0x5e4f94db3d73597fu,
+                        {2212, 22536, 2202, 12, 0}}),
     [](const ::testing::TestParamInfo<ProtectedRunPin>& info) {
       return std::string(info.param.circuit) + "_n" +
              std::to_string(info.param.n) + "_m" + std::to_string(info.param.m);
@@ -778,9 +783,11 @@ TEST(RowBatchDifferential, MatchesOneByOneN1020M15) {
 }
 
 TEST(RowBatchDifferential, MatchesOneByOneN130M65) {
-  // m > diagword::kMaxM: the band fold's bit-serial fallback, and bands
+  // m > 64: the band fold over segments of two and four words, and bands
   // that straddle tiles.
   run_row_batch_differential(130, 65, 0xB0A7'0004ull);
+  run_row_batch_differential(1020, 85, 0xB0A7'0005ull);
+  run_row_batch_differential(1020, 255, 0xB0A7'0006ull);
 }
 
 // ------------------------------------------------ row programs with I/O
@@ -1005,8 +1012,10 @@ TEST(ProtectedRunIoDifferential, MatchesRowWritesN1020M15) {
 }
 
 TEST(ProtectedRunIoDifferential, MatchesRowWritesN130M65) {
-  // m > diagword::kMaxM: the band fold's bit-serial fallback.
+  // m > 64: the band fold over segments of two and four words.
   run_row_io_differential(130, 65, 0x10D1'0004ull);
+  run_row_io_differential(1020, 85, 0x10D1'0006ull);
+  run_row_io_differential(1020, 255, 0x10D1'0007ull);
 }
 
 TEST(ProtectedRunIoDifferential, ReferenceMachineAgrees) {

@@ -9,6 +9,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,9 +36,10 @@ using util::BitMatrix;
 using util::BitVector;
 using util::Rng;
 
-// 65 > diagword::kMaxM pins the bit-serial fallback branches of the fast
-// codec (and ArrayCode's per-block slow paths) to the reference as well.
-constexpr std::size_t kOddM[] = {3, 5, 7, 9, 31, 65};
+// m > 64 pins the multiword segments of the packed codec -- two words (65,
+// 85, 127) and four (255) -- to the reference as well.
+constexpr std::size_t kOddM[] = {3, 5, 7, 9, 31, 65, 85, 127, 255};
+constexpr std::size_t kWidestM = kOddM[std::size(kOddM) - 1];
 
 BitMatrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return util::random_bit_matrix(rows, cols, rng);
@@ -66,7 +68,7 @@ std::size_t random_anchor(Rng& rng, std::size_t limit, std::size_t m) {
 
 TEST(CodecDifferential, EncodeMatchesReferenceAtArbitraryAnchors) {
   Rng rng(0xC0DEC'01ull);
-  const BitMatrix data = random_matrix(97, 193, rng);
+  const BitMatrix data = random_matrix(kWidestM + 97, kWidestM + 193, rng);
   for (const std::size_t m : kOddM) {
     const BlockCodec fast(m);
     const ReferenceBlockCodec ref(m);
@@ -81,7 +83,7 @@ TEST(CodecDifferential, EncodeMatchesReferenceAtArbitraryAnchors) {
 
 TEST(CodecDifferential, SyndromeAndClassifyMatchReference) {
   Rng rng(0xC0DEC'02ull);
-  const BitMatrix data = random_matrix(80, 150, rng);
+  const BitMatrix data = random_matrix(kWidestM + 80, kWidestM + 150, rng);
   for (const std::size_t m : kOddM) {
     const BlockCodec fast(m);
     const ReferenceBlockCodec ref(m);
@@ -264,7 +266,7 @@ TEST(CodecDifferential, MultislopeEncodeMatchesReference) {
       {3, {1, 2}},          {5, {1, 2, 3, 4}}, {7, {1, 2, 5, 6}},
       {9, {1, 2, 7, 8}},    {31, {1, 2, 29, 30}},
       {8, {1, 3, 5, 7}},   // even m: the slope machinery has no odd-m premise
-      {65, {1, 2, 63, 64}},  // > kMaxM: bit-serial fallback vs reference
+      {65, {1, 2, 63, 64}},  // > 64: the oracle's bit-serial branch
   };
   for (const Config& config : configs) {
     const MultiSlopeCodec codec(config.m, config.slopes);
@@ -396,8 +398,8 @@ TEST(CodecExhaustive, DoubleDataErrorsNeverMiscorrectedSilentlyM3) {
 
 TEST(CodecDifferential, BandDeltaMatchesReencode) {
   // apply_band_delta over a random row-major slab == encoding the data with
-  // the slab XORed into that band, for every m including the bit-serial
-  // fallback; a bad band is rejected before any parity changes.
+  // the slab XORed into that band, for every m including multiword
+  // segments; a bad band is rejected before any parity changes.
   Rng rng(0xBA4Dull);
   for (const std::size_t m : kOddM) {
     SCOPED_TRACE(m);
@@ -672,7 +674,12 @@ INSTANTIATE_TEST_SUITE_P(
                      {256, 180, 63, 4, 9}, {16, 8, 5, 0, 3},
                      {16, 12, 4, 0, 0}},
         ArrayCodePin{130, 65, 0x1913276984af07fbu, 0xb3e47a5533fb43e4u,
-                     {4, 2, 1, 0, 1}, {2, 1, 1, 0, 0}, {2, 1, 1, 0, 0}}),
+                     {4, 2, 1, 0, 1}, {2, 1, 1, 0, 0}, {2, 1, 1, 0, 0}},
+        ArrayCodePin{1020, 85, 0x7368c12e06847ab4u, 0x903dcb1bc249d9e2u,
+                     {144, 102, 34, 2, 6}, {12, 7, 2, 0, 3},
+                     {12, 10, 1, 0, 1}},
+        ArrayCodePin{1020, 255, 0x44147af71facace0u, 0x0b41b4e032e7c0e8u,
+                     {16, 11, 5, 0, 0}, {4, 3, 0, 0, 1}, {4, 3, 0, 0, 1}}),
     [](const ::testing::TestParamInfo<ArrayCodePin>& info) {
       return "n" + std::to_string(info.param.n) + "_m" +
              std::to_string(info.param.m);

@@ -105,7 +105,7 @@ TEST(ReliabilityEngineSmoke, ScrubBlockAgreesWithCheckBlock) {
   // Randomized differential: inject 0-3 faults into one block, scrub it
   // via scrub_block and via the codec's per-block check_and_correct on
   // independent copies, and require identical verdicts and identical
-  // repaired state -- word-parallel at m=5, bit-serial at m=65.
+  // repaired state -- one-word segments at m=5, two-word ones at m=65.
   util::Rng rng(3);
   for (int round = 0; round < 120; ++round) {
     const std::size_t n = round < 60 ? 15 : 130;

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -113,22 +114,28 @@ struct DirtyRows {
   }
 };
 
-constexpr std::size_t kKernelMs[] = {1, 3, 5, 7, 31, 33, 63, 64};
+// Single-word segments, and segments of two (65, 85, 127), three (129) and
+// four (255) words.
+constexpr std::size_t kKernelMs[] = {1, 3, 5, 7, 31, 33, 63, 64,
+                                     65, 85, 127, 129, 255};
+constexpr std::size_t kWideMs[] = {65, 85, 127, 129, 255};
 
-/// The per-block loop the packed band kernel replaced, kept as its oracle:
-/// segment bc of band rows [r0, r0 + count) extracted and rotated one block
-/// at a time.
-std::uint64_t oracle_segment(const std::vector<std::vector<std::uint64_t>>& rows,
-                             std::size_t r0, std::size_t m, std::size_t bc,
-                             bool counter) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::size_t r = r0 + i;
-    const std::uint64_t seg =
-        ecc::diagword::extract(rows[i], bc * m, m);
-    acc ^= simd::rotl(seg, counter ? (m - r) % m : r, m);
+bool get_bit(const std::uint64_t* words, std::size_t p) {
+  return ((words[p / 64] >> (p % 64)) & 1u) != 0;
+}
+
+/// The per-block rotation the packed kernels replaced, bit by bit: the
+/// m-bit segment at row_bit0 of `row`, rotated left by k, XORed into the
+/// segment at acc_bit0 of `acc` (bit o -> (o + k) mod m).
+void oracle_rotate(const std::uint64_t* row, std::size_t row_bit0,
+                   std::size_t m, std::size_t k, std::uint64_t* acc,
+                   std::size_t acc_bit0) {
+  for (std::size_t o = 0; o < m; ++o) {
+    if (get_bit(row, row_bit0 + o)) {
+      const std::size_t p = acc_bit0 + (o + k) % m;
+      acc[p / 64] ^= std::uint64_t{1} << (p % 64);
+    }
   }
-  return acc;
 }
 
 /// Random words with garbage above `bits` in the last word; exactly
@@ -140,13 +147,16 @@ std::vector<std::uint64_t> dirty_words(std::size_t bits, Rng& rng) {
 }
 
 TEST(SimdKernels, BandAccumulateMatchesScalarAtEveryLevel) {
-  // Every m the kernel accepts, segment counts around every lane width,
-  // whole bands and single-row steps (apply_line_delta's use), rows with
-  // tail garbage and exactly-sized allocations; each output segment checked
-  // against the old per-block loop, and the bits past the last segment
-  // required zero.
+  // Every single-word m and the multiword ones, segment counts around
+  // every lane width, whole bands and single-row steps (apply_line_delta's
+  // use), rows with tail garbage and exactly-sized allocations; each output
+  // checked against the per-block rotation bit by bit, with the bits past
+  // the last segment required zero.
   Rng rng(0x51D'1001ull);
-  for (std::size_t m = 1; m <= 64; ++m) {
+  std::vector<std::size_t> ms;
+  for (std::size_t m = 1; m <= 64; ++m) ms.push_back(m);
+  ms.insert(ms.end(), std::begin(kWideMs), std::end(kWideMs));
+  for (const std::size_t m : ms) {
     for (const std::size_t bps : {1u, 3u, 4u, 5u, 8u, 9u, 16u, 17u, 68u}) {
       const std::size_t bits = bps * m;
       const std::vector<std::uint64_t> masks = simd::segment_masks(m, bps);
@@ -163,31 +173,32 @@ TEST(SimdKernels, BandAccumulateMatchesScalarAtEveryLevel) {
         for (const auto& row : rows) ptrs.push_back(row.data());
         const std::vector<std::uint64_t> lead0 = dirty_words(bits, rng);
         const std::vector<std::uint64_t> cnt0 = dirty_words(bits, rng);
+        // The accumulators' segment bits, their tail garbage cleared.
+        std::vector<std::uint64_t> want_lead(shape.words, 0);
+        std::vector<std::uint64_t> want_cnt(shape.words, 0);
+        for (std::size_t p = 0; p < bits; ++p) {
+          want_lead[p / 64] |= std::uint64_t{get_bit(lead0.data(), p)} << (p % 64);
+          want_cnt[p / 64] |= std::uint64_t{get_bit(cnt0.data(), p)} << (p % 64);
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::size_t r = r0 + i;
+          for (std::size_t bc = 0; bc < bps; ++bc) {
+            oracle_rotate(rows[i].data(), bc * m, m, r, want_lead.data(), bc * m);
+            oracle_rotate(rows[i].data(), bc * m, m, (m - r) % m,
+                          want_cnt.data(), bc * m);
+          }
+        }
         for (const simd::Level l : simd::available_levels()) {
           std::vector<std::uint64_t> lead = lead0;
           std::vector<std::uint64_t> cnt = cnt0;
           simd::kernels_for(l).band_accumulate(shape, ptrs.data(), r0, count,
                                                lead.data(), cnt.data());
-          for (std::size_t bc = 0; bc < bps; ++bc) {
-            const std::uint64_t want_lead =
-                ecc::diagword::extract(lead0, bc * m, m) ^
-                oracle_segment(rows, r0, m, bc, false);
-            const std::uint64_t want_cnt =
-                ecc::diagword::extract(cnt0, bc * m, m) ^
-                oracle_segment(rows, r0, m, bc, true);
-            ASSERT_EQ(ecc::diagword::extract(lead, bc * m, m), want_lead)
-                << simd::to_string(l) << " m=" << m << " bps=" << bps
-                << " r0=" << r0 << " count=" << count << " bc=" << bc;
-            ASSERT_EQ(ecc::diagword::extract(cnt, bc * m, m), want_cnt)
-                << simd::to_string(l) << " m=" << m << " bps=" << bps
-                << " r0=" << r0 << " count=" << count << " bc=" << bc;
-          }
-          if (bits % 64 != 0) {
-            EXPECT_EQ(lead.back() >> (bits % 64), 0u)
-                << simd::to_string(l) << " m=" << m << " bps=" << bps;
-            EXPECT_EQ(cnt.back() >> (bits % 64), 0u)
-                << simd::to_string(l) << " m=" << m << " bps=" << bps;
-          }
+          ASSERT_EQ(lead, want_lead)
+              << simd::to_string(l) << " m=" << m << " bps=" << bps
+              << " r0=" << r0 << " count=" << count;
+          ASSERT_EQ(cnt, want_cnt)
+              << simd::to_string(l) << " m=" << m << " bps=" << bps
+              << " r0=" << r0 << " count=" << count;
         }
       }
     }
@@ -199,6 +210,7 @@ TEST(SimdKernels, SegmentMasksMarkOffsetsAtOrAboveK) {
     for (const std::size_t bps : {1u, 5u, 17u}) {
       const std::vector<std::uint64_t> masks = simd::segment_masks(m, bps);
       const std::size_t words = (bps * m + 63) / 64;
+      ASSERT_EQ(masks.size(), m * words);
       for (std::size_t k = 0; k < m; ++k) {
         for (std::size_t p = 0; p < words * 64; ++p) {
           const bool set = (masks[k * words + p / 64] >> (p % 64)) & 1u;
@@ -209,7 +221,6 @@ TEST(SimdKernels, SegmentMasksMarkOffsetsAtOrAboveK) {
     }
   }
   EXPECT_THROW((void)simd::segment_masks(0, 4), std::invalid_argument);
-  EXPECT_THROW((void)simd::segment_masks(65, 4), std::invalid_argument);
 }
 
 TEST(SimdKernels, BlockPeelMatchesScalarAtEveryLevel) {
@@ -218,16 +229,26 @@ TEST(SimdKernels, BlockPeelMatchesScalarAtEveryLevel) {
     // Anchors swept across word boundaries: every (bit0 % 64, straddle)
     // combination the engines can produce.
     const std::size_t n_bits = 4 * 64 + m;
+    const std::size_t words = (m + 63) / 64;
     const DirtyRows rows(m, n_bits, rng);
     for (std::size_t bit0 = 0; bit0 + m <= n_bits; bit0 += 7) {
-      std::uint64_t lead_ref = 0;
-      std::uint64_t cnt_ref = 0;
-      simd::detail::block_peel_scalar(rows.ptrs.data(), m, bit0, &lead_ref,
-                                      &cnt_ref);
+      std::vector<std::uint64_t> want_lead(words, 0);
+      std::vector<std::uint64_t> want_cnt(words, 0);
+      for (std::size_t r = 0; r < m; ++r) {
+        oracle_rotate(rows.ptrs[r], bit0, m, r, want_lead.data(), 0);
+        oracle_rotate(rows.ptrs[r], bit0, m, (m - r) % m, want_cnt.data(), 0);
+      }
+      std::vector<std::uint64_t> lead_ref(words, ~std::uint64_t{0});
+      std::vector<std::uint64_t> cnt_ref(words, ~std::uint64_t{0});
+      simd::detail::block_peel_scalar(rows.ptrs.data(), m, bit0,
+                                      lead_ref.data(), cnt_ref.data());
+      ASSERT_EQ(lead_ref, want_lead) << "m=" << m << " bit0=" << bit0;
+      ASSERT_EQ(cnt_ref, want_cnt) << "m=" << m << " bit0=" << bit0;
       for (const simd::Level l : simd::available_levels()) {
-        std::uint64_t lead = ~std::uint64_t{0};
-        std::uint64_t cnt = ~std::uint64_t{0};
-        simd::kernels_for(l).block_peel(rows.ptrs.data(), m, bit0, &lead, &cnt);
+        std::vector<std::uint64_t> lead(words, ~std::uint64_t{0});
+        std::vector<std::uint64_t> cnt(words, ~std::uint64_t{0});
+        simd::kernels_for(l).block_peel(rows.ptrs.data(), m, bit0, lead.data(),
+                                        cnt.data());
         EXPECT_EQ(lead, lead_ref) << simd::to_string(l) << " m=" << m
                                   << " bit0=" << bit0;
         EXPECT_EQ(cnt, cnt_ref) << simd::to_string(l) << " m=" << m

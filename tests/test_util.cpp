@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/geometry.hpp"
+#include "oracle/multislope_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
 #include "util/modmath.hpp"
