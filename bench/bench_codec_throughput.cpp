@@ -7,8 +7,10 @@
 //   2. scrub: whole-array check-and-correct on clean data (the Monte Carlo
 //      engine's dominant per-trial cost) -- ArrayCode::scrub vs a per-block
 //      ReferenceBlockCodec::check_and_correct loop.
-//   3. syndrome: per-block compute_syndrome across every block, fast
-//      BlockCodec vs ReferenceBlockCodec.
+//   3. scrub_block: the per-block repair behind the block-column scrubs and
+//      the sparse Monte Carlo trials, on every block of clean data --
+//      ArrayCode::scrub_block vs a per-block
+//      ReferenceBlockCodec::check_and_correct loop.
 //   4. consistent_with: the whole-array consistency check every `run`
 //      request ends with -- ArrayCode::consistent_with vs a per-block
 //      ReferenceBlockCodec::encode-and-compare loop.
@@ -49,7 +51,6 @@
 #include <vector>
 
 #include "core/array_code.hpp"
-#include "core/block_code.hpp"
 #include "harness.hpp"
 #include "oracle/reference_block_code.hpp"
 #include "util/bitmatrix.hpp"
@@ -59,13 +60,14 @@
 namespace {
 
 using pimecc::ecc::ArrayCode;
+using pimecc::ecc::BlockRepair;
 using pimecc::ecc::CheckBits;
 using pimecc::ecc::ReferenceBlockCodec;
 using pimecc::ecc::ScrubReport;
 
 /// The timed hot paths, in JSON order.
-constexpr std::array<const char*, 4> kPaths = {"encode_all", "scrub", "syndrome",
-                                               "consistent_with"};
+constexpr std::array<const char*, 4> kPaths = {"encode_all", "scrub",
+                                               "scrub_block", "consistent_with"};
 
 /// One hot path's whole-array pass on each engine.
 struct Passes {
@@ -118,7 +120,7 @@ int main(int argc, char** argv) {
   const simd::Level native_level = simd::active_level();
   const std::vector<simd::Level> levels = simd::available_levels();
 
-  bench::Json json("pimecc-bench-codec/3", options);
+  bench::Json json("pimecc-bench-codec/4", options);
   json.host();
   json.field("simd_level", simd::to_string(native_level));
   json.array("dispatch_levels_checked");
@@ -137,7 +139,8 @@ int main(int argc, char** argv) {
 
     // Cross-check before timing, at every dispatch level the CPU offers:
     // the fast engine's check bits must agree with the bit-serial
-    // reference's, and a clean scrub must report every block clean.
+    // reference's, a clean scrub must report every block clean, and
+    // scrub_block must repair a flipped data bit where it lies.
     for (std::size_t br = 0; br < bps; ++br) {
       for (std::size_t bc = 0; bc < bps; ++bc) {
         ref_stored[br * bps + bc] = ref.encode(data, br * m, bc * m);
@@ -163,18 +166,16 @@ int main(int argc, char** argv) {
       data.flip(n_eff - 1, n_eff / 2);
       gates.check(code.consistent_with(data) && !flipped_consistent,
                   "consistent_with" + at);
+      data.flip(n_eff - 1, n_eff / 2);
+      const BlockRepair repair =
+          code.scrub_block(data, code.block_of(n_eff - 1, n_eff / 2));
+      gates.check(repair.status == ecc::DecodeStatus::kCorrectedData &&
+                      repair.data_r == n_eff - 1 &&
+                      repair.data_c == n_eff / 2 && code.consistent_with(data),
+                  "scrub_block" + at);
     }
     simd::set_level(native_level);
 
-    // The syndrome pass times compute_syndrome alone: both engines read
-    // their stored check bits from a per-block vector, as the reference
-    // keeps them.
-    code.encode_all(data);
-    std::vector<CheckBits> fast_stored;
-    for (std::size_t b = 0; b < bps * bps; ++b) {
-      fast_stored.push_back(code.check_bits({b / bps, b % bps}));
-    }
-    const ecc::BlockCodec& fast_codec = code.codec();
     const std::array<Passes, kPaths.size()> passes = {{
         {[&] {
            for (std::size_t b = 0; b < bps * bps; ++b) {
@@ -186,14 +187,13 @@ int main(int argc, char** argv) {
          [&] { (void)code.scrub(data); }},
         {[&] {
            for (std::size_t b = 0; b < bps * bps; ++b) {
-             (void)ref.compute_syndrome(data, b / bps * m, b % bps * m,
-                                        ref_stored[b]);
+             (void)ref.check_and_correct(data, b / bps * m, b % bps * m,
+                                         ref_stored[b]);
            }
          },
          [&] {
            for (std::size_t b = 0; b < bps * bps; ++b) {
-             (void)fast_codec.compute_syndrome(data, b / bps * m,
-                                               b % bps * m, fast_stored[b]);
+             (void)code.scrub_block(data, {b / bps, b % bps});
            }
          }},
         {[&] {

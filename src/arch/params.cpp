@@ -16,8 +16,9 @@ void ArchParams::validate() const {
   if (n % m != 0) {
     throw std::invalid_argument("ArchParams: m must divide n");
   }
-  if (num_pcs == 0) {
-    throw std::invalid_argument("ArchParams: need at least one processing crossbar");
+  if (num_pcs == 0 || num_pcs > kMaxPcs) {
+    throw std::invalid_argument(
+        "ArchParams: need 1 to 64 processing crossbars (arch::kMaxPcs)");
   }
   if (xor3_cycles == 0 || transfer_cycles == 0 || writeback_cycles == 0) {
     throw std::invalid_argument("ArchParams: cycle costs must be positive");

@@ -18,6 +18,12 @@ enum class HazardPolicy : unsigned char {
   kStall,    ///< wait until the in-flight write-back completes
 };
 
+/// Most processing crossbars a unit may declare (paper: k <= 8).  The
+/// scheduler keeps and scans one busy-until slot per crossbar on every
+/// critical operation, and simpler::find_min_pcs schedules at this width as
+/// "unlimited".
+inline constexpr std::size_t kMaxPcs = 64;
+
 /// Static configuration of one MEM + CMEM unit.
 struct ArchParams {
   std::size_t n = 1020;        ///< MEM crossbar is n x n

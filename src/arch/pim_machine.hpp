@@ -18,7 +18,7 @@
 // ecc::ArrayCode (two packed n-bit rows per block-row band), initial
 // encodes and verifications ride the encode_all/scrub/consistent_with band
 // walks, and protocol steps 1+3 are computed *differentially* from the
-// written line via the diagword kernel -- one rotate+XOR per affected
+// written line via the rotation kernel -- one rotate+XOR per affected
 // family, never a re-encode (ArrayCode::apply_line_delta).  The deltas come
 // from the pass that already touches the data: a row-parallel NOR's lane
 // loop emits its output column's delta.  A row program (run_rows_protected)

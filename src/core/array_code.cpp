@@ -14,6 +14,71 @@ namespace pimecc::ecc {
 
 namespace {
 
+/// One axis of a syndrome: how many of its diagonals are flagged (the rule
+/// only tells none, one and several apart, so a count may saturate at 2),
+/// and the index of the first flagged one (meaningful when count > 0).
+struct AxisFlags {
+  std::size_t count = 0;
+  std::size_t first = 0;
+};
+
+/// Paper Section III's syndrome rule, the one decoder behind every scrub:
+/// one flagged leading plus one flagged counter diagonal locate a data bit
+/// (geometry.locate); one flag on one axis only marks that check bit; no
+/// flag is clean; anything else is detected-uncorrectable.  Inline: the
+/// scrubs' clean blocks must cost no call.
+inline DecodeResult decode(const DiagonalGeometry& geometry, AxisFlags leading,
+                           AxisFlags counter) {
+  DecodeResult result;
+  if (leading.count == 0 && counter.count == 0) {
+    result.status = DecodeStatus::kClean;
+  } else if (leading.count == 1 && counter.count == 1) {
+    // Single data-bit error: unique intersection of the two diagonals.
+    result.status = DecodeStatus::kCorrectedData;
+    result.data_error = geometry.locate({leading.first, counter.first});
+  } else if (leading.count + counter.count == 1) {
+    result.status = DecodeStatus::kCorrectedCheck;
+    result.check_error = leading.count == 1
+                             ? CheckBitLocation{true, leading.first}
+                             : CheckBitLocation{false, counter.first};
+  } else {
+    result.status = DecodeStatus::kDetectedUncorrectable;
+  }
+  return result;
+}
+
+/// `size` elements of scratch, on the stack up to kStack: only blocks
+/// wider than a word, or rows past the serve cap, reach the heap.
+template <typename T, std::size_t kStack>
+class Scratch {
+ public:
+  explicit Scratch(std::size_t size) {
+    if (size > kStack) data_ = (heap_.resize(size), heap_.data());
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  [[nodiscard]] T* data() noexcept { return data_; }
+
+ private:
+  std::array<T, kStack> stack_;
+  std::vector<T> heap_;
+  T* data_ = stack_.data();
+};
+
+/// The dispatched block_peel of the m x m block anchored at (row0, col0):
+/// its leading parities into `lead` and its pre-reflection counter
+/// parities (diagonal i at offset (m - i) mod m) into `cnt`, ceil(m / 64)
+/// words each.
+inline void peel_block(const util::BitMatrix& data, std::size_t m,
+                       std::size_t row0, std::size_t col0, std::uint64_t* lead,
+                       std::uint64_t* cnt) {
+  const std::span<const util::BitVector> rows = data.rows_span();
+  Scratch<const std::uint64_t*, 64> scratch(m);
+  const std::uint64_t** ptrs = scratch.data();
+  for (std::size_t r = 0; r < m; ++r) ptrs[r] = rows[row0 + r].words().data();
+  util::simd::kernels().block_peel(ptrs, m, col0, lead, cnt);
+}
+
 bool get_bit(const std::uint64_t* words, std::size_t p) {
   return ((words[p / 64] >> (p % 64)) & 1u) != 0;
 }
@@ -30,10 +95,9 @@ std::size_t pre_reflection(std::size_t i, std::size_t m) { return (m - i) % m; }
 /// 2, which spares the clean blocks a popcount) and first flag.  A
 /// `counter` segment is pre-reflection, so its first flag at offset j is
 /// diagonal (m - j) mod m -- the rule reads `first` only when the count is 1.
-inline detail::AxisFlags flags(const std::uint64_t* row, std::size_t bit0,
-                               const std::uint64_t* peel, std::size_t m,
-                               bool counter) {
-  detail::AxisFlags f;
+inline AxisFlags flags(const std::uint64_t* row, std::size_t bit0,
+                       const std::uint64_t* peel, std::size_t m, bool counter) {
+  AxisFlags f;
   for (std::size_t i = 0; i < m && f.count < 2; i += 64) {
     const std::uint64_t v =
         util::simd::extract(row, bit0 + i, std::min<std::size_t>(64, m - i)) ^
@@ -73,7 +137,7 @@ void accumulate_bands(const util::simd::BandShape& shape,
 }  // namespace
 
 ArrayCode::ArrayCode(std::size_t n, std::size_t m)
-    : n_(n), words_((n + 63) / 64), codec_(m) {
+    : n_(n), words_((n + 63) / 64), geometry_(m) {
   if (n == 0 || n % m != 0) {
     throw std::invalid_argument("ArrayCode: n must be a positive multiple of m");
   }
@@ -161,7 +225,7 @@ void ArrayCode::apply_band_delta(std::size_t band,
 }
 
 void ArrayCode::flip_cell(std::size_t r, std::size_t c) {
-  const DiagonalPair d = codec_.geometry().diagonals(r, c);
+  const DiagonalPair d = geometry_.diagonals(r, c);
   flip_stored(block_of(r, c), true, d.leading);
   flip_stored(block_of(r, c), false, d.counter);
 }
@@ -222,7 +286,7 @@ void ArrayCode::scrub_whole_band(util::BitMatrix& data, std::size_t band,
                                  ScrubReport& report) {
   const std::size_t mm = m();
   const std::size_t bps = blocks_per_side();
-  detail::Scratch<std::uint64_t, 128> syndrome(2 * words_);
+  Scratch<std::uint64_t, 128> syndrome(2 * words_);
   std::uint64_t* lead = syndrome.data();
   std::uint64_t* cnt = lead + words_;
   band_syndrome(data, band, lead, cnt);
@@ -238,9 +302,8 @@ void ArrayCode::scrub_whole_band(util::BitMatrix& data, std::size_t band,
       const std::size_t bc = p / mm;
       next_bit = (bc + 1) * mm;
       repair(data, {band, bc},
-             detail::decode(codec_.geometry(),
-                            flags(lead, bc * mm, nullptr, mm, false),
-                            flags(cnt, bc * mm, nullptr, mm, true)),
+             decode(geometry_, flags(lead, bc * mm, nullptr, mm, false),
+                    flags(cnt, bc * mm, nullptr, mm, true)),
              report);
       ++decoded;
     }
@@ -254,15 +317,14 @@ BlockRepair ArrayCode::scrub_one(util::BitMatrix& data, BlockIndex b,
   const std::size_t mm = m();
   const std::size_t words = (mm + 63) / 64;
   const std::size_t bit0 = b.block_col * mm;
-  detail::Scratch<std::uint64_t, 2> syndrome(2 * words);
+  Scratch<std::uint64_t, 2> syndrome(2 * words);
   std::uint64_t* lead = syndrome.data();
   std::uint64_t* cnt = lead + words;
-  codec_.peel(data, b.block_row * mm, bit0, lead, cnt);
+  peel_block(data, mm, b.block_row * mm, bit0, lead, cnt);
   return repair(
       data, b,
-      detail::decode(codec_.geometry(),
-                     flags(lead_row(b.block_row), bit0, lead, mm, false),
-                     flags(cnt_row(b.block_row), bit0, cnt, mm, true)),
+      decode(geometry_, flags(lead_row(b.block_row), bit0, lead, mm, false),
+             flags(cnt_row(b.block_row), bit0, cnt, mm, true)),
       report);
 }
 
@@ -335,7 +397,7 @@ void ArrayCode::apply_line_delta(bool line_is_column, std::size_t line,
 
 bool ArrayCode::consistent_with(const util::BitMatrix& data) const {
   require_shape(data);
-  detail::Scratch<std::uint64_t, 128> syndrome(2 * words_);
+  Scratch<std::uint64_t, 128> syndrome(2 * words_);
   std::uint64_t* lead = syndrome.data();
   std::uint64_t* cnt = lead + words_;
   const std::size_t bps = blocks_per_side();
@@ -355,7 +417,7 @@ bool ArrayCode::writes_touch_each_diagonal_once(
   for (const CellWrite& w : writes) {
     if (w.r >= n_ || w.c >= n_) return false;
     const std::size_t block = flat_index(block_of(w.r, w.c));
-    const DiagonalPair d = codec_.geometry().diagonals(w.r % m(), w.c % m());
+    const DiagonalPair d = geometry_.diagonals(w.r % m(), w.c % m());
     const std::size_t lead_slot = (block * 2 + 0) * m() + d.leading;
     const std::size_t cnt_slot = (block * 2 + 1) * m() + d.counter;
     if (touched[lead_slot] || touched[cnt_slot]) return false;

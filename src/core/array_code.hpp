@@ -6,6 +6,16 @@
 // the Check Memory contents; src/arch models where those bits physically
 // live and what each update costs in cycles.
 //
+// For an m x m data block (m odd) the code stores 2m check bits: the parity
+// of every leading wrap-around diagonal and of every counter wrap-around
+// diagonal.  The resulting two-dimensional parity code provides
+// single-error correction per block: a flipped data bit flags exactly one
+// leading and one counter diagonal, whose intersection is unique for odd m;
+// a flipped check bit flags exactly one diagonal on one axis only, which
+// identifies the check bit itself.  The bit-serial codec in
+// oracle/reference_block_code.hpp is the test oracle: encode_all and the
+// scrubs must match it block for block.
+//
 // Storage mirrors the CMEM's layout: per block-row band, one packed n-bit
 // lead row and one packed n-bit counter row, block column bc's m check bits
 // at bits [bc*m, bc*m + m).  The counter row holds each block's counter
@@ -17,13 +27,48 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "core/block_code.hpp"
+#include "core/geometry.hpp"
 #include "util/bitmatrix.hpp"
+#include "util/bitvector.hpp"
 #include "util/simd.hpp"
 
 namespace pimecc::ecc {
+
+/// The 2m check bits of one block: one parity per leading diagonal and one
+/// per counter diagonal.
+struct CheckBits {
+  util::BitVector leading;  ///< leading[i] = parity of leading diagonal i
+  util::BitVector counter;  ///< counter[i] = parity of counter diagonal i
+
+  explicit CheckBits(std::size_t m = 0) : leading(m), counter(m) {}
+  bool operator==(const CheckBits&) const noexcept = default;
+};
+
+/// Outcome classification of decoding one block's syndrome.
+enum class DecodeStatus : unsigned char {
+  kClean,                  ///< no error signature
+  kCorrectedData,          ///< single data-bit error located and corrected
+  kCorrectedCheck,         ///< single check-bit error located and corrected
+  kDetectedUncorrectable,  ///< multi-error signature; flagged but not fixed
+};
+
+/// Which check bit erred, when DecodeStatus::kCorrectedCheck.
+struct CheckBitLocation {
+  bool on_leading_axis = false;  ///< true: leading[index]; false: counter[index]
+  std::size_t index = 0;
+  bool operator==(const CheckBitLocation&) const noexcept = default;
+};
+
+/// Full decode verdict for one block.
+struct DecodeResult {
+  DecodeStatus status = DecodeStatus::kClean;
+  std::optional<Cell> data_error;            ///< set iff kCorrectedData
+  std::optional<CheckBitLocation> check_error;  ///< set iff kCorrectedCheck
+  bool operator==(const DecodeResult&) const noexcept = default;
+};
 
 /// Grid coordinates of a block.
 struct BlockIndex {
@@ -71,12 +116,14 @@ class ArrayCode {
   ArrayCode(std::size_t n, std::size_t m);
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
-  [[nodiscard]] std::size_t m() const noexcept { return codec_.m(); }
+  [[nodiscard]] std::size_t m() const noexcept { return geometry_.m(); }
   [[nodiscard]] std::size_t blocks_per_side() const noexcept { return n_ / m(); }
   [[nodiscard]] std::size_t block_count() const noexcept {
     return blocks_per_side() * blocks_per_side();
   }
-  [[nodiscard]] const BlockCodec& codec() const noexcept { return codec_; }
+  [[nodiscard]] const DiagonalGeometry& geometry() const noexcept {
+    return geometry_;
+  }
 
   [[nodiscard]] BlockIndex block_of(std::size_t r, std::size_t c) const noexcept {
     return {r / m(), c / m()};
@@ -108,8 +155,8 @@ class ArrayCode {
   /// Checks every block against `data`, correcting single errors in place
   /// (data bit in `data`, check bit in this object) -- the paper's periodic
   /// full-memory check: the row-band walk over every band, which decodes
-  /// only the blocks whose syndrome segment is nonzero.  Each block's
-  /// verdict is codec().check_and_correct's on that block.
+  /// only the blocks whose syndrome segment is nonzero and applies paper
+  /// Section III's syndrome rule to each.
   ScrubReport scrub(util::BitMatrix& data);
 
   /// Checks (and corrects, exactly like scrub) every block of one block-row
@@ -188,11 +235,11 @@ class ArrayCode {
   void flip_stored(BlockIndex b, bool leading, std::size_t index);
   /// The row-band walk of the scrubs: checks and corrects every block of
   /// block-row `band` (shape and band already validated), decoding only the
-  /// nonzero segments of the band's syndrome through detail::decode.
+  /// nonzero segments of the band's syndrome.
   void scrub_whole_band(util::BitMatrix& data, std::size_t band,
                         ScrubReport& report);
-  /// One per-block repair (block-column scrubs, scrub_block): the codec's
-  /// block_peel XOR the block's stored segments, decoded.
+  /// One per-block repair (block-column scrubs, scrub_block): the block's
+  /// block_peel XOR its stored segments, decoded.
   BlockRepair scrub_one(util::BitMatrix& data, BlockIndex b,
                         ScrubReport& report);
   /// Applies `verdict` to block b in place (data bit in `data`, check bit
@@ -202,7 +249,7 @@ class ArrayCode {
 
   std::size_t n_;
   std::size_t words_;  // ceil(n / 64): one packed row
-  BlockCodec codec_;
+  DiagonalGeometry geometry_;
   // Packed check bits, blocks_per_side() rows of words_ words each: lead_
   // holds the leading parities, cnt_ the pre-reflection counter parities.
   std::vector<std::uint64_t> lead_;

@@ -1,15 +1,8 @@
 #include "core/geometry.hpp"
 
+#include <stdexcept>
+
 namespace pimecc::ecc {
-
-namespace diagword {
-
-std::uint64_t extract(std::span<const std::uint64_t> words, std::size_t bit0,
-                      std::size_t m) noexcept {
-  return util::simd::extract(words.data(), bit0, m);
-}
-
-}  // namespace diagword
 
 DiagonalGeometry::DiagonalGeometry(std::size_t m) : m_(m), inv2_(0) {
   if (m == 0 || !util::is_odd(static_cast<std::int64_t>(m))) {

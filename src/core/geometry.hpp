@@ -14,54 +14,12 @@
 // diagonals, destroying single-error *correction* (detection survives).
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <stdexcept>
 
 #include "util/modmath.hpp"
-#include "util/simd.hpp"
 
 namespace pimecc::ecc {
-
-/// Single-word segment helpers: a block row is an m-bit segment of a
-/// BitMatrix row, and for m <= 64 it fits in the low m bits of one word.
-/// The leading diagonals of a block are XOR_r rotl(row_r, r) and its
-/// counter diagonals reflect(XOR_r rotr(row_r, r)); util/simd's kernels
-/// rotate segments of any width, and the paper-model codecs in oracle/
-/// build other slopes on these helpers.
-namespace diagword {
-
-/// Mask of the low m bits (m in [1, 64]).
-[[nodiscard]] constexpr std::uint64_t low_mask(std::size_t m) noexcept {
-  return util::simd::low_mask(m);
-}
-
-/// Rotates the low m bits of `seg` left by k: bit c -> (c + k) mod m.
-/// Total: k is reduced mod m, stray bits of `seg` above position m are
-/// discarded, and there is no shift-width UB at m == 64 (the former
-/// `seg >> (m - k)` form shifted by 64 when k == 0 was only reachable with
-/// k >= m, but the contract is now explicit rather than a caller burden).
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t seg, std::size_t k,
-                                           std::size_t m) noexcept {
-  return util::simd::rotl(seg, k, m);
-}
-
-/// Reflection of the low m bits: bit j -> (m - j) mod m -- the
-/// counter-diagonal reordering -- in O(1) word ops.
-[[nodiscard]] constexpr std::uint64_t reflect(std::uint64_t seg,
-                                              std::size_t m) noexcept {
-  return util::simd::reflect(seg, m);
-}
-
-/// Extracts bits [bit0, bit0 + m) of a row's backing words as the low m
-/// bits of one word (m <= 64).  The caller guarantees the range lies within
-/// the row, so at most two words are touched.
-[[nodiscard]] std::uint64_t extract(std::span<const std::uint64_t> words,
-                                    std::size_t bit0, std::size_t m) noexcept;
-
-}  // namespace diagword
 
 /// Location of a cell inside an m x m block.
 struct Cell {

@@ -17,7 +17,7 @@
 
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
-#include "core/block_code.hpp"
+#include "oracle/reference_block_code.hpp"  // Syndrome
 #include "util/bitvector.hpp"
 #include "xbar/crossbar.hpp"
 

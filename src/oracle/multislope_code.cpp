@@ -5,8 +5,8 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/geometry.hpp"
 #include "util/modmath.hpp"
+#include "util/simd.hpp"
 
 namespace pimecc::ecc {
 
@@ -15,13 +15,11 @@ namespace {
 constexpr std::size_t kWordM = 64;
 }  // namespace
 
-namespace diagword {
-
 std::uint64_t stride_permute(std::uint64_t seg, std::size_t s,
                              std::size_t m) noexcept {
   s %= m;  // the incremental dest reduction below requires s < m
-  if (s == 1) return seg & low_mask(m);
-  if (s == m - 1 && m > 1) return reflect(seg, m);
+  if (s == 1) return seg & util::simd::low_mask(m);
+  if (s == m - 1 && m > 1) return util::simd::reflect(seg, m);
   std::uint64_t out = 0;
   std::size_t dest = 0;  // (s * j) mod m, maintained incrementally
   for (std::size_t j = 0; j < m; ++j) {
@@ -31,8 +29,6 @@ std::uint64_t stride_permute(std::uint64_t seg, std::size_t s,
   }
   return out;
 }
-
-}  // namespace diagword
 
 MultiSlopeCodec::MultiSlopeCodec(std::size_t m, std::vector<std::size_t> slopes)
     : m_(m), slopes_(std::move(slopes)) {
@@ -94,21 +90,22 @@ MultiCheckBits MultiSlopeCodec::encode(const util::BitMatrix& data,
   // Word-parallel path: in GF(2)[x]/(x^m - 1), family f's parity is
   // sum_r x^r p_r(x^{s_f}) = q_f(x^{s_f}) with q_f = sum_r x^{r/s_f} p_r,
   // so each row costs one rotate+XOR per family and the stride
-  // substitution runs once per block (diagword in core/geometry).
-  const std::span<const util::BitVector> rows = data.rows_span();
+  // substitution runs once per block (stride_permute).
   std::vector<std::uint64_t> acc(families(), 0);
   std::vector<std::size_t> rot(families(), 0);  // (r * inv_slope_f) mod m
+  const std::span<const util::BitVector> rows = data.rows_span();
   for (std::size_t r = 0; r < m_; ++r) {
-    const std::uint64_t seg = diagword::extract(rows[row0 + r].words(), col0, m_);
+    const std::uint64_t seg =
+        util::simd::extract(rows[row0 + r].words().data(), col0, m_);
     for (std::size_t f = 0; f < families(); ++f) {
-      acc[f] ^= diagword::rotl(seg, rot[f], m_);
+      acc[f] ^= util::simd::rotl(seg, rot[f], m_);
       rot[f] += inv_slopes_[f];
       if (rot[f] >= m_) rot[f] -= m_;
     }
   }
   for (std::size_t f = 0; f < families(); ++f) {
     check.family_parity[f].set_low_word(
-        diagword::stride_permute(acc[f], slopes_[f], m_));
+        stride_permute(acc[f], slopes_[f], m_));
   }
   return check;
 }

@@ -31,8 +31,6 @@
 
 namespace pimecc::ecc {
 
-namespace diagword {
-
 /// Applies the stride permutation bit j -> (s * j) mod m to the low m bits
 /// (m <= 64; s reduced mod m, and for parity use coprime to m).  In the
 /// polynomial view over GF(2)[x]/(x^m - 1), row r of a block is p_r(x) and
@@ -45,8 +43,6 @@ namespace diagword {
 /// O(m) bit loop.
 [[nodiscard]] std::uint64_t stride_permute(std::uint64_t seg, std::size_t s,
                                            std::size_t m) noexcept;
-
-}  // namespace diagword
 
 /// Check bits of one block under K slope families: K*m parity bits.
 struct MultiCheckBits {
@@ -136,8 +132,7 @@ class MultiSlopeCodec {
   std::vector<std::size_t> slopes_;
   /// Modular inverse of each slope mod m (slopes are coprime to m), used by
   /// the word-parallel encoder: family f accumulates rotl(row_r, r * inv_f)
-  /// then applies one stride-f permutation per block (see diagword in
-  /// core/geometry).
+  /// then applies one stride-f permutation per block (stride_permute).
   std::vector<std::size_t> inv_slopes_;
 };
 

@@ -3,12 +3,12 @@
 // Bit-serial golden model of the diagonal-parity block codec.
 //
 // This is the original scalar codec, retained verbatim: every parity is
-// accumulated one BitMatrix::get at a time.  It exists purely as the
-// reference in differential tests and benchmarks -- the production codec is
-// the word-parallel BlockCodec (block_code.hpp), which must match this
-// model exactly in CheckBits, Syndromes, DecodeResults, and applied
-// corrections on any input.  Keep the two classes' public APIs identical
-// (the same contract as xbar::ReferenceCrossbar vs xbar::Crossbar).
+// accumulated one BitMatrix::get at a time, and its syndrome rule is its
+// own.  It exists purely as the reference in differential tests and
+// benchmarks -- the production code is the word-parallel ArrayCode
+// (core/array_code.hpp), whose encode and scrubs must match it block for
+// block: the same CheckBits, the same verdicts and the same applied
+// corrections on any input.
 //
 // The file also hosts the bit-serial reference accumulations for the other
 // two parity codes, so their word-parallel paths are pinned the same way.
@@ -17,15 +17,26 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/array_code.hpp"  // ScrubReport
-#include "core/block_code.hpp"
+#include "core/array_code.hpp"  // CheckBits, DecodeResult, ScrubReport
 #include "core/geometry.hpp"
 #include "oracle/multislope_code.hpp"
 #include "util/bitmatrix.hpp"
+#include "util/bitvector.hpp"
 
 namespace pimecc::ecc {
 
-/// Bit-serial twin of BlockCodec; see file comment.
+/// Difference between recomputed and stored parity per diagonal; all-zero
+/// means the block is consistent.
+struct Syndrome {
+  util::BitVector leading;
+  util::BitVector counter;
+
+  explicit Syndrome(std::size_t m = 0) : leading(m), counter(m) {}
+  [[nodiscard]] bool clean() const noexcept { return leading.none() && counter.none(); }
+  bool operator==(const Syndrome&) const noexcept = default;
+};
+
+/// Bit-serial per-block codec; see file comment.
 class ReferenceBlockCodec {
  public:
   explicit ReferenceBlockCodec(std::size_t m) : geometry_(m) {}

@@ -12,15 +12,15 @@
 //
 // It exists purely as the reference in differential tests and benchmarks --
 // the production machine is PimMachine (pim_machine.hpp), which computes
-// check-bit updates differentially on the diagword kernel and must match
-// this model exactly in memory contents, check state, cycle counters,
-// correction counts, and throwing behavior on any program.  Keep the two
-// classes' public APIs identical (the same contract as ReferenceCrossbar vs
-// Crossbar and ReferenceBlockCodec vs BlockCodec) -- the one sanctioned
-// difference is the check-state accessor, which exposes each machine's own
-// storage: check_memory() (physical CMEM crossbars) here vs check_code()
-// (functional ArrayCode) on PimMachine; CheckMemory::matches bridges the
-// two in the differential harness.
+// check-bit updates differentially on util/simd's rotate+XOR kernels and
+// must match this model exactly in memory contents, check state, cycle
+// counters, correction counts, and throwing behavior on any program.  Keep
+// the two classes' public APIs identical (the same contract as
+// ReferenceCrossbar vs Crossbar) -- the one sanctioned difference is the
+// check-state accessor, which exposes each machine's own storage:
+// check_memory() (physical CMEM crossbars) here vs check_code() (functional
+// ArrayCode) on PimMachine; CheckMemory::matches bridges the two in the
+// differential harness.
 #pragma once
 
 #include <cstdint>

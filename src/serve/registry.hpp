@@ -3,7 +3,7 @@
 // Shared read-mostly caches behind the serving front end: benchmark
 // circuits, mapped single-row programs per (circuit, row width), and a
 // PimMachine pool per (n, m) so a burst of `run` requests does not rebuild
-// the geometry/stride tables (BlockCodec, ArrayCode, crossbar buffers) for
+// the geometry/stride tables (ArrayCode, crossbar buffers) for
 // every request.  The pool holds at most kMaxPooledMachines idle machines
 // beyond the most recently returned design point's, evicting the least
 // recently used design point first, so a client cycling through design

@@ -56,7 +56,7 @@ EccScheduleResult schedule_with_ecc(const MappedProgram& program,
 std::size_t find_min_pcs(const MappedProgram& program,
                          const arch::ArchParams& params, CoveragePolicy policy) {
   arch::ArchParams unlimited = params;
-  unlimited.num_pcs = 64;
+  unlimited.num_pcs = arch::kMaxPcs;
   const std::uint64_t best =
       schedule_with_ecc(program, unlimited, policy).proposed_cycles;
   for (std::size_t k = 1; k <= 8; ++k) {

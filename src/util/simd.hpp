@@ -220,8 +220,8 @@ struct KernelTable {
 
   /// Same accumulation for ONE block of all m rows, whose m-bit segment sits
   /// at bit offset bit0 of each row (the one-block checks: block-column
-  /// scrubs, scrub_block, BlockCodec::encode).  rows[r] (r < m)
-  /// points at the backing words of block row r.  lead / cnt receive the
+  /// scrubs and scrub_block).  rows[r] (r < m) points at the backing words
+  /// of block row r.  lead / cnt receive the
   /// leading and pre-reflection counter parities, ceil(m / 64) words each,
   /// bits at or above m zero.
   void (*block_peel)(const std::uint64_t* const* rows, std::size_t m,

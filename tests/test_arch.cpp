@@ -56,6 +56,10 @@ TEST(ArchParams, RejectsInvalidCombinations) {
   p = ArchParams{};
   p.num_pcs = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.num_pcs = kMaxPcs + 1;  // one busy-until slot per crossbar
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.num_pcs = kMaxPcs;
+  EXPECT_NO_THROW(p.validate());
   p = ArchParams{};
   p.xor3_cycles = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);

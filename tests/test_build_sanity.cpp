@@ -9,7 +9,6 @@
 
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
-#include "core/block_code.hpp"
 #include "core/geometry.hpp"
 #include "oracle/check_memory.hpp"
 #include "pimecc/version.hpp"
@@ -62,11 +61,6 @@ TEST(BuildSanity, DiagonalGeometryRejectsEvenOrZeroBlockSize) {
   EXPECT_THROW(pimecc::ecc::DiagonalGeometry(4), std::invalid_argument);
   EXPECT_THROW(pimecc::ecc::DiagonalGeometry(0), std::invalid_argument);
   EXPECT_NO_THROW(pimecc::ecc::DiagonalGeometry(15));
-}
-
-TEST(BuildSanity, BlockCodecRejectsEvenBlockSize) {
-  EXPECT_THROW(pimecc::ecc::BlockCodec(8), std::invalid_argument);
-  EXPECT_NO_THROW(pimecc::ecc::BlockCodec(15));
 }
 
 TEST(BuildSanity, ArchParamsValidateRejectsInvalidGeometry) {

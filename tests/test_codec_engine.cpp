@@ -1,6 +1,6 @@
 // Tests for the word-parallel ECC codec engine: differential equivalence of
-// BlockCodec / ArrayCode / MultiSlopeCodec / HorizontalCode against the
-// bit-serial reference implementations (reference_block_code.hpp),
+// ArrayCode / MultiSlopeCodec / HorizontalCode against the bit-serial
+// reference implementations (reference_block_code.hpp),
 // exhaustive small-m correction coverage, and the validate-before-mutate
 // regressions of the ECC layer -- the codec-level twin of test_engine.cpp.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
-#include "core/block_code.hpp"
 #include "core/geometry.hpp"
 #include "fault/injector.hpp"
 #include "oracle/check_memory.hpp"
@@ -52,7 +51,7 @@ BitVector random_bits(std::size_t size, Rng& rng) {
   return v;
 }
 
-// Anchors biased toward 64-bit word boundaries, where diagword::extract
+// Anchors biased toward 64-bit word boundaries, where util::simd::extract
 // must stitch a segment from two backing words.
 std::size_t random_anchor(Rng& rng, std::size_t limit, std::size_t m) {
   if (rng.bernoulli(0.4)) {
@@ -64,39 +63,71 @@ std::size_t random_anchor(Rng& rng, std::size_t limit, std::size_t m) {
   return rng.uniform_below(limit + 1);
 }
 
-// ----------------------------------------------- BlockCodec differential
+/// The reference codec's verdict on the block anchored at (row0, col0), as
+/// ArrayCode::scrub_block reports it.
+BlockRepair as_repair(const DecodeResult& result, std::size_t row0,
+                      std::size_t col0) {
+  BlockRepair repair;
+  repair.status = result.status;
+  if (result.data_error) {
+    repair.data_r = row0 + result.data_error->r;
+    repair.data_c = col0 + result.data_error->c;
+  }
+  if (result.check_error) {
+    repair.check_on_leading_axis = result.check_error->on_leading_axis;
+    repair.check_index = result.check_error->index;
+  }
+  return repair;
+}
+
+// ------------------------------------------ per-block differential
 
 TEST(CodecDifferential, EncodeMatchesReferenceAtArbitraryAnchors) {
+  // A grid more than 448 bits wide: block origins bc * m fall at many
+  // offsets within a 64-bit word (every offset for m <= 7), so segments
+  // straddle word boundaries at many splits.  Every block column of two
+  // random block rows.
   Rng rng(0xC0DEC'01ull);
-  const BitMatrix data = random_matrix(kWidestM + 97, kWidestM + 193, rng);
   for (const std::size_t m : kOddM) {
-    const BlockCodec fast(m);
+    const std::size_t bps = std::max<std::size_t>(2, (kWidestM + 193) / m + 1);
+    const std::size_t n = m * bps;
+    const BitMatrix data = random_matrix(n, n, rng);
+    ArrayCode code(n, m);
+    code.encode_all(data);
     const ReferenceBlockCodec ref(m);
-    for (int trial = 0; trial < 60; ++trial) {
-      const std::size_t row0 = rng.uniform_below(data.rows() - m + 1);
-      const std::size_t col0 = random_anchor(rng, data.cols() - m, m);
-      EXPECT_EQ(fast.encode(data, row0, col0), ref.encode(data, row0, col0))
-          << "m=" << m << " anchor (" << row0 << ", " << col0 << ")";
+    for (int trial = 0; trial < 2; ++trial) {
+      const std::size_t br = rng.uniform_below(bps);
+      for (std::size_t bc = 0; bc < bps; ++bc) {
+        EXPECT_EQ(code.check_bits({br, bc}), ref.encode(data, br * m, bc * m))
+            << "m=" << m << " block (" << br << ", " << bc << ")";
+      }
     }
   }
 }
 
 TEST(CodecDifferential, SyndromeAndClassifyMatchReference) {
+  // Arbitrary stored check bits against fixed data: scrub_block's verdict
+  // is the reference's classify of the reference syndrome.
   Rng rng(0xC0DEC'02ull);
-  const BitMatrix data = random_matrix(kWidestM + 80, kWidestM + 150, rng);
   for (const std::size_t m : kOddM) {
-    const BlockCodec fast(m);
+    const std::size_t bps = 3;
+    const std::size_t n = m * bps;
+    const BitMatrix data = random_matrix(n, n, rng);
+    ArrayCode code(n, m);
     const ReferenceBlockCodec ref(m);
     for (int trial = 0; trial < 40; ++trial) {
-      const std::size_t row0 = rng.uniform_below(data.rows() - m + 1);
-      const std::size_t col0 = random_anchor(rng, data.cols() - m, m);
+      const BlockIndex b{rng.uniform_below(bps), rng.uniform_below(bps)};
+      const std::size_t row0 = b.block_row * m;
+      const std::size_t col0 = b.block_col * m;
       CheckBits stored(m);
       stored.leading = random_bits(m, rng);
       stored.counter = random_bits(m, rng);
-      const Syndrome sf = fast.compute_syndrome(data, row0, col0, stored);
-      const Syndrome sr = ref.compute_syndrome(data, row0, col0, stored);
-      EXPECT_EQ(sf, sr) << "m=" << m;
-      EXPECT_EQ(fast.classify(sf), ref.classify(sr)) << "m=" << m;
+      code.set_check_bits(b, stored);
+      const DecodeResult expected =
+          ref.classify(ref.compute_syndrome(data, row0, col0, stored));
+      BitMatrix scrubbed = data;
+      EXPECT_EQ(code.scrub_block(scrubbed, b), as_repair(expected, row0, col0))
+          << "m=" << m;
     }
   }
 }
@@ -104,36 +135,37 @@ TEST(CodecDifferential, SyndromeAndClassifyMatchReference) {
 TEST(CodecDifferential, CheckAndCorrectMatchesReferenceUnderInjectedErrors) {
   Rng rng(0xC0DEC'03ull);
   for (const std::size_t m : kOddM) {
-    const BlockCodec fast(m);
+    const std::size_t n = 2 * m;
     const ReferenceBlockCodec ref(m);
     for (int trial = 0; trial < 60; ++trial) {
-      BitMatrix base = random_matrix(m + 17, m + 70, rng);
-      const std::size_t row0 = rng.uniform_below(base.rows() - m + 1);
-      const std::size_t col0 = random_anchor(rng, base.cols() - m, m);
-      const CheckBits encoded = ref.encode(base, row0, col0);
+      const BitMatrix base = random_matrix(n, n, rng);
+      ArrayCode code(n, m);
+      code.encode_all(base);
+      const BlockIndex b{rng.uniform_below(2), rng.uniform_below(2)};
+      const std::size_t row0 = b.block_row * m;
+      const std::size_t col0 = b.block_col * m;
 
-      // 0..4 flips across the data window and both check-bit axes.
+      // 0..4 flips across the block's data and both check-bit axes.
       const std::size_t flips = rng.uniform_below(5);
       BitMatrix data_f = base;
-      CheckBits stored_f = encoded;
+      CheckBits stored_r = code.check_bits(b);
       for (std::size_t i = 0; i < flips; ++i) {
         const std::size_t kind = rng.uniform_below(3);
         if (kind == 0) {
           data_f.flip(row0 + rng.uniform_below(m), col0 + rng.uniform_below(m));
-        } else if (kind == 1) {
-          stored_f.leading.flip(rng.uniform_below(m));
         } else {
-          stored_f.counter.flip(rng.uniform_below(m));
+          const std::size_t d = rng.uniform_below(m);
+          code.flip_check_bit(b, kind == 1, d);
+          (kind == 1 ? stored_r.leading : stored_r.counter).flip(d);
         }
       }
       BitMatrix data_r = data_f;
-      CheckBits stored_r = stored_f;
 
-      const DecodeResult a = fast.check_and_correct(data_f, row0, col0, stored_f);
-      const DecodeResult b = ref.check_and_correct(data_r, row0, col0, stored_r);
-      EXPECT_EQ(a, b) << "m=" << m << " flips=" << flips;
+      const BlockRepair a = code.scrub_block(data_f, b);
+      const DecodeResult r = ref.check_and_correct(data_r, row0, col0, stored_r);
+      EXPECT_EQ(a, as_repair(r, row0, col0)) << "m=" << m << " flips=" << flips;
       EXPECT_EQ(data_f, data_r) << "m=" << m;
-      EXPECT_EQ(stored_f, stored_r) << "m=" << m;
+      EXPECT_EQ(code.check_bits(b), stored_r) << "m=" << m;
     }
   }
 }
@@ -306,52 +338,71 @@ TEST(CodecDifferential, HorizontalParitiesMatchReference) {
 
 // --------------------------------------------- exhaustive small-m sweeps
 
-// Every single data-bit flip and every single check-bit flip must be
-// located and corrected exactly, by both engines.
-template <typename Codec>
-void exhaustive_single_error_sweep(const Codec& codec, std::size_t m,
-                                   std::uint64_t seed) {
+// Every single data-bit flip and every single check-bit flip of block
+// (1, 1) of a 2 x 2 grid must be located and corrected exactly, by both
+// engines.
+void exhaustive_single_error_sweep(std::size_t m, std::uint64_t seed) {
   Rng rng(seed);
-  const BitMatrix base = random_matrix(m + 3, m + 5, rng);
-  const std::size_t row0 = 2;
-  const std::size_t col0 = 3;
-  const CheckBits encoded = codec.encode(base, row0, col0);
+  const BitMatrix base = random_matrix(2 * m, 2 * m, rng);
+  const BlockIndex b{1, 1};
+  ArrayCode encoded(2 * m, m);
+  encoded.encode_all(base);
+  const CheckBits bits = encoded.check_bits(b);
+  const ReferenceBlockCodec ref(m);
+  ASSERT_EQ(ref.encode(base, m, m), bits) << "m=" << m;
+
+  // Both engines repair one error: each must report `want` and restore
+  // the data and the check bits.
+  const auto expect_repaired = [&](const BitMatrix& data, const ArrayCode& code,
+                                   const CheckBits& stored,
+                                   const BlockRepair& want) {
+    BitMatrix data_f = data;
+    ArrayCode code_f = code;
+    EXPECT_EQ(code_f.scrub_block(data_f, b), want);
+    EXPECT_EQ(data_f, base);
+    EXPECT_EQ(code_f.check_bits(b), bits);
+    BitMatrix data_r = data;
+    CheckBits stored_r = stored;
+    EXPECT_EQ(as_repair(ref.check_and_correct(data_r, m, m, stored_r), m, m),
+              want);
+    EXPECT_EQ(data_r, base);
+    EXPECT_EQ(stored_r, bits);
+  };
 
   for (std::size_t r = 0; r < m; ++r) {
     for (std::size_t c = 0; c < m; ++c) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " cell (" << r << ", "
+                                      << c << ")");
       BitMatrix data = base;
-      CheckBits stored = encoded;
-      data.flip(row0 + r, col0 + c);
-      const DecodeResult result = codec.check_and_correct(data, row0, col0, stored);
-      ASSERT_EQ(result.status, DecodeStatus::kCorrectedData)
-          << "m=" << m << " cell (" << r << ", " << c << ")";
-      ASSERT_TRUE(result.data_error.has_value());
-      EXPECT_EQ(*result.data_error, (Cell{r, c}));
-      EXPECT_EQ(data, base) << "correction must restore the data bit";
-      EXPECT_EQ(stored, encoded) << "check bits must be untouched";
+      data.flip(m + r, m + c);
+      BlockRepair want;
+      want.status = DecodeStatus::kCorrectedData;
+      want.data_r = m + r;
+      want.data_c = m + c;
+      expect_repaired(data, encoded, bits, want);
     }
   }
 
   for (const bool on_leading : {true, false}) {
     for (std::size_t d = 0; d < m; ++d) {
-      BitMatrix data = base;
-      CheckBits stored = encoded;
+      SCOPED_TRACE(testing::Message()
+                   << "m=" << m << (on_leading ? " leading " : " counter ") << d);
+      ArrayCode code = encoded;
+      code.flip_check_bit(b, on_leading, d);
+      CheckBits stored = bits;
       (on_leading ? stored.leading : stored.counter).flip(d);
-      const DecodeResult result = codec.check_and_correct(data, row0, col0, stored);
-      ASSERT_EQ(result.status, DecodeStatus::kCorrectedCheck)
-          << "m=" << m << (on_leading ? " leading " : " counter ") << d;
-      ASSERT_TRUE(result.check_error.has_value());
-      EXPECT_EQ(*result.check_error, (CheckBitLocation{on_leading, d}));
-      EXPECT_EQ(data, base) << "data must be untouched";
-      EXPECT_EQ(stored, encoded) << "correction must restore the check bit";
+      BlockRepair want;
+      want.status = DecodeStatus::kCorrectedCheck;
+      want.check_on_leading_axis = on_leading;
+      want.check_index = d;
+      expect_repaired(base, code, stored, want);
     }
   }
 }
 
 TEST(CodecExhaustive, EverySingleErrorCorrectedExactly) {
   for (const std::size_t m : {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
-    exhaustive_single_error_sweep(BlockCodec(m), m, 0xE0'0001ull + m);
-    exhaustive_single_error_sweep(ReferenceBlockCodec(m), m, 0xE0'0001ull + m);
+    exhaustive_single_error_sweep(m, 0xE0'0001ull + m);
   }
 }
 
@@ -362,14 +413,16 @@ TEST(CodecExhaustive, EverySingleErrorCorrectedExactly) {
 // flag >= 2 diagonals on at least one axis.
 TEST(CodecExhaustive, DoubleDataErrorsNeverMiscorrectedSilentlyM3) {
   const std::size_t m = 3;
-  const BlockCodec fast(m);
   const ReferenceBlockCodec ref(m);
   for (std::uint32_t content = 0; content < 512; ++content) {
     BitMatrix base(m, m);
     for (std::size_t bit = 0; bit < 9; ++bit) {
       base.set(bit / m, bit % m, (content >> bit) & 1u);
     }
+    ArrayCode code(m, m);
+    code.encode_all(base);
     const CheckBits encoded = ref.encode(base, 0, 0);
+    ASSERT_EQ(code.check_bits({0, 0}), encoded);
     for (std::size_t a = 0; a < 9; ++a) {
       for (std::size_t b = a + 1; b < 9; ++b) {
         BitMatrix data = base;
@@ -377,12 +430,11 @@ TEST(CodecExhaustive, DoubleDataErrorsNeverMiscorrectedSilentlyM3) {
         data.flip(b / m, b % m);
         const BitMatrix damaged = data;
 
-        CheckBits stored = encoded;
-        const DecodeResult result = fast.check_and_correct(data, 0, 0, stored);
+        const BlockRepair result = code.scrub_block(data, {0, 0});
         ASSERT_EQ(result.status, DecodeStatus::kDetectedUncorrectable)
             << "content=" << content << " pair (" << a << ", " << b << ")";
         ASSERT_EQ(data, damaged) << "uncorrectable blocks must not be touched";
-        ASSERT_EQ(stored, encoded);
+        ASSERT_EQ(code.check_bits({0, 0}), encoded);
 
         CheckBits stored_ref = encoded;
         const DecodeResult ref_result =
@@ -443,7 +495,8 @@ TEST(CodecStore, FlipCheckBitMatchesTheCheckBitsItUsedToFlip) {
   // The packed store keeps counter parities pre-reflection; flip_check_bit
   // on either axis must flip exactly the diagonal that flipping the same
   // index of a CheckBits family flips (the pre-store API), checked against
-  // BlockCodec::encode, and a scrub must then repair that very check bit.
+  // the reference codec's encode, and a scrub must then repair that very
+  // check bit.
   Rng rng(0xC0DEC'0Bull);
   for (const std::size_t m : kOddM) {
     const std::size_t n = 3 * m;
@@ -453,8 +506,8 @@ TEST(CodecStore, FlipCheckBitMatchesTheCheckBitsItUsedToFlip) {
     for (const bool leading : {false, true}) {
       const BlockIndex b{rng.uniform_below(3), rng.uniform_below(3)};
       const std::size_t index = rng.uniform_below(m);
-      CheckBits expected = code.codec().encode(data, b.block_row * m,
-                                               b.block_col * m);
+      CheckBits expected =
+          ReferenceBlockCodec(m).encode(data, b.block_row * m, b.block_col * m);
       ASSERT_EQ(code.check_bits(b), expected);
       (leading ? expected.leading : expected.counter).flip(index);
       code.flip_check_bit(b, leading, index);
@@ -538,13 +591,11 @@ TEST(CodecEngineSmoke, TinyDifferentialSweep) {
   Rng rng(0xC0DEC'0Bull);
   for (const std::size_t m : {std::size_t{3}, std::size_t{5}}) {
     const std::size_t n = 4 * m;
-    const BlockCodec fast(m);
     const ReferenceBlockCodec ref(m);
     const BitMatrix base = random_matrix(n, n, rng);
-    EXPECT_EQ(fast.encode(base, m, 2 * m), ref.encode(base, m, 2 * m));
-
     ArrayCode code(n, m);
     code.encode_all(base);
+    EXPECT_EQ(code.check_bits({1, 2}), ref.encode(base, m, 2 * m));
     EXPECT_TRUE(code.consistent_with(base));
 
     BitMatrix data = base;

@@ -1,12 +1,12 @@
-// Unit + property tests for src/core: diagonal geometry, per-block codec,
-// whole-array code, and the horizontal-parity strawman.
+// Unit + property tests for src/core: diagonal geometry, the per-block
+// Section III properties, whole-array code, and the horizontal-parity
+// strawman.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <tuple>
 
 #include "core/array_code.hpp"
-#include "core/block_code.hpp"
 #include "core/geometry.hpp"
 #include "oracle/horizontal_code.hpp"
 #include "util/bitmatrix.hpp"
@@ -78,35 +78,47 @@ TEST(DiagonalGeometry, LocateRejectsOutOfRange) {
   EXPECT_THROW((void)geo.locate({0, 5}), std::out_of_range);
 }
 
-// ---------------------------------------------------------------- BlockCodec
+// ------------------------------------------------------- one-block code
+//
+// Paper Section III's per-block properties, on the product codec: a
+// single-block ArrayCode(m, m) encodes with encode_all and repairs with
+// scrub_block.
 
 TEST(BlockCodec, EncodeComputesDiagonalParities) {
   // 3x3 block with a single set bit at (1, 2): leading diag (1+2)%3 = 0,
   // counter diag (1-2)%3 = 2.
-  BlockCodec codec(3);
+  ArrayCode code(3, 3);
   util::BitMatrix data(3, 3);
   data.set(1, 2, true);
-  const CheckBits check = codec.encode(data, 0, 0);
+  code.encode_all(data);
+  const CheckBits check = code.check_bits({0, 0});
   EXPECT_EQ(check.leading.to_string(), "100");
   EXPECT_EQ(check.counter.to_string(), "001");
 }
 
 TEST(BlockCodec, EncodeRespectsWindowAnchor) {
-  BlockCodec codec(3);
+  ArrayCode code(6, 3);
   util::BitMatrix data(6, 6);
   data.set(4, 5, true);  // inside block (1,1) at relative (1,2)
-  const CheckBits anchored = codec.encode(data, 3, 3);
+  code.encode_all(data);
+  const CheckBits anchored = code.check_bits({1, 1});
   EXPECT_EQ(anchored.leading.to_string(), "100");
-  EXPECT_THROW((void)codec.encode(data, 4, 4), std::out_of_range);
+  EXPECT_EQ(anchored.counter.to_string(), "001");
+  EXPECT_EQ(code.check_bits({0, 0}), CheckBits(3));
+  EXPECT_EQ(code.check_bits({0, 1}), CheckBits(3));
+  EXPECT_EQ(code.check_bits({1, 0}), CheckBits(3));
+  EXPECT_THROW((void)code.check_bits({2, 2}), std::out_of_range);
+  EXPECT_THROW((void)code.scrub_block(data, {1, 2}), std::out_of_range);
 }
 
 TEST(BlockCodec, CleanBlockHasZeroSyndrome) {
-  BlockCodec codec(5);
-  const util::BitMatrix data = random_matrix(5, 5, 77);
-  const CheckBits check = codec.encode(data, 0, 0);
-  const Syndrome s = codec.compute_syndrome(data, 0, 0, check);
-  EXPECT_TRUE(s.clean());
-  EXPECT_EQ(codec.classify(s).status, DecodeStatus::kClean);
+  ArrayCode code(5, 5);
+  util::BitMatrix data = random_matrix(5, 5, 77);
+  const util::BitMatrix golden = data;
+  code.encode_all(data);
+  EXPECT_TRUE(code.consistent_with(data));
+  EXPECT_EQ(code.scrub_block(data, {0, 0}).status, DecodeStatus::kClean);
+  EXPECT_EQ(data, golden);
 }
 
 class SingleErrorTest
@@ -114,18 +126,19 @@ class SingleErrorTest
 
 TEST_P(SingleErrorTest, EveryDataBitPositionIsCorrected) {
   const auto [r, c] = GetParam();
-  BlockCodec codec(5);
+  ArrayCode code(5, 5);
   util::BitMatrix data = random_matrix(5, 5, 101);
   const util::BitMatrix golden = data;
-  CheckBits check = codec.encode(data, 0, 0);
+  code.encode_all(data);
+  const CheckBits check = code.check_bits({0, 0});
 
   data.flip(r, c);
-  const DecodeResult result = codec.check_and_correct(data, 0, 0, check);
+  const BlockRepair result = code.scrub_block(data, {0, 0});
   EXPECT_EQ(result.status, DecodeStatus::kCorrectedData);
-  ASSERT_TRUE(result.data_error.has_value());
-  EXPECT_EQ(result.data_error->r, r);
-  EXPECT_EQ(result.data_error->c, c);
+  EXPECT_EQ(result.data_r, r);
+  EXPECT_EQ(result.data_c, c);
   EXPECT_EQ(data, golden);
+  EXPECT_EQ(code.check_bits({0, 0}), check);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -134,39 +147,43 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range<std::size_t>(0, 5)));
 
 TEST(BlockCodec, SingleCheckBitErrorIsCorrectedInPlace) {
-  BlockCodec codec(5);
+  ArrayCode code(5, 5);
   util::BitMatrix data = random_matrix(5, 5, 55);
-  const CheckBits golden = codec.encode(data, 0, 0);
+  const util::BitMatrix golden_data = data;
+  code.encode_all(data);
+  const CheckBits golden = code.check_bits({0, 0});
   for (std::size_t d = 0; d < 5; ++d) {
     for (const bool leading : {true, false}) {
-      CheckBits corrupted = golden;
-      (leading ? corrupted.leading : corrupted.counter).flip(d);
-      const DecodeResult result = codec.check_and_correct(data, 0, 0, corrupted);
+      code.flip_check_bit({0, 0}, leading, d);
+      const BlockRepair result = code.scrub_block(data, {0, 0});
       EXPECT_EQ(result.status, DecodeStatus::kCorrectedCheck);
-      ASSERT_TRUE(result.check_error.has_value());
-      EXPECT_EQ(result.check_error->on_leading_axis, leading);
-      EXPECT_EQ(result.check_error->index, d);
-      EXPECT_EQ(corrupted, golden);
+      EXPECT_EQ(result.check_on_leading_axis, leading);
+      EXPECT_EQ(result.check_index, d);
+      EXPECT_EQ(code.check_bits({0, 0}), golden);
+      EXPECT_EQ(data, golden_data);
     }
   }
 }
 
 TEST(BlockCodec, EveryDoubleDataErrorIsDetectedNeverMiscorrected) {
-  BlockCodec codec(5);
-  util::BitMatrix base = random_matrix(5, 5, 303);
-  const CheckBits check = codec.encode(base, 0, 0);
+  ArrayCode code(5, 5);
+  const util::BitMatrix base = random_matrix(5, 5, 303);
+  code.encode_all(base);
+  const CheckBits check = code.check_bits({0, 0});
   std::size_t checked = 0;
   for (std::size_t i = 0; i < 25; ++i) {
     for (std::size_t j = i + 1; j < 25; ++j) {
       util::BitMatrix data = base;
       data.flip(i / 5, i % 5);
       data.flip(j / 5, j % 5);
-      const Syndrome s = codec.compute_syndrome(data, 0, 0, check);
-      const DecodeResult result = codec.classify(s);
+      const util::BitMatrix damaged = data;
       // The two flips land on distinct diagonal pairs (odd-m bijection), so
       // the signature can never look like one data error.
-      EXPECT_EQ(result.status, DecodeStatus::kDetectedUncorrectable)
+      EXPECT_EQ(code.scrub_block(data, {0, 0}).status,
+                DecodeStatus::kDetectedUncorrectable)
           << "flips " << i << "," << j;
+      EXPECT_EQ(data, damaged) << "flips " << i << "," << j;
+      EXPECT_EQ(code.check_bits({0, 0}), check);
       ++checked;
     }
   }
@@ -176,41 +193,45 @@ TEST(BlockCodec, EveryDoubleDataErrorIsDetectedNeverMiscorrected) {
 TEST(BlockCodec, DataPlusCheckDoubleErrorNeverDecodesClean) {
   // A data flip plus a check flip can look like either a correctable pattern
   // (if unrelated) or uncorrectable; it must never decode as *clean*.
-  BlockCodec codec(5);
-  util::BitMatrix base = random_matrix(5, 5, 404);
-  const CheckBits golden = codec.encode(base, 0, 0);
+  ArrayCode golden(5, 5);
+  const util::BitMatrix base = random_matrix(5, 5, 404);
+  golden.encode_all(base);
   for (std::size_t bit = 0; bit < 25; ++bit) {
     for (std::size_t d = 0; d < 5; ++d) {
       util::BitMatrix data = base;
       data.flip(bit / 5, bit % 5);
-      CheckBits check = golden;
-      check.leading.flip(d);
-      const Syndrome s = codec.compute_syndrome(data, 0, 0, check);
-      EXPECT_NE(codec.classify(s).status, DecodeStatus::kClean);
+      ArrayCode code = golden;
+      code.flip_check_bit({0, 0}, true, d);
+      EXPECT_NE(code.scrub_block(data, {0, 0}).status, DecodeStatus::kClean);
     }
   }
 }
 
 TEST(BlockCodec, ContinuousUpdateMatchesReencode) {
-  BlockCodec codec(7);
+  ArrayCode code(7, 7);
   util::Rng rng(11);
   util::BitMatrix data = random_matrix(7, 7, 12);
-  CheckBits check = codec.encode(data, 0, 0);
+  code.encode_all(data);
   for (int step = 0; step < 500; ++step) {
     const std::size_t r = rng.uniform_below(7);
     const std::size_t c = rng.uniform_below(7);
     const bool old_value = data.get(r, c);
     const bool new_value = rng.bernoulli(0.5);
     data.set(r, c, new_value);
-    codec.update_for_write(check, r, c, old_value, new_value);
+    code.apply_writes({{r, c, old_value, new_value}});
   }
-  EXPECT_EQ(check, codec.encode(data, 0, 0));
+  ArrayCode fresh(7, 7);
+  fresh.encode_all(data);
+  EXPECT_EQ(code.check_bits({0, 0}), fresh.check_bits({0, 0}));
 }
 
 TEST(BlockCodec, CellCountsMatchPaper) {
-  BlockCodec codec(15);
-  EXPECT_EQ(codec.check_bit_count(), 30u);
-  EXPECT_EQ(codec.cells_per_block(), 15u * 15u + 30u);
+  // 2m check bits per m x m block: m leading plus m counter parities.
+  ArrayCode code(30, 15);
+  EXPECT_EQ(code.block_count(), 4u);
+  const CheckBits bits = code.check_bits({1, 1});
+  EXPECT_EQ(bits.leading.size() + bits.counter.size(), 30u);
+  EXPECT_EQ(code.blocks_per_side() * code.m(), code.n());
 }
 
 // ----------------------------------------------------------------- ArrayCode

@@ -2,8 +2,8 @@
 #include <set>
 #include <gtest/gtest.h>
 
-#include "core/block_code.hpp"
 #include "oracle/multislope_code.hpp"
+#include "oracle/reference_block_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +33,7 @@ TEST(MultiSlope, KTwoMatchesThePaperDiagonalCode) {
   // counter family ((r - c) mod m).
   const std::size_t m = 9;
   const MultiSlopeCodec multi(m, {1, m - 1});
-  const BlockCodec paper(m);
+  const ReferenceBlockCodec paper(m);
   const util::BitMatrix data = random_block(m, 5);
   const MultiCheckBits mc = multi.encode(data, 0, 0);
   const CheckBits pc = paper.encode(data, 0, 0);

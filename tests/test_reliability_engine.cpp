@@ -17,6 +17,7 @@
 
 #include "core/array_code.hpp"
 #include "fault/injector.hpp"
+#include "oracle/reference_block_code.hpp"
 #include "oracle/reference_reliability.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/montecarlo.hpp"
@@ -103,9 +104,10 @@ TEST(ReliabilityEngineSmoke, LifetimeCertainFailureMatchesReferenceExactly) {
 
 TEST(ReliabilityEngineSmoke, ScrubBlockAgreesWithCheckBlock) {
   // Randomized differential: inject 0-3 faults into one block, scrub it
-  // via scrub_block and via the codec's per-block check_and_correct on
-  // independent copies, and require identical verdicts and identical
-  // repaired state -- one-word segments at m=5, two-word ones at m=65.
+  // via scrub_block and via the bit-serial reference codec's
+  // check_and_correct on independent copies, and require identical verdicts
+  // and identical repaired state -- one-word segments at m=5, two-word ones
+  // at m=65.
   util::Rng rng(3);
   for (int round = 0; round < 120; ++round) {
     const std::size_t n = round < 60 ? 15 : 130;
@@ -122,8 +124,8 @@ TEST(ReliabilityEngineSmoke, ScrubBlockAgreesWithCheckBlock) {
     ecc::ArrayCode code2 = code;
     const ecc::BlockRepair repair = code.scrub_block(data, {br, bc});
     ecc::CheckBits stored2 = code2.check_bits({br, bc});
-    const ecc::DecodeResult decode =
-        code2.codec().check_and_correct(data2, br * m, bc * m, stored2);
+    const ecc::DecodeResult decode = ecc::ReferenceBlockCodec(m)
+        .check_and_correct(data2, br * m, bc * m, stored2);
     code2.set_check_bits({br, bc}, stored2);
     EXPECT_EQ(repair.status, decode.status);
     if (decode.data_error) {

@@ -423,16 +423,16 @@ TEST(ServeRobustness, ExecuteTagsFailuresWithErrorCodes) {
   EXPECT_TRUE(ok.ok);
   EXPECT_EQ(ok.code, ErrorCode::kNone);
 
-  // The size caps (serve::kMaxN, serve::kMaxTrials): without them these
-  // lines hold the server for tens of seconds, answer bad_alloc as
-  // `internal`, or wrap n*n.  Each must be a client error before the
+  // The size caps (serve::kMaxN, serve::kMaxTrials, arch::kMaxPcs): without
+  // them these lines hold the server for tens of seconds, answer bad_alloc
+  // as `internal`, or wrap n*n.  Each must be a client error before the
   // registry builds anything.
   const std::uint64_t builds = server.registry().stats().machine_builds;
   for (const std::string line :
        {"run circuit=ctrl n=60015 m=15", "run circuit=ctrl n=1500015 m=15",
         "map circuit=ctrl n=4110 m=15", "map circuit=ctrl width=4000000000",
-        "mttf n=150000000015 m=15", "sweep n=150000000015 m=15",
-        "scenario trials=100000000000"}) {
+        "map circuit=ctrl pcs=65", "mttf n=150000000015 m=15",
+        "sweep n=150000000015 m=15", "scenario trials=100000000000"}) {
     const Response capped = server.execute(parse_ok(line));
     EXPECT_FALSE(capped.ok) << line;
     EXPECT_EQ(capped.code, ErrorCode::kInvalidArgument) << line;

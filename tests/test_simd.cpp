@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/array_code.hpp"
-#include "core/block_code.hpp"
 #include "core/geometry.hpp"
 #include "oracle/multislope_code.hpp"
 #include "oracle/reference_block_code.hpp"

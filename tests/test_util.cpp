@@ -8,7 +8,6 @@
 #include <set>
 #include <vector>
 
-#include "core/geometry.hpp"
 #include "oracle/multislope_code.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
@@ -568,7 +567,7 @@ std::vector<std::uint64_t> rotate_probe_segments(std::size_t m, Rng& rng) {
   return segs;
 }
 
-// Regression for the pre-fix kernel contract: the old diagword::rotl
+// Regression for the pre-fix kernel contract: the old segment rotl
 // required k < m and computed `seg >> (m - k)` unmasked, which is
 // shift-by-64 UB at m == 64, k == 0-via-wraparound (k == m), and silently
 // wrong for stray bits above m.  Exhaustive over k in [0, 2m] including
@@ -593,19 +592,6 @@ TEST(SimdRotl, RotationByZeroAndByMIsMaskedIdentity) {
     const std::uint64_t seg = 0xDEADBEEFCAFEF00Dull;
     EXPECT_EQ(simd::rotl(seg, 0, m), seg & simd::low_mask(m)) << m;
     EXPECT_EQ(simd::rotl(seg, m, m), seg & simd::low_mask(m)) << m;
-  }
-}
-
-TEST(SimdRotl, AgreesWithDiagwordWrapper) {
-  // core/geometry's diagword::rotl must stay a strict alias of the simd
-  // primitive (the codecs call it on every row).
-  Rng rng(0x51D'902ull);
-  for (const std::size_t m : {3u, 31u, 63u, 64u}) {
-    for (int t = 0; t < 50; ++t) {
-      const std::uint64_t seg = rng.next();
-      const std::size_t k = rng.uniform_below(m + 1);
-      EXPECT_EQ(ecc::diagword::rotl(seg, k, m), simd::rotl(seg, k, m));
-    }
   }
 }
 
@@ -643,12 +629,12 @@ TEST(DiagwordStridePermute, FastPathsMatchBitLoop) {
     for (int t = 0; t < 20; ++t) {
       const std::uint64_t seg = rng.next() & simd::low_mask(m);
       for (std::size_t s = 1; s <= std::min<std::size_t>(m, 6); ++s) {
-        EXPECT_EQ(ecc::diagword::stride_permute(seg, s, m),
+        EXPECT_EQ(ecc::stride_permute(seg, s, m),
                   naive_stride(seg, s, m))
             << "m=" << m << " s=" << s;
       }
       if (m > 1) {
-        EXPECT_EQ(ecc::diagword::stride_permute(seg, m - 1, m),
+        EXPECT_EQ(ecc::stride_permute(seg, m - 1, m),
                   naive_stride(seg, m - 1, m))
             << "m=" << m;
       }
