@@ -40,7 +40,6 @@
 #include "reliability/lifetime.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
-#include "util/executor.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -109,7 +108,6 @@ int main(int argc, char** argv) {
   const bool smoke = options.smoke;
   bench::Gates gates;
   const double min_seconds = smoke ? 0.05 : 1.0;
-  const std::size_t workers = util::Executor::shared().worker_count();
   const std::size_t run_n = smoke ? 60 : 120;
   const std::size_t workload_size = smoke ? 16 : 64;
   const std::vector<serve::Request> workload =
@@ -284,11 +282,10 @@ int main(int argc, char** argv) {
                 "shutdown cancellation code");
   }
 
-  bench::Json json("pimecc-bench-serving/1", options);
-  json.object("executor")
-      .field("workers", workers)
-      .field("parallelism", workers + 1)
-      .end();
+  // Schema 2: the shared host block (CPU, executor width, SIMD level,
+  // build) replaces schema 1's executor object.
+  bench::Json json("pimecc-bench-serving/2", options);
+  json.host();
   json.object("workload")
       .field("requests", workload.size())
       .field("run_n", run_n)

@@ -73,14 +73,16 @@ function(pimecc_add_bench name)
   add_dependencies(benches ${name})
 endfunction()
 
-# pimecc_add_cli_test(<name> EXIT <code> [MATCH <regex>] COMMAND <target> [args...])
+# pimecc_add_cli_test(<name> EXIT <code> [MATCH <regex>] [STDOUT_FILE <file>]
+#                     COMMAND <target> [args...])
 #
 # Registers a ctest entry (labels "unit;cli") that runs the target binary
 # with the given arguments and asserts the exact exit status -- a crash
 # (signal death) never matches a numeric code, unlike WILL_FAIL -- plus an
-# optional regex over combined stdout+stderr.  See cmake/RunCliTest.cmake.
+# optional regex over combined stdout+stderr and an optional byte-exact
+# golden file for stdout.  See cmake/RunCliTest.cmake.
 function(pimecc_add_cli_test name)
-  cmake_parse_arguments(PCT "" "EXIT;MATCH" "COMMAND" ${ARGN})
+  cmake_parse_arguments(PCT "" "EXIT;MATCH;STDOUT_FILE" "COMMAND" ${ARGN})
   if(NOT DEFINED PCT_EXIT OR NOT PCT_COMMAND)
     message(FATAL_ERROR "pimecc_add_cli_test: EXIT and COMMAND are required")
   endif()
@@ -90,6 +92,7 @@ function(pimecc_add_cli_test name)
     "-DCLI_ARGS=${PCT_COMMAND}"
     -DEXPECT_EXIT=${PCT_EXIT}
     "-DEXPECT_MATCH=${PCT_MATCH}"
+    "-DEXPECT_STDOUT_FILE=${PCT_STDOUT_FILE}"
     -P "${PROJECT_SOURCE_DIR}/cmake/RunCliTest.cmake")
   set_tests_properties(cli.${name} PROPERTIES LABELS "unit;cli" TIMEOUT 120)
 endfunction()

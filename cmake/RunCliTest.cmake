@@ -5,7 +5,11 @@
 # Driven by pimecc_add_cli_test() in PimeccHelpers.cmake:
 #
 #   cmake -DCLI_COMMAND=<binary> -DCLI_ARGS=<;-list> -DEXPECT_EXIT=<code>
-#         [-DEXPECT_MATCH=<regex>] -P RunCliTest.cmake
+#         [-DEXPECT_MATCH=<regex>] [-DEXPECT_STDOUT_FILE=<file>]
+#         -P RunCliTest.cmake
+#
+# EXPECT_STDOUT_FILE compares stdout alone, byte for byte, with a golden
+# file.
 if(NOT DEFINED CLI_COMMAND OR NOT DEFINED EXPECT_EXIT)
   message(FATAL_ERROR "RunCliTest: CLI_COMMAND and EXPECT_EXIT are required")
 endif()
@@ -34,5 +38,16 @@ if(DEFINED EXPECT_MATCH AND NOT EXPECT_MATCH STREQUAL "")
       "output does not match '${EXPECT_MATCH}'\n"
       "command: ${CLI_COMMAND} ${CLI_ARGS}\n"
       "output:\n${cli_output}")
+  endif()
+endif()
+
+if(DEFINED EXPECT_STDOUT_FILE AND NOT EXPECT_STDOUT_FILE STREQUAL "")
+  file(READ "${EXPECT_STDOUT_FILE}" expected_stdout)
+  if(NOT cli_stdout STREQUAL expected_stdout)
+    message(FATAL_ERROR
+      "stdout differs from ${EXPECT_STDOUT_FILE}\n"
+      "command: ${CLI_COMMAND} ${CLI_ARGS}\n"
+      "expected:\n${expected_stdout}\n"
+      "got:\n${cli_stdout}")
   endif()
 endif()

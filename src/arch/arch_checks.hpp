@@ -9,6 +9,7 @@
 // check bits, cycle counters -- exactly as it was.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -33,6 +34,48 @@ void require_indices(std::span<const Index> values, std::size_t bound,
   for (const Index v : values) require_index(v, bound, what);
 }
 
+/// The lines one check has seen, as a bitmap: on the stack up to 4,096
+/// lines (every design point the serving daemon accepts), so validating a
+/// request allocates nothing; on the heap beyond.
+class LineSet {
+ public:
+  explicit LineSet(std::size_t bound) {
+    if (bound > kLocalBits) {
+      heap_.assign((bound + 63) / 64, 0);
+      bits_ = heap_.data();
+    }
+  }
+  LineSet(const LineSet&) = delete;
+  LineSet& operator=(const LineSet&) = delete;
+
+  /// Adds `line` (below the bound); false if it was already in the set.
+  bool insert(std::size_t line) noexcept {
+    const std::uint64_t bit = std::uint64_t{1} << (line % 64);
+    std::uint64_t& word = bits_[line / 64];
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  }
+
+ private:
+  static constexpr std::size_t kLocalBits = 4096;
+  std::array<std::uint64_t, kLocalBits / 64> local_{};
+  std::vector<std::uint64_t> heap_;
+  std::uint64_t* bits_ = local_.data();
+};
+
+/// Each value in range and not in `seen` yet, then added to it.
+template <class Index>
+void require_new(std::span<const Index> values, std::size_t bound,
+                 LineSet& seen, const char* what) {
+  for (const Index v : values) {
+    require_index(v, bound, what);
+    if (!seen.insert(v)) {
+      throw std::invalid_argument(std::string("PimMachine: duplicate ") + what);
+    }
+  }
+}
+
 /// Indices must be in range and pairwise distinct: a physical line cannot be
 /// driven twice in one cycle, and a duplicate init line would corrupt the
 /// check-bit update (the old-line snapshots are taken up front, so the
@@ -51,14 +94,8 @@ void require_distinct(std::span<const Index> values, std::size_t bound,
     }
     return;
   }
-  std::vector<bool> seen(bound, false);
-  for (const Index v : values) {
-    require_index(v, bound, what);
-    if (seen[v]) {
-      throw std::invalid_argument(std::string("PimMachine: duplicate ") + what);
-    }
-    seen[v] = true;
-  }
+  LineSet seen(bound);
+  require_new(values, bound, seen, what);
 }
 
 /// A row program (run_rows_protected) is checked op by op, in the order
@@ -89,10 +126,10 @@ inline void require_row_ops(std::span<const xbar::RowOp> ops, std::size_t n) {
 /// the output columns in range, and each matrix n x its column count (or
 /// null with no columns).
 inline void require_row_io(const xbar::RowIo& io, std::size_t n) {
-  std::vector<std::uint32_t> written(io.input_cols.begin(), io.input_cols.end());
-  written.insert(written.end(), io.one_cols.begin(), io.one_cols.end());
-  written.insert(written.end(), io.zero_cols.begin(), io.zero_cols.end());
-  require_distinct<std::uint32_t>(written, n, "written column");
+  LineSet written(n);
+  for (const auto list : {io.input_cols, io.one_cols, io.zero_cols}) {
+    require_new(list, n, written, "written column");
+  }
   require_indices(io.output_cols, n, "output column");
   const auto shape_ok = [n](const util::BitMatrix* m, std::size_t cols) {
     return m == nullptr ? cols == 0 : m->rows() == n && m->cols() == cols;

@@ -88,8 +88,7 @@ void CrossbarFleet::load_random(util::Rng& rng) {
         // Substream s belongs to the LOGICAL shard: a remapped shard loads
         // the exact image its retired predecessor would have.
         util::Rng shard_rng = util::Rng::for_stream(base_seed, s);
-        machines_[remap_[s]].load(
-            util::random_bit_matrix(params_.n, params_.n, shard_rng));
+        machines_[remap_[s]].load_random(shard_rng);
         ++counters_[remap_[s]].encode_passes;
       });
 }

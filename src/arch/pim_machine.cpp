@@ -5,6 +5,7 @@
 
 #include "arch/arch_checks.hpp"
 #include "arch/scheduler.hpp"  // xor3_fold_levels
+#include "util/rng.hpp"
 
 namespace pimecc::arch {
 
@@ -21,6 +22,13 @@ void PimMachine::load(const util::BitMatrix& image) {
     mem_.write_row(r, image.row(r));
   }
   // Initial encode: one batch band walk over the whole array.
+  code_.encode_all(mem_.contents());
+  counters_.mem_cycles = mem_.cycles();
+}
+
+void PimMachine::load_random(util::Rng& rng) {
+  util::fill_random(mem_.contents_mutable(), rng);
+  mem_.charge_row_writes();  // n row writes, as load() issues them
   code_.encode_all(mem_.contents());
   counters_.mem_cycles = mem_.cycles();
 }
@@ -157,14 +165,20 @@ void PimMachine::run_and_fold(std::span<const xbar::RowOp> ops,
                               const xbar::RowIo& io) {
   using Word = util::BitVector::Word;
   constexpr std::size_t kWordBits = util::BitVector::kWordBits;
-  const std::size_t words = mem_.contents().row(0).word_count();
-  program_delta_.resize((kWordBits + m()) * words);
+  struct {
+    std::size_t words;
+    std::size_t buffered = 0;  // delta rows held, starting at band `band`
+    std::size_t band = 0;
+  } state{mem_.contents().row(0).word_count()};
+  program_delta_.resize((kWordBits + m()) * state.words);
   band_delta_rows_.resize(m());
-  std::size_t buffered = 0;  // delta rows held, starting at band `band`
-  std::size_t band = 0;
   // Tiles arrive in row order; each complete band of the buffer is folded
   // through the encode band kernel and the partial rest moves to the front.
-  const auto fold = [&](std::size_t, std::size_t count, const Word* delta) {
+  // Two captured pointers fit RowDeltaSink's inline storage, so the sink
+  // costs no allocation.
+  const auto fold = [this, &state](std::size_t, std::size_t count,
+                                   const Word* delta) {
+    auto& [words, buffered, band] = state;
     std::copy_n(delta, count * words, program_delta_.data() + buffered * words);
     buffered += count;
     std::size_t folded = 0;

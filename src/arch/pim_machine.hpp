@@ -51,6 +51,10 @@
 #include "util/bitvector.hpp"
 #include "xbar/crossbar.hpp"
 
+namespace pimecc::util {
+class Rng;
+}  // namespace pimecc::util
+
 namespace pimecc::arch {
 
 /// Outcome of one ECC check over a band of blocks.
@@ -101,6 +105,10 @@ class PimMachine {
   // --- data movement -------------------------------------------------------
   /// Loads an n x n image into the MEM and (re)encodes all check bits.
   void load(const util::BitMatrix& image);
+  /// load(util::random_bit_matrix(n, n, rng)) without the image: the rows
+  /// are drawn straight into the MEM, with the same draws, data, check bits
+  /// and counters.
+  void load_random(util::Rng& rng);
   /// Reads the MEM contents (no ECC check; use check/scrub for that).
   [[nodiscard]] const util::BitMatrix& data() const noexcept {
     return mem_.contents();

@@ -19,17 +19,18 @@ CircuitSpec build_adder() {
   b.output_bus(r.sum);
   b.output(r.carry_out);
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
-    util::BitVector out(kWidth + 1);
-    bool carry = false;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      const bool x = in.get(i);
-      const bool y = in.get(kWidth + i);
-      out.set(i, x ^ y ^ carry);
-      carry = (x && y) || (carry && (x || y));
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
+    // 128-bit addition as two 64-bit limbs with an explicit carry.
+    reset_bits(out, kWidth + 1);
+    std::uint64_t carry = 0;
+    for (std::size_t limb = 0; limb < kWidth; limb += 64) {
+      const std::uint64_t x = get_bits(in, limb, 64);
+      const std::uint64_t sum = x + get_bits(in, kWidth + limb, 64);
+      const std::uint64_t total = sum + carry;
+      carry = (sum < x || total < sum) ? 1 : 0;
+      set_bits(out, limb, 64, total);
     }
-    out.set(kWidth, carry);
-    return out;
+    out.set(kWidth, carry != 0);
   };
   return spec;
 }

@@ -55,8 +55,8 @@ CircuitSpec build_arbiter() {
 
   spec.netlist = std::move(netlist);
   // Reference mirrors the netlist semantics exactly.
-  spec.reference = [](const util::BitVector& in) {
-    util::BitVector out(kClients + 1);
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
+    reset_bits(out, kClients + 1);
     bool any = false;
     bool any_ptr = false;
     for (std::size_t i = 0; i < kClients; ++i) {
@@ -75,7 +75,6 @@ CircuitSpec build_arbiter() {
         }
       }
     }
-    return out;
   };
   return spec;
 }

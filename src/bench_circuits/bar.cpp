@@ -28,14 +28,13 @@ CircuitSpec build_bar() {
   }
   b.output_bus(current);
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
     const std::size_t amount_val =
         static_cast<std::size_t>(get_bits(in, kWidth, kStages));
-    util::BitVector out(kWidth);
+    reset_bits(out, kWidth);
     for (std::size_t i = 0; i < kWidth; ++i) {
       out.set((i + amount_val) % kWidth, in.get(i));
     }
-    return out;
   };
   return spec;
 }

@@ -22,7 +22,9 @@ CircuitSpec build_cavlc() {
   const simpler::Bus inputs = b.input_bus(pla.num_inputs);
   b.output_bus(synthesize_pla(b, inputs, pla));
   spec.netlist = std::move(netlist);
-  spec.reference = [pla](const util::BitVector& in) { return eval_pla(pla, in); };
+  spec.evaluate = [pla](const util::BitVector& in, util::BitVector& out) {
+    eval_pla(pla, in, out);
+  };
   return spec;
 }
 

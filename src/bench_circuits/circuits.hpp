@@ -4,7 +4,11 @@
 // suite [20] (see DESIGN.md substitution #1).  Each circuit matches the
 // EPFL original's primary-input/primary-output counts and implements a
 // functionally equivalent computation, paired with a bit-accurate C++
-// reference model used by the test suite.
+// reference model.  The model is written from the circuit's spec, not by
+// evaluating the netlist, so the test suite and the serving path's
+// per-lane check both compare two independent computations.  It writes
+// into the caller's output vector (CircuitSpec::evaluate), so the serving
+// path checks 1,020 lanes with one reused buffer.
 //
 //   name       PI    PO    computation
 //   adder      256   129   128+128-bit ripple-carry addition
@@ -38,9 +42,19 @@ namespace pimecc::circuits {
 struct CircuitSpec {
   std::string name;
   simpler::Netlist netlist;
-  /// Bit-accurate reference: maps a PI assignment (indexed like
-  /// netlist.inputs()) to the expected PO values (indexed like outputs()).
-  std::function<util::BitVector(const util::BitVector&)> reference;
+  /// Bit-accurate reference, in place: overwrites every bit of `out` with
+  /// the expected PO values (indexed like netlist.outputs(), `out` resized
+  /// to num_outputs()) for the PI assignment `in` (indexed like
+  /// netlist.inputs()).  Allocation-free once `out` has held
+  /// num_outputs() bits.
+  std::function<void(const util::BitVector& in, util::BitVector& out)> evaluate;
+
+  /// evaluate() into a fresh vector.
+  [[nodiscard]] util::BitVector reference(const util::BitVector& in) const {
+    util::BitVector out;
+    evaluate(in, out);
+    return out;
+  }
 };
 
 /// The 11 benchmark names in Table I order.

@@ -46,11 +46,9 @@ CircuitSpec build_dec() {
     b.output(b.nor2(nlow[v & 15], nhigh[v >> 4]));  // AND2 of predecoded lines
   }
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
-    const std::size_t v = static_cast<std::size_t>(get_bits(in, 0, kInBits));
-    util::BitVector out(kOutputs);
-    out.set(v, true);
-    return out;
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
+    reset_bits(out, kOutputs);
+    out.set(static_cast<std::size_t>(get_bits(in, 0, kInBits)), true);
   };
   return spec;
 }

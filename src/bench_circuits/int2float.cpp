@@ -76,13 +76,13 @@ CircuitSpec build_int2float() {
   b.output(sign);
 
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
-    util::BitVector out(7);
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
+    reset_bits(out, 7);
     const std::uint64_t raw = get_bits(in, 0, kInBits);
     const std::int64_t value =
         (raw & (1u << (kInBits - 1))) ? static_cast<std::int64_t>(raw) - 2048
                                       : static_cast<std::int64_t>(raw);
-    if (value == 0) return out;
+    if (value == 0) return;
     const bool neg = value < 0;
     const std::uint64_t mag_val = static_cast<std::uint64_t>(neg ? -value : value);
     std::size_t p = 0;
@@ -100,7 +100,6 @@ CircuitSpec build_int2float() {
     set_bits(out, 0, 3, man_val);
     set_bits(out, 3, 3, exp_val);
     out.set(6, neg);
-    return out;
   };
   return spec;
 }

@@ -36,7 +36,7 @@ CircuitSpec build_max() {
   b.output(idx_low);
   b.output(idx_high);
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
     auto word = [&](std::size_t which) {
       // 128-bit operand as two 64-bit halves for comparison.
       const std::uint64_t lo = get_bits(in, which * kWidth, 64);
@@ -47,11 +47,11 @@ CircuitSpec build_max() {
     for (std::size_t i = 1; i < 4; ++i) {
       if (word(i) > word(best)) best = i;
     }
-    util::BitVector out(kWidth + 2);
-    for (std::size_t i = 0; i < kWidth; ++i) out.set(i, in.get(best * kWidth + i));
-    out.set(kWidth, (best & 1u) != 0);
-    out.set(kWidth + 1, (best & 2u) != 0);
-    return out;
+    const auto [hi, lo] = word(best);
+    reset_bits(out, kWidth + 2);
+    set_bits(out, 0, 64, lo);
+    set_bits(out, 64, 64, hi);
+    set_bits(out, kWidth, 2, best);
   };
   return spec;
 }

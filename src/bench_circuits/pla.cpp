@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "bench_circuits/ref_util.hpp"
 #include "util/rng.hpp"
 
 namespace pimecc::circuits {
@@ -50,23 +51,20 @@ simpler::Bus synthesize_pla(simpler::LogicBuilder& builder,
   return outputs;
 }
 
-util::BitVector eval_pla(const PlaSpec& spec, const util::BitVector& inputs) {
+void eval_pla(const PlaSpec& spec, const util::BitVector& inputs,
+              util::BitVector& out) {
   if (inputs.size() != spec.num_inputs) {
     throw std::invalid_argument("eval_pla: wrong input count");
   }
-  std::uint32_t x = 0;
-  for (std::size_t i = 0; i < spec.num_inputs; ++i) {
-    if (inputs.get(i)) x |= 1u << i;
-  }
-  util::BitVector out(spec.num_outputs);
+  const auto x = static_cast<std::uint32_t>(get_bits(inputs, 0, spec.num_inputs));
+  // Branch-free: on random inputs a term's match is a coin flip.
+  std::uint32_t driven = 0;
   for (const PlaTerm& term : spec.terms) {
-    if ((x & term.care_mask) == (term.match_value & term.care_mask)) {
-      for (std::size_t o = 0; o < spec.num_outputs; ++o) {
-        if ((term.output_mask >> o) & 1u) out.set(o, true);
-      }
-    }
+    const bool match = ((x ^ term.match_value) & term.care_mask) == 0;
+    driven |= term.output_mask & (0u - static_cast<std::uint32_t>(match));
   }
-  return out;
+  reset_bits(out, spec.num_outputs);
+  if (spec.num_outputs != 0) out.set_low_word(driven);  // drops bits >= num_outputs
 }
 
 PlaSpec make_table_pla(std::size_t num_inputs, std::size_t num_outputs,

@@ -35,9 +35,11 @@ struct PlaSpec {
                                           const simpler::Bus& inputs,
                                           const PlaSpec& spec);
 
-/// Reference evaluation of the PLA spec.
-[[nodiscard]] util::BitVector eval_pla(const PlaSpec& spec,
-                                       const util::BitVector& inputs);
+/// Reference evaluation of the PLA spec into `out` (resized to
+/// num_outputs, every bit overwritten): the OR of the matching terms'
+/// output masks.
+void eval_pla(const PlaSpec& spec, const util::BitVector& inputs,
+              util::BitVector& out);
 
 /// Deterministically generates a pseudo-random but fixed PLA with the given
 /// shape (used to stand in for the EPFL table-logic benchmarks whose exact

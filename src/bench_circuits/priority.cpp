@@ -36,16 +36,13 @@ CircuitSpec build_priority() {
   }
   b.output(prefix[kWidth - 1]);  // valid
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
-    util::BitVector out(kIndexBits + 1);
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      if (in.get(i)) {
-        set_bits(out, 0, kIndexBits, i);
-        out.set(kIndexBits, true);
-        break;
-      }
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
+    reset_bits(out, kIndexBits + 1);
+    const std::size_t first = in.find_first();
+    if (first < kWidth) {
+      set_bits(out, 0, kIndexBits, first);
+      out.set(kIndexBits, true);
     }
-    return out;
   };
   return spec;
 }

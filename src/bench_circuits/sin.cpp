@@ -55,7 +55,7 @@ CircuitSpec build_sin() {
   b.output(diff.carry_out);  // borrow
 
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
     const std::uint64_t x_val = get_bits(in, 0, kBits);
     const std::uint64_t x_hi_val = x_val >> kHalf;
     const std::uint64_t q_val = (x_hi_val * x_hi_val) & 0xFFFFFFu;
@@ -64,10 +64,9 @@ CircuitSpec build_sin() {
     const std::uint64_t t_val = ((cube_val * 43u) >> 8) & 0xFFFFFFu;
     const bool borrow = x_val < t_val;
     const std::uint64_t result = (x_val - t_val) & 0xFFFFFFu;
-    util::BitVector out(kBits + 1);
+    reset_bits(out, kBits + 1);
     set_bits(out, 0, kBits, result);
     out.set(kBits, borrow);
-    return out;
   };
   return spec;
 }

@@ -23,10 +23,9 @@ CircuitSpec build_voter() {
   const simpler::Bus threshold = b.constant_bus(count.size(), kThreshold);
   b.output(b.greater_equal(count, threshold));
   spec.netlist = std::move(netlist);
-  spec.reference = [](const util::BitVector& in) {
-    util::BitVector out(1);
+  spec.evaluate = [](const util::BitVector& in, util::BitVector& out) {
+    reset_bits(out, 1);
     out.set(0, in.count() >= kThreshold);
-    return out;
   };
   return spec;
 }

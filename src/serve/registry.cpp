@@ -53,29 +53,28 @@ Registry::MachineLease Registry::acquire_machine(std::size_t n, std::size_t m) {
     std::unique_lock lock(mutex_);
     auto it = machines_.find(key);
     if (it != machines_.end() && !it->second.idle.empty()) {
-      std::unique_ptr<arch::PimMachine> machine =
-          std::move(it->second.idle.back());
+      std::unique_ptr<PooledMachine> pooled = std::move(it->second.idle.back());
       it->second.idle.pop_back();
       it->second.last_used = ++use_clock_;
       --pooled_;
       stats_.machine_reuses.fetch_add(1, std::memory_order_relaxed);
-      return MachineLease(*this, n, m, std::move(machine));
+      return MachineLease(*this, n, m, std::move(pooled));
     }
   }
   arch::ArchParams params;
   params.n = n;
   params.m = m;
-  auto machine = std::make_unique<arch::PimMachine>(params);  // validates
+  auto pooled = std::make_unique<PooledMachine>(params);  // validates
   stats_.machine_builds.fetch_add(1, std::memory_order_relaxed);
-  return MachineLease(*this, n, m, std::move(machine));
+  return MachineLease(*this, n, m, std::move(pooled));
 }
 
 void Registry::release_machine(std::size_t n, std::size_t m,
-                               std::unique_ptr<arch::PimMachine> machine) {
+                               std::unique_ptr<PooledMachine> pooled) {
   std::unique_lock lock(mutex_);
   const auto key = std::make_pair(n, m);
   Pool& pool = machines_[key];
-  pool.idle.push_back(std::move(machine));
+  pool.idle.push_back(std::move(pooled));
   pool.last_used = ++use_clock_;
   ++pooled_;
   // Trim the least recently used other design points, whole points first.
@@ -99,8 +98,8 @@ std::size_t Registry::pooled_machines() const {
 }
 
 Registry::MachineLease::~MachineLease() {
-  if (registry_ != nullptr && machine_ != nullptr) {
-    registry_->release_machine(n_, m_, std::move(machine_));
+  if (registry_ != nullptr && pooled_ != nullptr) {
+    registry_->release_machine(n_, m_, std::move(pooled_));
   }
 }
 

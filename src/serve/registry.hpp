@@ -4,10 +4,14 @@
 // circuits, mapped single-row programs per (circuit, row width), and a
 // PimMachine pool per (n, m) so a burst of `run` requests does not rebuild
 // the geometry/stride tables (ArrayCode, crossbar buffers) for
-// every request.  The pool holds at most kMaxPooledMachines idle machines
+// every request.  Each pooled machine carries the host-side buffers of a
+// `run` request on it (RunScratch), so a warm lease draws its inputs,
+// collects its outputs and checks every lane without allocating.
+// The pool holds at most kMaxPooledMachines idle machines
 // beyond the most recently returned design point's, evicting the least
 // recently used design point first, so a client cycling through design
-// points cannot grow it without bound.  Everything cached is immutable
+// points cannot grow it without bound; a machine's buffers go with it.
+// Everything cached is immutable
 // once published (shared_ptr<const>), so concurrent batch lanes can hit the
 // cache without copying; the machine pool hands out exclusive leases
 // instead, because a PimMachine is mutable execution state.
@@ -31,6 +35,8 @@
 #include "arch/pim_machine.hpp"
 #include "bench_circuits/circuits.hpp"
 #include "simpler/mapper.hpp"
+#include "util/bitmatrix.hpp"
+#include "util/bitvector.hpp"
 
 namespace pimecc::serve {
 
@@ -55,28 +61,47 @@ class Registry {
   std::shared_ptr<const simpler::MappedProgram> program(const std::string& name,
                                                         std::size_t row_width);
 
-  /// Exclusive lease on a PimMachine for the (n, m) design point; freshly
-  /// constructed on pool exhaustion.  The machine comes back in whatever
-  /// state the previous user left it -- `run` handlers load their own
-  /// image, which re-encodes everything.
+  /// The host-side buffers of one `run` request, kept with a pooled
+  /// machine (the resident image needs none: PimMachine::load_random draws
+  /// it in place).  Each request reshapes them (BitMatrix::reshape keeps
+  /// the row buffers), so their shape and contents on lease are whatever
+  /// the previous request left.
+  struct RunScratch {
+    util::BitMatrix inputs;    ///< one row of PI values per lane
+    util::BitMatrix outputs;   ///< one row of PO values per lane
+    util::BitVector expected;  ///< the reference model's answer for a lane
+  };
+
+  /// A pooled machine and its request buffers.
+  struct PooledMachine {
+    explicit PooledMachine(const arch::ArchParams& params) : machine(params) {}
+    arch::PimMachine machine;
+    RunScratch scratch;
+  };
+
+  /// Exclusive lease on a PimMachine for the (n, m) design point, with its
+  /// RunScratch; freshly constructed on pool exhaustion.  The machine comes
+  /// back in whatever state the previous user left it -- `run` handlers
+  /// load their own image, which re-encodes everything.
   class MachineLease {
    public:
     MachineLease(Registry& registry, std::size_t n, std::size_t m,
-                 std::unique_ptr<arch::PimMachine> machine)
-        : registry_(&registry), n_(n), m_(m), machine_(std::move(machine)) {}
+                 std::unique_ptr<PooledMachine> pooled)
+        : registry_(&registry), n_(n), m_(m), pooled_(std::move(pooled)) {}
     ~MachineLease();
     MachineLease(MachineLease&&) noexcept = default;
     MachineLease& operator=(MachineLease&&) = delete;
     MachineLease(const MachineLease&) = delete;
     MachineLease& operator=(const MachineLease&) = delete;
 
-    [[nodiscard]] arch::PimMachine& machine() noexcept { return *machine_; }
+    [[nodiscard]] arch::PimMachine& machine() noexcept { return pooled_->machine; }
+    [[nodiscard]] RunScratch& scratch() noexcept { return pooled_->scratch; }
 
    private:
     Registry* registry_;
     std::size_t n_;
     std::size_t m_;
-    std::unique_ptr<arch::PimMachine> machine_;
+    std::unique_ptr<PooledMachine> pooled_;
   };
 
   /// Throws std::invalid_argument on an invalid (n, m) design point.
@@ -90,12 +115,12 @@ class Registry {
  private:
   /// The idle machines of one design point and when it was last used.
   struct Pool {
-    std::vector<std::unique_ptr<arch::PimMachine>> idle;
+    std::vector<std::unique_ptr<PooledMachine>> idle;
     std::uint64_t last_used = 0;
   };
 
   void release_machine(std::size_t n, std::size_t m,
-                       std::unique_ptr<arch::PimMachine> machine);
+                       std::unique_ptr<PooledMachine> pooled);
 
   mutable std::shared_mutex mutex_;
   // Atomic so hit paths can count under the shared (reader) lock.

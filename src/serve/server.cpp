@@ -97,21 +97,26 @@ Response Server::handle(const Request& request) {
       const auto program = registry_.program(request.circuit, request.n);
       auto lease = registry_.acquire_machine(request.n, request.m);
       arch::PimMachine& machine = lease.machine();
+      // The lease's buffers, reshaped and overwritten in place: a warm lease
+      // allocates no matrix row and no reference row.
+      Registry::RunScratch& scratch = lease.scratch();
       // The response is a pure function of the request: the explicit seed
-      // drives both the resident image and the per-lane inputs.
+      // drives both the resident image (drawn straight into the machine)
+      // and the per-lane inputs.
       util::Rng rng(request.seed);
-      machine.load(util::random_bit_matrix(machine.n(), machine.n(), rng));
-      const util::BitMatrix inputs = util::random_bit_matrix(
-          machine.n(), spec->netlist.num_inputs(), rng);
-      const simpler::ProtectedRunResult run = simpler::run_program_protected(
-          machine, spec->netlist, *program, inputs);
+      machine.load_random(rng);
+      scratch.inputs.reshape(machine.n(), spec->netlist.num_inputs());
+      util::fill_random(scratch.inputs, rng);
+      const simpler::ProtectedRunChecks run = simpler::run_program_protected(
+          machine, spec->netlist, *program, scratch.inputs, scratch.outputs);
       response.lanes = machine.n();
       response.corrections = run.input_check_corrections;
       response.ecc_consistent = run.ecc_consistent_after;
+      const auto inputs = scratch.inputs.rows_span();
+      const auto outputs = scratch.outputs.rows_span();
       for (std::size_t r = 0; r < machine.n(); ++r) {
-        if (!(spec->reference(inputs.row(r)) == run.outputs.row(r))) {
-          ++response.mismatches;
-        }
+        spec->evaluate(inputs[r], scratch.expected);
+        if (!(scratch.expected == outputs[r])) ++response.mismatches;
       }
       break;
     }

@@ -20,6 +20,11 @@
 // whose I/O entry is a per-row write_row_protected loop, the per-op
 // protocol loop and a per-cell read, to pin contents, check state, and
 // cycle counters across the full stack.
+//
+// The one body writes the outputs into a caller's matrix, reshaped in
+// place, so a caller that keeps that matrix between runs (the serving
+// path's pooled request buffers) allocates nothing for it; the by-value
+// form wraps it.
 #pragma once
 
 #include <cstddef>
@@ -33,23 +38,32 @@
 
 namespace pimecc::simpler {
 
-/// Outcome of one protected (SIMD) program execution.
-struct ProtectedRunResult {
-  util::BitMatrix outputs;              ///< one row of PO values per lane
+/// The checks of one protected (SIMD) program execution.
+struct ProtectedRunChecks {
   std::size_t input_check_corrections = 0;  ///< errors repaired before use
   bool ecc_consistent_after = false;
 };
 
+/// Outcome of one protected execution, outputs included.
+struct ProtectedRunResult : ProtectedRunChecks {
+  util::BitMatrix outputs;  ///< one row of PO values per lane
+};
+
 /// Runs `program` in every row of `machine` simultaneously with per-row
-/// inputs (`inputs` is machine-rows x num_inputs).  The machine's contents
+/// inputs (`inputs` is machine-rows x num_inputs) and writes one row of PO
+/// values per lane into `outputs`, reshaped to machine-rows x num_outputs
+/// (its earlier shape and contents do not matter).  The machine's contents
 /// outside the program's cells stay ECC-covered throughout.  Every block
 /// band first gets the paper's before-use check, repairing any single soft
-/// error that accumulated since the data was written.
+/// error that accumulated since the data was written.  Its argument
+/// checks throw std::invalid_argument before the machine or `outputs`
+/// changes.
 template <class Machine>
-ProtectedRunResult run_program_protected(Machine& machine,
+ProtectedRunChecks run_program_protected(Machine& machine,
                                          const Netlist& netlist,
                                          const MappedProgram& program,
-                                         const util::BitMatrix& inputs) {
+                                         const util::BitMatrix& inputs,
+                                         util::BitMatrix& outputs) {
   const std::size_t n = machine.n();
   require_same_inputs(netlist, program);
   if (program.row_width > n) {
@@ -61,7 +75,7 @@ ProtectedRunResult run_program_protected(Machine& machine,
         "run_program_protected: inputs must be machine-rows x num-inputs");
   }
 
-  ProtectedRunResult result;
+  ProtectedRunChecks result;
 
   // The paper's discipline, applied *before* any protected write touches
   // the array: a soft error overwritten before it is checked would leave a
@@ -77,10 +91,21 @@ ProtectedRunResult run_program_protected(Machine& machine,
   // Inputs and constants through the protected write path, every op under
   // the critical-operation protocol in all rows at once, and the outputs
   // read back: one row program with its I/O.
-  result.outputs = util::BitMatrix(n, program.output_cells.size());
-  machine.run_rows_protected(row_ops(program),
-                             row_io(program, inputs, result.outputs));
+  outputs.reshape(n, program.output_cells.size());
+  machine.run_rows_protected(row_ops(program), row_io(program, inputs, outputs));
   result.ecc_consistent_after = machine.ecc_consistent();
+  return result;
+}
+
+/// run_program_protected into a fresh outputs matrix.
+template <class Machine>
+ProtectedRunResult run_program_protected(Machine& machine,
+                                         const Netlist& netlist,
+                                         const MappedProgram& program,
+                                         const util::BitMatrix& inputs) {
+  ProtectedRunResult result;
+  static_cast<ProtectedRunChecks&>(result) =
+      run_program_protected(machine, netlist, program, inputs, result.outputs);
   return result;
 }
 

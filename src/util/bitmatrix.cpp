@@ -8,6 +8,16 @@ namespace pimecc::util {
 BitMatrix::BitMatrix(std::size_t rows, std::size_t cols)
     : rows_storage_(rows, BitVector(cols)), rows_(rows), cols_(cols) {}
 
+void BitMatrix::reshape(std::size_t rows, std::size_t cols) {
+  rows_storage_.resize(rows);
+  for (BitVector& row : rows_storage_) {
+    row.resize(cols);
+    row.fill(false);
+  }
+  rows_ = rows;
+  cols_ = cols;
+}
+
 bool BitMatrix::get(std::size_t r, std::size_t c) const noexcept {
   assert(r < rows_ && c < cols_);
   return rows_storage_[r].get(c);

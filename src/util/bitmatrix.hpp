@@ -23,6 +23,12 @@ class BitMatrix {
   BitMatrix() = default;
   BitMatrix(std::size_t rows, std::size_t cols);
 
+  /// Becomes a zero rows x cols matrix.  Each kept row keeps its word
+  /// buffer, so a matrix reused across shapes stops allocating once every
+  /// row has grown to the widest shape it holds (rows beyond `rows` are
+  /// freed).
+  void reshape(std::size_t rows, std::size_t cols);
+
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 

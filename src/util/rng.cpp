@@ -19,10 +19,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -88,18 +84,6 @@ Rng Rng::for_stream(std::uint64_t seed, std::uint64_t stream) noexcept {
   return r;
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
   // Lemire-style rejection to avoid modulo bias.
   if (bound == 0) return 0;
@@ -149,13 +133,21 @@ std::uint64_t Rng::poisson(double mean) {
 }
 
 void fill_random(BitVector& bits, Rng& rng) {
-  for (auto& word : bits.words_mutable()) word = rng.next();
+  // Drawn from a local copy: the words written could alias the caller's
+  // generator state, which would pin that state in memory.
+  Rng local = rng;
+  for (auto& word : bits.words_mutable()) word = local.next();
+  rng = local;
   bits.sanitize();
+}
+
+void fill_random(BitMatrix& mat, Rng& rng) {
+  for (BitVector& row : mat.rows_span()) fill_random(row, rng);
 }
 
 BitMatrix random_bit_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   BitMatrix mat(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) fill_random(mat.row(r), rng);
+  fill_random(mat, rng);
   return mat;
 }
 

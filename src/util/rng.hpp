@@ -3,10 +3,15 @@
 // Deterministic, seedable PRNG (xoshiro256**) satisfying
 // std::uniform_random_bit_generator so the standard distributions compose
 // with it.  All stochastic simulation in pimecc routes through this type so
-// experiments are reproducible from a single seed.
+// experiments are reproducible from a single seed.  next() is defined here,
+// inline, because every bulk fill and Monte Carlo trial draws one word per
+// call; the fill_random helpers below write into a caller's container, so a
+// request that keeps its buffers draws its image and inputs without
+// allocating.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <random>
 
@@ -59,7 +64,19 @@ class Rng {
   static constexpr result_type max() { return ~std::uint64_t{0}; }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  /// One xoshiro256** step.  Inline: the bulk fills (fill_random) and the
+  /// Monte Carlo engines draw one word per call in their hot loops.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound); bound must be > 0 (asserted by modulo
   /// rejection sampling being well-defined).
@@ -106,7 +123,12 @@ class BitVector;
 /// bit-identical at any worker count.
 void fill_random(BitVector& bits, Rng& rng);
 
-/// A rows x cols matrix of uniform random bits (fill_random per row).
+/// Overwrites every row of `mat` in row order (fill_random per row), in
+/// place: a caller that keeps the matrix (BitMatrix::reshape) refills it
+/// without allocating.
+void fill_random(BitMatrix& mat, Rng& rng);
+
+/// A fresh rows x cols matrix drawn as fill_random(BitMatrix&) draws it.
 [[nodiscard]] BitMatrix random_bit_matrix(std::size_t rows, std::size_t cols,
                                           Rng& rng);
 

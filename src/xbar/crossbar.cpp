@@ -306,7 +306,7 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
   return result;
 }
 
-void Crossbar::check_io(const RowIo& io) const {
+void Crossbar::check_io(const RowIo& io) {
   const auto shape_ok = [this](const util::BitMatrix* m, std::size_t cols) {
     return m == nullptr ? cols == 0 : m->rows() == rows() && m->cols() == cols;
   };
@@ -315,14 +315,15 @@ void Crossbar::check_io(const RowIo& io) const {
     throw std::invalid_argument(
         "Crossbar::run_rows: I/O matrices must be rows x I/O columns");
   }
-  std::vector<bool> written(cols(), false);
+  io_written_.resize(cols());
+  io_written_.fill(false);
   for (const auto list : {io.input_cols, io.one_cols, io.zero_cols}) {
     for (const std::uint32_t line : list) {
       check_line(Orientation::kRow, line, "written");
-      if (written[line]) {
+      if (io_written_.get(line)) {
         throw std::invalid_argument("Crossbar::run_rows: a column is written twice");
       }
-      written[line] = true;
+      io_written_.set(line, true);
     }
   }
   for (const std::uint32_t line : io.output_cols) {

@@ -228,7 +228,7 @@ class Crossbar {
  private:
   void check_line(Orientation o, std::size_t line, const char* what) const;
   /// run_rows' validation of a RowIo (see RowIo).
-  void check_io(const RowIo& io) const;
+  void check_io(const RowIo& io);
   void check_lane(Orientation o, std::size_t lane) const;
   [[nodiscard]] std::size_t lane_count(Orientation o) const noexcept {
     return o == Orientation::kRow ? rows() : cols();
@@ -271,6 +271,7 @@ class Crossbar {
   std::vector<std::uint32_t> op_cols_;     ///< ops' lines as tile words
   std::vector<std::uint64_t> tile_delta_;  ///< 64 delta rows of one tile
   std::vector<std::uint64_t> io_block_;    ///< one 64 x 64 I/O transpose
+  util::BitVector io_written_;             ///< check_io's written columns
 };
 
 }  // namespace pimecc::xbar

@@ -572,6 +572,84 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.n) + "_m" + std::to_string(info.param.m);
     });
 
+/// load_random draws the image straight into the MEM: the same data, check
+/// bits, counters, row activations and stream position as loading a
+/// random_bit_matrix drawn from the same generator.
+TEST(PimMachineLoad, LoadRandomEqualsLoadingARandomImage) {
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{1020, 15},
+                             {130, 65}, {60, 3}}) {
+    PimMachine loaded(make_params(n, m));
+    PimMachine drawn(make_params(n, m));
+    for (std::uint64_t seed : {1u, 2u}) {  // the second load over the first
+      util::Rng a(seed), b(seed);
+      loaded.load(util::random_bit_matrix(n, n, a));
+      drawn.load_random(b);
+      EXPECT_EQ(a.next(), b.next());
+    }
+    EXPECT_EQ(drawn.data(), loaded.data());
+    EXPECT_EQ(check_crc(drawn.check_code()), check_crc(loaded.check_code()));
+    EXPECT_EQ(drawn.counters(), loaded.counters());
+    EXPECT_EQ(drawn.mem_counters(), loaded.mem_counters());
+    EXPECT_EQ(drawn.mem_row_activation_snapshot(),
+              loaded.mem_row_activation_snapshot());
+  }
+}
+
+/// The into-form of run_program_protected (outputs written into a caller's
+/// matrix) is the by-value form's body: one dirty outputs matrix of another
+/// shape, reused across circuits of different widths, ends up holding the
+/// by-value outputs, and the machine's MachineCounters and crossbar
+/// counters match a twin run by value, at every dispatch level.  A call
+/// that throws leaves the caller's matrix as it was.
+TEST(ProtectedRunInto, DirtyOutputsOfAnotherShapeMatchTheByValueForm) {
+  constexpr std::size_t kN = 1020;
+  constexpr std::size_t kM = 15;
+  const LevelGuard guard;
+  for (const util::simd::Level level : util::simd::available_levels()) {
+    SCOPED_TRACE(util::simd::to_string(level));
+    util::simd::set_level(level);
+    util::BitMatrix outputs(7, 300);
+    outputs.fill(true);
+    std::uint64_t seed = 0x1A70;
+    for (const char* name : {"dec", "ctrl", "priority", "dec", "int2float"}) {
+      SCOPED_TRACE(name);
+      const circuits::CircuitSpec spec = circuits::build_circuit(name);
+      simpler::MapperOptions options;
+      options.row_width = kN;
+      const simpler::MappedProgram program =
+          simpler::map_to_row(spec.netlist, options);
+      PimMachine by_value(make_params(kN, kM));
+      PimMachine into(make_params(kN, kM));
+      util::Rng rng(++seed);
+      const util::BitMatrix image = random_matrix(kN, rng);
+      const util::BitMatrix inputs =
+          util::random_bit_matrix(kN, spec.netlist.num_inputs(), rng);
+      for (PimMachine* machine : {&by_value, &into}) {
+        machine->load(image);
+        machine->inject_data_error(5, 700);  // repaired by the before-use check
+      }
+      const simpler::ProtectedRunResult expected = simpler::run_program_protected(
+          by_value, spec.netlist, program, inputs);
+      const simpler::ProtectedRunChecks checks = simpler::run_program_protected(
+          into, spec.netlist, program, inputs, outputs);
+      EXPECT_EQ(outputs, expected.outputs);
+      EXPECT_EQ(checks.input_check_corrections, 1u);
+      EXPECT_EQ(checks.input_check_corrections, expected.input_check_corrections);
+      EXPECT_EQ(checks.ecc_consistent_after, expected.ecc_consistent_after);
+      EXPECT_EQ(into.counters(), by_value.counters());
+      EXPECT_EQ(into.mem_counters(), by_value.mem_counters());
+      EXPECT_EQ(into.data(), by_value.data());
+
+      const util::BitMatrix before = outputs;
+      const util::BitMatrix short_inputs(kN - 1, spec.netlist.num_inputs());
+      EXPECT_THROW((void)simpler::run_program_protected(
+                       into, spec.netlist, program, short_inputs, outputs),
+                   std::invalid_argument);
+      EXPECT_EQ(outputs, before);
+    }
+  }
+}
+
 // ------------------------------------------------- row-program batches
 
 /// A random all-lane row program over the n columns but `spare` (none by

@@ -11,11 +11,14 @@
 #include <thread>
 #include <vector>
 
+#include "arch/pim_machine.hpp"
 #include "reliability/analytic.hpp"
 #include "serve/error.hpp"
 #include "serve/registry.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
+#include "simpler/protected_vm.hpp"
+#include "util/rng.hpp"
 
 namespace pimecc {
 namespace {
@@ -149,6 +152,61 @@ TEST(ServeHandler, RunExecutesCleanlyAndDeterministically) {
   const Response second = server.execute(request);
   EXPECT_EQ(serve::format_response(first), serve::format_response(second));
   EXPECT_GE(server.registry().stats().machine_reuses, 1u);
+}
+
+TEST(ServeHandler, ReusedRequestBuffersAnswerLikeAFreshServer) {
+  // One server, one lane, so every request at a design point reuses the
+  // same pooled machine and its request buffers, which change shape as the
+  // circuits alternate.  Each answer must equal a fresh server's, and the
+  // buffers must hold exactly what a fresh by-value run computes.
+  ServerConfig config;
+  config.lanes = 1;
+  Server server(config);
+  const std::vector<std::string> lines = {
+      "run circuit=ctrl n=1020 m=15 seed=11",
+      "run circuit=dec n=1020 m=15 seed=12",
+      "run circuit=priority n=1020 m=15 seed=13",
+      "run circuit=ctrl n=60 m=15 seed=14",
+      "run circuit=cavlc n=1020 m=15 seed=15",
+      "run circuit=ctrl n=60 m=5 seed=16",
+      "run circuit=dec n=1020 m=85 seed=17",
+      "run circuit=int2float n=1020 m=15 seed=18",
+      "run circuit=ctrl n=1020 m=15 seed=19",
+      "run circuit=dec n=1020 m=15 seed=20",
+  };
+  for (const std::string& line : lines) {
+    SCOPED_TRACE(line);
+    const Request request = parse_ok(line);
+    const std::uint64_t ticket = server.submit(request);
+    server.drain();
+    const Response served = server.take(ticket);
+    ASSERT_TRUE(served.ok) << served.error;
+    EXPECT_EQ(served.mismatches, 0u);
+    EXPECT_EQ(serve::format_response(served),
+              serve::format_response(Server().execute(request)));
+
+    // The request's buffers, against a fresh machine run by value.
+    const auto spec = server.registry().circuit(request.circuit);
+    const auto program = server.registry().program(request.circuit, request.n);
+    arch::ArchParams params;
+    params.n = request.n;
+    params.m = request.m;
+    arch::PimMachine fresh(params);
+    util::Rng rng(request.seed);
+    fresh.load(util::random_bit_matrix(request.n, request.n, rng));
+    const util::BitMatrix inputs =
+        util::random_bit_matrix(request.n, spec->netlist.num_inputs(), rng);
+    const simpler::ProtectedRunResult run =
+        simpler::run_program_protected(fresh, spec->netlist, *program, inputs);
+    auto lease = server.registry().acquire_machine(request.n, request.m);
+    EXPECT_EQ(lease.scratch().inputs, inputs);
+    EXPECT_EQ(lease.scratch().outputs, run.outputs);
+    EXPECT_EQ(lease.machine().data(), fresh.data());
+    EXPECT_TRUE(lease.machine().ecc_consistent());
+  }
+  // Two design points of n = 1020 at m = 15 and 85, two of n = 60: one
+  // machine each, every later request on a reused one.
+  EXPECT_EQ(server.registry().stats().machine_builds, 4u);
 }
 
 TEST(ServeHandler, ErrorsBecomeResponsesNeverThrows) {
@@ -626,6 +684,30 @@ TEST(ServeRegistry, CachesCircuitsProgramsAndMachines) {
   EXPECT_EQ(stats.program_misses, 2u);
   EXPECT_EQ(stats.machine_builds, 1u);
   EXPECT_EQ(stats.machine_reuses, 1u);
+}
+
+TEST(ServeRegistry, TrimmedDesignPointTakesItsScratchAlong) {
+  serve::Registry registry;
+  {
+    auto lease = registry.acquire_machine(60, 15);
+    lease.scratch().inputs.reshape(60, 7);
+    lease.scratch().expected.resize(26);
+  }
+  {
+    // Back from the pool: the same machine with its buffers.
+    auto lease = registry.acquire_machine(60, 15);
+    EXPECT_EQ(lease.scratch().inputs.rows(), 60u);
+    EXPECT_EQ(lease.scratch().expected.size(), 26u);
+  }
+  // Enough newer design points to trim (60, 15), the least recently used.
+  for (std::size_t i = 1; i <= serve::kMaxPooledMachines; ++i) {
+    auto lease = registry.acquire_machine(3 * i, 3);
+  }
+  EXPECT_EQ(registry.pooled_machines(), serve::kMaxPooledMachines);
+  auto lease = registry.acquire_machine(60, 15);
+  EXPECT_EQ(registry.stats().machine_builds, serve::kMaxPooledMachines + 2);
+  EXPECT_EQ(lease.scratch().inputs.rows(), 0u);
+  EXPECT_EQ(lease.scratch().expected.size(), 0u);
 }
 
 TEST(ServeRegistry, MachinePoolIsBoundedAcrossDesignPoints) {

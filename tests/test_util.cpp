@@ -13,6 +13,7 @@
 #include "util/bitvector.hpp"
 #include "util/modmath.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -300,11 +301,75 @@ TEST(BitMatrix, HammingDistanceAndEquality) {
   EXPECT_THROW((void)a.hamming_distance(c), std::invalid_argument);
 }
 
+TEST(BitMatrix, ReshapeZeroFillsAndKeepsRowBuffers) {
+  BitMatrix mat(4, 130);
+  mat.fill(true);
+  std::vector<const BitVector::Word*> buffers;
+  for (const BitVector& row : mat.rows_span()) buffers.push_back(row.words().data());
+  // Narrower, then back to the widest shape: every bit reads zero and no
+  // row buffer moved.
+  for (const std::size_t cols : {std::size_t{7}, std::size_t{0}, std::size_t{130}}) {
+    mat.reshape(4, cols);
+    EXPECT_EQ(mat, BitMatrix(4, cols)) << cols;
+  }
+  for (std::size_t r = 0; r < mat.rows(); ++r) {
+    EXPECT_EQ(mat.row(r).words().data(), buffers[r]) << r;
+  }
+  mat.fill(true);
+  mat.reshape(6, 65);  // more rows: the new rows are zero too
+  EXPECT_EQ(mat, BitMatrix(6, 65));
+  mat.reshape(2, 3);
+  EXPECT_EQ(mat, BitMatrix(2, 3));
+}
+
 // ----------------------------------------------------------------------- Rng
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
+}
+
+// Absolute pins, recorded before next() moved inline: the relational tests
+// around them would pass for any generator that is merely deterministic.
+TEST(Rng, StreamsMatchRecordedValues) {
+  const auto first8 = [](Rng rng) {
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 8; ++i) out.push_back(rng.next());
+    return out;
+  };
+  EXPECT_EQ(first8(Rng(0)),
+            (std::vector<std::uint64_t>{
+                0x99ec5f36cb75f2b4u, 0xbf6e1f784956452au, 0x1a5f849d4933e6e0u,
+                0x6aa594f1262d2d2cu, 0xbba5ad4a1f842e59u, 0xffef8375d9ebcacau,
+                0x6c160deed2f54c98u, 0x8920ad648fc30a3fu}));
+  EXPECT_EQ(first8(Rng(42)),
+            (std::vector<std::uint64_t>{
+                0x15780b2e0c2ec716u, 0x6104d9866d113a7eu, 0xae17533239e499a1u,
+                0xecb8ad4703b360a1u, 0xfde6dc7fe2ec5e64u, 0xc50da53101795238u,
+                0xb82154855a65ddb2u, 0xd99a2743ebe60087u}));
+  EXPECT_EQ(first8(Rng::for_stream(7, 3)),
+            (std::vector<std::uint64_t>{
+                0xe842320cff3e41e9u, 0x466a993a3eaadde6u, 0xad247904d4a8a392u,
+                0x19c53798a23f4385u, 0x012666d999b930afu, 0xa7efec14d21257a1u,
+                0xf81647a26d1e5fb4u, 0x37f7c7ddce99d7fau}));
+  Rng rng(42);
+  ByteWriter w;
+  w.bitmatrix(random_bit_matrix(1020, 1020, rng));
+  EXPECT_EQ(crc64(w.data()), 0x5e52e57ca34d19f5u);
+}
+
+TEST(Rng, FillRandomMatrixDrawsLikeRandomBitMatrix) {
+  // A dirty matrix reshaped and refilled in place holds exactly the bits a
+  // fresh random_bit_matrix draws, and leaves the stream at the same place.
+  BitMatrix mat(3, 500);
+  mat.fill(true);
+  for (const std::size_t cols : {std::size_t{70}, std::size_t{7}, std::size_t{256}}) {
+    Rng a(cols), b(cols);
+    mat.reshape(5, cols);
+    fill_random(mat, a);
+    EXPECT_EQ(mat, random_bit_matrix(5, cols, b)) << cols;
+    EXPECT_EQ(a.next(), b.next()) << cols;
+  }
 }
 
 TEST(Rng, ReseedResetsStream) {
