@@ -143,7 +143,10 @@ int main(int argc, char** argv) {
   const double min_seconds = smoke ? 0.02 : 0.2;
   const std::size_t gate_pairs = smoke ? 8 : 32;
 
-  bench::Json json("pimecc-bench-arch/1", options);
+  // Schema 2: adds the shared host block (CPU, executor width, SIMD level,
+  // build), so the rates say what hardware they were taken on.
+  bench::Json json("pimecc-bench-arch/2", options);
+  json.host();
   // One metric object: reference vs word-parallel rate; returns the speedup.
   auto metric = [&](const char* name, const std::string& unit, double ref_rate,
                     double fast_rate) {

@@ -1,6 +1,7 @@
 #include "arch/pim_machine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "arch/arch_checks.hpp"
@@ -85,10 +86,8 @@ void PimMachine::write_row_protected(std::size_t r, const util::BitVector& value
 void PimMachine::magic_nor_rows_protected(std::span<const std::size_t> in_cols,
                                           std::size_t out_col,
                                           std::span<const std::size_t> rows) {
-  detail::require_indices(in_cols, n(), "input column");
-  detail::require_index(out_col, n(), "output column");
-  detail::require_distinct(rows, n(), "row lane");
-  // The lane pass emits old XOR new of the output column itself.
+  // The crossbar validates before it mutates; the lane pass emits old XOR
+  // new of the output column itself.
   mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col, rows, &old_line_);
   counters_.mem_cycles = mem_.cycles();
   update_check_bits_for_line(true, out_col, old_line_);
@@ -97,9 +96,8 @@ void PimMachine::magic_nor_rows_protected(std::span<const std::size_t> in_cols,
 void PimMachine::magic_nor_cols_protected(std::span<const std::size_t> in_rows,
                                           std::size_t out_row,
                                           std::span<const std::size_t> cols) {
-  detail::require_indices(in_rows, n(), "input row");
-  detail::require_index(out_row, n(), "output row");
-  detail::require_distinct(cols, n(), "column lane");
+  // row() bounds-checks out_row; the crossbar validates the rest before it
+  // mutates.
   old_line_ = mem_.contents().row(out_row);
   mem_.magic_nor(xbar::Orientation::kColumn, in_rows, out_row, cols);
   counters_.mem_cycles = mem_.cycles();
@@ -108,16 +106,21 @@ void PimMachine::magic_nor_cols_protected(std::span<const std::size_t> in_rows,
 }
 
 void PimMachine::magic_init_rows_protected(std::span<const std::size_t> cols) {
-  detail::require_distinct(cols, n(), "init column");
   if (cols.size() > n() / util::BitVector::kWordBits) {
     // Wide batch (Crossbar::magic_init's mask-OR rule): one row-program
-    // op, whose net row delta is folded band by band, instead of one column
-    // gather and line update per init line.
-    init_cols_.assign(cols.begin(), cols.end());
+    // op, validated by the crossbar and its net row delta folded band by
+    // band, instead of one column gather and line update per init line.  A
+    // column too wide for 32 bits stays out of range.
+    init_cols_.clear();
+    for (const std::size_t c : cols) {
+      init_cols_.push_back(static_cast<std::uint32_t>(
+          std::min<std::size_t>(c, std::numeric_limits<std::uint32_t>::max())));
+    }
     const xbar::RowOp init{xbar::RowOp::Kind::kInit, 0, init_cols_};
     run_rows_protected({&init, 1});
     return;
   }
+  detail::require_distinct(cols, n(), "init column");
   init_snapshots_.resize(cols.size());
   for (std::size_t i = 0; i < cols.size(); ++i) {
     mem_.contents().column_into(cols[i], init_snapshots_[i]);
@@ -146,7 +149,6 @@ void PimMachine::magic_init_cols_protected(std::span<const std::size_t> rows) {
 }
 
 void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
-  detail::require_row_ops(ops, n());
   if (ops.empty()) return;
   run_and_fold(ops, {});
   charge_program(0, ops);
@@ -154,8 +156,6 @@ void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
 
 void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops,
                                     const xbar::RowIo& io) {
-  detail::require_row_ops(ops, n());
-  detail::require_row_io(io, n());
   run_and_fold(ops, io);
   mem_.charge_row_writes();
   charge_program(n(), ops);
@@ -193,6 +193,8 @@ void PimMachine::run_and_fold(std::span<const xbar::RowOp> ops,
               program_delta_.begin());
     buffered -= folded;
   };
+  // The crossbar validates the program before anything changes: until
+  // here only scratch was written, and the callers charge after it.
   mem_.run_rows(ops, fold, io);
 }
 

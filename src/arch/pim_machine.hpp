@@ -74,13 +74,13 @@ struct CheckReport {
 /// model: MEM cycles serialize with computation; CMEM cycles overlap except
 /// where the protocol forces ordering.
 ///
-/// The mem_cycles rule, as implemented (and pinned by the differential and
-/// digest tests): every protected op ends by *assigning* the MEM crossbar's
-/// cycle count to mem_cycles and then adds its own line updates' transfer
-/// cycles (2 * transfer_cycles per line).  The assignment drops the
-/// transfer charges of every earlier op and the m-per-band charge of every
-/// earlier check, so after a protected op mem_cycles is the crossbar's
-/// cycles plus that last op's transfers.  A row program charges the same
+/// The mem_cycles rule, as implemented (and pinned by the differential
+/// tests and ProtectedRunPinTest): every protected op ends by *assigning*
+/// the MEM crossbar's cycle count to mem_cycles and then adds its own line
+/// updates' transfer cycles (2 * transfer_cycles per line).  The
+/// assignment drops the transfer charges of every earlier op and the
+/// m-per-band charge of every earlier check, so after a protected op
+/// mem_cycles is the crossbar's cycles plus that last op's transfers.  A row program charges the same
 /// closed form; with its I/O it is charged as n row writes (one line each)
 /// followed by the program, so an empty op list leaves the last write's
 /// value.  cmem_cycles and critical_ops accumulate.
@@ -119,7 +119,7 @@ class PimMachine {
   // --- protected stateful logic -------------------------------------------
   /// Row-parallel MAGIC NOR with the critical-operation protocol:
   /// out(r, out_col) = NOR_i in(r, in_cols[i]) for each selected row.
-  /// Output cells must have been initialized (magic_init_protected).
+  /// Output cells must have been initialized (magic_init_rows_protected).
   /// Empty `rows` selects all rows.
   void magic_nor_rows_protected(std::span<const std::size_t> in_cols,
                                 std::size_t out_col,
@@ -138,8 +138,9 @@ class PimMachine {
   /// (magic_nor_rows_protected) -- with the same contents, check bits,
   /// counters and row activations as issuing the ops one by one.  The ops
   /// run bit-sliced (xbar::Crossbar::run_rows) and the check bits take the
-  /// program's net row delta, folded band by band.  Every op is validated
-  /// before the first runs, so a throwing program changes nothing.
+  /// program's net row delta, folded band by band.  The crossbar validates
+  /// the whole program (xbar::check_row_program) before anything changes,
+  /// so a throwing program changes nothing.
   void run_rows_protected(std::span<const xbar::RowOp> ops);
   /// One program with its I/O (xbar::RowIo) in a single tile pass: the
   /// same contents, check bits, counters and row activations as n
@@ -147,8 +148,8 @@ class PimMachine {
   /// and constants written -- then run_rows_protected(ops), then a read of
   /// the output columns into io.outputs.  The writes' old XOR new rows join
   /// the program's net delta, so one band fold covers both, and the writes
-  /// are charged in closed form.  The ops, every cell and both matrix
-  /// shapes are validated before anything changes.
+  /// are charged in closed form.  The crossbar validates the ops, every
+  /// cell and both matrix shapes before anything changes.
   void run_rows_protected(std::span<const xbar::RowOp> ops,
                           const xbar::RowIo& io);
 

@@ -144,18 +144,18 @@ OpResult ReferenceCrossbar::magic_nor(Orientation o,
                                       std::span<const std::size_t> in_lines,
                                       std::size_t out_line,
                                       std::span<const std::size_t> lanes) {
+  for (const std::size_t line : in_lines) check_line(o, line, "input");
+  check_line(o, out_line, "output");
+  check_distinct_lanes(o, lanes);
   if (in_lines.empty()) {
     throw std::invalid_argument("ReferenceCrossbar::magic_nor: needs at least one input");
   }
   for (const std::size_t line : in_lines) {
-    check_line(o, line, "input");
     if (line == out_line) {
       throw std::invalid_argument(
           "ReferenceCrossbar::magic_nor: output overlaps an input");
     }
   }
-  check_line(o, out_line, "output");
-  check_distinct_lanes(o, lanes);
 
   OpResult result;
   auto get_cell = [&](std::size_t lane, std::size_t line) {

@@ -168,7 +168,7 @@ void ReferencePimMachine::magic_init_cols_protected(
 }
 
 void ReferencePimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
-  detail::require_row_ops(ops, n());
+  xbar::check_row_program(ops, {}, n(), n());
   std::vector<std::size_t> lines;
   for (const xbar::RowOp& op : ops) {
     lines.assign(op.lines.begin(), op.lines.end());
@@ -182,8 +182,7 @@ void ReferencePimMachine::run_rows_protected(std::span<const xbar::RowOp> ops) {
 
 void ReferencePimMachine::run_rows_protected(std::span<const xbar::RowOp> ops,
                                              const xbar::RowIo& io) {
-  detail::require_row_ops(ops, n());
-  detail::require_row_io(io, n());
+  xbar::check_row_program(ops, io, n(), n());
   for (std::size_t r = 0; r < n(); ++r) {
     util::BitVector image = mem_.contents().row(r);
     for (std::size_t i = 0; i < io.input_cols.size(); ++i) {

@@ -11,6 +11,54 @@
 
 namespace pimecc::xbar {
 
+void check_row_program(std::span<const RowOp> ops, const RowIo& io,
+                       std::size_t rows, std::size_t cols) {
+  const auto require_column = [cols](std::uint32_t line, const char* what) {
+    if (line >= cols) {
+      throw std::out_of_range(std::string("row program: ") + what +
+                              " column out of range");
+    }
+  };
+  for (const RowOp& op : ops) {
+    if (op.kind == RowOp::Kind::kInit) {
+      LineSet seen(cols);
+      for (const std::uint32_t line : op.lines) {
+        require_column(line, "init");
+        if (!seen.insert(line)) {
+          throw std::invalid_argument("row program: duplicate init column");
+        }
+      }
+      continue;
+    }
+    for (const std::uint32_t line : op.lines) require_column(line, "input");
+    require_column(op.out, "output");
+    if (op.lines.empty()) {
+      throw std::invalid_argument("row program: a NOR needs at least one input");
+    }
+    if (std::find(op.lines.begin(), op.lines.end(), op.out) != op.lines.end()) {
+      throw std::invalid_argument("row program: output column overlaps an input");
+    }
+  }
+  LineSet written(cols);
+  for (const auto list : {io.input_cols, io.one_cols, io.zero_cols}) {
+    for (const std::uint32_t line : list) {
+      require_column(line, "written");
+      if (!written.insert(line)) {
+        throw std::invalid_argument("row program: a column is written twice");
+      }
+    }
+  }
+  for (const std::uint32_t line : io.output_cols) require_column(line, "read");
+  const auto shape_ok = [rows](const util::BitMatrix* m, std::size_t width) {
+    return m == nullptr ? width == 0 : m->rows() == rows && m->cols() == width;
+  };
+  if (!shape_ok(io.inputs, io.input_cols.size()) ||
+      !shape_ok(io.outputs, io.output_cols.size())) {
+    throw std::invalid_argument(
+        "row program: I/O matrices must be rows x their column counts");
+  }
+}
+
 Crossbar::Crossbar(std::size_t n_rows, std::size_t n_cols) : mat_(n_rows, n_cols) {
   if (n_rows == 0 || n_cols == 0) {
     throw std::invalid_argument("Crossbar: dimensions must be positive");
@@ -92,16 +140,12 @@ void Crossbar::check_lane(Orientation o, std::size_t lane) const {
   }
 }
 
-const util::BitVector& Crossbar::col_lane_mask(std::span<const std::size_t> lanes,
-                                               bool require_distinct) {
+const util::BitVector& Crossbar::col_lane_mask(std::span<const std::size_t> lanes) {
   if (lanes.empty()) return ones_cols_;
   lane_mask_.resize(cols());
   lane_mask_.fill(false);
   for (const std::size_t lane : lanes) {
     check_lane(Orientation::kColumn, lane);
-    if (require_distinct && lane_mask_.get(lane)) {
-      throw std::invalid_argument("Crossbar: duplicate lane");
-    }
     lane_mask_.set(lane, true);
   }
   return lane_mask_;
@@ -156,7 +200,7 @@ void Crossbar::magic_init(Orientation o, std::span<const std::size_t> lines,
     }
   } else {
     // Lines are rows: OR the lane (column) mask into each selected row.
-    const util::BitVector& mask = col_lane_mask(lanes, /*require_distinct=*/false);
+    const util::BitVector& mask = col_lane_mask(lanes);
     for (const std::size_t line : lines) mat_.row(line) |= mask;
   }
   // Activation accounting: kColumn drives the gate-line wordlines; kRow
@@ -176,16 +220,15 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
                              std::size_t out_line,
                              std::span<const std::size_t> lanes,
                              util::BitVector* delta) {
+  for (const std::size_t line : in_lines) check_line(o, line, "input");
+  check_line(o, out_line, "output");
+  check_lanes_distinct(o, lanes);  // leaves lane_mask_ the kColumn lane mask
   if (in_lines.empty()) {
     throw std::invalid_argument("Crossbar::magic_nor: needs at least one input");
   }
-  for (const std::size_t line : in_lines) {
-    check_line(o, line, "input");
-    if (line == out_line) {
-      throw std::invalid_argument("Crossbar::magic_nor: output overlaps an input");
-    }
+  if (std::find(in_lines.begin(), in_lines.end(), out_line) != in_lines.end()) {
+    throw std::invalid_argument("Crossbar::magic_nor: output overlaps an input");
   }
-  check_line(o, out_line, "output");
   if (delta != nullptr && o != Orientation::kRow) {
     throw std::invalid_argument(
         "Crossbar::magic_nor: a delta is only emitted for kRow orientation");
@@ -194,7 +237,7 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
   OpResult result;
   result.lanes = lanes.empty() ? lane_count(o) : lanes.size();
   if (o == Orientation::kColumn) {
-    const util::BitVector& mask = col_lane_mask(lanes, /*require_distinct=*/true);
+    const util::BitVector& mask = lanes.empty() ? ones_cols_ : lane_mask_;
     // Lanes are columns, lines are rows: one fused, dispatched
     // (scalar/AVX2/AVX-512) pass over the row words computes the physics
     //   out' = out AND NOT(mask AND OR(ins))   [= out AND NOR(ins) in lanes]
@@ -226,7 +269,6 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
     // allocations, and one op has too little work to pay for transposing
     // them.  A program of ops does pay for it: run_rows transposes once per
     // 64-row tile and runs every op on words whose bits are lanes.
-    check_lanes_distinct(o, lanes);
     using Word = util::BitVector::Word;
     constexpr std::size_t kWordBits = util::BitVector::kWordBits;
     Word* delta_words = nullptr;
@@ -306,54 +348,10 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
   return result;
 }
 
-void Crossbar::check_io(const RowIo& io) {
-  const auto shape_ok = [this](const util::BitMatrix* m, std::size_t cols) {
-    return m == nullptr ? cols == 0 : m->rows() == rows() && m->cols() == cols;
-  };
-  if (!shape_ok(io.inputs, io.input_cols.size()) ||
-      !shape_ok(io.outputs, io.output_cols.size())) {
-    throw std::invalid_argument(
-        "Crossbar::run_rows: I/O matrices must be rows x I/O columns");
-  }
-  io_written_.resize(cols());
-  io_written_.fill(false);
-  for (const auto list : {io.input_cols, io.one_cols, io.zero_cols}) {
-    for (const std::uint32_t line : list) {
-      check_line(Orientation::kRow, line, "written");
-      if (io_written_.get(line)) {
-        throw std::invalid_argument("Crossbar::run_rows: a column is written twice");
-      }
-      io_written_.set(line, true);
-    }
-  }
-  for (const std::uint32_t line : io.output_cols) {
-    check_line(Orientation::kRow, line, "read");
-  }
-}
-
 std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
                                  const RowDeltaSink& sink, const RowIo& io) {
-  for (const RowOp& op : ops) {
-    if (op.kind == RowOp::Kind::kInit) {
-      for (const std::uint32_t line : op.lines) {
-        check_line(Orientation::kRow, line, "init");
-      }
-      continue;
-    }
-    if (op.lines.empty()) {
-      throw std::invalid_argument(
-          "Crossbar::run_rows: a NOR needs at least one input");
-    }
-    for (const std::uint32_t line : op.lines) {
-      check_line(Orientation::kRow, line, "input");
-      if (line == op.out) {
-        throw std::invalid_argument("Crossbar::run_rows: output overlaps an input");
-      }
-    }
-    check_line(Orientation::kRow, op.out, "output");
-  }
+  check_row_program(ops, io, rows(), cols());
   const bool has_io = !io.empty();
-  if (has_io) check_io(io);
   if (ops.empty() && !has_io) return 0;
 
   using Word = util::BitVector::Word;

@@ -27,6 +27,8 @@
 // differential tests.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -46,9 +48,10 @@ struct OpResult {
 };
 
 /// One op of an all-lane row-orientation program (Crossbar::run_rows): a
-/// batched init of the columns `lines`, or a MAGIC NOR of the input columns
-/// `lines` into column `out`.  Column indices are 32-bit, as a mapped
-/// program's cells are, so a program's op list can point into its cells.
+/// batched init of the distinct columns `lines` (a line cannot be driven
+/// twice in one cycle), or a MAGIC NOR of the input columns `lines` into
+/// column `out`.  Column indices are 32-bit, as a mapped program's cells
+/// are, so a program's op list can point into its cells.
 struct RowOp {
   enum class Kind : std::uint8_t { kInit, kNor };
   Kind kind = Kind::kNor;
@@ -78,6 +81,50 @@ struct RowIo {
   }
 };
 
+/// The lines one check has seen, as a bitmap: on the stack up to 4,096
+/// lines (every design point the serving daemon accepts), so validating a
+/// request allocates nothing; on the heap beyond.
+class LineSet {
+ public:
+  explicit LineSet(std::size_t bound) {
+    const std::size_t words = (bound + 63) / 64;
+    if (bound > kLocalBits) {
+      heap_.assign(words, 0);
+      bits_ = heap_.data();
+    } else {
+      std::fill_n(local_.data(), words, 0);
+    }
+  }
+  LineSet(const LineSet&) = delete;
+  LineSet& operator=(const LineSet&) = delete;
+
+  /// Adds `line` (below the bound); false if it was already in the set.
+  bool insert(std::size_t line) noexcept {
+    const std::uint64_t bit = std::uint64_t{1} << (line % 64);
+    std::uint64_t& word = bits_[line / 64];
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  }
+
+ private:
+  static constexpr std::size_t kLocalBits = 4096;
+  std::array<std::uint64_t, kLocalBits / 64> local_;  ///< words below the bound
+  std::vector<std::uint64_t> heap_;
+  std::uint64_t* bits_ = local_.data();
+};
+
+/// The one validation of a row program (`ops` and its `io`) for a
+/// `rows` x `cols` crossbar, op by op and then the I/O: an init's columns
+/// in range and pairwise distinct; a NOR's inputs and output in range, at
+/// least one input, and no input equal to the output; the written I/O
+/// columns (inputs, then ones, then zeros) in range and pairwise distinct,
+/// the output columns in range, and each matrix rows x its column count
+/// (or null with no columns).  Throws std::out_of_range for a column out of
+/// range and std::invalid_argument for the rest.
+void check_row_program(std::span<const RowOp> ops, const RowIo& io,
+                       std::size_t rows, std::size_t cols);
+
 /// Receives a row program's net row delta one tile at a time, in row order:
 /// rows [row0, row0 + count), row row0 + i's old XOR new words at
 /// delta + i * words (words = the crossbar's words per row).
@@ -94,7 +141,10 @@ using RowDeltaSink = std::function<void(
 ///
 /// Validation is uniform across every external entry point: indices and
 /// sizes are checked *before* any state or cycle-counter mutation, so a
-/// throwing call leaves the crossbar untouched.
+/// throwing call leaves the crossbar untouched.  magic_nor checks its lines
+/// in range, its lanes, then that it has inputs and none is its output; a
+/// row program is checked whole, once, by check_row_program, which
+/// run_rows calls first and the protected machines rely on.
 class Crossbar {
  public:
   Crossbar(std::size_t n_rows, std::size_t n_cols);
@@ -167,9 +217,8 @@ class Crossbar {
   /// activations; a caller that models controller writes charges them
   /// (charge_row_writes).  With an empty `io` and no ops nothing happens.
   ///
-  /// Every op is validated (lines in range; a NOR has inputs, none equal to
-  /// its output), and so is `io` (columns in range, written columns
-  /// distinct, matrix shapes), before any state changes.
+  /// The program and its I/O are validated whole (check_row_program)
+  /// before any state changes, so a bad op last rejects the program.
   std::uint64_t run_rows(std::span<const RowOp> ops,
                          const RowDeltaSink& sink = {}, const RowIo& io = {});
 
@@ -227,20 +276,18 @@ class Crossbar {
 
  private:
   void check_line(Orientation o, std::size_t line, const char* what) const;
-  /// run_rows' validation of a RowIo (see RowIo).
-  void check_io(const RowIo& io);
   void check_lane(Orientation o, std::size_t lane) const;
   [[nodiscard]] std::size_t lane_count(Orientation o) const noexcept {
     return o == Orientation::kRow ? rows() : cols();
   }
   /// Builds the column-lane selection mask into lane_mask_ (validating
-  /// indices and, when required, distinctness) and returns it; returns the
-  /// cached all-ones mask when `lanes` is empty.  kColumn orientation only
-  /// -- the kRow engine never materializes a mask.
-  const util::BitVector& col_lane_mask(std::span<const std::size_t> lanes,
-                                       bool require_distinct);
+  /// indices) and returns it; returns the cached all-ones mask when `lanes`
+  /// is empty.  kColumn orientation only -- the kRow engine never
+  /// materializes a mask.
+  const util::BitVector& col_lane_mask(std::span<const std::size_t> lanes);
   /// Validates lane indices and rejects duplicates (no-op for empty lanes);
-  /// uses lane_mask_ as the seen-set scratch.
+  /// uses lane_mask_ as the seen-set scratch, so it is left holding the
+  /// lane mask.
   void check_lanes_distinct(Orientation o, std::span<const std::size_t> lanes);
 
   util::BitMatrix mat_;
@@ -271,7 +318,6 @@ class Crossbar {
   std::vector<std::uint32_t> op_cols_;     ///< ops' lines as tile words
   std::vector<std::uint64_t> tile_delta_;  ///< 64 delta rows of one tile
   std::vector<std::uint64_t> io_block_;    ///< one 64 x 64 I/O transpose
-  util::BitVector io_written_;             ///< check_io's written columns
 };
 
 }  // namespace pimecc::xbar

@@ -834,6 +834,13 @@ void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed
         PimMachine before = batch;
         EXPECT_ANY_THROW(batch.run_rows_protected(rejected));
         ASSERT_TRUE(same_machine_state(batch, before));
+        // The bare crossbar rejects it whole too.
+        const xbar::Crossbar bare_before = bare_batch;
+        EXPECT_ANY_THROW((void)bare_batch.run_rows(rejected));
+        EXPECT_EQ(bare_batch.contents(), bare_before.contents());
+        EXPECT_EQ(bare_batch.counters(), bare_before.counters());
+        EXPECT_EQ(bare_batch.row_activation_snapshot(),
+                  bare_before.row_activation_snapshot());
       }
 
       // Restore consistency for the next round on both machines alike.
@@ -1125,6 +1132,32 @@ TEST(ProtectedRunIoDifferential, ReferenceMachineAgrees) {
         EXPECT_ANY_THROW(pair.ref.run_rows_protected(program.ops, bad));
       });
       ASSERT_TRUE(machines_agree(pair));
+      // A bad op last, with a valid I/O: both machines reject the program
+      // with the same exception type.
+      const std::uint32_t bad_in[2] = {1, static_cast<std::uint32_t>(n)};
+      const std::uint32_t dup[2] = {2, 2};
+      const std::uint32_t overlap[1] = {3};
+      util::BitMatrix outputs(n, io.output_cols.size());
+      const auto rejected = [&](const xbar::RowOp& bad) {
+        std::vector<xbar::RowOp> ops = program.ops;
+        ops.push_back(bad);
+        return ops;
+      };
+      const auto input = rejected({xbar::RowOp::Kind::kNor, 4, bad_in});
+      EXPECT_THROW(pair.fast.run_rows_protected(input, io.view(outputs)),
+                   std::out_of_range);
+      EXPECT_THROW(pair.ref.run_rows_protected(input, io.view(outputs)),
+                   std::out_of_range);
+      for (const xbar::RowOp& bad : {xbar::RowOp{xbar::RowOp::Kind::kNor, 3, overlap},
+                                     xbar::RowOp{xbar::RowOp::Kind::kNor, 3, {}},
+                                     xbar::RowOp{xbar::RowOp::Kind::kInit, 0, dup}}) {
+        const auto ops = rejected(bad);
+        EXPECT_THROW(pair.fast.run_rows_protected(ops, io.view(outputs)),
+                     std::invalid_argument);
+        EXPECT_THROW(pair.ref.run_rows_protected(ops, io.view(outputs)),
+                     std::invalid_argument);
+      }
+      ASSERT_TRUE(machines_agree(pair));
     }
   }
 }
@@ -1202,6 +1235,13 @@ void expect_rejects_without_mutating(Machine& machine) {
   const std::size_t n = machine.n();
   const util::BitMatrix data_before = machine.data();
   const arch::MachineCounters counters_before = machine.counters();
+  const std::vector<std::uint64_t> activations_before =
+      machine.mem_row_activation_snapshot();
+  // The oracle has no crossbar counters to compare.
+  constexpr bool kHasMemCounters =
+      requires(const Machine& m) { m.mem_counters(); };
+  [[maybe_unused]] xbar::Crossbar::Counters mem_counters_before;
+  if constexpr (kHasMemCounters) mem_counters_before = machine.mem_counters();
 
   EXPECT_THROW(machine.load(util::BitMatrix(n, n - 1)), std::invalid_argument);
   EXPECT_THROW(machine.write_row_protected(n, util::BitVector(n)),
@@ -1235,13 +1275,21 @@ void expect_rejects_without_mutating(Machine& machine) {
   const std::uint32_t good_ins[2] = {1, 2};
   const std::uint32_t bad_ins[1] = {static_cast<std::uint32_t>(n)};
   const std::uint32_t dup_cols[2] = {3, 3};
+  const std::uint32_t overlap_ins[2] = {1, 5};
   const xbar::RowOp good{xbar::RowOp::Kind::kNor, 5, good_ins};
   const std::vector<xbar::RowOp> bad_last_input{
       good, {xbar::RowOp::Kind::kNor, 5, bad_ins}};
   const std::vector<xbar::RowOp> bad_last_init{
       good, {xbar::RowOp::Kind::kInit, 0, dup_cols}};
+  const std::vector<xbar::RowOp> bad_last_overlap{
+      good, {xbar::RowOp::Kind::kNor, 5, overlap_ins}};
+  const std::vector<xbar::RowOp> bad_last_no_inputs{
+      good, {xbar::RowOp::Kind::kNor, 5, {}}};
   EXPECT_THROW(machine.run_rows_protected(bad_last_input), std::out_of_range);
   EXPECT_THROW(machine.run_rows_protected(bad_last_init), std::invalid_argument);
+  EXPECT_THROW(machine.run_rows_protected(bad_last_overlap), std::invalid_argument);
+  EXPECT_THROW(machine.run_rows_protected(bad_last_no_inputs),
+               std::invalid_argument);
 
   EXPECT_THROW((void)machine.check_block_row(n), std::out_of_range);
   EXPECT_THROW((void)machine.check_block_col(n), std::out_of_range);
@@ -1254,6 +1302,10 @@ void expect_rejects_without_mutating(Machine& machine) {
 
   EXPECT_EQ(machine.data(), data_before);
   EXPECT_EQ(machine.counters(), counters_before);
+  EXPECT_EQ(machine.mem_row_activation_snapshot(), activations_before);
+  if constexpr (kHasMemCounters) {
+    EXPECT_EQ(machine.mem_counters(), mem_counters_before);
+  }
   EXPECT_TRUE(machine.ecc_consistent());
 }
 
@@ -1269,6 +1321,21 @@ TEST(ArchValidation, ReferenceMachineRejectsBeforeMutating) {
   util::Rng rng(0x7A12);
   machine.load(random_matrix(45, rng));
   expect_rejects_without_mutating(machine);
+}
+
+TEST(WideInitValidation, ColumnBeyond32BitsIsOutOfRangeOnBothMachines) {
+  // A wide init runs as a 32-bit row op: a column that would wrap to a
+  // valid one when narrowed must still be rejected as out of range.
+  MachinePair pair(make_params(135, 9));
+  util::Rng rng(0x7A13);
+  pair.load(random_matrix(135, rng));
+  std::vector<std::size_t> cols{4, 5, 6};
+  cols.push_back((std::size_t{1} << 32) | 7);
+  ASSERT_GT(cols.size(), 135u / 64);
+  EXPECT_THROW(pair.fast.magic_init_rows_protected(cols), std::out_of_range);
+  EXPECT_THROW(pair.ref.magic_init_rows_protected(cols), std::out_of_range);
+  EXPECT_TRUE(machines_agree(pair));
+  EXPECT_TRUE(pair.fast.ecc_consistent());
 }
 
 // --------------------------------------------------------- scheduler engine
