@@ -16,8 +16,11 @@
 //      n = 1020, m = 15 -- PimMachine::load plus
 //      simpler::run_program_protected (before-use check, then the protected
 //      input writes, the mapped program and the output read as one
-//      bit-sliced tile pass) -- in requests/s.  The layer evidence for the
-//      row-program executor, which e2e's op-by-op replay cannot show.
+//      bit-sliced tile pass) on the program's prebuilt ops and a reused
+//      outputs matrix, as the serving path runs it -- in requests/s, the
+//      median of repeated samples after a warm-up, with the slowest sample
+//      and the spread.  The layer evidence for the row-program executor,
+//      which e2e's op-by-op replay cannot show.
 //
 // Every configuration is first cross-checked: the two machines run an
 // identical protected program with mid-run fault injection and must agree
@@ -42,6 +45,7 @@
 #include "oracle/reference_pim_machine.hpp"
 #include "simpler/mapper.hpp"
 #include "simpler/protected_vm.hpp"
+#include "simpler/row_vm.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/rng.hpp"
 
@@ -141,11 +145,13 @@ int main(int argc, char** argv) {
       smoke ? std::vector<Config>{{60, 3}, {60, 15}}
             : std::vector<Config>{{255, 15}, {510, 15}, {1020, 3}, {1020, 15}};
   const double min_seconds = smoke ? 0.02 : 0.2;
+  const std::size_t samples = smoke ? 3 : 7;  // program rows
   const std::size_t gate_pairs = smoke ? 8 : 32;
 
-  // Schema 2: adds the shared host block (CPU, executor width, SIMD level,
-  // build), so the rates say what hardware they were taken on.
-  bench::Json json("pimecc-bench-arch/2", options);
+  // Schema 2 added the shared host block (CPU, executor width, SIMD level,
+  // build), so the rates say what hardware they were taken on; schema 3
+  // makes each program rate repeated samples (median, min, spread).
+  bench::Json json("pimecc-bench-arch/3", options);
   json.host();
   // One metric object: reference vs word-parallel rate; returns the speedup.
   auto metric = [&](const char* name, const std::string& unit, double ref_rate,
@@ -226,15 +232,18 @@ int main(int argc, char** argv) {
     gates.check(cross_check_program(params, spec.netlist, program, image, inputs),
                 std::string("fast-vs-reference protected run of ") + name);
     PimMachine machine(params);
-    simpler::ProtectedRunResult run;
-    const double rate = bench::measure_rate(min_seconds, [&] {
+    const std::vector<xbar::RowOp> ops = simpler::row_ops(program);
+    util::BitMatrix outputs;
+    simpler::ProtectedRunChecks run;
+    const bench::RateSamples rate = bench::measure_rate(min_seconds, samples, [&] {
       machine.load(image);
-      run = simpler::run_program_protected(machine, spec.netlist, program, inputs);
+      run = simpler::run_program_protected(machine, spec.netlist, program, ops,
+                                           inputs, outputs);
       return 1.0;
     });
     bool outputs_ok = run.ecc_consistent_after;
     for (std::size_t r = 0; r < params.n; ++r) {
-      outputs_ok = outputs_ok && spec.reference(inputs.row(r)) == run.outputs.row(r);
+      outputs_ok = outputs_ok && spec.reference(inputs.row(r)) == outputs.row(r);
     }
     gates.check(outputs_ok, std::string("protected run of ") + name +
                                 " matches the circuit reference");
@@ -242,10 +251,11 @@ int main(int argc, char** argv) {
         .field("circuit", name)
         .field("n", params.n)
         .field("m", params.m)
-        .field("requests_per_sec", rate)
+        .rate("requests_per_sec", rate)
         .end();
-    std::cout << "program " << name << " n=1020 m=15: " << fmt(rate)
-              << " requests/s\n";
+    std::cout << "program " << name << " n=1020 m=15: " << fmt(rate.median)
+              << " requests/s (min " << fmt(rate.min) << ", spread "
+              << fmt(rate.spread) << ")\n";
   }
   json.end();
 

@@ -128,6 +128,15 @@ Json& Json::open(std::string_view key, bool is_object) {
 Json& Json::object(std::string_view key) { return open(key, true); }
 Json& Json::array(std::string_view key) { return open(key, false); }
 
+Json& Json::rate(std::string_view key, const RateSamples& rate) {
+  return object(key)
+      .field("median", rate.median)
+      .field("min", rate.min)
+      .field("spread", rate.spread)
+      .field("samples", rate.samples)
+      .end();
+}
+
 Json& Json::end() {
   const std::string key = stack_.back().key;
   std::string rendered = close_top();

@@ -16,7 +16,9 @@
 //   }
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -60,6 +62,35 @@ double measure_rate(double min_seconds, Pass&& pass) {
   return units / elapsed;
 }
 
+/// A repeated rate measurement (measure_rate's samples after a warm-up).
+struct RateSamples {
+  double median = 0.0;
+  double min = 0.0;
+  /// (max - min) / median: how far apart the samples fell.
+  double spread = 0.0;
+  std::size_t samples = 0;
+};
+
+/// One warm-up measure_rate, then `samples` (>= 1) more, summarized: the
+/// median and the slowest sample, and how far the samples spread, so a
+/// recording says how much a rate can be trusted.
+template <typename Pass>
+RateSamples measure_rate(double min_seconds, std::size_t samples, Pass&& pass) {
+  (void)measure_rate(min_seconds, pass);
+  std::vector<double> rates;
+  for (std::size_t k = 0; k < std::max<std::size_t>(samples, 1); ++k) {
+    rates.push_back(measure_rate(min_seconds, pass));
+  }
+  std::sort(rates.begin(), rates.end());
+  const std::size_t mid = rates.size() / 2;
+  RateSamples out;
+  out.median = rates.size() % 2 == 1 ? rates[mid] : (rates[mid - 1] + rates[mid]) / 2;
+  out.min = rates.front();
+  out.spread = (rates.back() - rates.front()) / out.median;
+  out.samples = rates.size();
+  return out;
+}
+
 /// The cross-check gates of one run: any failed check fails the run.
 class Gates {
  public:
@@ -96,6 +127,9 @@ class Json {
   Json& object(std::string_view key = {});
   /// Opens an array, keyed like object().
   Json& array(std::string_view key = {});
+  /// Adds a RateSamples as an object under `key`: median, min, spread and
+  /// samples.
+  Json& rate(std::string_view key, const RateSamples& rate);
   /// Closes the innermost open container.
   Json& end();
 

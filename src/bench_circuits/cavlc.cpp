@@ -16,14 +16,15 @@ namespace pimecc::circuits {
 CircuitSpec build_cavlc() {
   CircuitSpec spec;
   spec.name = "cavlc";
-  const PlaSpec pla = make_table_pla(10, 11, 90, /*seed=*/0xCA41Cull);
+  const PlaSpec pla = cavlc_pla();
   simpler::Netlist netlist("cavlc");
   simpler::LogicBuilder b(netlist);
   const simpler::Bus inputs = b.input_bus(pla.num_inputs);
   b.output_bus(synthesize_pla(b, inputs, pla));
   spec.netlist = std::move(netlist);
-  spec.evaluate = [pla](const util::BitVector& in, util::BitVector& out) {
-    eval_pla(pla, in, out);
+  spec.evaluate = [table = PlaTable(pla)](const util::BitVector& in,
+                                         util::BitVector& out) {
+    table.evaluate(in, out);
   };
   return spec;
 }

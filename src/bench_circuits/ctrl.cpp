@@ -13,14 +13,15 @@ namespace pimecc::circuits {
 CircuitSpec build_ctrl() {
   CircuitSpec spec;
   spec.name = "ctrl";
-  const PlaSpec pla = make_table_pla(7, 26, 24, /*seed=*/0xC09ull);
+  const PlaSpec pla = ctrl_pla();
   simpler::Netlist netlist("ctrl");
   simpler::LogicBuilder b(netlist);
   const simpler::Bus inputs = b.input_bus(pla.num_inputs);
   b.output_bus(synthesize_pla(b, inputs, pla));
   spec.netlist = std::move(netlist);
-  spec.evaluate = [pla](const util::BitVector& in, util::BitVector& out) {
-    eval_pla(pla, in, out);
+  spec.evaluate = [table = PlaTable(pla)](const util::BitVector& in,
+                                         util::BitVector& out) {
+    table.evaluate(in, out);
   };
   return spec;
 }

@@ -67,6 +67,39 @@ void eval_pla(const PlaSpec& spec, const util::BitVector& inputs,
   if (spec.num_outputs != 0) out.set_low_word(driven);  // drops bits >= num_outputs
 }
 
+PlaTable::PlaTable(const PlaSpec& spec)
+    : num_inputs_(spec.num_inputs), num_outputs_(spec.num_outputs) {
+  if (spec.num_inputs > kMaxInputs) {
+    throw std::invalid_argument("PlaTable: more than 16 inputs");
+  }
+  // Each term drives exactly the inputs that agree with it on its care
+  // bits: its match value with every subset of the other bits (none, if it
+  // wants a 1 above the last input).
+  words_.assign(std::size_t{1} << spec.num_inputs, 0);
+  const auto all = static_cast<std::uint32_t>(words_.size() - 1);
+  for (const PlaTerm& term : spec.terms) {
+    if ((term.match_value & term.care_mask & ~all) != 0) continue;
+    const std::uint32_t free = all & ~term.care_mask;
+    const std::uint32_t base = term.match_value & term.care_mask & all;
+    for (std::uint32_t sub = free;; sub = (sub - 1) & free) {
+      words_[base | sub] |= term.output_mask;
+      if (sub == 0) break;
+    }
+  }
+}
+
+void PlaTable::evaluate(const util::BitVector& inputs, util::BitVector& out) const {
+  if (inputs.size() != num_inputs_) {
+    throw std::invalid_argument("PlaTable: wrong input count");
+  }
+  reset_bits(out, num_outputs_);
+  if (num_outputs_ != 0) out.set_low_word(words_[get_bits(inputs, 0, num_inputs_)]);
+}
+
+PlaSpec ctrl_pla() { return make_table_pla(7, 26, 24, /*seed=*/0xC09ull); }
+
+PlaSpec cavlc_pla() { return make_table_pla(10, 11, 90, /*seed=*/0xCA41Cull); }
+
 PlaSpec make_table_pla(std::size_t num_inputs, std::size_t num_outputs,
                        std::size_t num_terms, std::uint64_t seed) {
   if (num_inputs == 0 || num_inputs > 32 || num_outputs == 0 || num_outputs > 32) {

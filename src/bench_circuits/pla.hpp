@@ -41,6 +41,33 @@ struct PlaSpec {
 void eval_pla(const PlaSpec& spec, const util::BitVector& inputs,
               util::BitVector& out);
 
+/// The PLA's truth table, built once from the spec: entry x is the OR of
+/// the output masks of the terms that match the input word x, as eval_pla
+/// computes it.  A reference model that is one table read per lane, still
+/// derived from the spec alone (never from the netlist or a mapped
+/// program).
+class PlaTable {
+ public:
+  /// Inputs a table may have (2^16 entries); wider specs throw
+  /// std::invalid_argument.
+  static constexpr std::size_t kMaxInputs = 16;
+
+  explicit PlaTable(const PlaSpec& spec);
+
+  /// eval_pla(spec, inputs, out) by one lookup.
+  void evaluate(const util::BitVector& inputs, util::BitVector& out) const;
+
+ private:
+  std::size_t num_inputs_;
+  std::size_t num_outputs_;
+  std::vector<std::uint32_t> words_;
+};
+
+/// The fixed PLAs behind the `ctrl` (7 inputs, 26 outputs, 24 terms) and
+/// `cavlc` (10 inputs, 11 outputs, 90 terms) benchmarks.
+[[nodiscard]] PlaSpec ctrl_pla();
+[[nodiscard]] PlaSpec cavlc_pla();
+
 /// Deterministically generates a pseudo-random but fixed PLA with the given
 /// shape (used to stand in for the EPFL table-logic benchmarks whose exact
 /// tables are not redistributable here).  Same seed => same spec.

@@ -25,7 +25,7 @@ std::shared_ptr<const circuits::CircuitSpec> Registry::circuit(
   return it->second;  // a racing builder may have won; serve its copy
 }
 
-std::shared_ptr<const simpler::MappedProgram> Registry::program(
+std::shared_ptr<const Registry::Program> Registry::row_program(
     const std::string& name, std::size_t row_width) {
   const auto key = std::make_pair(name, row_width);
   {
@@ -39,7 +39,7 @@ std::shared_ptr<const simpler::MappedProgram> Registry::program(
   const auto spec = circuit(name);
   simpler::MapperOptions options;
   options.row_width = row_width;
-  auto mapped = std::make_shared<const simpler::MappedProgram>(
+  auto mapped = std::make_shared<const Program>(
       simpler::map_to_row(spec->netlist, options));
   stats_.program_misses.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock lock(mutex_);

@@ -1,12 +1,13 @@
 // pimecc -- serve/registry.hpp
 //
 // Shared read-mostly caches behind the serving front end: benchmark
-// circuits, mapped single-row programs per (circuit, row width), and a
-// PimMachine pool per (n, m) so a burst of `run` requests does not rebuild
-// the geometry/stride tables (ArrayCode, crossbar buffers) for
-// every request.  Each pooled machine carries the host-side buffers of a
-// `run` request on it (RunScratch), so a warm lease draws its inputs,
-// collects its outputs and checks every lane without allocating.
+// circuits, mapped single-row programs per (circuit, row width) with their
+// row-program ops, and a PimMachine pool per (n, m) so a burst of `run`
+// requests does not rebuild the geometry/stride tables (ArrayCode,
+// crossbar buffers) for every request.  Each pooled machine carries the
+// host-side buffers of a `run` request on it (RunScratch), so a warm lease
+// draws its inputs, collects its outputs and checks every lane without
+// allocating.
 // The pool holds at most kMaxPooledMachines idle machines
 // beyond the most recently returned design point's, evicting the least
 // recently used design point first, so a client cycling through design
@@ -35,6 +36,7 @@
 #include "arch/pim_machine.hpp"
 #include "bench_circuits/circuits.hpp"
 #include "simpler/mapper.hpp"
+#include "simpler/row_vm.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
 
@@ -56,10 +58,30 @@ class Registry {
   /// std::invalid_argument for unknown names (not cached).
   std::shared_ptr<const circuits::CircuitSpec> circuit(const std::string& name);
 
-  /// The circuit mapped onto a row of `row_width` cells.  Throws
-  /// std::runtime_error when the netlist does not fit (not cached).
+  /// A mapped program and its ops as one row program (simpler::row_ops),
+  /// built together once, so a `run` request builds no op list.  The ops'
+  /// line spans point into `mapped`'s cells, so the pair is never copied.
+  struct Program {
+    explicit Program(simpler::MappedProgram program)
+        : mapped(std::move(program)), ops(simpler::row_ops(mapped)) {}
+    Program(const Program&) = delete;
+    Program& operator=(const Program&) = delete;
+
+    simpler::MappedProgram mapped;
+    std::vector<xbar::RowOp> ops;
+  };
+
+  /// The circuit mapped onto a row of `row_width` cells, with its ops.
+  /// Throws std::runtime_error when the netlist does not fit (not cached).
+  std::shared_ptr<const Program> row_program(const std::string& name,
+                                             std::size_t row_width);
+
+  /// row_program's mapped program alone (sharing its cache entry).
   std::shared_ptr<const simpler::MappedProgram> program(const std::string& name,
-                                                        std::size_t row_width);
+                                                        std::size_t row_width) {
+    std::shared_ptr<const Program> entry = row_program(name, row_width);
+    return {entry, &entry->mapped};
+  }
 
   /// The host-side buffers of one `run` request, kept with a pooled
   /// machine (the resident image needs none: PimMachine::load_random draws
@@ -133,8 +155,7 @@ class Registry {
     std::atomic<std::uint64_t> machine_builds{0};
   } stats_;
   std::map<std::string, std::shared_ptr<const circuits::CircuitSpec>> circuits_;
-  std::map<std::pair<std::string, std::size_t>,
-           std::shared_ptr<const simpler::MappedProgram>>
+  std::map<std::pair<std::string, std::size_t>, std::shared_ptr<const Program>>
       programs_;
   std::map<std::pair<std::size_t, std::size_t>, Pool> machines_;
   std::size_t pooled_ = 0;    // sum of the pools' idle sizes

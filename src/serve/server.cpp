@@ -94,7 +94,7 @@ Response Server::handle(const Request& request) {
     }
     case RequestKind::kRun: {
       const auto spec = registry_.circuit(request.circuit);
-      const auto program = registry_.program(request.circuit, request.n);
+      const auto program = registry_.row_program(request.circuit, request.n);
       auto lease = registry_.acquire_machine(request.n, request.m);
       arch::PimMachine& machine = lease.machine();
       // The lease's buffers, reshaped and overwritten in place: a warm lease
@@ -108,7 +108,8 @@ Response Server::handle(const Request& request) {
       scratch.inputs.reshape(machine.n(), spec->netlist.num_inputs());
       util::fill_random(scratch.inputs, rng);
       const simpler::ProtectedRunChecks run = simpler::run_program_protected(
-          machine, spec->netlist, *program, scratch.inputs, scratch.outputs);
+          machine, spec->netlist, program->mapped, program->ops, scratch.inputs,
+          scratch.outputs);
       response.lanes = machine.n();
       response.corrections = run.input_check_corrections;
       response.ecc_consistent = run.ecc_consistent_after;

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 
 #include "arch/pim_machine.hpp"
@@ -52,16 +53,19 @@ struct ProtectedRunResult : ProtectedRunChecks {
 /// Runs `program` in every row of `machine` simultaneously with per-row
 /// inputs (`inputs` is machine-rows x num_inputs) and writes one row of PO
 /// values per lane into `outputs`, reshaped to machine-rows x num_outputs
-/// (its earlier shape and contents do not matter).  The machine's contents
-/// outside the program's cells stay ECC-covered throughout.  Every block
-/// band first gets the paper's before-use check, repairing any single soft
-/// error that accumulated since the data was written.  Its argument
-/// checks throw std::invalid_argument before the machine or `outputs`
-/// changes.
+/// (its earlier shape and contents do not matter).  `ops` is the program
+/// as one row program, row_ops(program), from a caller that keeps it (the
+/// serving registry caches it beside the mapped program), so the run
+/// builds none.  The machine's contents outside the program's cells stay
+/// ECC-covered throughout.  Every block band first gets the paper's
+/// before-use check, repairing any single soft error that accumulated
+/// since the data was written.  Its argument checks throw
+/// std::invalid_argument before the machine or `outputs` changes.
 template <class Machine>
 ProtectedRunChecks run_program_protected(Machine& machine,
                                          const Netlist& netlist,
                                          const MappedProgram& program,
+                                         std::span<const xbar::RowOp> ops,
                                          const util::BitMatrix& inputs,
                                          util::BitMatrix& outputs) {
   const std::size_t n = machine.n();
@@ -92,9 +96,20 @@ ProtectedRunChecks run_program_protected(Machine& machine,
   // the critical-operation protocol in all rows at once, and the outputs
   // read back: one row program with its I/O.
   outputs.reshape(n, program.output_cells.size());
-  machine.run_rows_protected(row_ops(program), row_io(program, inputs, outputs));
+  machine.run_rows_protected(ops, row_io(program, inputs, outputs));
   result.ecc_consistent_after = machine.ecc_consistent();
   return result;
+}
+
+/// run_program_protected with the ops built for this call.
+template <class Machine>
+ProtectedRunChecks run_program_protected(Machine& machine,
+                                         const Netlist& netlist,
+                                         const MappedProgram& program,
+                                         const util::BitMatrix& inputs,
+                                         util::BitMatrix& outputs) {
+  return run_program_protected(machine, netlist, program, row_ops(program),
+                               inputs, outputs);
 }
 
 /// run_program_protected into a fresh outputs matrix.

@@ -145,6 +145,31 @@ void transpose64_scalar(std::uint64_t* block) {
   }
 }
 
+std::uint64_t row_walk_scalar(const std::uint32_t* stream, std::size_t length,
+                              std::uint64_t* cols, const std::uint64_t* valid) {
+  const std::uint64_t live = *valid;
+  std::uint64_t violations = 0;
+  for (const std::uint32_t* const end = stream + length; stream != end;) {
+    const std::uint32_t head = *stream++;
+    const std::uint32_t k = head >> 1;
+    if ((head & 1u) == 0) {
+      for (std::uint32_t j = 0; j < k; ++j) cols[stream[j]] |= live;
+      stream += k;
+      continue;
+    }
+    std::uint64_t any = 0;
+    for (std::uint32_t j = 0; j < k; ++j) any |= cols[stream[j]];
+    std::uint64_t& out = cols[stream[k]];
+    stream += k + 1;
+    // A mapped program initializes every output first, so the count (a
+    // library call without a popcount instruction) is almost never due.
+    const std::uint64_t bad = ~out & live;
+    if (bad != 0) violations += static_cast<std::uint64_t>(std::popcount(bad));
+    out &= ~any;
+  }
+  return violations;
+}
+
 }  // namespace detail
 
 std::vector<std::uint64_t> segment_masks(std::size_t m, std::size_t segments) {
@@ -171,6 +196,8 @@ constexpr KernelTable kScalarTable{
     &detail::block_peel_scalar,
     &detail::nor_column_pass_scalar,
     &detail::transpose64_scalar,
+    &detail::row_walk_scalar,
+    1,
 };
 
 Level detect() noexcept {

@@ -4,11 +4,12 @@
 //
 // The word-parallel engines express every hot path as loops over 64-bit
 // words; this layer vectorizes the hottest of those loops, and the 64x64
-// bit transpose under the row-program executor, as AVX2 and AVX-512
-// kernels selected by CPUID at startup, PISA-style: the scalar
-// implementation is retained as the portable fallback and as the
-// golden model every wider variant must match bit-for-bit (pinned by the
-// dispatch-level differential suite in tests/test_simd.cpp).
+// bit transpose and the several-tile op walk under the row-program
+// executor, as AVX2 and AVX-512 kernels selected by CPUID at startup,
+// PISA-style: the scalar implementation is retained as the portable
+// fallback and as the golden model every wider variant must match
+// bit-for-bit (pinned by the dispatch-level differential suite in
+// tests/test_simd.cpp).
 //
 // Layering: this header knows nothing about BitVector/BitMatrix -- kernels
 // take raw word pointers, so core/ and xbar/ can both sit on top of it.
@@ -244,7 +245,30 @@ struct KernelTable {
   /// (xbar::Crossbar::run_rows) turns one 64-column word group of 64 rows
   /// into 64 per-column words with it, and back.
   void (*transpose64)(std::uint64_t* block);
+
+  /// The op walk of a row program (xbar::Crossbar::run_rows) on
+  /// `walk_tiles` 64-row tiles at once.  `cols` holds one word per column
+  /// and tile: column c of tile t is cols[c * walk_tiles + t], bit i is the
+  /// tile's row i, and valid[t] marks the tile's rows (0 for an empty
+  /// tile).  `stream` is `length` words of ops in program order, each a
+  /// header k << 1 | nor, its k column indices and, for a NOR, its output
+  /// column:
+  ///   init  col[c] |= valid                          for each of its k columns
+  ///   NOR   violations += popcount(~out & valid)     (uninitialized outputs)
+  ///         out &= ~(OR of the k input columns)      (out' = out AND NOR(in))
+  /// with every tile in step.  Returns the violations summed over the
+  /// tiles.  The scalar walk (one tile) counts only when ~out & valid is
+  /// non-zero; the AVX2 walk (4 tiles) runs each op on one 256-bit column
+  /// word, and the AVX-512 walk (8 tiles) on one 512-bit word with vpopcntq.
+  std::uint64_t (*row_walk)(const std::uint32_t* stream, std::size_t length,
+                            std::uint64_t* cols, const std::uint64_t* valid);
+
+  /// Tiles one row_walk call runs: 1 (scalar), 4 (AVX2) or 8 (AVX-512).
+  std::size_t walk_tiles;
 };
+
+/// The most tiles a row_walk takes at any level.
+inline constexpr std::size_t kMaxWalkTiles = 8;
 
 /// Kernel table for the active level.  One relaxed atomic pointer load.
 [[nodiscard]] const KernelTable& kernels() noexcept;
@@ -268,6 +292,8 @@ std::size_t nor_column_pass_scalar(const std::uint64_t* const* ins,
                                    const std::uint64_t* mask,
                                    std::uint64_t* out, std::size_t n_words);
 void transpose64_scalar(std::uint64_t* block);
+std::uint64_t row_walk_scalar(const std::uint32_t* stream, std::size_t length,
+                              std::uint64_t* cols, const std::uint64_t* valid);
 /// Defined in simd_avx2.cpp / simd_avx512.cpp (null when compiled out).
 [[nodiscard]] const KernelTable* avx2_table() noexcept;
 [[nodiscard]] const KernelTable* avx512_table() noexcept;

@@ -297,11 +297,54 @@ void transpose64_avx2(std::uint64_t* block) {
   }
 }
 
+/// simd::detail::row_walk_scalar on 4 tiles: column c is the 256-bit word
+/// at cols + 4c.  Like the scalar walk, the lanes are counted only when
+/// some output was not initialized (popcnt comes with -mavx2).
+std::uint64_t row_walk_avx2(const std::uint32_t* stream, std::size_t length,
+                            std::uint64_t* cols, const std::uint64_t* valid) {
+  const auto at = [cols](std::uint32_t c) {
+    return reinterpret_cast<__m256i*>(cols + 4 * std::size_t{c});
+  };
+  const __m256i live = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(valid));
+  std::uint64_t violations = 0;
+  for (const std::uint32_t* const end = stream + length; stream != end;) {
+    const std::uint32_t head = *stream++;
+    const std::uint32_t k = head >> 1;
+    if ((head & 1u) == 0) {
+      for (std::uint32_t j = 0; j < k; ++j) {
+        __m256i* col = at(stream[j]);
+        _mm256_storeu_si256(col, _mm256_or_si256(_mm256_loadu_si256(col), live));
+      }
+      stream += k;
+      continue;
+    }
+    __m256i any = _mm256_loadu_si256(at(stream[0]));
+    for (std::uint32_t j = 1; j < k; ++j) {
+      any = _mm256_or_si256(any, _mm256_loadu_si256(at(stream[j])));
+    }
+    __m256i* out = at(stream[k]);
+    stream += k + 1;
+    const __m256i was = _mm256_loadu_si256(out);
+    const __m256i bad = _mm256_andnot_si256(was, live);
+    if (_mm256_testz_si256(bad, bad) == 0) {
+      alignas(32) std::uint64_t lanes[4];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), bad);
+      for (const std::uint64_t lane : lanes) {
+        violations += static_cast<std::uint64_t>(std::popcount(lane));
+      }
+    }
+    _mm256_storeu_si256(out, _mm256_andnot_si256(any, was));
+  }
+  return violations;
+}
+
 constexpr KernelTable kAvx2Table{
     &band_accumulate_avx2,
     &block_peel_avx2,
     &nor_column_pass_avx2,
     &transpose64_avx2,
+    &row_walk_avx2,
+    4,
 };
 
 }  // namespace

@@ -238,11 +238,46 @@ void transpose64_avx512(std::uint64_t* block) {
   }
 }
 
+/// simd::detail::row_walk_scalar on 8 tiles: column c is the 512-bit word
+/// at cols + 8c, and each NOR's violations are one vpopcntq into a lane
+/// accumulator, summed once at the end.
+std::uint64_t row_walk_avx512(const std::uint32_t* stream, std::size_t length,
+                              std::uint64_t* cols, const std::uint64_t* valid) {
+  const auto at = [cols](std::uint32_t c) { return cols + 8 * std::size_t{c}; };
+  const __m512i live = _mm512_loadu_si512(valid);
+  __m512i violations = _mm512_setzero_si512();
+  for (const std::uint32_t* const end = stream + length; stream != end;) {
+    const std::uint32_t head = *stream++;
+    const std::uint32_t k = head >> 1;
+    if ((head & 1u) == 0) {
+      for (std::uint32_t j = 0; j < k; ++j) {
+        std::uint64_t* col = at(stream[j]);
+        _mm512_storeu_si512(col, _mm512_or_si512(_mm512_loadu_si512(col), live));
+      }
+      stream += k;
+      continue;
+    }
+    __m512i any = _mm512_loadu_si512(at(stream[0]));
+    for (std::uint32_t j = 1; j < k; ++j) {
+      any = _mm512_or_si512(any, _mm512_loadu_si512(at(stream[j])));
+    }
+    std::uint64_t* out = at(stream[k]);
+    stream += k + 1;
+    const __m512i was = _mm512_loadu_si512(out);
+    violations = _mm512_add_epi64(
+        violations, _mm512_popcnt_epi64(_mm512_andnot_si512(was, live)));
+    _mm512_storeu_si512(out, _mm512_andnot_si512(any, was));
+  }
+  return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(violations));
+}
+
 constexpr KernelTable kAvx512Table{
     &band_accumulate_avx512,
     &block_peel_avx512,
     &nor_column_pass_avx512,
     &transpose64_avx512,
+    &row_walk_avx512,
+    8,
 };
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include "xbar/crossbar.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "util/simd.hpp"
 
@@ -359,17 +361,17 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
   constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
   const std::size_t words = mat_.row(0).word_count();
 
-  // Every touched 64-column word group gets a slot of 64 column words in
-  // the tile scratch (ascending), so column c lives at word
-  // slot(c / 64) * 64 + c % 64.
+  // A 64-column word group that a NOR or the I/O touches is a tile group:
+  // it gets a slot of 64 column words in a tile's scratch (ascending), so
+  // column c lives at word slot(c / 64) * 64 + c % 64.  A group that only
+  // inits touch stays in row space: its inits are one OR mask per row.
   group_slot_.assign(words, kNoSlot);
   std::uint64_t nors = 0;
   for (const RowOp& op : ops) {
+    if (op.kind == RowOp::Kind::kInit) continue;
     for (const std::uint32_t line : op.lines) group_slot_[line / kWordBits] = 0;
-    if (op.kind == RowOp::Kind::kNor) {
-      group_slot_[op.out / kWordBits] = 0;
-      ++nors;
-    }
+    group_slot_[op.out / kWordBits] = 0;
+    ++nors;
   }
   for (const auto list : {io.input_cols, io.one_cols, io.zero_cols, io.output_cols}) {
     for (const std::uint32_t line : list) group_slot_[line / kWordBits] = 0;
@@ -380,107 +382,172 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
     group_slot_[w] = static_cast<std::uint32_t>(groups_.size());
     groups_.push_back(w);
   }
+  // The op stream (simd::KernelTable::row_walk): every op's tile-group
+  // lines resolved to tile columns once, not once per tile.  An init's
+  // row-space lines go to row_init_ instead, and an init with no other
+  // line leaves no op.
   const std::uint32_t* const slot_of = group_slot_.data();
   const auto column = [slot_of](std::size_t line) {
-    return slot_of[line / kWordBits] * kWordBits + line % kWordBits;
+    return static_cast<std::uint32_t>(slot_of[line / kWordBits] * kWordBits +
+                                      line % kWordBits);
   };
-  // Every op's lines (then a NOR's output) resolved to tile words once,
-  // not once per tile.
-  op_cols_.clear();
+  row_init_.assign(words, 0);
+  walk_.clear();
   for (const RowOp& op : ops) {
-    for (const std::uint32_t line : op.lines) {
-      op_cols_.push_back(static_cast<std::uint32_t>(column(line)));
-    }
+    const std::size_t head = walk_.size();
+    walk_.push_back(0);
     if (op.kind == RowOp::Kind::kNor) {
-      op_cols_.push_back(static_cast<std::uint32_t>(column(op.out)));
+      for (const std::uint32_t line : op.lines) walk_.push_back(column(line));
+      walk_.push_back(column(op.out));
+      walk_[head] = static_cast<std::uint32_t>(op.lines.size()) << 1 | 1u;
+      continue;
+    }
+    for (const std::uint32_t line : op.lines) {
+      if (slot_of[line / kWordBits] == kNoSlot) {
+        row_init_[line / kWordBits] |= Word{1} << (line % kWordBits);
+      } else {
+        walk_.push_back(column(line));
+      }
+    }
+    const auto k = static_cast<std::uint32_t>(walk_.size() - head - 1);
+    if (k == 0) {
+      walk_.pop_back();
+    } else {
+      walk_[head] = k << 1;
     }
   }
 
-  tile_cols_.resize(groups_.size() * kWordBits);
-  if (sink) tile_delta_.assign(kWordBits * words, 0);
-  if (has_io) io_block_.resize(kWordBits);
+  // One walk runs `tiles` 64-row tiles: column c of tile t is word
+  // c * tiles + t of the 64-byte aligned `cols`.  Each tile goes in and
+  // out through its own `block` (64 words per slot), which is `cols` itself
+  // when the walk takes one tile.  Between the two, `cols` is cut into
+  // chunks of `tiles` columns x `tiles` tiles: a tile's block moves in and
+  // out as one `tiles`-word run per chunk (its columns in order), and a
+  // word transpose of each chunk turns the runs into the walk's layout and
+  // back, so no copy strides word by word across the whole scratch.
   const util::simd::KernelTable& kernels = util::simd::kernels();
+  const std::size_t tiles = kernels.walk_tiles;
+  const std::size_t tile_words = groups_.size() * kWordBits;
+  tile_cols_.resize(tile_words * tiles + 7);
+  Word* const cols = reinterpret_cast<Word*>(
+      (reinterpret_cast<std::uintptr_t>(tile_cols_.data()) + 63) &
+      ~std::uintptr_t{63});
+  if (tiles > 1) tile_block_.resize(tile_words);
+  Word* const block = tiles > 1 ? tile_block_.data() : cols;
+  tile_delta_.resize(kWordBits * words);
+  if (has_io) io_block_.resize(kWordBits);
   const std::span<util::BitVector> row_store = mat_.rows_span();
-  std::uint64_t violations = 0;
-  for (std::size_t row0 = 0; row0 < rows(); row0 += kWordBits) {
-    const std::size_t count = std::min(kWordBits, rows() - row0);
-    const Word valid = util::simd::low_mask(count);
-    // Tile in: slot s holds rows row0.. of group s (zero past the last
-    // row), then its columns.
-    if (count < kWordBits) std::fill(tile_cols_.begin(), tile_cols_.end(), 0);
+
+  // Rows [row0, row0 + count) into `block`: slot s holds rows row0.. of
+  // group s (zero past the last row), then its columns, with the inputs
+  // and constants written in.
+  const auto tile_in = [&](std::size_t row0, std::size_t count, Word valid) {
+    if (count < kWordBits) std::fill_n(block, tile_words, 0);
     for (std::size_t i = 0; i < count; ++i) {
       const std::span<const Word> row = row_store[row0 + i].words();
       for (std::size_t s = 0; s < groups_.size(); ++s) {
-        tile_cols_[s * kWordBits + i] = row[groups_[s]];
+        block[s * kWordBits + i] = row[groups_[s]];
       }
     }
     for (std::size_t s = 0; s < groups_.size(); ++s) {
-      kernels.transpose64(tile_cols_.data() + s * kWordBits);
+      kernels.transpose64(block + s * kWordBits);
     }
-    // The program, one column word per line: bit i is row row0 + i.
-    Word* const cols = tile_cols_.data();
-    Word* const block = io_block_.data();
     // Inputs: each 64-input group of the tile's input rows, transposed, is
     // 64 input column words.
+    Word* const in = io_block_.data();
     for (std::size_t g = 0; g * kWordBits < io.input_cols.size(); ++g) {
       const std::span<const util::BitVector> in_rows = io.inputs->rows_span();
-      std::fill_n(block + count, kWordBits - count, 0);
+      std::fill_n(in + count, kWordBits - count, 0);
       for (std::size_t i = 0; i < count; ++i) {
-        block[i] = in_rows[row0 + i].words()[g];
+        in[i] = in_rows[row0 + i].words()[g];
       }
-      kernels.transpose64(block);
+      kernels.transpose64(in);
       const std::size_t width =
           std::min(kWordBits, io.input_cols.size() - g * kWordBits);
       for (std::size_t j = 0; j < width; ++j) {
-        cols[column(io.input_cols[g * kWordBits + j])] = block[j];
+        block[column(io.input_cols[g * kWordBits + j])] = in[j];
       }
     }
-    for (const std::uint32_t line : io.one_cols) cols[column(line)] = valid;
-    for (const std::uint32_t line : io.zero_cols) cols[column(line)] = 0;
-    const std::uint32_t* at = op_cols_.data();
-    for (const RowOp& op : ops) {
-      const std::size_t k = op.lines.size();
-      if (op.kind == RowOp::Kind::kInit) {
-        for (std::size_t j = 0; j < k; ++j) cols[at[j]] |= valid;
-        at += k;
-        continue;
-      }
-      Word any = 0;
-      for (std::size_t j = 0; j < k; ++j) any |= cols[at[j]];
-      Word& out = cols[at[k]];
-      at += k + 1;
-      violations += static_cast<std::uint64_t>(std::popcount(~out & valid));
-      out &= ~any;
-    }
+    for (const std::uint32_t line : io.one_cols) block[column(line)] = valid;
+    for (const std::uint32_t line : io.zero_cols) block[column(line)] = 0;
+  };
+  // `block` back to rows [row0, row0 + count): the output columns into
+  // `outputs`, the tile groups transposed back, the row-space inits ORed
+  // in (row_init_ is zero outside the row-space groups, so one pass over
+  // every word does it), and old XOR new to the sink.
+  const auto tile_out = [&](std::size_t row0, std::size_t count) {
     // Outputs: 64 output column words, transposed, are the tile's rows of
     // one 64-output word of `outputs` (bits past the last output zero).
+    Word* const out = io_block_.data();
     for (std::size_t h = 0; h * kWordBits < io.output_cols.size(); ++h) {
       const std::span<util::BitVector> out_rows = io.outputs->rows_span();
       const std::size_t width =
           std::min(kWordBits, io.output_cols.size() - h * kWordBits);
       for (std::size_t j = 0; j < width; ++j) {
-        block[j] = cols[column(io.output_cols[h * kWordBits + j])];
+        out[j] = block[column(io.output_cols[h * kWordBits + j])];
       }
-      std::fill_n(block + width, kWordBits - width, 0);
-      kernels.transpose64(block);
+      std::fill_n(out + width, kWordBits - width, 0);
+      kernels.transpose64(out);
       for (std::size_t i = 0; i < count; ++i) {
-        out_rows[row0 + i].words_mutable()[h] = block[i];
+        out_rows[row0 + i].words_mutable()[h] = out[i];
       }
     }
-    // Tile out: back to row words, keeping old XOR new for the sink.
     for (std::size_t s = 0; s < groups_.size(); ++s) {
-      kernels.transpose64(tile_cols_.data() + s * kWordBits);
+      kernels.transpose64(block + s * kWordBits);
     }
+    const Word* const init = row_init_.data();
     for (std::size_t i = 0; i < count; ++i) {
-      const std::span<Word> row = row_store[row0 + i].words_mutable();
+      Word* const row = row_store[row0 + i].words_mutable().data();
+      Word* const delta = tile_delta_.data() + i * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        delta[w] = ~row[w] & init[w];
+        row[w] |= init[w];
+      }
       for (std::size_t s = 0; s < groups_.size(); ++s) {
         const std::size_t w = groups_[s];
-        const Word now = tile_cols_[s * kWordBits + i];
-        if (sink) tile_delta_[i * words + w] = row[w] ^ now;
+        const Word now = block[s * kWordBits + i];
+        delta[w] = row[w] ^ now;
         row[w] = now;
       }
     }
     if (sink) sink(row0, count, tile_delta_.data());
+  };
+
+  const auto transpose_chunks = [&] {
+    for (Word* chunk = cols; tiles > 1 && chunk != cols + tile_words * tiles;
+         chunk += tiles * tiles) {
+      for (std::size_t i = 0; i < tiles; ++i) {
+        for (std::size_t j = i + 1; j < tiles; ++j) {
+          std::swap(chunk[i * tiles + j], chunk[j * tiles + i]);
+        }
+      }
+    }
+  };
+
+  std::array<Word, util::simd::kMaxWalkTiles> valid{};
+  std::uint64_t violations = 0;
+  for (std::size_t row0 = 0; row0 < rows(); row0 += tiles * kWordBits) {
+    const auto rows_of = [&](std::size_t t) {
+      const std::size_t first = row0 + t * kWordBits;
+      return first < rows() ? std::min(kWordBits, rows() - first) : 0;
+    };
+    for (std::size_t t = 0; t < tiles; ++t) {
+      valid[t] = util::simd::low_mask(rows_of(t));
+      if (valid[t] == 0) continue;
+      tile_in(row0 + t * kWordBits, rows_of(t), valid[t]);
+      for (std::size_t c = 0; tiles > 1 && c < tile_words; c += tiles) {
+        std::copy_n(block + c, tiles, cols + c * tiles + t * tiles);
+      }
+    }
+    transpose_chunks();
+    violations += kernels.row_walk(walk_.data(), walk_.size(), cols, valid.data());
+    transpose_chunks();
+    for (std::size_t t = 0; t < tiles && valid[t] != 0; ++t) {
+      for (std::size_t c = 0; tiles > 1 && c < tile_words; c += tiles) {
+        std::copy_n(cols + c * tiles + t * tiles, tiles, block + c);
+      }
+      tile_out(row0 + t * kWordBits, rows_of(t));
+    }
   }
   // Each op is one all-lane cycle, exactly as issued alone.
   cycles_ += ops.size();

@@ -16,8 +16,10 @@
 // which can also emit the output column's old XOR new delta for the
 // protected machine's check-bit update.  A whole all-lane kRow program
 // (run_rows) is bit-sliced instead: 64 rows at a time are transposed into
-// per-column words, every op runs on those single words, and the tile is
-// transposed back, so lanes become adjacent bits as in the kColumn path.
+// per-column words, every op runs on those words (several tiles per op
+// at the wide dispatch levels), and the tile is transposed back, so lanes
+// become adjacent bits as in the kColumn path; column groups that only
+// inits touch stay in row space.
 // The same tile pass can do a program's I/O: the input rows' words, once
 // transposed, are the input columns' words, and the output columns' words,
 // transposed, are the output rows' words (RowIo).
@@ -202,11 +204,19 @@ class Crossbar {
   /// Runs `ops` in order in every row -- the same contents, violation
   /// count, cycle counters and activations as issuing each op alone through
   /// magic_init / magic_nor (kRow, all lanes) -- and returns the summed
-  /// violations.  Bit-sliced: each 64-row tile's touched 64-column word
-  /// groups are transposed (simd transpose64) into per-column words, the
-  /// whole op list runs on single words (a NOR is out &= ~OR(ins), its
-  /// violations popcount(~out & valid rows)), and the tile is transposed
-  /// back.  A non-empty `sink` then receives the tile's old XOR new rows.
+  /// violations.  Bit-sliced, with the work scaled to the columns the
+  /// program touches:
+  ///  * Row-space inits.  A 64-column word group that no NOR and no I/O
+  ///    touches is never transposed: its inits are one OR mask per row word
+  ///    (row |= mask, delta ~row & mask), applied as each tile goes out.
+  ///  * Tile groups.  Each 64-row tile's other touched groups are
+  ///    transposed (simd transpose64) into per-column words, and back.
+  ///  * A T-tile op walk.  The op list, resolved once per call into a
+  ///    compact stream, runs on T tiles at once (simd row_walk: T = 8 at
+  ///    AVX-512, 4 at AVX2, 1 at scalar): a NOR is out &= ~OR(ins), its
+  ///    violations popcount(~out & valid rows).
+  /// A non-empty `sink` receives each tile's old XOR new rows as the tile
+  /// goes out, so its scratch stays one tile of rows.
   ///
   /// A non-empty `io` (RowIo) is done in the same pass: the input tile is
   /// transposed straight into the input columns' words and the constant
@@ -311,11 +321,13 @@ class Crossbar {
   std::vector<LineRef> line_refs_;  ///< per-input offsets (kRow fused path)
   std::vector<const std::uint64_t*> in_ptrs_;  ///< input row words (kColumn)
 
-  // run_rows' tile scratch.
-  std::vector<std::uint32_t> group_slot_;  ///< word group -> slot, or kNoSlot
-  std::vector<std::size_t> groups_;        ///< touched word groups, ascending
-  std::vector<std::uint64_t> tile_cols_;   ///< 64 column words per slot
-  std::vector<std::uint32_t> op_cols_;     ///< ops' lines as tile words
+  // run_rows' scratch.
+  std::vector<std::uint32_t> group_slot_;  ///< word group -> slot, or a marker
+  std::vector<std::size_t> groups_;        ///< tile word groups, ascending
+  std::vector<std::uint64_t> row_init_;    ///< init-only groups' init masks
+  std::vector<std::uint32_t> walk_;        ///< the op stream (row_walk)
+  std::vector<std::uint64_t> tile_cols_;   ///< 64 column words per slot and tile
+  std::vector<std::uint64_t> tile_block_;  ///< one tile's columns, when tiles > 1
   std::vector<std::uint64_t> tile_delta_;  ///< 64 delta rows of one tile
   std::vector<std::uint64_t> io_block_;    ///< one 64 x 64 I/O transpose
 };

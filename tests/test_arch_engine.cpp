@@ -705,6 +705,78 @@ RandomRowProgram random_row_program(std::size_t n, std::size_t count,
   return program;
 }
 
+/// A row program shaped like a mapped benchmark's: a first init of most
+/// columns, at least one in every 64-column word group, then NORs of
+/// fan-in 1-4 confined to at most three word groups, with small inits
+/// anywhere in between.  A few NOR columns are never initialized, so the
+/// violation sums are not zero.  The ops' spans point into `lines`.
+RandomRowProgram bench_shaped_row_program(std::size_t n, std::size_t count,
+                                          util::Rng& rng) {
+  const std::size_t groups = (n + 63) / 64;
+  std::vector<std::size_t> nor_groups;
+  while (nor_groups.size() < std::min<std::size_t>(3, groups)) {
+    const std::size_t g = rng.uniform_below(groups);
+    if (std::find(nor_groups.begin(), nor_groups.end(), g) == nor_groups.end()) {
+      nor_groups.push_back(g);
+    }
+    if (rng.bernoulli(0.3)) break;  // sometimes one or two groups
+  }
+  std::vector<std::uint32_t> nor_cols;
+  for (const std::size_t g : nor_groups) {
+    for (std::size_t c = g * 64; c < std::min(n, g * 64 + 64); ++c) {
+      nor_cols.push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+  std::set<std::uint32_t> uninit;
+  while (uninit.size() < 3) {
+    uninit.insert(nor_cols[rng.uniform_below(nor_cols.size())]);
+  }
+  const auto initable = [&](std::size_t c) {
+    return uninit.count(static_cast<std::uint32_t>(c)) == 0;
+  };
+
+  RandomRowProgram program;
+  std::vector<xbar::RowOp> shapes;  // kinds and outputs; spans filled last
+  std::vector<std::uint32_t> first;
+  for (std::size_t g = 0; g < groups; ++g) {
+    bool covered = false;
+    for (std::size_t c = g * 64; c < std::min(n, g * 64 + 64); ++c) {
+      if (!initable(c) || !(rng.bernoulli(0.9) || !covered)) continue;
+      first.push_back(static_cast<std::uint32_t>(c));
+      covered = true;
+    }
+  }
+  program.lines.push_back(std::move(first));
+  shapes.push_back({xbar::RowOp::Kind::kInit, 0, {}});
+  for (std::size_t i = 1; i < count; ++i) {
+    std::vector<std::uint32_t> lines;
+    if (rng.bernoulli(0.15)) {
+      // A small init: one to three distinct initializable columns.
+      const std::size_t k = 1 + rng.uniform_below(3);
+      while (lines.size() < k) {
+        const auto c = static_cast<std::uint32_t>(rng.uniform_below(n));
+        if (initable(c) && std::find(lines.begin(), lines.end(), c) == lines.end()) {
+          lines.push_back(c);
+        }
+      }
+      shapes.push_back({xbar::RowOp::Kind::kInit, 0, {}});
+    } else {
+      const std::uint32_t out = nor_cols[rng.uniform_below(nor_cols.size())];
+      const std::size_t fan_in = 1 + rng.uniform_below(4);
+      while (lines.size() < fan_in) {
+        const std::uint32_t in = nor_cols[rng.uniform_below(nor_cols.size())];
+        if (in != out) lines.push_back(in);
+      }
+      shapes.push_back({xbar::RowOp::Kind::kNor, out, {}});
+    }
+    program.lines.push_back(std::move(lines));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    program.ops.push_back({shapes[i].kind, shapes[i].out, program.lines[i]});
+  }
+  return program;
+}
+
 std::vector<std::size_t> widen(std::span<const std::uint32_t> lines) {
   return {lines.begin(), lines.end()};
 }
@@ -750,12 +822,23 @@ void run_ops_one_by_one(PimMachine& machine, std::span<const xbar::RowOp> ops) {
   return ::testing::AssertionSuccess();
 }
 
-/// One batch-vs-one-by-one comparison at every dispatch level: random row
-/// programs, some after a pre-injected check-bit and data error (the net
-/// delta fold is linear, so it must track inconsistent parity exactly like
-/// the per-op updates), each followed by a rejected program whose last op
-/// is bad.
-void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed) {
+/// Makes a row program of `count` ops over n columns.
+using RowProgramMaker =
+    RandomRowProgram (*)(std::size_t n, std::size_t count, util::Rng& rng);
+
+RandomRowProgram any_row_program(std::size_t n, std::size_t count, util::Rng& rng) {
+  return random_row_program(n, count, rng);
+}
+
+/// One batch-vs-one-by-one comparison at every dispatch level: `make`'s
+/// row programs, some after a pre-injected check-bit and data error (the
+/// net delta fold is linear, so it must track inconsistent parity exactly
+/// like the per-op updates), each followed by a rejected program whose last
+/// op is bad.  With `expect_violations`, every program must also count some
+/// violations.
+void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed,
+                                RowProgramMaker make = any_row_program,
+                                bool expect_violations = false) {
   const ArchParams params = make_params(n, m);
   const LevelGuard guard;
   for (const util::simd::Level level : util::simd::available_levels()) {
@@ -780,7 +863,7 @@ void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed
           machine->inject_data_error(r, c);
         }
       }
-      const RandomRowProgram program = random_row_program(n, 24 + 8 * round, rng);
+      const RandomRowProgram program = make(n, 24 + 8 * round, rng);
 
       // The bare crossbar: run_rows' violation sum and state equal the
       // same ops issued alone.
@@ -801,6 +884,9 @@ void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed
         }
       }
       EXPECT_EQ(violations, single_violations);
+      if (expect_violations) {
+        EXPECT_GT(violations, 0u);
+      }
       EXPECT_EQ(bare_batch.contents(), bare_single.contents());
       EXPECT_EQ(bare_batch.counters(), bare_single.counters());
       EXPECT_EQ(bare_batch.row_activation_snapshot(),
@@ -873,6 +959,15 @@ TEST(RowBatchDifferential, MatchesOneByOneN130M65) {
   run_row_batch_differential(130, 65, 0xB0A7'0004ull);
   run_row_batch_differential(1020, 85, 0xB0A7'0005ull);
   run_row_batch_differential(1020, 255, 0xB0A7'0006ull);
+}
+
+TEST(RowBatchDifferential, BenchShapedMatchesOneByOne) {
+  // A first init in every word group and NORs in at most three: most
+  // groups' inits take the row-space path, the rest the tile walk.
+  run_row_batch_differential(60, 15, 0xB0A7'0007ull, bench_shaped_row_program, true);
+  run_row_batch_differential(135, 9, 0xB0A7'0008ull, bench_shaped_row_program, true);
+  run_row_batch_differential(1020, 15, 0xB0A7'0009ull, bench_shaped_row_program,
+                             true);
 }
 
 // ------------------------------------------------ row programs with I/O

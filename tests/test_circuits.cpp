@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "bench_circuits/circuits.hpp"
 #include "bench_circuits/pla.hpp"
@@ -175,6 +178,58 @@ TEST(Cavlc, ExhaustiveMatchesPla) {
     set_bits(in, 0, 10, v);
     EXPECT_EQ(spec.netlist.eval(in), spec.reference(in)) << "input " << v;
   }
+}
+
+TEST(PlaTable, CircuitModelsEqualTheTermLoopOnEveryInput) {
+  // ctrl's and cavlc's models read a truth table built from their PLA
+  // spec; every entry must be what eval_pla's term loop computes.
+  for (const auto& [name, pla] : {std::pair{"ctrl", ctrl_pla()},
+                                  std::pair{"cavlc", cavlc_pla()}}) {
+    const CircuitSpec spec = build_circuit(name);
+    ASSERT_EQ(spec.netlist.num_inputs(), pla.num_inputs) << name;
+    util::BitVector expected;
+    util::BitVector actual(3, true);  // dirty, of another width
+    for (std::size_t v = 0; v < (std::size_t{1} << pla.num_inputs); ++v) {
+      util::BitVector in(pla.num_inputs);
+      set_bits(in, 0, pla.num_inputs, v);
+      eval_pla(pla, in, expected);
+      spec.evaluate(in, actual);
+      ASSERT_EQ(actual, expected) << name << " input " << v;
+    }
+  }
+}
+
+TEST(PlaTable, EqualsTheTermLoopOnEveryInputOfOtherSpecs) {
+  // Random specs of several widths, and a hand-written one whose first
+  // term wants a 1 above its last input (so it never matches) and whose
+  // last term has no care bits (so it always does).
+  std::vector<PlaSpec> specs;
+  for (const std::size_t k : {1u, 3u, 8u, 12u}) specs.push_back(make_table_pla(k, 5, 20, k));
+  PlaSpec hand;
+  hand.num_inputs = 4;
+  hand.num_outputs = 3;
+  hand.terms = {{0x30, 0x10, 0x1}, {0x21, 0x01, 0x2}, {0x0, 0x0, 0x4}};
+  specs.push_back(hand);
+  for (const PlaSpec& spec : specs) {
+    const PlaTable table(spec);
+    util::BitVector expected;
+    util::BitVector actual;
+    for (std::size_t v = 0; v < (std::size_t{1} << spec.num_inputs); ++v) {
+      util::BitVector in(spec.num_inputs);
+      set_bits(in, 0, spec.num_inputs, v);
+      eval_pla(spec, in, expected);
+      table.evaluate(in, actual);
+      ASSERT_EQ(actual, expected) << spec.num_inputs << " inputs, input " << v;
+    }
+  }
+}
+
+TEST(PlaTable, RejectsMoreThanSixteenInputsAndWrongInputCounts) {
+  EXPECT_NO_THROW(PlaTable(make_table_pla(16, 4, 8, 1)));
+  EXPECT_THROW(PlaTable(make_table_pla(17, 4, 8, 1)), std::invalid_argument);
+  const PlaTable table(ctrl_pla());
+  util::BitVector out;
+  EXPECT_THROW(table.evaluate(util::BitVector(8), out), std::invalid_argument);
 }
 
 TEST(Int2Float, ExhaustiveAllElevenBitInputs) {

@@ -69,6 +69,9 @@ TEST(SimdDispatch, EveryAvailableLevelHasACompleteKernelTable) {
     EXPECT_NE(t.block_peel, nullptr) << simd::to_string(l);
     EXPECT_NE(t.nor_column_pass, nullptr) << simd::to_string(l);
     EXPECT_NE(t.transpose64, nullptr) << simd::to_string(l);
+    EXPECT_NE(t.row_walk, nullptr) << simd::to_string(l);
+    EXPECT_GE(t.walk_tiles, 1u) << simd::to_string(l);
+    EXPECT_LE(t.walk_tiles, simd::kMaxWalkTiles) << simd::to_string(l);
   }
 }
 
@@ -306,6 +309,95 @@ TEST(SimdKernels, Transpose64MatchesNaiveAndIsAnInvolutionAtEveryLevel) {
       EXPECT_EQ(t, naive) << simd::to_string(l) << " trial " << trial;
       simd::kernels_for(l).transpose64(t.data());
       EXPECT_EQ(t, block) << simd::to_string(l) << " trial " << trial;
+    }
+  }
+}
+
+/// A random row_walk stream over `columns` columns: inits of 1-5 columns
+/// and NORs of fan-in 1-4 whose output is none of their inputs.
+std::vector<std::uint32_t> random_walk_stream(std::size_t columns,
+                                              std::size_t ops, Rng& rng) {
+  const auto column = [&] {
+    return static_cast<std::uint32_t>(rng.uniform_below(columns));
+  };
+  std::vector<std::uint32_t> stream;
+  for (std::size_t i = 0; i < ops; ++i) {
+    if (rng.bernoulli(0.25)) {
+      const auto k = static_cast<std::uint32_t>(1 + rng.uniform_below(5));
+      stream.push_back(k << 1);
+      for (std::uint32_t j = 0; j < k; ++j) stream.push_back(column());
+      continue;
+    }
+    const std::uint32_t out = column();
+    const auto k = static_cast<std::uint32_t>(1 + rng.uniform_below(4));
+    stream.push_back(k << 1 | 1u);
+    for (std::uint32_t j = 0; j < k; ++j) {
+      const std::uint32_t in = column();
+      stream.push_back(in == out ? (in + 1) % static_cast<std::uint32_t>(columns)
+                                 : in);
+    }
+    stream.push_back(out);
+  }
+  return stream;
+}
+
+TEST(SimdKernels, RowWalkMatchesScalarTileByTileAtEveryLevel) {
+  // Eight tiles: full ones, a tail tile of 37 rows and an empty one (and,
+  // in later trials, other tails); random column words, so many outputs
+  // are not initialized and the violation sums are far from zero.
+  constexpr std::size_t kTiles = simd::kMaxWalkTiles;
+  Rng rng(0x51D'1005ull);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t columns = 2 + rng.uniform_below(trial < 6 ? 12 : 200);
+    const std::vector<std::uint32_t> stream =
+        random_walk_stream(columns, trial == 0 ? 0 : 1 + rng.uniform_below(300), rng);
+    std::array<std::uint64_t, kTiles> valid{};
+    for (std::size_t t = 0; t < kTiles; ++t) {
+      valid[t] = simd::low_mask(t < 6 ? 64 : t == 6 ? 37 : 0);
+    }
+    if (trial % 3 == 2) valid[rng.uniform_below(6)] = simd::low_mask(1 + rng.uniform_below(63));
+    std::vector<std::vector<std::uint64_t>> start(kTiles,
+                                                  std::vector<std::uint64_t>(columns));
+    for (auto& tile : start) {
+      for (auto& w : tile) w = rng.next();
+    }
+
+    // The reference: the scalar walk on each tile alone.
+    std::vector<std::vector<std::uint64_t>> expected = start;
+    std::uint64_t expected_violations = 0;
+    const simd::KernelTable& scalar = simd::kernels_for(simd::Level::kScalar);
+    ASSERT_EQ(scalar.walk_tiles, 1u);
+    for (std::size_t t = 0; t < kTiles; ++t) {
+      expected_violations += scalar.row_walk(stream.data(), stream.size(),
+                                             expected[t].data(), &valid[t]);
+    }
+    if (trial > 0) {
+      EXPECT_GT(expected_violations, 0u) << "trial " << trial;
+    }
+
+    for (const simd::Level l : simd::available_levels()) {
+      const simd::KernelTable& table = simd::kernels_for(l);
+      const std::size_t step = table.walk_tiles;
+      ASSERT_EQ(kTiles % step, 0u);
+      std::uint64_t violations = 0;
+      for (std::size_t t0 = 0; t0 < kTiles; t0 += step) {
+        // Column c of tile t0 + t at c * step + t.
+        std::vector<std::uint64_t> cols(columns * step);
+        for (std::size_t c = 0; c < columns; ++c) {
+          for (std::size_t t = 0; t < step; ++t) cols[c * step + t] = start[t0 + t][c];
+        }
+        violations += table.row_walk(stream.data(), stream.size(), cols.data(),
+                                     valid.data() + t0);
+        for (std::size_t t = 0; t < step; ++t) {
+          for (std::size_t c = 0; c < columns; ++c) {
+            ASSERT_EQ(cols[c * step + t], expected[t0 + t][c])
+                << simd::to_string(l) << " trial " << trial << " tile " << t0 + t
+                << " column " << c;
+          }
+        }
+      }
+      EXPECT_EQ(violations, expected_violations)
+          << simd::to_string(l) << " trial " << trial;
     }
   }
 }

@@ -54,6 +54,20 @@ else
   echo "==== toolchain lacks TSan runtime; skipping tsan stage ===="
 fi
 
+# Compile-out stage: -DPIMECC_FORCE_SCALAR=ON (the `scalar` preset) builds
+# the AVX2/AVX-512 units as stubs, so only the scalar kernel table exists.
+# The environment-forced entries (*_forced_scalar) still compile the wide
+# kernels in; this stage proves the product and its unit suites build and
+# pass without them.
+scalar_dir="$repo/build-ci-scalar"
+echo "==== [Scalar build] configure ===="
+cmake -B "$scalar_dir" -S "$repo" -DCMAKE_BUILD_TYPE=Release -DPIMECC_FORCE_SCALAR=ON \
+  "${cmake_args[@]+"${cmake_args[@]}"}"
+echo "==== [Scalar build] build ===="
+cmake --build "$scalar_dir" -j "$jobs"
+echo "==== [Scalar build] test (unit label) ===="
+ctest --test-dir "$scalar_dir" -L unit --output-on-failure -j "$jobs"
+
 release_dir=""
 for config in Debug Release; do
   # tr, not ${config,,}: macOS ships bash 3.2 which lacks case expansion.
