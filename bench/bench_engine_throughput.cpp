@@ -27,7 +27,6 @@
 #include <array>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness.hpp"
@@ -151,10 +150,8 @@ int main(int argc, char** argv) {
   }
   simd::set_level(native_level);
 
-  bench::Json json("pimecc-bench-engine/2", options);
-  json.field("hardware_concurrency", std::thread::hardware_concurrency())
-      .field("simd_level", simd::to_string(native_level))
-      .field("xbar_cross_check_ok", gates.ok());
+  bench::Json json("pimecc-bench-engine/3", options);
+  json.host().field("xbar_cross_check_ok", gates.ok());
 
   // ---------------------------------------------------------------- xbar
   double min_nor_speedup = 0.0;

@@ -54,9 +54,15 @@ void PimMachine::restore(const util::BitMatrix& data, const ecc::ArrayCode& code
   counters_ = counters;
 }
 
-void PimMachine::update_check_bits_for_line(bool along_rows, std::size_t line,
-                                            const util::BitVector& delta) {
-  code_.apply_line_delta(along_rows, line, delta);
+void PimMachine::update_check_bits_for_column(std::size_t col,
+                                              const util::BitVector& delta) {
+  code_.apply_column_delta(col, delta);
+  charge_line_updates(1);
+}
+
+void PimMachine::update_check_bits_for_row(std::size_t row,
+                                           const util::BitVector& delta) {
+  code_.apply_row_deltas(row, 1, delta.words().data(), delta.word_count());
   charge_line_updates(1);
 }
 
@@ -80,7 +86,7 @@ void PimMachine::write_row_protected(std::size_t r, const util::BitVector& value
   mem_.write_row(r, values);
   counters_.mem_cycles = mem_.cycles();
   old_line_ ^= values;  // delta
-  update_check_bits_for_line(false, r, old_line_);
+  update_check_bits_for_row(r, old_line_);
 }
 
 void PimMachine::magic_nor_rows_protected(std::span<const std::size_t> in_cols,
@@ -90,7 +96,7 @@ void PimMachine::magic_nor_rows_protected(std::span<const std::size_t> in_cols,
   // new of the output column itself.
   mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col, rows, &old_line_);
   counters_.mem_cycles = mem_.cycles();
-  update_check_bits_for_line(true, out_col, old_line_);
+  update_check_bits_for_column(out_col, old_line_);
 }
 
 void PimMachine::magic_nor_cols_protected(std::span<const std::size_t> in_rows,
@@ -102,7 +108,7 @@ void PimMachine::magic_nor_cols_protected(std::span<const std::size_t> in_rows,
   mem_.magic_nor(xbar::Orientation::kColumn, in_rows, out_row, cols);
   counters_.mem_cycles = mem_.cycles();
   old_line_ ^= mem_.contents().row(out_row);  // delta
-  update_check_bits_for_line(false, out_row, old_line_);
+  update_check_bits_for_row(out_row, old_line_);
 }
 
 void PimMachine::magic_init_rows_protected(std::span<const std::size_t> cols) {
@@ -130,7 +136,7 @@ void PimMachine::magic_init_rows_protected(std::span<const std::size_t> cols) {
   for (std::size_t i = 0; i < cols.size(); ++i) {
     // Init drives every cell of the line to LRS, so delta = NOT(old).
     init_snapshots_[i].invert();
-    update_check_bits_for_line(true, cols[i], init_snapshots_[i]);
+    update_check_bits_for_column(cols[i], init_snapshots_[i]);
   }
 }
 
@@ -144,7 +150,7 @@ void PimMachine::magic_init_cols_protected(std::span<const std::size_t> rows) {
   counters_.mem_cycles = mem_.cycles();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     init_snapshots_[i].invert();
-    update_check_bits_for_line(false, rows[i], init_snapshots_[i]);
+    update_check_bits_for_row(rows[i], init_snapshots_[i]);
   }
 }
 
@@ -163,38 +169,16 @@ void PimMachine::run_rows_protected(std::span<const xbar::RowOp> ops,
 
 void PimMachine::run_and_fold(std::span<const xbar::RowOp> ops,
                               const xbar::RowIo& io) {
-  using Word = util::BitVector::Word;
-  constexpr std::size_t kWordBits = util::BitVector::kWordBits;
-  struct {
-    std::size_t words;
-    std::size_t buffered = 0;  // delta rows held, starting at band `band`
-    std::size_t band = 0;
-  } state{mem_.contents().row(0).word_count()};
-  program_delta_.resize((kWordBits + m()) * state.words);
-  band_delta_rows_.resize(m());
-  // Tiles arrive in row order; each complete band of the buffer is folded
-  // through the encode band kernel and the partial rest moves to the front.
-  // Two captured pointers fit RowDeltaSink's inline storage, so the sink
-  // costs no allocation.
-  const auto fold = [this, &state](std::size_t, std::size_t count,
-                                   const Word* delta) {
-    auto& [words, buffered, band] = state;
-    std::copy_n(delta, count * words, program_delta_.data() + buffered * words);
-    buffered += count;
-    std::size_t folded = 0;
-    for (; buffered - folded >= m(); folded += m()) {
-      for (std::size_t r = 0; r < m(); ++r) {
-        band_delta_rows_[r] = program_delta_.data() + (folded + r) * words;
-      }
-      code_.apply_band_delta(band++, band_delta_rows_.data());
-    }
-    std::copy(program_delta_.begin() + static_cast<std::ptrdiff_t>(folded * words),
-              program_delta_.begin() + static_cast<std::ptrdiff_t>(buffered * words),
-              program_delta_.begin());
-    buffered -= folded;
+  // Each tile's delta rows go straight to the codec, which folds them band
+  // piece by band piece.  Two captured words fit RowDeltaSink's inline
+  // storage, so the sink costs no allocation.
+  const std::size_t words = mem_.contents().row(0).word_count();
+  const auto fold = [this, words](std::size_t row0, std::size_t count,
+                                  const util::BitVector::Word* delta) {
+    code_.apply_row_deltas(row0, count, delta, words);
   };
-  // The crossbar validates the program before anything changes: until
-  // here only scratch was written, and the callers charge after it.
+  // The crossbar validates the program before anything changes, and the
+  // callers charge after it.
   mem_.run_rows(ops, fold, io);
 }
 

@@ -19,19 +19,22 @@
 // encodes and verifications ride the encode_all/scrub/consistent_with band
 // walks, and protocol steps 1+3 are computed *differentially* from the
 // written line via the rotation kernel -- one rotate+XOR per affected
-// family, never a re-encode (ArrayCode::apply_line_delta).  The deltas come
-// from the pass that already touches the data: a row-parallel NOR's lane
-// loop emits its output column's delta.  A row program (run_rows_protected)
-// goes further: parity is linear, so the check-bit change of the op
-// sequence is the parity of its *net* row delta, which the bit-sliced
-// Crossbar::run_rows hands over one 64-row tile at a time and this machine
-// folds one block-row band at a time through the encode band kernel
-// (ArrayCode::apply_band_delta) -- one band walk per band for the program
-// instead of one line update per op.  The row program can carry its I/O
-// (xbar::RowIo): the same tile pass writes the inputs and constants and
-// reads the outputs, the writes' old XOR new rows join the net delta, and
-// the n protected row writes this replaces are charged in closed form.  A
-// wide batched init (more lines than n/64) runs as a one-op row program.
+// family, never a re-encode: a written column through
+// ArrayCode::apply_column_delta, a written row through
+// ArrayCode::apply_row_deltas.  The deltas come from the pass that already
+// touches the data: a row-parallel NOR's lane loop emits its output
+// column's delta.  A row program (run_rows_protected) goes further: parity
+// is linear, so the check-bit change of the op sequence is the parity of
+// its *net* row delta, which the bit-sliced Crossbar::run_rows hands over
+// one 64-row tile at a time and this machine passes straight to
+// ArrayCode::apply_row_deltas, which folds it through the encode band
+// kernel one band piece at a time -- one band walk per band for the
+// program instead of one line update per op.  The row program can carry
+// its I/O (xbar::RowIo): the same tile pass writes the inputs and
+// constants and reads the outputs, the writes' old XOR new rows join the
+// net delta, and the n protected row writes this replaces are charged in
+// closed form.  A wide batched init (more lines than n/64) runs as a
+// one-op row program.
 // Cycle accounting is unchanged: the protocol's analytic costs are
 // identical to routing the lines through the shifter bank into genuine XOR3
 // microprograms, op by op.  The original
@@ -137,18 +140,19 @@ class PimMachine {
   /// (magic_init_rows_protected) or NOR over all rows
   /// (magic_nor_rows_protected) -- with the same contents, check bits,
   /// counters and row activations as issuing the ops one by one.  The ops
-  /// run bit-sliced (xbar::Crossbar::run_rows) and the check bits take the
-  /// program's net row delta, folded band by band.  The crossbar validates
-  /// the whole program (xbar::check_row_program) before anything changes,
-  /// so a throwing program changes nothing.
+  /// run bit-sliced (xbar::Crossbar::run_rows) and each 64-row tile's net
+  /// row delta goes to ArrayCode::apply_row_deltas as the tile leaves the
+  /// pass.  The crossbar validates the whole program
+  /// (xbar::check_row_program) before anything changes, so a throwing
+  /// program changes nothing.
   void run_rows_protected(std::span<const xbar::RowOp> ops);
   /// One program with its I/O (xbar::RowIo) in a single tile pass: the
   /// same contents, check bits, counters and row activations as n
   /// write_row_protected calls -- row r's current contents with its inputs
   /// and constants written -- then run_rows_protected(ops), then a read of
   /// the output columns into io.outputs.  The writes' old XOR new rows join
-  /// the program's net delta, so one band fold covers both, and the writes
-  /// are charged in closed form.  The crossbar validates the ops, every
+  /// the program's net delta, so one row-delta fold covers both, and the
+  /// writes are charged in closed form.  The crossbar validates the ops, every
   /// cell and both matrix shapes before anything changes.
   void run_rows_protected(std::span<const xbar::RowOp> ops,
                           const xbar::RowIo& io);
@@ -208,13 +212,14 @@ class PimMachine {
                const xbar::Crossbar::Counters& mem_counters);
 
  private:
-  /// Runs protocol steps 1+3 for a line write, differentially: `delta` is
-  /// old XOR new of the written line.  `along_rows` true means the written
-  /// line is a column (row-parallel op).
-  void update_check_bits_for_line(bool along_rows, std::size_t line,
-                                  const util::BitVector& delta);
-  /// Runs a row program (and its I/O) on the MEM, folding its net row
-  /// delta into the check bits one block-row band at a time.
+  /// Runs protocol steps 1+3 for a written column (a row-parallel op's
+  /// output or init line), differentially: `delta` is old XOR new of it.
+  void update_check_bits_for_column(std::size_t col,
+                                    const util::BitVector& delta);
+  /// The same for a written row (a row write or a column-parallel op).
+  void update_check_bits_for_row(std::size_t row, const util::BitVector& delta);
+  /// Runs a row program (and its I/O) on the MEM, folding each tile's net
+  /// row delta into the check bits (ArrayCode::apply_row_deltas).
   void run_and_fold(std::span<const xbar::RowOp> ops, const xbar::RowIo& io);
   /// Charges `row_writes` protected row writes followed by `ops`, as the
   /// per-call entry points would.
@@ -235,10 +240,6 @@ class PimMachine {
   util::BitVector old_line_;  ///< line delta (snapshot XOR new, or NOR-emitted)
   std::vector<util::BitVector> init_snapshots_;  ///< narrow init columns
   std::vector<std::uint32_t> init_cols_;         ///< wide init as a row op
-  /// run_rows_protected's rolling delta buffer: the rows of one tile plus
-  /// the unfolded rest (< m rows) of the band before it.
-  std::vector<util::BitVector::Word> program_delta_;
-  std::vector<const util::BitVector::Word*> band_delta_rows_;  ///< one band
 };
 
 }  // namespace pimecc::arch

@@ -213,15 +213,32 @@ void ArrayCode::encode_all(const util::BitMatrix& data) {
                    cnt_.data());
 }
 
-void ArrayCode::apply_band_delta(std::size_t band,
-                                 const std::uint64_t* const* delta_rows) {
-  if (band >= blocks_per_side()) {
-    throw std::out_of_range("ArrayCode::apply_band_delta: band out of range");
+void ArrayCode::apply_row_deltas(std::size_t row0, std::size_t count,
+                                 const std::uint64_t* delta,
+                                 std::size_t stride) {
+  if (count > n_ || row0 > n_ - count) {
+    throw std::out_of_range("ArrayCode::apply_row_deltas: rows out of range");
+  }
+  if (stride < words_) {
+    throw std::invalid_argument(
+        "ArrayCode::apply_row_deltas: stride shorter than a row");
   }
   // Parity is linear: the check rows of (old XOR delta) are the stored
-  // rows XOR the parity of the delta slab itself.
-  util::simd::kernels().band_accumulate(shape(), delta_rows, 0, m(),
-                                        lead_row(band), cnt_row(band));
+  // rows XOR the parity of the delta rows themselves.  One band_accumulate
+  // per piece: the rows of one band, at most 64 at a time.
+  const std::size_t mm = m();
+  std::array<const std::uint64_t*, 64> ptrs;
+  for (std::size_t r = row0, end = row0 + count; r < end;) {
+    const std::size_t band = r / mm;
+    const std::size_t off = r % mm;
+    const std::size_t len = std::min({ptrs.size(), mm - off, end - r});
+    for (std::size_t i = 0; i < len; ++i) {
+      ptrs[i] = delta + (r - row0 + i) * stride;
+    }
+    util::simd::kernels().band_accumulate(shape(), ptrs.data(), off, len,
+                                          lead_row(band), cnt_row(band));
+    r += len;
+  }
 }
 
 void ArrayCode::flip_cell(std::size_t r, std::size_t c) {
@@ -356,24 +373,19 @@ BlockRepair ArrayCode::repair(util::BitMatrix& data, BlockIndex b,
   return done;
 }
 
-void ArrayCode::apply_line_delta(bool line_is_column, std::size_t line,
-                                 const util::BitVector& delta) {
-  if (line >= n_) {
-    throw std::out_of_range("ArrayCode::apply_line_delta: line out of range");
+void ArrayCode::apply_column_delta(std::size_t col,
+                                   const util::BitVector& delta) {
+  if (col >= n_) {
+    throw std::out_of_range(
+        "ArrayCode::apply_column_delta: column out of range");
   }
   if (delta.size() != n_) {
-    throw std::invalid_argument("ArrayCode::apply_line_delta: delta must have length n");
+    throw std::invalid_argument(
+        "ArrayCode::apply_column_delta: delta must have length n");
   }
   const std::size_t mm = m();
-  const std::size_t band = line / mm;
-  const std::size_t rem = line % mm;
-  if (!line_is_column) {
-    // A written row is row `rem` of its band: one band_accumulate step.
-    const std::uint64_t* row = delta.words().data();
-    util::simd::kernels().band_accumulate(shape(), &row, rem, 1,
-                                          lead_row(band), cnt_row(band));
-    return;
-  }
+  const std::size_t band = col / mm;
+  const std::size_t rem = col % mm;
   // A written column crosses every band: its segment in band g is the
   // column of block (g, band) at offset rem.  Cell (r, rem) sits on leading
   // diagonal (r + rem) mod m and at pre-reflection counter offset

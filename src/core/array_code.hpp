@@ -171,27 +171,28 @@ class ArrayCode {
   /// residual and roll the repair back.
   BlockRepair scrub_block(util::BitMatrix& data, BlockIndex b);
 
-  /// Differential continuous update for one whole written line (the
-  /// critical-operation protocol's steps 1+3 fused): `delta` is
-  /// old XOR new of the line's n bits.  For a written column
-  /// (`line_is_column`), block-row band g folds rotl(delta_seg, line mod m)
-  /// into its leading family and rotl(delta_seg, -line mod m) into its
-  /// counter family; for a written row the counter family is additionally
-  /// reflected (stride m-1) -- one or two rotate+XORs per affected block,
-  /// never a re-encode.  Validates before mutating any parity.
-  void apply_line_delta(bool line_is_column, std::size_t line,
-                        const util::BitVector& delta);
+  /// Differential continuous update for a run of changed rows (protocol
+  /// steps 1+3 fused for row writes, column-parallel ops and row programs):
+  /// rows [row0, row0 + count) of old XOR new, row row0 + i's ceil(n/64)
+  /// words at delta + i * stride (bits at or above n are never read).
+  /// Parity is linear, so each band's packed rows are XORed with the
+  /// parity of its rows of the run -- the same band_accumulate as
+  /// encode_all, one step per piece of at most 64 rows of one band.  A run
+  /// may start and end mid-band and cross any number of bands.  Throws
+  /// std::out_of_range unless row0 + count <= n (a count that would wrap
+  /// included) and std::invalid_argument if stride < ceil(n/64), before
+  /// any parity changes.  Allocates nothing.
+  void apply_row_deltas(std::size_t row0, std::size_t count,
+                        const std::uint64_t* delta, std::size_t stride);
 
-  /// Differential continuous update for a row-major delta slab covering
-  /// one block-row band: delta_rows[r] (r < m) points at the ceil(n/64)
-  /// words of old XOR new of row band*m + r, bits at or above n zero (the
-  /// BitVector padding invariant).  Parity is linear, so the band's packed
-  /// rows are XORed with the encode of the slab -- the same band_accumulate
-  /// as encode_all, one pass for any number of changed lines (a wide
-  /// batched init).  Throws std::out_of_range on a bad band before mutating
-  /// any parity.
-  void apply_band_delta(std::size_t band,
-                        const std::uint64_t* const* delta_rows);
+  /// Differential continuous update for one written column `col` (a
+  /// row-parallel op's output or init line): `delta` is old XOR new of its
+  /// n bits.  Block-row band g folds rotl(delta_seg, col mod m) into its
+  /// leading family and the reflected segment into its counter family --
+  /// one rotate+XOR per family and band, never a re-encode.  Throws
+  /// std::out_of_range on a bad column and std::invalid_argument unless
+  /// delta has n bits, before mutating any parity.
+  void apply_column_delta(std::size_t col, const util::BitVector& delta);
 
   /// True iff every check bit matches `data` exactly: one band_accumulate
   /// per band into scratch (on the stack up to n = 4096), compared word by

@@ -113,13 +113,6 @@ NodeId LogicBuilder::majority3(NodeId a, NodeId b, NodeId c) {
   return netlist_.add_nor({ab, ac, bc});
 }
 
-AddResult LogicBuilder::full_adder(NodeId a, NodeId b, NodeId cin) {
-  AddResult r;
-  r.sum = {xor3(a, b, cin)};
-  r.carry_out = majority3(a, b, cin);
-  return r;
-}
-
 AddResult LogicBuilder::ripple_add(const Bus& a, const Bus& b, NodeId carry_in) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("LogicBuilder::ripple_add: width mismatch");

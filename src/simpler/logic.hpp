@@ -65,9 +65,8 @@ class LogicBuilder {
   NodeId majority3(NodeId a, NodeId b, NodeId c);
 
   // --- arithmetic ------------------------------------------------------------
-  /// Full adder: sum = a^b^cin (XOR3), carry = maj3.
-  AddResult full_adder(NodeId a, NodeId b, NodeId cin);
-  /// Ripple-carry addition of equal-width buses.
+  /// Ripple-carry addition of equal-width buses: per bit, sum = XOR3 of
+  /// the bits and the carry, carry = maj3.
   AddResult ripple_add(const Bus& a, const Bus& b, NodeId carry_in);
   /// a - b borrow-ripple; returns difference and borrow_out (1 iff a < b).
   AddResult ripple_sub(const Bus& a, const Bus& b);

@@ -448,30 +448,98 @@ TEST(CodecExhaustive, DoubleDataErrorsNeverMiscorrectedSilentlyM3) {
 
 // ------------------------------------- validate-before-mutate regressions
 
-TEST(CodecDifferential, BandDeltaMatchesReencode) {
-  // apply_band_delta over a random row-major slab == encoding the data with
-  // the slab XORed into that band, for every m including multiword
-  // segments; a bad band is rejected before any parity changes.
+TEST(CodecDifferential, RowDeltasMatchReencode) {
+  // apply_row_deltas over a run of random delta rows == encoding the data
+  // with the run XORed in, for every m including multiword segments: each
+  // whole band in turn, then runs that start or end mid-band, cross one or
+  // several band boundaries, a single row and all n rows.  The rows sit one
+  // word further apart than a row needs, with garbage past bit n and in
+  // the gap, which the fold must not read.  A run past row n (a count that
+  // would wrap included) or a short stride is rejected before any parity
+  // changes.
   Rng rng(0xBA4Dull);
   for (const std::size_t m : kOddM) {
     SCOPED_TRACE(m);
     const std::size_t n = m * std::max<std::size_t>(3, (130 + m - 1) / m);
+    const std::size_t bps = n / m;
+    const std::size_t words = (n + 63) / 64;
+    const std::size_t stride = words + 1;
     BitMatrix data = random_matrix(n, n, rng);
     ArrayCode code(n, m);
     code.encode_all(data);
-    for (std::size_t band = 0; band < n / m; ++band) {
-      std::vector<BitVector> slab;
-      std::vector<const std::uint64_t*> rows;
-      for (std::size_t r = 0; r < m; ++r) slab.push_back(random_bits(n, rng));
-      for (std::size_t r = 0; r < m; ++r) {
-        rows.push_back(slab[r].words().data());
-        data.row(band * m + r) ^= slab[r];
+    const auto apply = [&](std::size_t row0, std::size_t count) {
+      std::vector<std::uint64_t> delta(count * stride);
+      for (std::size_t i = 0; i < count; ++i) {
+        const BitVector row = random_bits(n, rng);
+        std::uint64_t* at = delta.data() + i * stride;
+        std::copy(row.words().begin(), row.words().end(), at);
+        if (n % 64 != 0) at[words - 1] |= rng.next() << (n % 64);
+        at[words] = rng.next();
+        data.row(row0 + i) ^= row;
       }
-      code.apply_band_delta(band, rows.data());
+      code.apply_row_deltas(row0, count, delta.data(), stride);
+    };
+    for (std::size_t band = 0; band < bps; ++band) {
+      apply(band * m, m);
       ASSERT_TRUE(code.consistent_with(data)) << "band " << band;
     }
-    const std::vector<const std::uint64_t*> none(m, nullptr);
-    EXPECT_THROW(code.apply_band_delta(n / m, none.data()), std::out_of_range);
+    // An offset strictly inside a band, and a random band.
+    const auto mid = [&] { return 1 + rng.uniform_below(m - 1); };
+    const auto any_band = [&](std::size_t last) {
+      return rng.uniform_below(last + 1);
+    };
+    struct Run {
+      const char* what;
+      std::size_t row0;
+      std::size_t end;
+    };
+    const std::size_t b_start = any_band(bps - 1);
+    const std::size_t b_end = any_band(bps - 1);
+    const std::size_t b_one = any_band(bps - 2);
+    const std::size_t b_several = any_band(bps - 3);
+    const std::size_t several = 2 + rng.uniform_below(bps - 1 - b_several - 1);
+    const std::size_t single = rng.uniform_below(n);
+    const std::size_t whole = any_band(bps - 1);
+    const Run runs[] = {
+        {"starts mid-band", b_start * m + mid(), (b_start + 1) * m},
+        {"ends mid-band", b_end * m, b_end * m + mid()},
+        {"crosses one band boundary", b_one * m + mid(),
+         (b_one + 1) * m + mid()},
+        {"crosses several band boundaries", b_several * m + mid(),
+         (b_several + several) * m + mid()},
+        {"single row", single, single + 1},
+        {"whole band", whole * m, (whole + 1) * m},
+        {"all rows", 0, n},
+    };
+    for (const Run& run : runs) {
+      SCOPED_TRACE(run.what);
+      ASSERT_LT(run.row0, run.end);
+      ASSERT_LE(run.end, n);
+      apply(run.row0, run.end - run.row0);
+      ASSERT_TRUE(code.consistent_with(data));
+    }
+    std::vector<CheckBits> before;
+    for (std::size_t b = 0; b < bps * bps; ++b) {
+      before.push_back(code.check_bits({b / bps, b % bps}));
+    }
+    const std::vector<std::uint64_t> ones(n * stride, ~std::uint64_t{0});
+    const std::size_t bad[][2] = {{n - 2, 3},
+                                  {0, n + 1},
+                                  {n, 1},
+                                  {1, SIZE_MAX},
+                                  {SIZE_MAX, 2},
+                                  {n / 2, SIZE_MAX - n / 2 + 1}};
+    for (const auto& [row0, count] : bad) {
+      EXPECT_THROW(code.apply_row_deltas(row0, count, ones.data(), stride),
+                   std::out_of_range)
+          << "row0 " << row0 << " count " << count;
+    }
+    EXPECT_THROW(code.apply_row_deltas(0, 2, ones.data(), words - 1),
+                 std::invalid_argument);
+    for (std::size_t b = 0; b < bps * bps; ++b) {
+      ASSERT_EQ(code.check_bits({b / bps, b % bps}), before[b])
+          << "block " << b;
+    }
     EXPECT_TRUE(code.consistent_with(data));
   }
 }

@@ -150,7 +150,7 @@ std::vector<std::uint64_t> dirty_words(std::size_t bits, Rng& rng) {
 
 TEST(SimdKernels, BandAccumulateMatchesScalarAtEveryLevel) {
   // Every single-word m and the multiword ones, segment counts around
-  // every lane width, whole bands and single-row steps (apply_line_delta's
+  // every lane width, whole bands and single-row steps (apply_row_deltas'
   // use), rows with tail garbage and exactly-sized allocations; each output
   // checked against the per-block rotation bit by bit, with the bits past
   // the last segment required zero.
@@ -459,7 +459,7 @@ ArrayRun run_array_code(simd::Level level, ArrayShape shape,
   run.block_repair = code.scrub_block(
       block_data, {rng.uniform_below(bps), rng.uniform_below(bps)});
 
-  // Line-delta bookkeeping (both orientations).  Re-encode first: blocks
+  // Line-delta bookkeeping (a row and a column).  Re-encode first: blocks
   // that took two faults above are *correctly* left inconsistent by scrub,
   // and the consistency assertion below needs a clean baseline.
   code.encode_all(data);
@@ -474,7 +474,28 @@ ArrayRun run_array_code(simd::Level level, ArrayShape shape,
       const std::size_t c = is_column ? line : i;
       data.flip(r, c);
     }
-    code.apply_line_delta(is_column, line, delta);
+    if (is_column) {
+      code.apply_column_delta(line, delta);
+    } else {
+      code.apply_row_deltas(line, 1, delta.words().data(), delta.word_count());
+    }
+  }
+  // A multi-row run from inside one band to inside the next.
+  {
+    const std::size_t band = rng.uniform_below(bps - 1);
+    const std::size_t row0 =
+        band * shape.m + 1 + rng.uniform_below(shape.m - 1);
+    const std::size_t end =
+        (band + 1) * shape.m + 1 + rng.uniform_below(shape.m - 1);
+    const BitMatrix delta = util::random_bit_matrix(end - row0, shape.n, rng);
+    std::vector<std::uint64_t> rows;
+    for (std::size_t i = 0; i < delta.rows(); ++i) {
+      const auto words = delta.row(i).words();
+      rows.insert(rows.end(), words.begin(), words.end());
+      data.row(row0 + i) ^= delta.row(i);
+    }
+    code.apply_row_deltas(row0, delta.rows(), rows.data(),
+                          delta.row(0).word_count());
   }
   for (std::size_t br = 0; br < bps; ++br) {
     for (std::size_t bc = 0; bc < bps; ++bc) {
