@@ -90,22 +90,20 @@ void PimMachine::write_row_protected(std::size_t r, const util::BitVector& value
 }
 
 void PimMachine::magic_nor_rows_protected(std::span<const std::size_t> in_cols,
-                                          std::size_t out_col,
-                                          std::span<const std::size_t> rows) {
+                                          std::size_t out_col) {
   // The crossbar validates before it mutates; the lane pass emits old XOR
   // new of the output column itself.
-  mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col, rows, &old_line_);
+  mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col, &old_line_);
   counters_.mem_cycles = mem_.cycles();
   update_check_bits_for_column(out_col, old_line_);
 }
 
 void PimMachine::magic_nor_cols_protected(std::span<const std::size_t> in_rows,
-                                          std::size_t out_row,
-                                          std::span<const std::size_t> cols) {
+                                          std::size_t out_row) {
   // row() bounds-checks out_row; the crossbar validates the rest before it
   // mutates.
   old_line_ = mem_.contents().row(out_row);
-  mem_.magic_nor(xbar::Orientation::kColumn, in_rows, out_row, cols);
+  mem_.magic_nor(xbar::Orientation::kColumn, in_rows, out_row);
   counters_.mem_cycles = mem_.cycles();
   old_line_ ^= mem_.contents().row(out_row);  // delta
   update_check_bits_for_row(out_row, old_line_);

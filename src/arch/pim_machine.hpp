@@ -5,8 +5,10 @@
 // checking crossbar, barrel shifters and controllers -- operated
 // functionally and bit-accurately.
 //
-// Every stateful-logic operation issued through this facade runs the
-// Section IV critical-operation protocol:
+// Every stateful-logic operation issued through this facade runs in all
+// lanes at once -- a row-parallel op in every row, a column-parallel op in
+// every column, as MAGIC does (paper Figure 1) -- and runs the Section IV
+// critical-operation protocol:
 //   1. cancel the old data's effect on the check bits,
 //   2. perform the MAGIC operation in the MEM,
 //   3. add the new data's effect on the check bits,
@@ -96,7 +98,9 @@ struct MachineCounters {
   bool operator==(const MachineCounters&) const noexcept = default;
 };
 
-/// MEM + CMEM processing-in-memory unit with diagonal-parity ECC.
+/// MEM + CMEM processing-in-memory unit with diagonal-parity ECC.  Its
+/// MAGIC entry points are all-lane, like xbar::Crossbar's; the bit-serial
+/// oracle (ReferencePimMachine) keeps the same API.
 class PimMachine {
  public:
   explicit PimMachine(const ArchParams& params);
@@ -121,22 +125,20 @@ class PimMachine {
 
   // --- protected stateful logic -------------------------------------------
   /// Row-parallel MAGIC NOR with the critical-operation protocol:
-  /// out(r, out_col) = NOR_i in(r, in_cols[i]) for each selected row.
+  /// out(r, out_col) = NOR_i in(r, in_cols[i]) for every row r.
   /// Output cells must have been initialized (magic_init_rows_protected).
-  /// Empty `rows` selects all rows.
   void magic_nor_rows_protected(std::span<const std::size_t> in_cols,
-                                std::size_t out_col,
-                                std::span<const std::size_t> rows = {});
-  /// Column-parallel variant: out(out_row, c) = NOR_i in(in_rows[i], c).
+                                std::size_t out_col);
+  /// Column-parallel variant: out(out_row, c) = NOR_i in(in_rows[i], c)
+  /// for every column c.
   void magic_nor_cols_protected(std::span<const std::size_t> in_rows,
-                                std::size_t out_row,
-                                std::span<const std::size_t> cols = {});
+                                std::size_t out_row);
   /// Initialization (to LRS) of whole lines, ECC-maintained: for
   /// row-orientation, initializes the given columns across all rows.
   /// Lines must be distinct (a duplicate would corrupt the check update).
   void magic_init_rows_protected(std::span<const std::size_t> cols);
   void magic_init_cols_protected(std::span<const std::size_t> rows);
-  /// Runs an all-lane row program -- each op a protected init
+  /// Runs a row program -- each op a protected init
   /// (magic_init_rows_protected) or NOR over all rows
   /// (magic_nor_rows_protected) -- with the same contents, check bits,
   /// counters and row activations as issuing the ops one by one.  The ops

@@ -64,9 +64,6 @@ struct CircuitSpec {
 /// names.
 [[nodiscard]] CircuitSpec build_circuit(const std::string& name);
 
-/// Builds all 11 circuits in Table I order.
-[[nodiscard]] std::vector<CircuitSpec> build_all_circuits();
-
 // Individual builders (exposed for focused tests).
 [[nodiscard]] CircuitSpec build_adder();
 [[nodiscard]] CircuitSpec build_arbiter();

@@ -27,13 +27,4 @@ CircuitSpec build_circuit(const std::string& name) {
   throw std::invalid_argument("build_circuit: unknown circuit '" + name + "'");
 }
 
-std::vector<CircuitSpec> build_all_circuits() {
-  std::vector<CircuitSpec> all;
-  all.reserve(circuit_names().size());
-  for (const std::string& name : circuit_names()) {
-    all.push_back(build_circuit(name));
-  }
-  return all;
-}
-
 }  // namespace pimecc::circuits

@@ -147,15 +147,4 @@ std::vector<DataFlip> correlated_burst_cells(util::Rng& rng, std::size_t rows,
   return cells;
 }
 
-std::vector<DataFlip> inject_correlated_bursts(util::Rng& rng,
-                                               util::BitMatrix& data,
-                                               std::size_t m, std::size_t length,
-                                               BurstShape shape,
-                                               double spread_probability) {
-  std::vector<DataFlip> cells = correlated_burst_cells(
-      rng, data.rows(), data.cols(), m, length, shape, spread_probability);
-  for (const DataFlip& cell : cells) data.flip(cell.r, cell.c);
-  return cells;
-}
-
 }  // namespace pimecc::fault

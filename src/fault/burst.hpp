@@ -86,11 +86,4 @@ std::vector<DataFlip> inject_burst(util::Rng& rng, util::BitMatrix& data,
     util::Rng& rng, std::size_t rows, std::size_t cols, std::size_t m,
     std::size_t length, BurstShape shape, double spread_probability);
 
-/// Flips one correlated_burst_cells() event; returns the flipped cells.
-std::vector<DataFlip> inject_correlated_bursts(util::Rng& rng,
-                                               util::BitMatrix& data,
-                                               std::size_t m, std::size_t length,
-                                               BurstShape shape,
-                                               double spread_probability);
-
 }  // namespace pimecc::fault

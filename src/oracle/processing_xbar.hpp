@@ -17,8 +17,8 @@
 
 #include <cstddef>
 
+#include "oracle/reference_crossbar.hpp"
 #include "util/bitvector.hpp"
-#include "xbar/crossbar.hpp"
 
 namespace pimecc::arch {
 
@@ -61,7 +61,7 @@ class ProcessingXbar {
   [[nodiscard]] std::uint64_t nor_ops() const noexcept { return xbar_.nor_ops(); }
 
  private:
-  xbar::Crossbar xbar_;
+  xbar::ReferenceCrossbar xbar_;
 };
 
 /// Pure-function reference: XOR3 via the same dataflow, for tests.

@@ -8,7 +8,8 @@
 // reference in differential tests and benchmarks -- the production engine
 // is the word-parallel Crossbar (crossbar.hpp), which must match this model
 // bit-for-bit in contents, cycle counts, and violation counts on any
-// program.  Keep the two classes' public APIs identical.
+// program.  Keep the two classes' public APIs identical, but for the
+// column write the oracle's processing crossbar needs.
 #pragma once
 
 #include <cstddef>
@@ -32,29 +33,23 @@ class ReferenceCrossbar {
   [[nodiscard]] std::size_t cols() const noexcept { return mat_.cols(); }
 
   void write_row(std::size_t r, const util::BitVector& data);
+  /// Writes a full column image (size must equal rows()): one cycle and
+  /// one broadcast activation.  The processing crossbar's operand transfer
+  /// (oracle/processing_xbar.hpp); Crossbar has no column write.
   void write_column(std::size_t c, const util::BitVector& data);
-  [[nodiscard]] util::BitVector read_row(std::size_t r);
-  [[nodiscard]] util::BitVector read_column(std::size_t c);
-  void write_bit(std::size_t r, std::size_t c, bool value);
-  [[nodiscard]] bool read_bit(std::size_t r, std::size_t c);
 
   [[nodiscard]] bool peek(std::size_t r, std::size_t c) const { return mat_.at(r, c); }
   void poke(std::size_t r, std::size_t c, bool v) { mat_.set(r, c, v); }
   [[nodiscard]] const util::BitMatrix& contents() const noexcept { return mat_; }
   [[nodiscard]] util::BitMatrix& contents_mutable() noexcept { return mat_; }
 
-  void magic_init(Orientation o, std::span<const std::size_t> lines,
-                  std::span<const std::size_t> lanes = {});
+  void magic_init(Orientation o, std::span<const std::size_t> lines);
   OpResult magic_nor(Orientation o, std::span<const std::size_t> in_lines,
-                     std::size_t out_line,
-                     std::span<const std::size_t> lanes = {});
-  OpResult magic_not(Orientation o, std::size_t in_line, std::size_t out_line,
-                     std::span<const std::size_t> lanes = {});
+                     std::size_t out_line);
 
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
   [[nodiscard]] std::uint64_t nor_ops() const noexcept { return nor_ops_; }
   [[nodiscard]] std::uint64_t init_cycles() const noexcept { return init_cycles_; }
-  void reset_counters() noexcept;
 
   /// Per-row wordline-activation accounting, identical in semantics and
   /// counts to Crossbar (see crossbar.hpp): differential tests pin the two
@@ -65,8 +60,6 @@ class ReferenceCrossbar {
 
  private:
   void check_line(Orientation o, std::size_t line, const char* what) const;
-  void check_lane(Orientation o, std::size_t lane) const;
-  void check_distinct_lanes(Orientation o, std::span<const std::size_t> lanes) const;
   [[nodiscard]] std::size_t lane_count(Orientation o) const noexcept {
     return o == Orientation::kRow ? rows() : cols();
   }

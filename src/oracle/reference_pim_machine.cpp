@@ -114,26 +114,22 @@ void ReferencePimMachine::write_row_protected(std::size_t r,
 }
 
 void ReferencePimMachine::magic_nor_rows_protected(
-    std::span<const std::size_t> in_cols, std::size_t out_col,
-    std::span<const std::size_t> rows) {
+    std::span<const std::size_t> in_cols, std::size_t out_col) {
   detail::require_indices(in_cols, n(), "input column");
   detail::require_index(out_col, n(), "output column");
-  detail::require_distinct(rows, n(), "row lane");
   const util::BitVector old_line = mem_.contents().column(out_col);
-  mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col, rows);
+  mem_.magic_nor(xbar::Orientation::kRow, in_cols, out_col);
   const util::BitVector new_line = mem_.contents().column(out_col);
   counters_.mem_cycles = mem_.cycles();
   update_check_bits_for_line(true, out_col, old_line, new_line);
 }
 
 void ReferencePimMachine::magic_nor_cols_protected(
-    std::span<const std::size_t> in_rows, std::size_t out_row,
-    std::span<const std::size_t> cols) {
+    std::span<const std::size_t> in_rows, std::size_t out_row) {
   detail::require_indices(in_rows, n(), "input row");
   detail::require_index(out_row, n(), "output row");
-  detail::require_distinct(cols, n(), "column lane");
   const util::BitVector old_line = mem_.contents().row(out_row);
-  mem_.magic_nor(xbar::Orientation::kColumn, in_rows, out_row, cols);
+  mem_.magic_nor(xbar::Orientation::kColumn, in_rows, out_row);
   const util::BitVector new_line = mem_.contents().row(out_row);
   counters_.mem_cycles = mem_.cycles();
   update_check_bits_for_line(false, out_row, old_line, new_line);

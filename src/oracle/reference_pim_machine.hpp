@@ -55,11 +55,9 @@ class ReferencePimMachine {
   void write_row_protected(std::size_t r, const util::BitVector& values);
 
   void magic_nor_rows_protected(std::span<const std::size_t> in_cols,
-                                std::size_t out_col,
-                                std::span<const std::size_t> rows = {});
+                                std::size_t out_col);
   void magic_nor_cols_protected(std::span<const std::size_t> in_rows,
-                                std::size_t out_row,
-                                std::span<const std::size_t> cols = {});
+                                std::size_t out_row);
   void magic_init_rows_protected(std::span<const std::size_t> cols);
   void magic_init_cols_protected(std::span<const std::size_t> rows);
   /// The per-op protocol loop PimMachine::run_rows_protected must equal:

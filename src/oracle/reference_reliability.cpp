@@ -54,15 +54,9 @@ MonteCarloResult reference_run_montecarlo(const MonteCarloConfig& config,
   // caller's generator advances identically for every thread count.
   const std::uint64_t base_seed = rng.next();
 
-  util::BitMatrix golden(config.n, config.n);
-  {
-    util::Rng golden_rng = util::Rng::for_stream(base_seed, 0);
-    for (std::size_t r = 0; r < config.n; ++r) {
-      util::BitVector& row = golden.row(r);
-      for (auto& word : row.words_mutable()) word = golden_rng.next();
-      row.sanitize();
-    }
-  }
+  util::Rng golden_rng = util::Rng::for_stream(base_seed, 0);
+  const util::BitMatrix golden =
+      util::random_bit_matrix(config.n, config.n, golden_rng);
   ecc::ArrayCode golden_code(config.n, config.m);
   golden_code.encode_all(golden);
 

@@ -9,16 +9,10 @@ namespace pimecc::rel::detail {
 
 namespace {
 
-/// The golden image: substream 0 of `base_seed`, one next() per word.
+/// The golden image: substream 0 of `base_seed`.
 util::BitMatrix make_golden(std::size_t n, std::uint64_t base_seed) {
-  util::BitMatrix golden(n, n);
   util::Rng golden_rng = util::Rng::for_stream(base_seed, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    util::BitVector& row = golden.row(r);
-    for (auto& word : row.words_mutable()) word = golden_rng.next();
-    row.sanitize();
-  }
-  return golden;
+  return util::random_bit_matrix(n, n, golden_rng);
 }
 
 }  // namespace

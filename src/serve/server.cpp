@@ -122,6 +122,10 @@ Response Server::handle(const Request& request) {
       break;
     }
     case RequestKind::kMttf: {
+      // At fit 0 both MTTFs are infinite and their ratio is not a number.
+      if (!(request.fit_per_bit > 0.0)) {
+        throw std::invalid_argument("mttf needs fit > 0");
+      }
       rel::ReliabilityQuery query;
       query.fit_per_bit = request.fit_per_bit;
       query.check_period_hours = request.period_hours;

@@ -85,22 +85,6 @@ void BitMatrix::column_into(std::size_t c, BitVector& out) const {
   }
 }
 
-void BitMatrix::or_column_into(std::size_t c, BitVector& acc) const {
-  if (c >= cols_) {
-    throw std::out_of_range("BitMatrix::or_column_into: index out of range");
-  }
-  if (acc.size() != rows_) {
-    throw std::invalid_argument("BitMatrix::or_column_into: length mismatch");
-  }
-  const std::size_t wi = c / BitVector::kWordBits;
-  const unsigned shift = static_cast<unsigned>(c % BitVector::kWordBits);
-  const std::span<BitVector::Word> acc_words = acc.words_mutable();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const BitVector::Word bit = (rows_storage_[r].words()[wi] >> shift) & 1u;
-    acc_words[r / BitVector::kWordBits] |= bit << (r % BitVector::kWordBits);
-  }
-}
-
 void BitMatrix::set_column(std::size_t c, const BitVector& values) {
   if (c >= cols_) throw std::out_of_range("BitMatrix::set_column: index out of range");
   if (values.size() != rows_) {
@@ -116,14 +100,6 @@ void BitMatrix::set_column(std::size_t c, const BitVector& values) {
     BitVector::Word& w = rows_storage_[r].words_mutable()[wi];
     w = (w & ~mask) | (bit << shift);
   }
-}
-
-void BitMatrix::row_assign_masked(std::size_t r, const BitVector& values,
-                                  const BitVector& mask) {
-  if (r >= rows_) {
-    throw std::out_of_range("BitMatrix::row_assign_masked: index out of range");
-  }
-  rows_storage_[r].assign_masked(values, mask);
 }
 
 void BitMatrix::fill(bool value) noexcept {

@@ -57,15 +57,8 @@ class BitMatrix {
   /// row, so hot paths that already walk the rows should derive column
   /// data in that walk instead.
   void column_into(std::size_t c, BitVector& out) const;
-  /// ORs column `c` into `acc` (length must equal rows()), for folding
-  /// several columns into one row-indexed vector without temporaries.
-  void or_column_into(std::size_t c, BitVector& acc) const;
   /// Overwrites column `c` from `values` (length must equal rows()).
   void set_column(std::size_t c, const BitVector& values);
-  /// row(r) <- (row(r) AND NOT mask) OR (values AND mask): lane-masked row
-  /// update; `values` and `mask` must have length cols().
-  void row_assign_masked(std::size_t r, const BitVector& values,
-                         const BitVector& mask);
 
   void fill(bool value) noexcept;
 

@@ -104,16 +104,6 @@ std::size_t BitVector::find_next(std::size_t i) const noexcept {
   }
 }
 
-void BitVector::collect_set_bits(std::vector<std::size_t>& out) const {
-  for (std::size_t i = find_first(); i < size_; i = find_next(i)) out.push_back(i);
-}
-
-std::vector<std::size_t> BitVector::set_bits() const {
-  std::vector<std::size_t> out;
-  collect_set_bits(out);
-  return out;
-}
-
 BitVector& BitVector::operator^=(const BitVector& other) {
   require_same_size(other);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
@@ -137,14 +127,6 @@ void BitVector::invert() noexcept {
   clear_padding();
 }
 
-void BitVector::nor_assign(const BitVector& other) {
-  require_same_size(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] = ~(words_[i] | other.words_[i]);
-  }
-  clear_padding();
-}
-
 BitVector& BitVector::assign_masked(const BitVector& src, const BitVector& mask) {
   require_same_size(src);
   require_same_size(mask);
@@ -160,15 +142,6 @@ bool BitVector::intersects(const BitVector& other) const {
     if ((words_[i] & other.words_[i]) != 0) return true;
   }
   return false;
-}
-
-std::size_t BitVector::count_and_not(const BitVector& other) const {
-  require_same_size(other);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    total += static_cast<std::size_t>(std::popcount(words_[i] & ~other.words_[i]));
-  }
-  return total;
 }
 
 std::size_t BitVector::hamming_distance(const BitVector& other) const {

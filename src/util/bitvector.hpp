@@ -53,11 +53,6 @@ class BitVector {
   [[nodiscard]] std::span<Word> words_mutable() noexcept { return words_; }
   /// Re-establishes the padding invariant after raw word writes.
   void sanitize() noexcept { clear_padding(); }
-  /// Word 0 (bits [0, 64)), or 0 when empty.  The codec engine stores one
-  /// diagonal-parity family per word for block sizes m <= 64.
-  [[nodiscard]] Word low_word() const noexcept {
-    return words_.empty() ? Word{0} : words_[0];
-  }
   /// Overwrites word 0 and re-establishes the padding invariant, so stray
   /// bits at positions >= size() are discarded.  Requires size() > 0.
   void set_low_word(Word w) noexcept;
@@ -93,26 +88,17 @@ class BitVector {
   /// Index of the lowest set bit strictly above `i`, or `size()` if none.
   [[nodiscard]] std::size_t find_next(std::size_t i) const noexcept;
 
-  /// Appends the indices of all set bits to `out`.
-  void collect_set_bits(std::vector<std::size_t>& out) const;
-  /// Returns the indices of all set bits.
-  [[nodiscard]] std::vector<std::size_t> set_bits() const;
-
   // Word-parallel logic; all require `other.size() == size()`.
   BitVector& operator^=(const BitVector& other);
   BitVector& operator|=(const BitVector& other);
   BitVector& operator&=(const BitVector& other);
   /// In-place bitwise NOT.
   void invert() noexcept;
-  /// this <- NOR(this, other) == NOT(this OR other); MAGIC's native gate.
-  void nor_assign(const BitVector& other);
   /// this <- (this AND NOT mask) OR (src AND mask): keeps this where the
   /// mask is 0 and takes `src` where the mask is 1 (lane-masked update).
   BitVector& assign_masked(const BitVector& src, const BitVector& mask);
   /// True iff (this AND other) has at least one set bit; no allocation.
   [[nodiscard]] bool intersects(const BitVector& other) const;
-  /// popcount(this AND NOT other); no allocation.  Sizes must match.
-  [[nodiscard]] std::size_t count_and_not(const BitVector& other) const;
 
   [[nodiscard]] friend BitVector operator^(BitVector a, const BitVector& b) {
     a ^= b;

@@ -35,42 +35,6 @@ void Rng::set_state(const State& state) {
   for (std::size_t i = 0; i < 4; ++i) state_[i] = state[i];
 }
 
-void Rng::advance_by(const std::uint64_t (&polynomial)[4]) noexcept {
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (const std::uint64_t mask : polynomial) {
-    for (int b = 0; b < 64; ++b) {
-      if (mask & (std::uint64_t{1} << b)) {
-        s0 ^= state_[0];
-        s1 ^= state_[1];
-        s2 ^= state_[2];
-        s3 ^= state_[3];
-      }
-      (void)next();
-    }
-  }
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
-}
-
-void Rng::jump() noexcept {
-  // Blackman & Vigna's jump polynomial for xoshiro256**: equivalent to
-  // 2^128 next() calls.
-  static constexpr std::uint64_t kJump[4] = {
-      0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
-      0xa9582618e03fc9aaull, 0x39abdc4529b1661cull};
-  advance_by(kJump);
-}
-
-void Rng::long_jump() noexcept {
-  // The 2^192-step long-jump polynomial.
-  static constexpr std::uint64_t kLongJump[4] = {
-      0x76e15d3efefdcbbfull, 0xc5004e441c522fb3ull,
-      0x77710069854ee241ull, 0x39109bb02acbe635ull};
-  advance_by(kLongJump);
-}
-
 Rng Rng::for_stream(std::uint64_t seed, std::uint64_t stream) noexcept {
   // Hash the (seed, stream) pair into a fresh SplitMix64 starting point so
   // consecutive stream indices yield decorrelated xoshiro states.  Also

@@ -38,13 +38,6 @@ class Rng {
   /// Re-initializes the state deterministically from `seed`.
   void reseed(std::uint64_t seed);
 
-  /// Advances the state by 2^128 next() calls (canonical xoshiro256** jump
-  /// polynomial): partitions one seed into non-overlapping substreams for
-  /// long-lived parallel generators.
-  void jump() noexcept;
-  /// Advances the state by 2^192 next() calls, for coarser partitions of
-  /// partitions (each long_jump() leaves room for 2^64 jump() substreams).
-  void long_jump() noexcept;
   /// O(1) per-stream generator: hashes (seed, stream) through SplitMix64 so
   /// any trial/worker index maps to an independent deterministic substream
   /// regardless of how work is distributed across threads.
@@ -105,9 +98,6 @@ class Rng {
   [[nodiscard]] std::uint64_t poisson(double mean);
 
  private:
-  /// Polynomial-jump state advance shared by jump()/long_jump().
-  void advance_by(const std::uint64_t (&polynomial)[4]) noexcept;
-
   std::uint64_t state_[4] = {};
 };
 

@@ -24,11 +24,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStats::ci_halfwidth(double z) const noexcept {
-  if (n_ < 2) return 0.0;
-  return z * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 double geometric_mean(const std::vector<double>& values) noexcept {
   if (values.empty()) return 0.0;
   double log_sum = 0.0;

@@ -23,10 +23,6 @@ class RunningStats {
   [[nodiscard]] double max() const noexcept { return max_; }
   [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
-  /// Half-width of the normal-approximation confidence interval on the mean
-  /// (z = 1.96 for ~95%).
-  [[nodiscard]] double ci_halfwidth(double z = 1.96) const noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

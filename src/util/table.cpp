@@ -46,30 +46,6 @@ std::string Table::render() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (const char ch : s) {
-      if (ch == '"') out += "\"\"";
-      else out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c != 0) os << ',';
-      os << quote(cells[c]);
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 std::ostream& operator<<(std::ostream& os, const Table& t) { return os << t.render(); }
 
 std::string format_sig(double value, int digits) {

@@ -2,7 +2,7 @@
 //
 // ASCII table rendering for the benchmark harnesses.  Every bench binary
 // that reproduces a paper table/figure prints through this, so outputs have
-// a consistent, diffable format (and an optional CSV form for plotting).
+// a consistent, diffable format.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +26,6 @@ class Table {
   /// Renders with column alignment, `|` separators, and a rule under the
   /// header.
   [[nodiscard]] std::string render() const;
-
-  /// Renders as RFC-4180-ish CSV (cells containing commas/quotes get quoted).
-  [[nodiscard]] std::string to_csv() const;
 
   friend std::ostream& operator<<(std::ostream& os, const Table& t);
 

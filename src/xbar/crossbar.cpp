@@ -81,54 +81,6 @@ void Crossbar::write_row(std::size_t r, const util::BitVector& data) {
   ++cycles_;
 }
 
-void Crossbar::write_column(std::size_t c, const util::BitVector& data) {
-  if (c >= cols()) {
-    throw std::out_of_range("Crossbar::write_column: column out of range");
-  }
-  if (data.size() != rows()) {
-    throw std::invalid_argument("Crossbar::write_column: size mismatch");
-  }
-  mat_.set_column(c, data);
-  ++broadcast_activations_;
-  ++cycles_;
-}
-
-util::BitVector Crossbar::read_row(std::size_t r) {
-  if (r >= rows()) {
-    throw std::out_of_range("Crossbar::read_row: row out of range");
-  }
-  ++row_activation_extra_[r];
-  ++cycles_;
-  return mat_.row(r);
-}
-
-util::BitVector Crossbar::read_column(std::size_t c) {
-  if (c >= cols()) {
-    throw std::out_of_range("Crossbar::read_column: column out of range");
-  }
-  ++broadcast_activations_;
-  ++cycles_;
-  return mat_.column(c);
-}
-
-void Crossbar::write_bit(std::size_t r, std::size_t c, bool value) {
-  if (r >= rows() || c >= cols()) {
-    throw std::out_of_range("Crossbar::write_bit: index out of range");
-  }
-  mat_.set(r, c, value);
-  ++row_activation_extra_[r];
-  ++cycles_;
-}
-
-bool Crossbar::read_bit(std::size_t r, std::size_t c) {
-  if (r >= rows() || c >= cols()) {
-    throw std::out_of_range("Crossbar::read_bit: index out of range");
-  }
-  ++row_activation_extra_[r];
-  ++cycles_;
-  return mat_.get(r, c);
-}
-
 void Crossbar::check_line(Orientation o, std::size_t line, const char* what) const {
   const std::size_t limit = o == Orientation::kRow ? cols() : rows();
   if (line >= limit) {
@@ -136,95 +88,45 @@ void Crossbar::check_line(Orientation o, std::size_t line, const char* what) con
   }
 }
 
-void Crossbar::check_lane(Orientation o, std::size_t lane) const {
-  if (lane >= lane_count(o)) {
-    throw std::out_of_range("Crossbar: lane out of range");
-  }
-}
-
-const util::BitVector& Crossbar::col_lane_mask(std::span<const std::size_t> lanes) {
-  if (lanes.empty()) return ones_cols_;
-  lane_mask_.resize(cols());
-  lane_mask_.fill(false);
-  for (const std::size_t lane : lanes) {
-    check_lane(Orientation::kColumn, lane);
-    lane_mask_.set(lane, true);
-  }
-  return lane_mask_;
-}
-
-void Crossbar::check_lanes_distinct(Orientation o,
-                                    std::span<const std::size_t> lanes) {
-  if (lanes.empty()) return;
-  lane_mask_.resize(lane_count(o));
-  lane_mask_.fill(false);
-  for (const std::size_t lane : lanes) {
-    check_lane(o, lane);
-    if (lane_mask_.get(lane)) {
-      throw std::invalid_argument("Crossbar: duplicate lane");
-    }
-    lane_mask_.set(lane, true);
-  }
-}
-
-void Crossbar::magic_init(Orientation o, std::span<const std::size_t> lines,
-                          std::span<const std::size_t> lanes) {
+void Crossbar::magic_init(Orientation o, std::span<const std::size_t> lines) {
   for (const std::size_t line : lines) check_line(o, line, "init");
-  for (const std::size_t lane : lanes) check_lane(o, lane);
 
   if (o == Orientation::kRow) {
     // Lines are columns.  For wide batches, OR one column mask into each
-    // selected row (cols/64 word ops per row); for narrow batches a single
-    // word-OR per (row, line) touches far less memory.
+    // row (cols/64 word ops per row); for narrow batches a single word-OR
+    // per (row, line) touches far less memory.
     const std::span<util::BitVector> row_store = mat_.rows_span();
     if (lines.size() > mat_.cols() / util::BitVector::kWordBits) {
       acc_.resize(cols());
       acc_.fill(false);
       for (const std::size_t line : lines) acc_.set(line, true);
-      if (lanes.empty()) {
-        for (util::BitVector& row : row_store) row |= acc_;
-      } else {
-        for (const std::size_t lane : lanes) row_store[lane] |= acc_;
-      }
+      for (util::BitVector& row : row_store) row |= acc_;
     } else {
       for (const std::size_t line : lines) {
         const std::size_t wi = line / util::BitVector::kWordBits;
         const util::BitVector::Word bit = util::BitVector::Word{1}
                                           << (line % util::BitVector::kWordBits);
-        if (lanes.empty()) {
-          for (util::BitVector& row : row_store) row.words_mutable()[wi] |= bit;
-        } else {
-          for (const std::size_t lane : lanes) {
-            row_store[lane].words_mutable()[wi] |= bit;
-          }
-        }
+        for (util::BitVector& row : row_store) row.words_mutable()[wi] |= bit;
       }
     }
-  } else {
-    // Lines are rows: OR the lane (column) mask into each selected row.
-    const util::BitVector& mask = col_lane_mask(lanes);
-    for (const std::size_t line : lines) mat_.row(line) |= mask;
-  }
-  // Activation accounting: kColumn drives the gate-line wordlines; kRow
-  // drives the selected rows' wordlines (all of them when lanes is empty).
-  if (o == Orientation::kColumn) {
-    for (const std::size_t line : lines) ++row_activation_extra_[line];
-  } else if (lanes.empty()) {
+    // Every row's wordline is driven at once.
     ++broadcast_activations_;
   } else {
-    for (const std::size_t lane : lanes) ++row_activation_extra_[lane];
+    // Lines are rows: set every column of each, and each drives its own
+    // wordline.
+    for (const std::size_t line : lines) {
+      mat_.row(line) |= ones_cols_;
+      ++row_activation_extra_[line];
+    }
   }
   ++cycles_;
   ++init_cycles_;
 }
 
 OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_lines,
-                             std::size_t out_line,
-                             std::span<const std::size_t> lanes,
-                             util::BitVector* delta) {
+                             std::size_t out_line, util::BitVector* delta) {
   for (const std::size_t line : in_lines) check_line(o, line, "input");
   check_line(o, out_line, "output");
-  check_lanes_distinct(o, lanes);  // leaves lane_mask_ the kColumn lane mask
   if (in_lines.empty()) {
     throw std::invalid_argument("Crossbar::magic_nor: needs at least one input");
   }
@@ -237,14 +139,12 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
   }
 
   OpResult result;
-  result.lanes = lanes.empty() ? lane_count(o) : lanes.size();
   if (o == Orientation::kColumn) {
-    const util::BitVector& mask = lanes.empty() ? ones_cols_ : lane_mask_;
+    result.lanes = cols();
     // Lanes are columns, lines are rows: one fused, dispatched
     // (scalar/AVX2/AVX-512) pass over the row words computes the physics
-    //   out' = out AND NOT(mask AND OR(ins))   [= out AND NOR(ins) in lanes]
-    // and the violation count popcount(mask AND NOT out) together, instead
-    // of the former copy/OR/invert/count/AND/assign BitVector chain.  The
+    //   out' = out AND NOT(OR(ins))   [= out AND NOR(ins)]
+    // and the violation count popcount(NOT out) together.  The all-ones
     // mask's padding words are zero (BitVector invariant), so the output
     // row's padding is preserved verbatim.
     in_ptrs_.clear();
@@ -253,11 +153,14 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
     }
     util::BitVector& out = mat_.row(out_line);
     result.violations = util::simd::kernels().nor_column_pass(
-        in_ptrs_.data(), in_ptrs_.size(), mask.words().data(),
+        in_ptrs_.data(), in_ptrs_.size(), ones_cols_.words().data(),
         out.words_mutable().data(), out.word_count());
+    for (const std::size_t line : in_lines) ++row_activation_extra_[line];
+    ++row_activation_extra_[out_line];
   } else {
-    // Lanes are rows, lines are columns: one fused pass per selected row --
-    // read the input column bits and the output bit from that row's words,
+    result.lanes = rows();
+    // Lanes are rows, lines are columns: one fused pass per row -- read
+    // the input column bits and the output bit from that row's words,
     // apply the physics, write the output bit back, and (when the caller
     // asks) pack old XOR new of the output cell into bit r of `delta`.  The
     // output changes exactly when it was LRS and some input is 1, so the
@@ -289,12 +192,10 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
           {line / kWordBits, static_cast<unsigned>(line % kWordBits)});
     }
     std::size_t violations = 0;
-    // The one lane loop.  Whether lanes are explicit and whether a delta is
-    // emitted are compile-time switches, so neither costs a per-row branch.
-    const std::size_t lane_total = result.lanes;
-    auto lane_pass = [&](auto explicit_lanes, auto emit_delta, auto&& any_of) {
-      for (std::size_t i = 0; i < lane_total; ++i) {
-        const std::size_t r = explicit_lanes ? lanes[i] : i;
+    // The one lane loop.  Whether a delta is emitted is a compile-time
+    // switch, so it costs no per-row branch.
+    auto lane_pass = [&](auto emit_delta, auto&& any_of) {
+      for (std::size_t r = 0; r < row_store.size(); ++r) {
         const std::span<Word> words = row_store[r].words_mutable();
         const Word any = any_of(words);
         const Word out_was_lrs = (words[out_wi] >> out_shift) & 1u;
@@ -307,12 +208,10 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
       }
     };
     auto run_lanes = [&](auto&& any_of) {
-      constexpr std::true_type yes;
-      constexpr std::false_type no;
-      if (lanes.empty()) {
-        delta_words ? lane_pass(no, yes, any_of) : lane_pass(no, no, any_of);
+      if (delta_words != nullptr) {
+        lane_pass(std::true_type{}, any_of);
       } else {
-        delta_words ? lane_pass(yes, yes, any_of) : lane_pass(yes, no, any_of);
+        lane_pass(std::false_type{}, any_of);
       }
     };
     if (line_refs_.size() == 1) {
@@ -334,16 +233,8 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
       });
     }
     result.violations = violations;
-  }
-  // Activation accounting (see magic_init): kColumn's gate lines are the
-  // driven wordlines; kRow drives the selected lane rows.
-  if (o == Orientation::kColumn) {
-    for (const std::size_t line : in_lines) ++row_activation_extra_[line];
-    ++row_activation_extra_[out_line];
-  } else if (lanes.empty()) {
+    // Every row's wordline is driven at once.
     ++broadcast_activations_;
-  } else {
-    for (const std::size_t lane : lanes) ++row_activation_extra_[lane];
   }
   ++cycles_;
   ++nor_ops_;
@@ -561,18 +452,6 @@ void Crossbar::charge_row_writes() noexcept {
   // Every wordline once: the broadcast counter, as for an all-lane op.
   ++broadcast_activations_;
   cycles_ += rows();
-}
-
-OpResult Crossbar::magic_not(Orientation o, std::size_t in_line, std::size_t out_line,
-                             std::span<const std::size_t> lanes) {
-  const std::size_t ins[1] = {in_line};
-  return magic_nor(o, ins, out_line, lanes);
-}
-
-void Crossbar::reset_counters() noexcept {
-  cycles_ = 0;
-  nor_ops_ = 0;
-  init_cycles_ = 0;
 }
 
 std::uint64_t Crossbar::row_activations(std::size_t r) const {

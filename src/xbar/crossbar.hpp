@@ -9,17 +9,18 @@
 // cycle counter exactly like the paper's latency accounting: one cycle per
 // parallel NOR, one cycle per batched initialization.
 //
-// This is the *word-parallel* engine: for kColumn orientation a parallel
-// MAGIC operation executes all selected lanes at once with 64-bit word
-// operations directly on the row vectors; a single kRow operation makes one
-// fused pass per selected lane with word offsets precomputed per operation,
-// which can also emit the output column's old XOR new delta for the
-// protected machine's check-bit update.  A whole all-lane kRow program
-// (run_rows) is bit-sliced instead: 64 rows at a time are transposed into
-// per-column words, every op runs on those words (several tiles per op
-// at the wide dispatch levels), and the tile is transposed back, so lanes
-// become adjacent bits as in the kColumn path; column groups that only
-// inits touch stay in row space.
+// Every MAGIC operation is all-lane, as the paper's throughput argument
+// has it: one gate runs in every row (kRow) or every column (kColumn) at
+// once.  This is the *word-parallel* engine: a kColumn operation runs
+// with 64-bit word operations directly on the row vectors; a single kRow
+// operation makes one fused pass over the rows with word offsets
+// precomputed per operation, which can also emit the output column's old
+// XOR new delta for the protected machine's check-bit update.  A whole
+// kRow program (run_rows) is bit-sliced instead: 64 rows at a time are
+// transposed into per-column words, every op runs on those words (several
+// tiles per op at the wide dispatch levels), and the tile is transposed
+// back, so lanes become adjacent bits as in the kColumn path; column
+// groups that only inits touch stay in row space.
 // The same tile pass can do a program's I/O: the input rows' words, once
 // transposed, are the input columns' words, and the output columns' words,
 // transposed, are the output rows' words (RowIo).
@@ -49,7 +50,7 @@ struct OpResult {
   std::size_t violations = 0;     ///< output cells that were not LRS-initialized
 };
 
-/// One op of an all-lane row-orientation program (Crossbar::run_rows): a
+/// One op of a row-orientation program (Crossbar::run_rows): a
 /// batched init of the distinct columns `lines` (a line cannot be driven
 /// twice in one cycle), or a MAGIC NOR of the input columns `lines` into
 /// column `out`.  Column indices are 32-bit, as a mapped program's cells
@@ -133,7 +134,10 @@ void check_row_program(std::span<const RowOp> ops, const RowIo& io,
 using RowDeltaSink = std::function<void(
     std::size_t row0, std::size_t count, const util::BitVector::Word* delta)>;
 
-/// A single n_rows x n_cols memristive crossbar with MAGIC execution.
+/// A single n_rows x n_cols memristive crossbar with MAGIC execution.  A
+/// MAGIC op drives every lane; the controller's only access is a row write
+/// (the protected machine's write path), and tests and I/O passes use the
+/// cycle-free peek/poke/contents.
 ///
 /// MAGIC preconditions are enforced as the physics dictates: an output cell
 /// that was not initialized to LRS yields an undefined device result; the
@@ -144,9 +148,9 @@ using RowDeltaSink = std::function<void(
 /// Validation is uniform across every external entry point: indices and
 /// sizes are checked *before* any state or cycle-counter mutation, so a
 /// throwing call leaves the crossbar untouched.  magic_nor checks its lines
-/// in range, its lanes, then that it has inputs and none is its output; a
-/// row program is checked whole, once, by check_row_program, which
-/// run_rows calls first and the protected machines rely on.
+/// in range, then that it has inputs and none is its output; a row program
+/// is checked whole, once, by check_row_program, which run_rows calls
+/// first and the protected machines rely on.
 class Crossbar {
  public:
   Crossbar(std::size_t n_rows, std::size_t n_cols);
@@ -154,19 +158,9 @@ class Crossbar {
   [[nodiscard]] std::size_t rows() const noexcept { return mat_.rows(); }
   [[nodiscard]] std::size_t cols() const noexcept { return mat_.cols(); }
 
-  // --- external (controller) access: counts kWrite/kRead cycles -----------
+  // --- external (controller) access: counts one write cycle ----------------
   /// Writes a full row image (size must equal cols()).
   void write_row(std::size_t r, const util::BitVector& data);
-  /// Writes a full column image (size must equal rows()).
-  void write_column(std::size_t c, const util::BitVector& data);
-  /// Reads a row copy.
-  [[nodiscard]] util::BitVector read_row(std::size_t r);
-  /// Reads a column copy.
-  [[nodiscard]] util::BitVector read_column(std::size_t c);
-  /// Writes a single bit (counts one write cycle).
-  void write_bit(std::size_t r, std::size_t c, bool value);
-  /// Reads a single bit (counts one read cycle).
-  [[nodiscard]] bool read_bit(std::size_t r, std::size_t c);
 
   // --- zero-cost inspection (test/golden-model access, no cycles) ---------
   [[nodiscard]] bool peek(std::size_t r, std::size_t c) const { return mat_.at(r, c); }
@@ -174,36 +168,31 @@ class Crossbar {
   [[nodiscard]] const util::BitMatrix& contents() const noexcept { return mat_; }
   [[nodiscard]] util::BitMatrix& contents_mutable() noexcept { return mat_; }
 
-  // --- MAGIC stateful logic (1 cycle each) ---------------------------------
+  // --- MAGIC stateful logic (1 cycle each, every lane) ---------------------
   /// Parallel initialization to LRS (logic 1) of cells at the given
-  /// lines: for kRow orientation, initializes column `line` in every
-  /// selected row; for kColumn, row `line` in every selected column.
-  /// Multiple lines may be initialized in the same cycle (SIMPLER's batched
-  /// init).  Empty `lanes` selects all lanes.
-  void magic_init(Orientation o, std::span<const std::size_t> lines,
-                  std::span<const std::size_t> lanes = {});
+  /// lines: for kRow orientation, initializes column `line` in every row;
+  /// for kColumn, row `line` in every column.  Multiple lines may be
+  /// initialized in the same cycle (SIMPLER's batched init).
+  void magic_init(Orientation o, std::span<const std::size_t> lines);
 
   /// Parallel MAGIC NOR.
   ///
-  /// kRow: out(r, out_line) = NOR_i in(r, in_lines[i]) for every selected
-  /// row r.  kColumn: out(out_line, c) = NOR_i in(in_lines[i], c) for every
-  /// selected column c.  1-input NOR is MAGIC NOT.  Empty `lanes` selects
-  /// all lanes; explicit lanes must be distinct (a physical lane cannot be
-  /// driven twice in one cycle).  Output cells must have been magic_init'ed
-  /// to LRS; violations are counted in the result (see class comment).
+  /// kRow: out(r, out_line) = NOR_i in(r, in_lines[i]) for every row r.
+  /// kColumn: out(out_line, c) = NOR_i in(in_lines[i], c) for every column
+  /// c.  1-input NOR is MAGIC NOT.  Output cells must have been
+  /// magic_init'ed to LRS; violations are counted in the result (see class
+  /// comment).
   ///
-  /// kRow only: a non-null `delta` is resized to rows(), zero-filled, and
-  /// receives bit r = old XOR new of out(r, out_line) for every selected
-  /// row r (0 elsewhere), computed in the same lane pass.  A non-null
-  /// `delta` with kColumn throws std::invalid_argument before any mutation.
+  /// kRow only: a non-null `delta` is resized to rows() and receives bit
+  /// r = old XOR new of out(r, out_line), computed in the same lane pass.
+  /// A non-null `delta` with kColumn throws std::invalid_argument before
+  /// any mutation.
   OpResult magic_nor(Orientation o, std::span<const std::size_t> in_lines,
-                     std::size_t out_line,
-                     std::span<const std::size_t> lanes = {},
-                     util::BitVector* delta = nullptr);
+                     std::size_t out_line, util::BitVector* delta = nullptr);
 
   /// Runs `ops` in order in every row -- the same contents, violation
   /// count, cycle counters and activations as issuing each op alone through
-  /// magic_init / magic_nor (kRow, all lanes) -- and returns the summed
+  /// magic_init / magic_nor (kRow) -- and returns the summed
   /// violations.  Bit-sliced, with the work scaled to the columns the
   /// program touches:
   ///  * Row-space inits.  A 64-column word group that no NOR and no I/O
@@ -238,15 +227,10 @@ class Crossbar {
   /// for a caller that models them as controller writes.
   void charge_row_writes() noexcept;
 
-  /// Convenience single-input NOR (MAGIC NOT).
-  OpResult magic_not(Orientation o, std::size_t in_line, std::size_t out_line,
-                     std::span<const std::size_t> lanes = {});
-
   // --- cycle accounting ----------------------------------------------------
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
   [[nodiscard]] std::uint64_t nor_ops() const noexcept { return nor_ops_; }
   [[nodiscard]] std::uint64_t init_cycles() const noexcept { return init_cycles_; }
-  void reset_counters() noexcept;
 
   /// Counter snapshot for the checkpoint layer: PimMachine derives its
   /// MEM-cycle accounting from cycles(), so a restored machine must resume
@@ -269,10 +253,10 @@ class Crossbar {
 
   // --- per-row activation accounting (scenario-diversity workloads) --------
   /// How many times row r has been driven as a wordline since the last
-  /// reset: controller row/bit accesses plus MAGIC operations whose gate
-  /// lines are rows (kColumn orientation counts every in/out/init line).
-  /// Operations that drive every wordline at once -- column accesses and
-  /// kRow-orientation MAGIC over all lanes -- are tallied in a single
+  /// reset: controller row writes plus MAGIC operations whose gate lines
+  /// are rows (kColumn orientation counts every in/out/init line).
+  /// Operations that drive every wordline at once -- kRow-orientation
+  /// MAGIC and charged row-write passes -- are tallied in a single
   /// broadcast counter instead of rows() per-row increments, keeping the
   /// hot path O(lines) per operation.  This is campaign-local
   /// observability feeding fault::DisturbanceModel and the
@@ -286,19 +270,6 @@ class Crossbar {
 
  private:
   void check_line(Orientation o, std::size_t line, const char* what) const;
-  void check_lane(Orientation o, std::size_t lane) const;
-  [[nodiscard]] std::size_t lane_count(Orientation o) const noexcept {
-    return o == Orientation::kRow ? rows() : cols();
-  }
-  /// Builds the column-lane selection mask into lane_mask_ (validating
-  /// indices) and returns it; returns the cached all-ones mask when `lanes`
-  /// is empty.  kColumn orientation only -- the kRow engine never
-  /// materializes a mask.
-  const util::BitVector& col_lane_mask(std::span<const std::size_t> lanes);
-  /// Validates lane indices and rejects duplicates (no-op for empty lanes);
-  /// uses lane_mask_ as the seen-set scratch, so it is left holding the
-  /// lane mask.
-  void check_lanes_distinct(Orientation o, std::span<const std::size_t> lanes);
 
   util::BitMatrix mat_;
   std::uint64_t cycles_ = 0;
@@ -315,7 +286,6 @@ class Crossbar {
     unsigned shift;
   };
 
-  util::BitVector lane_mask_;     ///< lane-selection mask for explicit subsets
   util::BitVector acc_;           ///< init batch mask (kRow magic_init)
   util::BitVector ones_cols_;     ///< all-ones over cols()
   std::vector<LineRef> line_refs_;  ///< per-input offsets (kRow fused path)

@@ -107,17 +107,6 @@ class LevelGuard {
   util::simd::Level saved_;
 };
 
-/// A random subset of [0, n) (non-empty, distinct, ascending) -- explicit
-/// SIMD lane lists for the protected NOR entry points.
-std::vector<std::size_t> random_lanes(std::size_t n, util::Rng& rng) {
-  std::vector<std::size_t> lanes;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng.bernoulli(0.3)) lanes.push_back(i);
-  }
-  if (lanes.empty()) lanes.push_back(rng.uniform_below(n));
-  return lanes;
-}
-
 /// Drives a randomized sequence of protected operations, controller writes,
 /// checks, scrubs, and mid-run fault injections through both machines,
 /// asserting full lockstep (contents, check state, counters, reports) after
@@ -134,7 +123,7 @@ void run_differential_program(std::size_t n, std::size_t m, std::uint64_t seed,
     const std::uint64_t kind = rng.uniform_below(10);
     switch (kind) {
       case 0:
-      case 1: {  // row-parallel init + NOR, sometimes on explicit lanes
+      case 1: {  // row-parallel init + NOR
         const std::size_t out = rng.uniform_below(n);
         std::size_t in1 = rng.uniform_below(n);
         std::size_t in2 = rng.uniform_below(n);
@@ -144,14 +133,8 @@ void run_differential_program(std::size_t n, std::size_t m, std::uint64_t seed,
         const std::vector<std::size_t> ins{in1, in2};
         pair.fast.magic_init_rows_protected(outs);
         pair.ref.magic_init_rows_protected(outs);
-        if (rng.bernoulli(0.3)) {
-          const std::vector<std::size_t> lanes = random_lanes(n, rng);
-          pair.fast.magic_nor_rows_protected(ins, out, lanes);
-          pair.ref.magic_nor_rows_protected(ins, out, lanes);
-        } else {
-          pair.fast.magic_nor_rows_protected(ins, out);
-          pair.ref.magic_nor_rows_protected(ins, out);
-        }
+        pair.fast.magic_nor_rows_protected(ins, out);
+        pair.ref.magic_nor_rows_protected(ins, out);
         break;
       }
       case 2:
@@ -163,14 +146,8 @@ void run_differential_program(std::size_t n, std::size_t m, std::uint64_t seed,
         const std::vector<std::size_t> ins{in1};
         pair.fast.magic_init_cols_protected(outs);
         pair.ref.magic_init_cols_protected(outs);
-        if (rng.bernoulli(0.3)) {
-          const std::vector<std::size_t> lanes = random_lanes(n, rng);
-          pair.fast.magic_nor_cols_protected(ins, out, lanes);
-          pair.ref.magic_nor_cols_protected(ins, out, lanes);
-        } else {
-          pair.fast.magic_nor_cols_protected(ins, out);
-          pair.ref.magic_nor_cols_protected(ins, out);
-        }
+        pair.fast.magic_nor_cols_protected(ins, out);
+        pair.ref.magic_nor_cols_protected(ins, out);
         break;
       }
       case 4: {  // controller row write
@@ -275,8 +252,8 @@ std::vector<std::size_t> random_distinct_columns(std::size_t n, std::size_t k,
 
 /// Batched row-parallel inits of k > n/64 columns (the band-fold path of
 /// magic_init_rows_protected), each followed by NORs into the initialized
-/// columns on all lanes and on explicit lanes (the delta-emitting lane
-/// loop), in lockstep with the reference machine at every dispatch level.
+/// columns (the delta-emitting lane loop), in lockstep with the reference
+/// machine at every dispatch level.
 /// Every fourth batch is narrow (k <= n/64) so both init paths interleave.
 void run_wide_init_program(std::size_t n, std::size_t m, std::uint64_t seed,
                            int batches) {
@@ -303,14 +280,8 @@ void run_wide_init_program(std::size_t n, std::size_t m, std::uint64_t seed,
           const std::size_t in = rng.uniform_below(n);
           if (in != out) ins.push_back(in);
         }
-        if (g % 2 == 0) {
-          pair.fast.magic_nor_rows_protected(ins, out);
-          pair.ref.magic_nor_rows_protected(ins, out);
-        } else {
-          const std::vector<std::size_t> lanes = random_lanes(n, rng);
-          pair.fast.magic_nor_rows_protected(ins, out, lanes);
-          pair.ref.magic_nor_rows_protected(ins, out, lanes);
-        }
+        pair.fast.magic_nor_rows_protected(ins, out);
+        pair.ref.magic_nor_rows_protected(ins, out);
         ASSERT_TRUE(machines_agree(pair)) << "batch " << b << " gate " << g;
       }
     }
@@ -1349,14 +1320,8 @@ void expect_rejects_without_mutating(Machine& machine) {
   const std::vector<std::size_t> dup{3, 3};
   EXPECT_THROW(machine.magic_nor_rows_protected(bad_line, 5), std::out_of_range);
   EXPECT_THROW(machine.magic_nor_rows_protected(ins, n), std::out_of_range);
-  EXPECT_THROW(machine.magic_nor_rows_protected(ins, 5, dup),
-               std::invalid_argument);
-  EXPECT_THROW(machine.magic_nor_rows_protected(ins, 5, bad_line),
-               std::out_of_range);
   EXPECT_THROW(machine.magic_nor_cols_protected(bad_line, 5), std::out_of_range);
   EXPECT_THROW(machine.magic_nor_cols_protected(ins, n), std::out_of_range);
-  EXPECT_THROW(machine.magic_nor_cols_protected(ins, 5, dup),
-               std::invalid_argument);
   // Duplicate init lines: before this engine, the second update cancelled
   // the first (both deltas were computed against the same pre-init
   // snapshot), silently corrupting the ECC; now the batch is rejected

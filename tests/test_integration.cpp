@@ -30,19 +30,19 @@ simpler::Netlist build_add8() {
   return nl;
 }
 
-/// Executes a mapped program on row `row` of an ECC-protected PimMachine:
-/// every init and gate goes through the critical-operation protocol.
+/// Executes a mapped program on an ECC-protected PimMachine (every row
+/// computes; row `row`'s outputs are returned): every init and gate goes
+/// through the critical-operation protocol.
 util::BitVector run_protected(arch::PimMachine& machine,
                               const simpler::MappedProgram& program,
                               std::size_t row) {
-  const std::size_t lanes[1] = {row};
   for (const simpler::MappedOp& op : program.ops) {
     if (op.kind == simpler::MappedOp::Kind::kInit) {
       std::vector<std::size_t> cols(op.init_cells.begin(), op.init_cells.end());
       machine.magic_init_rows_protected(cols);
     } else {
       std::vector<std::size_t> ins(op.in_cells.begin(), op.in_cells.end());
-      machine.magic_nor_rows_protected(ins, op.cell, lanes);
+      machine.magic_nor_rows_protected(ins, op.cell);
     }
   }
   util::BitVector out(program.output_cells.size());
@@ -167,12 +167,12 @@ TEST(Integration, BenchmarkCircuitsSurviveMappedExecutionWithEcc) {
         simpler::map_to_row(spec.netlist, options);
 
     xbar::Crossbar xb(1, params.n);
-    util::BitVector in(spec.netlist.num_inputs());
-    for (std::size_t i = 0; i < in.size(); ++i) in.set(i, rng.bernoulli(0.5));
-    const simpler::RowRunResult run =
-        simpler::run_single_row(spec.netlist, program, xb, 0, in);
+    util::BitMatrix in(1, spec.netlist.num_inputs());
+    for (std::size_t i = 0; i < in.cols(); ++i) in.set(0, i, rng.bernoulli(0.5));
+    const simpler::SimdRunResult run =
+        simpler::run_simd(spec.netlist, program, xb, in);
     EXPECT_EQ(run.violations, 0u);
-    EXPECT_EQ(run.outputs, spec.reference(in)) << name;
+    EXPECT_EQ(run.outputs.row(0), spec.reference(in.row(0))) << name;
 
     const simpler::EccScheduleResult sched = simpler::schedule_with_ecc(
         program, params, simpler::CoveragePolicy::kInputsAndOutputs);

@@ -123,6 +123,22 @@ TEST(ServeHandler, MttfMatchesAnalyticModel) {
   EXPECT_EQ(response.improvement, proposed / baseline);
 }
 
+TEST(ServeHandler, MttfRejectsANonPositiveFit) {
+  // At fit 0 both MTTFs are infinite; their ratio would be NaN.
+  Server server;
+  for (const std::string line : {"mttf fit=0 period=24", "mttf fit=-1e-3"}) {
+    const Response response = server.execute(parse_ok(line));
+    EXPECT_FALSE(response.ok) << line;
+    EXPECT_EQ(response.code, serve::ErrorCode::kInvalidArgument) << line;
+    EXPECT_EQ(serve::format_response(response).rfind(
+                  "error kind=mttf code=invalid_argument", 0),
+              0u)
+        << serve::format_response(response);
+  }
+  // Any positive fit answers.
+  EXPECT_TRUE(server.execute(parse_ok("mttf fit=1e-9")).ok);
+}
+
 TEST(ServeHandler, MapReportsScheduleAndMinPcs) {
   Server server;
   const Response response =

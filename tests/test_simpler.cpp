@@ -301,14 +301,21 @@ TEST_P(MapperEquivalenceTest, MappedProgramComputesTheNetlist) {
   const MappedProgram program = map_to_row(nl, options);
   EXPECT_LE(program.peak_cells_used, options.row_width);
 
-  xbar::Crossbar xb(2, options.row_width);
+  // One crossbar row per trial.
+  constexpr std::size_t kTrials = 20;
+  xbar::Crossbar xb(kTrials, options.row_width);
   util::Rng rng(GetParam() * 3 + 1);
-  for (int trial = 0; trial < 20; ++trial) {
-    util::BitVector in(nl.num_inputs());
-    for (std::size_t i = 0; i < in.size(); ++i) in.set(i, rng.bernoulli(0.5));
-    const RowRunResult result = run_single_row(nl, program, xb, 1, in);
-    EXPECT_EQ(result.violations, 0u);
-    EXPECT_EQ(result.outputs, nl.eval(in)) << "seed " << GetParam();
+  util::BitMatrix inputs(kTrials, nl.num_inputs());
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+      inputs.set(trial, i, rng.bernoulli(0.5));
+    }
+  }
+  const SimdRunResult result = run_simd(nl, program, xb, inputs);
+  EXPECT_EQ(result.violations, 0u);
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    EXPECT_EQ(result.outputs.row(trial), nl.eval(inputs.row(trial)))
+        << "seed " << GetParam() << " trial " << trial;
   }
 }
 
@@ -420,7 +427,8 @@ TEST(RowVm, SimdMatchesPerRowEval) {
 TEST(RowVm, ConstantCellsComeFromTheProgram) {
   // Constants of both values between two inputs, a constant output and an
   // input output: the mapper records the constant cells right after the
-  // inputs, and both VMs write them from there.
+  // inputs, and run_simd writes them from there, whatever the cells held,
+  // on a 4-row crossbar and on one-row crossbars alike.
   Netlist nl("consts");
   const NodeId a = nl.add_input();
   const NodeId zero = nl.add_const(false);
@@ -451,9 +459,10 @@ TEST(RowVm, ConstantCellsComeFromTheProgram) {
     EXPECT_EQ(simd.outputs.row(r), nl.eval(inputs.row(r))) << "row " << r;
     xbar::Crossbar single(1, options.row_width);
     single.contents_mutable().fill(r % 2 == 0);
-    const RowRunResult one_row =
-        run_single_row(nl, program, single, 0, inputs.row(r));
-    EXPECT_EQ(one_row.outputs, nl.eval(inputs.row(r))) << "row " << r;
+    util::BitMatrix one_input(1, 2);
+    one_input.row(0) = inputs.row(r);
+    const SimdRunResult one_row = run_simd(nl, program, single, one_input);
+    EXPECT_EQ(one_row.outputs.row(0), nl.eval(inputs.row(r))) << "row " << r;
   }
 }
 
@@ -466,8 +475,6 @@ TEST(RowVm, RejectsAMismatchedNetlistBeforeMutating) {
   xbar::Crossbar xb(8, options.row_width);
   const xbar::Crossbar before = xb;
   EXPECT_THROW((void)run_simd(other, program, xb, util::BitMatrix(8, 6)),
-               std::invalid_argument);
-  EXPECT_THROW((void)run_single_row(other, program, xb, 0, util::BitVector(6)),
                std::invalid_argument);
   EXPECT_EQ(xb.contents(), before.contents());
   EXPECT_EQ(xb.counters(), before.counters());

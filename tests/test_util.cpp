@@ -86,7 +86,6 @@ TEST(BitVector, FindFirstAndNextWalkSetBits) {
   EXPECT_EQ(v.find_next(5), 64u);
   EXPECT_EQ(v.find_next(64), 149u);
   EXPECT_EQ(v.find_next(149), 150u);
-  EXPECT_EQ(v.set_bits(), (std::vector<std::size_t>{5, 64, 149}));
 }
 
 TEST(BitVector, FindFirstOnEmptyReturnsSize) {
@@ -101,9 +100,6 @@ TEST(BitVector, LogicOperatorsMatchSemantics) {
   EXPECT_EQ((a | b).to_string(), "0111");
   EXPECT_EQ((a & b).to_string(), "0001");
   EXPECT_EQ((~a).to_string(), "1100");
-  BitVector nor = a;
-  nor.nor_assign(b);
-  EXPECT_EQ(nor.to_string(), "1000");
 }
 
 TEST(BitVector, InvertKeepsPaddingClean) {
@@ -119,7 +115,6 @@ TEST(BitVector, SizeMismatchThrows) {
   EXPECT_THROW(a ^= b, std::invalid_argument);
   EXPECT_THROW(a |= b, std::invalid_argument);
   EXPECT_THROW(a &= b, std::invalid_argument);
-  EXPECT_THROW(a.nor_assign(b), std::invalid_argument);
   EXPECT_THROW((void)a.hamming_distance(b), std::invalid_argument);
 }
 
@@ -152,20 +147,19 @@ TEST(BitVector, WordSpansExposeBackingStorage) {
 
 TEST(BitVector, LowWordReadsAndWritesWordZero) {
   BitVector v(7);
-  EXPECT_EQ(v.low_word(), 0ull);
+  EXPECT_EQ(v.words()[0], 0ull);
   v.set_low_word(0b101ull);
-  EXPECT_EQ(v.low_word(), 0b101ull);
+  EXPECT_EQ(v.words()[0], 0b101ull);
   EXPECT_EQ(v.to_string(), "1010000");
   // Stray bits beyond size() are discarded by the padding invariant.
   v.set_low_word(~0ull);
   EXPECT_EQ(v.count(), 7u);
-  EXPECT_EQ(v.low_word(), 0x7Full);
+  EXPECT_EQ(v.words()[0], 0x7Full);
   // On a multi-word vector, word 0 carries no padding and is kept whole.
   BitVector wide(70);
   wide.set_low_word(~0ull);
   EXPECT_EQ(wide.count(), 64u);
-  EXPECT_EQ(wide.low_word(), ~0ull);
-  EXPECT_EQ(BitVector().low_word(), 0ull);
+  EXPECT_EQ(wide.words()[0], ~0ull);
 }
 
 TEST(BitVector, AssignMaskedMergesByMask) {
@@ -184,11 +178,8 @@ TEST(BitVector, IntersectsAndCountAndNot) {
   const BitVector c = BitVector::from_string("0011");
   EXPECT_TRUE(a.intersects(b));
   EXPECT_FALSE(a.intersects(c));
-  EXPECT_EQ(a.count_and_not(b), 1u);  // bit 0
-  EXPECT_EQ(a.count_and_not(c), 2u);
   BitVector wrong(5);
   EXPECT_THROW((void)a.intersects(wrong), std::invalid_argument);
-  EXPECT_THROW((void)a.count_and_not(wrong), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- BitMatrix
@@ -256,21 +247,6 @@ TEST(BitMatrix, ColumnIntoOverwritesDirtyReusedBuffer) {
   EXPECT_EQ(out.count(), 0u);
 }
 
-TEST(BitMatrix, OrColumnIntoAccumulates) {
-  BitMatrix m(5, 5);
-  m.set(1, 2, true);
-  m.set(4, 3, true);
-  BitVector acc(5);
-  m.or_column_into(2, acc);
-  m.or_column_into(3, acc);
-  EXPECT_TRUE(acc.get(1));
-  EXPECT_TRUE(acc.get(4));
-  EXPECT_EQ(acc.count(), 2u);
-  BitVector wrong(4);
-  EXPECT_THROW(m.or_column_into(0, wrong), std::invalid_argument);
-  EXPECT_THROW(m.or_column_into(5, acc), std::out_of_range);
-}
-
 TEST(BitMatrix, SetColumnRoundTripsAcrossWordBoundaries) {
   Rng rng(23);
   BitMatrix m(130, 70);
@@ -279,16 +255,6 @@ TEST(BitMatrix, SetColumnRoundTripsAcrossWordBoundaries) {
   m.set_column(64, col);
   EXPECT_EQ(m.column(64), col);
   EXPECT_EQ(m.count(), col.count());
-}
-
-TEST(BitMatrix, RowAssignMaskedMergesByMask) {
-  BitMatrix m(3, 6);
-  m.row(1) = BitVector::from_string("110000");
-  m.row_assign_masked(1, BitVector::from_string("001111"),
-                      BitVector::from_string("011110"));
-  EXPECT_EQ(m.row(1).to_string(), "101110");
-  EXPECT_THROW(m.row_assign_masked(3, BitVector(6), BitVector(6)),
-               std::out_of_range);
 }
 
 TEST(BitMatrix, HammingDistanceAndEquality) {
@@ -447,26 +413,6 @@ TEST(Rng, GeometricIsDeterministicAndMatchesItsMean) {
   EXPECT_NEAR(total / trials, 3.0, 0.1);
 }
 
-TEST(Rng, JumpIsDeterministicAndDiverges) {
-  Rng a(42), b(42);
-  a.jump();
-  b.jump();
-  EXPECT_EQ(a.next(), b.next());  // same jump from same state
-  Rng base(42);
-  bool diverged = false;
-  for (int i = 0; i < 16 && !diverged; ++i) diverged = a.next() != base.next();
-  EXPECT_TRUE(diverged);  // jumped stream is a different substream
-}
-
-TEST(Rng, LongJumpDiffersFromJump) {
-  Rng a(42), b(42);
-  a.jump();
-  b.long_jump();
-  bool diverged = false;
-  for (int i = 0; i < 16 && !diverged; ++i) diverged = a.next() != b.next();
-  EXPECT_TRUE(diverged);
-}
-
 TEST(Rng, ForStreamYieldsIndependentDeterministicSubstreams) {
   Rng s0 = Rng::for_stream(123, 0);
   Rng s0_again = Rng::for_stream(123, 0);
@@ -540,7 +486,6 @@ TEST(Stats, RunningStatsMatchesClosedForm) {
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_GT(s.ci_halfwidth(), 0.0);
 }
 
 TEST(Stats, GeometricMean) {
@@ -575,13 +520,6 @@ TEST(Table, RendersAlignedColumns) {
   const std::string out = t.render();
   EXPECT_NE(out.find("| name   | value |"), std::string::npos);
   EXPECT_NE(out.find("| longer | 22    |"), std::string::npos);
-}
-
-TEST(Table, CsvQuotesSpecialCells) {
-  Table t({"a", "b"});
-  t.add_row({"plain", "with,comma"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
 }
 
 TEST(Table, RowArityEnforced) {

@@ -78,13 +78,22 @@ for config in Debug Release; do
   echo "==== [$config] build ===="
   cmake --build "$build_dir" -j "$jobs"
   echo "==== [$config] test ===="
-  ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+  ctest --test-dir "$build_dir" -LE lint --output-on-failure -j "$jobs"
   # Fault-tolerance gate: the chaos-injection + crash-recovery suites
   # (torn-write checkpoint resume, serve admission/deadline/shutdown,
   # fleet quarantine accounting) must pass standalone in every config.
   echo "==== [$config] test (robustness label) ===="
   ctest --test-dir "$build_dir" -L robustness --output-on-failure -j "$jobs"
 done
+
+# Reachability stage: lint.product_reachable builds src/ and tools/ at -O0
+# with one section per function, relinks pimecc with --gc-sections and a
+# link map, and fails on an unreached product function that
+# tools/product_reachable.txt does not list, or a listed one that is
+# reached.  It runs once, from the Release tree; it skips itself (with a
+# notice) without GNU ld, nm or c++filt.
+echo "==== [Lint] product reachability ===="
+ctest --test-dir "$release_dir" -L lint --output-on-failure
 
 # Bench smoke runs, archived next to the Release build as
 # BENCH_<name>.json (the committed BENCH_*.json files at the repo root are
