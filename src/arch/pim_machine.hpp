@@ -138,24 +138,22 @@ class PimMachine {
   /// Lines must be distinct (a duplicate would corrupt the check update).
   void magic_init_rows_protected(std::span<const std::size_t> cols);
   void magic_init_cols_protected(std::span<const std::size_t> rows);
-  /// Runs a row program -- each op a protected init
-  /// (magic_init_rows_protected) or NOR over all rows
-  /// (magic_nor_rows_protected) -- with the same contents, check bits,
-  /// counters and row activations as issuing the ops one by one.  The ops
-  /// run bit-sliced (xbar::Crossbar::run_rows) and each 64-row tile's net
-  /// row delta goes to ArrayCode::apply_row_deltas as the tile leaves the
-  /// pass.  The crossbar validates the whole program
-  /// (xbar::check_row_program) before anything changes, so a throwing
-  /// program changes nothing.
+  /// Runs a row program -- each op a protected init (magic_init_rows_protected)
+  /// or NOR over all rows (magic_nor_rows_protected) -- with the same contents,
+  /// check bits and counters as issuing the ops one by one.  The ops run
+  /// bit-sliced (xbar::Crossbar::run_rows) and each 64-row tile's net row delta
+  /// goes to ArrayCode::apply_row_deltas as the tile leaves the pass.  The
+  /// crossbar validates the whole program (xbar::check_row_program) before
+  /// anything changes, so a throwing program changes nothing.
   void run_rows_protected(std::span<const xbar::RowOp> ops);
   /// One program with its I/O (xbar::RowIo) in a single tile pass: the
-  /// same contents, check bits, counters and row activations as n
-  /// write_row_protected calls -- row r's current contents with its inputs
-  /// and constants written -- then run_rows_protected(ops), then a read of
-  /// the output columns into io.outputs.  The writes' old XOR new rows join
-  /// the program's net delta, so one row-delta fold covers both, and the
-  /// writes are charged in closed form.  The crossbar validates the ops, every
-  /// cell and both matrix shapes before anything changes.
+  /// same contents, check bits and counters as n write_row_protected calls
+  /// -- row r's current contents with its inputs and constants written --
+  /// then run_rows_protected(ops), then a read of the output columns into
+  /// io.outputs.  The writes' old XOR new rows join the program's net
+  /// delta, so one row-delta fold covers both, and the writes are charged
+  /// in closed form.  The crossbar validates the ops, every cell and both
+  /// matrix shapes before anything changes.
   void run_rows_protected(std::span<const xbar::RowOp> ops,
                           const xbar::RowIo& io);
 
@@ -181,21 +179,6 @@ class PimMachine {
   [[nodiscard]] const MachineCounters& counters() const noexcept { return counters_; }
   /// The check-bit state (functional view of the CMEM contents).
   [[nodiscard]] const ecc::ArrayCode& check_code() const noexcept { return code_; }
-
-  // --- workload observability -----------------------------------------------
-  /// Per-row wordline-activation accounting of the MEM crossbar (see
-  /// xbar::Crossbar::row_activations): the workload signal consumed by the
-  /// scenario-diversity fault models (fault/disturbance.hpp) and the
-  /// activation-triggered scrub policies (reliability/scrub_policy.hpp).
-  /// Campaign-local observability -- not checkpointed; restore() leaves
-  /// the history untouched and reset starts it fresh.
-  [[nodiscard]] std::uint64_t mem_row_activations(std::size_t r) const {
-    return mem_.row_activations(r);
-  }
-  [[nodiscard]] std::vector<std::uint64_t> mem_row_activation_snapshot() const {
-    return mem_.row_activation_snapshot();
-  }
-  void reset_mem_row_activations() noexcept { mem_.reset_row_activations(); }
 
   // --- checkpointing (arch/checkpoint.hpp) ---------------------------------
   /// MEM crossbar counter snapshot: the machine's mem_cycles accounting is

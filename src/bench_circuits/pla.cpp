@@ -51,22 +51,6 @@ simpler::Bus synthesize_pla(simpler::LogicBuilder& builder,
   return outputs;
 }
 
-void eval_pla(const PlaSpec& spec, const util::BitVector& inputs,
-              util::BitVector& out) {
-  if (inputs.size() != spec.num_inputs) {
-    throw std::invalid_argument("eval_pla: wrong input count");
-  }
-  const auto x = static_cast<std::uint32_t>(get_bits(inputs, 0, spec.num_inputs));
-  // Branch-free: on random inputs a term's match is a coin flip.
-  std::uint32_t driven = 0;
-  for (const PlaTerm& term : spec.terms) {
-    const bool match = ((x ^ term.match_value) & term.care_mask) == 0;
-    driven |= term.output_mask & (0u - static_cast<std::uint32_t>(match));
-  }
-  reset_bits(out, spec.num_outputs);
-  if (spec.num_outputs != 0) out.set_low_word(driven);  // drops bits >= num_outputs
-}
-
 PlaTable::PlaTable(const PlaSpec& spec)
     : num_inputs_(spec.num_inputs), num_outputs_(spec.num_outputs) {
   if (spec.num_inputs > kMaxInputs) {

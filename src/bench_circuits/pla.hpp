@@ -35,17 +35,11 @@ struct PlaSpec {
                                           const simpler::Bus& inputs,
                                           const PlaSpec& spec);
 
-/// Reference evaluation of the PLA spec into `out` (resized to
-/// num_outputs, every bit overwritten): the OR of the matching terms'
-/// output masks.
-void eval_pla(const PlaSpec& spec, const util::BitVector& inputs,
-              util::BitVector& out);
-
-/// The PLA's truth table, built once from the spec: entry x is the OR of
-/// the output masks of the terms that match the input word x, as eval_pla
-/// computes it.  A reference model that is one table read per lane, still
-/// derived from the spec alone (never from the netlist or a mapped
-/// program).
+/// The PLA's truth table, built once from the spec: entry x is the OR of the
+/// output masks of the terms that match the input word x, as the reference term
+/// loop (oracle/reference_eval.hpp's eval_pla) computes it.  A reference model
+/// that is one table read per lane, still derived from the spec alone (never
+/// from the netlist or a mapped program).
 class PlaTable {
  public:
   /// Inputs a table may have (2^16 entries); wider specs throw
@@ -54,7 +48,8 @@ class PlaTable {
 
   explicit PlaTable(const PlaSpec& spec);
 
-  /// eval_pla(spec, inputs, out) by one lookup.
+  /// Writes the outputs for `inputs` into `out` (resized to the spec's
+  /// num_outputs) by one lookup.
   void evaluate(const util::BitVector& inputs, util::BitVector& out) const;
 
  private:

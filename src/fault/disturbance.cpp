@@ -70,13 +70,4 @@ void DisturbanceModel::sample(util::Rng& rng,
   }
 }
 
-std::vector<DataFlip> DisturbanceModel::sample(
-    util::Rng& rng, std::span<const std::uint64_t> activations) const {
-  std::vector<double> counts(activations.begin(), activations.end());
-  std::vector<DataFlip> out;
-  std::vector<std::size_t> scratch;
-  sample(rng, counts, out, scratch);
-  return out;
-}
-
 }  // namespace pimecc::fault

@@ -3,10 +3,10 @@
 // Activation-induced disturbance (PRAC-style, arxiv 2507.05556): driving a
 // wordline repeatedly disturbs the rows electrically adjacent to it, and
 // the victim's flip probability grows with the aggressor's activation
-// count.  The per-row activation counters that feed this model are exposed
-// by xbar::Crossbar::row_activations() / arch::PimMachine; the scenario
-// engine (reliability/scenario.hpp) instead integrates a deterministic
-// per-row activation *rate* over each inter-scrub window.
+// count.  The activations come from a workload model, not from the
+// crossbar: the scenario engine (reliability/scenario.hpp) integrates a
+// deterministic per-row activation *rate* (rel::row_activation_rates) over
+// each inter-scrub window.
 //
 // Hazard model: a victim row v accumulates pressure
 //     A(v) = sum over aggressors u in [v-radius, v+radius], u != v
@@ -73,11 +73,6 @@ class DisturbanceModel {
   /// deterministic function of the activation vector.
   void sample(util::Rng& rng, std::span<const double> activations,
               std::vector<DataFlip>& out, std::vector<std::size_t>& scratch) const;
-
-  /// Convenience allocating overload (integer counters, e.g. straight from
-  /// Crossbar::row_activation_snapshot()).
-  [[nodiscard]] std::vector<DataFlip> sample(
-      util::Rng& rng, std::span<const std::uint64_t> activations) const;
 
  private:
   std::size_t rows_;

@@ -1,9 +1,7 @@
 #include "oracle/reference_crossbar.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace pimecc::xbar {
 
@@ -12,7 +10,6 @@ ReferenceCrossbar::ReferenceCrossbar(std::size_t n_rows, std::size_t n_cols)
   if (n_rows == 0 || n_cols == 0) {
     throw std::invalid_argument("ReferenceCrossbar: dimensions must be positive");
   }
-  row_activation_extra_.assign(n_rows, 0);
 }
 
 void ReferenceCrossbar::write_row(std::size_t r, const util::BitVector& data) {
@@ -23,7 +20,6 @@ void ReferenceCrossbar::write_row(std::size_t r, const util::BitVector& data) {
     throw std::invalid_argument("ReferenceCrossbar::write_row: size mismatch");
   }
   for (std::size_t c = 0; c < cols(); ++c) mat_.set(r, c, data.get(c));
-  ++row_activation_extra_[r];
   ++cycles_;
 }
 
@@ -35,7 +31,6 @@ void ReferenceCrossbar::write_column(std::size_t c, const util::BitVector& data)
     throw std::invalid_argument("ReferenceCrossbar::write_column: size mismatch");
   }
   for (std::size_t r = 0; r < rows(); ++r) mat_.set(r, c, data.get(r));
-  ++broadcast_activations_;
   ++cycles_;
 }
 
@@ -60,13 +55,6 @@ void ReferenceCrossbar::magic_init(Orientation o,
         mat_.set(line, lane, true);
       }
     }
-  }
-  // Activation accounting, identical to Crossbar: kColumn drives the
-  // gate-line wordlines; kRow drives every row at once.
-  if (o == Orientation::kColumn) {
-    for (const std::size_t line : lines) ++row_activation_extra_[line];
-  } else {
-    ++broadcast_activations_;
   }
   ++cycles_;
   ++init_cycles_;
@@ -109,36 +97,9 @@ OpResult ReferenceCrossbar::magic_nor(Orientation o,
     }
     ++result.lanes;
   }
-  // Activation accounting, identical to Crossbar: kColumn drives the
-  // gate-line wordlines; kRow drives every row at once.
-  if (o == Orientation::kColumn) {
-    for (const std::size_t line : in_lines) ++row_activation_extra_[line];
-    ++row_activation_extra_[out_line];
-  } else {
-    ++broadcast_activations_;
-  }
   ++cycles_;
   ++nor_ops_;
   return result;
-}
-
-std::uint64_t ReferenceCrossbar::row_activations(std::size_t r) const {
-  if (r >= rows()) {
-    throw std::out_of_range(
-        "ReferenceCrossbar::row_activations: row out of range");
-  }
-  return broadcast_activations_ + row_activation_extra_[r];
-}
-
-std::vector<std::uint64_t> ReferenceCrossbar::row_activation_snapshot() const {
-  std::vector<std::uint64_t> snapshot(row_activation_extra_);
-  for (std::uint64_t& count : snapshot) count += broadcast_activations_;
-  return snapshot;
-}
-
-void ReferenceCrossbar::reset_row_activations() noexcept {
-  broadcast_activations_ = 0;
-  std::fill(row_activation_extra_.begin(), row_activation_extra_.end(), 0);
 }
 
 }  // namespace pimecc::xbar

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
@@ -33,9 +32,9 @@ class ReferenceCrossbar {
   [[nodiscard]] std::size_t cols() const noexcept { return mat_.cols(); }
 
   void write_row(std::size_t r, const util::BitVector& data);
-  /// Writes a full column image (size must equal rows()): one cycle and
-  /// one broadcast activation.  The processing crossbar's operand transfer
-  /// (oracle/processing_xbar.hpp); Crossbar has no column write.
+  /// Writes a full column image (size must equal rows()): one cycle.  The
+  /// processing crossbar's operand transfer (oracle/processing_xbar.hpp);
+  /// Crossbar has no column write.
   void write_column(std::size_t c, const util::BitVector& data);
 
   [[nodiscard]] bool peek(std::size_t r, std::size_t c) const { return mat_.at(r, c); }
@@ -51,13 +50,6 @@ class ReferenceCrossbar {
   [[nodiscard]] std::uint64_t nor_ops() const noexcept { return nor_ops_; }
   [[nodiscard]] std::uint64_t init_cycles() const noexcept { return init_cycles_; }
 
-  /// Per-row wordline-activation accounting, identical in semantics and
-  /// counts to Crossbar (see crossbar.hpp): differential tests pin the two
-  /// engines' activation snapshots against each other on random programs.
-  [[nodiscard]] std::uint64_t row_activations(std::size_t r) const;
-  [[nodiscard]] std::vector<std::uint64_t> row_activation_snapshot() const;
-  void reset_row_activations() noexcept;
-
  private:
   void check_line(Orientation o, std::size_t line, const char* what) const;
   [[nodiscard]] std::size_t lane_count(Orientation o) const noexcept {
@@ -68,8 +60,6 @@ class ReferenceCrossbar {
   std::uint64_t cycles_ = 0;
   std::uint64_t nor_ops_ = 0;
   std::uint64_t init_cycles_ = 0;
-  std::uint64_t broadcast_activations_ = 0;
-  std::vector<std::uint64_t> row_activation_extra_;
 };
 
 }  // namespace pimecc::xbar

@@ -83,17 +83,6 @@ class ReferencePimMachine {
   [[nodiscard]] const MachineCounters& counters() const noexcept { return counters_; }
   [[nodiscard]] const CheckMemory& check_memory() const noexcept { return cmem_; }
 
-  /// Per-row wordline-activation accounting of the MEM crossbar; identical
-  /// in counts to PimMachine::mem_row_activations on any program (same
-  /// contract as every other counter pair).
-  [[nodiscard]] std::uint64_t mem_row_activations(std::size_t r) const {
-    return mem_.row_activations(r);
-  }
-  [[nodiscard]] std::vector<std::uint64_t> mem_row_activation_snapshot() const {
-    return mem_.row_activation_snapshot();
-  }
-  void reset_mem_row_activations() noexcept { mem_.reset_row_activations(); }
-
  private:
   void update_check_bits_for_line(bool along_rows, std::size_t line,
                                   const util::BitVector& old_line,

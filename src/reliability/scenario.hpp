@@ -40,9 +40,9 @@ namespace pimecc::rel {
 /// `activations_per_hour` wordline activations, except the leading
 /// `hot_row_fraction` of rows which run at `hot_multiplier` times that --
 /// the skewed access pattern that makes activation-aware scrub policies and
-/// the disturbance model interesting.  (Campaigns replaying a *measured*
-/// workload can bypass this and feed Crossbar::row_activation_snapshot()
-/// rates straight into ScrubPlanContext / fault::DisturbanceModel.)
+/// the disturbance model interesting.  (A campaign replaying a measured
+/// workload can bypass this and feed its own per-row rates straight into
+/// ScrubPlanContext / fault::DisturbanceModel.)
 struct WorkloadModel {
   double activations_per_hour = 1000.0;
   double hot_row_fraction = 0.1;

@@ -74,10 +74,6 @@ NodeId LogicBuilder::and_gate(std::span<const NodeId> ins) {
   return nor_gate(std::span<const NodeId>(inverted));
 }
 
-NodeId LogicBuilder::nand_gate(std::span<const NodeId> ins) {
-  return not_gate(and_gate(ins));
-}
-
 NodeId LogicBuilder::xnor2(NodeId a, NodeId b) {
   const NodeId n1 = nor2(a, b);
   const NodeId n2 = nor2(a, n1);
@@ -147,18 +143,6 @@ AddResult LogicBuilder::ripple_sub(const Bus& a, const Bus& b) {
 
 NodeId LogicBuilder::greater_equal(const Bus& a, const Bus& b) {
   return not_gate(ripple_sub(a, b).carry_out);
-}
-
-NodeId LogicBuilder::equal(const Bus& a, const Bus& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("LogicBuilder::equal: width mismatch");
-  }
-  std::vector<NodeId> diffs;
-  diffs.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    diffs.push_back(not_gate(xnor2(a[i], b[i])));  // 1 iff bits differ
-  }
-  return nor_gate(std::span<const NodeId>(diffs));  // 1 iff no bit differs
 }
 
 Bus LogicBuilder::popcount(const std::vector<NodeId>& bits) {

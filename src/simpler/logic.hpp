@@ -42,12 +42,10 @@ class LogicBuilder {
   NodeId not_gate(NodeId a);
   NodeId or_gate(std::span<const NodeId> ins);
   NodeId and_gate(std::span<const NodeId> ins);
-  NodeId nand_gate(std::span<const NodeId> ins);
 
   NodeId nor2(NodeId a, NodeId b) { return nor_gate(pair(a, b)); }
   NodeId or2(NodeId a, NodeId b) { return or_gate(pair(a, b)); }
   NodeId and2(NodeId a, NodeId b) { return and_gate(pair(a, b)); }
-  NodeId nand2(NodeId a, NodeId b) { return nand_gate(pair(a, b)); }
 
   /// XNOR via the canonical 4-NOR structure (same dataflow as the CMEM's
   /// processing crossbars).
@@ -72,8 +70,6 @@ class LogicBuilder {
   AddResult ripple_sub(const Bus& a, const Bus& b);
   /// Unsigned comparison a >= b (via subtract-borrow).
   NodeId greater_equal(const Bus& a, const Bus& b);
-  /// Equality over buses.
-  NodeId equal(const Bus& a, const Bus& b);
   /// Popcount: adds `bits.size()` single bits into a ceil(log2)+1-wide bus
   /// using a full-adder reduction tree (the voter's substrate).
   Bus popcount(const std::vector<NodeId>& bits);

@@ -183,8 +183,8 @@ MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
       if (--fanout[f] == 0) {
         const bool is_input_cell = netlist.node(f).type == NodeType::kInput;
         if (is_input_cell && !options.allow_input_recycling) continue;
-        // Outputs were given an extra pin in fanout_counts(), so they can
-        // never reach zero here.
+        // Outputs were given an extra pin in the live fanout count above,
+        // so they can never reach zero here.
         dirty.push_back(cell_of[f]);
         if (is_input_cell && covered_cell[cell_of[f]]) {
           dirty_covered.push_back(cell_of[f]);

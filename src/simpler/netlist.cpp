@@ -1,6 +1,5 @@
 #include "simpler/netlist.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace pimecc::simpler {
@@ -8,7 +7,6 @@ namespace pimecc::simpler {
 NodeId Netlist::add_input() {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back({NodeType::kInput, {}});
-  is_output_.push_back(false);
   inputs_.push_back(id);
   return id;
 }
@@ -24,7 +22,6 @@ NodeId Netlist::add_nor(std::span<const NodeId> fanins) {
     }
   }
   nodes_.push_back({NodeType::kNor, {fanins.begin(), fanins.end()}});
-  is_output_.push_back(false);
   ++gate_count_;
   return id;
 }
@@ -32,7 +29,6 @@ NodeId Netlist::add_nor(std::span<const NodeId> fanins) {
 NodeId Netlist::add_const(bool value) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back({value ? NodeType::kConstOne : NodeType::kConstZero, {}});
-  is_output_.push_back(false);
   return id;
 }
 
@@ -42,59 +38,7 @@ void Netlist::mark_output(NodeId id) {
   }
   // A node may drive several output pins (e.g. shared constants feeding a
   // constant bus); each mark adds one pin.
-  is_output_[id] = true;
   outputs_.push_back(id);
-}
-
-std::size_t Netlist::max_fanin() const noexcept {
-  std::size_t widest = 0;
-  for (const Node& node : nodes_) widest = std::max(widest, node.fanins.size());
-  return widest;
-}
-
-std::vector<std::uint32_t> Netlist::fanout_counts() const {
-  std::vector<std::uint32_t> counts(nodes_.size(), 0);
-  for (const Node& node : nodes_) {
-    for (const NodeId f : node.fanins) ++counts[f];
-  }
-  for (const NodeId out : outputs_) ++counts[out];
-  return counts;
-}
-
-std::vector<bool> Netlist::eval_all(const util::BitVector& input_values) const {
-  if (input_values.size() != inputs_.size()) {
-    throw std::invalid_argument("Netlist::eval: wrong number of input values");
-  }
-  std::vector<bool> value(nodes_.size(), false);
-  std::size_t next_input = 0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    switch (node.type) {
-      case NodeType::kInput:
-        value[id] = input_values.get(next_input++);
-        break;
-      case NodeType::kConstZero:
-        value[id] = false;
-        break;
-      case NodeType::kConstOne:
-        value[id] = true;
-        break;
-      case NodeType::kNor: {
-        bool any = false;
-        for (const NodeId f : node.fanins) any = any || value[f];
-        value[id] = !any;
-        break;
-      }
-    }
-  }
-  return value;
-}
-
-util::BitVector Netlist::eval(const util::BitVector& input_values) const {
-  const std::vector<bool> value = eval_all(input_values);
-  util::BitVector out(outputs_.size());
-  for (std::size_t i = 0; i < outputs_.size(); ++i) out.set(i, value[outputs_[i]]);
-  return out;
 }
 
 }  // namespace pimecc::simpler

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "util/bitvector.hpp"
-
 namespace pimecc::simpler {
 
 using NodeId = std::uint32_t;
@@ -56,8 +54,6 @@ class Netlist {
   [[nodiscard]] std::size_t num_outputs() const noexcept { return outputs_.size(); }
   /// Number of NOR gates (excludes inputs and constants).
   [[nodiscard]] std::size_t num_gates() const noexcept { return gate_count_; }
-  /// Largest NOR fan-in in the netlist.
-  [[nodiscard]] std::size_t max_fanin() const noexcept;
 
   [[nodiscard]] const Node& node(NodeId id) const { return nodes_.at(id); }
   [[nodiscard]] const std::vector<NodeId>& inputs() const noexcept { return inputs_; }
@@ -65,22 +61,11 @@ class Netlist {
     return outputs_;
   }
 
-  /// Number of consumers of each node (outputs count as one extra consumer,
-  /// pinning output cells).
-  [[nodiscard]] std::vector<std::uint32_t> fanout_counts() const;
-
-  /// Evaluates the netlist: `input_values` indexed like inputs().
-  [[nodiscard]] util::BitVector eval(const util::BitVector& input_values) const;
-
-  /// Evaluates every node; returned vector is indexed by NodeId (testing).
-  [[nodiscard]] std::vector<bool> eval_all(const util::BitVector& input_values) const;
-
  private:
   std::string name_;
   std::vector<Node> nodes_;
   std::vector<NodeId> inputs_;
   std::vector<NodeId> outputs_;
-  std::vector<bool> is_output_;
   std::size_t gate_count_ = 0;
 };
 

@@ -149,9 +149,4 @@ Netlist read_netlist(std::istream& is) {
   return netlist;
 }
 
-Netlist read_netlist_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_netlist(is);
-}
-
 }  // namespace pimecc::simpler

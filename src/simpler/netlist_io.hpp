@@ -38,6 +38,5 @@ inline constexpr std::size_t kMaxNetlistInputs = 65536;
 /// Parses a .pnl document; throws std::runtime_error with a line number on
 /// malformed input, including an `.inputs` count above kMaxNetlistInputs.
 [[nodiscard]] Netlist read_netlist(std::istream& is);
-[[nodiscard]] Netlist read_netlist_text(const std::string& text);
 
 }  // namespace pimecc::simpler

@@ -1,14 +1,9 @@
 // pimecc -- util/chaos.hpp
 //
-// Deterministic I/O fault injection: the substrate of the crash-safety
-// harness.  The checkpoint store (util/ckpt_store.hpp) performs every
-// filesystem operation through a FileBackend, so tests can swap in a
-// ChaosBackend that tears writes at chosen byte offsets, flips bits in what
-// reaches "disk", returns short reads, and fails opens transiently -- all
-// one-shot and explicitly armed, never clock- or entropy-dependent, so every
-// injected failure is reproducible from the test source alone (fuzz sweeps
-// derive their offsets from util::Rng::for_stream substreams, the same
-// discipline as the rest of the suite).
+// The checkpoint store's filesystem substrate.  util/ckpt_store.hpp performs
+// every filesystem operation through a FileBackend, so tests can swap in a
+// fault-injecting one (oracle/chaos_backend.hpp) that tears writes, flips
+// bits, shortens reads and fails opens deterministically.
 //
 // The real backend's write_file is the crash-safe primitive: it writes the
 // full byte image, fsyncs, and closes, reporting every short or failed
@@ -18,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -36,23 +30,10 @@ class IoError : public std::runtime_error {
 };
 
 // --------------------------------------------------------------------------
-// Pure byte corruptions (the checkpoint fuzz vocabulary).
-
-/// The first `size` bytes of `bytes` -- a torn write observed at recovery.
-/// `size` beyond the input just copies it whole.
-[[nodiscard]] std::vector<std::uint8_t> truncated(
-    std::span<const std::uint8_t> bytes, std::size_t size);
-
-/// A copy of `bytes` with bit `bit_index` (little-endian within each byte)
-/// flipped.  Throws std::out_of_range past the last bit.
-[[nodiscard]] std::vector<std::uint8_t> bit_flipped(
-    std::span<const std::uint8_t> bytes, std::uint64_t bit_index);
-
-// --------------------------------------------------------------------------
 // Filesystem abstraction.
 
-/// The filesystem operations the checkpoint store needs, virtualized so the
-/// chaos harness can fail any of them deterministically.  The default
+/// The filesystem operations the checkpoint store needs, virtualized so a
+/// test harness can fail any of them deterministically.  The default
 /// implementations are the real (POSIX, durable) ones.
 class FileBackend {
  public:
@@ -81,81 +62,12 @@ class FileBackend {
   [[nodiscard]] virtual bool exists(const std::string& path);
 
   /// Delay before retry `attempt` (0-based) of a transiently failed save:
-  /// bounded exponential backoff.  Overridden to a no-op by ChaosBackend so
+  /// bounded exponential backoff.  A test backend overrides it so
   /// injected-failure tests never sleep.
   virtual void backoff(std::size_t attempt);
 };
 
 /// The process-wide real backend (stateless; safe to share).
 [[nodiscard]] FileBackend& real_file_backend();
-
-// --------------------------------------------------------------------------
-// Chaos backend.
-
-/// One-shot faults to inject, consumed in operation order.  Arm a field,
-/// run the operation(s), inspect the log.  Unarmed operations delegate to
-/// the wrapped backend untouched.
-struct ChaosPlan {
-  /// The next `fail_opens` write_file calls fail before creating the file
-  /// (transient open failure: EMFILE, ENOSPC at create, ...).
-  std::size_t fail_opens = 0;
-  /// The next write_file persists only the first `*tear_after` bytes of its
-  /// payload, then reports failure (crash / disk-full mid-write).
-  std::optional<std::uint64_t> tear_after;
-  /// The next write_file completes "successfully" but flips this bit of
-  /// the on-disk image (silent media corruption; CRC must catch it).
-  std::optional<std::uint64_t> corrupt_bit;
-  /// The next rename_file fails, leaving the source file behind.
-  bool fail_rename = false;
-  /// The next successful read_file returns only the first `*short_read`
-  /// bytes (a torn tail observed at recovery time).
-  std::optional<std::uint64_t> short_read;
-};
-
-/// What the chaos backend actually did -- tests assert on these to prove
-/// the fault really fired.
-struct ChaosLog {
-  std::size_t writes = 0;
-  std::size_t renames = 0;
-  std::size_t reads = 0;
-  std::size_t removes = 0;
-  std::size_t backoffs = 0;
-  std::size_t opens_failed = 0;
-  std::size_t writes_torn = 0;
-  std::size_t bits_corrupted = 0;
-  std::size_t renames_failed = 0;
-  std::size_t reads_shortened = 0;
-  [[nodiscard]] std::size_t faults_injected() const noexcept {
-    return opens_failed + writes_torn + bits_corrupted + renames_failed +
-           reads_shortened;
-  }
-};
-
-/// FileBackend decorator injecting the armed ChaosPlan faults into a
-/// delegate (the real backend by default).  Not thread-safe: the harness
-/// drives it from one test thread.
-class ChaosBackend final : public FileBackend {
- public:
-  explicit ChaosBackend(FileBackend* delegate = nullptr)
-      : delegate_(delegate != nullptr ? delegate : &real_file_backend()) {}
-
-  [[nodiscard]] ChaosPlan& plan() noexcept { return plan_; }
-  [[nodiscard]] const ChaosLog& log() const noexcept { return log_; }
-
-  void write_file(const std::string& path,
-                  std::span<const std::uint8_t> bytes) override;
-  void rename_file(const std::string& from, const std::string& to) override;
-  void remove_file(const std::string& path) noexcept override;
-  [[nodiscard]] bool read_file(const std::string& path,
-                               std::vector<std::uint8_t>& out) override;
-  [[nodiscard]] bool exists(const std::string& path) override;
-  /// Counted but never sleeps: injected-failure tests stay wall-clock free.
-  void backoff(std::size_t attempt) override;
-
- private:
-  FileBackend* delegate_;
-  ChaosPlan plan_;
-  ChaosLog log_;
-};
 
 }  // namespace pimecc::util::chaos

@@ -66,7 +66,6 @@ Crossbar::Crossbar(std::size_t n_rows, std::size_t n_cols) : mat_(n_rows, n_cols
     throw std::invalid_argument("Crossbar: dimensions must be positive");
   }
   ones_cols_ = util::BitVector(n_cols, true);
-  row_activation_extra_.assign(n_rows, 0);
 }
 
 void Crossbar::write_row(std::size_t r, const util::BitVector& data) {
@@ -77,7 +76,6 @@ void Crossbar::write_row(std::size_t r, const util::BitVector& data) {
     throw std::invalid_argument("Crossbar::write_row: size mismatch");
   }
   mat_.row(r) = data;
-  ++row_activation_extra_[r];
   ++cycles_;
 }
 
@@ -109,15 +107,9 @@ void Crossbar::magic_init(Orientation o, std::span<const std::size_t> lines) {
         for (util::BitVector& row : row_store) row.words_mutable()[wi] |= bit;
       }
     }
-    // Every row's wordline is driven at once.
-    ++broadcast_activations_;
   } else {
-    // Lines are rows: set every column of each, and each drives its own
-    // wordline.
-    for (const std::size_t line : lines) {
-      mat_.row(line) |= ones_cols_;
-      ++row_activation_extra_[line];
-    }
+    // Lines are rows: set every column of each.
+    for (const std::size_t line : lines) mat_.row(line) |= ones_cols_;
   }
   ++cycles_;
   ++init_cycles_;
@@ -155,8 +147,6 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
     result.violations = util::simd::kernels().nor_column_pass(
         in_ptrs_.data(), in_ptrs_.size(), ones_cols_.words().data(),
         out.words_mutable().data(), out.word_count());
-    for (const std::size_t line : in_lines) ++row_activation_extra_[line];
-    ++row_activation_extra_[out_line];
   } else {
     result.lanes = rows();
     // Lanes are rows, lines are columns: one fused pass per row -- read
@@ -233,8 +223,6 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
       });
     }
     result.violations = violations;
-    // Every row's wordline is driven at once.
-    ++broadcast_activations_;
   }
   ++cycles_;
   ++nor_ops_;
@@ -444,32 +432,7 @@ std::uint64_t Crossbar::run_rows(std::span<const RowOp> ops,
   cycles_ += ops.size();
   nor_ops_ += nors;
   init_cycles_ += ops.size() - nors;
-  broadcast_activations_ += ops.size();
   return violations;
-}
-
-void Crossbar::charge_row_writes() noexcept {
-  // Every wordline once: the broadcast counter, as for an all-lane op.
-  ++broadcast_activations_;
-  cycles_ += rows();
-}
-
-std::uint64_t Crossbar::row_activations(std::size_t r) const {
-  if (r >= rows()) {
-    throw std::out_of_range("Crossbar::row_activations: row out of range");
-  }
-  return broadcast_activations_ + row_activation_extra_[r];
-}
-
-std::vector<std::uint64_t> Crossbar::row_activation_snapshot() const {
-  std::vector<std::uint64_t> snapshot(row_activation_extra_);
-  for (std::uint64_t& count : snapshot) count += broadcast_activations_;
-  return snapshot;
-}
-
-void Crossbar::reset_row_activations() noexcept {
-  broadcast_activations_ = 0;
-  std::fill(row_activation_extra_.begin(), row_activation_extra_.end(), 0);
 }
 
 }  // namespace pimecc::xbar

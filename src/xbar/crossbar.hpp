@@ -190,11 +190,10 @@ class Crossbar {
   OpResult magic_nor(Orientation o, std::span<const std::size_t> in_lines,
                      std::size_t out_line, util::BitVector* delta = nullptr);
 
-  /// Runs `ops` in order in every row -- the same contents, violation
-  /// count, cycle counters and activations as issuing each op alone through
-  /// magic_init / magic_nor (kRow) -- and returns the summed
-  /// violations.  Bit-sliced, with the work scaled to the columns the
-  /// program touches:
+  /// Runs `ops` in order in every row -- the same contents, violation count and
+  /// cycle counters as issuing each op alone through magic_init / magic_nor
+  /// (kRow) -- and returns the summed violations.  Bit-sliced, with the work
+  /// scaled to the columns the program touches:
   ///  * Row-space inits.  A 64-column word group that no NOR and no I/O
   ///    touches is never transposed: its inits are one OR mask per row word
   ///    (row |= mask, delta ~row & mask), applied as each tile goes out.
@@ -211,21 +210,21 @@ class Crossbar {
   /// transposed straight into the input columns' words and the constant
   /// columns' words become all-ones or zero before the ops, and the output
   /// columns' words are transposed straight into `outputs` after them.  The
-  /// I/O columns join the touched word groups, so the sink's delta covers
-  /// the writes too.  Like poke/peek, the I/O itself costs no cycles and no
-  /// activations; a caller that models controller writes charges them
-  /// (charge_row_writes).  With an empty `io` and no ops nothing happens.
+  /// I/O columns join the touched word groups, so the sink's delta covers the
+  /// writes too.  Like poke/peek, the I/O itself costs no cycles; a caller that
+  /// models controller writes charges them (charge_row_writes).  With an empty
+  /// `io` and no ops nothing happens.
   ///
   /// The program and its I/O are validated whole (check_row_program)
   /// before any state changes, so a bad op last rejects the program.
   std::uint64_t run_rows(std::span<const RowOp> ops,
                          const RowDeltaSink& sink = {}, const RowIo& io = {});
 
-  /// Charges one controller row write to every row -- rows() cycles and one
-  /// wordline activation per row, as write_row on each row -- without
-  /// touching the contents: the cost of the rows a run_rows I/O pass wrote,
-  /// for a caller that models them as controller writes.
-  void charge_row_writes() noexcept;
+  /// Charges one controller row write to every row -- rows() cycles, as
+  /// write_row on each row -- without touching the contents: the cost of
+  /// the rows a run_rows I/O pass wrote, for a caller that models them as
+  /// controller writes.
+  void charge_row_writes() noexcept { cycles_ += rows(); }
 
   // --- cycle accounting ----------------------------------------------------
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
@@ -251,23 +250,6 @@ class Crossbar {
     init_cycles_ = counters.init_cycles;
   }
 
-  // --- per-row activation accounting (scenario-diversity workloads) --------
-  /// How many times row r has been driven as a wordline since the last
-  /// reset: controller row writes plus MAGIC operations whose gate lines
-  /// are rows (kColumn orientation counts every in/out/init line).
-  /// Operations that drive every wordline at once -- kRow-orientation
-  /// MAGIC and charged row-write passes -- are tallied in a single
-  /// broadcast counter instead of rows() per-row increments, keeping the
-  /// hot path O(lines) per operation.  This is campaign-local
-  /// observability feeding fault::DisturbanceModel and the
-  /// activation-triggered scrub policies; it is deliberately NOT part of
-  /// Counters, so checkpoint formats are unchanged and a restored machine
-  /// starts its activation history fresh.
-  [[nodiscard]] std::uint64_t row_activations(std::size_t r) const;
-  /// Dense snapshot (broadcast + per-row extra), length rows().
-  [[nodiscard]] std::vector<std::uint64_t> row_activation_snapshot() const;
-  void reset_row_activations() noexcept;
-
  private:
   void check_line(Orientation o, std::size_t line, const char* what) const;
 
@@ -275,8 +257,6 @@ class Crossbar {
   std::uint64_t cycles_ = 0;
   std::uint64_t nor_ops_ = 0;
   std::uint64_t init_cycles_ = 0;
-  std::uint64_t broadcast_activations_ = 0;     ///< all-wordline drives
-  std::vector<std::uint64_t> row_activation_extra_;  ///< addressed drives
 
   // Scratch buffers reused across operations so the hot path is
   // allocation-free in steady state.

@@ -88,10 +88,6 @@ struct MachinePair {
            << f.critical_ops << "/" << r.critical_ops << " checks " << f.checks
            << "/" << r.checks << " scrubs " << f.scrubs << "/" << r.scrubs;
   }
-  if (pair.fast.mem_row_activation_snapshot() !=
-      pair.ref.mem_row_activation_snapshot()) {
-    return ::testing::AssertionFailure() << "row activations diverge";
-  }
   return ::testing::AssertionSuccess();
 }
 
@@ -544,8 +540,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// load_random draws the image straight into the MEM: the same data, check
-/// bits, counters, row activations and stream position as loading a
-/// random_bit_matrix drawn from the same generator.
+/// bits, counters and stream position as loading a random_bit_matrix drawn
+/// from the same generator.
 TEST(PimMachineLoad, LoadRandomEqualsLoadingARandomImage) {
   for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{1020, 15},
                              {130, 65}, {60, 3}}) {
@@ -561,8 +557,6 @@ TEST(PimMachineLoad, LoadRandomEqualsLoadingARandomImage) {
     EXPECT_EQ(check_crc(drawn.check_code()), check_crc(loaded.check_code()));
     EXPECT_EQ(drawn.counters(), loaded.counters());
     EXPECT_EQ(drawn.mem_counters(), loaded.mem_counters());
-    EXPECT_EQ(drawn.mem_row_activation_snapshot(),
-              loaded.mem_row_activation_snapshot());
   }
 }
 
@@ -787,9 +781,6 @@ void run_ops_one_by_one(PimMachine& machine, std::span<const xbar::RowOp> ops) {
   if (!(a.mem_counters() == b.mem_counters())) {
     return ::testing::AssertionFailure() << "crossbar counters diverge";
   }
-  if (a.mem_row_activation_snapshot() != b.mem_row_activation_snapshot()) {
-    return ::testing::AssertionFailure() << "row activations diverge";
-  }
   return ::testing::AssertionSuccess();
 }
 
@@ -860,8 +851,6 @@ void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed
       }
       EXPECT_EQ(bare_batch.contents(), bare_single.contents());
       EXPECT_EQ(bare_batch.counters(), bare_single.counters());
-      EXPECT_EQ(bare_batch.row_activation_snapshot(),
-                bare_single.row_activation_snapshot());
 
       batch.run_rows_protected(program.ops);
       run_ops_one_by_one(single, program.ops);
@@ -896,8 +885,6 @@ void run_row_batch_differential(std::size_t n, std::size_t m, std::uint64_t seed
         EXPECT_ANY_THROW((void)bare_batch.run_rows(rejected));
         EXPECT_EQ(bare_batch.contents(), bare_before.contents());
         EXPECT_EQ(bare_batch.counters(), bare_before.counters());
-        EXPECT_EQ(bare_batch.row_activation_snapshot(),
-                  bare_before.row_activation_snapshot());
       }
 
       // Restore consistency for the next round on both machines alike.
@@ -1109,8 +1096,6 @@ void run_row_io_differential(std::size_t n, std::size_t m, std::uint64_t seed) {
       EXPECT_EQ(bare_fused_out, bare_split_out);
       EXPECT_EQ(bare_fused.contents(), bare_split.contents());
       EXPECT_EQ(bare_fused.counters(), bare_split.counters());
-      EXPECT_EQ(bare_fused.row_activation_snapshot(),
-                bare_split.row_activation_snapshot());
 
       util::BitMatrix fused_out(n, io.output_cols.size());
       util::BitMatrix split_out(n, io.output_cols.size());
@@ -1143,8 +1128,6 @@ void run_row_io_differential(std::size_t n, std::size_t m, std::uint64_t seed) {
       EXPECT_ANY_THROW((void)bare.run_rows(program.ops, {}, bad));
       EXPECT_EQ(bare.contents(), bare_before.contents());
       EXPECT_EQ(bare.counters(), bare_before.counters());
-      EXPECT_EQ(bare.row_activation_snapshot(),
-                bare_before.row_activation_snapshot());
       EXPECT_EQ(outputs, outputs_before);
     });
   }
@@ -1301,8 +1284,6 @@ void expect_rejects_without_mutating(Machine& machine) {
   const std::size_t n = machine.n();
   const util::BitMatrix data_before = machine.data();
   const arch::MachineCounters counters_before = machine.counters();
-  const std::vector<std::uint64_t> activations_before =
-      machine.mem_row_activation_snapshot();
   // The oracle has no crossbar counters to compare.
   constexpr bool kHasMemCounters =
       requires(const Machine& m) { m.mem_counters(); };
@@ -1362,7 +1343,6 @@ void expect_rejects_without_mutating(Machine& machine) {
 
   EXPECT_EQ(machine.data(), data_before);
   EXPECT_EQ(machine.counters(), counters_before);
-  EXPECT_EQ(machine.mem_row_activation_snapshot(), activations_before);
   if constexpr (kHasMemCounters) {
     EXPECT_EQ(machine.mem_counters(), mem_counters_before);
   }

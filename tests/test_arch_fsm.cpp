@@ -5,6 +5,7 @@
 
 #include "arch/pim_machine.hpp"
 #include "oracle/pc_controller.hpp"
+#include "oracle/reference_eval.hpp"
 #include "simpler/logic.hpp"
 #include "simpler/mapper.hpp"
 #include "simpler/protected_vm.hpp"
@@ -107,7 +108,8 @@ TEST(ProtectedVm, SimdExecutionMatchesNetlistPerRow) {
       machine, nl, program, inputs);
   EXPECT_TRUE(result.ecc_consistent_after);
   for (std::size_t r = 0; r < 45; ++r) {
-    EXPECT_EQ(result.outputs.row(r), nl.eval(inputs.row(r))) << "row " << r;
+    EXPECT_EQ(result.outputs.row(r), simpler::eval_netlist(nl, inputs.row(r)))
+        << "row " << r;
   }
 }
 
@@ -135,7 +137,7 @@ TEST(ProtectedVm, PreCheckRepairsInjectedInputError) {
       machine, nl, program, inputs);
   EXPECT_EQ(result.input_check_corrections, 1u);
   EXPECT_TRUE(result.ecc_consistent_after);
-  EXPECT_EQ(result.outputs.row(7), nl.eval(inputs.row(7)));
+  EXPECT_EQ(result.outputs.row(7), simpler::eval_netlist(nl, inputs.row(7)));
 }
 
 TEST(ProtectedVm, ValidatesShapes) {

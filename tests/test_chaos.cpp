@@ -1,12 +1,12 @@
-// Chaos-injection suite for the crash-safety layer: the deterministic I/O
-// fault injector itself (util/chaos), the rotated crash-safe checkpoint
-// store built on it (util/ckpt_store), and the end-to-end acceptance
-// property -- a checkpointed lifetime campaign killed at an arbitrary
-// torn-write point resumes from the latest valid generation and finishes
-// bit-identical to an uninterrupted run.  Every failure is armed
-// explicitly (no clocks, no entropy), so each scenario reproduces from the
-// test source alone; fuzzed offsets come from util::Rng substreams, the
-// same discipline as the rest of the suite.
+// Chaos-injection suite for the crash-safety layer: the deterministic I/O fault
+// injector itself (oracle/chaos_backend), the rotated crash-safe checkpoint
+// store built on it (util/ckpt_store), and the end-to-end acceptance property
+// -- a checkpointed lifetime campaign killed at an arbitrary torn-write point
+// resumes from the latest valid generation and finishes bit-identical to an
+// uninterrupted run.  Every failure is armed explicitly (no clocks, no
+// entropy), so each scenario reproduces from the test source alone; fuzzed
+// offsets come from util::Rng substreams, the same discipline as the rest of
+// the suite.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "oracle/chaos_backend.hpp"
 #include "reliability/lifetime.hpp"
-#include "util/chaos.hpp"
 #include "util/ckpt_store.hpp"
 #include "util/rng.hpp"
 

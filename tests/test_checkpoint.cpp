@@ -19,8 +19,8 @@
 
 #include "arch/checkpoint.hpp"
 #include "arch/pim_machine.hpp"
+#include "oracle/chaos_backend.hpp"
 #include "reliability/lifetime.hpp"
-#include "util/chaos.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 

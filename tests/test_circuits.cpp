@@ -12,6 +12,7 @@
 #include "bench_circuits/circuits.hpp"
 #include "bench_circuits/pla.hpp"
 #include "bench_circuits/ref_util.hpp"
+#include "oracle/reference_eval.hpp"
 #include "simpler/logic.hpp"
 #include "simpler/mapper.hpp"
 #include "simpler/row_vm.hpp"
@@ -101,7 +102,7 @@ TEST_P(AgreementTest, NetlistMatchesReferenceOnRandomVectors) {
     const double density = t % 3 == 0 ? 0.05 : (t % 3 == 1 ? 0.5 : 0.9);
     const util::BitVector in =
         random_input(rng, spec.netlist.num_inputs(), density);
-    EXPECT_EQ(spec.netlist.eval(in), spec.reference(in))
+    EXPECT_EQ(simpler::eval_netlist(spec.netlist, in), spec.reference(in))
         << GetParam() << " trial " << t;
   }
 }
@@ -124,7 +125,7 @@ TEST_P(InPlaceReferenceTest, EvaluateOverwritesADirtyBufferOfAnotherWidth) {
     for (const std::size_t width : {po + 67, po / 2}) {
       util::BitVector out(width, true);
       spec.evaluate(in, out);
-      ASSERT_EQ(out, spec.netlist.eval(in))
+      ASSERT_EQ(out, simpler::eval_netlist(spec.netlist, in))
           << GetParam() << " dirty width " << width << " input " << in.to_string();
     }
   };
@@ -154,7 +155,7 @@ TEST(Dec, ExhaustiveAllInputsOneHot) {
   for (std::size_t v = 0; v < 256; ++v) {
     util::BitVector in(8);
     set_bits(in, 0, 8, v);
-    const util::BitVector out = spec.netlist.eval(in);
+    const util::BitVector out = simpler::eval_netlist(spec.netlist, in);
     EXPECT_EQ(out.count(), 1u);
     EXPECT_TRUE(out.get(v));
     EXPECT_EQ(out, spec.reference(in));
@@ -166,7 +167,8 @@ TEST(Ctrl, ExhaustiveMatchesPla) {
   for (std::size_t v = 0; v < 128; ++v) {
     util::BitVector in(7);
     set_bits(in, 0, 7, v);
-    EXPECT_EQ(spec.netlist.eval(in), spec.reference(in)) << "input " << v;
+    EXPECT_EQ(simpler::eval_netlist(spec.netlist, in), spec.reference(in))
+        << "input " << v;
   }
 }
 
@@ -175,7 +177,8 @@ TEST(Cavlc, ExhaustiveMatchesPla) {
   for (std::size_t v = 0; v < 1024; ++v) {
     util::BitVector in(10);
     set_bits(in, 0, 10, v);
-    EXPECT_EQ(spec.netlist.eval(in), spec.reference(in)) << "input " << v;
+    EXPECT_EQ(simpler::eval_netlist(spec.netlist, in), spec.reference(in))
+        << "input " << v;
   }
 }
 
@@ -236,7 +239,8 @@ TEST(Int2Float, ExhaustiveAllElevenBitInputs) {
   for (std::size_t v = 0; v < 2048; ++v) {
     util::BitVector in(11);
     set_bits(in, 0, 11, v);
-    EXPECT_EQ(spec.netlist.eval(in), spec.reference(in)) << "input " << v;
+    EXPECT_EQ(simpler::eval_netlist(spec.netlist, in), spec.reference(in))
+        << "input " << v;
   }
 }
 
@@ -248,7 +252,7 @@ TEST(Adder, AddsSpecificValues) {
   // 1 + 1 = 2.
   in.set(0, true);
   in.set(128, true);
-  util::BitVector out = spec.netlist.eval(in);
+  util::BitVector out = simpler::eval_netlist(spec.netlist, in);
   EXPECT_FALSE(out.get(0));
   EXPECT_TRUE(out.get(1));
   EXPECT_FALSE(out.get(128));
@@ -256,7 +260,7 @@ TEST(Adder, AddsSpecificValues) {
   util::BitVector in2(256);
   for (std::size_t i = 0; i < 128; ++i) in2.set(i, true);
   in2.set(128, true);
-  out = spec.netlist.eval(in2);
+  out = simpler::eval_netlist(spec.netlist, in2);
   for (std::size_t i = 0; i < 128; ++i) EXPECT_FALSE(out.get(i));
   EXPECT_TRUE(out.get(128));
 }
@@ -270,7 +274,7 @@ TEST(Bar, RotationIdentityAndFullTurnEdges) {
     util::BitVector in(135);
     for (std::size_t i = 0; i < 128; ++i) in.set(i, data.get(i));
     set_bits(in, 128, 7, amount);
-    const util::BitVector out = spec.netlist.eval(in);
+    const util::BitVector out = simpler::eval_netlist(spec.netlist, in);
     for (std::size_t i = 0; i < 128; ++i) {
       EXPECT_EQ(out.get((i + amount) % 128), data.get(i)) << "amount " << amount;
     }
@@ -280,10 +284,11 @@ TEST(Bar, RotationIdentityAndFullTurnEdges) {
 TEST(Priority, LowestIndexWinsAndValidTracksAnyRequest) {
   const CircuitSpec spec = build_circuit("priority");
   util::BitVector in(128);
-  EXPECT_EQ(spec.netlist.eval(in).count(), 0u);  // no request: invalid, idx 0
+  // no request: invalid, idx 0
+  EXPECT_EQ(simpler::eval_netlist(spec.netlist, in).count(), 0u);
   in.set(77, true);
   in.set(100, true);
-  const util::BitVector out = spec.netlist.eval(in);
+  const util::BitVector out = simpler::eval_netlist(spec.netlist, in);
   EXPECT_EQ(get_bits(out, 0, 7), 77u);
   EXPECT_TRUE(out.get(7));
 }
@@ -292,11 +297,11 @@ TEST(Voter, MajorityBoundary) {
   const CircuitSpec spec = build_circuit("voter");
   util::BitVector in(1001);
   for (std::size_t i = 0; i < 500; ++i) in.set(i, true);
-  EXPECT_FALSE(spec.netlist.eval(in).get(0));  // 500 < 501
+  EXPECT_FALSE(simpler::eval_netlist(spec.netlist, in).get(0));  // 500 < 501
   in.set(700, true);
-  EXPECT_TRUE(spec.netlist.eval(in).get(0));   // 501 >= 501
+  EXPECT_TRUE(simpler::eval_netlist(spec.netlist, in).get(0));   // 501 >= 501
   util::BitVector all(1001, true);
-  EXPECT_TRUE(spec.netlist.eval(all).get(0));
+  EXPECT_TRUE(simpler::eval_netlist(spec.netlist, all).get(0));
 }
 
 TEST(Max, PicksMaximumAndTiesPreferEarlier) {
@@ -307,7 +312,7 @@ TEST(Max, PicksMaximumAndTiesPreferEarlier) {
   set_bits(in, 128, 128, 9);
   set_bits(in, 256, 128, 9);
   set_bits(in, 384, 128, 2);
-  const util::BitVector out = spec.netlist.eval(in);
+  const util::BitVector out = simpler::eval_netlist(spec.netlist, in);
   EXPECT_EQ(get_bits(out, 0, 64), 9u);
   EXPECT_TRUE(out.get(128));    // idx low bit = 1
   EXPECT_FALSE(out.get(129));   // idx high bit = 0
@@ -320,7 +325,7 @@ TEST(Arbiter, OneHotPointerGrantsFirstRequesterAtOrAfter) {
   in.set(10, true);          // request from client 10
   in.set(30, true);          // request from client 30
   in.set(56 + 20, true);     // pointer at position 20
-  const util::BitVector out = spec.netlist.eval(in);
+  const util::BitVector out = simpler::eval_netlist(spec.netlist, in);
   EXPECT_TRUE(out.get(30));  // first requester at/after 20
   EXPECT_FALSE(out.get(10));
   EXPECT_TRUE(out.get(56));  // valid
@@ -332,10 +337,11 @@ TEST(Arbiter, WrapsAroundAndDefaultsToPositionZero) {
   util::BitVector wrap(112);
   wrap.set(3, true);
   wrap.set(56 + 50, true);  // pointer past the only request: wraps to 3
-  EXPECT_TRUE(spec.netlist.eval(wrap).get(3));
+  EXPECT_TRUE(simpler::eval_netlist(spec.netlist, wrap).get(3));
   util::BitVector no_ptr(112);
   no_ptr.set(40, true);
-  EXPECT_TRUE(spec.netlist.eval(no_ptr).get(40));  // head defaults to 0
+  // head defaults to 0
+  EXPECT_TRUE(simpler::eval_netlist(spec.netlist, no_ptr).get(40));
 }
 
 TEST(Sin, TracksRealSineWithinApproximationError) {
@@ -407,7 +413,8 @@ TEST(Pla, SynthesisMatchesEvalOnRandomSpecs) {
       set_bits(in, 0, 8, v);
       util::BitVector expected;
       eval_pla(pla, in, expected);
-      EXPECT_EQ(nl.eval(in), expected) << "seed " << seed << " v " << v;
+      EXPECT_EQ(simpler::eval_netlist(nl, in), expected)
+          << "seed " << seed << " v " << v;
     }
   }
 }

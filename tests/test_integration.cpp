@@ -7,6 +7,7 @@
 #include "arch/pim_machine.hpp"
 #include "bench_circuits/circuits.hpp"
 #include "bench_circuits/ref_util.hpp"
+#include "oracle/reference_eval.hpp"
 #include "simpler/ecc_schedule.hpp"
 #include "simpler/logic.hpp"
 #include "simpler/mapper.hpp"
@@ -83,7 +84,7 @@ TEST(Integration, ProtectedExecutionComputesCorrectlyAndKeepsEcc) {
   const util::BitVector outputs =
       run_protected(machine, program, row);
   EXPECT_TRUE(machine.ecc_consistent());
-  EXPECT_EQ(outputs, nl.eval(inputs));
+  EXPECT_EQ(outputs, simpler::eval_netlist(nl, inputs));
   EXPECT_EQ(circuits::get_bits(outputs, 0, 9), xv + yv);
 }
 

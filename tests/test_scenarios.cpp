@@ -1,6 +1,5 @@
 // Unit tests for the scenario-diversity subsystem: the activation-induced
-// disturbance model, per-row activation accounting in the crossbars and the
-// PIM machine, stuck-at cell semantics, the pluggable scrub policies'
+// disturbance model, stuck-at cell semantics, the pluggable scrub policies'
 // deterministic schedules, and the scenario lifetime engine (zero-rate
 // exact cross-check against simulate_lifetime, iid statistical band, stuck
 // re-flip semantics, and thread-count determinism).
@@ -12,16 +11,12 @@
 #include <set>
 #include <vector>
 
-#include "arch/pim_machine.hpp"
 #include "fault/disturbance.hpp"
 #include "fault/models.hpp"
-#include "oracle/reference_crossbar.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/scenario.hpp"
 #include "reliability/scrub_policy.hpp"
-#include "util/bitvector.hpp"
 #include "util/rng.hpp"
-#include "xbar/crossbar.hpp"
 
 namespace pimecc {
 namespace {
@@ -63,8 +58,11 @@ TEST(Disturbance, ZeroPressureRowsConsumeNoRandomness) {
   const fault::DisturbanceModel model(8, 8, params);
   util::Rng rng(3);
   const util::Rng::State before = rng.state();
-  const std::vector<std::uint64_t> idle(8, 0);
-  EXPECT_TRUE(model.sample(rng, idle).empty());
+  const std::vector<double> idle(8, 0.0);
+  std::vector<fault::DataFlip> out;
+  std::vector<std::size_t> scratch;
+  model.sample(rng, idle, out, scratch);
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ(rng.state(), before);
 }
 
@@ -94,13 +92,17 @@ TEST(Disturbance, SampleIsDeterministicPerRngStream) {
   fault::DisturbanceParams params;
   params.flip_probability_per_activation = 1e-2;
   const fault::DisturbanceModel model(16, 16, params);
-  std::vector<std::uint64_t> acts(16, 0);
-  acts[2] = 100;
-  acts[9] = 400;
+  std::vector<double> acts(16, 0.0);
+  acts[2] = 100.0;
+  acts[9] = 400.0;
   util::Rng a(77), b(77);
+  std::vector<fault::DataFlip> fa, fb;
+  std::vector<std::size_t> scratch;
   for (int draw = 0; draw < 10; ++draw) {
-    const auto fa = model.sample(a, acts);
-    const auto fb = model.sample(b, acts);
+    fa.clear();
+    fb.clear();
+    model.sample(a, acts, fa, scratch);
+    model.sample(b, acts, fb, scratch);
     ASSERT_EQ(fa.size(), fb.size());
     for (std::size_t i = 0; i < fa.size(); ++i) {
       EXPECT_EQ(fa[i].r, fb[i].r);
@@ -148,106 +150,6 @@ TEST(Disturbance, HazardIsChunkInvariantInDistribution) {
       1.0 - std::pow(1.0 - (static_cast<double>(flips_two) / (2.0 * kCells)), 2.0);
   EXPECT_NEAR(rate_one, 1.0 - std::exp(-1.6), 0.02);
   EXPECT_NEAR(p_two_union, 1.0 - std::exp(-1.6), 0.02);
-}
-
-// ------------------------------------------------------- activation counters
-
-TEST(ActivationCounters, RowOpsCountPerRowAndColumnOpsBroadcast) {
-  xbar::Crossbar xb(8, 8);
-  const util::BitVector row_image(8, true);
-  xb.write_row(3, row_image);
-  xb.write_row(3, row_image);
-  // A column-parallel op drives its gate line's wordline only.
-  const std::size_t row5[1] = {5};
-  xb.magic_init(xbar::Orientation::kColumn, row5);
-  EXPECT_EQ(xb.row_activations(3), 2u);
-  EXPECT_EQ(xb.row_activations(5), 1u);
-  EXPECT_EQ(xb.row_activations(0), 0u);
-  // A row-parallel op drives every wordline: all rows tick once.
-  const std::size_t col2[1] = {2};
-  xb.magic_init(xbar::Orientation::kRow, col2);
-  EXPECT_EQ(xb.row_activations(3), 3u);
-  EXPECT_EQ(xb.row_activations(0), 1u);
-  EXPECT_THROW((void)xb.row_activations(8), std::out_of_range);
-  const std::vector<std::uint64_t> snapshot = xb.row_activation_snapshot();
-  ASSERT_EQ(snapshot.size(), 8u);
-  EXPECT_EQ(snapshot[3], 3u);
-  EXPECT_EQ(snapshot[0], 1u);
-  xb.reset_row_activations();
-  for (std::size_t r = 0; r < 8; ++r) EXPECT_EQ(xb.row_activations(r), 0u);
-}
-
-TEST(ActivationCounters, FastAndReferenceEnginesAgreeOnARandomProgram) {
-  constexpr std::size_t kN = 16;
-  xbar::Crossbar fast(kN, kN);
-  xbar::ReferenceCrossbar ref(kN, kN);
-  util::Rng rng(2025);
-  for (int op = 0; op < 300; ++op) {
-    switch (rng.uniform_below(3)) {
-      case 0: {
-        const std::size_t r = rng.uniform_below(kN);
-        util::BitVector v(kN);
-        for (std::size_t i = 0; i < kN; ++i) v.set(i, rng.bernoulli(0.5));
-        fast.write_row(r, v);
-        ref.write_row(r, v);
-        break;
-      }
-      case 1: {
-        const std::size_t line = rng.uniform_below(kN);
-        const std::size_t lines[1] = {line};
-        const auto o = rng.bernoulli(0.5) ? xbar::Orientation::kRow
-                                          : xbar::Orientation::kColumn;
-        fast.magic_init(o, lines);
-        ref.magic_init(o, lines);
-        break;
-      }
-      default: {
-        std::size_t in[2] = {rng.uniform_below(kN), rng.uniform_below(kN)};
-        std::size_t out_line = rng.uniform_below(kN);
-        while (out_line == in[0] || out_line == in[1]) {
-          out_line = rng.uniform_below(kN);
-        }
-        if (in[0] == in[1]) in[1] = (in[1] + 1) % kN;
-        const auto o = rng.bernoulli(0.5) ? xbar::Orientation::kRow
-                                          : xbar::Orientation::kColumn;
-        const std::size_t outs[1] = {out_line};
-        fast.magic_init(o, outs);
-        ref.magic_init(o, outs);
-        (void)fast.magic_nor(o, in, out_line);
-        (void)ref.magic_nor(o, in, out_line);
-        break;
-      }
-    }
-  }
-  EXPECT_EQ(fast.contents(), ref.contents());
-  EXPECT_EQ(fast.row_activation_snapshot(), ref.row_activation_snapshot());
-  for (std::size_t r = 0; r < kN; ++r) {
-    EXPECT_EQ(fast.row_activations(r), ref.row_activations(r)) << "row " << r;
-  }
-}
-
-TEST(ActivationCounters, PimMachineExposesMemActivationAccounting) {
-  arch::ArchParams params;
-  params.n = 30;
-  params.m = 15;
-  params.validate();
-  arch::PimMachine machine(params);
-  util::Rng rng(4);
-  machine.load(util::random_bit_matrix(30, 30, rng));
-  machine.reset_mem_row_activations();
-  const std::uint64_t before = machine.mem_row_activations(7);
-  EXPECT_EQ(before, 0u);
-  util::BitVector row(30);
-  for (std::size_t i = 0; i < 30; ++i) row.set(i, rng.bernoulli(0.5));
-  machine.write_row_protected(7, row);
-  EXPECT_GT(machine.mem_row_activations(7), 0u);
-  const std::vector<std::uint64_t> snapshot = machine.mem_row_activation_snapshot();
-  ASSERT_EQ(snapshot.size(), 30u);
-  EXPECT_EQ(snapshot[7], machine.mem_row_activations(7));
-  machine.reset_mem_row_activations();
-  for (std::size_t r = 0; r < 30; ++r) {
-    EXPECT_EQ(machine.mem_row_activations(r), 0u);
-  }
 }
 
 // ----------------------------------------------------------------- StuckAt

@@ -2,6 +2,7 @@
 // the SIMPLER row mapper, the row VM, and the ECC scheduling pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -9,6 +10,7 @@
 
 #include "arch/params.hpp"
 #include "bench_circuits/circuits.hpp"
+#include "oracle/reference_eval.hpp"
 #include "simpler/ecc_schedule.hpp"
 #include "simpler/logic.hpp"
 #include "simpler/mapper.hpp"
@@ -34,7 +36,7 @@ TEST(Netlist, BuildsAndEvaluatesNor) {
     util::BitVector in(2);
     in.set(0, combo & 1);
     in.set(1, (combo >> 1) & 1);
-    const util::BitVector out = nl.eval(in);
+    const util::BitVector out = eval_netlist(nl, in);
     EXPECT_EQ(out.get(0), !(in.get(0) || in.get(1)));
   }
 }
@@ -46,7 +48,7 @@ TEST(Netlist, ConstantsEvaluate) {
   const NodeId g = nl.add_nor({zero, one});
   nl.mark_output(g);
   nl.mark_output(zero);
-  EXPECT_EQ(nl.eval(util::BitVector(0)).to_string(), "00");
+  EXPECT_EQ(eval_netlist(nl, util::BitVector(0)).to_string(), "00");
 }
 
 TEST(Netlist, ValidatesConstruction) {
@@ -58,19 +60,8 @@ TEST(Netlist, ValidatesConstruction) {
   nl.mark_output(a);  // a node may drive several output pins
   EXPECT_EQ(nl.num_outputs(), 2u);
   EXPECT_THROW(nl.mark_output(99), std::out_of_range);
-  EXPECT_THROW((void)nl.eval(util::BitVector(2)), std::invalid_argument);
-}
-
-TEST(Netlist, FanoutCountsIncludeOutputPins) {
-  Netlist nl("t");
-  const NodeId a = nl.add_input();
-  const NodeId g1 = nl.add_nor({a});
-  const NodeId g2 = nl.add_nor({a, g1});
-  nl.mark_output(g2);
-  const auto fanout = nl.fanout_counts();
-  EXPECT_EQ(fanout[a], 2u);
-  EXPECT_EQ(fanout[g1], 1u);
-  EXPECT_EQ(fanout[g2], 1u);  // the output pin
+  EXPECT_THROW((void)eval_netlist(nl, util::BitVector(2)),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------- LogicBuilder
@@ -93,14 +84,13 @@ TEST_P(GateTruthTableTest, TwoAndThreeInputHelpersMatchSemantics) {
   b.output(b.mux(a, bb, c));  // a ? c : b
   b.output(b.and2(a, bb));
   b.output(b.or2(a, bb));
-  b.output(b.nand2(a, bb));
   b.output(b.nor2(a, bb));
 
   util::BitVector in(3);
   in.set(0, va);
   in.set(1, vb);
   in.set(2, vc);
-  const util::BitVector out = nl.eval(in);
+  const util::BitVector out = eval_netlist(nl, in);
   EXPECT_EQ(out.get(0), va != vb);
   EXPECT_EQ(out.get(1), va == vb);
   EXPECT_EQ(out.get(2), va ^ vb ^ vc);
@@ -108,8 +98,7 @@ TEST_P(GateTruthTableTest, TwoAndThreeInputHelpersMatchSemantics) {
   EXPECT_EQ(out.get(4), va ? vc : vb);
   EXPECT_EQ(out.get(5), va && vb);
   EXPECT_EQ(out.get(6), va || vb);
-  EXPECT_EQ(out.get(7), !(va && vb));
-  EXPECT_EQ(out.get(8), !(va || vb));
+  EXPECT_EQ(out.get(7), !(va || vb));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, GateTruthTableTest, ::testing::Range(0, 8));
@@ -121,7 +110,11 @@ TEST(LogicBuilder, WideOrAndNorDecomposeCorrectly) {
   b.output(b.or_gate(std::span<const NodeId>(ins)));
   b.output(b.nor_gate(std::span<const NodeId>(ins)));
   b.output(b.and_gate(std::span<const NodeId>(ins)));
-  EXPECT_EQ(nl.max_fanin(), 4u);
+  std::size_t widest = 0;
+  for (NodeId id = 0; id < nl.num_nodes(); ++id) {
+    widest = std::max(widest, nl.node(id).fanins.size());
+  }
+  EXPECT_EQ(widest, 4u);
   util::Rng rng(5);
   for (int trial = 0; trial < 50; ++trial) {
     util::BitVector in(13);
@@ -132,7 +125,7 @@ TEST(LogicBuilder, WideOrAndNorDecomposeCorrectly) {
       any = any || v;
       all = all && v;
     }
-    const util::BitVector out = nl.eval(in);
+    const util::BitVector out = eval_netlist(nl, in);
     EXPECT_EQ(out.get(0), any);
     EXPECT_EQ(out.get(1), !any);
     EXPECT_EQ(out.get(2), all);
@@ -156,7 +149,7 @@ TEST(LogicBuilder, RippleAddMatchesNativeAddition) {
       in.set(i, (xv >> i) & 1u);
       in.set(32 + i, (yv >> i) & 1u);
     }
-    const util::BitVector out = nl.eval(in);
+    const util::BitVector out = eval_netlist(nl, in);
     const std::uint64_t expect = xv + yv;
     for (std::size_t i = 0; i < 33; ++i) {
       EXPECT_EQ(out.get(i), (expect >> i) & 1u) << "bit " << i;
@@ -173,7 +166,6 @@ TEST(LogicBuilder, SubCompareEqualAgainstNative) {
   b.output_bus(diff.sum);
   b.output(diff.carry_out);          // borrow: x < y
   b.output(b.greater_equal(x, y));   // x >= y
-  b.output(b.equal(x, y));
   util::Rng rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     const std::uint64_t xv = rng.next() & 0xFFFF;
@@ -183,12 +175,11 @@ TEST(LogicBuilder, SubCompareEqualAgainstNative) {
       in.set(i, (xv >> i) & 1u);
       in.set(16 + i, (yv >> i) & 1u);
     }
-    const util::BitVector out = nl.eval(in);
+    const util::BitVector out = eval_netlist(nl, in);
     const std::uint64_t d = (xv - yv) & 0xFFFF;
     for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(out.get(i), (d >> i) & 1u);
     EXPECT_EQ(out.get(16), xv < yv);
     EXPECT_EQ(out.get(17), xv >= yv);
-    EXPECT_EQ(out.get(18), xv == yv);
   }
 }
 
@@ -203,7 +194,7 @@ TEST(LogicBuilder, PopcountMatchesCount) {
     for (int trial = 0; trial < 30; ++trial) {
       util::BitVector in(width);
       for (std::size_t i = 0; i < width; ++i) in.set(i, rng.bernoulli(0.5));
-      const util::BitVector out = nl.eval(in);
+      const util::BitVector out = eval_netlist(nl, in);
       std::uint64_t got = 0;
       for (std::size_t i = 0; i < out.size(); ++i) {
         if (out.get(i)) got |= std::uint64_t{1} << i;
@@ -228,7 +219,7 @@ TEST(LogicBuilder, MultiplyMatchesNative) {
       in.set(i, (xv >> i) & 1u);
       in.set(8 + i, (yv >> i) & 1u);
     }
-    const util::BitVector out = nl.eval(in);
+    const util::BitVector out = eval_netlist(nl, in);
     std::uint64_t got = 0;
     for (std::size_t i = 0; i < 16; ++i) {
       if (out.get(i)) got |= std::uint64_t{1} << i;
@@ -241,7 +232,7 @@ TEST(LogicBuilder, ConstantBusEncodesValue) {
   Netlist nl("t");
   LogicBuilder b(nl);
   b.output_bus(b.constant_bus(10, 0b1100101));
-  const util::BitVector out = nl.eval(util::BitVector(0));
+  const util::BitVector out = eval_netlist(nl, util::BitVector(0));
   EXPECT_EQ(out.to_string(), "1010011000");  // LSB-first
 }
 
@@ -314,7 +305,7 @@ TEST_P(MapperEquivalenceTest, MappedProgramComputesTheNetlist) {
   const SimdRunResult result = run_simd(nl, program, xb, inputs);
   EXPECT_EQ(result.violations, 0u);
   for (std::size_t trial = 0; trial < kTrials; ++trial) {
-    EXPECT_EQ(result.outputs.row(trial), nl.eval(inputs.row(trial)))
+    EXPECT_EQ(result.outputs.row(trial), eval_netlist(nl, inputs.row(trial)))
         << "seed " << GetParam() << " trial " << trial;
   }
 }
@@ -420,7 +411,8 @@ TEST(RowVm, SimdMatchesPerRowEval) {
   const SimdRunResult result = run_simd(nl, program, xb, inputs);
   EXPECT_EQ(result.violations, 0u);
   for (std::size_t r = 0; r < kRows; ++r) {
-    EXPECT_EQ(result.outputs.row(r), nl.eval(inputs.row(r))) << "row " << r;
+    EXPECT_EQ(result.outputs.row(r), eval_netlist(nl, inputs.row(r)))
+        << "row " << r;
   }
 }
 
@@ -456,13 +448,15 @@ TEST(RowVm, ConstantCellsComeFromTheProgram) {
   const SimdRunResult simd = run_simd(nl, program, xb, inputs);
   EXPECT_EQ(simd.violations, 0u);
   for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(simd.outputs.row(r), nl.eval(inputs.row(r))) << "row " << r;
+    EXPECT_EQ(simd.outputs.row(r), eval_netlist(nl, inputs.row(r)))
+        << "row " << r;
     xbar::Crossbar single(1, options.row_width);
     single.contents_mutable().fill(r % 2 == 0);
     util::BitMatrix one_input(1, 2);
     one_input.row(0) = inputs.row(r);
     const SimdRunResult one_row = run_simd(nl, program, single, one_input);
-    EXPECT_EQ(one_row.outputs.row(0), nl.eval(inputs.row(r))) << "row " << r;
+    EXPECT_EQ(one_row.outputs.row(0), eval_netlist(nl, inputs.row(r)))
+        << "row " << r;
   }
 }
 
@@ -478,7 +472,6 @@ TEST(RowVm, RejectsAMismatchedNetlistBeforeMutating) {
                std::invalid_argument);
   EXPECT_EQ(xb.contents(), before.contents());
   EXPECT_EQ(xb.counters(), before.counters());
-  EXPECT_EQ(xb.row_activation_snapshot(), before.row_activation_snapshot());
 }
 
 // -------------------------------------------------------------- ecc_schedule
